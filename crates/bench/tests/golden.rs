@@ -53,6 +53,21 @@ fn fig9_json_is_byte_identical_to_capture() {
 }
 
 #[test]
+fn fig10_json_is_byte_identical_to_capture() {
+    // The only fixture that prices `PmWal` and an async `BlockWal`.
+    let report = twob_bench::fig10::run(false);
+    let json = serde_json::to_string(&report).expect("serialize fig10");
+    assert_matches_golden("fig10_hetero", &json);
+}
+
+#[test]
+fn commit_cost_json_is_byte_identical_to_capture() {
+    let rows = twob_bench::commit_cost::run();
+    let json = serde_json::to_string(&rows).expect("serialize commit cost");
+    assert_matches_golden("commit_cost", &json);
+}
+
+#[test]
 fn gc_interference_json_is_byte_identical_to_capture() {
     let rows = twob_bench::gc_interference::run();
     let json = serde_json::to_string(&rows).expect("serialize gc interference");

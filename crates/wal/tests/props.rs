@@ -1,11 +1,18 @@
-//! Property-based tests of the WAL record format and replay.
+//! Property-based tests of the WAL record format and replay, plus the
+//! differential properties that pin every writer to one algorithm: a commit
+//! is a one-record batch, and the byte-window writers are the same writer
+//! behind different ports.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use proptest::prelude::*;
-use twob_core::TwoBSsd;
+use twob_core::{IoCalendar, PinTable, RegionFrontEnd, TenantId, TwoBSsd};
 use twob_sim::{SimDuration, SimTime};
 use twob_ssd::{Ssd, SsdConfig};
 use twob_wal::{
-    decode_stream, BaWal, BlockWal, CommitMode, LogCursor, LogRecord, Lsn, WalConfig, WalTail,
+    decode_stream, BaWal, BlockWal, CommitMode, CommitOutcome, HostConfig, LogCursor, LogRecord,
+    Lsn, PmWal, ShardWalHost, SharedDevice, TenantBaWal, TenantBlockWal, WalConfig, WalTail,
     WalWriter,
 };
 
@@ -86,8 +93,214 @@ where
     Ok(())
 }
 
+/// A writer plus whatever it takes to snapshot the device underneath it
+/// (the tenant writers share theirs, so the writer alone cannot).
+trait Rig {
+    fn wal(&mut self) -> &mut dyn WalWriter;
+    /// WAL accounting plus every device counter, as one comparable string.
+    fn snapshot(&mut self) -> String;
+}
+
+fn twob_counters(dev: &TwoBSsd) -> String {
+    format!("{:?} {:?}", dev.stats(), dev.ssd().stats())
+}
+
+impl Rig for BaWal {
+    fn wal(&mut self) -> &mut dyn WalWriter {
+        self
+    }
+    fn snapshot(&mut self) -> String {
+        format!("{:?} {}", self.stats(), twob_counters(self.device()))
+    }
+}
+
+impl Rig for BlockWal<Ssd> {
+    fn wal(&mut self) -> &mut dyn WalWriter {
+        self
+    }
+    fn snapshot(&mut self) -> String {
+        format!("{:?} {:?}", self.stats(), self.device().stats())
+    }
+}
+
+impl Rig for PmWal<Ssd> {
+    fn wal(&mut self) -> &mut dyn WalWriter {
+        self
+    }
+    fn snapshot(&mut self) -> String {
+        format!("{:?} {:?}", self.stats(), self.device().stats())
+    }
+}
+
+/// A tenant writer with a handle on the device it shares.
+struct Tenant<W> {
+    wal: W,
+    dev: SharedDevice,
+}
+
+impl<W: WalWriter> Rig for Tenant<W> {
+    fn wal(&mut self) -> &mut dyn WalWriter {
+        &mut self.wal
+    }
+    fn snapshot(&mut self) -> String {
+        format!(
+            "{:?} {}",
+            self.wal.stats(),
+            twob_counters(&self.dev.borrow())
+        )
+    }
+}
+
+/// Log geometry the differential properties share: a 16-page region of
+/// 2-page windows, so a few dozen records rotate and wrap.
+fn small_region() -> WalConfig {
+    WalConfig {
+        region_pages: 16,
+        ..WalConfig::default()
+    }
+}
+
+const WINDOW_PAGES: u32 = 2;
+
+fn tenant_ba(front_end: RegionFrontEnd) -> Tenant<TenantBaWal> {
+    let dev = TwoBSsd::small_for_tests();
+    let pins = PinTable::new(dev.spec(), 1).expect("pin table");
+    let dev = Rc::new(RefCell::new(dev));
+    let wal = TenantBaWal::with_front_end(
+        dev.clone(),
+        Rc::new(RefCell::new(IoCalendar::new())),
+        Rc::new(RefCell::new(pins)),
+        TenantId(0),
+        small_region(),
+        WINDOW_PAGES,
+        front_end,
+    )
+    .expect("tenant ba wal");
+    Tenant { wal, dev }
+}
+
+fn tenant_block() -> Tenant<TenantBlockWal> {
+    let dev = Rc::new(RefCell::new(TwoBSsd::small_for_tests()));
+    let wal = TenantBlockWal::new(
+        dev.clone(),
+        Rc::new(RefCell::new(IoCalendar::new())),
+        TenantId(0),
+        small_region(),
+    )
+    .expect("tenant block wal");
+    Tenant { wal, dev }
+}
+
+fn block_wal(mode: CommitMode) -> BlockWal<Ssd> {
+    BlockWal::new(Ssd::new(SsdConfig::ull_ssd().small()), small_region(), mode).expect("block wal")
+}
+
+/// Mixed-size payloads, from a few bytes to multi-page records that still
+/// fit one 2-page window with their header.
+fn mixed_payloads(max_records: usize) -> impl Strategy<Value = Vec<Vec<u8>>> {
+    prop::collection::vec((1usize..8000, any::<u8>()), 1..max_records).prop_map(|shapes| {
+        shapes
+            .into_iter()
+            .map(|(len, fill)| vec![fill; len])
+            .collect()
+    })
+}
+
+/// Feeds `payloads` to two fresh copies of one writer — `append_commit`
+/// on one, one-record `append_batch`es on the other — and requires every
+/// outcome and, at the end, all WAL and device accounting to be identical.
+fn check_commit_is_a_one_record_batch<R: Rig>(
+    make: impl Fn() -> R,
+    payloads: &[Vec<u8>],
+) -> Result<(), TestCaseError> {
+    let (mut solo, mut batched) = (make(), make());
+    let mut t = SimTime::from_nanos(1_000_000);
+    for payload in payloads {
+        let a = solo.wal().append_commit(t, payload).expect("commit");
+        let b = batched
+            .wal()
+            .append_batch(t, std::slice::from_ref(payload))
+            .expect("batch");
+        prop_assert_eq!(a, b, "{}", solo.wal().scheme());
+        t = a.commit_at;
+    }
+    prop_assert_eq!(solo.snapshot(), batched.snapshot());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `append_commit` is the one-record case of `append_batch` on every
+    /// writer: same commit and durability instants, same WAL stats, same
+    /// device counters, through rotations, region wraps and multi-page
+    /// records.
+    #[test]
+    fn commit_is_a_one_record_batch_on_every_writer(payloads in mixed_payloads(48)) {
+        let ba = |buffers: u8| move || {
+            let dev = TwoBSsd::small_for_tests();
+            match buffers {
+                1 => BaWal::new_single(dev, small_region(), WINDOW_PAGES),
+                _ => BaWal::new(dev, small_region(), WINDOW_PAGES),
+            }
+            .expect("ba wal")
+        };
+        check_commit_is_a_one_record_batch(ba(2), &payloads)?;
+        check_commit_is_a_one_record_batch(ba(1), &payloads)?;
+        check_commit_is_a_one_record_batch(|| block_wal(CommitMode::Sync), &payloads)?;
+        check_commit_is_a_one_record_batch(|| block_wal(CommitMode::Async), &payloads)?;
+        check_commit_is_a_one_record_batch(
+            || PmWal::new(Ssd::new(SsdConfig::dc_ssd().small()), small_region(), WINDOW_PAGES)
+                .expect("pm wal"),
+            &payloads,
+        )?;
+        check_commit_is_a_one_record_batch(|| tenant_ba(RegionFrontEnd::BaMmio), &payloads)?;
+        check_commit_is_a_one_record_batch(|| tenant_ba(RegionFrontEnd::Cxl), &payloads)?;
+        check_commit_is_a_one_record_batch(tenant_block, &payloads)?;
+    }
+
+    /// The byte-window writers are one algorithm behind different ports:
+    /// for one record stream at one single-buffered window, `BaWal`, a
+    /// 1-tenant `TenantBaWal` and a 1-slot `ShardWalHost` commit every
+    /// record at the same instant — through every rotation and region wrap,
+    /// on both byte front-ends — and leave identical device counters.
+    #[test]
+    fn byte_window_writers_agree_at_one_window(payloads in mixed_payloads(64)) {
+        for front_end in [RegionFrontEnd::BaMmio, RegionFrontEnd::Cxl] {
+            let mut tenant = tenant_ba(front_end);
+            let mut host = ShardWalHost::new(
+                TwoBSsd::small_for_tests(),
+                HostConfig {
+                    slots: 1,
+                    window_pages: WINDOW_PAGES,
+                    region_pages: small_region().region_pages,
+                    front_end,
+                    ..HostConfig::default()
+                },
+            )
+            .expect("host");
+            host.open_slot(SimTime::ZERO, 0).expect("open slot");
+            // `BaWal` drives fixed entries through MMIO only.
+            let mut single = (front_end == RegionFrontEnd::BaMmio).then(|| {
+                BaWal::new_single(TwoBSsd::small_for_tests(), small_region(), WINDOW_PAGES)
+                    .expect("ba wal")
+            });
+            let mut t = SimTime::from_nanos(1_000_000);
+            for payload in &payloads {
+                let want: CommitOutcome = tenant.wal.append_commit(t, payload).expect("tenant");
+                prop_assert_eq!(host.append(t, 0, payload).expect("host"), want);
+                if let Some(single) = single.as_mut() {
+                    prop_assert_eq!(single.append_commit(t, payload).expect("single"), want);
+                }
+                t = want.commit_at;
+            }
+            let want = twob_counters(&tenant.dev.borrow());
+            prop_assert_eq!(twob_counters(host.device()), want.clone());
+            if let Some(single) = &single {
+                prop_assert_eq!(twob_counters(single.device()), want);
+            }
+        }
+    }
 
     /// Records round-trip byte-exactly for arbitrary payloads.
     #[test]
