@@ -320,11 +320,13 @@ impl TwoBSsd {
         self.buffer.write_direct(buffer_offset, &read.data);
         self.ssd.lba_checker_pin(lba, pages);
         self.stats.pins += 1;
-        self.trace.push(
-            now,
-            "ba_pin",
-            format!("{eid} offset={buffer_offset} {lba} pages={pages}"),
-        );
+        if self.trace.is_enabled() {
+            self.trace.push(
+                now,
+                "ba_pin",
+                format!("{eid} offset={buffer_offset} {lba} pages={pages}"),
+            );
+        }
         Ok(ApiCompletion {
             complete_at: read.complete_at,
         })
@@ -383,8 +385,10 @@ impl TwoBSsd {
         self.table.remove(eid)?;
         self.ssd.lba_checker_unpin(entry.start_lba, entry.pages);
         self.stats.flushes += 1;
-        self.trace
-            .push(now, "ba_flush", format!("{eid} -> {}", entry.start_lba));
+        if self.trace.is_enabled() {
+            self.trace
+                .push(now, "ba_flush", format!("{eid} -> {}", entry.start_lba));
+        }
         Ok(ApiCompletion { complete_at: done })
     }
 
@@ -1087,8 +1091,9 @@ mod tests {
         let events = d.trace_events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].label, "ba_flush");
+        assert_eq!(events[0].detail, "eid:0 -> lba:0");
         assert_eq!(events[1].label, "ba_pin");
-        assert!(events[1].detail.contains("lba:5"));
+        assert_eq!(events[1].detail, "eid:1 offset=0 lba:5 pages=1");
     }
 
     #[test]

@@ -27,7 +27,7 @@ use twob_ftl::Lba;
 use twob_sim::SimTime;
 
 use crate::{
-    ApiCompletion, EntryId, MmioReadOutcome, MmioStoreOutcome, TwoBError, TwoBSpec, TwoBSsd,
+    ApiCompletion, EntryId, IoOp, MmioReadOutcome, MmioStoreOutcome, TwoBError, TwoBSpec, TwoBSsd,
 };
 
 /// Identifier of one tenant sharing the BA region.
@@ -462,6 +462,30 @@ impl PinTable {
         self.pin_at(dev, now, tenant, (cursor - base) / 4096, lba, pages)
     }
 
+    /// [`PinTable::pin`], then [`PinTable::set_front_end`] once the load has
+    /// landed if the window is to be served by anything but the default
+    /// MMIO front-end — how every log writer and the tier layer open a
+    /// window.
+    ///
+    /// # Errors
+    ///
+    /// As for [`PinTable::pin`] and [`PinTable::set_front_end`].
+    pub fn pin_front_end(
+        &mut self,
+        dev: &mut TwoBSsd,
+        now: SimTime,
+        tenant: TenantId,
+        lba: Lba,
+        pages: u32,
+        front_end: RegionFrontEnd,
+    ) -> Result<(EntryId, ApiCompletion), PinError> {
+        let (eid, done) = self.pin(dev, now, tenant, lba, pages)?;
+        if front_end != RegionFrontEnd::BaMmio {
+            self.set_front_end(done.complete_at, tenant, eid, front_end)?;
+        }
+        Ok((eid, done))
+    }
+
     /// Unpins an entry: fences it (`Unpinning`), flushes its window to
     /// NAND over the internal datapath, and removes the row.
     ///
@@ -599,6 +623,37 @@ impl PinTable {
             RegionFrontEnd::Cxl => Ok(dev.cxl_persist(now, eid, rel_offset, len)?),
             _ => Ok(dev.ba_sync_range(now, eid, rel_offset, len)?),
         }
+    }
+
+    /// The operation [`PinTable::sync_range`] would run, for callers that
+    /// route their durability point through an [`crate::IoCalendar`]
+    /// instead: a range `BA_SYNC` on an MMIO row, a persist barrier on a
+    /// CXL one.
+    ///
+    /// # Errors
+    ///
+    /// Ownership/state errors.
+    pub fn sync_op(
+        &mut self,
+        now: SimTime,
+        tenant: TenantId,
+        eid: EntryId,
+        rel_offset: u64,
+        len: u64,
+    ) -> Result<IoOp, PinError> {
+        let entry = self.owned_pinned(now, tenant, eid)?;
+        Ok(match entry.front_end {
+            RegionFrontEnd::Cxl => IoOp::CxlPersist {
+                eid,
+                rel_offset,
+                len,
+            },
+            _ => IoOp::BaSyncRange {
+                eid,
+                rel_offset,
+                len,
+            },
+        })
     }
 
     /// Byte-path load from an owned window, through the row's selected

@@ -20,37 +20,15 @@
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
-use twob_core::{EntryId, IoCompletion, IoOp, RegionFrontEnd, TenantId};
+use twob_core::{EntryId, IoOp, RegionFrontEnd, TenantId};
 use twob_ftl::Lba;
 use twob_sim::{SimDuration, SimTime};
 use twob_wal::{
-    CommitOutcome, LogRecord, Lsn, SharedCalendar, SharedDevice, SharedPins, WalConfig, WalError,
+    run_op, CommitOutcome, LogRecord, Lsn, RecordLoc, SharedCalendar, SharedDevice, SharedPins,
+    TenantBaWal, WalConfig, WalError,
 };
 
 const PAGE: u64 = 4096;
-
-/// Submits one operation, drives the shared calendar, and plucks out its
-/// completion (the tier layer's private copy of the tenant writers'
-/// helper — each call drains its own completions).
-fn run_op(
-    dev: &SharedDevice,
-    cal: &SharedCalendar,
-    at: SimTime,
-    op: IoOp,
-) -> Result<IoCompletion, WalError> {
-    let mut cal = cal.borrow_mut();
-    let id = cal.submit(at, op);
-    cal.drive(&mut dev.borrow_mut());
-    let done = cal
-        .drain_completions()
-        .into_iter()
-        .find(|c| c.id == id)
-        .expect("a driven calendar completes every submitted op");
-    match done.error.clone() {
-        Some(e) => Err(e.into()),
-        None => Ok(done),
-    }
-}
 
 /// What the policy wants done with a segment after an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -235,14 +213,6 @@ impl Default for TierWalConfig {
     }
 }
 
-/// Where one record lives inside the wrapped log region.
-#[derive(Debug, Clone, Copy)]
-struct RecordLoc {
-    seg: u64,
-    offset: u64,
-    len: u64,
-}
-
 /// A segment currently pinned into the byte tier by promotion.
 #[derive(Debug, Clone, Copy)]
 struct HotSegment {
@@ -253,26 +223,39 @@ struct HotSegment {
 /// A WAL whose tail lives in the byte tier and whose cold segments live
 /// on block NAND — the tier subsystem's flagship client.
 ///
-/// Appends go through the pin table (so the configured front-end prices
-/// the stores) and commit with the front-end's durability op on the
-/// shared calendar. Full windows rotate to NAND; reads of rotated
-/// records ride the block path until the policy promotes their segment
-/// back. See the crate example for the happy path.
+/// The tail *is* a [`TenantBaWal`]: appends go through the pin table (so
+/// the configured front-end prices the stores), commit with the
+/// front-end's durability op on the shared calendar, and full windows
+/// rotate to NAND. Tiering is the policy around it: a hook on the tail's
+/// rotation retires what the wrap overwrites, reads of rotated records
+/// ride the block path until the policy promotes their segment back. See
+/// the crate example for the happy path.
 #[derive(Debug, Clone)]
 pub struct TieredWal {
     dev: SharedDevice,
     cal: SharedCalendar,
     pins: SharedPins,
-    tenant: TenantId,
     cfg: TierWalConfig,
     policy: TierPolicy,
-    tail_eid: EntryId,
-    tail_seg: u64,
-    ready_at: SimTime,
-    used: u64,
-    next_lsn: u64,
+    tail: TenantBaWal,
     index: BTreeMap<u64, RecordLoc>,
     promoted: BTreeMap<u64, HotSegment>,
+}
+
+/// Flushes a promoted segment's window back to NAND and unpins it.
+fn demote(
+    dev: &SharedDevice,
+    cal: &SharedCalendar,
+    pins: &SharedPins,
+    tenant: TenantId,
+    hot: HotSegment,
+    at: SimTime,
+) -> Result<SimTime, WalError> {
+    let t = at.max(hot.ready_at);
+    pins.borrow_mut().begin_unpin(t, tenant, hot.eid)?;
+    let flush = run_op(dev, cal, t, IoOp::BaFlush { eid: hot.eid })?;
+    pins.borrow_mut().finish_unpin(hot.eid)?;
+    Ok(flush.complete_at)
 }
 
 impl TieredWal {
@@ -291,29 +274,6 @@ impl TieredWal {
         tenant: TenantId,
         cfg: TierWalConfig,
     ) -> Result<Self, WalError> {
-        cfg.wal.validate().map_err(WalError::BadConfig)?;
-        if cfg.byte_front_end == RegionFrontEnd::Block {
-            return Err(WalError::BadConfig(
-                "the tail of a tiered WAL needs a byte front-end".into(),
-            ));
-        }
-        if cfg.window_pages == 0 {
-            return Err(WalError::BadConfig("window_pages must be positive".into()));
-        }
-        if u64::from(cfg.wal.region_pages) < u64::from(cfg.window_pages)
-            || !cfg.wal.region_pages.is_multiple_of(cfg.window_pages)
-        {
-            return Err(WalError::BadConfig(
-                "log region must be a multiple of window_pages".into(),
-            ));
-        }
-        {
-            use twob_ssd::BlockDevice;
-            let d = dev.borrow();
-            if cfg.wal.region_base_lba + u64::from(cfg.wal.region_pages) > d.capacity_pages() {
-                return Err(WalError::BadConfig("log region exceeds device".into()));
-            }
-        }
         let windows_needed = (cfg.policy.max_promoted as u64 + 1) * u64::from(cfg.window_pages);
         if windows_needed > pins.borrow().share_pages() {
             return Err(WalError::BadConfig(format!(
@@ -323,30 +283,22 @@ impl TieredWal {
                 windows_needed
             )));
         }
-        let (eid, pin) = pins.borrow_mut().pin(
-            &mut dev.borrow_mut(),
-            SimTime::ZERO,
+        let tail = TenantBaWal::with_front_end(
+            dev.clone(),
+            cal.clone(),
+            pins.clone(),
             tenant,
-            Lba(cfg.wal.region_base_lba),
+            cfg.wal,
             cfg.window_pages,
+            cfg.byte_front_end,
         )?;
-        if cfg.byte_front_end != RegionFrontEnd::BaMmio {
-            pins.borrow_mut()
-                .set_front_end(pin.complete_at, tenant, eid, cfg.byte_front_end)?;
-        }
-        let policy = TierPolicy::new(cfg.policy);
         Ok(TieredWal {
             dev,
             cal,
             pins,
-            tenant,
             cfg,
-            policy,
-            tail_eid: eid,
-            tail_seg: 0,
-            ready_at: pin.complete_at,
-            used: 0,
-            next_lsn: 0,
+            policy: TierPolicy::new(cfg.policy),
+            tail,
             index: BTreeMap::new(),
             promoted: BTreeMap::new(),
         })
@@ -354,7 +306,7 @@ impl TieredWal {
 
     /// The owning tenant.
     pub fn tenant(&self) -> TenantId {
-        self.tenant
+        self.tail.tenant()
     }
 
     /// The byte front-end serving the hot tier.
@@ -377,10 +329,6 @@ impl TieredWal {
         self.promoted.keys().copied().collect()
     }
 
-    fn window_bytes(&self) -> u64 {
-        u64::from(self.cfg.window_pages) * PAGE
-    }
-
     fn num_segments(&self) -> u64 {
         u64::from(self.cfg.wal.region_pages) / u64::from(self.cfg.window_pages)
     }
@@ -393,27 +341,19 @@ impl TieredWal {
 
     /// Oldest segment whose log-region slot has not been overwritten.
     fn oldest_live_seg(&self) -> u64 {
-        self.tail_seg.saturating_sub(self.num_segments() - 1)
+        self.tail.segment().saturating_sub(self.num_segments() - 1)
     }
 
     fn oldest_lsn(&self) -> u64 {
-        self.index.keys().next().copied().unwrap_or(self.next_lsn)
+        let next = self.tail.next_lsn();
+        self.index.keys().next().copied().unwrap_or(next)
     }
 
-    /// The durability op of the tail's front-end (persist barrier on the
-    /// CXL path, range `BA_SYNC` on the MMIO path).
-    fn sync_op(&self, rel_offset: u64, len: u64) -> IoOp {
-        match self.cfg.byte_front_end {
-            RegionFrontEnd::Cxl => IoOp::CxlPersist {
-                eid: self.tail_eid,
-                rel_offset,
-                len,
-            },
-            _ => IoOp::BaSyncRange {
-                eid: self.tail_eid,
-                rel_offset,
-                len,
-            },
+    /// The error for a record the region wrap has overwritten.
+    fn lag(&self, lsn: Lsn) -> WalError {
+        WalError::CursorLag {
+            requested: lsn.0,
+            oldest: self.oldest_lsn(),
         }
     }
 
@@ -423,14 +363,10 @@ impl TieredWal {
             .promoted
             .remove(&seg)
             .ok_or_else(|| WalError::BadConfig(format!("segment {seg} is not promoted")))?;
-        let t = at.max(hot.ready_at);
-        self.pins
-            .borrow_mut()
-            .begin_unpin(t, self.tenant, hot.eid)?;
-        let flush = run_op(&self.dev, &self.cal, t, IoOp::BaFlush { eid: hot.eid })?;
-        self.pins.borrow_mut().finish_unpin(hot.eid)?;
+        let tenant = self.tail.tenant();
+        let flushed = demote(&self.dev, &self.cal, &self.pins, tenant, hot, at)?;
         self.policy.record_demotion();
-        Ok(flush.complete_at)
+        Ok(flushed)
     }
 
     /// Pins a cold segment into the byte tier (evicting the coldest
@@ -444,21 +380,14 @@ impl TieredWal {
                 .expect("a full promotion budget has a victim");
             t = self.demote_promoted(victim, t)?;
         }
-        let (eid, pin) = self.pins.borrow_mut().pin(
+        let (eid, pin) = self.pins.borrow_mut().pin_front_end(
             &mut self.dev.borrow_mut(),
             t,
-            self.tenant,
+            self.tail.tenant(),
             self.segment_lba(seg),
             self.cfg.window_pages,
+            self.cfg.byte_front_end,
         )?;
-        if self.cfg.byte_front_end != RegionFrontEnd::BaMmio {
-            self.pins.borrow_mut().set_front_end(
-                pin.complete_at,
-                self.tenant,
-                eid,
-                self.cfg.byte_front_end,
-            )?;
-        }
         self.promoted.insert(
             seg,
             HotSegment {
@@ -470,52 +399,44 @@ impl TieredWal {
         Ok(())
     }
 
-    /// Demotes the full tail window to NAND and pins the next segment's
-    /// slot as the new tail.
-    fn rotate(&mut self, at: SimTime) -> Result<SimTime, WalError> {
-        self.pins
-            .borrow_mut()
-            .begin_unpin(at, self.tenant, self.tail_eid)?;
-        let flush = run_op(
-            &self.dev,
-            &self.cal,
-            at,
-            IoOp::BaFlush { eid: self.tail_eid },
-        )?;
-        self.pins.borrow_mut().finish_unpin(self.tail_eid)?;
-        self.policy.record_demotion();
-        let next_seg = self.tail_seg + 1;
-        let mut t = flush.complete_at;
-        // The wrap reuses the oldest segment's slot: its records are gone
-        // and, if it was promoted, its window must leave the buffer.
-        if next_seg >= self.num_segments() {
-            let dying = next_seg - self.num_segments();
-            if self.promoted.contains_key(&dying) {
-                t = self.demote_promoted(dying, t)?;
+    /// Splits the writer into its tail and what the tail runs when it
+    /// rotates, between demoting the full window to NAND and pinning the
+    /// next segment's slot: the wrap reuses the oldest segment's slot, so
+    /// that segment's records are gone and, if it was promoted, its window
+    /// must leave the buffer before the tail is re-pinned.
+    fn tail_and_rotation_hook(
+        &mut self,
+    ) -> (
+        &mut TenantBaWal,
+        impl FnMut(u64, SimTime) -> Result<SimTime, WalError> + '_,
+    ) {
+        let segments = self.num_segments();
+        let TieredWal {
+            dev,
+            cal,
+            pins,
+            policy,
+            tail,
+            index,
+            promoted,
+            ..
+        } = self;
+        let tenant = tail.tenant();
+        let hook = move |next_seg: u64, flushed: SimTime| {
+            policy.record_demotion();
+            let mut t = flushed;
+            if next_seg >= segments {
+                let dying = next_seg - segments;
+                if let Some(hot) = promoted.remove(&dying) {
+                    t = demote(dev, cal, pins, tenant, hot, t)?;
+                    policy.record_demotion();
+                }
+                index.retain(|_, loc| loc.segment != dying);
+                policy.forget(dying);
             }
-            self.index.retain(|_, loc| loc.seg != dying);
-            self.policy.forget(dying);
-        }
-        let (eid, pin) = self.pins.borrow_mut().pin(
-            &mut self.dev.borrow_mut(),
-            t,
-            self.tenant,
-            self.segment_lba(next_seg),
-            self.cfg.window_pages,
-        )?;
-        if self.cfg.byte_front_end != RegionFrontEnd::BaMmio {
-            self.pins.borrow_mut().set_front_end(
-                pin.complete_at,
-                self.tenant,
-                eid,
-                self.cfg.byte_front_end,
-            )?;
-        }
-        self.tail_eid = eid;
-        self.tail_seg = next_seg;
-        self.ready_at = pin.complete_at;
-        self.used = 0;
-        Ok(pin.complete_at)
+            Ok(t)
+        };
+        (tail, hook)
     }
 
     /// Appends one record to the hot tail and commits it through the
@@ -526,48 +447,10 @@ impl TieredWal {
     /// [`WalError::RecordTooLarge`] if the record cannot fit a window,
     /// or device/arbiter failures.
     pub fn append(&mut self, now: SimTime, payload: &[u8]) -> Result<CommitOutcome, WalError> {
-        let record = LogRecord::new(Lsn(self.next_lsn), payload.to_vec());
-        let bytes = record.encode();
-        if bytes.len() as u64 > self.window_bytes() {
-            return Err(WalError::RecordTooLarge {
-                got: bytes.len(),
-                max: self.window_bytes() as usize,
-            });
-        }
-        let lsn = record.lsn;
-        self.next_lsn += 1;
-        let mut t = (now + self.cfg.wal.record_overhead).max(self.ready_at);
-        if self.used + bytes.len() as u64 > self.window_bytes() {
-            t = t.max(self.rotate(t)?);
-        }
-        let store = self.pins.borrow_mut().write(
-            &mut self.dev.borrow_mut(),
-            t,
-            self.tenant,
-            self.tail_eid,
-            self.used,
-            &bytes,
-        )?;
-        let sync = run_op(
-            &self.dev,
-            &self.cal,
-            store.retired_at,
-            self.sync_op(self.used, bytes.len() as u64),
-        )?;
-        self.index.insert(
-            lsn.0,
-            RecordLoc {
-                seg: self.tail_seg,
-                offset: self.used,
-                len: bytes.len() as u64,
-            },
-        );
-        self.used += bytes.len() as u64;
-        Ok(CommitOutcome {
-            lsn,
-            commit_at: sync.complete_at,
-            durable_at: Some(sync.complete_at),
-        })
+        let (tail, hook) = self.tail_and_rotation_hook();
+        let (outcome, loc) = tail.append_commit_with(now, payload, hook)?;
+        self.index.insert(outcome.lsn.0, loc);
+        Ok(outcome)
     }
 
     /// Reads one committed record back, returning its payload and the
@@ -584,52 +467,39 @@ impl TieredWal {
     pub fn read(&mut self, now: SimTime, lsn: Lsn) -> Result<(Vec<u8>, SimTime), WalError> {
         let loc = match self.index.get(&lsn.0) {
             Some(loc) => *loc,
-            None if lsn.0 < self.next_lsn => {
-                return Err(WalError::CursorLag {
-                    requested: lsn.0,
-                    oldest: self.oldest_lsn(),
-                })
-            }
+            None if lsn.0 < self.tail.next_lsn() => return Err(self.lag(lsn)),
             None => {
                 return Err(WalError::BadConfig(format!(
                     "{lsn:?} has not been appended"
                 )))
             }
         };
-        let (bytes, done_at) = if loc.seg == self.tail_seg {
-            self.policy.on_hot_read(loc.seg, now);
-            let t = now.max(self.ready_at);
+        // The window holding the segment in the byte tier, if any.
+        let hot = if loc.segment == self.tail.segment() {
+            Some((self.tail.eid(), self.tail.ready_at()))
+        } else {
+            self.promoted
+                .get(&loc.segment)
+                .map(|hot| (hot.eid, hot.ready_at))
+        };
+        let (bytes, done_at) = if let Some((eid, ready_at)) = hot {
+            self.policy.on_hot_read(loc.segment, now);
             let out = self.pins.borrow_mut().read(
                 &mut self.dev.borrow_mut(),
-                t,
-                self.tenant,
-                self.tail_eid,
-                loc.offset,
-                loc.len,
-            )?;
-            (out.data, out.complete_at)
-        } else if let Some(hot) = self.promoted.get(&loc.seg).copied() {
-            self.policy.on_hot_read(loc.seg, now);
-            let t = now.max(hot.ready_at);
-            let out = self.pins.borrow_mut().read(
-                &mut self.dev.borrow_mut(),
-                t,
-                self.tenant,
-                hot.eid,
+                now.max(ready_at),
+                self.tail.tenant(),
+                eid,
                 loc.offset,
                 loc.len,
             )?;
             (out.data, out.complete_at)
         } else {
-            if loc.seg < self.oldest_live_seg() {
-                return Err(WalError::CursorLag {
-                    requested: lsn.0,
-                    oldest: self.oldest_lsn(),
-                });
+            if loc.segment < self.oldest_live_seg() {
+                return Err(self.lag(lsn));
             }
             let first_page = loc.offset / PAGE;
             let last_page = (loc.offset + loc.len - 1) / PAGE;
-            let lba = Lba(self.segment_lba(loc.seg).0 + first_page);
+            let lba = Lba(self.segment_lba(loc.segment).0 + first_page);
             let done = run_op(
                 &self.dev,
                 &self.cal,
@@ -642,8 +512,8 @@ impl TieredWal {
             let data = done.data.expect("block reads complete with data");
             let start = (loc.offset - first_page * PAGE) as usize;
             let bytes = data[start..start + loc.len as usize].to_vec();
-            if self.policy.on_cold_read(loc.seg, now) == TierAction::Promote {
-                self.promote(loc.seg, done.complete_at)?;
+            if self.policy.on_cold_read(loc.segment, now) == TierAction::Promote {
+                self.promote(loc.segment, done.complete_at)?;
             }
             (bytes, done.complete_at)
         };
@@ -686,11 +556,8 @@ impl TieredWal {
     ///
     /// Propagates device and arbiter errors.
     pub fn finalize(&mut self, now: SimTime) -> Result<SimTime, WalError> {
-        if self.used > 0 {
-            self.rotate(now.max(self.ready_at))
-        } else {
-            Ok(now)
-        }
+        let (tail, hook) = self.tail_and_rotation_hook();
+        tail.finalize_with(now, hook)
     }
 }
 
@@ -727,12 +594,12 @@ mod tests {
     ) -> (TieredWal, SharedDevice, SharedCalendar, SimTime) {
         let (mut wal, dev, cal) = wal_with(cfg);
         let mut t = SimTime::from_nanos(1_000_000);
-        let per_window = wal.window_bytes() / 1024;
+        let per_window = u64::from(wal.cfg.window_pages) * PAGE / 1024;
         for i in 0..(per_window * segments + 1) {
             let payload = vec![(i % 251) as u8; 1024 - 16];
             t = wal.append(t, &payload).unwrap().commit_at;
         }
-        assert!(wal.tail_seg >= segments, "fill did not rotate enough");
+        assert!(wal.tail.segment() >= segments, "fill did not rotate enough");
         (wal, dev, cal, t)
     }
 
@@ -819,7 +686,7 @@ mod tests {
             ..TierWalConfig::default()
         };
         let (mut wal, _dev, _cal, t) = filled(cfg, 3);
-        let per_window = wal.window_bytes() / 1024;
+        let per_window = u64::from(wal.cfg.window_pages) * PAGE / 1024;
         // Promote segment 0, then heat segment 1 past the threshold: the
         // budget of one forces segment 0 back out.
         let (_, t1) = wal.read(t, Lsn(0)).unwrap();

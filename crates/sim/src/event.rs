@@ -7,10 +7,9 @@
 //!   slab-allocated event payloads, lazily sorted buckets, and batched
 //!   same-instant dispatch. This is the fast path every simulation runs on.
 //! - [`HeapQueue`]: the original binary-heap calendar, kept as the
-//!   differential-testing *oracle*. Building `twob-sim` with the
-//!   `heap-kernel` feature flips the [`EventQueue`] alias (and with it every
-//!   consumer in the workspace) back onto the heap, so any suspected kernel
-//!   bug can be bisected by re-running a sweep on the oracle.
+//!   differential-testing *oracle*: a test or bench that suspects the
+//!   kernel names it at the call site (`Executor<E, HeapQueue<E>>`) and
+//!   compares against the default.
 //!
 //! Both calendars order events by `(time, insertion sequence)`, so events
 //! posted for the same instant fire in FIFO order. This makes every run of a
@@ -45,8 +44,7 @@ use crate::SimTime;
 ///
 /// The executor is generic over this trait so the production calendar
 /// ([`WheelQueue`](crate::WheelQueue)) and the binary-heap oracle
-/// ([`HeapQueue`]) can be swapped freely — per call site for differential
-/// tests, or workspace-wide via the `heap-kernel` feature.
+/// ([`HeapQueue`]) can be swapped per call site for differential tests.
 pub trait Calendar<E>: Default {
     /// Schedules `event` to fire at `at`.
     fn push(&mut self, at: SimTime, event: E);
@@ -64,20 +62,9 @@ pub trait Calendar<E>: Default {
     fn pushed(&self) -> u64;
 }
 
-/// The workspace-default calendar behind [`Executor`].
-///
-/// Normally the calendar-queue [`WheelQueue`](crate::WheelQueue); compiling
-/// `twob-sim` with the `heap-kernel` feature swaps every consumer onto the
-/// binary-heap [`HeapQueue`] oracle instead, for differential debugging.
-#[cfg(not(feature = "heap-kernel"))]
+/// The calendar behind [`Executor`] and every consumer in the workspace:
+/// the calendar-queue [`WheelQueue`](crate::WheelQueue).
 pub type EventQueue<E> = WheelQueue<E>;
-
-/// The workspace-default calendar behind [`Executor`].
-///
-/// The `heap-kernel` feature is enabled: every consumer runs on the
-/// binary-heap [`HeapQueue`] oracle.
-#[cfg(feature = "heap-kernel")]
-pub type EventQueue<E> = HeapQueue<E>;
 
 /// One pending event: fires at `at`, FIFO among events at the same instant.
 #[derive(Debug, Clone)]

@@ -11,8 +11,8 @@
 //!   queue ([`WheelQueue`]) with slab event storage, keyed by `SimTime` with
 //!   FIFO tie-breaking by insertion sequence, and an executor that drains it
 //!   deterministically. The original binary-heap calendar survives as
-//!   [`HeapQueue`], the differential-testing oracle; the `heap-kernel`
-//!   feature swaps the whole workspace back onto it.
+//!   [`HeapQueue`], the differential-testing oracle, named explicitly
+//!   wherever a test or bench compares the two.
 //! - [`ShardedExecutor`]: conservative parallel discrete-event execution
 //!   across sharded time domains (dies, channels, replica nodes) with
 //!   byte-identical sequential/parallel firing order.

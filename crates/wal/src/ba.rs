@@ -5,16 +5,33 @@ use twob_ftl::Lba;
 use twob_sim::SimTime;
 use twob_ssd::BlockDevice;
 
+use crate::logcore::{repin_at_once, ByteLog, ByteLogShape, Done, WindowPort, PAGE_BYTES};
 use crate::{CommitOutcome, LogRecord, Lsn, WalConfig, WalError, WalStats, WalWriter};
 
-#[derive(Debug, Clone, Copy)]
-struct Half {
-    eid: EntryId,
-    buffer_offset: u64,
-    /// Instant this half's pin completed and it may accept appends.
-    ready_at: SimTime,
-    /// Bytes appended so far.
-    used: u64,
+/// The port of a writer that owns its device: direct device calls over
+/// the paper's MMIO + `BA_SYNC` path, each window in the lowest free
+/// mapping entry and BA-buffer hole (the one its flush just vacated).
+struct OwnedDevice<'a>(&'a mut TwoBSsd);
+
+impl WindowPort for OwnedDevice<'_> {
+    fn store(&mut self, at: SimTime, eid: EntryId, offset: u64, data: &[u8]) -> Done {
+        Ok(self.0.mmio_write(at, eid, offset, data)?.retired_at)
+    }
+
+    fn sync(&mut self, at: SimTime, eid: EntryId, offset: u64, len: u64) -> Done {
+        Ok(self.0.ba_sync_range(at, eid, offset, len)?.complete_at)
+    }
+
+    fn flush(&mut self, at: SimTime, eid: EntryId) -> Done {
+        Ok(self.0.ba_flush(at, eid)?.complete_at)
+    }
+
+    fn pin(&mut self, at: SimTime, lba: Lba, pages: u32) -> Result<(EntryId, SimTime), WalError> {
+        // Pin cost rides the internal datapath, overlapping the host's
+        // appends to the other window.
+        let (eid, pin) = self.0.ba_pin_auto(at, lba, pages)?;
+        Ok((eid, pin.complete_at))
+    }
 }
 
 /// BA-WAL: log records go straight into the 2B-SSD's BA-buffer.
@@ -51,15 +68,7 @@ struct Half {
 #[derive(Debug, Clone)]
 pub struct BaWal {
     dev: TwoBSsd,
-    cfg: WalConfig,
-    half_pages: u32,
-    halves: Vec<Half>,
-    active: usize,
-    next_lsn: u64,
-    /// Offset (in pages, relative to the region base) where the next
-    /// flushed half will be re-pinned.
-    cursor_pages: u64,
-    stats: WalStats,
+    log: ByteLog,
 }
 
 impl BaWal {
@@ -93,51 +102,23 @@ impl BaWal {
         buffers: usize,
     ) -> Result<Self, WalError> {
         cfg.validate().map_err(WalError::BadConfig)?;
-        if half_pages == 0 {
-            return Err(WalError::BadConfig("half_pages must be positive".into()));
-        }
-        let half_bytes = u64::from(half_pages) * 4096;
+        let half_bytes = u64::from(half_pages) * PAGE_BYTES;
         if buffers as u64 * half_bytes > dev.spec().ba_buffer_bytes {
             return Err(WalError::BadConfig(format!(
                 "{buffers} x {half_bytes}-byte windows exceed the {}-byte BA-buffer",
                 dev.spec().ba_buffer_bytes
             )));
         }
-        if u64::from(cfg.region_pages) < buffers as u64 * u64::from(half_pages)
-            || !cfg.region_pages.is_multiple_of(half_pages)
-        {
-            return Err(WalError::BadConfig(
-                "log region must be a multiple of half_pages and hold every window".into(),
-            ));
-        }
-        if cfg.region_base_lba + u64::from(cfg.region_pages) > dev.capacity_pages() {
-            return Err(WalError::BadConfig("log region exceeds device".into()));
-        }
-        let mut halves: Vec<Half> = (0..buffers)
-            .map(|i| Half {
-                eid: EntryId(i as u8),
-                buffer_offset: i as u64 * half_bytes,
-                ready_at: SimTime::ZERO,
-                used: 0,
-            })
-            .collect();
-        for (i, half) in halves.iter_mut().enumerate() {
-            let lba = Lba(cfg.region_base_lba + i as u64 * u64::from(half_pages));
-            let pin = dev
-                .ba_pin(SimTime::ZERO, half.eid, half.buffer_offset, lba, half_pages)
-                .map_err(WalError::from)?;
-            half.ready_at = pin.complete_at;
-        }
-        Ok(BaWal {
-            dev,
-            cfg,
-            half_pages,
-            halves,
-            active: 0,
-            next_lsn: 0,
-            cursor_pages: buffers as u64 * u64::from(half_pages),
-            stats: WalStats::default(),
-        })
+        let shape = ByteLogShape {
+            region_base_lba: cfg.region_base_lba,
+            region_pages: cfg.region_pages,
+            window_pages: half_pages,
+            windows: buffers,
+            record_overhead: cfg.record_overhead,
+        };
+        shape.validate(dev.capacity_pages())?;
+        let log = ByteLog::open(&mut OwnedDevice(&mut dev), SimTime::ZERO, shape)?;
+        Ok(BaWal { dev, log })
     }
 
     /// The wrapped 2B-SSD (read-only).
@@ -155,57 +136,15 @@ impl BaWal {
         self.dev
     }
 
-    fn half_bytes(&self) -> u64 {
-        u64::from(self.half_pages) * 4096
-    }
-
-    /// Flushes the active half to NAND, re-pins it at the next log-segment
-    /// LBAs, and switches to the other half. Returns the instant the
-    /// *new active half* is usable (usually the past, thanks to double
-    /// buffering).
-    fn rotate(&mut self, at: SimTime) -> Result<SimTime, WalError> {
-        let half = self.halves[self.active];
-        let flush = self.dev.ba_flush(at, half.eid)?;
-        self.stats.device_page_writes += u64::from(self.half_pages);
-        self.stats.distinct_pages += u64::from(self.half_pages);
-        // Re-pin the flushed half at the next segment, wrapping within the
-        // region. Pin cost rides the internal datapath, overlapping the
-        // host's appends to the other half.
-        let next_lba =
-            Lba(self.cfg.region_base_lba + self.cursor_pages % u64::from(self.cfg.region_pages));
-        self.cursor_pages += u64::from(self.half_pages);
-        let pin = self.dev.ba_pin(
-            flush.complete_at,
-            half.eid,
-            half.buffer_offset,
-            next_lba,
-            self.half_pages,
-        )?;
-        self.halves[self.active].ready_at = pin.complete_at;
-        self.halves[self.active].used = 0;
-        self.active = (self.active + 1) % self.halves.len();
-        Ok(self.halves[self.active].ready_at)
-    }
-
-    /// Flushes whatever the halves hold (inactive first), e.g. at shutdown.
+    /// Flushes whatever the halves hold (active first), e.g. at shutdown.
     /// Both halves are re-pinned afterwards, so logging may continue.
     ///
     /// # Errors
     ///
     /// Propagates device errors.
     pub fn finalize(&mut self, now: SimTime) -> Result<SimTime, WalError> {
-        let mut t = now;
-        for _ in 0..self.halves.len() {
-            if self.halves[self.active].used > 0 {
-                t = t.max(self.rotate(t)?);
-            } else {
-                self.active = (self.active + 1) % self.halves.len();
-            }
-        }
-        // Every half's re-pin follows its flush, so the latest ready_at
-        // bounds when all data is durable on NAND.
-        let settled = self.halves.iter().map(|h| h.ready_at).max().unwrap_or(t);
-        Ok(t.max(settled))
+        self.log
+            .finalize(&mut OwnedDevice(&mut self.dev), now, repin_at_once)
     }
 
     /// Decodes the records currently sitting in the BA-buffer halves
@@ -217,52 +156,37 @@ impl BaWal {
     ///
     /// Propagates device errors.
     pub fn recover_buffered(&mut self, now: SimTime) -> Result<Vec<LogRecord>, WalError> {
+        let mut records = self.read_buffered(now)?.0;
+        records.sort_by_key(|r| r.lsn);
+        Ok(records)
+    }
+
+    fn append<'a>(
+        &mut self,
+        now: SimTime,
+        payloads: impl Iterator<Item = &'a [u8]> + Clone,
+    ) -> Result<CommitOutcome, WalError> {
+        let port = &mut OwnedDevice(&mut self.dev);
+        Ok(self.log.append(port, now, payloads, repin_at_once)?.0)
+    }
+
+    /// Reads every pinned window out over `BA_READ_DMA` and decodes it,
+    /// returning the records and the latest read completion.
+    fn read_buffered(&mut self, now: SimTime) -> Result<(Vec<LogRecord>, SimTime), WalError> {
+        let mut done = now;
         let mut records = Vec::new();
         for entry in self.dev.entries() {
             let read = self.dev.ba_read_dma(now, entry.eid, 0, entry.len_bytes())?;
-            let outcome = crate::decode_stream(&read.data);
-            records.extend(outcome.records);
+            done = done.max(read.complete_at);
+            records.extend(crate::decode_stream(&read.data).records);
         }
-        records.sort_by_key(|r| r.lsn);
-        Ok(records)
+        Ok((records, done))
     }
 }
 
 impl WalWriter for BaWal {
     fn append_commit(&mut self, now: SimTime, payload: &[u8]) -> Result<CommitOutcome, WalError> {
-        let record = LogRecord::new(Lsn(self.next_lsn), payload.to_vec());
-        let bytes = record.encode();
-        if bytes.len() as u64 > self.half_bytes() {
-            return Err(WalError::RecordTooLarge {
-                got: bytes.len(),
-                max: self.half_bytes() as usize,
-            });
-        }
-        self.next_lsn += 1;
-        // Phase 1 — logging. Wait for the active half if its pin is still
-        // in flight (rare: double buffering hides it).
-        let mut t = now + self.cfg.record_overhead;
-        t = t.max(self.halves[self.active].ready_at);
-        if self.halves[self.active].used + bytes.len() as u64 > self.half_bytes() {
-            t = t.max(self.rotate(t)?);
-        }
-        let half = self.halves[self.active];
-        let store = self.dev.mmio_write(t, half.eid, half.used, &bytes)?;
-        // Phase 2 — commit: sync exactly the appended bytes.
-        let sync =
-            self.dev
-                .ba_sync_range(store.retired_at, half.eid, half.used, bytes.len() as u64)?;
-        self.halves[self.active].used += bytes.len() as u64;
-        self.stats.commits += 1;
-        self.stats.payload_bytes += payload.len() as u64;
-        self.stats.encoded_bytes += bytes.len() as u64;
-        let outcome = CommitOutcome {
-            lsn: record.lsn,
-            commit_at: sync.complete_at,
-            durable_at: Some(sync.complete_at),
-        };
-        self.stats.commit_time_total += outcome.commit_at.saturating_since(now);
-        Ok(outcome)
+        self.append(now, std::iter::once(payload))
     }
 
     /// Batch append: all records are `memcpy`ed in, with a single
@@ -273,66 +197,7 @@ impl WalWriter for BaWal {
         now: SimTime,
         payloads: &[Vec<u8>],
     ) -> Result<CommitOutcome, WalError> {
-        if payloads.is_empty() {
-            return Err(WalError::BadConfig("empty batch".into()));
-        }
-        let mut t = now + self.cfg.record_overhead;
-        let mut dirty_start: Option<u64> = None;
-        let mut last_lsn = Lsn(self.next_lsn);
-        let mut encoded_total = 0u64;
-        let mut payload_total = 0u64;
-        for payload in payloads {
-            let record = LogRecord::new(Lsn(self.next_lsn), payload.clone());
-            let bytes = record.encode();
-            if bytes.len() as u64 > self.half_bytes() {
-                return Err(WalError::RecordTooLarge {
-                    got: bytes.len(),
-                    max: self.half_bytes() as usize,
-                });
-            }
-            self.next_lsn += 1;
-            last_lsn = record.lsn;
-            t = t.max(self.halves[self.active].ready_at);
-            if self.halves[self.active].used + bytes.len() as u64 > self.half_bytes() {
-                // Make the half's un-synced tail device-resident before it
-                // is flushed to NAND.
-                if let Some(start) = dirty_start.take() {
-                    let half = self.halves[self.active];
-                    let sync = self
-                        .dev
-                        .ba_sync_range(t, half.eid, start, half.used - start)?;
-                    t = sync.complete_at;
-                }
-                t = t.max(self.rotate(t)?);
-            }
-            let half = self.halves[self.active];
-            let store = self.dev.mmio_write(t, half.eid, half.used, &bytes)?;
-            t = store.retired_at;
-            if dirty_start.is_none() {
-                dirty_start = Some(half.used);
-            }
-            self.halves[self.active].used += bytes.len() as u64;
-            encoded_total += bytes.len() as u64;
-            payload_total += payload.len() as u64;
-        }
-        let durable = match dirty_start {
-            Some(start) => {
-                let half = self.halves[self.active];
-                self.dev
-                    .ba_sync_range(t, half.eid, start, half.used - start)?
-                    .complete_at
-            }
-            None => t,
-        };
-        self.stats.commits += payloads.len() as u64;
-        self.stats.payload_bytes += payload_total;
-        self.stats.encoded_bytes += encoded_total;
-        self.stats.commit_time_total += durable.saturating_since(now);
-        Ok(CommitOutcome {
-            lsn: last_lsn,
-            commit_at: durable,
-            durable_at: Some(durable),
-        })
+        self.append(now, payloads.iter().map(Vec::as_slice))
     }
 
     fn scheme(&self) -> String {
@@ -340,7 +205,7 @@ impl WalWriter for BaWal {
     }
 
     fn stats(&self) -> WalStats {
-        self.stats
+        self.log.stats
     }
 }
 
@@ -352,42 +217,18 @@ impl crate::WalTail for BaWal {
     /// the buffered window does the reader fall back to block reads of the
     /// flushed log region.
     fn read_tail(&mut self, now: SimTime, from: Lsn) -> Result<crate::CursorBatch, WalError> {
-        let mut t = now;
-        let mut raw = Vec::new();
-        for entry in self.dev.entries() {
-            let read = self.dev.ba_read_dma(now, entry.eid, 0, entry.len_bytes())?;
-            t = t.max(read.complete_at);
-            raw.extend(crate::decode_stream(&read.data).records);
-        }
+        let (mut raw, mut t) = self.read_buffered(now)?;
         // A re-pinned half can still decode stale (already-flushed)
         // records, so "the buffer holds `from`" is the coverage test —
         // stale records are byte-identical duplicates and dedup away.
-        let covered = from.0 >= self.next_lsn || raw.iter().any(|r| r.lsn == from);
+        let covered = from.0 >= self.log.next_lsn() || raw.iter().any(|r| r.lsn == from);
         if !covered {
-            // Flushes are half-aligned and rewrite whole halves, so the
-            // region is a sequence of independently coherent half-sized
-            // segments (each with slack padding at its tail) — decode each
-            // segment separately; `canonical_tail` orders them by LSN.
-            let mut stream =
-                Vec::with_capacity(self.dev.page_size() * self.cfg.region_pages as usize);
-            for i in 0..u64::from(self.cfg.region_pages) {
-                match self
-                    .dev
-                    .read_pages(now, Lba(self.cfg.region_base_lba + i), 1)
-                {
-                    Ok(read) => {
-                        t = t.max(read.complete_at);
-                        stream.extend_from_slice(&read.data);
-                    }
-                    Err(twob_ssd::SsdError::Unmapped(_)) => break,
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            for segment in stream.chunks(self.half_bytes() as usize) {
-                raw.extend(crate::decode_stream(segment).records);
-            }
+            // `canonical_tail` orders the flushed segments by LSN.
+            let (flushed, scanned) = self.log.read_flushed(&mut self.dev, now)?;
+            raw.extend(flushed);
+            t = t.max(scanned);
         }
-        crate::cursor::finish_tail(raw, from, self.next_lsn, t)
+        crate::cursor::finish_tail(raw, from, self.log.next_lsn(), t)
     }
 }
 

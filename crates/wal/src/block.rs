@@ -1,10 +1,10 @@
 //! Conventional block-device WAL (paper Fig 5, left).
 
-use twob_ftl::Lba;
 use twob_sim::SimTime;
 use twob_ssd::BlockDevice;
 
-use crate::{CommitMode, CommitOutcome, LogRecord, Lsn, WalConfig, WalError, WalStats, WalWriter};
+use crate::logcore::PageLog;
+use crate::{CommitMode, CommitOutcome, Lsn, WalConfig, WalError, WalStats, WalWriter};
 
 /// Conventional WAL over a block device.
 ///
@@ -31,14 +31,8 @@ use crate::{CommitMode, CommitOutcome, LogRecord, Lsn, WalConfig, WalError, WalS
 #[derive(Debug, Clone)]
 pub struct BlockWal<D> {
     dev: D,
-    cfg: WalConfig,
     mode: CommitMode,
-    next_lsn: u64,
-    page_image: Vec<u8>,
-    page_fill: usize,
-    cursor_page: u64,
-    page_started: bool,
-    stats: WalStats,
+    log: PageLog,
 }
 
 impl<D: BlockDevice> BlockWal<D> {
@@ -49,26 +43,8 @@ impl<D: BlockDevice> BlockWal<D> {
     /// [`WalError::BadConfig`] if the config is invalid or the region does
     /// not fit the device.
     pub fn new(dev: D, cfg: WalConfig, mode: CommitMode) -> Result<Self, WalError> {
-        cfg.validate().map_err(WalError::BadConfig)?;
-        if cfg.region_base_lba + u64::from(cfg.region_pages) > dev.capacity_pages() {
-            return Err(WalError::BadConfig(format!(
-                "log region ends at {} but device holds {} pages",
-                cfg.region_base_lba + u64::from(cfg.region_pages),
-                dev.capacity_pages()
-            )));
-        }
-        let page_size = dev.page_size();
-        Ok(BlockWal {
-            dev,
-            cfg,
-            mode,
-            next_lsn: 0,
-            page_image: vec![0; page_size],
-            page_fill: 0,
-            cursor_page: 0,
-            page_started: false,
-            stats: WalStats::default(),
-        })
+        let log = PageLog::new(&cfg, dev.page_size(), dev.capacity_pages())?;
+        Ok(BlockWal { dev, mode, log })
     }
 
     /// The wrapped device (read-only).
@@ -91,80 +67,35 @@ impl<D: BlockDevice> BlockWal<D> {
         self.mode
     }
 
-    fn current_lba(&self) -> Lba {
-        Lba(self.cfg.region_base_lba + self.cursor_page % u64::from(self.cfg.region_pages))
-    }
-
-    /// Writes the current page image (page-aligned, as block devices
-    /// require) and returns the ack instant.
-    fn write_current_page(&mut self, at: SimTime) -> Result<SimTime, WalError> {
-        let lba = self.current_lba();
-        let image = self.page_image.clone();
-        let ack = self.dev.write_pages(at, lba, &image)?;
-        self.stats.device_page_writes += 1;
-        Ok(ack)
+    fn append<'a>(
+        &mut self,
+        now: SimTime,
+        payloads: impl Iterator<Item = &'a [u8]> + Clone,
+    ) -> Result<CommitOutcome, WalError> {
+        let dev = &mut self.dev;
+        let staged = self.log.append(now, payloads, |at, lba, image| {
+            Ok(dev.write_pages(at, lba, image)?)
+        })?;
+        Ok(match self.mode {
+            CommitMode::Sync => {
+                let flushed = self.dev.flush(staged.last_ack);
+                self.log.commit_flushed(now, flushed)
+            }
+            CommitMode::Async => {
+                self.log.stats.commit_time_total += staged.staged_at.saturating_since(now);
+                CommitOutcome {
+                    lsn: self.log.last_lsn(),
+                    commit_at: staged.staged_at,
+                    durable_at: Some(staged.last_ack),
+                }
+            }
+        })
     }
 }
 
 impl<D: BlockDevice> WalWriter for BlockWal<D> {
     fn append_commit(&mut self, now: SimTime, payload: &[u8]) -> Result<CommitOutcome, WalError> {
-        let record = LogRecord::new(Lsn(self.next_lsn), payload.to_vec());
-        let bytes = record.encode();
-        let region_bytes = u64::from(self.cfg.region_pages) * self.dev.page_size() as u64;
-        if bytes.len() as u64 > region_bytes {
-            return Err(WalError::RecordTooLarge {
-                got: bytes.len(),
-                max: region_bytes as usize,
-            });
-        }
-        self.next_lsn += 1;
-        let page_size = self.dev.page_size();
-        // Host-side staging.
-        let staged_at = now + self.cfg.record_overhead + self.cfg.memcpy(bytes.len() as u64);
-        // Copy the record into page images, writing each touched page.
-        let mut cursor = 0usize;
-        let mut last_ack = staged_at;
-        while cursor < bytes.len() {
-            if !self.page_started {
-                self.page_started = true;
-                self.stats.distinct_pages += 1;
-            }
-            let space = page_size - self.page_fill;
-            let take = space.min(bytes.len() - cursor);
-            self.page_image[self.page_fill..self.page_fill + take]
-                .copy_from_slice(&bytes[cursor..cursor + take]);
-            self.page_fill += take;
-            cursor += take;
-            // The device sees the whole (possibly partial) page.
-            last_ack = self.write_current_page(staged_at)?;
-            if self.page_fill == page_size {
-                self.cursor_page += 1;
-                self.page_fill = 0;
-                self.page_image.fill(0);
-                self.page_started = false;
-            }
-        }
-        self.stats.commits += 1;
-        self.stats.payload_bytes += payload.len() as u64;
-        self.stats.encoded_bytes += bytes.len() as u64;
-        let outcome = match self.mode {
-            CommitMode::Sync => {
-                let durable = self.dev.flush(last_ack);
-                self.stats.device_flushes += 1;
-                CommitOutcome {
-                    lsn: record.lsn,
-                    commit_at: durable,
-                    durable_at: Some(durable),
-                }
-            }
-            CommitMode::Async => CommitOutcome {
-                lsn: record.lsn,
-                commit_at: staged_at,
-                durable_at: Some(last_ack),
-            },
-        };
-        self.stats.commit_time_total += outcome.commit_at.saturating_since(now);
-        Ok(outcome)
+        self.append(now, std::iter::once(payload))
     }
 
     /// Batch append (group commit): all records are staged into page
@@ -175,78 +106,7 @@ impl<D: BlockDevice> WalWriter for BlockWal<D> {
         now: SimTime,
         payloads: &[Vec<u8>],
     ) -> Result<CommitOutcome, WalError> {
-        if payloads.is_empty() {
-            return Err(WalError::BadConfig("empty batch".into()));
-        }
-        let page_size = self.dev.page_size();
-        let region_bytes = u64::from(self.cfg.region_pages) * page_size as u64;
-        // Encode the whole batch.
-        let mut stream = Vec::new();
-        let mut last_lsn = Lsn(self.next_lsn);
-        let mut payload_total = 0u64;
-        for payload in payloads {
-            let record = LogRecord::new(Lsn(self.next_lsn), payload.clone());
-            if record.encoded_len() as u64 > region_bytes {
-                return Err(WalError::RecordTooLarge {
-                    got: record.encoded_len(),
-                    max: region_bytes as usize,
-                });
-            }
-            self.next_lsn += 1;
-            last_lsn = record.lsn;
-            payload_total += payload.len() as u64;
-            stream.extend_from_slice(&record.encode());
-        }
-        let staged_at = now
-            + self.cfg.record_overhead * payloads.len() as u64
-            + self.cfg.memcpy(stream.len() as u64);
-        // Copy into page images; write each page once, when it fills or
-        // at the end of the batch.
-        let mut cursor = 0usize;
-        let mut last_ack = staged_at;
-        while cursor < stream.len() {
-            if !self.page_started {
-                self.page_started = true;
-                self.stats.distinct_pages += 1;
-            }
-            let space = page_size - self.page_fill;
-            let take = space.min(stream.len() - cursor);
-            self.page_image[self.page_fill..self.page_fill + take]
-                .copy_from_slice(&stream[cursor..cursor + take]);
-            self.page_fill += take;
-            cursor += take;
-            let page_full = self.page_fill == page_size;
-            if page_full || cursor == stream.len() {
-                last_ack = self.write_current_page(staged_at)?;
-            }
-            if page_full {
-                self.cursor_page += 1;
-                self.page_fill = 0;
-                self.page_image.fill(0);
-                self.page_started = false;
-            }
-        }
-        self.stats.commits += payloads.len() as u64;
-        self.stats.payload_bytes += payload_total;
-        self.stats.encoded_bytes += stream.len() as u64;
-        let outcome = match self.mode {
-            CommitMode::Sync => {
-                let durable = self.dev.flush(last_ack);
-                self.stats.device_flushes += 1;
-                CommitOutcome {
-                    lsn: last_lsn,
-                    commit_at: durable,
-                    durable_at: Some(durable),
-                }
-            }
-            CommitMode::Async => CommitOutcome {
-                lsn: last_lsn,
-                commit_at: staged_at,
-                durable_at: Some(last_ack),
-            },
-        };
-        self.stats.commit_time_total += outcome.commit_at.saturating_since(now);
-        Ok(outcome)
+        self.append(now, payloads.iter().map(Vec::as_slice))
     }
 
     fn scheme(&self) -> String {
@@ -254,7 +114,7 @@ impl<D: BlockDevice> WalWriter for BlockWal<D> {
     }
 
     fn stats(&self) -> WalStats {
-        self.stats
+        self.log.stats
     }
 }
 
@@ -264,23 +124,9 @@ impl<D: BlockDevice> crate::WalTail for BlockWal<D> {
     /// why block-WAL shipping costs more than the BA-WAL's `BA_READ_DMA`
     /// window read-out.
     fn read_tail(&mut self, now: SimTime, from: Lsn) -> Result<crate::CursorBatch, WalError> {
-        let mut t = now;
-        let mut stream = Vec::with_capacity(self.dev.page_size() * self.cfg.region_pages as usize);
-        for i in 0..u64::from(self.cfg.region_pages) {
-            match self
-                .dev
-                .read_pages(now, Lba(self.cfg.region_base_lba + i), 1)
-            {
-                Ok(read) => {
-                    t = t.max(read.complete_at);
-                    stream.extend_from_slice(&read.data);
-                }
-                Err(twob_ssd::SsdError::Unmapped(_)) => break,
-                Err(e) => return Err(e.into()),
-            }
-        }
+        let (stream, t) = self.log.scan(&mut self.dev, now)?;
         let raw = crate::decode_stream(&stream).records;
-        crate::cursor::finish_tail(raw, from, self.next_lsn, t)
+        crate::cursor::finish_tail(raw, from, self.log.next_lsn(), t)
     }
 }
 

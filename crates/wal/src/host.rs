@@ -40,7 +40,12 @@ use twob_pcie::PcieTimings;
 use twob_sim::{SimDuration, SimTime};
 use twob_ssd::BlockDevice;
 
-use crate::{cursor, decode_stream, CommitOutcome, CursorBatch, LogRecord, Lsn, WalError};
+use crate::logcore::{
+    repin_at_once, scan_region, ByteLog, ByteLogShape, Done, WindowPort, PAGE_BYTES,
+};
+use crate::{
+    cursor, decode_stream, CommitOutcome, CursorBatch, LogRecord, Lsn, RecordLoc, WalError,
+};
 
 /// Which log path every slot on this host uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,30 +103,94 @@ impl Default for HostConfig {
     }
 }
 
+impl HostConfig {
+    /// Geometry of `slot`'s log: its own region, one window.
+    fn slot_shape(&self, slot: u16) -> ByteLogShape {
+        ByteLogShape {
+            region_base_lba: self.region_base_lba + u64::from(slot) * u64::from(self.region_pages),
+            region_pages: self.region_pages,
+            window_pages: self.window_pages,
+            windows: 1,
+            record_overhead: self.record_overhead,
+        }
+    }
+}
+
 /// One hosted shard WAL.
 #[derive(Debug, Clone)]
 struct Slot {
-    /// Live pin-table entry of the slot's window (`Ba` mode only).
-    eid: Option<EntryId>,
-    /// When the current window finished pinning and accepts appends.
-    ready_at: SimTime,
-    /// Bytes appended into the current window (`Ba`) or the whole staged
-    /// log (`Block`).
-    used: u64,
-    /// Next LSN this slot will assign/accept.
-    next_lsn: u64,
-    /// Pages of the region consumed by flushed windows (`Ba`: the next
-    /// re-pin offset, wrapping) or by page rewrites (`Block`).
-    cursor_pages: u64,
     /// Appends at or past this LSN are rejected (shard-move handoff).
     fence: Option<u64>,
-    /// `Block` mode: the full encoded log stream, staged in host memory
-    /// the way a conventional WAL keeps its tail page image.
-    staged: Vec<u8>,
-    /// `Ba` mode: `(lsn, window offset, encoded len)` of every record in
-    /// the current window — the host-DRAM index any real WAL keeps, which
-    /// lets a follower read fetch exactly one record's bytes.
-    index: Vec<(u64, u64, u64)>,
+    log: SlotLog,
+}
+
+/// The log behind a slot, by [`HostMode`].
+#[derive(Debug, Clone)]
+enum SlotLog {
+    Ba {
+        /// The slot's single window, driven through a [`SlotWindow`].
+        log: ByteLog,
+        /// `(lsn, location)` of every record in the current window — the
+        /// host-DRAM index any real WAL keeps, which lets a follower read
+        /// fetch exactly one record's bytes.
+        index: Vec<(u64, RecordLoc)>,
+    },
+    Block {
+        /// The full encoded log stream, staged in host memory the way a
+        /// conventional WAL keeps its tail page image.
+        staged: Vec<u8>,
+        /// Next LSN the slot will assign/accept.
+        next_lsn: u64,
+    },
+}
+
+impl Slot {
+    fn next_lsn(&self) -> u64 {
+        match &self.log {
+            SlotLog::Ba { log, .. } => log.next_lsn(),
+            SlotLog::Block { next_lsn, .. } => *next_lsn,
+        }
+    }
+}
+
+/// The port of a BA slot: the host's own pin table arbitrates the window
+/// inside the slot's share, and every operation is a direct device call.
+struct SlotWindow<'a> {
+    dev: &'a mut TwoBSsd,
+    pins: &'a mut PinTable,
+    tenant: TenantId,
+    front_end: RegionFrontEnd,
+}
+
+impl WindowPort for SlotWindow<'_> {
+    fn store(&mut self, at: SimTime, eid: EntryId, offset: u64, data: &[u8]) -> Done {
+        let store = self
+            .pins
+            .write(self.dev, at, self.tenant, eid, offset, data)?;
+        Ok(store.retired_at)
+    }
+
+    fn sync(&mut self, at: SimTime, eid: EntryId, offset: u64, len: u64) -> Done {
+        let sync = self
+            .pins
+            .sync_range(self.dev, at, self.tenant, eid, offset, len)?;
+        Ok(sync.complete_at)
+    }
+
+    fn flush(&mut self, at: SimTime, eid: EntryId) -> Done {
+        Ok(self.pins.unpin(self.dev, at, self.tenant, eid)?.complete_at)
+    }
+
+    fn pin(&mut self, at: SimTime, lba: Lba, pages: u32) -> Result<(EntryId, SimTime), WalError> {
+        let (eid, pin) =
+            self.pins
+                .pin_front_end(self.dev, at, self.tenant, lba, pages, self.front_end)?;
+        Ok((eid, pin.complete_at))
+    }
+}
+
+fn not_open(slot: u16) -> WalError {
+    WalError::BadConfig(format!("slot {slot} is not open"))
 }
 
 /// Multiplexes several shard WALs over one owned 2B-SSD. See the module
@@ -144,25 +213,12 @@ impl ShardWalHost {
     /// than mapping-table entries, regions exceeding the device, or (in
     /// `Ba` mode) windows exceeding the per-slot BA-buffer share.
     pub fn new(dev: TwoBSsd, cfg: HostConfig) -> Result<Self, WalError> {
-        if cfg.slots == 0 || cfg.window_pages == 0 {
-            return Err(WalError::BadConfig(
-                "slots and window must be positive".into(),
-            ));
+        if cfg.slots == 0 {
+            return Err(WalError::BadConfig("slots must be positive".into()));
         }
-        if cfg.region_pages < cfg.window_pages || !cfg.region_pages.is_multiple_of(cfg.window_pages)
-        {
-            return Err(WalError::BadConfig(
-                "region must be a positive multiple of the window".into(),
-            ));
-        }
-        let end = cfg.region_base_lba + u64::from(cfg.slots) * u64::from(cfg.region_pages);
-        if end > dev.capacity_pages() {
-            return Err(WalError::BadConfig(format!(
-                "{} slot regions end at lba {end}, past the {}-page device",
-                cfg.slots,
-                dev.capacity_pages()
-            )));
-        }
+        // The last slot's region ends where the host's log space ends.
+        cfg.slot_shape(cfg.slots - 1)
+            .validate(dev.capacity_pages())?;
         if cfg.mode == HostMode::Ba {
             if usize::from(cfg.slots) > dev.spec().max_entries {
                 return Err(WalError::BadConfig(format!(
@@ -219,7 +275,7 @@ impl ShardWalHost {
     ///
     /// [`WalError::BadConfig`] if the slot is not open.
     pub fn next_lsn(&self, slot: u16) -> Result<Lsn, WalError> {
-        Ok(Lsn(self.slot(slot)?.next_lsn))
+        Ok(Lsn(self.slot(slot)?.next_lsn()))
     }
 
     /// The fence LSN of `slot`, if sealed.
@@ -228,17 +284,15 @@ impl ShardWalHost {
     }
 
     fn slot(&self, slot: u16) -> Result<&Slot, WalError> {
-        self.slots
-            .get(&slot)
-            .ok_or_else(|| WalError::BadConfig(format!("slot {slot} is not open")))
+        self.slots.get(&slot).ok_or_else(|| not_open(slot))
     }
 
     fn slot_base(&self, slot: u16) -> u64 {
-        self.cfg.region_base_lba + u64::from(slot) * u64::from(self.cfg.region_pages)
+        self.cfg.slot_shape(slot).region_base_lba
     }
 
     fn window_bytes(&self) -> u64 {
-        u64::from(self.cfg.window_pages) * 4096
+        u64::from(self.cfg.window_pages) * PAGE_BYTES
     }
 
     /// Opens `slot` with an empty log. In `Ba` mode this pins the slot's
@@ -259,40 +313,32 @@ impl ShardWalHost {
         if self.slots.contains_key(&slot) {
             return Err(WalError::BadConfig(format!("slot {slot} already open")));
         }
-        let mut state = Slot {
-            eid: None,
-            ready_at: now,
-            used: 0,
-            next_lsn: 0,
-            cursor_pages: u64::from(self.cfg.window_pages),
-            fence: None,
-            staged: Vec::new(),
-            index: Vec::new(),
-        };
-        if self.cfg.mode == HostMode::Ba {
-            let base = self.slot_base(slot);
-            let (eid, done) = self.pins.pin(
-                &mut self.dev,
-                now,
-                TenantId(slot),
-                Lba(base),
-                self.cfg.window_pages,
-            )?;
-            if self.cfg.front_end != RegionFrontEnd::BaMmio {
-                self.pins.set_front_end(
-                    done.complete_at,
-                    TenantId(slot),
-                    eid,
-                    self.cfg.front_end,
-                )?;
+        let log = match self.cfg.mode {
+            HostMode::Ba => {
+                let shape = self.cfg.slot_shape(slot);
+                let mut port = SlotWindow {
+                    dev: &mut self.dev,
+                    pins: &mut self.pins,
+                    tenant: TenantId(slot),
+                    front_end: self.cfg.front_end,
+                };
+                let log = ByteLog::open(&mut port, now, shape)?;
+                SlotLog::Ba {
+                    log,
+                    index: Vec::new(),
+                }
             }
-            state.eid = Some(eid);
-            state.ready_at = done.complete_at;
-        } else {
-            state.cursor_pages = 0;
-        }
-        self.slots.insert(slot, state);
-        Ok(self.slots[&slot].ready_at)
+            HostMode::Block => SlotLog::Block {
+                staged: Vec::new(),
+                next_lsn: 0,
+            },
+        };
+        let ready_at = match &log {
+            SlotLog::Ba { log, .. } => log.ready_at(),
+            SlotLog::Block { .. } => now,
+        };
+        self.slots.insert(slot, Slot { fence: None, log });
+        Ok(ready_at)
     }
 
     /// Closes `slot`: in `Ba` mode the window is flushed to NAND and
@@ -303,10 +349,13 @@ impl ShardWalHost {
     ///
     /// [`WalError::BadConfig`] if the slot is not open, or device errors.
     pub fn close_slot(&mut self, now: SimTime, slot: u16) -> Result<SimTime, WalError> {
-        let state = self.slot(slot)?.clone();
+        let pinned = match &self.slot(slot)?.log {
+            SlotLog::Ba { log, .. } => log.entry().map(|eid| (eid, log.ready_at())),
+            SlotLog::Block { .. } => None,
+        };
         let mut done = now;
-        if let Some(eid) = state.eid {
-            let t = now.max(state.ready_at);
+        if let Some((eid, ready_at)) = pinned {
+            let t = now.max(ready_at);
             done = self
                 .pins
                 .unpin(&mut self.dev, t, TenantId(slot), eid)?
@@ -326,7 +375,7 @@ impl ShardWalHost {
     /// [`WalError::BadConfig`] if the slot is not open or the fence
     /// precedes records already appended.
     pub fn fence(&mut self, slot: u16, fence: Lsn) -> Result<(), WalError> {
-        let next = self.slot(slot)?.next_lsn;
+        let next = self.slot(slot)?.next_lsn();
         if fence.0 < next {
             return Err(WalError::BadConfig(format!(
                 "fence {fence} precedes appended {next} records"
@@ -350,9 +399,64 @@ impl ShardWalHost {
         slot: u16,
         payload: &[u8],
     ) -> Result<CommitOutcome, WalError> {
-        let lsn = Lsn(self.slot(slot)?.next_lsn);
-        let record = LogRecord::new(lsn, payload.to_vec());
-        self.append_encoded(now, slot, &record)
+        let base = self.slot_base(slot);
+        let window_bytes = self.window_bytes();
+        let state = self.slots.get_mut(&slot).ok_or_else(|| not_open(slot))?;
+        let lsn = state.next_lsn();
+        if let Some(fence) = state.fence.filter(|&fence| lsn >= fence) {
+            return Err(WalError::Fenced { fence, got: lsn });
+        }
+        match &mut state.log {
+            // The byte-window log, single-buffered: a full window is
+            // flushed and re-pinned on the log path.
+            SlotLog::Ba { log, index } => {
+                let mut port = SlotWindow {
+                    dev: &mut self.dev,
+                    pins: &mut self.pins,
+                    tenant: TenantId(slot),
+                    front_end: self.cfg.front_end,
+                };
+                let payloads = std::iter::once(payload);
+                let (outcome, loc) = log.append(&mut port, now, payloads, repin_at_once)?;
+                if index.last().is_some_and(|(_, l)| l.segment != loc.segment) {
+                    index.clear();
+                }
+                index.push((lsn, loc));
+                Ok(outcome)
+            }
+            // Block append: stage the bytes, rewrite every page the record
+            // touches (the block path's write amplification), flush the
+            // cache so the commit is durable at acknowledgement.
+            SlotLog::Block { staged, next_lsn } => {
+                let bytes = LogRecord::encode_parts(Lsn(lsn), payload);
+                if bytes.len() as u64 > window_bytes {
+                    return Err(WalError::RecordTooLarge {
+                        got: bytes.len(),
+                        max: window_bytes as usize,
+                    });
+                }
+                let region_bytes = u64::from(self.cfg.region_pages) * PAGE_BYTES;
+                if staged.len() as u64 + bytes.len() as u64 > region_bytes {
+                    return Err(WalError::BadConfig(format!(
+                        "slot {slot} block log overflows its {region_bytes}-byte region"
+                    )));
+                }
+                let first_page = staged.len() as u64 / PAGE_BYTES;
+                staged.extend_from_slice(&bytes);
+                let end_page = (staged.len() as u64).div_ceil(PAGE_BYTES);
+                let mut span = staged[(first_page * PAGE_BYTES) as usize..].to_vec();
+                span.resize(((end_page - first_page) * PAGE_BYTES) as usize, 0);
+                let t = now + self.cfg.record_overhead;
+                let written = self.dev.write_pages(t, Lba(base + first_page), &span)?;
+                let durable = self.dev.flush(written);
+                *next_lsn = lsn + 1;
+                Ok(CommitOutcome {
+                    lsn: Lsn(lsn),
+                    commit_at: durable,
+                    durable_at: Some(durable),
+                })
+            }
+        }
     }
 
     /// Appends a record shipped from another node. The record's LSN must
@@ -369,147 +473,14 @@ impl ShardWalHost {
         slot: u16,
         record: &LogRecord,
     ) -> Result<CommitOutcome, WalError> {
-        let expected = self.slot(slot)?.next_lsn;
+        let expected = self.slot(slot)?.next_lsn();
         if record.lsn.0 != expected {
             return Err(WalError::OutOfOrder {
                 expected,
                 got: record.lsn.0,
             });
         }
-        self.append_encoded(now, slot, record)
-    }
-
-    fn append_encoded(
-        &mut self,
-        now: SimTime,
-        slot: u16,
-        record: &LogRecord,
-    ) -> Result<CommitOutcome, WalError> {
-        let state = self.slot(slot)?;
-        if let Some(fence) = state.fence {
-            if record.lsn.0 >= fence {
-                return Err(WalError::Fenced {
-                    fence,
-                    got: record.lsn.0,
-                });
-            }
-        }
-        let bytes = record.encode();
-        if bytes.len() as u64 > self.window_bytes() {
-            return Err(WalError::RecordTooLarge {
-                got: bytes.len(),
-                max: self.window_bytes() as usize,
-            });
-        }
-        match self.cfg.mode {
-            HostMode::Ba => self.append_ba(now, slot, record, &bytes),
-            HostMode::Block => self.append_block(now, slot, record, &bytes),
-        }
-    }
-
-    /// BA append: wait for the window, rotate if full (flush + re-pin, on
-    /// the log path — single-buffered), MMIO-store the bytes, `BA_SYNC`
-    /// exactly them.
-    fn append_ba(
-        &mut self,
-        now: SimTime,
-        slot: u16,
-        record: &LogRecord,
-        bytes: &[u8],
-    ) -> Result<CommitOutcome, WalError> {
-        let tenant = TenantId(slot);
-        let slot_base = self.slot_base(slot);
-        let state = self.slots.get_mut(&slot).expect("checked open");
-        let mut t = (now + self.cfg.record_overhead).max(state.ready_at);
-        if state.used + bytes.len() as u64 > u64::from(self.cfg.window_pages) * 4096 {
-            // Rotate in place: flush the full window, re-pin the share at
-            // the next region segment (wrapping).
-            let eid = state.eid.expect("ba slot has a window");
-            let rotate_from = t;
-            let next_rel = slot_base + state.cursor_pages % u64::from(self.cfg.region_pages);
-            let flushed = self
-                .pins
-                .unpin(&mut self.dev, rotate_from, tenant, eid)?
-                .complete_at;
-            let (eid, pin) = self.pins.pin(
-                &mut self.dev,
-                flushed,
-                tenant,
-                Lba(next_rel),
-                self.cfg.window_pages,
-            )?;
-            if self.cfg.front_end != RegionFrontEnd::BaMmio {
-                self.pins
-                    .set_front_end(pin.complete_at, tenant, eid, self.cfg.front_end)?;
-            }
-            let state = self.slots.get_mut(&slot).expect("checked open");
-            state.eid = Some(eid);
-            state.ready_at = pin.complete_at;
-            state.used = 0;
-            state.cursor_pages += u64::from(self.cfg.window_pages);
-            state.index.clear();
-            t = t.max(pin.complete_at);
-        }
-        let state = self.slots.get_mut(&slot).expect("checked open");
-        let eid = state.eid.expect("ba slot has a window");
-        let offset = state.used;
-        let store = self
-            .pins
-            .write(&mut self.dev, t, tenant, eid, offset, bytes)?;
-        let sync = self.pins.sync_range(
-            &mut self.dev,
-            store.retired_at,
-            tenant,
-            eid,
-            offset,
-            bytes.len() as u64,
-        )?;
-        let state = self.slots.get_mut(&slot).expect("checked open");
-        state.index.push((record.lsn.0, offset, bytes.len() as u64));
-        state.used += bytes.len() as u64;
-        state.next_lsn = record.lsn.0 + 1;
-        Ok(CommitOutcome {
-            lsn: record.lsn,
-            commit_at: sync.complete_at,
-            durable_at: Some(sync.complete_at),
-        })
-    }
-
-    /// Block append: stage the bytes, rewrite every page the record
-    /// touches (the block path's write amplification), flush the cache so
-    /// the commit is durable at acknowledgement.
-    fn append_block(
-        &mut self,
-        now: SimTime,
-        slot: u16,
-        record: &LogRecord,
-        bytes: &[u8],
-    ) -> Result<CommitOutcome, WalError> {
-        let region_bytes = u64::from(self.cfg.region_pages) * 4096;
-        let base = self.slot_base(slot);
-        let state = self.slots.get_mut(&slot).expect("checked open");
-        if state.staged.len() as u64 + bytes.len() as u64 > region_bytes {
-            return Err(WalError::BadConfig(format!(
-                "slot {slot} block log overflows its {region_bytes}-byte region"
-            )));
-        }
-        let first_page = state.staged.len() as u64 / 4096;
-        state.staged.extend_from_slice(bytes);
-        let end_page = (state.staged.len() as u64).div_ceil(4096);
-        let mut span = state.staged[(first_page * 4096) as usize..].to_vec();
-        span.resize(((end_page - first_page) * 4096) as usize, 0);
-        let t = now + self.cfg.record_overhead;
-        let written = self.dev.write_pages(t, Lba(base + first_page), &span)?;
-        let durable = self.dev.flush(written);
-        let state = self.slots.get_mut(&slot).expect("checked open");
-        state.used = state.staged.len() as u64;
-        state.cursor_pages = end_page;
-        state.next_lsn = record.lsn.0 + 1;
-        Ok(CommitOutcome {
-            lsn: record.lsn,
-            commit_at: durable,
-            durable_at: Some(durable),
-        })
+        self.append(now, slot, &record.payload)
     }
 
     /// Decodes everything readable for `slot`: the pinned window over
@@ -520,58 +491,31 @@ impl ShardWalHost {
         now: SimTime,
         slot: u16,
     ) -> Result<(Vec<LogRecord>, SimTime), WalError> {
-        let state = self.slot(slot)?.clone();
-        let mut t = now;
-        let mut raw = Vec::new();
-        match self.cfg.mode {
-            HostMode::Ba => {
-                if let Some(eid) = state.eid {
-                    let info = self.pins.entry_info(eid)?;
-                    let len = state.used.min(info.len_bytes());
+        let state = self.slots.get(&slot).ok_or_else(|| not_open(slot))?;
+        match &state.log {
+            SlotLog::Ba { log, .. } => {
+                let mut t = now;
+                let mut raw = Vec::new();
+                if let Some(eid) = log.entry() {
+                    let len = log.used().min(self.pins.entry_info(eid)?.len_bytes());
                     if len > 0 {
                         let read = self.dev.ba_read_dma(now, eid, 0, len)?;
-                        t = t.max(read.complete_at);
-                        raw.extend(decode_stream(&read.data).records);
+                        t = read.complete_at;
+                        raw = decode_stream(&read.data).records;
                     }
                 }
-                // Flushed segments from NAND, each independently coherent.
-                let base = self.slot_base(slot);
-                let mut stream = Vec::new();
-                for i in 0..u64::from(self.cfg.region_pages) {
-                    match self.dev.read_pages(now, Lba(base + i), 1) {
-                        Ok(read) => {
-                            t = t.max(read.complete_at);
-                            stream.extend_from_slice(&read.data);
-                        }
-                        Err(twob_ssd::SsdError::Unmapped(_)) => break,
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                for segment in stream.chunks(self.window_bytes() as usize) {
-                    raw.extend(decode_stream(segment).records);
-                }
+                let (flushed, scanned) = log.read_flushed(&mut self.dev, now)?;
+                raw.extend(flushed);
+                Ok((raw, t.max(scanned)))
             }
-            HostMode::Block => {
+            SlotLog::Block { staged, .. } => {
                 let base = self.slot_base(slot);
-                let mut stream = Vec::new();
-                for i in 0..state
-                    .cursor_pages
-                    .max(1)
-                    .min(u64::from(self.cfg.region_pages))
-                {
-                    match self.dev.read_pages(now, Lba(base + i), 1) {
-                        Ok(read) => {
-                            t = t.max(read.complete_at);
-                            stream.extend_from_slice(&read.data);
-                        }
-                        Err(twob_ssd::SsdError::Unmapped(_)) => break,
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                raw.extend(decode_stream(&stream).records);
+                let written = (staged.len() as u64).div_ceil(PAGE_BYTES);
+                let pages = written.max(1).min(u64::from(self.cfg.region_pages));
+                let (stream, t) = scan_region(&mut self.dev, now, base, pages)?;
+                Ok((decode_stream(&stream).records, t))
             }
         }
-        Ok((raw, t))
     }
 
     /// Reads the slot's tail from `from` onwards, canonicalized dense —
@@ -589,7 +533,7 @@ impl ShardWalHost {
         slot: u16,
         from: Lsn,
     ) -> Result<CursorBatch, WalError> {
-        let next = self.slot(slot)?.next_lsn;
+        let next = self.slot(slot)?.next_lsn();
         let (raw, t) = self.raw_records(now, slot)?;
         cursor::finish_tail(raw, from, next, t)
     }
@@ -612,38 +556,41 @@ impl ShardWalHost {
         slot: u16,
         lsn: Lsn,
     ) -> Result<(LogRecord, SimTime), WalError> {
-        if self.cfg.mode == HostMode::Ba {
-            let state = self.slot(slot)?.clone();
-            if let Some(eid) = state.eid {
-                let hit = state.index.iter().find(|&&(l, _, _)| l == lsn.0).copied();
-                if let Some((_, offset, len)) = hit {
-                    let read = match self.cfg.front_end {
-                        // CXL line streaming beats the DMA engine's fixed
-                        // setup far past any window size, so window-resident
-                        // records always load directly.
-                        RegionFrontEnd::Cxl => self.dev.cxl_load(now, eid, offset, len)?,
-                        _ if len <= PcieTimings::MMIO_DMA_CROSSOVER_BYTES => {
-                            self.dev.mmio_read(now, eid, offset, len)?
-                        }
-                        _ => self.dev.ba_read_dma(now, eid, offset, len)?,
-                    };
-                    if let Some(rec) = decode_stream(&read.data)
-                        .records
-                        .into_iter()
-                        .find(|r| r.lsn == lsn)
-                    {
-                        return Ok((rec, read.complete_at));
-                    }
+        let resident = match &self.slot(slot)?.log {
+            SlotLog::Ba { log, index } => log.entry().and_then(|eid| {
+                let (_, loc) = index.iter().find(|(l, _)| *l == lsn.0)?;
+                Some((eid, loc.offset, loc.len))
+            }),
+            SlotLog::Block { .. } => None,
+        };
+        if let Some((eid, offset, len)) = resident {
+            let read = match self.cfg.front_end {
+                // CXL line streaming beats the DMA engine's fixed setup
+                // far past any window size, so window-resident records
+                // always load directly.
+                RegionFrontEnd::Cxl => self.dev.cxl_load(now, eid, offset, len)?,
+                _ if len <= PcieTimings::MMIO_DMA_CROSSOVER_BYTES => {
+                    self.dev.mmio_read(now, eid, offset, len)?
                 }
+                _ => self.dev.ba_read_dma(now, eid, offset, len)?,
+            };
+            if let Some(rec) = decode_stream(&read.data)
+                .records
+                .into_iter()
+                .find(|r| r.lsn == lsn)
+            {
+                return Ok((rec, read.complete_at));
             }
         }
+        let next = self.slot(slot)?.next_lsn();
         let (raw, t) = self.raw_records(now, slot)?;
+        let oldest = raw.iter().map(|r| r.lsn.0).min().unwrap_or(next);
         raw.into_iter()
             .find(|r| r.lsn == lsn)
             .map(|rec| (rec, t))
             .ok_or(WalError::CursorLag {
                 requested: lsn.0,
-                oldest: 0,
+                oldest,
             })
     }
 
@@ -661,13 +608,12 @@ impl ShardWalHost {
         self.pins.verify_device_parity(&self.dev)?;
         // Drop window state for slots whose pin did not survive.
         for state in self.slots.values_mut() {
-            if let Some(eid) = state.eid {
-                if self.pins.entry_info(eid).is_err() {
-                    state.eid = None;
-                    state.index.clear();
+            if let SlotLog::Ba { log, index } = &mut state.log {
+                log.restart(up, |eid| self.pins.entry_info(eid).is_ok());
+                if log.entry().is_none() {
+                    index.clear();
                 }
             }
-            state.ready_at = up;
         }
         Ok(survived)
     }
@@ -779,6 +725,50 @@ mod tests {
             assert_eq!(rec.payload, vec![(rec.lsn.0 % 251) as u8; 1000]);
         }
         drop(tail);
+    }
+
+    #[test]
+    fn read_record_lag_names_the_oldest_readable_lsn() {
+        for mode in [HostMode::Ba, HostMode::Block] {
+            let mut h = host(mode);
+            let mut t = h.open_slot(t0(), 0).unwrap();
+            // Nothing appended yet: the oldest readable LSN is the next one.
+            assert_eq!(
+                h.read_record(t, 0, Lsn(0)).unwrap_err(),
+                WalError::CursorLag {
+                    requested: 0,
+                    oldest: 0
+                }
+            );
+            // ~1 KiB records, 8 to a window: 60 of them wrap the 8-page BA
+            // region (a block slot's region just fills, after 32).
+            let appended = if mode == HostMode::Ba { 60u64 } else { 20 };
+            for i in 0..appended {
+                t = h.append(t, 0, &[(i % 251) as u8; 1000]).unwrap().commit_at;
+            }
+            let oldest = match h.read_record(t, 0, Lsn(appended + 5)) {
+                Err(WalError::CursorLag { requested, oldest }) => {
+                    assert_eq!(requested, appended + 5);
+                    oldest
+                }
+                other => panic!("{mode}: expected lag, got {other:?}"),
+            };
+            if mode == HostMode::Ba {
+                assert!(oldest > 0, "the wrap overwrote lsn 0");
+                assert!(matches!(
+                    h.read_record(t, 0, Lsn(0)),
+                    Err(WalError::CursorLag { oldest: o, .. }) if o == oldest
+                ));
+                assert!(h.read_record(t, 0, Lsn(oldest - 1)).is_err());
+            } else {
+                assert_eq!(oldest, 0);
+            }
+            // Re-reading from the reported LSN works, up to the frontier.
+            for lsn in oldest..appended {
+                let (rec, _) = h.read_record(t, 0, Lsn(lsn)).unwrap();
+                assert_eq!(rec.payload, vec![(lsn % 251) as u8; 1000]);
+            }
+        }
     }
 
     #[test]

@@ -52,6 +52,7 @@ mod cursor;
 mod error;
 mod group;
 mod host;
+mod logcore;
 mod pm;
 mod record;
 mod replay;
@@ -66,6 +67,7 @@ pub use cursor::{CursorBatch, LogCursor, WalTail};
 pub use error::WalError;
 pub use group::{GroupCommit, GroupOutcome};
 pub use host::{HostConfig, HostMode, ShardWalHost};
+pub use logcore::{run_op, RecordLoc};
 pub use pm::PmWal;
 pub use record::{LogRecord, Lsn};
 pub use replay::{decode_stream, replay, ReplayOutcome};

@@ -64,11 +64,17 @@ impl LogRecord {
 
     /// Serializes the record.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.lsn.0.to_le_bytes());
-        out.extend_from_slice(&Self::body_crc(self.lsn, &self.payload).to_le_bytes());
-        out.extend_from_slice(&self.payload);
+        Self::encode_parts(self.lsn, &self.payload)
+    }
+
+    /// Serializes a record straight from its parts, so an append path need
+    /// not copy the payload into a `LogRecord` first.
+    pub(crate) fn encode_parts(lsn: Lsn, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&lsn.0.to_le_bytes());
+        out.extend_from_slice(&Self::body_crc(lsn, payload).to_le_bytes());
+        out.extend_from_slice(payload);
         out
     }
 

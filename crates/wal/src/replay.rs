@@ -1,6 +1,5 @@
 //! Log replay with torn-tail detection.
 
-use twob_ftl::Lba;
 use twob_sim::SimTime;
 use twob_ssd::BlockDevice;
 
@@ -44,14 +43,7 @@ pub fn replay<D: BlockDevice>(
     base_lba: u64,
     pages: u32,
 ) -> Result<ReplayOutcome, WalError> {
-    let mut stream = Vec::with_capacity(dev.page_size() * pages as usize);
-    for i in 0..u64::from(pages) {
-        match dev.read_pages(now, Lba(base_lba + i), 1) {
-            Ok(read) => stream.extend_from_slice(&read.data),
-            Err(twob_ssd::SsdError::Unmapped(_)) => break,
-            Err(e) => return Err(e.into()),
-        }
-    }
+    let (stream, _) = crate::logcore::scan_region(dev, now, base_lba, u64::from(pages))?;
     Ok(decode_stream(&stream))
 }
 

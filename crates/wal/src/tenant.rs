@@ -24,14 +24,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use twob_core::{
-    EntryId, IoCalendar, IoCompletion, IoOp, PinTable, RegionFrontEnd, TenantId, TwoBSsd,
-};
+use twob_core::{EntryId, IoCalendar, IoOp, PinTable, RegionFrontEnd, TenantId, TwoBSsd};
 use twob_ftl::Lba;
 use twob_sim::SimTime;
 use twob_ssd::BlockDevice;
 
-use crate::{CommitOutcome, LogRecord, Lsn, WalConfig, WalError, WalStats, WalWriter};
+use crate::logcore::{repin_at_once, run_op, ByteLog, ByteLogShape, Done, PageLog, WindowPort};
+use crate::{CommitOutcome, RecordLoc, WalConfig, WalError, WalStats, WalWriter};
 
 /// Handle to the one device every tenant contends on.
 pub type SharedDevice = Rc<RefCell<TwoBSsd>>;
@@ -40,26 +39,55 @@ pub type SharedCalendar = Rc<RefCell<IoCalendar>>;
 /// Handle to the pin-table arbiter shared by the BA tenants.
 pub type SharedPins = Rc<RefCell<PinTable>>;
 
-/// Submits one operation, drives the shared calendar, and plucks out its
-/// completion. Every tenant drains inside its own call, so the calendar's
-/// completion buffer holds only this drive's results.
-fn run_op(
-    dev: &SharedDevice,
-    cal: &SharedCalendar,
-    at: SimTime,
-    op: IoOp,
-) -> Result<IoCompletion, WalError> {
-    let mut cal = cal.borrow_mut();
-    let id = cal.submit(at, op);
-    cal.drive(&mut dev.borrow_mut());
-    let done = cal
-        .drain_completions()
-        .into_iter()
-        .find(|c| c.id == id)
-        .expect("a driven calendar completes every submitted op");
-    match done.error.clone() {
-        Some(e) => Err(e.into()),
-        None => Ok(done),
+/// The port of a writer sharing its device: stores go through the shared
+/// pin table (ownership-checked, on the window's front-end), while the
+/// durability op and the flush are submitted to the shared calendar so
+/// they serialize with every other tenant's traffic.
+#[derive(Debug, Clone)]
+struct SharedWindow {
+    dev: SharedDevice,
+    cal: SharedCalendar,
+    pins: SharedPins,
+    tenant: TenantId,
+    front_end: RegionFrontEnd,
+}
+
+impl WindowPort for SharedWindow {
+    fn store(&mut self, at: SimTime, eid: EntryId, offset: u64, data: &[u8]) -> Done {
+        let mut dev = self.dev.borrow_mut();
+        let store = self
+            .pins
+            .borrow_mut()
+            .write(&mut dev, at, self.tenant, eid, offset, data)?;
+        Ok(store.retired_at)
+    }
+
+    fn sync(&mut self, at: SimTime, eid: EntryId, offset: u64, len: u64) -> Done {
+        let op = self
+            .pins
+            .borrow_mut()
+            .sync_op(at, self.tenant, eid, offset, len)?;
+        Ok(run_op(&self.dev, &self.cal, at, op)?.complete_at)
+    }
+
+    fn flush(&mut self, at: SimTime, eid: EntryId) -> Done {
+        self.pins.borrow_mut().begin_unpin(at, self.tenant, eid)?;
+        let flush = run_op(&self.dev, &self.cal, at, IoOp::BaFlush { eid })?;
+        self.pins.borrow_mut().finish_unpin(eid)?;
+        Ok(flush.complete_at)
+    }
+
+    fn pin(&mut self, at: SimTime, lba: Lba, pages: u32) -> Result<(EntryId, SimTime), WalError> {
+        let mut dev = self.dev.borrow_mut();
+        let (eid, pin) = self.pins.borrow_mut().pin_front_end(
+            &mut dev,
+            at,
+            self.tenant,
+            lba,
+            pages,
+            self.front_end,
+        )?;
+        Ok((eid, pin.complete_at))
     }
 }
 
@@ -69,22 +97,8 @@ fn run_op(
 /// window-at-a-time (rotate-in-place) when full.
 #[derive(Debug, Clone)]
 pub struct TenantBaWal {
-    dev: SharedDevice,
-    cal: SharedCalendar,
-    pins: SharedPins,
-    tenant: TenantId,
-    cfg: WalConfig,
-    window_pages: u32,
-    front_end: RegionFrontEnd,
-    eid: EntryId,
-    /// When the current window's pin load completes.
-    ready_at: SimTime,
-    /// Bytes appended to the current window.
-    used: u64,
-    /// Next region page offset (for re-pinning after a rotation).
-    cursor_pages: u64,
-    next_lsn: u64,
-    stats: WalStats,
+    port: SharedWindow,
+    log: ByteLog,
 }
 
 impl TenantBaWal {
@@ -138,112 +152,84 @@ impl TenantBaWal {
                 "a byte-path WAL window cannot be block-backed".into(),
             ));
         }
-        if window_pages == 0 {
-            return Err(WalError::BadConfig("window_pages must be positive".into()));
-        }
-        if u64::from(cfg.region_pages) < u64::from(window_pages)
-            || !cfg.region_pages.is_multiple_of(window_pages)
-        {
-            return Err(WalError::BadConfig(
-                "log region must be a multiple of window_pages".into(),
-            ));
-        }
-        if cfg.region_base_lba + u64::from(cfg.region_pages) > dev.borrow().capacity_pages() {
-            return Err(WalError::BadConfig("log region exceeds device".into()));
-        }
-        let (eid, pin) = pins.borrow_mut().pin(
-            &mut dev.borrow_mut(),
-            SimTime::ZERO,
-            tenant,
-            Lba(cfg.region_base_lba),
+        let shape = ByteLogShape {
+            region_base_lba: cfg.region_base_lba,
+            region_pages: cfg.region_pages,
             window_pages,
-        )?;
-        if front_end != RegionFrontEnd::BaMmio {
-            pins.borrow_mut()
-                .set_front_end(pin.complete_at, tenant, eid, front_end)?;
-        }
-        Ok(TenantBaWal {
+            windows: 1,
+            record_overhead: cfg.record_overhead,
+        };
+        shape.validate(dev.borrow().capacity_pages())?;
+        let mut port = SharedWindow {
             dev,
             cal,
             pins,
             tenant,
-            cfg,
-            window_pages,
             front_end,
-            eid,
-            ready_at: pin.complete_at,
-            used: 0,
-            cursor_pages: u64::from(window_pages),
-            next_lsn: 0,
-            stats: WalStats::default(),
-        })
+        };
+        let log = ByteLog::open(&mut port, SimTime::ZERO, shape)?;
+        Ok(TenantBaWal { port, log })
     }
 
     /// The owning tenant.
     pub fn tenant(&self) -> TenantId {
-        self.tenant
+        self.port.tenant
     }
 
     /// The mapping entry currently holding the tenant's window.
     pub fn eid(&self) -> EntryId {
-        self.eid
+        self.log
+            .entry()
+            .expect("no power cycle reaches a tenant log")
     }
 
-    fn window_bytes(&self) -> u64 {
-        u64::from(self.window_pages) * 4096
+    /// The log segment the window is pinned over (the count of rotations
+    /// so far).
+    pub fn segment(&self) -> u64 {
+        self.log.segment()
     }
 
-    /// The durability op of this window's front-end: a range `BA_SYNC` on
-    /// the MMIO path, a persist barrier on the CXL path. Both acknowledge
-    /// at the same contract — the covered bytes are device-durable.
-    fn sync_op(&self, rel_offset: u64, len: u64) -> IoOp {
-        match self.front_end {
-            RegionFrontEnd::Cxl => IoOp::CxlPersist {
-                eid: self.eid,
-                rel_offset,
-                len,
-            },
-            _ => IoOp::BaSyncRange {
-                eid: self.eid,
-                rel_offset,
-                len,
-            },
-        }
+    /// When the window's pin load completes and it accepts appends.
+    pub fn ready_at(&self) -> SimTime {
+        self.log.ready_at()
     }
 
-    /// Flushes the window to its pinned NAND pages and re-pins it at the
-    /// next log-segment LBAs (rotate-in-place: the log path stalls for the
-    /// flush, as the paper's single-buffered Redis port does).
-    fn rotate(&mut self, at: SimTime) -> Result<SimTime, WalError> {
-        self.pins
-            .borrow_mut()
-            .begin_unpin(at, self.tenant, self.eid)?;
-        let flush = run_op(&self.dev, &self.cal, at, IoOp::BaFlush { eid: self.eid })?;
-        self.pins.borrow_mut().finish_unpin(self.eid)?;
-        self.stats.device_page_writes += u64::from(self.window_pages);
-        self.stats.distinct_pages += u64::from(self.window_pages);
-        let next_lba =
-            Lba(self.cfg.region_base_lba + self.cursor_pages % u64::from(self.cfg.region_pages));
-        self.cursor_pages += u64::from(self.window_pages);
-        let (eid, pin) = self.pins.borrow_mut().pin(
-            &mut self.dev.borrow_mut(),
-            flush.complete_at,
-            self.tenant,
-            next_lba,
-            self.window_pages,
-        )?;
-        if self.front_end != RegionFrontEnd::BaMmio {
-            self.pins.borrow_mut().set_front_end(
-                pin.complete_at,
-                self.tenant,
-                eid,
-                self.front_end,
-            )?;
-        }
-        self.eid = eid;
-        self.ready_at = pin.complete_at;
-        self.used = 0;
-        Ok(pin.complete_at)
+    /// The LSN the next append will carry.
+    pub fn next_lsn(&self) -> u64 {
+        self.log.next_lsn()
+    }
+
+    /// [`WalWriter::append_commit`] for a layer that keeps state per log
+    /// segment (the tier layer): also reports where the record landed, and
+    /// on a rotation runs `before_repin(next_segment, flushed_at)` between
+    /// the full window's flush landing and the re-pin at `next_segment`,
+    /// re-pinning at the instant it returns.
+    ///
+    /// # Errors
+    ///
+    /// As for [`WalWriter::append_commit`], plus whatever the hook returns.
+    pub fn append_commit_with(
+        &mut self,
+        now: SimTime,
+        payload: &[u8],
+        before_repin: impl FnMut(u64, SimTime) -> Result<SimTime, WalError>,
+    ) -> Result<(CommitOutcome, RecordLoc), WalError> {
+        let payloads = std::iter::once(payload);
+        self.log.append(&mut self.port, now, payloads, before_repin)
+    }
+
+    /// [`TenantBaWal::finalize`] with the rotation hook of
+    /// [`TenantBaWal::append_commit_with`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates device, arbiter and hook errors.
+    pub fn finalize_with(
+        &mut self,
+        now: SimTime,
+        before_repin: impl FnMut(u64, SimTime) -> Result<SimTime, WalError>,
+    ) -> Result<SimTime, WalError> {
+        self.log.finalize(&mut self.port, now, before_repin)
     }
 
     /// Flushes whatever the window holds (e.g. at shutdown) and re-pins,
@@ -253,54 +239,13 @@ impl TenantBaWal {
     ///
     /// Propagates device and arbiter errors.
     pub fn finalize(&mut self, now: SimTime) -> Result<SimTime, WalError> {
-        if self.used > 0 {
-            self.rotate(now.max(self.ready_at))
-        } else {
-            Ok(now)
-        }
+        self.finalize_with(now, repin_at_once)
     }
 }
 
 impl WalWriter for TenantBaWal {
     fn append_commit(&mut self, now: SimTime, payload: &[u8]) -> Result<CommitOutcome, WalError> {
-        let record = LogRecord::new(Lsn(self.next_lsn), payload.to_vec());
-        let bytes = record.encode();
-        if bytes.len() as u64 > self.window_bytes() {
-            return Err(WalError::RecordTooLarge {
-                got: bytes.len(),
-                max: self.window_bytes() as usize,
-            });
-        }
-        self.next_lsn += 1;
-        let mut t = (now + self.cfg.record_overhead).max(self.ready_at);
-        if self.used + bytes.len() as u64 > self.window_bytes() {
-            t = t.max(self.rotate(t)?);
-        }
-        let store = self.pins.borrow_mut().write(
-            &mut self.dev.borrow_mut(),
-            t,
-            self.tenant,
-            self.eid,
-            self.used,
-            &bytes,
-        )?;
-        let sync = run_op(
-            &self.dev,
-            &self.cal,
-            store.retired_at,
-            self.sync_op(self.used, bytes.len() as u64),
-        )?;
-        self.used += bytes.len() as u64;
-        self.stats.commits += 1;
-        self.stats.payload_bytes += payload.len() as u64;
-        self.stats.encoded_bytes += bytes.len() as u64;
-        let outcome = CommitOutcome {
-            lsn: record.lsn,
-            commit_at: sync.complete_at,
-            durable_at: Some(sync.complete_at),
-        };
-        self.stats.commit_time_total += outcome.commit_at.saturating_since(now);
-        Ok(outcome)
+        Ok(self.append_commit_with(now, payload, repin_at_once)?.0)
     }
 
     /// Batch append: every record is stored, with one range `BA_SYNC` per
@@ -311,82 +256,19 @@ impl WalWriter for TenantBaWal {
         now: SimTime,
         payloads: &[Vec<u8>],
     ) -> Result<CommitOutcome, WalError> {
-        if payloads.is_empty() {
-            return Err(WalError::BadConfig("empty batch".into()));
-        }
-        let mut t = (now + self.cfg.record_overhead).max(self.ready_at);
-        let mut dirty_start: Option<u64> = None;
-        let mut last_lsn = Lsn(self.next_lsn);
-        let mut encoded_total = 0u64;
-        let mut payload_total = 0u64;
-        for payload in payloads {
-            let record = LogRecord::new(Lsn(self.next_lsn), payload.clone());
-            let bytes = record.encode();
-            if bytes.len() as u64 > self.window_bytes() {
-                return Err(WalError::RecordTooLarge {
-                    got: bytes.len(),
-                    max: self.window_bytes() as usize,
-                });
-            }
-            self.next_lsn += 1;
-            last_lsn = record.lsn;
-            if self.used + bytes.len() as u64 > self.window_bytes() {
-                if let Some(start) = dirty_start.take() {
-                    let sync = run_op(
-                        &self.dev,
-                        &self.cal,
-                        t,
-                        self.sync_op(start, self.used - start),
-                    )?;
-                    t = sync.complete_at;
-                }
-                t = t.max(self.rotate(t)?);
-            }
-            let store = self.pins.borrow_mut().write(
-                &mut self.dev.borrow_mut(),
-                t,
-                self.tenant,
-                self.eid,
-                self.used,
-                &bytes,
-            )?;
-            t = store.retired_at;
-            if dirty_start.is_none() {
-                dirty_start = Some(self.used);
-            }
-            self.used += bytes.len() as u64;
-            encoded_total += bytes.len() as u64;
-            payload_total += payload.len() as u64;
-        }
-        let durable = match dirty_start {
-            Some(start) => {
-                run_op(
-                    &self.dev,
-                    &self.cal,
-                    t,
-                    self.sync_op(start, self.used - start),
-                )?
-                .complete_at
-            }
-            None => t,
-        };
-        self.stats.commits += payloads.len() as u64;
-        self.stats.payload_bytes += payload_total;
-        self.stats.encoded_bytes += encoded_total;
-        self.stats.commit_time_total += durable.saturating_since(now);
-        Ok(CommitOutcome {
-            lsn: last_lsn,
-            commit_at: durable,
-            durable_at: Some(durable),
-        })
+        let payloads = payloads.iter().map(Vec::as_slice);
+        let appended = self
+            .log
+            .append(&mut self.port, now, payloads, repin_at_once)?;
+        Ok(appended.0)
     }
 
     fn scheme(&self) -> String {
-        format!("BA-WAL({})", self.tenant)
+        format!("BA-WAL({})", self.port.tenant)
     }
 
     fn stats(&self) -> WalStats {
-        self.stats
+        self.log.stats
     }
 }
 
@@ -399,13 +281,7 @@ pub struct TenantBlockWal {
     dev: SharedDevice,
     cal: SharedCalendar,
     tenant: TenantId,
-    cfg: WalConfig,
-    next_lsn: u64,
-    page_image: Vec<u8>,
-    page_fill: usize,
-    cursor_page: u64,
-    page_started: bool,
-    stats: WalStats,
+    log: PageLog,
 }
 
 impl TenantBlockWal {
@@ -420,25 +296,15 @@ impl TenantBlockWal {
         tenant: TenantId,
         cfg: WalConfig,
     ) -> Result<Self, WalError> {
-        cfg.validate().map_err(WalError::BadConfig)?;
-        let page_size = {
+        let log = {
             let d = dev.borrow();
-            if cfg.region_base_lba + u64::from(cfg.region_pages) > d.capacity_pages() {
-                return Err(WalError::BadConfig("log region exceeds device".into()));
-            }
-            d.page_size()
+            PageLog::new(&cfg, d.page_size(), d.capacity_pages())?
         };
         Ok(TenantBlockWal {
             dev,
             cal,
             tenant,
-            cfg,
-            next_lsn: 0,
-            page_image: vec![0; page_size],
-            page_fill: 0,
-            cursor_page: 0,
-            page_started: false,
-            stats: WalStats::default(),
+            log,
         })
     }
 
@@ -447,85 +313,25 @@ impl TenantBlockWal {
         self.tenant
     }
 
-    fn current_lba(&self) -> Lba {
-        Lba(self.cfg.region_base_lba + self.cursor_page % u64::from(self.cfg.region_pages))
-    }
-
-    fn write_current_page(&mut self, at: SimTime) -> Result<SimTime, WalError> {
-        let lba = self.current_lba();
-        let image = self.page_image.clone();
-        let ack = run_op(
-            &self.dev,
-            &self.cal,
-            at,
-            IoOp::BlockWrite { lba, data: image },
-        )?;
-        self.stats.device_page_writes += 1;
-        Ok(ack.complete_at)
-    }
-
-    /// Stages `stream` into page images, writing each touched page, and
-    /// returns the last ack instant.
-    fn stage_stream(&mut self, staged_at: SimTime, stream: &[u8]) -> Result<SimTime, WalError> {
-        let page_size = self.page_image.len();
-        let mut cursor = 0usize;
-        let mut last_ack = staged_at;
-        while cursor < stream.len() {
-            if !self.page_started {
-                self.page_started = true;
-                self.stats.distinct_pages += 1;
-            }
-            let space = page_size - self.page_fill;
-            let take = space.min(stream.len() - cursor);
-            self.page_image[self.page_fill..self.page_fill + take]
-                .copy_from_slice(&stream[cursor..cursor + take]);
-            self.page_fill += take;
-            cursor += take;
-            let page_full = self.page_fill == page_size;
-            if page_full || cursor == stream.len() {
-                last_ack = self.write_current_page(staged_at)?;
-            }
-            if page_full {
-                self.cursor_page += 1;
-                self.page_fill = 0;
-                self.page_image.fill(0);
-                self.page_started = false;
-            }
-        }
-        Ok(last_ack)
-    }
-
-    fn flush_device(&mut self, at: SimTime) -> Result<SimTime, WalError> {
-        let done = run_op(&self.dev, &self.cal, at, IoOp::BlockFlush)?;
-        self.stats.device_flushes += 1;
-        Ok(done.complete_at)
+    fn append<'a>(
+        &mut self,
+        now: SimTime,
+        payloads: impl Iterator<Item = &'a [u8]> + Clone,
+    ) -> Result<CommitOutcome, WalError> {
+        let (dev, cal) = (&self.dev, &self.cal);
+        let staged = self.log.append(now, payloads, |at, lba, image| {
+            // The calendar owns an operation's payload until it runs.
+            let data = image.to_vec();
+            Ok(run_op(dev, cal, at, IoOp::BlockWrite { lba, data })?.complete_at)
+        })?;
+        let flushed = run_op(dev, cal, staged.last_ack, IoOp::BlockFlush)?.complete_at;
+        Ok(self.log.commit_flushed(now, flushed))
     }
 }
 
 impl WalWriter for TenantBlockWal {
     fn append_commit(&mut self, now: SimTime, payload: &[u8]) -> Result<CommitOutcome, WalError> {
-        let record = LogRecord::new(Lsn(self.next_lsn), payload.to_vec());
-        let bytes = record.encode();
-        let region_bytes = u64::from(self.cfg.region_pages) * self.page_image.len() as u64;
-        if bytes.len() as u64 > region_bytes {
-            return Err(WalError::RecordTooLarge {
-                got: bytes.len(),
-                max: region_bytes as usize,
-            });
-        }
-        self.next_lsn += 1;
-        let staged_at = now + self.cfg.record_overhead + self.cfg.memcpy(bytes.len() as u64);
-        let last_ack = self.stage_stream(staged_at, &bytes)?;
-        let durable = self.flush_device(last_ack)?;
-        self.stats.commits += 1;
-        self.stats.payload_bytes += payload.len() as u64;
-        self.stats.encoded_bytes += bytes.len() as u64;
-        self.stats.commit_time_total += durable.saturating_since(now);
-        Ok(CommitOutcome {
-            lsn: record.lsn,
-            commit_at: durable,
-            durable_at: Some(durable),
-        })
+        self.append(now, std::iter::once(payload))
     }
 
     /// Batch append (group commit): each touched page is written once, and
@@ -535,40 +341,7 @@ impl WalWriter for TenantBlockWal {
         now: SimTime,
         payloads: &[Vec<u8>],
     ) -> Result<CommitOutcome, WalError> {
-        if payloads.is_empty() {
-            return Err(WalError::BadConfig("empty batch".into()));
-        }
-        let region_bytes = u64::from(self.cfg.region_pages) * self.page_image.len() as u64;
-        let mut stream = Vec::new();
-        let mut last_lsn = Lsn(self.next_lsn);
-        let mut payload_total = 0u64;
-        for payload in payloads {
-            let record = LogRecord::new(Lsn(self.next_lsn), payload.clone());
-            if record.encoded_len() as u64 > region_bytes {
-                return Err(WalError::RecordTooLarge {
-                    got: record.encoded_len(),
-                    max: region_bytes as usize,
-                });
-            }
-            self.next_lsn += 1;
-            last_lsn = record.lsn;
-            payload_total += payload.len() as u64;
-            stream.extend_from_slice(&record.encode());
-        }
-        let staged_at = now
-            + self.cfg.record_overhead * payloads.len() as u64
-            + self.cfg.memcpy(stream.len() as u64);
-        let last_ack = self.stage_stream(staged_at, &stream)?;
-        let durable = self.flush_device(last_ack)?;
-        self.stats.commits += payloads.len() as u64;
-        self.stats.payload_bytes += payload_total;
-        self.stats.encoded_bytes += stream.len() as u64;
-        self.stats.commit_time_total += durable.saturating_since(now);
-        Ok(CommitOutcome {
-            lsn: last_lsn,
-            commit_at: durable,
-            durable_at: Some(durable),
-        })
+        self.append(now, payloads.iter().map(Vec::as_slice))
     }
 
     fn scheme(&self) -> String {
@@ -576,13 +349,14 @@ impl WalWriter for TenantBlockWal {
     }
 
     fn stats(&self) -> WalStats {
-        self.stats
+        self.log.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Lsn;
     use twob_core::TwoBSpec;
     use twob_ssd::SsdConfig;
 
