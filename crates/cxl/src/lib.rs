@@ -15,7 +15,10 @@
 //!   as a placement problem per region — the WAL tail stays pinned in
 //!   the fast byte tier, cold segments demote to flash, and reads that
 //!   keep hitting a cold segment promote it back, all as calendar-routed
-//!   stages like GC and buffer dumps.
+//!   stages like GC and buffer dumps. The tail is not a writer of this
+//!   crate's own: a [`TieredWal`] *contains* a `twob_wal::TenantBaWal`
+//!   and hangs its policy on that writer's rotation hook and record
+//!   locations, so the append path is the one every tenant WAL runs.
 //!
 //! [`IoCalendar`]: twob_core::IoCalendar
 //!

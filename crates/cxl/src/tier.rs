@@ -3,12 +3,12 @@
 //! The pin table makes front-end choice a *per-region* property; this
 //! module adds the policy that exploits it. A [`TieredWal`] keeps its
 //! tail window pinned in the byte tier (CXL.mem by default, BA-MMIO on
-//! request), demotes full segments to block NAND exactly the way the
-//! tenant writers rotate (fence, calendar-routed `BA_FLUSH`, unpin),
-//! and watches the read stream: a segment that keeps absorbing cold
-//! block reads is promoted back into the buffer — a calendar-priced
-//! re-pin whose NAND→buffer load is the promotion cost — and idle
-//! promoted segments are swept back out.
+//! request) — the tail is a `twob_wal::TenantBaWal`, so full segments
+//! demote to block NAND by that writer's own rotation (fence,
+//! calendar-routed `BA_FLUSH`, unpin) — and watches the read stream: a
+//! segment that keeps absorbing cold block reads is promoted back into
+//! the buffer — a calendar-priced re-pin whose NAND→buffer load is the
+//! promotion cost — and idle promoted segments are swept back out.
 //!
 //! Every device touch routes through the shared [`IoCalendar`], so
 //! tiering contends with GC, dumps, and other tenants in deterministic

@@ -224,9 +224,7 @@ impl crate::WalTail for BaWal {
         let covered = from.0 >= self.log.next_lsn() || raw.iter().any(|r| r.lsn == from);
         if !covered {
             // `canonical_tail` orders the flushed segments by LSN.
-            let (flushed, scanned) = self.log.read_flushed(&mut self.dev, now)?;
-            raw.extend(flushed);
-            t = t.max(scanned);
+            t = t.max(self.log.read_flushed(&mut self.dev, now, &mut raw)?);
         }
         crate::cursor::finish_tail(raw, from, self.log.next_lsn(), t)
     }

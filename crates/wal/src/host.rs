@@ -6,11 +6,12 @@
 //!
 //! - in [`HostMode::Ba`], each open slot holds one pinned BA window inside
 //!   its own pin-table share (the multi-tenant arbitration of PR 4 applied
-//!   to shards instead of processes). Appends are MMIO stores + `BA_SYNC`
-//!   over exactly the appended bytes; a full window is flushed to the
-//!   slot's NAND log region with `BA_FLUSH` and re-pinned at the next
-//!   segment, single-buffered (the flush is on the log path, like the
-//!   paper's Redis port);
+//!   to shards instead of processes), driven by the crate's one
+//!   byte-window log. Appends are byte-path stores + a durability op over
+//!   exactly the appended bytes; a full window is flushed to the slot's
+//!   NAND log region with `BA_FLUSH` and re-pinned at the next segment,
+//!   single-buffered (the flush is on the log path, like the paper's Redis
+//!   port);
 //! - in [`HostMode::Block`], each slot is a conventional synchronous block
 //!   WAL in the same per-slot region: every commit rewrites the page(s)
 //!   holding the record tail and flushes the device write cache.
@@ -504,8 +505,7 @@ impl ShardWalHost {
                         raw = decode_stream(&read.data).records;
                     }
                 }
-                let (flushed, scanned) = log.read_flushed(&mut self.dev, now)?;
-                raw.extend(flushed);
+                let scanned = log.read_flushed(&mut self.dev, now, &mut raw)?;
                 Ok((raw, t.max(scanned)))
             }
             SlotLog::Block { staged, .. } => {

@@ -23,10 +23,35 @@
 //! All three produce identical on-media record streams ([`LogRecord`] with
 //! CRC-32 torn-write detection), so [`replay`] can audit any of them.
 //!
+//! The same schemes over a *shared* device: [`TenantBaWal`] and
+//! [`TenantBlockWal`] log one tenant's records into its share of a 2B-SSD
+//! every tenant contends on (durability traffic routed through a shared
+//! `IoCalendar`), and [`ShardWalHost`] multiplexes many shard logs over one
+//! owned device for a cluster node.
+//!
 //! [`GroupCommit`] wraps any of the writers with an asynchronous completion
 //! path: concurrent committers submit and receive tickets, batches close on
 //! an event-calendar deadline, and one durability point covers the whole
 //! group.
+//!
+//! # One log core
+//!
+//! The writers are thin: each algorithm lives once, in the private
+//! `logcore` module. The byte-window log (store, sync exactly the appended
+//! bytes, flush a full window and re-pin it at the next segment; one or two
+//! windows) is generic over a *port* that says how a window reaches its
+//! device — direct calls ([`BaWal`]), an owned pin table ([`ShardWalHost`]),
+//! or a shared pin table with calendar-routed sync and flush
+//! ([`TenantBaWal`]). The page-image log (stage, rewrite each touched page,
+//! flush) takes a "write this page" closure ([`BlockWal`],
+//! [`TenantBlockWal`]). `append_commit` is the one-record case of
+//! `append_batch` on all of them, and one region scan serves [`replay`] and
+//! every tail read. [`PmWal`] and [`ShardWalHost`]'s block mode are
+//! different algorithms and keep their own appends. The byte-window log
+//! reports where each record landed ([`RecordLoc`]) and offers a hook
+//! between a rotation's flush and its re-pin
+//! ([`TenantBaWal::append_commit_with`]), which is all the tier layer in
+//! `twob-cxl` needs to build on it. See DESIGN §5, "One log core".
 //!
 //! # Example
 //!

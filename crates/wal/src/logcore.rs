@@ -262,22 +262,23 @@ impl ByteLog {
         }
     }
 
-    /// Decodes what rotations have flushed to the region. Flushes are
-    /// window-aligned and rewrite whole windows, so the region is a sequence
-    /// of independently coherent window-sized segments (each with slack
-    /// padding at its tail), decoded one by one; raw and unordered.
+    /// Decodes what rotations have flushed to the region onto `into`,
+    /// returning the latest read completion. Flushes are window-aligned and
+    /// rewrite whole windows, so the region is a sequence of independently
+    /// coherent window-sized segments (each with slack padding at its
+    /// tail), decoded one by one; raw and unordered.
     pub(crate) fn read_flushed<D: BlockDevice>(
         &self,
         dev: &mut D,
         now: SimTime,
-    ) -> Result<(Vec<LogRecord>, SimTime), WalError> {
+        into: &mut Vec<LogRecord>,
+    ) -> Done {
         let pages = u64::from(self.shape.region_pages);
         let (stream, done) = scan_region(dev, now, self.shape.region_base_lba, pages)?;
-        let records = stream
-            .chunks(self.window_bytes() as usize)
-            .flat_map(|segment| decode_stream(segment).records)
-            .collect();
-        Ok((records, done))
+        for segment in stream.chunks(self.window_bytes() as usize) {
+            into.extend(decode_stream(segment).records);
+        }
+        Ok(done)
     }
 
     /// Flushes the active window, re-pins it at the next segment and moves

@@ -98,7 +98,7 @@ where
 trait Rig {
     fn wal(&mut self) -> &mut dyn WalWriter;
     /// WAL accounting plus every device counter, as one comparable string.
-    fn snapshot(&mut self) -> String;
+    fn snapshot(&self) -> String;
 }
 
 fn twob_counters(dev: &TwoBSsd) -> String {
@@ -109,7 +109,7 @@ impl Rig for BaWal {
     fn wal(&mut self) -> &mut dyn WalWriter {
         self
     }
-    fn snapshot(&mut self) -> String {
+    fn snapshot(&self) -> String {
         format!("{:?} {}", self.stats(), twob_counters(self.device()))
     }
 }
@@ -118,7 +118,7 @@ impl Rig for BlockWal<Ssd> {
     fn wal(&mut self) -> &mut dyn WalWriter {
         self
     }
-    fn snapshot(&mut self) -> String {
+    fn snapshot(&self) -> String {
         format!("{:?} {:?}", self.stats(), self.device().stats())
     }
 }
@@ -127,7 +127,7 @@ impl Rig for PmWal<Ssd> {
     fn wal(&mut self) -> &mut dyn WalWriter {
         self
     }
-    fn snapshot(&mut self) -> String {
+    fn snapshot(&self) -> String {
         format!("{:?} {:?}", self.stats(), self.device().stats())
     }
 }
@@ -142,7 +142,7 @@ impl<W: WalWriter> Rig for Tenant<W> {
     fn wal(&mut self) -> &mut dyn WalWriter {
         &mut self.wal
     }
-    fn snapshot(&mut self) -> String {
+    fn snapshot(&self) -> String {
         format!(
             "{:?} {}",
             self.wal.stats(),
