@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use twob_core::{BaBuffer, EntryId, MappingTable, PinError, PinTable, TenantId, TwoBSsd};
 use twob_ftl::Lba;
 use twob_pcie::PostedWrite;
-use twob_sim::{SimDuration, SimTime};
+use twob_sim::{fnv1a64_update, SimDuration, SimRng, SimTime};
 use twob_ssd::BlockDevice;
 
 /// One step of a multi-tenant pin-table interleaving.
@@ -107,6 +107,105 @@ fn regression_free_offset_insertable_after_three_page_entry() {
             "proposed window rejected for pages={pages} offset={offset}"
         );
     }
+}
+
+/// The device's whole byte path over a seeded 2,000-op sequence — both
+/// front-ends interleaved on two pinned entries, a power cycle half-way —
+/// folded into one digest: every outcome (instants, bytes read, errors),
+/// the window bytes the dump restored, the final windows and `TwoBStats`.
+/// Captured before the seven per-method copies became one path.
+#[test]
+fn byte_path_mixed_sequence_digest_is_pinned() {
+    fn fold(h: &mut u64, bytes: &[u8]) {
+        *h = fnv1a64_update(*h, bytes);
+    }
+    fn instant(h: &mut u64, outcome: Result<SimTime, twob_core::TwoBError>, t: &mut SimTime) {
+        match outcome {
+            Ok(at) => {
+                fold(h, &at.as_nanos().to_le_bytes());
+                *t = at;
+            }
+            Err(e) => fold(h, format!("{e:?}").as_bytes()),
+        }
+    }
+    let mut dev = TwoBSsd::small_for_tests();
+    let (a, pin) = dev.ba_pin_auto(SimTime::ZERO, Lba(0), 2).expect("pin a");
+    let (b, pin) = dev.ba_pin_auto(pin.complete_at, Lba(8), 1).expect("pin b");
+    let entries = [(a, 2 * 4096u64), (b, 4096u64)];
+    let mut rng = SimRng::seed_from(0x2b55d);
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut t = pin.complete_at;
+    let windows = |dev: &mut TwoBSsd, h: &mut u64, t: &mut SimTime| {
+        for (eid, len) in entries {
+            let dma = dev.ba_read_dma(*t, eid, 0, len).expect("whole window");
+            fold(h, &dma.data);
+            *t = dma.complete_at;
+        }
+    };
+    for step in 0..2_000 {
+        if step == 1_000 {
+            let dump = dev.power_loss(t);
+            fold(&mut h, &[u8::from(dump.dumped)]);
+            fold(&mut h, &dump.pages_written.to_le_bytes());
+            t += SimDuration::from_millis(1);
+            let report = dev.power_on(t);
+            fold(&mut h, format!("{report:?}").as_bytes());
+            windows(&mut dev, &mut h, &mut t);
+        }
+        let (eid, window) = entries[rng.next_u64_below(2) as usize];
+        // A few requests start past the window (empty once clamped) or
+        // run off its end; the rest fit.
+        let offset = rng.next_u64_below(window + window / 32);
+        let room = window.saturating_sub(offset);
+        let len = if rng.chance(0.05) {
+            room + 1 + rng.next_u64_below(64)
+        } else if rng.chance(0.1) {
+            rng.next_u64_below(4096).min(room)
+        } else {
+            (1 + rng.next_u64_below(200)).min(room)
+        };
+        let mut data = vec![0u8; len as usize];
+        rng.fill_bytes(&mut data);
+        match rng.next_u64_below(16) {
+            0..=4 => {
+                let out = dev.mmio_write(t, eid, offset, &data);
+                instant(&mut h, out.map(|o| o.retired_at), &mut t);
+            }
+            5..=7 => {
+                let out = dev.cxl_store(t, eid, offset, &data);
+                instant(&mut h, out.map(|o| o.retired_at), &mut t);
+            }
+            8 | 9 => {
+                let out = dev.ba_sync_range(t, eid, offset, len);
+                instant(&mut h, out.map(|o| o.complete_at), &mut t);
+            }
+            10 | 11 => {
+                let out = dev.cxl_persist(t, eid, offset, len);
+                instant(&mut h, out.map(|o| o.complete_at), &mut t);
+            }
+            12 => {
+                let out = dev.ba_sync(t, eid);
+                instant(&mut h, out.map(|o| o.complete_at), &mut t);
+            }
+            op => {
+                let out = match op {
+                    13 => dev.mmio_read(t, eid, offset, len.min(256)),
+                    14 => dev.cxl_load(t, eid, offset, len),
+                    _ => dev.ba_read_dma(t, eid, offset, len),
+                };
+                if let Ok(read) = &out {
+                    fold(&mut h, &read.data);
+                }
+                instant(&mut h, out.map(|o| o.complete_at), &mut t);
+            }
+        }
+        if rng.chance(0.2) {
+            t += SimDuration::from_nanos(rng.next_u64_below(3_000));
+        }
+    }
+    windows(&mut dev, &mut h, &mut t);
+    fold(&mut h, format!("{:?}", dev.stats()).as_bytes());
+    assert_eq!(h, 5560537839612442530);
 }
 
 proptest! {
