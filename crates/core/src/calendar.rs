@@ -83,28 +83,10 @@ pub enum IoOp {
     /// Block-path flush: destages the device write cache (the NVMe FLUSH
     /// a block-WAL issues to make an appended record durable).
     BlockFlush,
-    /// CXL.mem cache-line store of `data` at `rel_offset` in the entry's
-    /// window.
-    CxlStore {
-        /// Entry to store into.
-        eid: EntryId,
-        /// Window-relative start.
-        rel_offset: u64,
-        /// Payload.
-        data: Vec<u8>,
-    },
-    /// CXL.mem load of `[rel_offset, rel_offset + len)` from the entry's
-    /// window (streamed 64-byte lines).
-    CxlLoad {
-        /// Entry to load from.
-        eid: EntryId,
-        /// Window-relative start.
-        rel_offset: u64,
-        /// Bytes to load.
-        len: u64,
-    },
     /// CXL persist barrier over `[rel_offset, rel_offset + len)` — the
-    /// CXL analogue of [`IoOp::BaSyncRange`]'s durability point.
+    /// CXL analogue of [`IoOp::BaSyncRange`]'s durability point. (Stores
+    /// and loads are direct device calls on both byte front-ends; only
+    /// durability points, DMA and flushes are calendar-routed.)
     CxlPersist {
         /// Entry to persist.
         eid: EntryId,
@@ -275,24 +257,6 @@ pub(crate) fn dispatch_completion(
             Err(e) => (Err(e.into()), None, LatencyBreakdown::ZERO),
         },
         IoOp::BlockFlush => (Ok(dev.flush(t)), None, LatencyBreakdown::ZERO),
-        IoOp::CxlStore {
-            eid,
-            rel_offset,
-            data,
-        } => (
-            dev.cxl_store(t, eid, rel_offset, &data)
-                .map(|c| c.retired_at),
-            None,
-            LatencyBreakdown::ZERO,
-        ),
-        IoOp::CxlLoad {
-            eid,
-            rel_offset,
-            len,
-        } => match dev.cxl_load(t, eid, rel_offset, len) {
-            Ok(out) => (Ok(out.complete_at), Some(out.data), LatencyBreakdown::ZERO),
-            Err(e) => (Err(e), None, LatencyBreakdown::ZERO),
-        },
         IoOp::CxlPersist {
             eid,
             rel_offset,
@@ -472,20 +436,12 @@ mod tests {
         let (mut dev, eids) = pinned_dev(&[0]);
         let eid = eids[0];
         let t = SimTime::from_nanos(1_000_000);
+        // Stores and loads are direct calls; the durability point between
+        // them goes through the calendar.
+        let store = dev.cxl_store(t, eid, 0, b"cxl bytes").unwrap();
         let mut cal = IoCalendar::new();
         cal.submit(
-            t,
-            IoOp::CxlStore {
-                eid,
-                rel_offset: 0,
-                data: b"cxl bytes".to_vec(),
-            },
-        );
-        cal.drive(&mut dev);
-        let store = cal.drain_completions().pop().unwrap();
-        assert!(store.error.is_none(), "store failed: {:?}", store.error);
-        cal.submit(
-            store.complete_at,
+            store.retired_at,
             IoOp::CxlPersist {
                 eid,
                 rel_offset: 0,
@@ -495,18 +451,9 @@ mod tests {
         cal.drive(&mut dev);
         let persist = cal.drain_completions().pop().unwrap();
         assert!(persist.error.is_none());
-        assert!(persist.complete_at > store.complete_at);
-        cal.submit(
-            persist.complete_at,
-            IoOp::CxlLoad {
-                eid,
-                rel_offset: 0,
-                len: 9,
-            },
-        );
-        cal.drive(&mut dev);
-        let load = cal.drain_completions().pop().unwrap();
-        assert_eq!(load.data.as_deref(), Some(&b"cxl bytes"[..]));
+        assert!(persist.complete_at > store.retired_at);
+        let load = dev.cxl_load(persist.complete_at, eid, 0, 9).unwrap();
+        assert_eq!(load.data, b"cxl bytes");
         assert_eq!(cal.clamped_posts(), 0);
         let stats = dev.stats();
         assert_eq!(
@@ -519,45 +466,37 @@ mod tests {
     fn cxl_commit_undercuts_mmio_commit_on_the_calendar() {
         // The tier claim at the op level: store + persist through CXL
         // completes earlier than the same bytes through MMIO + BA_SYNC.
-        let commit = |op_store: fn(EntryId) -> IoOp, op_sync: fn(EntryId) -> IoOp| {
+        let commit = |cxl: bool| {
             let (mut dev, eids) = pinned_dev(&[0]);
+            let (eid, rel_offset, len) = (eids[0], 0, 128);
             let t = SimTime::from_nanos(1_000_000);
+            let (store, sync) = if cxl {
+                let store = dev.cxl_store(t, eid, rel_offset, &[7u8; 128]);
+                (
+                    store,
+                    IoOp::CxlPersist {
+                        eid,
+                        rel_offset,
+                        len,
+                    },
+                )
+            } else {
+                let store = dev.mmio_write(t, eid, rel_offset, &[7u8; 128]);
+                (
+                    store,
+                    IoOp::BaSyncRange {
+                        eid,
+                        rel_offset,
+                        len,
+                    },
+                )
+            };
             let mut cal = IoCalendar::new();
-            cal.submit(t, op_store(eids[0]));
-            cal.drive(&mut dev);
-            let store = cal.drain_completions().pop().unwrap();
-            cal.submit(store.complete_at, op_sync(eids[0]));
+            cal.submit(store.unwrap().retired_at, sync);
             cal.drive(&mut dev);
             cal.drain_completions().pop().unwrap().complete_at
         };
-        let cxl = commit(
-            |eid| IoOp::CxlStore {
-                eid,
-                rel_offset: 0,
-                data: vec![7u8; 128],
-            },
-            |eid| IoOp::CxlPersist {
-                eid,
-                rel_offset: 0,
-                len: 128,
-            },
-        );
-        let mmio = {
-            let (mut dev, eids) = pinned_dev(&[0]);
-            let t = SimTime::from_nanos(1_000_000);
-            let store = dev.mmio_write(t, eids[0], 0, &[7u8; 128]).unwrap();
-            let mut cal = IoCalendar::new();
-            cal.submit(
-                store.retired_at,
-                IoOp::BaSyncRange {
-                    eid: eids[0],
-                    rel_offset: 0,
-                    len: 128,
-                },
-            );
-            cal.drive(&mut dev);
-            cal.drain_completions().pop().unwrap().complete_at
-        };
+        let (cxl, mmio) = (commit(true), commit(false));
         assert!(cxl < mmio, "cxl commit {cxl:?} should beat mmio {mmio:?}");
     }
 

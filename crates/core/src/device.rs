@@ -3,7 +3,8 @@
 use serde::{Deserialize, Serialize};
 use twob_ftl::Lba;
 use twob_pcie::{
-    AddressTranslationUnit, Bar, CxlChannel, CxlTimings, HostByteChannel, PcieTimings,
+    AddressTranslationUnit, Bar, CxlChannel, CxlTimings, HostByteChannel, PcieTimings, PostedWrite,
+    ReadOutcome, StoreOutcome, SyncOutcome,
 };
 use twob_sim::{SimTime, TraceEvent, TraceRing};
 use twob_ssd::{BlockDevice, BlockRead, Ssd, SsdConfig, SsdError};
@@ -392,6 +393,87 @@ impl TwoBSsd {
         Ok(ApiCompletion { complete_at: done })
     }
 
+    /// The one window check of the byte path: the device is powered, the
+    /// entry exists, and `[rel_offset, rel_offset + len)` is a non-empty
+    /// range inside its window. Returns the range's BAR1 offset.
+    fn window(&self, eid: EntryId, rel_offset: u64, len: u64) -> Result<u64, TwoBError> {
+        self.check_power()?;
+        let entry = self.table.get(eid).ok_or(TwoBError::EntryNotFound(eid))?;
+        if len == 0 {
+            return Err(TwoBError::EmptyRequest);
+        }
+        match rel_offset.checked_add(len) {
+            Some(end) if end <= entry.len_bytes() => Ok(entry.buffer_offset + rel_offset),
+            _ => Err(TwoBError::OutsideEntry {
+                eid,
+                offset: rel_offset,
+                len,
+            }),
+        }
+    }
+
+    /// The one landing loop: ATU-translates each fragment a front-end
+    /// posted and applies it to the BA-buffer.
+    fn land(&mut self, posted: Vec<PostedWrite>) -> Result<(), TwoBError> {
+        for mut fragment in posted {
+            fragment.offset = self
+                .atu
+                .translate(fragment.offset, fragment.data.len() as u64)?;
+            self.buffer.apply_posted(&fragment);
+        }
+        Ok(())
+    }
+
+    /// Tail of a store on either front-end, which bumps `count`.
+    fn stored(
+        &mut self,
+        store: StoreOutcome,
+        len: usize,
+        count: fn(&mut TwoBStats) -> &mut u64,
+    ) -> Result<MmioStoreOutcome, TwoBError> {
+        self.land(store.posted)?;
+        *count(&mut self.stats) += 1;
+        self.stats.bytes_stored += len as u64;
+        Ok(MmioStoreOutcome {
+            retired_at: store.retired_at,
+        })
+    }
+
+    /// Tail of a load of `[bar_offset, bar_offset + len)` on either
+    /// front-end: the fragments it drained land first, so the bytes read
+    /// include every prior store.
+    fn loaded(
+        &mut self,
+        read: ReadOutcome,
+        bar_offset: u64,
+        len: u64,
+        count: fn(&mut TwoBStats) -> &mut u64,
+    ) -> Result<MmioReadOutcome, TwoBError> {
+        self.land(read.posted)?;
+        let dram = self.atu.translate(bar_offset, len)?;
+        let data = self.buffer.read(dram, len).to_vec();
+        *count(&mut self.stats) += 1;
+        Ok(MmioReadOutcome {
+            data,
+            complete_at: read.complete_at,
+        })
+    }
+
+    /// Tail of a durability point on either front-end.
+    fn synced(
+        &mut self,
+        now: SimTime,
+        sync: SyncOutcome,
+        count: fn(&mut TwoBStats) -> &mut u64,
+    ) -> Result<ApiCompletion, TwoBError> {
+        self.land(sync.posted)?;
+        self.buffer.settle(now);
+        *count(&mut self.stats) += 1;
+        Ok(ApiCompletion {
+            complete_at: sync.durable_at,
+        })
+    }
+
     /// `BA_SYNC(EID)`: makes all prior MMIO stores to the entry's window
     /// durable — `clflush` of every line in the window, `mfence`, then the
     /// write-verify read (paper §III-C and Fig 3).
@@ -401,25 +483,8 @@ impl TwoBSsd {
     /// [`TwoBError::EntryNotFound`].
     pub fn ba_sync(&mut self, now: SimTime, eid: EntryId) -> Result<ApiCompletion, TwoBError> {
         self.check_power()?;
-        let entry = *self.table.get(eid).ok_or(TwoBError::EntryNotFound(eid))?;
-        let sync = self
-            .chan
-            .sync_range(now, entry.buffer_offset, entry.len_bytes());
-        for posted in &sync.posted {
-            let dram = self
-                .atu
-                .translate(posted.offset, posted.data.len() as u64)?;
-            self.buffer.apply_posted(&twob_pcie::PostedWrite {
-                offset: dram,
-                data: posted.data.clone(),
-                lands_at: posted.lands_at,
-            });
-        }
-        self.buffer.settle(now);
-        self.stats.syncs += 1;
-        Ok(ApiCompletion {
-            complete_at: sync.durable_at,
-        })
+        let len = self.ba_entry_info(eid)?.len_bytes();
+        self.ba_sync_range(now, eid, 0, len)
     }
 
     /// Range-limited variant of [`TwoBSsd::ba_sync`]: `clflush` covers only
@@ -438,36 +503,9 @@ impl TwoBSsd {
         rel_offset: u64,
         len: u64,
     ) -> Result<ApiCompletion, TwoBError> {
-        self.check_power()?;
-        let entry = *self.table.get(eid).ok_or(TwoBError::EntryNotFound(eid))?;
-        if len == 0 {
-            return Err(TwoBError::EmptyRequest);
-        }
-        if rel_offset + len > entry.len_bytes() {
-            return Err(TwoBError::OutsideEntry {
-                eid,
-                offset: rel_offset,
-                len,
-            });
-        }
-        let sync = self
-            .chan
-            .sync_range(now, entry.buffer_offset + rel_offset, len);
-        for posted in &sync.posted {
-            let dram = self
-                .atu
-                .translate(posted.offset, posted.data.len() as u64)?;
-            self.buffer.apply_posted(&twob_pcie::PostedWrite {
-                offset: dram,
-                data: posted.data.clone(),
-                lands_at: posted.lands_at,
-            });
-        }
-        self.buffer.settle(now);
-        self.stats.syncs += 1;
-        Ok(ApiCompletion {
-            complete_at: sync.durable_at,
-        })
+        let bar_offset = self.window(eid, rel_offset, len)?;
+        let sync = self.chan.sync_range(now, bar_offset, len);
+        self.synced(now, sync, |s| &mut s.syncs)
     }
 
     /// `BA_GET_ENTRY_INFO(EID)`: the entry's mapping details.
@@ -497,23 +535,9 @@ impl TwoBSsd {
         rel_offset: u64,
         len: u64,
     ) -> Result<MmioReadOutcome, TwoBError> {
-        self.check_power()?;
-        let entry = *self.table.get(eid).ok_or(TwoBError::EntryNotFound(eid))?;
-        if len == 0 {
-            return Err(TwoBError::EmptyRequest);
-        }
-        if rel_offset + len > entry.len_bytes() {
-            return Err(TwoBError::OutsideEntry {
-                eid,
-                offset: rel_offset,
-                len,
-            });
-        }
+        let bar_offset = self.window(eid, rel_offset, len)?;
         self.buffer.settle(now);
-        let data = self
-            .buffer
-            .read(entry.buffer_offset + rel_offset, len)
-            .to_vec();
+        let data = self.buffer.read(bar_offset, len).to_vec();
         let complete_at = self
             .dma
             .transfer(&self.spec, now + self.spec.api_overhead, len);
@@ -535,19 +559,8 @@ impl TwoBSsd {
         rel_offset: u64,
         data: &[u8],
     ) -> Result<MmioStoreOutcome, TwoBError> {
-        self.check_power()?;
-        let entry = *self.table.get(eid).ok_or(TwoBError::EntryNotFound(eid))?;
-        if data.is_empty() {
-            return Err(TwoBError::EmptyRequest);
-        }
-        if rel_offset + data.len() as u64 > entry.len_bytes() {
-            return Err(TwoBError::OutsideEntry {
-                eid,
-                offset: rel_offset,
-                len: data.len() as u64,
-            });
-        }
-        self.mmio_write_at(now, entry.buffer_offset + rel_offset, data)
+        let bar_offset = self.window(eid, rel_offset, data.len() as u64)?;
+        self.mmio_write_at(now, bar_offset, data)
     }
 
     /// Raw MMIO store at an absolute BAR1 offset (no entry required; the
@@ -564,22 +577,8 @@ impl TwoBSsd {
     ) -> Result<MmioStoreOutcome, TwoBError> {
         self.check_power()?;
         self.bar1.check(bar_offset, data.len() as u64)?;
-        let outcome = self.chan.store(now, bar_offset, data);
-        for posted in &outcome.posted {
-            let dram = self
-                .atu
-                .translate(posted.offset, posted.data.len() as u64)?;
-            self.buffer.apply_posted(&twob_pcie::PostedWrite {
-                offset: dram,
-                data: posted.data.clone(),
-                lands_at: posted.lands_at,
-            });
-        }
-        self.stats.mmio_stores += 1;
-        self.stats.bytes_stored += data.len() as u64;
-        Ok(MmioStoreOutcome {
-            retired_at: outcome.retired_at,
-        })
+        let store = self.chan.store(now, bar_offset, data);
+        self.stored(store, data.len(), |s| &mut s.mmio_stores)
     }
 
     /// Loads `len` bytes from the entry's window at `rel_offset` through
@@ -596,38 +595,9 @@ impl TwoBSsd {
         rel_offset: u64,
         len: u64,
     ) -> Result<MmioReadOutcome, TwoBError> {
-        self.check_power()?;
-        let entry = *self.table.get(eid).ok_or(TwoBError::EntryNotFound(eid))?;
-        if len == 0 {
-            return Err(TwoBError::EmptyRequest);
-        }
-        if rel_offset + len > entry.len_bytes() {
-            return Err(TwoBError::OutsideEntry {
-                eid,
-                offset: rel_offset,
-                len,
-            });
-        }
-        let bar_offset = entry.buffer_offset + rel_offset;
-        self.bar1.check(bar_offset, len)?;
+        let bar_offset = self.window(eid, rel_offset, len)?;
         let read = self.chan.read(now, len);
-        for posted in &read.posted {
-            let dram = self
-                .atu
-                .translate(posted.offset, posted.data.len() as u64)?;
-            self.buffer.apply_posted(&twob_pcie::PostedWrite {
-                offset: dram,
-                data: posted.data.clone(),
-                lands_at: posted.lands_at,
-            });
-        }
-        let dram = self.atu.translate(bar_offset, len)?;
-        let data = self.buffer.read(dram, len).to_vec();
-        self.stats.mmio_loads += 1;
-        Ok(MmioReadOutcome {
-            data,
-            complete_at: read.complete_at,
-        })
+        self.loaded(read, bar_offset, len, |s| &mut s.mmio_loads)
     }
 
     /// Stores `data` into the entry's window at `rel_offset` through the
@@ -645,36 +615,9 @@ impl TwoBSsd {
         rel_offset: u64,
         data: &[u8],
     ) -> Result<MmioStoreOutcome, TwoBError> {
-        self.check_power()?;
-        let entry = *self.table.get(eid).ok_or(TwoBError::EntryNotFound(eid))?;
-        if data.is_empty() {
-            return Err(TwoBError::EmptyRequest);
-        }
-        if rel_offset + data.len() as u64 > entry.len_bytes() {
-            return Err(TwoBError::OutsideEntry {
-                eid,
-                offset: rel_offset,
-                len: data.len() as u64,
-            });
-        }
-        let bar_offset = entry.buffer_offset + rel_offset;
-        self.bar1.check(bar_offset, data.len() as u64)?;
-        let outcome = self.cxl.store(now, bar_offset, data);
-        for posted in &outcome.posted {
-            let dram = self
-                .atu
-                .translate(posted.offset, posted.data.len() as u64)?;
-            self.buffer.apply_posted(&twob_pcie::PostedWrite {
-                offset: dram,
-                data: posted.data.clone(),
-                lands_at: posted.lands_at,
-            });
-        }
-        self.stats.cxl_stores += 1;
-        self.stats.bytes_stored += data.len() as u64;
-        Ok(MmioStoreOutcome {
-            retired_at: outcome.retired_at,
-        })
+        let bar_offset = self.window(eid, rel_offset, data.len() as u64)?;
+        let store = self.cxl.store(now, bar_offset, data);
+        self.stored(store, data.len(), |s| &mut s.cxl_stores)
     }
 
     /// Loads `len` bytes from the entry's window at `rel_offset` through
@@ -692,38 +635,9 @@ impl TwoBSsd {
         rel_offset: u64,
         len: u64,
     ) -> Result<MmioReadOutcome, TwoBError> {
-        self.check_power()?;
-        let entry = *self.table.get(eid).ok_or(TwoBError::EntryNotFound(eid))?;
-        if len == 0 {
-            return Err(TwoBError::EmptyRequest);
-        }
-        if rel_offset + len > entry.len_bytes() {
-            return Err(TwoBError::OutsideEntry {
-                eid,
-                offset: rel_offset,
-                len,
-            });
-        }
-        let bar_offset = entry.buffer_offset + rel_offset;
-        self.bar1.check(bar_offset, len)?;
-        let read = self.cxl.load(now, len);
-        for posted in &read.posted {
-            let dram = self
-                .atu
-                .translate(posted.offset, posted.data.len() as u64)?;
-            self.buffer.apply_posted(&twob_pcie::PostedWrite {
-                offset: dram,
-                data: posted.data.clone(),
-                lands_at: posted.lands_at,
-            });
-        }
-        let dram = self.atu.translate(bar_offset, len)?;
-        let data = self.buffer.read(dram, len).to_vec();
-        self.stats.cxl_loads += 1;
-        Ok(MmioReadOutcome {
-            data,
-            complete_at: read.complete_at,
-        })
+        let bar_offset = self.window(eid, rel_offset, len)?;
+        let read = self.cxl.read(now, len);
+        self.loaded(read, bar_offset, len, |s| &mut s.cxl_loads)
     }
 
     /// The CXL persist barrier over `[rel_offset, rel_offset+len)` of the
@@ -743,36 +657,9 @@ impl TwoBSsd {
         rel_offset: u64,
         len: u64,
     ) -> Result<ApiCompletion, TwoBError> {
-        self.check_power()?;
-        let entry = *self.table.get(eid).ok_or(TwoBError::EntryNotFound(eid))?;
-        if len == 0 {
-            return Err(TwoBError::EmptyRequest);
-        }
-        if rel_offset + len > entry.len_bytes() {
-            return Err(TwoBError::OutsideEntry {
-                eid,
-                offset: rel_offset,
-                len,
-            });
-        }
-        let sync = self
-            .cxl
-            .persist_barrier(now, entry.buffer_offset + rel_offset, len);
-        for posted in &sync.posted {
-            let dram = self
-                .atu
-                .translate(posted.offset, posted.data.len() as u64)?;
-            self.buffer.apply_posted(&twob_pcie::PostedWrite {
-                offset: dram,
-                data: posted.data.clone(),
-                lands_at: posted.lands_at,
-            });
-        }
-        self.buffer.settle(now);
-        self.stats.cxl_persists += 1;
-        Ok(ApiCompletion {
-            complete_at: sync.durable_at,
-        })
+        let bar_offset = self.window(eid, rel_offset, len)?;
+        let sync = self.cxl.sync_range(now, bar_offset, len);
+        self.synced(now, sync, |s| &mut s.cxl_persists)
     }
 
     /// Simulates a power failure at `now`:

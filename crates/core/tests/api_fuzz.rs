@@ -3,7 +3,7 @@
 //! hold after every call — including across power cycles.
 
 use proptest::prelude::*;
-use twob_core::{EntryId, TwoBSsd};
+use twob_core::{EntryId, IoCalendar, IoOp, TwoBError, TwoBSsd};
 use twob_ftl::Lba;
 use twob_sim::{SimDuration, SimTime};
 use twob_ssd::BlockDevice;
@@ -81,6 +81,64 @@ fn call_strategy() -> impl Strategy<Value = Call> {
         1 => Just(Call::DeviceFlush),
         1 => Just(Call::PowerCycle),
     ]
+}
+
+/// A request whose `rel_offset + len` wraps `u64` is outside every entry:
+/// all seven offset-taking entry points — direct and through the calendar
+/// — reject it with the typed error instead of panicking or completing at
+/// an instant ~10¹⁸ ns out.
+#[test]
+fn wrapping_offsets_are_outside_the_entry() {
+    let mut dev = TwoBSsd::small_for_tests();
+    let (eid, pin) = dev.ba_pin_auto(SimTime::ZERO, Lba(0), 1).expect("pin");
+    let t = pin.complete_at;
+    for (rel_offset, len) in [(u64::MAX, 2u64), (u64::MAX - 1, 4), (u64::MAX - 4095, 4096)] {
+        let outside = Err(TwoBError::OutsideEntry {
+            eid,
+            offset: rel_offset,
+            len,
+        });
+        let data = vec![0u8; len as usize];
+        let direct = [
+            dev.mmio_write(t, eid, rel_offset, &data).map(|_| ()),
+            dev.cxl_store(t, eid, rel_offset, &data).map(|_| ()),
+            dev.mmio_read(t, eid, rel_offset, len).map(|_| ()),
+            dev.cxl_load(t, eid, rel_offset, len).map(|_| ()),
+            dev.ba_read_dma(t, eid, rel_offset, len).map(|_| ()),
+            dev.ba_sync_range(t, eid, rel_offset, len).map(|_| ()),
+            dev.cxl_persist(t, eid, rel_offset, len).map(|_| ()),
+        ];
+        for (call, got) in direct.into_iter().enumerate() {
+            assert_eq!(got, outside, "entry point {call} at {rel_offset}+{len}");
+        }
+        let mut cal = IoCalendar::new();
+        let ops = [
+            IoOp::BaSyncRange {
+                eid,
+                rel_offset,
+                len,
+            },
+            IoOp::CxlPersist {
+                eid,
+                rel_offset,
+                len,
+            },
+            IoOp::BaReadDma {
+                eid,
+                rel_offset,
+                len,
+            },
+        ];
+        for op in ops {
+            cal.submit(t, op);
+        }
+        assert_eq!(cal.drive(&mut dev), 3);
+        for done in cal.drain_completions() {
+            assert_eq!(done.error.map(Err), Some(outside.clone()), "op {}", done.id);
+            assert_eq!(done.complete_at, t, "errors complete at dispatch");
+        }
+    }
+    assert_eq!(dev.stats().syncs + dev.stats().cxl_persists, 0);
 }
 
 proptest! {

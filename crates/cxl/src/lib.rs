@@ -4,13 +4,14 @@
 //! The paper's byte path is PCIe BAR MMIO — the 2018 hardware reality.
 //! This crate is the 2026 alternative and the placement layer it opens:
 //!
-//! - the **front-end** ([`CxlTimings`]/[`CxlChannel`], hosted in
-//!   `twob-pcie`; [`RegionFrontEnd`] selection in `twob-core`'s pin
-//!   table): cache-line loads/stores against the same capacitor-backed
-//!   BA buffer, with an explicit persist barrier as the durability
-//!   point — routable through the same [`IoCalendar`]
-//!   (`IoOp::CxlLoad/CxlStore/CxlPersist`) and contending on the same
-//!   dies, channels, and DRAM as the MMIO/DMA ops;
+//! - the **front-end** ([`CxlTimings`] prices for the one byte channel
+//!   of `twob-pcie`, instantiated as [`CxlChannel`]; [`RegionFrontEnd`]
+//!   selection in `twob-core`'s pin table): cache-line loads/stores
+//!   against the same capacitor-backed BA buffer — direct device calls,
+//!   like MMIO stores and loads — with an explicit persist barrier as
+//!   the durability point, routed through the same [`IoCalendar`]
+//!   (`IoOp::CxlPersist`) and contending on the same dies, channels, and
+//!   DRAM as the MMIO/DMA ops;
 //! - the **tier layer** ([`tier`]): treats BA-MMIO, CXL, and block NAND
 //!   as a placement problem per region — the WAL tail stays pinned in
 //!   the fast byte tier, cold segments demote to flash, and reads that

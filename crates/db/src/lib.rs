@@ -43,6 +43,7 @@
 
 mod costs;
 mod error;
+mod kvcodec;
 mod minipg;
 mod miniredis;
 mod minirocks;

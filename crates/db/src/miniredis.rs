@@ -5,55 +5,8 @@ use std::collections::HashMap;
 use twob_sim::SimTime;
 use twob_wal::{LogRecord, WalStats, WalWriter};
 
+use crate::kvcodec::{decode_kv, encode_kv};
 use crate::{DbError, EngineCosts, TxnOutcome};
-
-fn encode_cmd(key: &[u8], value: Option<&[u8]>) -> Vec<u8> {
-    // Reuse the RocksDB wire shape: tag ∥ klen ∥ key ∥ [vlen ∥ value].
-    let mut out = Vec::with_capacity(9 + key.len() + value.map_or(0, <[u8]>::len));
-    out.push(if value.is_some() { 1 } else { 2 });
-    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    out.extend_from_slice(key);
-    if let Some(v) = value {
-        out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-        out.extend_from_slice(v);
-    }
-    out
-}
-
-fn decode_cmd(bytes: &[u8]) -> Result<(Vec<u8>, Option<Vec<u8>>), DbError> {
-    let corrupt = |reason: &str| DbError::CorruptRecord {
-        reason: reason.to_string(),
-    };
-    let tag = *bytes.first().ok_or_else(|| corrupt("empty"))?;
-    let klen = u32::from_le_bytes(
-        bytes
-            .get(1..5)
-            .and_then(|s| s.try_into().ok())
-            .ok_or_else(|| corrupt("short klen"))?,
-    ) as usize;
-    let key = bytes
-        .get(5..5 + klen)
-        .ok_or_else(|| corrupt("short key"))?
-        .to_vec();
-    match tag {
-        1 => {
-            let voff = 5 + klen;
-            let vlen = u32::from_le_bytes(
-                bytes
-                    .get(voff..voff + 4)
-                    .and_then(|s| s.try_into().ok())
-                    .ok_or_else(|| corrupt("short vlen"))?,
-            ) as usize;
-            let value = bytes
-                .get(voff + 4..voff + 4 + vlen)
-                .ok_or_else(|| corrupt("short value"))?
-                .to_vec();
-            Ok((key, Some(value)))
-        }
-        2 => Ok((key, None)),
-        other => Err(corrupt(&format!("unknown cmd tag {other}"))),
-    }
-}
 
 /// A Redis-style store: one dictionary, one event loop, and an AOF that
 /// logs every write before the command is acknowledged (paper §IV-B).
@@ -131,7 +84,7 @@ impl MiniRedis {
     ) -> Result<TxnOutcome, DbError> {
         self.sets += 1;
         let t = now + self.costs.txn_overhead + self.costs.write_cpu;
-        let payload = encode_cmd(&key, Some(&value));
+        let payload = encode_kv(&key, Some(&value));
         let commit = self.aof.append_commit(t, &payload)?;
         self.dict.insert(key, value);
         Ok(TxnOutcome {
@@ -149,7 +102,7 @@ impl MiniRedis {
     pub fn del(&mut self, now: SimTime, key: Vec<u8>) -> Result<TxnOutcome, DbError> {
         self.dels += 1;
         let t = now + self.costs.txn_overhead + self.costs.write_cpu;
-        let payload = encode_cmd(&key, None);
+        let payload = encode_kv(&key, None);
         let commit = self.aof.append_commit(t, &payload)?;
         self.dict.remove(&key);
         Ok(TxnOutcome {
@@ -206,7 +159,7 @@ impl MiniRedis {
         keys.sort();
         let snapshot: Vec<Vec<u8>> = keys
             .into_iter()
-            .map(|k| encode_cmd(k, self.dict.get(k).map(Vec::as_slice)))
+            .map(|k| encode_kv(k, self.dict.get(k).map(Vec::as_slice)))
             .collect();
         let done = if snapshot.is_empty() {
             now
@@ -224,7 +177,7 @@ impl MiniRedis {
     /// [`DbError::CorruptRecord`] when a payload fails to decode.
     pub fn apply_wal_records(&mut self, records: &[LogRecord]) -> Result<(), DbError> {
         for record in records {
-            let (key, value) = decode_cmd(&record.payload)?;
+            let (key, value) = decode_kv(&record.payload)?;
             match value {
                 Some(v) => {
                     self.dict.insert(key, v);
@@ -306,12 +259,12 @@ mod tests {
         use twob_wal::WalWriter as _;
         for i in 0..10u32 {
             t = aof
-                .append_commit(t, &encode_cmd(format!("k{i}").as_bytes(), Some(b"v")))
+                .append_commit(t, &encode_kv(format!("k{i}").as_bytes(), Some(b"v")))
                 .unwrap()
                 .commit_at;
         }
         t = aof
-            .append_commit(t, &encode_cmd(b"k4", None))
+            .append_commit(t, &encode_kv(b"k4", None))
             .unwrap()
             .commit_at;
         let mut dev = aof.into_device();
@@ -377,7 +330,7 @@ mod tests {
         keys.sort();
         let snapshot: Vec<Vec<u8>> = keys
             .iter()
-            .map(|k| encode_cmd(k, Some(&[k[1]; 16])))
+            .map(|k| encode_kv(k, Some(&[k[1]; 16])))
             .collect();
         let out = replay_wal.append_batch(SimTime::ZERO, &snapshot).unwrap();
         let mut dev = replay_wal.into_device();

@@ -1,9 +1,10 @@
-//! The host byte channel: write-combining buffers, posted writes, and the
-//! durability protocol of paper Fig 3.
+//! The byte channel: the host-side line buffer every byte front-end
+//! shares, its posted writes, and the durability point — plus the MMIO
+//! price list and the two-step protocol of paper Fig 3.
 
 use twob_sim::{SimDuration, SimTime};
 
-use crate::timings::LINE;
+use crate::timings::{lines_spanned, LINE};
 use crate::PcieTimings;
 
 /// A posted write in flight to the device: a byte fragment plus the instant
@@ -25,7 +26,7 @@ pub struct StoreOutcome {
     /// When the store retires on the CPU (the latency an application
     /// measures for a plain MMIO write).
     pub retired_at: SimTime,
-    /// Fragments the store pushed out of the WC buffers (capacity or
+    /// Fragments the store pushed out of the line buffer (capacity or
     /// linger evictions); possibly empty.
     pub posted: Vec<PostedWrite>,
 }
@@ -39,47 +40,103 @@ pub struct FlushOutcome {
     pub posted: Vec<PostedWrite>,
 }
 
-/// Result of the full sync (`clflush` + `mfence` + write-verify read).
+/// Result of a durability point (`clflush` + `mfence` + write-verify read
+/// on MMIO, the persist barrier on CXL.mem).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncOutcome {
-    /// When durability is guaranteed: the verify read's completion, which
-    /// cannot return before all prior posted writes commit.
+    /// When durability is guaranteed: no earlier than the landing of
+    /// every prior posted write.
     pub durable_at: SimTime,
     /// Fragments posted toward the device.
     pub posted: Vec<PostedWrite>,
 }
 
-/// Result of an MMIO read.
+/// Result of a read through the channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadOutcome {
-    /// When the last 8-byte completion TLP arrives.
+    /// When the last of the data arrives.
     pub complete_at: SimTime,
-    /// Fragments the read forced out of the WC buffers (x86 drains WC
-    /// buffers before reading the region).
+    /// Fragments the read forced out of the line buffer (it drains before
+    /// the region is read).
     pub posted: Vec<PostedWrite>,
 }
 
+/// What one byte front-end charges for the shared line-buffer mechanism
+/// of [`ByteChannel`]: its price list. [`PcieTimings`] (MMIO through x86
+/// write-combining) and [`CxlTimings`](crate::CxlTimings) (CXL.mem cache
+/// lines) are the two implementations.
+pub trait FrontEnd: Copy {
+    /// CPU-visible cost of a store of `len` bytes.
+    fn store_cost(&self, len: u64) -> SimDuration;
+    /// Cost of a read of `len` bytes, once the line buffer has drained.
+    fn load_cost(&self, len: u64) -> SimDuration;
+    /// Cost of flushing `lines` lines and fencing.
+    fn flush_cost(&self, lines: u64) -> SimDuration;
+    /// One-way flight time of a posted line to device DRAM.
+    fn flight(&self) -> SimDuration;
+    /// How long an untouched line lingers before a later store evicts it
+    /// opportunistically; `None` if lines leave only under pressure.
+    fn linger(&self) -> Option<SimDuration>;
+    /// Lines the host holds before the oldest is evicted.
+    fn line_capacity(&self) -> usize;
+    /// The durability rule: when a flush that completed at `flushed_at`
+    /// is guaranteed on the device, given the landing instant of the
+    /// latest posted line.
+    fn durable_at(&self, flushed_at: SimTime, last_land: SimTime) -> SimTime;
+}
+
+impl FrontEnd for PcieTimings {
+    fn store_cost(&self, len: u64) -> SimDuration {
+        self.mmio_write(len)
+    }
+    fn load_cost(&self, len: u64) -> SimDuration {
+        self.mmio_read(len)
+    }
+    fn flush_cost(&self, lines: u64) -> SimDuration {
+        self.clflush_per_line * lines + self.mfence
+    }
+    fn flight(&self) -> SimDuration {
+        self.posted_flight
+    }
+    fn linger(&self) -> Option<SimDuration> {
+        Some(self.wc_linger)
+    }
+    fn line_capacity(&self) -> usize {
+        self.wc_buffers
+    }
+    /// The write-verify read: non-posted, so it cannot pass the posted
+    /// writes ahead of it at the root complex.
+    fn durable_at(&self, flushed_at: SimTime, last_land: SimTime) -> SimTime {
+        flushed_at.max(last_land) + self.verify_rtt
+    }
+}
+
+/// One 64-byte line of host-resident store fragments, in store order.
 #[derive(Debug, Clone)]
-struct WcLine {
+struct Line {
     line: u64,
     fragments: Vec<(u64, Vec<u8>)>,
     first_store_at: SimTime,
 }
 
-/// One CPU's write-combining view of one mapped device window, plus the
-/// PCIe transactions it generates. See the crate docs for the semantics.
+/// One CPU's view of one mapped device window: stores retire into a
+/// per-line buffer on the host (the at-risk window), leave it as
+/// [`PostedWrite`] fragments — on linger or capacity eviction, before any
+/// read, and at the durability point — and are guaranteed only once the
+/// front-end's durability rule says so. The mechanism is the same for
+/// every front-end; `C` is what it charges. See the crate docs.
 #[derive(Debug, Clone)]
-pub struct HostByteChannel {
-    timings: PcieTimings,
-    lines: Vec<WcLine>,
-    /// Landing instant of the latest posted write, for verify ordering.
+pub struct ByteChannel<C> {
+    timings: C,
+    lines: Vec<Line>,
+    /// Landing instant of the latest posted line, for durability ordering.
     last_land: SimTime,
 }
 
-impl HostByteChannel {
+impl<C: FrontEnd> ByteChannel<C> {
     /// Creates a channel with the given timing calibration.
-    pub fn new(timings: PcieTimings) -> Self {
-        HostByteChannel {
+    pub fn new(timings: C) -> Self {
+        ByteChannel {
             timings,
             lines: Vec::new(),
             last_land: SimTime::ZERO,
@@ -87,12 +144,12 @@ impl HostByteChannel {
     }
 
     /// The channel's timing calibration.
-    pub fn timings(&self) -> &PcieTimings {
+    pub fn timings(&self) -> &C {
         &self.timings
     }
 
-    /// Bytes currently sitting in WC buffers — at risk until synced.
-    pub fn wc_resident_bytes(&self) -> usize {
+    /// Bytes currently host-resident — at risk until the durability point.
+    pub fn resident_bytes(&self) -> usize {
         self.lines
             .iter()
             .flat_map(|l| l.fragments.iter())
@@ -100,37 +157,38 @@ impl HostByteChannel {
             .sum()
     }
 
-    /// Number of dirty WC lines.
-    pub fn wc_resident_lines(&self) -> usize {
+    /// Number of host-resident lines.
+    pub fn resident_lines(&self) -> usize {
         self.lines.len()
     }
 
-    fn post_line(&mut self, line: WcLine, lands_at: SimTime) -> Vec<PostedWrite> {
+    fn post_line(&mut self, line: Line, lands_at: SimTime, posted: &mut Vec<PostedWrite>) {
         self.last_land = self.last_land.max(lands_at);
-        line.fragments
-            .into_iter()
-            .map(|(offset, data)| PostedWrite {
-                offset,
-                data,
-                lands_at,
-            })
-            .collect()
+        posted.extend(
+            line.fragments
+                .into_iter()
+                .map(|(offset, data)| PostedWrite {
+                    offset,
+                    data,
+                    lands_at,
+                }),
+        );
     }
 
     fn drain_all(&mut self, at: SimTime) -> Vec<PostedWrite> {
-        let lands_at = at + self.timings.posted_flight;
-        let lines = std::mem::take(&mut self.lines);
-        lines
-            .into_iter()
-            .flat_map(|l| self.post_line(l, lands_at))
-            .collect()
+        let lands_at = at + self.timings.flight();
+        let mut posted = Vec::new();
+        for line in std::mem::take(&mut self.lines) {
+            self.post_line(line, lands_at, &mut posted);
+        }
+        posted
     }
 
-    /// CPU store of `data` at `offset`. Models WC accumulation: the store
-    /// retires quickly, fragments stay in WC buffers, and lingering or
-    /// capacity-evicted lines post toward the device.
+    /// CPU store of `data` at `offset`: the store retires quickly and its
+    /// bytes stay in the line buffer; lingering and capacity-evicted
+    /// lines post toward the device (the returned fragments).
     pub fn store(&mut self, now: SimTime, offset: u64, data: &[u8]) -> StoreOutcome {
-        let retired_at = now + self.timings.mmio_write(data.len() as u64);
+        let retired_at = now + self.timings.store_cost(data.len() as u64);
         // Distribute the bytes over 64-byte lines.
         let mut cursor = 0usize;
         while cursor < data.len() {
@@ -141,7 +199,7 @@ impl HostByteChannel {
             let fragment = data[cursor..cursor + take].to_vec();
             match self.lines.iter_mut().find(|l| l.line == line) {
                 Some(existing) => existing.fragments.push((abs, fragment)),
-                None => self.lines.push(WcLine {
+                None => self.lines.push(Line {
                     line,
                     fragments: vec![(abs, fragment)],
                     first_store_at: now,
@@ -149,21 +207,22 @@ impl HostByteChannel {
             }
             cursor += take;
         }
+        let lands_at = retired_at + self.timings.flight();
         let mut posted = Vec::new();
         // Linger eviction: the CPU opportunistically drains old lines.
-        let linger = self.timings.wc_linger;
-        let mut i = 0;
-        while i < self.lines.len() {
-            if self.lines[i].first_store_at + linger <= retired_at {
-                let line = self.lines.remove(i);
-                let lands_at = retired_at + self.timings.posted_flight;
-                posted.extend(self.post_line(line, lands_at));
-            } else {
-                i += 1;
+        if let Some(linger) = self.timings.linger() {
+            let mut i = 0;
+            while i < self.lines.len() {
+                if self.lines[i].first_store_at + linger <= retired_at {
+                    let line = self.lines.remove(i);
+                    self.post_line(line, lands_at, &mut posted);
+                } else {
+                    i += 1;
+                }
             }
         }
         // Capacity eviction: oldest lines go first.
-        while self.lines.len() > self.timings.wc_buffers {
+        while self.lines.len() > self.timings.line_capacity() {
             let oldest = self
                 .lines
                 .iter()
@@ -172,81 +231,112 @@ impl HostByteChannel {
                 .map(|(i, _)| i)
                 .expect("non-empty");
             let line = self.lines.remove(oldest);
-            let lands_at = retired_at + self.timings.posted_flight;
-            posted.extend(self.post_line(line, lands_at));
+            self.post_line(line, lands_at, &mut posted);
         }
         StoreOutcome { retired_at, posted }
     }
 
-    /// `clflush` of every dirty line followed by `mfence` — step 1 of the
-    /// durability protocol. The fragments are now on the wire but *not yet
-    /// guaranteed*: a completion-ordered verify read must follow.
-    pub fn flush_wc(&mut self, now: SimTime) -> FlushOutcome {
-        let dirty = self.lines.len() as u64;
-        let flushed_at = now + self.timings.clflush_per_line * dirty + self.timings.mfence;
+    /// Flushes `lines` lines and fences: every resident fragment is now on
+    /// the wire, but *not yet guaranteed*.
+    fn flush_lines(&mut self, now: SimTime, lines: u64) -> FlushOutcome {
+        let flushed_at = now + self.timings.flush_cost(lines);
         let posted = self.drain_all(flushed_at);
         FlushOutcome { flushed_at, posted }
     }
 
-    /// Zero-byte write-verify read — step 2 of the durability protocol.
-    /// Because reads are non-posted and cannot pass writes at the root
-    /// complex, its completion implies all earlier posted writes committed.
-    pub fn verify_read(&mut self, now: SimTime) -> SimTime {
-        now.max(self.last_land) + self.timings.verify_rtt
-    }
-
-    /// The full persistence operation: flush + fence + verify read.
-    /// This is the host-side cost of `BA_SYNC` (paper §III-C).
-    pub fn sync(&mut self, now: SimTime) -> SyncOutcome {
-        let flush = self.flush_wc(now);
-        let durable_at = self.verify_read(flush.flushed_at);
+    fn sync_lines(&mut self, now: SimTime, lines: u64) -> SyncOutcome {
+        let flush = self.flush_lines(now, lines);
         SyncOutcome {
-            durable_at,
+            durable_at: self.timings.durable_at(flush.flushed_at, self.last_land),
             posted: flush.posted,
         }
     }
 
     /// Range-based persistence, as 2B-SSD's `BA_SYNC` actually performs it:
     /// the device cannot know which lines are dirty (paper §III-C), so the
-    /// host issues `clflush` for *every* line the pinned range touches,
-    /// then `mfence`, then the write-verify read.
+    /// host flushes *every* line the range touches, fences, and waits out
+    /// the front-end's durability rule. Every returned fragment lands at
+    /// or before `durable_at`.
     pub fn sync_range(&mut self, now: SimTime, offset: u64, len: u64) -> SyncOutcome {
-        let lines = self.timings.lines_touched(offset, len);
-        let flushed_at = now + self.timings.clflush_per_line * lines + self.timings.mfence;
-        let posted = self.drain_all(flushed_at);
-        let durable_at = self.verify_read(flushed_at);
-        SyncOutcome { durable_at, posted }
+        self.sync_lines(now, lines_spanned(offset, len))
     }
 
-    /// MMIO read of `len` bytes: drains WC buffers (x86 semantics), then
-    /// issues serialized 8-byte non-posted TLPs.
+    /// Read of `len` bytes: the line buffer drains first (x86 drains WC
+    /// buffers before reading the region; a cache writes dirty lines back
+    /// so the device view holds every prior store), then the front-end's
+    /// read cost runs.
     pub fn read(&mut self, now: SimTime, len: u64) -> ReadOutcome {
         let posted = self.drain_all(now);
-        let start = now.max(self.last_land.min(now + self.timings.posted_flight));
-        let complete_at = start + self.timings.mmio_read(len);
+        let start = now.max(self.last_land.min(now + self.timings.flight()));
+        let complete_at = start + self.timings.load_cost(len);
         ReadOutcome {
             complete_at,
             posted,
         }
     }
 
-    /// Discards all WC-resident data, as a power failure would.
+    /// Discards all host-resident data, as a power failure would.
     /// Returns how many bytes were lost.
     pub fn power_loss(&mut self) -> usize {
-        let lost = self.wc_resident_bytes();
+        let lost = self.resident_bytes();
         self.lines.clear();
         self.last_land = SimTime::ZERO;
         lost
     }
 
     /// Host-side latency of a persistent write of `len` bytes: store +
-    /// sync, with nothing else in the WC buffers. Convenience for latency
-    /// sweeps (paper Fig 7(b) "persistent MMIO").
-    pub fn persistent_write_latency(&self, len: u64) -> SimDuration {
-        let mut probe = HostByteChannel::new(self.timings);
+    /// [`ByteChannel::sync_range`], with nothing else resident.
+    /// Convenience for latency sweeps (paper Fig 7(b) "persistent MMIO").
+    pub fn persistent_latency(&self, len: u64) -> SimDuration {
+        let mut probe = ByteChannel::new(self.timings);
         let store = probe.store(SimTime::ZERO, 0, &vec![0u8; len as usize]);
         let sync = probe.sync_range(store.retired_at, 0, len);
         sync.durable_at.saturating_since(SimTime::ZERO)
+    }
+}
+
+/// The MMIO front-end: one CPU's write-combining view of one mapped device
+/// window, plus the PCIe transactions it generates — [`ByteChannel`] at
+/// [`PcieTimings`] prices. Only here can the two steps of the paper's
+/// durability protocol (Fig 3) be taken apart.
+pub type HostByteChannel = ByteChannel<PcieTimings>;
+
+impl HostByteChannel {
+    /// Bytes currently sitting in WC buffers — at risk until synced.
+    pub fn wc_resident_bytes(&self) -> usize {
+        self.resident_bytes()
+    }
+
+    /// Number of dirty WC lines.
+    pub fn wc_resident_lines(&self) -> usize {
+        self.resident_lines()
+    }
+
+    /// `clflush` of every dirty line followed by `mfence` — step 1 of the
+    /// durability protocol. The fragments are now on the wire but *not yet
+    /// guaranteed*: a completion-ordered verify read must follow.
+    pub fn flush_wc(&mut self, now: SimTime) -> FlushOutcome {
+        self.flush_lines(now, self.lines.len() as u64)
+    }
+
+    /// Zero-byte write-verify read — step 2 of the durability protocol.
+    /// Because reads are non-posted and cannot pass writes at the root
+    /// complex, its completion implies all earlier posted writes committed.
+    pub fn verify_read(&mut self, now: SimTime) -> SimTime {
+        self.timings.durable_at(now, self.last_land)
+    }
+
+    /// The full persistence operation over whatever is dirty: flush +
+    /// fence + verify read. This is the host-side cost of `BA_SYNC`
+    /// (paper §III-C).
+    pub fn sync(&mut self, now: SimTime) -> SyncOutcome {
+        self.sync_lines(now, self.lines.len() as u64)
+    }
+
+    /// Host-side latency of a persistent write of `len` bytes; see
+    /// [`ByteChannel::persistent_latency`].
+    pub fn persistent_write_latency(&self, len: u64) -> SimDuration {
+        self.persistent_latency(len)
     }
 }
 

@@ -1,33 +1,39 @@
-//! The CXL.mem byte path: cache-line load/store semantics over the same
-//! mapped device window, with an explicit persist barrier.
+//! The CXL.mem price list for the byte channel: cache-line load/store
+//! semantics over the same mapped device window, with an explicit persist
+//! barrier.
 //!
-//! Where [`HostByteChannel`](crate::HostByteChannel) models the paper's
-//! 2018 reality — posted MMIO writes through x86 write-combining buffers
-//! and serialized 8-byte non-posted read TLPs — this module models the
-//! 2026 alternative: the window is mapped as CXL.mem, so the CPU issues
-//! ordinary cache-line loads and stores against it. Three things change:
+//! The mechanism is [`ByteChannel`]'s, shared with the MMIO front-end:
+//! stores retire into a host-side line buffer, leave it as
+//! [`PostedWrite`](crate::PostedWrite) fragments, and are guaranteed at
+//! one explicit point. The paper's 2018 reality prices that mechanism
+//! with posted MMIO writes through x86 write-combining buffers and
+//! serialized 8-byte non-posted read TLPs ([`PcieTimings`](crate::PcieTimings));
+//! this module prices it for the 2026 alternative, where the window is
+//! mapped as CXL.mem and the CPU issues ordinary cache-line loads and
+//! stores against it. Three charges change:
 //!
 //! - **loads pipeline**: a load streams 64-byte lines at `load_line`
 //!   intervals after a `load_first` setup, instead of serializing one
 //!   8-byte TLP round trip per word — this is why CXL reads beat MMIO
 //!   reads by more than an order of magnitude at record sizes;
-//! - **stores retire into the cache**: dirty lines accumulate in the CPU
-//!   cache (the analogue of the WC-buffer risk window) and write back
-//!   toward the device on capacity pressure or at a persist barrier;
+//! - **stores retire into the cache**: the line buffer is the CPU cache's
+//!   dirty lines (the analogue of the WC-buffer risk window), with no
+//!   linger timer — they write back toward the device only on capacity
+//!   pressure or at a persist barrier;
 //! - **durability is a barrier, not a verify read**: `persist_barrier`
 //!   flushes the touched lines and stalls until the device's persistence
 //!   domain acknowledges — the CXL analogue of `BA_SYNC`'s
 //!   clflush + mfence + write-verify protocol, without the read RTT.
 //!
-//! The channel produces the same [`PostedWrite`] fragments as the MMIO
-//! path, so the device model applies both byte paths identically and
-//! fault injection discards un-landed fragments the same way.
+//! Because both front-ends are one channel, the device model applies both
+//! byte paths identically and fault injection discards un-landed
+//! fragments the same way.
 
 use serde::{Deserialize, Serialize};
 use twob_sim::{SimDuration, SimTime};
 
 use crate::timings::{lines_spanned, LINE};
-use crate::{PostedWrite, ReadOutcome, StoreOutcome, SyncOutcome};
+use crate::{ByteChannel, FrontEnd, ReadOutcome, SyncOutcome};
 
 /// Timing constants of the CXL.mem byte path.
 ///
@@ -91,116 +97,54 @@ impl CxlTimings {
     /// the MMIO path's `BA_SYNC` flushes every line of the range) plus
     /// the fixed barrier stall.
     pub fn persist(&self, offset: u64, len: u64) -> SimDuration {
-        self.flush_per_line * lines_spanned(offset, len) + self.barrier
+        self.flush_cost(lines_spanned(offset, len))
     }
 }
 
-#[derive(Debug, Clone)]
-struct DirtyLine {
-    line: u64,
-    fragments: Vec<(u64, Vec<u8>)>,
-    first_store_at: SimTime,
+impl FrontEnd for CxlTimings {
+    fn store_cost(&self, len: u64) -> SimDuration {
+        self.store(len)
+    }
+    fn load_cost(&self, len: u64) -> SimDuration {
+        self.load(len)
+    }
+    fn flush_cost(&self, lines: u64) -> SimDuration {
+        self.flush_per_line * lines + self.barrier
+    }
+    fn flight(&self) -> SimDuration {
+        self.write_back_flight
+    }
+    /// A cache has no linger timer: dirty lines leave under capacity
+    /// pressure or at a barrier.
+    fn linger(&self) -> Option<SimDuration> {
+        None
+    }
+    fn line_capacity(&self) -> usize {
+        self.dirty_line_cap
+    }
+    /// The barrier retires once the last written-back line has landed in
+    /// the device's persistence domain; no read round trip follows.
+    fn durable_at(&self, flushed_at: SimTime, last_land: SimTime) -> SimTime {
+        last_land.max(flushed_at + self.write_back_flight)
+    }
 }
 
-/// One CPU's cached view of one CXL.mem-mapped device window, plus the
-/// write-back traffic it generates. The dirty-line cache is the risk
-/// window: lines that have not written back are lost on power failure,
-/// exactly like WC-resident bytes on the MMIO path.
-#[derive(Debug, Clone)]
-pub struct CxlChannel {
-    timings: CxlTimings,
-    lines: Vec<DirtyLine>,
-    /// Landing instant of the latest write-back, for barrier ordering.
-    last_land: SimTime,
-}
+/// The CXL.mem front-end: one CPU's cached view of one CXL.mem-mapped
+/// device window, plus the write-back traffic it generates —
+/// [`ByteChannel`] at [`CxlTimings`] prices. The dirty-line cache is the
+/// risk window: lines that have not written back are lost on power
+/// failure, exactly like WC-resident bytes on the MMIO path.
+pub type CxlChannel = ByteChannel<CxlTimings>;
 
 impl CxlChannel {
-    /// Creates a channel with the given timing calibration.
-    pub fn new(timings: CxlTimings) -> Self {
-        CxlChannel {
-            timings,
-            lines: Vec::new(),
-            last_land: SimTime::ZERO,
-        }
-    }
-
-    /// The channel's timing calibration.
-    pub fn timings(&self) -> &CxlTimings {
-        &self.timings
-    }
-
     /// Bytes currently dirty in the cache — at risk until persisted.
     pub fn dirty_bytes(&self) -> usize {
-        self.lines
-            .iter()
-            .flat_map(|l| l.fragments.iter())
-            .map(|(_, d)| d.len())
-            .sum()
+        self.resident_bytes()
     }
 
     /// Number of dirty cache lines.
     pub fn dirty_lines(&self) -> usize {
-        self.lines.len()
-    }
-
-    fn post_line(&mut self, line: DirtyLine, lands_at: SimTime) -> Vec<PostedWrite> {
-        self.last_land = self.last_land.max(lands_at);
-        line.fragments
-            .into_iter()
-            .map(|(offset, data)| PostedWrite {
-                offset,
-                data,
-                lands_at,
-            })
-            .collect()
-    }
-
-    fn drain_all(&mut self, at: SimTime) -> Vec<PostedWrite> {
-        let lands_at = at + self.timings.write_back_flight;
-        let lines = std::mem::take(&mut self.lines);
-        lines
-            .into_iter()
-            .flat_map(|l| self.post_line(l, lands_at))
-            .collect()
-    }
-
-    /// Cache-line store of `data` at `offset`. The store retires into the
-    /// CPU cache; capacity pressure writes the oldest dirty lines back
-    /// toward the device (the returned fragments).
-    pub fn store(&mut self, now: SimTime, offset: u64, data: &[u8]) -> StoreOutcome {
-        let retired_at = now + self.timings.store(data.len() as u64);
-        let mut cursor = 0usize;
-        while cursor < data.len() {
-            let abs = offset + cursor as u64;
-            let line = abs / LINE;
-            let line_end = (line + 1) * LINE;
-            let take = ((line_end - abs) as usize).min(data.len() - cursor);
-            let fragment = data[cursor..cursor + take].to_vec();
-            match self.lines.iter_mut().find(|l| l.line == line) {
-                Some(existing) => existing.fragments.push((abs, fragment)),
-                None => self.lines.push(DirtyLine {
-                    line,
-                    fragments: vec![(abs, fragment)],
-                    first_store_at: now,
-                }),
-            }
-            cursor += take;
-        }
-        // Capacity write-back: oldest dirty lines leave first.
-        let mut posted = Vec::new();
-        while self.lines.len() > self.timings.dirty_line_cap {
-            let oldest = self
-                .lines
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.first_store_at)
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            let line = self.lines.remove(oldest);
-            let lands_at = retired_at + self.timings.write_back_flight;
-            posted.extend(self.post_line(line, lands_at));
-        }
-        StoreOutcome { retired_at, posted }
+        self.resident_lines()
     }
 
     /// Load of `len` bytes. Dirty lines write back first so the device
@@ -209,13 +153,7 @@ impl CxlChannel {
     /// and device; pricing is unaffected because a load costs the same
     /// either way).
     pub fn load(&mut self, now: SimTime, len: u64) -> ReadOutcome {
-        let posted = self.drain_all(now);
-        let start = now.max(self.last_land.min(now + self.timings.write_back_flight));
-        let complete_at = start + self.timings.load(len);
-        ReadOutcome {
-            complete_at,
-            posted,
-        }
+        self.read(now, len)
     }
 
     /// The persist barrier — the CXL analogue of `BA_SYNC`: flushes every
@@ -224,30 +162,13 @@ impl CxlChannel {
     /// `durable_at` is when the barrier retires; every returned fragment
     /// lands at or before it.
     pub fn persist_barrier(&mut self, now: SimTime, offset: u64, len: u64) -> SyncOutcome {
-        let flushed_at = now + self.timings.persist(offset, len);
-        let posted = self.drain_all(flushed_at);
-        let durable_at = self
-            .last_land
-            .max(flushed_at + self.timings.write_back_flight);
-        SyncOutcome { durable_at, posted }
-    }
-
-    /// Discards all cache-resident dirty data, as a power failure would.
-    /// Returns how many bytes were lost.
-    pub fn power_loss(&mut self) -> usize {
-        let lost = self.dirty_bytes();
-        self.lines.clear();
-        self.last_land = SimTime::ZERO;
-        lost
+        self.sync_range(now, offset, len)
     }
 
     /// Host-side latency of a persistent store of `len` bytes: store +
     /// persist barrier, with a clean cache. Convenience for sweeps.
     pub fn persistent_store_latency(&self, len: u64) -> SimDuration {
-        let mut probe = CxlChannel::new(self.timings);
-        let store = probe.store(SimTime::ZERO, 0, &vec![0u8; len as usize]);
-        let persist = probe.persist_barrier(store.retired_at, 0, len);
-        persist.durable_at.saturating_since(SimTime::ZERO)
+        self.persistent_latency(len)
     }
 }
 

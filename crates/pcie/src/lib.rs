@@ -1,26 +1,42 @@
-//! PCIe transport and host-CPU ordering model.
+//! PCIe transport and host-CPU ordering model: one byte channel, two
+//! price lists.
 //!
-//! The byte path of 2B-SSD is, physically, nothing but MMIO over PCIe — so
-//! its performance *and* its durability hazards are pure artifacts of how
-//! x86 CPUs and the PCIe protocol treat memory-mapped device addresses:
+//! The byte path of 2B-SSD is, physically, nothing but stores to a
+//! memory-mapped device window — so its performance *and* its durability
+//! hazards are pure artifacts of how the CPU and the interconnect treat
+//! those addresses. The mechanism is the same whatever the interconnect,
+//! and [`ByteChannel`] implements it once, in virtual time:
 //!
-//! - **MMIO writes** are *posted*: fire-and-forget transactions with no
-//!   completion, which is why an 8-byte write costs only ~630 ns (paper
-//!   Fig 7(b)). To make them cheap the BAR is mapped *write-combining*
-//!   (WC): the CPU coalesces stores into 64-byte bursts — but data sitting
-//!   in a WC buffer is lost on power failure and may be reordered.
-//! - **MMIO reads** are *non-posted* (they wait for a completion TLP) and,
-//!   on an uncacheable/WC region, are split into 8-byte transactions — which
-//!   is why reading 4 KiB by `memcpy` takes ~150 µs (paper Fig 7(a)).
-//! - **Durability** therefore needs the two-step protocol of paper Fig 3:
-//!   `clflush` + `mfence` to push WC buffers to the root complex, then a
-//!   zero-byte *write-verify read* whose completion guarantees all earlier
-//!   posted writes committed (reads cannot pass writes at the root complex).
+//! - **stores retire into a host-side line buffer** (64-byte lines of
+//!   fragments): cheap, but lost on power failure while they sit there;
+//! - **lines leave as posted fragments** ([`PostedWrite`], each with the
+//!   instant it lands in device DRAM) — when they linger, when the buffer
+//!   overflows, before any read of the region, and at the durability
+//!   point; a fragment that has not landed when the power dies is gone;
+//! - **durability is one explicit point**: flush every line the range
+//!   touches, fence, then wait out the front-end's guarantee.
 //!
-//! [`HostByteChannel`] implements exactly this machinery in virtual time,
-//! exposing the loss windows to fault-injection tests: a store that has not
-//! been fenced can vanish; a fenced-but-unverified write is durable only if
-//! the power holds until its landing instant.
+//! What a front-end *charges* for that mechanism is a [`FrontEnd`] price
+//! list, and there are two:
+//!
+//! - [`PcieTimings`] → [`HostByteChannel`], the paper's MMIO over PCIe.
+//!   Writes are *posted* (fire-and-forget, ~630 ns for 8 bytes, paper
+//!   Fig 7(b)) through x86 *write-combining* buffers; reads are
+//!   *non-posted* and split into 8-byte transactions, which is why 4 KiB
+//!   by `memcpy` takes ~150 µs (Fig 7(a)); and the guarantee is the
+//!   two-step protocol of Fig 3 — `clflush` + `mfence`, then a zero-byte
+//!   *write-verify read* whose completion implies all earlier posted
+//!   writes committed (reads cannot pass writes at the root complex).
+//!   Only this front-end can take the two steps apart
+//!   ([`HostByteChannel::flush_wc`], [`HostByteChannel::verify_read`]).
+//! - [`CxlTimings`] → [`CxlChannel`], the same window mapped as CXL.mem:
+//!   loads stream cache lines, stores retire into the CPU cache, and the
+//!   guarantee is a persist barrier with no read round trip (see the
+//!   `cxl` module docs).
+//!
+//! Both expose the loss windows to fault-injection tests identically: a
+//! store that has not been flushed can vanish; a flushed-but-unguaranteed
+//! write is durable only if the power holds until its landing instant.
 //!
 //! # Example
 //!
@@ -46,7 +62,8 @@ mod timings;
 
 pub use bar::{AddressTranslationUnit, Bar, BarError};
 pub use channel::{
-    FlushOutcome, HostByteChannel, PostedWrite, ReadOutcome, StoreOutcome, SyncOutcome,
+    ByteChannel, FlushOutcome, FrontEnd, HostByteChannel, PostedWrite, ReadOutcome, StoreOutcome,
+    SyncOutcome,
 };
 pub use cxl::{CxlChannel, CxlTimings};
 pub use timings::PcieTimings;

@@ -37,7 +37,8 @@ use std::collections::HashMap;
 
 use serde::Serialize;
 use twob_core::{
-    GroupPlacement, IoCalendar, IoOp, PinTable, ShardedIoCalendar, TenantId, TwoBSpec, TwoBSsd,
+    EntryId, GroupPlacement, IoCalendar, IoOp, PinTable, ShardedIoCalendar, TenantId, TwoBSpec,
+    TwoBSsd,
 };
 use twob_db::DbError;
 use twob_ftl::Lba;
@@ -363,44 +364,8 @@ impl ServiceDriver {
         let (eids, epoch) = Self::pin_fleet(cfg, &mut dev, cfg.tenants);
 
         let mut cal = IoCalendar::new();
-        let mut measured: HashMap<u64, usize> = HashMap::with_capacity(plan.admitted.len());
-        let mut block_seq = vec![0u64; usize::from(cfg.tenants)];
-        for (index, op) in plan.admitted.iter().enumerate() {
-            let at = op.submit_at + epoch;
-            let id = match cfg.scheme {
-                WalScheme::Ba => cal.submit(
-                    at,
-                    IoOp::BaSyncRange {
-                        eid: eids[usize::from(op.tenant)],
-                        rel_offset: 0,
-                        len: cfg.payload_bytes as u64,
-                    },
-                ),
-                WalScheme::Cxl => cal.submit(
-                    at,
-                    IoOp::CxlPersist {
-                        eid: eids[usize::from(op.tenant)],
-                        rel_offset: 0,
-                        len: cfg.payload_bytes as u64,
-                    },
-                ),
-                WalScheme::Block => {
-                    let seq = &mut block_seq[usize::from(op.tenant)];
-                    let lba = Lba(u64::from(op.tenant) * u64::from(cfg.region_pages)
-                        + (*seq % u64::from(cfg.region_pages)));
-                    *seq += 1;
-                    cal.submit(
-                        at,
-                        IoOp::BlockWrite {
-                            lba,
-                            data: vec![0xA5; 4096],
-                        },
-                    );
-                    cal.submit(at, IoOp::BlockFlush)
-                }
-            };
-            measured.insert(id, index);
-        }
+        let measured =
+            Self::submit_plan(cfg, &plan, epoch, &[eids], |at, _, op| cal.submit(at, op));
         cal.drive(&mut dev);
         let clamped = cal.clamped_posts();
         let mut completions = cal.drain_completions();
@@ -472,78 +437,23 @@ impl ServiceDriver {
         // Pin every tenant's window on its group device before the
         // calendar takes ownership; local tenant `t / groups` on group
         // `t % groups`.
-        let mut eids = vec![None; usize::from(cfg.tenants)];
         let mut epoch = SimDuration::ZERO;
-        if cfg.scheme.is_byte_path() {
-            let mut tables: Vec<PinTable> = devices
-                .iter()
-                .map(|d| PinTable::new(d.spec(), per_group).expect("per-tenant shares fit"))
-                .collect();
-            for tenant in 0..cfg.tenants {
-                let group = usize::from(tenant) % groups;
-                let local = tenant / groups as u16;
-                let (eid, done) = tables[group]
-                    .pin(
-                        &mut devices[group],
-                        SimTime::ZERO,
-                        TenantId(local),
-                        Lba(u64::from(local) * u64::from(cfg.region_pages)),
-                        1,
-                    )
-                    .expect("fleet pins fit their shares");
-                eids[usize::from(tenant)] = Some(eid);
-                epoch = epoch.max(SimDuration::from_nanos(done.complete_at.as_nanos()));
-            }
-        }
+        let eids: Vec<Vec<EntryId>> = devices
+            .iter_mut()
+            .map(|dev| {
+                let (eids, ready) = Self::pin_fleet(cfg, dev, per_group);
+                epoch = epoch.max(ready);
+                eids
+            })
+            .collect();
         let mut cal = ShardedIoCalendar::new(
             devices,
             GroupPlacement::round_robin(groups, shards),
             SimDuration::from_micros(2),
         );
-        let mut measured: HashMap<u64, usize> = HashMap::with_capacity(plan.admitted.len());
-        let mut block_seq = vec![0u64; usize::from(cfg.tenants)];
-        for (index, op) in plan.admitted.iter().enumerate() {
-            let at = op.submit_at + epoch;
-            let group = usize::from(op.tenant) % groups;
-            let id = match cfg.scheme {
-                WalScheme::Ba => cal.submit(
-                    at,
-                    group,
-                    IoOp::BaSyncRange {
-                        eid: eids[usize::from(op.tenant)].expect("pinned above"),
-                        rel_offset: 0,
-                        len: cfg.payload_bytes as u64,
-                    },
-                ),
-                WalScheme::Cxl => cal.submit(
-                    at,
-                    group,
-                    IoOp::CxlPersist {
-                        eid: eids[usize::from(op.tenant)].expect("pinned above"),
-                        rel_offset: 0,
-                        len: cfg.payload_bytes as u64,
-                    },
-                ),
-                WalScheme::Block => {
-                    let local = u64::from(op.tenant) / groups as u64;
-                    let seq = &mut block_seq[usize::from(op.tenant)];
-                    let lba =
-                        Lba(local * u64::from(cfg.region_pages)
-                            + (*seq % u64::from(cfg.region_pages)));
-                    *seq += 1;
-                    cal.submit(
-                        at,
-                        group,
-                        IoOp::BlockWrite {
-                            lba,
-                            data: vec![0xA5; 4096],
-                        },
-                    );
-                    cal.submit(at, group, IoOp::BlockFlush)
-                }
-            };
-            measured.insert(id, index);
-        }
+        let measured = Self::submit_plan(cfg, &plan, epoch, &eids, |at, group, op| {
+            cal.submit(at, group, op)
+        });
         match drive {
             ShardDrive::Lockstep => cal.run_lockstep(),
             ShardDrive::Adaptive => cal.run(),
@@ -562,13 +472,14 @@ impl ServiceDriver {
         )
     }
 
-    /// Pins one BA window per tenant through a fresh [`PinTable`] and
-    /// returns `(entry ids, setup end)`; the block scheme needs neither.
+    /// Pins one byte-path window per tenant of one device through a fresh
+    /// [`PinTable`] and returns `(entry ids, setup end)`; the block scheme
+    /// needs neither.
     fn pin_fleet(
         cfg: &ServeConfig,
         dev: &mut TwoBSsd,
         tenants: u16,
-    ) -> (Vec<twob_core::EntryId>, SimDuration) {
+    ) -> (Vec<EntryId>, SimDuration) {
         let mut eids = Vec::with_capacity(usize::from(tenants));
         let mut epoch = SimDuration::ZERO;
         if cfg.scheme.is_byte_path() {
@@ -588,6 +499,54 @@ impl ServiceDriver {
             }
         }
         (eids, epoch)
+    }
+
+    /// Submits every admitted op's commit, in plan order, through
+    /// `submit(at, group, op)` and returns which completion id measures
+    /// which plan entry. The one place a scheme becomes calendar ops: a
+    /// range `BA_SYNC` or a CXL persist barrier on the tenant's window
+    /// (`eids[group][local tenant]`), or a page write plus the flush that
+    /// is measured. Tenant `t` is local tenant `t / groups` of group
+    /// `t % groups`, with `groups = eids.len()`.
+    fn submit_plan(
+        cfg: &ServeConfig,
+        plan: &AdmissionPlan,
+        epoch: SimDuration,
+        eids: &[Vec<EntryId>],
+        mut submit: impl FnMut(SimTime, usize, IoOp) -> u64,
+    ) -> HashMap<u64, usize> {
+        let groups = eids.len();
+        let len = cfg.payload_bytes as u64;
+        let region_pages = u64::from(cfg.region_pages);
+        let mut measured = HashMap::with_capacity(plan.admitted.len());
+        let mut block_seq = vec![0u64; usize::from(cfg.tenants)];
+        for (index, op) in plan.admitted.iter().enumerate() {
+            let at = op.submit_at + epoch;
+            let tenant = usize::from(op.tenant);
+            let (group, local) = (tenant % groups, tenant / groups);
+            let commit = match cfg.scheme {
+                WalScheme::Ba => IoOp::BaSyncRange {
+                    eid: eids[group][local],
+                    rel_offset: 0,
+                    len,
+                },
+                WalScheme::Cxl => IoOp::CxlPersist {
+                    eid: eids[group][local],
+                    rel_offset: 0,
+                    len,
+                },
+                WalScheme::Block => {
+                    let seq = &mut block_seq[tenant];
+                    let lba = Lba(local as u64 * region_pages + *seq % region_pages);
+                    *seq += 1;
+                    let data = vec![0xA5; 4096];
+                    submit(at, group, IoOp::BlockWrite { lba, data });
+                    IoOp::BlockFlush
+                }
+            };
+            measured.insert(submit(at, group, commit), index);
+        }
+        measured
     }
 
     /// The measurement layer: joins the completion log back to the plan
