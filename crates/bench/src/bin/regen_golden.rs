@@ -38,9 +38,11 @@ fn write_fixture<T: Serialize + std::fmt::Debug>(name: &str, value: &T) -> bool 
 fn main() {
     let mut moved = 0;
     moved += write_fixture("fig7_latency", &twob_bench::fig7::run()) as u32;
+    moved += write_fixture("fig8_bandwidth", &twob_bench::fig8::run()) as u32;
     moved += write_fixture("fig9_apps", &twob_bench::fig9::run(false)) as u32;
     moved += write_fixture("fig10_hetero", &twob_bench::fig10::run(false)) as u32;
     moved += write_fixture("commit_cost", &twob_bench::commit_cost::run()) as u32;
+    moved += write_fixture("qd_sweep", &twob_bench::qd_sweep::run()) as u32;
     moved += write_fixture("gc_interference", &twob_bench::gc_interference::run()) as u32;
     moved += write_fixture("tenant_sweep", &twob_bench::tenant_sweep::run()) as u32;
     moved += write_fixture("repl_sweep", &twob_bench::repl_sweep::run()) as u32;

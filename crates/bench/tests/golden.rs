@@ -46,6 +46,13 @@ fn fig7_json_is_byte_identical_to_capture() {
 }
 
 #[test]
+fn fig8_json_is_byte_identical_to_capture() {
+    let rows = twob_bench::fig8::run();
+    let json = serde_json::to_string(&rows).expect("serialize fig8");
+    assert_matches_golden("fig8_bandwidth", &json);
+}
+
+#[test]
 fn fig9_json_is_byte_identical_to_capture() {
     let report = twob_bench::fig9::run(false);
     let json = serde_json::to_string(&report).expect("serialize fig9");
@@ -65,6 +72,13 @@ fn commit_cost_json_is_byte_identical_to_capture() {
     let rows = twob_bench::commit_cost::run();
     let json = serde_json::to_string(&rows).expect("serialize commit cost");
     assert_matches_golden("commit_cost", &json);
+}
+
+#[test]
+fn qd_sweep_json_is_byte_identical_to_capture() {
+    let rows = twob_bench::qd_sweep::run();
+    let json = serde_json::to_string(&rows).expect("serialize qd sweep");
+    assert_matches_golden("qd_sweep", &json);
 }
 
 #[test]
