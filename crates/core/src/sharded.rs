@@ -31,7 +31,9 @@
 //! assignment of groups to any number of shards, driven sequentially, in
 //! parallel, or under the lock-step oracle, yields byte-identical results.
 
-use twob_sim::{LatencyBreakdown, ShardCtx, ShardedExecutor, SimDuration, SimTime};
+use twob_sim::{
+    mix, mix_bytes, LatencyBreakdown, ShardCtx, ShardedExecutor, SimDuration, SimTime, FNV_BASIS,
+};
 
 use crate::calendar::dispatch_completion;
 use crate::{IoCompletion, IoOp, TwoBSsd};
@@ -144,21 +146,6 @@ struct ShardState {
     chains: Vec<Chain>,
 }
 
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn mix(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(FNV_PRIME).rotate_left(23)
-}
-
-fn mix_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for chunk in bytes.chunks(8) {
-        let mut buf = [0u8; 8];
-        buf[..chunk.len()].copy_from_slice(chunk);
-        h = mix(h, u64::from_le_bytes(buf));
-    }
-    h
-}
-
 /// Folds one completion into a group digest: completion instant, payload
 /// bytes, and (via its debug form) the exact error, if any.
 fn fold_completion(h: u64, c: &IoCompletion) -> u64 {
@@ -217,7 +204,7 @@ impl ShardedIoCalendar {
             states[s].devices.push((g, dev));
             states[s].totals.push(GroupTotals {
                 group: g,
-                digest: 0xcbf2_9ce4_8422_2325,
+                digest: FNV_BASIS,
                 completed: 0,
                 breakdown: LatencyBreakdown::ZERO,
             });
@@ -433,10 +420,9 @@ impl ShardedIoCalendar {
     pub fn host_digest(&self) -> u64 {
         let mut log = self.states[0].observed.clone();
         log.sort_unstable_by_key(|&(id, at, _)| (at, id));
-        log.iter()
-            .fold(0xcbf2_9ce4_8422_2325, |h, &(id, at, failed)| {
-                mix(mix(mix(h, at), id), u64::from(failed))
-            })
+        log.iter().fold(FNV_BASIS, |h, &(id, at, failed)| {
+            mix(mix(mix(h, at), id), u64::from(failed))
+        })
     }
 
     /// Completions the host has observed.

@@ -24,7 +24,7 @@
 //! [`ReplicaSet`], whose retransmit machinery needs a global view.
 
 use twob_core::TwoBSsd;
-use twob_sim::{Histogram, ShardCtx, ShardedExecutor, SimRng, SimTime};
+use twob_sim::{mix, Histogram, ShardCtx, ShardedExecutor, SimRng, SimTime, FNV_BASIS};
 use twob_wal::{BaWal, WalConfig, WalError, WalWriter};
 
 use crate::link::{NetLink, NetLinkConfig};
@@ -98,10 +98,6 @@ struct Node {
     released: u64,
     latency: Histogram,
     think_rng: SimRng,
-}
-
-fn mix(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(23)
 }
 
 /// Deterministic commit payload: the txn id spread over `bytes`.
@@ -178,7 +174,7 @@ impl ShardedReplCluster {
             states.push(Node {
                 wal,
                 links,
-                digest: 0xcbf2_9ce4_8422_2325,
+                digest: FNV_BASIS,
                 issued_at: if node == 0 {
                     vec![None; cfg.commits as usize]
                 } else {

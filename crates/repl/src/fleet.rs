@@ -49,7 +49,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use twob_core::TwoBSsd;
 use twob_faults::{ClusterFaultPlan, CutScope};
-use twob_sim::{Histogram, ShardCtx, ShardedExecutor, SimDuration, SimRng, SimTime};
+use twob_sim::{
+    mix, mix_bytes, Histogram, ShardCtx, ShardedExecutor, SimDuration, SimRng, SimTime, FNV_BASIS,
+};
 use twob_wal::{HostConfig, HostMode, LogRecord, Lsn, ShardWalHost, WalError};
 
 use crate::link::{NetLink, NetLinkConfig};
@@ -248,10 +250,6 @@ fn shard_payload(shard: u16, lsn: u64, bytes: usize) -> Vec<u8> {
     (0..bytes)
         .map(|i| (h.rotate_left((i % 8) as u32 * 8) as u8).wrapping_add(i as u8))
         .collect()
-}
-
-fn mix(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(23)
 }
 
 /// Events of the fleet protocol.
@@ -504,7 +502,7 @@ impl Fleet {
                     .cut
                     .as_ref()
                     .and_then(|c| c.victims.contains(&id).then_some(c.at)),
-                digest: 0xcbf2_9ce4_8422_2325,
+                digest: FNV_BASIS,
                 pending: BTreeMap::new(),
                 catchup_ack: BTreeMap::new(),
                 ledgers,
@@ -867,16 +865,9 @@ impl Fleet {
                     ));
                 }
             }
-            let mut d = 0xcbf2_9ce4_8422_2325u64;
-            for rec in &promoted {
-                d = mix(d, rec.lsn.0);
-                for chunk in rec.payload.chunks(8) {
-                    let mut v = [0u8; 8];
-                    v[..chunk.len()].copy_from_slice(chunk);
-                    d = mix(d, u64::from_le_bytes(v));
-                }
-            }
-            shard_digests[usize::from(shard)] = d;
+            shard_digests[usize::from(shard)] = promoted.iter().fold(FNV_BASIS, |d, rec| {
+                mix_bytes(mix(d, rec.lsn.0), &rec.payload)
+            });
         }
 
         let mut config_log = Vec::new();
@@ -978,7 +969,7 @@ pub fn fleet_sweep(plans: u64, seed: u64) -> FleetSweepReport {
         reads: 0,
         moved: 0,
         scope_counts: [0; 3],
-        digest: 0xcbf2_9ce4_8422_2325,
+        digest: FNV_BASIS,
         violations: Vec::new(),
     };
     for i in 0..plans {

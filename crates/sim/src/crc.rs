@@ -42,7 +42,7 @@ pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
 /// assert_eq!(twob_sim::fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
 /// ```
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_update(0xCBF2_9CE4_8422_2325, bytes)
+    fnv1a64_update(FNV_BASIS, bytes)
 }
 
 /// Streaming form of [`fnv1a64`]: feed chunks into a running state
@@ -51,9 +51,38 @@ pub fn fnv1a64_update(state: u64, bytes: &[u8]) -> u64 {
     let mut hash = state;
     for &b in bytes {
         hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// The FNV-1a 64-bit offset basis: the initial state of [`fnv1a64`] and
+/// of every digest folded with [`mix`].
+pub const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// Folds one 64-bit word into an order-sensitive digest: an FNV-1a step
+/// over the whole word, then a rotation so equal words at different
+/// positions do not cancel. The one fold behind the sharded calendar's
+/// completion digests, the serving driver's completion log and the
+/// replication stacks' commit digests, which is what lets those logs be
+/// compared hash for hash.
+#[inline]
+pub fn mix(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(FNV_PRIME).rotate_left(23)
+}
+
+/// Folds `bytes` into a [`mix`] digest as little-endian 8-byte words, the
+/// last one zero-padded.
+#[inline]
+pub fn mix_bytes(mut h: u64, bytes: &[u8]) -> u64 {
+    for chunk in bytes.chunks(8) {
+        let mut buf = [0u8; 8];
+        buf[..chunk.len()].copy_from_slice(chunk);
+        h = mix(h, u64::from_le_bytes(buf));
+    }
+    h
 }
 
 #[cfg(test)]
@@ -75,6 +104,21 @@ mod tests {
             state = fnv1a64_update(state, chunk);
         }
         assert_eq!(state, fnv1a64(data));
+    }
+
+    #[test]
+    fn mix_is_order_sensitive_and_bytes_fold_as_padded_words() {
+        let h = mix(mix(FNV_BASIS, 1), 2);
+        assert_ne!(h, mix(mix(FNV_BASIS, 2), 1));
+        // Pinned: every tracked digest in the workspace folds through this.
+        assert_eq!(mix(FNV_BASIS, 0), 0xA643_00DB_EFD7_B1DE);
+        let bytes = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11];
+        let words = [0x0807_0605_0403_0201, 0x000B_0A09];
+        assert_eq!(
+            mix_bytes(FNV_BASIS, &bytes),
+            words.iter().fold(FNV_BASIS, |h, &w| mix(h, w))
+        );
+        assert_eq!(mix_bytes(h, &[]), h);
     }
 
     #[test]

@@ -57,7 +57,7 @@ mod trace;
 mod wheel;
 
 pub use clock::Clock;
-pub use crc::{crc32, crc32_update, fnv1a64, fnv1a64_update};
+pub use crc::{crc32, crc32_update, fnv1a64, fnv1a64_update, mix, mix_bytes, FNV_BASIS};
 pub use event::{Calendar, EventQueue, Executor, HeapQueue};
 pub use resource::{MultiServer, ScheduledSpan, Server};
 pub use rng::{SimRng, Zipfian};

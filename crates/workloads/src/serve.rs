@@ -42,7 +42,7 @@ use twob_core::{
 };
 use twob_db::DbError;
 use twob_ftl::Lba;
-use twob_sim::{EventQueue, Executor, Histogram, SimDuration, SimTime};
+use twob_sim::{mix, EventQueue, Executor, Histogram, SimDuration, SimTime, FNV_BASIS};
 use twob_ssd::{NvmeEvent, NvmeOp, NvmeSsd, QdReport, SsdConfig};
 
 use crate::arrival::{ArrivalConfig, ArrivalProcess};
@@ -205,14 +205,6 @@ pub struct ServeReport {
     /// Events posted into the past (must be zero).
     pub clamped_posts: u64,
 }
-
-/// FNV-1a-style fold, identical to the sharded calendar's digest mix so
-/// the two logs hash the same way.
-fn mix(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(23)
-}
-
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The single event-loop owner of the workload layer. See the module docs.
 pub struct ServiceDriver;
