@@ -7,6 +7,8 @@ use twob_sim::{SimDuration, SimTime};
 use twob_ssd::{Ssd, SsdConfig};
 use twob_wal::{BaWal, WalConfig, WalWriter};
 
+use crate::Table;
+
 /// Double buffering versus a single window for BA-WAL (paper §IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DoubleBufferingAblation {
@@ -494,6 +496,170 @@ pub fn buffer_size() -> BufferSizeAblation {
         })
         .collect();
     BufferSizeAblation { rows }
+}
+
+/// Every ablation's result, in report order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ablations {
+    /// Ablation 1.
+    pub double_buffering: DoubleBufferingAblation,
+    /// Ablation 2.
+    pub read_ahead: ReadAheadAblation,
+    /// Ablation 3.
+    pub waf: WafAblation,
+    /// Ablation 4.
+    pub tail_latency: Vec<TailLatencyRow>,
+    /// Ablation 5.
+    pub fs_journaling: FsJournalAblation,
+    /// Ablation 6.
+    pub buffer_size: BufferSizeAblation,
+    /// Ablation 7.
+    pub group_commit: GroupCommitAblation,
+    /// Ablation 8.
+    pub pinned_reads: PinnedReadAblation,
+    /// Ablation 9.
+    pub interference: InterferenceAblation,
+    /// Ablation 10.
+    pub queue_depth: QueueDepthAblation,
+}
+
+/// Runs all ten ablations.
+pub fn run() -> Ablations {
+    Ablations {
+        double_buffering: double_buffering(),
+        read_ahead: read_ahead(),
+        waf: waf(),
+        tail_latency: tail_latency(),
+        fs_journaling: fs_journaling(),
+        buffer_size: buffer_size(),
+        group_commit: group_commit(),
+        pinned_reads: pinned_reads(),
+        interference: interference(),
+        queue_depth: queue_depth(),
+    }
+}
+
+/// Renders one titled table per ablation.
+pub fn render(a: &Ablations) -> String {
+    // Most ablations compare a handful of labelled figures.
+    let pairs = |head: [&str; 2], digits: usize, rows: &[(&str, f64)]| {
+        Table::new(rows)
+            .col(head[0], |r| r.0)
+            .col(head[1], |r| format!("{:.digits$}", r.1))
+            .to_string()
+    };
+    let db = &a.double_buffering;
+    let buffering = [
+        ("double", db.double_ops_per_sec, db.double_worst_us),
+        ("single", db.single_ops_per_sec, db.single_worst_us),
+    ];
+    let sections = [
+        (
+            "Ablation 1: BA-WAL double buffering (paper §IV-B)",
+            Table::new(&buffering)
+                .col("buffering", |r| r.0)
+                .col("commits/s", |r| format!("{:.0}", r.1))
+                .col("worst commit (us)", |r| format!("{:.1}", r.2))
+                .to_string(),
+        ),
+        (
+            "Ablation 2: DC-SSD sequential read-ahead (paper §V-B)",
+            pairs(
+                ["read-ahead", "mean seq 4K read (us)"],
+                1,
+                &[
+                    ("on", a.read_ahead.with_read_ahead_us),
+                    ("off", a.read_ahead.without_read_ahead_us),
+                ],
+            ),
+        ),
+        (
+            "Ablation 3: log write amplification (paper §IV-A)",
+            pairs(
+                ["scheme", "log WAF"],
+                1,
+                &[("block WAL", a.waf.block_waf), ("BA-WAL", a.waf.ba_waf)],
+            ),
+        ),
+        (
+            "Ablation 4: commit tail latency under 8 clients (paper §IV-A)",
+            Table::new(&a.tail_latency)
+                .col("scheme", |r| r.scheme.clone())
+                .col("p50 (us)", |r| format!("{:.2}", r.p50_us))
+                .col("p99 (us)", |r| format!("{:.2}", r.p99_us))
+                .col("max (us)", |r| format!("{:.2}", r.max_us))
+                .col("log WAF", |r| format!("{:.1}", r.device_waf))
+                .to_string(),
+        ),
+        (
+            "Ablation 5: filesystem metadata journaling (paper §IV)",
+            pairs(
+                ["journal", "metadata ops/s"],
+                0,
+                &[
+                    ("block (DC-SSD)", a.fs_journaling.block_ops_per_sec),
+                    ("BA-WAL (2B-SSD)", a.fs_journaling.ba_ops_per_sec),
+                ],
+            ),
+        ),
+        (
+            "Ablation 6: BA-WAL window size sensitivity (paper §VI)",
+            Table::new(&a.buffer_size.rows)
+                .col("window", |r| format!("{} pages", r.0))
+                .col("commits/s", |r| format!("{:.0}", r.1))
+                .to_string(),
+        ),
+        (
+            "Ablation 7: group commit vs per-record commits",
+            pairs(
+                ["scheme", "records/s (durable)"],
+                0,
+                &[
+                    ("DC-SSD sync, solo", a.group_commit.dc_solo),
+                    ("DC-SSD sync, batches of 16", a.group_commit.dc_grouped),
+                    ("BA-WAL, per-record durable", a.group_commit.ba_solo),
+                ],
+            ),
+        ),
+        (
+            "Ablation 8: bulk block write + pinned small reads (paper §VI)",
+            pairs(
+                ["path", "mean 64 B read (us)"],
+                2,
+                &[
+                    ("block (whole-page NVMe read)", a.pinned_reads.block_read_us),
+                    ("pinned MMIO window", a.pinned_reads.pinned_mmio_us),
+                ],
+            ) + &format!("one-time pin cost: {:.1} us\n", a.pinned_reads.pin_cost_us),
+        ),
+        (
+            "Ablation 9: internal-datapath interference on block I/O (paper §VI)",
+            pairs(
+                ["block 8-page reads", "MB/s"],
+                0,
+                &[
+                    ("alone", a.interference.block_alone_mbs),
+                    (
+                        "with saturating BA_PIN/BA_FLUSH stream",
+                        a.interference.block_contended_mbs,
+                    ),
+                ],
+            ),
+        ),
+        (
+            "Ablation 10: random 4 KiB read throughput vs queue depth",
+            Table::new(&a.queue_depth.rows)
+                .col("QD", |r| r.0)
+                .col("ULL-SSD kIOPS", |r| format!("{:.0}", r.1))
+                .col("DC-SSD kIOPS", |r| format!("{:.0}", r.2))
+                .to_string(),
+        ),
+    ];
+    let sections: Vec<String> = sections
+        .iter()
+        .map(|(title, table)| format!("{title}\n\n{table}"))
+        .collect();
+    sections.join("\n")
 }
 
 #[cfg(test)]

@@ -20,6 +20,8 @@
 use serde::{Deserialize, Serialize};
 use twob_repl::{fleet_sweep, Fleet, FleetConfig, PlacementKind, ShipScheme};
 
+use crate::Table;
+
 /// Fleet sizes the sweep visits (all 3-zone layouts).
 pub const NODE_COUNTS: [usize; 3] = [9, 12, 15];
 
@@ -132,15 +134,15 @@ pub fn run() -> ClusterSweep {
     }
 }
 
-/// The `--gate-cluster` check: at every node count and placement, the BA
-/// hosts' follower-read p99 must undercut the block hosts', and the
-/// parallel drive must reproduce the sequential observations exactly.
-/// Returns the human-readable pass summary.
+/// The cluster gate: at every node count and placement, the BA hosts'
+/// follower-read p99 must undercut the block hosts', and the parallel
+/// drive must reproduce the sequential observations exactly. Returns the
+/// human-readable pass summary.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics (failing the CI job) when the gate does not hold.
-pub fn check_gate(sweep: &ClusterSweep) -> String {
+/// Returns the first condition that does not hold.
+pub fn gate(sweep: &ClusterSweep) -> Result<String, String> {
     let mut margins = Vec::new();
     for nodes in NODE_COUNTS {
         for placement in PlacementKind::ALL {
@@ -153,17 +155,16 @@ pub fn check_gate(sweep: &ClusterSweep) -> String {
                             && r.placement == placement.to_string()
                             && r.scheme == scheme
                     })
-                    .expect("cell present")
+                    .ok_or_else(|| format!("missing {nodes}/{placement}/{scheme} cell"))
             };
-            let ba = find("ba");
-            let block = find("block");
-            assert!(
-                ba.read_p99_us < block.read_p99_us,
-                "cluster gate failed at {nodes} nodes ({placement}): \
-                 ba follower-read p99 {:.2} us !< block {:.2} us",
-                ba.read_p99_us,
-                block.read_p99_us
-            );
+            let ba = find("ba")?;
+            let block = find("block")?;
+            if ba.read_p99_us >= block.read_p99_us {
+                return Err(format!(
+                    "at {nodes} nodes ({placement}): ba follower-read p99 {:.2} us !< block {:.2} us",
+                    ba.read_p99_us, block.read_p99_us
+                ));
+            }
             margins.push(format!(
                 "{nodes}n/{placement} {:.1}<{:.1}",
                 ba.read_p99_us, block.read_p99_us
@@ -174,11 +175,35 @@ pub fn check_gate(sweep: &ClusterSweep) -> String {
     let cfg = cell_config(15, PlacementKind::Hash, ShipScheme::Ba);
     let seq = Fleet::new(cfg.clone()).expect("gate cell").run();
     let par = Fleet::new(cfg).expect("gate cell").run_parallel(4);
-    assert_eq!(par, seq, "cluster gate: parallel drive diverged");
-    format!(
+    if par != seq {
+        return Err("parallel drive diverged from the sequential run at 15 nodes".to_string());
+    }
+    Ok(format!(
         "cluster gate passed: ba read p99 < block at every node count [{}], \
          parallel ≡ sequential at 15 nodes",
         margins.join(", ")
+    ))
+}
+
+/// Renders the clean cells and the fault-sweep summary line.
+pub fn render(sweep: &ClusterSweep) -> String {
+    let table = Table::new(&sweep.rows)
+        .col("nodes", |r| r.nodes)
+        .col("placement", |r| r.placement.clone())
+        .col("ship", |r| r.scheme.clone())
+        .col("released", |r| r.released)
+        .col("reads", |r| r.reads)
+        .col("commit p50 us", |r| format!("{:.2}", r.commit_p50_us))
+        .col("read p99 us", |r| format!("{:.2}", r.read_p99_us));
+    format!(
+        "Cluster sweep: {SHARDS} shards x {COMMITS_PER_SHARD} commits, 3-zone fleets \
+         (seed {SEED:#x})\n\n{table}\n\
+         fault sweep: {} runs ({} with a live shard move), {} commits, {} reads, digest {}\n",
+        sweep.fault_runs,
+        sweep.fault_moved,
+        sweep.fault_released,
+        sweep.fault_reads,
+        sweep.fault_digest
     )
 }
 
@@ -200,7 +225,13 @@ mod tests {
         assert_eq!(sweep.rows.len(), NODE_COUNTS.len() * 2 * 2);
         assert_eq!(sweep.fault_runs, FAULT_PLANS * 2 * 3);
         assert!(sweep.fault_moved > 0);
-        let summary = check_gate(&sweep);
+        let summary = gate(&sweep).expect("the read floor holds on this model");
         assert!(summary.contains("passed"));
+        // A fleet whose BA follower reads lose to block must fail the gate.
+        let mut slow = sweep;
+        let block_p99 = slow.rows[1].read_p99_us;
+        slow.rows[0].read_p99_us = block_p99;
+        let violation = gate(&slow).expect_err("ba !< block is a violation");
+        assert!(violation.contains("9 nodes (hash)"), "{violation}");
     }
 }

@@ -6,6 +6,8 @@ use twob_wal::{WalStats, WalWriter};
 
 use crate::fig9::{make_wal, BaLayout, LogKind};
 
+use crate::Table;
+
 /// Mean commit-path cost per scheme, for one record size.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CommitCostRow {
@@ -55,6 +57,18 @@ pub fn run() -> Vec<CommitCostRow> {
             }
         })
         .collect()
+}
+
+/// Renders the per-scheme costs and reduction factors.
+pub fn render(rows: &[CommitCostRow]) -> String {
+    let table = Table::new(rows)
+        .col("payload(B)", |r| r.payload)
+        .col("DC sync", |r| format!("{:.1}", r.dc_us))
+        .col("ULL sync", |r| format!("{:.1}", r.ull_us))
+        .col("BA commit", |r| format!("{:.2}", r.ba_us))
+        .col("vs DC", |r| format!("{:.1}x", r.reduction_vs_dc))
+        .col("vs ULL", |r| format!("{:.1}x", r.reduction_vs_ull));
+    format!("Commit-path cost per scheme (us) and reduction factors\n\n{table}")
 }
 
 #[cfg(test)]

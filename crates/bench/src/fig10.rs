@@ -9,6 +9,8 @@ use twob_workloads::{ClientPool, LinkbenchConfig, LinkbenchWorkload};
 
 use crate::fig9::{make_wal, BaLayout, LogKind};
 
+use crate::Table;
+
 /// Normalized Linkbench throughput of the four Fig 10 configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Fig10Report {
@@ -72,6 +74,24 @@ pub fn run(quick: bool) -> Fig10Report {
         pm_ull: pm_ull / baseline,
         async_max: async_max / baseline,
     }
+}
+
+/// Renders the normalized comparison and the absolute baseline.
+pub fn render(r: &Fig10Report) -> String {
+    let rows = [
+        ("baseline (2B-SSD)", 1.0),
+        ("PM + DC-SSD", r.pm_dc),
+        ("PM + ULL-SSD", r.pm_ull),
+        ("ASYNC", r.async_max),
+    ];
+    let table = Table::new(&rows)
+        .col("configuration", |r| r.0)
+        .col("normalized throughput", |r| format!("{:.3}", r.1));
+    format!(
+        "Fig 10: normalized Linkbench throughput (baseline = 2B-SSD)\n\n{table}\n\
+         baseline absolute: {:.0} txns/s\n",
+        r.baseline_tps
+    )
 }
 
 #[cfg(test)]

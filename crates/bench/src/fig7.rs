@@ -7,6 +7,8 @@ use twob_sim::{SimDuration, SimTime};
 use twob_ssd::{Ssd, SsdConfig};
 use twob_workloads::fio;
 
+use crate::Table;
+
 /// One request size's latencies, microseconds. Block columns mirror the
 /// paper's DC-SSD/ULL-SSD series; byte-path columns mirror 2B-SSD's MMIO,
 /// persistent MMIO, and read-DMA series.
@@ -136,6 +138,28 @@ pub fn run() -> Vec<Fig7Row> {
             }
         })
         .collect()
+}
+
+/// Renders the two panels as the tables the paper plots.
+pub fn render(rows: &[Fig7Row]) -> String {
+    let reads = Table::new(rows)
+        .col("size(B)", |r| r.size)
+        .col("DC-SSD", |r| format!("{:.1}", r.dc_read_us))
+        .col("ULL-SSD", |r| format!("{:.1}", r.ull_read_us))
+        .col("MMIO", |r| format!("{:.1}", r.mmio_read_us))
+        .col("read-DMA", |r| format!("{:.1}", r.dma_read_us));
+    let writes = Table::new(rows)
+        .col("size(B)", |r| r.size)
+        .col("DC-SSD", |r| format!("{:.1}", r.dc_write_us))
+        .col("ULL-SSD", |r| format!("{:.1}", r.ull_write_us))
+        .col("MMIO", |r| format!("{:.2}", r.mmio_write_us))
+        .col("MMIO+sync", |r| {
+            format!("{:.2}", r.persistent_mmio_write_us)
+        });
+    format!(
+        "Fig 7(a): read latency vs request size (us)\n\n{reads}\n\
+         Fig 7(b): write latency vs request size (us)\n\n{writes}"
+    )
 }
 
 #[cfg(test)]

@@ -7,6 +7,8 @@ use twob_sim::SimTime;
 use twob_ssd::{Ssd, SsdConfig};
 use twob_workloads::fio;
 
+use crate::Table;
+
 /// One request size's bandwidths, MB/s. The 2B-SSD columns measure the
 /// *internal* datapath — `BA_PIN` for reads, `BA_FLUSH` for writes — since
 /// no host transfer is involved (paper §V-B).
@@ -127,6 +129,28 @@ pub fn run() -> Vec<Fig8Row> {
             }
         })
         .collect()
+}
+
+/// Renders the two panels as the tables the paper plots.
+pub fn render(rows: &[Fig8Row]) -> String {
+    let reads = Table::new(rows)
+        .col("size", |r| format!("{}K", r.size >> 10))
+        .col("ULL-SSD", |r| format!("{:.0}", r.ull_read_mbs))
+        .col("DC-SSD", |r| format!("{:.0}", r.dc_read_mbs))
+        .col("2B internal (BA_PIN)", |r| {
+            format!("{:.0}", r.twob_internal_read_mbs)
+        });
+    let writes = Table::new(rows)
+        .col("size", |r| format!("{}K", r.size >> 10))
+        .col("ULL-SSD", |r| format!("{:.0}", r.ull_write_mbs))
+        .col("DC-SSD", |r| format!("{:.0}", r.dc_write_mbs))
+        .col("2B internal (BA_FLUSH)", |r| {
+            format!("{:.0}", r.twob_internal_write_mbs)
+        });
+    format!(
+        "Fig 8(a): read bandwidth vs request size (MB/s)\n\n{reads}\n\
+         Fig 8(b): write bandwidth vs request size (MB/s)\n\n{writes}"
+    )
 }
 
 #[cfg(test)]

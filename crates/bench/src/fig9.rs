@@ -10,6 +10,8 @@ use twob_workloads::{
     ClientPool, LinkbenchConfig, LinkbenchWorkload, YcsbConfig, YcsbOp, YcsbWorkload,
 };
 
+use crate::Table;
+
 /// Which log device/scheme backs the engine's WAL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LogKind {
@@ -254,6 +256,35 @@ pub fn run(quick: bool) -> Fig9Report {
         .map(|p| (p, series(|kind| redis_ycsb(kind, p, redis_ops, 44))))
         .collect();
     Fig9Report { pg, rocks, redis }
+}
+
+/// Renders every workload's series as one table.
+pub fn render(report: &Fig9Report) -> String {
+    let mut rows = vec![("PostgreSQL+Linkbench".to_string(), report.pg)];
+    rows.extend(
+        report
+            .rocks
+            .iter()
+            .map(|(p, s)| (format!("RocksDB+YCSB-A {p}B"), *s)),
+    );
+    rows.extend(
+        report
+            .redis
+            .iter()
+            .map(|(p, s)| (format!("Redis+YCSB-A {p}B"), *s)),
+    );
+    let table = Table::new(&rows)
+        .col("workload", |r| r.0.clone())
+        .col("DC-SSD", |r| format!("{:.0}", r.1.dc))
+        .col("ULL-SSD", |r| format!("{:.0}", r.1.ull))
+        .col("2B-SSD", |r| format!("{:.0}", r.1.twob))
+        .col("ASYNC", |r| format!("{:.0}", r.1.async_max))
+        .col("2B/DC", |r| format!("{:.2}x", r.1.gain_vs_dc()))
+        .col("2B/ULL", |r| format!("{:.2}x", r.1.gain_vs_ull()))
+        .col("of ASYNC", |r| {
+            format!("{:.0}%", r.1.fraction_of_async() * 100.0)
+        });
+    format!("Fig 9: application throughput (ops/s or txns/s)\n\n{table}")
 }
 
 #[cfg(test)]

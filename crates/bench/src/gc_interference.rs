@@ -26,6 +26,8 @@ use twob_sim::{Histogram, SimTime};
 use twob_ssd::{BlockDevice, GcPolicy, SsdConfig};
 use twob_workloads::{ChurnConfig, ChurnWorkload};
 
+use crate::Table;
+
 /// One measurement window of the churn drive.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GcWindowRow {
@@ -175,6 +177,26 @@ pub fn run() -> Vec<GcWindowRow> {
 pub fn gc_threshold_ratio() -> f64 {
     let cfg = SsdConfig::base_2b().small();
     f64::from(cfg.ftl.gc_low_watermark) / cfg.geometry.blocks_total() as f64
+}
+
+/// Renders the per-window table under its watermark headline.
+pub fn render(rows: &[GcWindowRow]) -> String {
+    let table = Table::new(rows)
+        .col("win", |r| r.window)
+        .col("phase", |r| r.phase.clone())
+        .col("free", |r| format!("{:.3}", r.free_ratio))
+        .col("wr p50", |r| format!("{:.1}", r.blk_write_p50_us))
+        .col("wr p99", |r| format!("{:.1}", r.blk_write_p99_us))
+        .col("rd p99", |r| format!("{:.1}", r.blk_read_p99_us))
+        .col("gc shr", |r| format!("{:.2}", r.read_gc_share))
+        .col("ba p99", |r| format!("{:.3}", r.ba_p99_us))
+        .col("moved", |r| r.gc_pages_moved)
+        .col("erases", |r| r.gc_erases);
+    format!(
+        "GC interference under 80/20 overwrite churn \
+         (GC watermark at free ratio {:.3})\n\n{table}",
+        gc_threshold_ratio()
+    )
 }
 
 #[cfg(test)]

@@ -15,6 +15,8 @@ use twob_sim::SimTime;
 use twob_ssd::{NvmeOp, NvmeSsd, QueueConfig, Ssd, SsdConfig};
 use twob_workloads::{fio, ServiceDriver};
 
+use crate::Table;
+
 /// One (device, request size, queue depth) measurement of sequential reads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QdRow {
@@ -98,6 +100,27 @@ pub fn run() -> Vec<QdRow> {
         }
     }
     rows
+}
+
+/// Renders one bandwidth-by-queue-depth table per comparator drive.
+pub fn render(rows: &[QdRow]) -> String {
+    let sizes = request_sizes();
+    let panel = |device: &str| {
+        let mbs = |size: u64, qd: usize| {
+            let row = rows
+                .iter()
+                .find(|r| r.device == device && r.size == size && r.qd == qd);
+            format!("{:.0}", row.expect("swept point").read_mbs)
+        };
+        let table = Table::new(&sizes)
+            .col("size", |size| format!("{}K", size >> 10))
+            .col("QD1", |&size| mbs(size, 1))
+            .col("QD4", |&size| mbs(size, 4))
+            .col("QD16", |&size| mbs(size, 16))
+            .col("QD64", |&size| mbs(size, 64));
+        format!("{device}: sequential read, bandwidth (MB/s) by queue depth\n\n{table}")
+    };
+    format!("{}\n{}", panel("ULL-SSD"), panel("DC-SSD"))
 }
 
 #[cfg(test)]

@@ -21,6 +21,8 @@
 use serde::{Deserialize, Serialize};
 use twob_repl::{CommitPolicy, NetLinkConfig, ReplConfig, ReplicaSet, ShipScheme};
 
+use crate::Table;
+
 /// Round-trip times the sweep visits, in microseconds.
 pub const RTTS_US: [u64; 3] = [10, 50, 200];
 
@@ -109,6 +111,25 @@ pub fn run() -> Vec<Row> {
         }
     }
     rows
+}
+
+/// Renders the per-cell table under the sweep's parameters.
+pub fn render(rows: &[Row]) -> String {
+    let table = Table::new(rows)
+        .col("policy", |r| r.policy.clone())
+        .col("rtt us", |r| r.rtt_us)
+        .col("ship", |r| r.scheme.clone())
+        .col("released", |r| r.released)
+        .col("p50 us", |r| format!("{:.2}", r.p50_us))
+        .col("p99 us", |r| format!("{:.2}", r.p99_us))
+        .col("mean us", |r| format!("{:.2}", r.mean_us))
+        .col("commit/s", |r| format!("{:.0}", r.commits_per_sec))
+        .col("batches", |r| r.ship_batches)
+        .col("records", |r| r.ship_records);
+    format!(
+        "Replication sweep: 3-node set, MiniRocks commit stream \
+         (seed {SEED}, {COMMITS} commits per cell)\n\n{table}"
+    )
 }
 
 #[cfg(test)]

@@ -21,8 +21,8 @@
 //! The knee for a scheme is the highest rung whose run both met the
 //! [`SLO_P99_US`] tail bound and shed nothing. BA's knee must sit at or
 //! above block's — the paper's latency gap, restated as sustainable
-//! serving capacity — and CI enforces exactly that via the binary's
-//! `--gate-serve` flag.
+//! serving capacity — and CI enforces exactly that via the study's
+//! [`gate`] (`twob-bench serve_sweep --gate`).
 //!
 //! A second section re-runs one rung at fleet scale on the sharded device
 //! model ([`SHARDED_TENANTS`] tenants across [`SHARDED_GROUPS`] die-group
@@ -31,8 +31,10 @@
 //! all of them ([`sharded_agreement`]).
 
 use serde::{Deserialize, Serialize};
+
+use crate::Table;
 use twob_workloads::{
-    ArrivalConfig, ArrivalKind, ServeConfig, ServeReport, ServiceDriver, ShardDrive, WalScheme,
+    ArrivalConfig, ArrivalKind, ServeConfig, ServeReport, ServiceDriver, WalScheme,
 };
 
 /// Tenants offering load in the flat (single-device) ladder.
@@ -88,9 +90,9 @@ pub struct ServeRow {
 }
 
 /// The serving configuration of one rung.
-fn config(scheme: WalScheme, rate: u64) -> ServeConfig {
+fn config(tenants: u16, scheme: WalScheme, rate: u64) -> ServeConfig {
     let mut cfg = ServeConfig::standard(
-        TENANTS,
+        tenants,
         scheme,
         ArrivalConfig::new(ArrivalKind::Poisson, rate as f64, SEED),
     );
@@ -118,7 +120,7 @@ fn row_of(rate: u64, report: &ServeReport) -> ServeRow {
 
 /// Runs one rung of the ladder on a fresh device.
 pub fn cell(scheme: WalScheme, rate: u64) -> ServeRow {
-    row_of(rate, &ServiceDriver::serve(&config(scheme, rate)))
+    row_of(rate, &ServiceDriver::serve(&config(TENANTS, scheme, rate)))
 }
 
 /// Runs the full ladder: both schemes at every offered rate.
@@ -168,44 +170,103 @@ pub struct ShardedAgreement {
 /// digest, or on any other report field — or clamps a post into the past.
 /// Either is a determinism bug in the sharded executor, not a measurement.
 pub fn sharded_agreement(tenants: u16, groups: usize, rate: u64) -> ShardedAgreement {
-    let mut cfg = ServeConfig::standard(
-        tenants,
-        WalScheme::Ba,
-        ArrivalConfig::new(ArrivalKind::Poisson, rate as f64, SEED),
-    );
-    cfg.slo_p99_us = SLO_P99_US;
-    let drives = [
-        ShardDrive::Lockstep,
-        ShardDrive::Adaptive,
-        ShardDrive::Parallel(2),
-        ShardDrive::Parallel(4),
-    ];
-    let mut baseline: Option<ServeReport> = None;
-    let mut labels = Vec::new();
-    for drive in drives {
-        let report = ServiceDriver::serve_sharded(&cfg, groups, drive);
-        assert_eq!(report.clamped_posts, 0, "{} drive clamped", drive.label());
-        if let Some(base) = &baseline {
-            assert_eq!(
-                report,
-                *base,
-                "{} drive diverged from the lock-step baseline",
-                drive.label()
-            );
-        } else {
-            baseline = Some(report);
-        }
-        labels.push(drive.label());
-    }
-    let base = baseline.expect("at least one drive ran");
+    let cfg = config(tenants, WalScheme::Ba, rate);
+    let (drives, base) = crate::sharded_agreement(&cfg, groups, &[groups]);
     ShardedAgreement {
         tenants,
         groups,
-        drives: labels,
+        drives,
         digest: format!("{:016x}", base.digest),
         completed: base.completed,
         shed: base.shed_queue + base.shed_buffer,
     }
+}
+
+/// Everything the study determined, all of it deterministic: the shape of
+/// the `json:` line and of the tracked `BENCH_serve_sweep.json`.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct Outcome {
+    /// Format tag of the tracked file.
+    pub schema: &'static str,
+    /// Tenants offering load in the ladder.
+    pub tenants: u16,
+    /// The p99 SLO, µs.
+    pub slo_p99_us: f64,
+    /// The ladder (what the golden fixture pins).
+    pub rows: Vec<ServeRow>,
+    /// BA's knee, commits per second per tenant.
+    pub ba_knee: Option<u64>,
+    /// Block's knee.
+    pub block_knee: Option<u64>,
+    /// The fleet-scale drive agreement.
+    pub sharded: ShardedAgreement,
+}
+
+/// Runs the whole study: the ladder, both knees, and the sharded
+/// agreement at [`SHARDED_TENANTS`] tenants.
+pub fn outcome() -> Outcome {
+    let rows = run();
+    Outcome {
+        schema: "serve-sweep-v1",
+        tenants: TENANTS,
+        slo_p99_us: SLO_P99_US,
+        ba_knee: knee(&rows, WalScheme::Ba),
+        block_knee: knee(&rows, WalScheme::Block),
+        rows,
+        sharded: sharded_agreement(SHARDED_TENANTS, SHARDED_GROUPS, SHARDED_RATE),
+    }
+}
+
+/// The serving gate: the BA knee must sit at or above the block knee
+/// (the sharded drives already agreed, or [`outcome`] would have
+/// panicked). Returns the pass summary.
+///
+/// # Errors
+///
+/// Returns the violated condition.
+pub fn gate(outcome: &Outcome) -> Result<String, String> {
+    let ba = outcome.ba_knee.ok_or("ba sustained no rung at all")?;
+    let block = outcome.block_knee.ok_or("block sustained no rung at all")?;
+    if ba < block {
+        return Err(format!(
+            "ba knee {ba} ops/s/tenant fell below block knee {block}"
+        ));
+    }
+    Ok(format!(
+        "serve gate passed: ba knee {ba} >= block knee {block} ops/s/tenant, \
+         {} sharded drives digest-equal at {} tenants",
+        outcome.sharded.drives.len(),
+        outcome.sharded.tenants
+    ))
+}
+
+/// Renders the ladder, the knees and the sharded-agreement line.
+pub fn render(outcome: &Outcome) -> String {
+    let table = Table::new(&outcome.rows)
+        .col("scheme", |r| r.scheme.clone())
+        .col("rate/t", |r| r.rate_per_tenant)
+        .col("offered", |r| r.offered)
+        .col("admitted", |r| r.admitted)
+        .col("deferred", |r| r.deferred)
+        .col("shed", |r| r.shed)
+        .col("p50 us", |r| format!("{:.2}", r.p50_us))
+        .col("p99 us", |r| format!("{:.2}", r.p99_us))
+        .col("p999 us", |r| format!("{:.2}", r.p999_us))
+        .col("slo", |r| if r.slo_ok { "met" } else { "MISSED" });
+    let show = |k: Option<u64>| k.map_or("none".to_string(), |r| format!("{r} ops/s/tenant"));
+    format!(
+        "Serve sweep: {} tenants, Poisson arrivals, p99 SLO {} us\n\n{table}\n\
+         knee (max sustainable offered load): ba {}, block {}\n\
+         sharded agreement: {} tenants x {} groups, drives [{}] all at digest {}\n",
+        outcome.tenants,
+        outcome.slo_p99_us,
+        show(outcome.ba_knee),
+        show(outcome.block_knee),
+        outcome.sharded.tenants,
+        outcome.sharded.groups,
+        outcome.sharded.drives.join(", "),
+        outcome.sharded.digest
+    )
 }
 
 #[cfg(test)]
@@ -239,6 +300,30 @@ mod tests {
         let ba = knee(&rows, WalScheme::Ba).expect("ba knee");
         let block = knee(&rows, WalScheme::Block).expect("block knee");
         assert!(ba > block, "ba knee {ba} should beat block knee {block}");
+    }
+
+    #[test]
+    fn gate_fails_when_the_ba_knee_falls_below_block() {
+        let mut doctored = Outcome {
+            schema: "serve-sweep-v1",
+            tenants: TENANTS,
+            slo_p99_us: SLO_P99_US,
+            rows: Vec::new(),
+            ba_knee: Some(40_000),
+            block_knee: Some(20_000),
+            sharded: sharded_agreement(4, 2, SHARDED_RATE),
+        };
+        assert!(gate(&doctored)
+            .unwrap()
+            .contains("40000 >= block knee 20000"));
+        doctored.ba_knee = Some(10_000);
+        let violation = gate(&doctored).unwrap_err();
+        assert!(
+            violation.contains("fell below block knee 20000"),
+            "{violation}"
+        );
+        doctored.ba_knee = None;
+        assert!(gate(&doctored).is_err());
     }
 
     #[test]

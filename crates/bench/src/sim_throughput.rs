@@ -25,12 +25,12 @@
 //! (`sharded-par2`/`par4`/`par8`) — and every way must produce the same
 //! digest with zero clamped posts.
 //!
-//! The `sim_throughput` binary prints the deterministic rows on its
-//! `json:` line (mix, events, digest, final virtual instant — byte-stable
-//! across runs and machines) and writes wall-clock rates to
+//! The study prints the deterministic rows on its `json:` line (mix,
+//! events, digest, final virtual instant — byte-stable across runs and
+//! machines) and, under `--write`, records wall-clock rates in
 //! `BENCH_sim_throughput.json`, which is tracked and regression-checked in
-//! CI via speedup *ratios* (machine-independent) rather than absolute
-//! event rates.
+//! CI (`twob-bench sim_throughput --gate`, see [`gate`]) via speedup
+//! *ratios* (machine-independent) rather than absolute event rates.
 
 use serde::{Deserialize, Serialize};
 use twob_repl::{ClusterConfig, ShardedReplCluster};
@@ -38,6 +38,42 @@ use twob_sim::{
     fnv1a64, fnv1a64_update, Calendar, Executor, HeapQueue, Server, ShardCtx, ShardedExecutor,
     SimDuration, SimRng, SimTime, WheelQueue,
 };
+
+use crate::registry::tracked_path;
+use crate::{to_json, Table};
+
+/// The tracked baseline's file name at the repo root.
+pub const BENCH_FILE: &str = "BENCH_sim_throughput.json";
+
+/// A regression is a mix whose speedup ratio fell below 80% of baseline.
+pub const REGRESSION_FLOOR: f64 = 0.8;
+
+/// The acceptance floor: the rebuilt kernel must beat the legacy kernel by
+/// at least this factor on the repl-shaped mix (release builds only —
+/// debug builds measure the assertion machinery, not the kernel).
+pub const REPL_FLOOR: f64 = 3.0;
+
+/// The parallel-beats-sequential gate: `sharded-par4` may not regress
+/// below the lock-step `sharded-seq` baseline on the repl-sharded mix.
+/// The 20% margin absorbs timer noise on hosts where the thread pool
+/// clamps to one worker and the two drives are algorithmically identical;
+/// a genuine parallel-path regression (accidental serialization, barrier
+/// livelock) lands far below it.
+pub const SHARDED_PARITY_FLOOR: f64 = 0.8;
+
+/// The round-batching acceptance floor: the adaptive sequential engine
+/// must beat the lock-step baseline by at least this factor on the
+/// device-sharded mix. Both sides are single-threaded, so this ratio
+/// transfers across machines regardless of core count; the tracked BENCH
+/// file records the full (~1.8x) win, the floor leaves room for noisy
+/// shared runners.
+pub const DEVICE_ADAPTIVE_FLOOR: f64 = 1.35;
+
+/// Speedup entries whose value depends on the host's core count (the
+/// parallel drives clamp to `available_parallelism`), so a baseline
+/// recorded on one machine must not gate another. They are covered by the
+/// absolute floors instead of the baseline band.
+const SHAPE_DEPENDENT: [&str; 2] = ["repl-sharded", "device-sharded"];
 
 /// Independent pipelined commit streams in the repl-shaped mix — a fleet
 /// of replicated tenants sharing one primary, which is what keeps a
@@ -586,38 +622,60 @@ fn drive_sharded_device(mode: DriveMode, waves: u64) -> Outcome {
     }
 }
 
-/// Times `f` over [`REPS`] repetitions, reporting the minimum wall time
+/// The best repetition so far: its wall time and (identical) outcome.
+type Best = Option<(std::time::Duration, Outcome)>;
+
+/// Times one repetition of `f` and keeps the minimum wall time in `best`
 /// (the repetition least disturbed by the host scheduler). Every
 /// repetition must produce the identical outcome — a free run-to-run
 /// determinism check on top of the cross-kernel one.
-fn measure(mix: &str, kernel: &str, f: impl Fn() -> Outcome) -> (Outcome, PerfRow) {
-    let mut best: Option<(std::time::Duration, Outcome)> = None;
-    for _ in 0..REPS {
-        let start = std::time::Instant::now();
-        let out = f();
-        let wall = start.elapsed();
-        if let Some((best_wall, best_out)) = &mut best {
+fn time_into(best: &mut Best, what: &str, f: impl FnOnce() -> Outcome) {
+    let start = std::time::Instant::now();
+    let out = f();
+    let wall = start.elapsed();
+    match best {
+        None => *best = Some((wall, out)),
+        Some((best_wall, best_out)) => {
             assert_eq!(
                 best_out.digest, out.digest,
-                "{mix}/{kernel}: two repetitions of the same run diverged"
+                "{what}: two repetitions of the same run diverged"
             );
-            if wall < *best_wall {
-                *best_wall = wall;
-            }
-        } else {
-            best = Some((wall, out));
+            *best_wall = wall.min(*best_wall);
         }
     }
+}
+
+impl Outcome {
+    fn det_row(&self, mix: &str) -> DetRow {
+        DetRow {
+            mix: mix.to_string(),
+            events: self.events,
+            digest: format!("{:016x}", self.digest),
+            final_now_ns: self.final_now.as_nanos(),
+        }
+    }
+
+    fn perf_row(&self, mix: &str, kernel: &str, wall: std::time::Duration) -> PerfRow {
+        let secs = wall.as_secs_f64().max(1e-9);
+        PerfRow {
+            mix: mix.to_string(),
+            kernel: kernel.to_string(),
+            events: self.events,
+            wall_ms: wall.as_secs_f64() * 1e3,
+            events_per_sec: self.events as f64 / secs,
+            sim_secs_per_sec: self.final_now.as_nanos() as f64 / 1e9 / secs,
+        }
+    }
+}
+
+/// Times `f` over [`REPS`] back-to-back repetitions.
+fn measure(mix: &str, kernel: &str, f: impl Fn() -> Outcome) -> (Outcome, PerfRow) {
+    let mut best = None;
+    for _ in 0..REPS {
+        time_into(&mut best, &format!("{mix}/{kernel}"), &f);
+    }
     let (wall, out) = best.expect("REPS >= 1");
-    let secs = wall.as_secs_f64().max(1e-9);
-    let row = PerfRow {
-        mix: mix.to_string(),
-        kernel: kernel.to_string(),
-        events: out.events,
-        wall_ms: wall.as_secs_f64() * 1e3,
-        events_per_sec: out.events as f64 / secs,
-        sim_secs_per_sec: out.final_now.as_nanos() as f64 / 1e9 / secs,
-    };
+    let row = out.perf_row(mix, kernel, wall);
     (out, row)
 }
 
@@ -646,12 +704,7 @@ pub fn run() -> Report {
         );
         assert_eq!(new.events, old.events);
         assert_eq!(new.final_now, old.final_now);
-        det.push(DetRow {
-            mix: mix.label().to_string(),
-            events: new.events,
-            digest: format!("{:016x}", new.digest),
-            final_now_ns: new.final_now.as_nanos(),
-        });
+        det.push(new.det_row(mix.label()));
         speedups.push(Speedup {
             mix: mix.label().to_string(),
             ratio: new_row.events_per_sec / old_row.events_per_sec,
@@ -659,23 +712,6 @@ pub fn run() -> Report {
         perf.push(new_row);
         perf.push(old_row);
     }
-    let sharded = run_sharded_only();
-    det.extend(sharded.det);
-    perf.extend(sharded.perf);
-    speedups.extend(sharded.speedups);
-    Report {
-        det,
-        perf,
-        speedups,
-    }
-}
-
-/// Runs only the two sharded mixes — the fast path behind the CI
-/// parallel-beats-sequential gate, which doesn't need the flat kernels.
-pub fn run_sharded_only() -> Report {
-    let mut det = Vec::new();
-    let mut perf = Vec::new();
-    let mut speedups = Vec::new();
     run_sharded_mix(&mut det, &mut perf, &mut speedups, "repl-sharded", |mode| {
         drive_sharded_repl(mode, CLUSTER_COMMITS, CLUSTER_STREAMS)
     });
@@ -713,39 +749,26 @@ fn run_sharded_mix(
     mix: &str,
     drive: impl Fn(DriveMode) -> Outcome,
 ) {
-    let mut cells: Vec<Option<(std::time::Duration, Outcome)>> =
-        SHARDED_KERNELS.iter().map(|_| None).collect();
+    let mut cells: Vec<Best> = SHARDED_KERNELS.iter().map(|_| None).collect();
     for _ in 0..REPS {
         for (cell, (kernel, mode)) in cells.iter_mut().zip(SHARDED_KERNELS) {
-            let start = std::time::Instant::now();
-            let out = drive(mode);
-            let wall = start.elapsed();
-            match cell {
-                None => *cell = Some((wall, out)),
-                Some((best_wall, best_out)) => {
-                    assert_eq!(
-                        best_out.digest, out.digest,
-                        "{mix}/{kernel}: two repetitions of the same run diverged"
-                    );
-                    if wall < *best_wall {
-                        *best_wall = wall;
-                    }
-                }
-            }
+            time_into(cell, &format!("{mix}/{kernel}"), || drive(mode));
         }
     }
-    let cells: Vec<(std::time::Duration, Outcome)> =
-        cells.into_iter().map(|c| c.expect("REPS >= 1")).collect();
-    let base = &cells[0].1;
-    det.push(DetRow {
-        mix: mix.to_string(),
-        events: base.events,
-        digest: format!("{:016x}", base.digest),
-        final_now_ns: base.final_now.as_nanos(),
-    });
-    let eps = |i: usize| cells[i].1.events as f64 / cells[i].0.as_secs_f64().max(1e-9);
+    let cells: Vec<(Outcome, PerfRow)> = cells
+        .into_iter()
+        .zip(SHARDED_KERNELS)
+        .map(|(cell, (kernel, _))| {
+            let (wall, out) = cell.expect("REPS >= 1");
+            let row = out.perf_row(mix, kernel, wall);
+            (out, row)
+        })
+        .collect();
+    let base = &cells[0].0;
+    det.push(base.det_row(mix));
+    let eps = |i: usize| cells[i].1.events_per_sec;
     let mut adaptive_rounds = u64::MAX;
-    for (i, ((wall, out), (kernel, mode))) in cells.iter().zip(SHARDED_KERNELS).enumerate() {
+    for (i, ((out, row), (kernel, mode))) in cells.iter().zip(SHARDED_KERNELS).enumerate() {
         match mode {
             DriveMode::Lockstep => {}
             DriveMode::Adaptive => {
@@ -780,15 +803,154 @@ fn run_sharded_mix(
             out.rounds,
             base.rounds
         );
-        perf.push(PerfRow {
-            mix: mix.to_string(),
-            kernel: kernel.to_string(),
-            events: out.events,
-            wall_ms: wall.as_secs_f64() * 1e3,
-            events_per_sec: eps(i),
-            sim_secs_per_sec: out.final_now.as_nanos() as f64 / 1e9 / wall.as_secs_f64().max(1e-9),
-        });
+        perf.push(row.clone());
     }
+}
+
+/// The absolute speedup floors, each `(speedup entry, floor, what it
+/// measures)`.
+const FLOORS: [(&str, f64, &str); 3] = [
+    ("repl", REPL_FLOOR, "rebuilt over legacy kernel"),
+    (
+        "repl-sharded",
+        SHARDED_PARITY_FLOOR,
+        "sharded-par4 over sharded-seq (parallel regressed below sequential)",
+    ),
+    (
+        "device-sharded-adaptive",
+        DEVICE_ADAPTIVE_FLOOR,
+        "adaptive round batching over lock-step",
+    ),
+];
+
+/// Holds every [`FLOORS`] entry to its floor. Returns the pass summary.
+///
+/// # Errors
+///
+/// Returns the first floor a ratio fell below (or a mix that did not run).
+pub fn floors(speedups: &[Speedup]) -> Result<String, String> {
+    let mut passed = Vec::new();
+    for (mix, floor, what) in FLOORS {
+        let ratio = speedups
+            .iter()
+            .find(|s| s.mix == mix)
+            .map(|s| s.ratio)
+            .ok_or_else(|| format!("mix {mix:?} did not run"))?;
+        if ratio < floor {
+            return Err(format!(
+                "{mix}: {what} is only {ratio:.2}x (floor is {floor}x)"
+            ));
+        }
+        passed.push(format!("{mix} {ratio:.2}x"));
+    }
+    Ok(format!("floors passed: {}", passed.join(", ")))
+}
+
+/// The baseline band: no mix's speedup ratio may fall below
+/// [`REGRESSION_FLOOR`] × its ratio in `baseline` (the text of the
+/// tracked BENCH file). The core-count-dependent parallel mixes are
+/// excluded; [`floors`] covers them.
+///
+/// # Errors
+///
+/// Returns every regressed or missing mix, one per line.
+pub fn baseline_band(speedups: &[Speedup], baseline: &str) -> Result<String, String> {
+    let mut failures = Vec::new();
+    for s in speedups {
+        if SHAPE_DEPENDENT.contains(&s.mix.as_str()) {
+            continue;
+        }
+        match baseline_ratio(baseline, &s.mix) {
+            None => failures.push(format!("mix {:?} missing from baseline", s.mix)),
+            Some(base) if s.ratio < base * REGRESSION_FLOOR => failures.push(format!(
+                "mix {:?} regressed: speedup {:.2}x vs baseline {base:.2}x",
+                s.mix, s.ratio
+            )),
+            Some(_) => {}
+        }
+    }
+    if failures.is_empty() {
+        Ok("check passed: no mix regressed >20% vs baseline ratios".to_string())
+    } else {
+        Err(format!(
+            "kernel throughput regressions:\n  {}",
+            failures.join("\n  ")
+        ))
+    }
+}
+
+/// The kernel-throughput gate: the absolute [`floors`] (release builds
+/// only — debug builds measure the assertion machinery, not the kernel),
+/// then the [`baseline_band`] against the tracked BENCH file.
+///
+/// # Errors
+///
+/// Returns the first violated floor, or the regressed mixes.
+pub fn gate(report: &Report) -> Result<String, String> {
+    let floors = if cfg!(debug_assertions) {
+        "(debug build: skipping the absolute speedup floors)".to_string()
+    } else {
+        floors(&report.speedups)?
+    };
+    let path = tracked_path(BENCH_FILE);
+    let baseline = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
+    let band = baseline_band(&report.speedups, &baseline)?;
+    Ok(format!("{floors}\n{band}"))
+}
+
+/// Extracts `{"mix":"<mix>","ratio":<f64>}` from the baseline file. The
+/// vendored serde stand-in cannot parse JSON, so this leans on the exact
+/// shape [`bench_file`] writes.
+fn baseline_ratio(baseline: &str, mix: &str) -> Option<f64> {
+    let needle = format!("{{\"mix\":\"{mix}\",\"ratio\":");
+    let at = baseline.find(&needle)? + needle.len();
+    let rest = &baseline[at..];
+    let end = rest.find(['}', ','])?;
+    rest[..end].trim().parse().ok()
+}
+
+/// Worker threads the host can actually run — recorded in the BENCH file
+/// so a reader can tell whether the parallel rows ran threaded or clamped
+/// to the sequential loop.
+fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// Renders the tracked BENCH file: perf rows plus speedup ratios.
+pub fn bench_file(report: &Report) -> String {
+    #[derive(Debug)]
+    #[allow(dead_code)] // fields are read through Debug by the serializer
+    struct BenchFile<'a> {
+        schema: &'a str,
+        host_parallelism: usize,
+        rows: &'a [PerfRow],
+        speedups: &'a [Speedup],
+    }
+    to_json(&BenchFile {
+        schema: "sim-throughput-v2",
+        host_parallelism: host_parallelism(),
+        rows: &report.perf,
+        speedups: &report.speedups,
+    })
+}
+
+/// Renders the wall-clock table and the speedup ratios.
+pub fn render(report: &Report) -> String {
+    let perf = Table::new(&report.perf)
+        .col("mix", |r| r.mix.clone())
+        .col("kernel", |r| r.kernel.clone())
+        .col("events", |r| r.events)
+        .col("wall ms", |r| format!("{:.1}", r.wall_ms))
+        .col("events/s", |r| format!("{:.0}", r.events_per_sec))
+        .col("sim s/s", |r| format!("{:.1}", r.sim_secs_per_sec));
+    let ratios = Table::new(&report.speedups)
+        .col("mix", |s| s.mix.clone())
+        .col("speedup", |s| format!("{:.2}x", s.ratio));
+    format!(
+        "Event-kernel throughput: rebuilt (wheel + closed-form) vs legacy (heap + event-chain)\n\n\
+         host parallelism: {}\n\n{perf}\n{ratios}",
+        host_parallelism()
+    )
 }
 
 #[cfg(test)]
@@ -841,5 +1003,59 @@ mod tests {
         assert_eq!(par.digest, seq.digest);
         assert_eq!(par.final_now, seq.final_now);
         assert!(seq.rounds <= lock.rounds);
+    }
+
+    fn speedups(pairs: &[(&str, f64)]) -> Vec<Speedup> {
+        pairs
+            .iter()
+            .map(|&(mix, ratio)| Speedup {
+                mix: mix.to_string(),
+                ratio,
+            })
+            .collect()
+    }
+
+    const HEALTHY: [(&str, f64); 4] = [
+        ("repl", 4.2),
+        ("repl-sharded", 0.95),
+        ("device-sharded", 1.1),
+        ("device-sharded-adaptive", 1.8),
+    ];
+
+    /// Each absolute floor fails on a speedup list doctored below it.
+    #[test]
+    fn floors_fail_below_each_floor() {
+        assert!(floors(&speedups(&HEALTHY)).unwrap().contains("repl 4.20x"));
+        for (mix, floor, what) in FLOORS {
+            let mut doctored = speedups(&HEALTHY);
+            doctored.iter_mut().find(|s| s.mix == mix).unwrap().ratio = floor - 0.05;
+            let violation = floors(&doctored).expect_err(mix);
+            assert!(violation.contains(what), "{mix}: {violation}");
+        }
+        assert!(floors(&speedups(&HEALTHY[1..])).is_err(), "missing mix");
+    }
+
+    /// The baseline band fails a mix under 0.8x its tracked ratio, skips
+    /// the core-count-dependent mixes, and reports a mix the file lacks.
+    #[test]
+    fn baseline_band_fails_a_regressed_mix() {
+        let tracked = bench_file(&Report {
+            det: Vec::new(),
+            perf: Vec::new(),
+            speedups: speedups(&HEALTHY),
+        });
+        assert!(baseline_band(&speedups(&HEALTHY), &tracked).is_ok());
+        let mut doctored = speedups(&HEALTHY);
+        doctored[0].ratio = 4.2 * REGRESSION_FLOOR - 0.01;
+        doctored[1].ratio = 0.1; // shape-dependent: the floors' business
+        let violation = baseline_band(&doctored, &tracked).unwrap_err();
+        assert!(violation.contains("\"repl\" regressed"), "{violation}");
+        assert!(!violation.contains("repl-sharded"), "{violation}");
+        doctored[0].ratio = 4.2 * REGRESSION_FLOOR + 0.01;
+        assert!(baseline_band(&doctored, &tracked).is_ok());
+        let unknown = speedups(&[("no-such-mix", 9.0)]);
+        assert!(baseline_band(&unknown, &tracked)
+            .unwrap_err()
+            .contains("missing from baseline"));
     }
 }

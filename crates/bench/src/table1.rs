@@ -2,9 +2,19 @@
 
 use twob_core::TwoBSpec;
 
+use crate::Table;
+
 /// The rows of paper Table I for the default specification.
 pub fn rows() -> Vec<(String, String)> {
     TwoBSpec::default().table_rows()
+}
+
+/// Renders the table under its title.
+pub fn render(rows: &[(String, String)]) -> String {
+    let table = Table::new(rows)
+        .col("Item", |r| r.0.clone())
+        .col("Description", |r| r.1.clone());
+    format!("Table I: 2B-SSD specification\n\n{table}")
 }
 
 #[cfg(test)]

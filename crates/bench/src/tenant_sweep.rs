@@ -30,9 +30,11 @@ use serde::{Deserialize, Serialize};
 use twob_core::{TwoBSpec, TwoBSsd};
 use twob_ssd::SsdConfig;
 use twob_workloads::{
-    ArrivalConfig, ArrivalKind, EngineKind, ServeConfig, ServiceDriver, ShardDrive, TenantPool,
+    ArrivalConfig, ArrivalKind, EngineKind, ServeConfig, ServiceDriver, TenantPool,
     TenantPoolConfig, WalScheme,
 };
+
+use crate::Table;
 
 /// Tenant counts the sweep visits.
 pub const TENANT_COUNTS: [u16; 4] = [1, 4, 16, 64];
@@ -78,8 +80,9 @@ pub struct Row {
 
 /// The device every cell runs on: bench-scale NAND behind a 1 MiB BA
 /// buffer whose mapping table is virtualized to 64 entries so each of up
-/// to 64 tenants can hold a window (DESIGN.md §6).
-fn device() -> TwoBSsd {
+/// to 64 tenants can hold a window (DESIGN.md §6). The tier sweep and the
+/// CLI's `tenants` and `tier` subcommands run on the same chassis.
+pub fn device() -> TwoBSsd {
     let spec = TwoBSpec {
         ba_buffer_bytes: 1 << 20,
         max_entries: 64,
@@ -172,49 +175,16 @@ pub fn sharded_row(scheme: WalScheme, tenants: u16, groups: usize) -> ShardedRow
         scheme,
         ArrivalConfig::new(ArrivalKind::Poisson, SHARDED_RATE as f64, SEED),
     );
-    let drives = [
-        ShardDrive::Lockstep,
-        ShardDrive::Adaptive,
-        ShardDrive::Parallel(2),
-        ShardDrive::Parallel(4),
-    ];
     let shards = vec![groups, (groups / 2).max(1)];
-    let mut baseline: Option<(u64, u64)> = None;
-    let mut labels = Vec::new();
-    for drive in drives {
-        for &shard_count in &shards {
-            let report = ServiceDriver::serve_sharded_placed(&cfg, groups, shard_count, drive);
-            assert_eq!(
-                report.clamped_posts,
-                0,
-                "{} {} drive on {shard_count} shards clamped",
-                scheme.label(),
-                drive.label()
-            );
-            let got = (report.digest, report.completed);
-            if let Some(base) = baseline {
-                assert_eq!(
-                    got,
-                    base,
-                    "{} {} drive on {shard_count} shards diverged",
-                    scheme.label(),
-                    drive.label()
-                );
-            } else {
-                baseline = Some(got);
-            }
-        }
-        labels.push(drive.label());
-    }
-    let (digest, completed) = baseline.expect("at least one drive ran");
+    let (drives, base) = crate::sharded_agreement(&cfg, groups, &shards);
     ShardedRow {
         scheme: scheme.label().to_string(),
         tenants,
         groups,
         shards,
-        drives: labels,
-        digest: format!("{digest:016x}"),
-        completed,
+        drives,
+        digest: format!("{:016x}", base.digest),
+        completed: base.completed,
     }
 }
 
@@ -237,6 +207,62 @@ pub fn knee(rows: &[Row], scheme: WalScheme) -> Option<u16> {
         .filter(|r| r.scheme == scheme.label() && r.p99_us > KNEE_FACTOR * base)
         .map(|r| r.tenants)
         .min()
+}
+
+/// The deterministic `json:` payload: ladder rows plus the sharded
+/// placement agreement.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct Outcome {
+    /// The tenant-count ladder (what the golden fixture pins).
+    pub rows: Vec<Row>,
+    /// One agreement row per scheme.
+    pub sharded: Vec<ShardedRow>,
+}
+
+/// Runs the whole study: the ladder plus the sharded-placement section
+/// at [`SHARDED_TENANTS`] tenants.
+pub fn outcome() -> Outcome {
+    Outcome {
+        rows: run(),
+        sharded: sharded(SHARDED_TENANTS, SHARDED_GROUPS),
+    }
+}
+
+/// Renders the ladder, each scheme's knee, and the agreement lines.
+pub fn render(outcome: &Outcome) -> String {
+    let table = Table::new(&outcome.rows)
+        .col("tenants", |r| r.tenants)
+        .col("scheme", |r| r.scheme.clone())
+        .col("commits", |r| r.commits)
+        .col("batches", |r| r.batches)
+        .col("grp %", |r| format!("{:.1}", r.grouped_pct))
+        .col("p50 us", |r| format!("{:.2}", r.p50_us))
+        .col("p99 us", |r| format!("{:.2}", r.p99_us))
+        .col("worst p99", |r| format!("{:.2}", r.worst_tenant_p99_us))
+        .col("commit/s", |r| format!("{:.0}", r.commits_per_sec));
+    let mut out = format!(
+        "Tenant sweep: pg/rocks/redis mix sharing one device \
+         (seed {SEED}, knee at {KNEE_FACTOR}x single-tenant p99)\n\n{table}"
+    );
+    for scheme in [WalScheme::Ba, WalScheme::Block] {
+        out += &match knee(&outcome.rows, scheme) {
+            Some(n) => format!("\n{} knee: {n} tenants\n", scheme.label()),
+            None => format!("\n{} knee: none within the sweep\n", scheme.label()),
+        };
+    }
+    for row in &outcome.sharded {
+        out += &format!(
+            "\n{} sharded agreement: {} tenants x {} groups, shards {:?}, \
+             drives [{}] all at digest {}\n",
+            row.scheme,
+            row.tenants,
+            row.groups,
+            row.shards,
+            row.drives.join(", "),
+            row.digest
+        );
+    }
+    out
 }
 
 #[cfg(test)]

@@ -24,22 +24,25 @@
 //! group→shard placements, demanding one identical completion digest from
 //! all of them: the byte front-end must be invisible to placement.
 //!
-//! The `--gate-tier` CI step enforces the headline: the CXL hot tier's
-//! p99 stays under block's at every swept queue depth, closed-loop and
-//! serve-mode both.
+//! The study's [`gate`] (`twob-bench tier_sweep --gate`, a CI step)
+//! enforces the headline: the CXL hot tier's p99 stays under block's at
+//! every swept queue depth, closed-loop and serve-mode both, and every
+//! tier path's hot read beats its cold read.
 
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
-use twob_core::{IoCalendar, PinTable, TenantId, TwoBSpec, TwoBSsd};
+use twob_core::{IoCalendar, PinTable, TenantId, TwoBSsd};
 use twob_cxl::{RegionFrontEnd, TierWalConfig, TieredWal};
 use twob_sim::SimTime;
-use twob_ssd::SsdConfig;
 use twob_wal::Lsn;
 use twob_workloads::{
-    ArrivalConfig, ArrivalKind, EngineKind, ServeConfig, ServeReport, ServiceDriver, ShardDrive,
-    TenantPool, TenantPoolConfig, WalScheme,
+    ArrivalConfig, ArrivalKind, EngineKind, ServeConfig, ServeReport, ServiceDriver, TenantPool,
+    TenantPoolConfig, WalScheme,
 };
+
+use crate::tenant_sweep::device;
+use crate::{to_json, Table};
 
 /// Tenants sharing the device in every closed-loop cell.
 pub const TENANTS: u16 = 4;
@@ -165,17 +168,6 @@ pub struct TierSweep {
     pub paths: Vec<TierPathRow>,
     /// The sharded drive × placement agreement.
     pub sharded: TierShardedAgreement,
-}
-
-/// The device every closed-loop cell runs on: bench-scale NAND behind a
-/// 1 MiB BA buffer with a 64-entry mapping table (as the tenant sweep).
-fn device() -> TwoBSsd {
-    let spec = TwoBSpec {
-        ba_buffer_bytes: 1 << 20,
-        max_entries: 64,
-        ..TwoBSpec::default()
-    };
-    TwoBSsd::new(SsdConfig::base_2b().bench_scale(), spec)
 }
 
 /// Runs one closed-loop cell on a fresh device.
@@ -321,43 +313,13 @@ pub fn run_paths() -> Vec<TierPathRow> {
 /// each is a determinism bug, not a measurement.
 pub fn sharded_agreement(tenants: u16, groups: usize) -> TierShardedAgreement {
     let cfg = serve_config(WalScheme::Cxl, tenants);
-    let drives = [
-        ShardDrive::Lockstep,
-        ShardDrive::Adaptive,
-        ShardDrive::Parallel(2),
-        ShardDrive::Parallel(4),
-    ];
     let shards = vec![groups, (groups / 2).max(1)];
-    let mut baseline: Option<ServeReport> = None;
-    let mut labels = Vec::new();
-    for drive in drives {
-        for &shard_count in &shards {
-            let report = ServiceDriver::serve_sharded_placed(&cfg, groups, shard_count, drive);
-            assert_eq!(
-                report.clamped_posts,
-                0,
-                "{} drive on {shard_count} shards clamped",
-                drive.label()
-            );
-            if let Some(base) = &baseline {
-                assert_eq!(
-                    (report.digest, report.completed),
-                    (base.digest, base.completed),
-                    "{} drive on {shard_count} shards diverged",
-                    drive.label()
-                );
-            } else {
-                baseline = Some(report);
-            }
-        }
-        labels.push(drive.label());
-    }
-    let base = baseline.expect("at least one drive ran");
+    let (drives, base) = crate::sharded_agreement(&cfg, groups, &shards);
     TierShardedAgreement {
         tenants,
         groups,
         shards,
-        drives: labels,
+        drives,
         digest: format!("{:016x}", base.digest),
         completed: base.completed,
     }
@@ -373,13 +335,16 @@ pub fn run() -> TierSweep {
     }
 }
 
-/// The `--gate-tier` check: the CXL hot tier's p99 must sit under block's
-/// in every closed-loop cell (per engine × QD) and in the serve rung.
+/// The tier gate: the CXL hot tier's p99 must sit under block's in every
+/// closed-loop cell (per engine × QD) and in the serve rung, and every
+/// tier path's hot read must beat its cold read (the sharded drives and
+/// placements already agreed, or [`run`] would have panicked). Returns
+/// the pass summary.
 ///
 /// # Errors
 ///
 /// Returns the first violated comparison.
-pub fn gate(sweep: &TierSweep) -> Result<(), String> {
+pub fn gate(sweep: &TierSweep) -> Result<String, String> {
     for &qd in &QDS {
         for engine in [EngineKind::Pg, EngineKind::Rocks, EngineKind::Redis] {
             let of = |scheme: WalScheme| {
@@ -420,7 +385,94 @@ pub fn gate(sweep: &TierSweep) -> Result<(), String> {
             cxl.p99_us, block.p99_us
         ));
     }
-    Ok(())
+    for path in &sweep.paths {
+        if path.hot_read_us >= path.cold_read_us {
+            return Err(format!(
+                "{} hot read {} us did not beat cold read {} us",
+                path.front_end, path.hot_read_us, path.cold_read_us
+            ));
+        }
+    }
+    Ok(format!(
+        "tier gate passed: cxl p99 beats block in all {} cells and serve mode, \
+         {} sharded drives x {} placements digest-equal at {} tenants",
+        sweep.rows.len() / 3,
+        sweep.sharded.drives.len(),
+        sweep.sharded.shards.len(),
+        sweep.sharded.tenants
+    ))
+}
+
+/// The sweep under its parameters: the shape of the `json:` line and of
+/// the tracked `BENCH_tier_sweep.json`.
+pub fn json(sweep: &TierSweep) -> String {
+    #[derive(Debug, Serialize)]
+    #[allow(dead_code)] // fields are read through Debug by the serializer
+    struct Outcome<'a> {
+        schema: &'static str,
+        tenants: u16,
+        qds: [usize; 3],
+        serve_rate_per_tenant: u64,
+        seed: u64,
+        rows: &'a [TierRow],
+        serve: &'a [TierServeRow],
+        paths: &'a [TierPathRow],
+        sharded: &'a TierShardedAgreement,
+    }
+    to_json(&Outcome {
+        schema: "tier-sweep-v1",
+        tenants: TENANTS,
+        qds: QDS,
+        serve_rate_per_tenant: SERVE_RATE,
+        seed: SEED,
+        rows: &sweep.rows,
+        serve: &sweep.serve,
+        paths: &sweep.paths,
+        sharded: &sweep.sharded,
+    })
+}
+
+/// Renders the ladder, the serve rungs, the tier paths and the
+/// sharded-agreement line.
+pub fn render(sweep: &TierSweep) -> String {
+    let ladder = Table::new(&sweep.rows)
+        .col("engine", |r| r.engine.clone())
+        .col("qd", |r| r.qd)
+        .col("scheme", |r| r.scheme.clone())
+        .col("commits", |r| r.commits)
+        .col("grp %", |r| format!("{:.1}", r.grouped_pct))
+        .col("p50 us", |r| format!("{:.2}", r.p50_us))
+        .col("p99 us", |r| format!("{:.2}", r.p99_us))
+        .col("commits/s", |r| format!("{:.0}", r.commits_per_sec));
+    let serve = Table::new(&sweep.serve)
+        .col("scheme", |r| r.scheme.clone())
+        .col("offered", |r| r.offered)
+        .col("admitted", |r| r.admitted)
+        .col("shed", |r| r.shed)
+        .col("p50 us", |r| format!("{:.2}", r.p50_us))
+        .col("p99 us", |r| format!("{:.2}", r.p99_us))
+        .col("p999 us", |r| format!("{:.2}", r.p999_us));
+    let paths = Table::new(&sweep.paths)
+        .col("front-end", |p| p.front_end.clone())
+        .col("commit us", |p| format!("{:.2}", p.commit_us))
+        .col("cold rd us", |p| format!("{:.2}", p.cold_read_us))
+        .col("hot rd us", |p| format!("{:.2}", p.hot_read_us))
+        .col("promo", |p| p.promotions)
+        .col("demo", |p| p.demotions)
+        .col("hot", |p| p.hot_hits)
+        .col("cold", |p| p.cold_hits);
+    let sharded = &sweep.sharded;
+    format!(
+        "Tier sweep: {TENANTS} tenants, QDs {QDS:?}, engines pg/rocks/redis, seed {SEED}\n\n\
+         {ladder}\nserve mode: {SERVE_RATE} commits/s/tenant offered\n{serve}\n\
+         tier paths (hot tail, demote to NAND, promote back):\n{paths}\n\
+         sharded agreement: {} tenants x {} groups, shards {:?}, drives [{}] all at digest {}\n",
+        sharded.tenants,
+        sharded.groups,
+        sharded.shards,
+        sharded.drives.join(", "),
+        sharded.digest
+    )
 }
 
 #[cfg(test)]
@@ -452,6 +504,18 @@ mod tests {
             },
         };
         gate(&sweep).expect("the CXL hot tier must beat block everywhere");
+        // A tier path whose hot read does not beat its cold read fails it.
+        let mut doctored = sweep.clone();
+        doctored.paths = run_paths();
+        gate(&doctored).expect("real tier paths pass");
+        doctored.paths[1].hot_read_us = doctored.paths[1].cold_read_us;
+        let violation = gate(&doctored).expect_err("hot >= cold is a violation");
+        assert!(violation.contains("cxl hot read"), "{violation}");
+        // And so does a ladder cell where CXL loses to block.
+        let mut slow = sweep;
+        let cxl = slow.rows.iter_mut().find(|r| r.scheme == "cxl").unwrap();
+        cxl.p99_us = f64::MAX;
+        assert!(gate(&slow).unwrap_err().contains("did not beat block"));
     }
 
     #[test]

@@ -451,16 +451,7 @@ fn tenants(parsed: &Parsed) -> CliResult {
     if ops == 0 {
         return Err("--ops must be positive".into());
     }
-    let device = || {
-        TwoBSsd::new(
-            SsdConfig::base_2b().bench_scale(),
-            TwoBSpec {
-                ba_buffer_bytes: 1 << 20,
-                max_entries: 64,
-                ..TwoBSpec::default()
-            },
-        )
-    };
+    let device = twob_bench::tenant_sweep::device;
     let json = parsed.is_set("json");
     #[derive(Debug, Serialize)]
     #[allow(dead_code)]
@@ -626,11 +617,7 @@ fn serve(parsed: &Parsed) -> CliResult {
 }
 
 fn tier(parsed: &Parsed) -> CliResult {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    use twob_core::{IoCalendar, PinTable, TenantId};
-    use twob_cxl::{RegionFrontEnd, TierWalConfig, TieredWal};
-    use twob_wal::Lsn;
+    use twob_cxl::RegionFrontEnd;
     use twob_workloads::{EngineKind, ServiceDriver, TenantPool, TenantPoolConfig, WalScheme};
 
     let n = parsed.u64_or("n", 4)?;
@@ -672,16 +659,7 @@ fn tier(parsed: &Parsed) -> CliResult {
 
     // Closed-loop commit latency per front-end: the same seeded tenants on
     // a fresh device each time, 64 B payloads (the byte path's regime).
-    let device = || {
-        TwoBSsd::new(
-            SsdConfig::base_2b().bench_scale(),
-            TwoBSpec {
-                ba_buffer_bytes: 1 << 20,
-                max_entries: 64,
-                ..TwoBSpec::default()
-            },
-        )
-    };
+    let device = twob_bench::tenant_sweep::device;
     if !json {
         println!(
             "{n} tenant(s) x qd {qd}, mix [{}], seed {seed}, {ops} ops/tenant\n",
@@ -736,50 +714,25 @@ fn tier(parsed: &Parsed) -> CliResult {
     }
     let mut paths = Vec::new();
     for front_end in [RegionFrontEnd::BaMmio, RegionFrontEnd::Cxl] {
-        let dev = Rc::new(RefCell::new(TwoBSsd::small_for_tests()));
-        let pins = Rc::new(RefCell::new(PinTable::new(dev.borrow().spec(), 1)?));
-        let cal = Rc::new(RefCell::new(IoCalendar::new()));
-        let cfg = TierWalConfig {
-            byte_front_end: front_end,
-            ..TierWalConfig::default()
-        };
-        let mut wal = TieredWal::new(dev, cal, pins, TenantId(0), cfg)?;
-        let mut t = SimTime::from_nanos(1_000_000);
-        let mut commit_us = 0.0;
-        let per_window = 64; // 128 B records in an 8 KiB window
-        for i in 0..(per_window * 2 + 1) {
-            let payload = vec![(i % 251) as u8; 128 - 16];
-            let out = wal.append(t, &payload)?;
-            if i == 0 {
-                commit_us = out.commit_at.saturating_since(t).as_nanos() as f64 / 1e3;
-            }
-            t = out.commit_at;
-        }
-        let (_, t1) = wal.read(t, Lsn(0))?;
-        let cold_read_us = t1.saturating_since(t).as_nanos() as f64 / 1e3;
-        let (_, t2) = wal.read(t1, Lsn(1))?;
-        let (_, t3) = wal.read(t2, Lsn(2))?;
-        let (_, t4) = wal.read(t3, Lsn(3))?;
-        let hot_read_us = t4.saturating_since(t3).as_nanos() as f64 / 1e3;
-        let stats = wal.stats();
+        let path = twob_bench::tier_sweep::tier_path(front_end);
         if json {
             paths.push(PathJson {
-                front_end: front_end.label().to_string(),
-                commit_us,
-                cold_read_us,
-                hot_read_us,
-                promotions: stats.promotions,
-                demotions: stats.demotions,
+                front_end: path.front_end,
+                commit_us: path.commit_us,
+                cold_read_us: path.cold_read_us,
+                hot_read_us: path.hot_read_us,
+                promotions: path.promotions,
+                demotions: path.demotions,
             });
         } else {
             println!(
                 "{:<9} {:>10.2} {:>11.2} {:>10.2} {:>6} {:>5}",
-                front_end.label(),
-                commit_us,
-                cold_read_us,
-                hot_read_us,
-                stats.promotions,
-                stats.demotions
+                path.front_end,
+                path.commit_us,
+                path.cold_read_us,
+                path.hot_read_us,
+                path.promotions,
+                path.demotions
             );
         }
     }
