@@ -7,8 +7,8 @@
 # With a filter (an extended regex) only the matching lines are compared;
 # a run that prints no matching line fails, so a check is never vacuous.
 # A filtered command's own exit status is deliberately not checked (no
-# pipefail): the sweeps assert wall-clock floors after printing, and those
-# are gated in their own CI job — this check is about the bytes printed.
+# pipefail): this check is about the bytes printed, and what a sweep
+# enforces beyond them (`twob-bench --gate`) has its own CI job.
 set -eu
 
 command=$1

@@ -540,13 +540,16 @@ pub fn run() -> Ablations {
 }
 
 /// Renders one titled table per ablation.
-pub fn render(a: &Ablations) -> String {
+pub(crate) fn render(a: &Ablations) -> String {
+    fn section(title: &str, table: impl std::fmt::Display) -> String {
+        format!("{title}\n\n{table}")
+    }
     // Most ablations compare a handful of labelled figures.
-    let pairs = |head: [&str; 2], digits: usize, rows: &[(&str, f64)]| {
-        Table::new(rows)
+    let pairs = |title: &str, head: [&str; 2], digits: usize, rows: &[(&str, f64)]| {
+        let table = Table::new(rows)
             .col(head[0], |r| r.0)
-            .col(head[1], |r| format!("{:.digits$}", r.1))
-            .to_string()
+            .col(head[1], |r| format!("{:.digits$}", r.1));
+        section(title, table)
     };
     let db = &a.double_buffering;
     let buffering = [
@@ -554,111 +557,91 @@ pub fn render(a: &Ablations) -> String {
         ("single", db.single_ops_per_sec, db.single_worst_us),
     ];
     let sections = [
-        (
+        section(
             "Ablation 1: BA-WAL double buffering (paper §IV-B)",
             Table::new(&buffering)
                 .col("buffering", |r| r.0)
                 .col("commits/s", |r| format!("{:.0}", r.1))
-                .col("worst commit (us)", |r| format!("{:.1}", r.2))
-                .to_string(),
+                .col("worst commit (us)", |r| format!("{:.1}", r.2)),
         ),
-        (
+        pairs(
             "Ablation 2: DC-SSD sequential read-ahead (paper §V-B)",
-            pairs(
-                ["read-ahead", "mean seq 4K read (us)"],
-                1,
-                &[
-                    ("on", a.read_ahead.with_read_ahead_us),
-                    ("off", a.read_ahead.without_read_ahead_us),
-                ],
-            ),
+            ["read-ahead", "mean seq 4K read (us)"],
+            1,
+            &[
+                ("on", a.read_ahead.with_read_ahead_us),
+                ("off", a.read_ahead.without_read_ahead_us),
+            ],
         ),
-        (
+        pairs(
             "Ablation 3: log write amplification (paper §IV-A)",
-            pairs(
-                ["scheme", "log WAF"],
-                1,
-                &[("block WAL", a.waf.block_waf), ("BA-WAL", a.waf.ba_waf)],
-            ),
+            ["scheme", "log WAF"],
+            1,
+            &[("block WAL", a.waf.block_waf), ("BA-WAL", a.waf.ba_waf)],
         ),
-        (
+        section(
             "Ablation 4: commit tail latency under 8 clients (paper §IV-A)",
             Table::new(&a.tail_latency)
                 .col("scheme", |r| r.scheme.clone())
                 .col("p50 (us)", |r| format!("{:.2}", r.p50_us))
                 .col("p99 (us)", |r| format!("{:.2}", r.p99_us))
                 .col("max (us)", |r| format!("{:.2}", r.max_us))
-                .col("log WAF", |r| format!("{:.1}", r.device_waf))
-                .to_string(),
+                .col("log WAF", |r| format!("{:.1}", r.device_waf)),
         ),
-        (
+        pairs(
             "Ablation 5: filesystem metadata journaling (paper §IV)",
-            pairs(
-                ["journal", "metadata ops/s"],
-                0,
-                &[
-                    ("block (DC-SSD)", a.fs_journaling.block_ops_per_sec),
-                    ("BA-WAL (2B-SSD)", a.fs_journaling.ba_ops_per_sec),
-                ],
-            ),
+            ["journal", "metadata ops/s"],
+            0,
+            &[
+                ("block (DC-SSD)", a.fs_journaling.block_ops_per_sec),
+                ("BA-WAL (2B-SSD)", a.fs_journaling.ba_ops_per_sec),
+            ],
         ),
-        (
+        section(
             "Ablation 6: BA-WAL window size sensitivity (paper §VI)",
             Table::new(&a.buffer_size.rows)
                 .col("window", |r| format!("{} pages", r.0))
-                .col("commits/s", |r| format!("{:.0}", r.1))
-                .to_string(),
+                .col("commits/s", |r| format!("{:.0}", r.1)),
         ),
-        (
+        pairs(
             "Ablation 7: group commit vs per-record commits",
-            pairs(
-                ["scheme", "records/s (durable)"],
-                0,
-                &[
-                    ("DC-SSD sync, solo", a.group_commit.dc_solo),
-                    ("DC-SSD sync, batches of 16", a.group_commit.dc_grouped),
-                    ("BA-WAL, per-record durable", a.group_commit.ba_solo),
-                ],
-            ),
+            ["scheme", "records/s (durable)"],
+            0,
+            &[
+                ("DC-SSD sync, solo", a.group_commit.dc_solo),
+                ("DC-SSD sync, batches of 16", a.group_commit.dc_grouped),
+                ("BA-WAL, per-record durable", a.group_commit.ba_solo),
+            ],
         ),
-        (
+        pairs(
             "Ablation 8: bulk block write + pinned small reads (paper §VI)",
-            pairs(
-                ["path", "mean 64 B read (us)"],
-                2,
-                &[
-                    ("block (whole-page NVMe read)", a.pinned_reads.block_read_us),
-                    ("pinned MMIO window", a.pinned_reads.pinned_mmio_us),
-                ],
-            ) + &format!("one-time pin cost: {:.1} us\n", a.pinned_reads.pin_cost_us),
-        ),
-        (
+            ["path", "mean 64 B read (us)"],
+            2,
+            &[
+                ("block (whole-page NVMe read)", a.pinned_reads.block_read_us),
+                ("pinned MMIO window", a.pinned_reads.pinned_mmio_us),
+            ],
+        ) + &format!("one-time pin cost: {:.1} us\n", a.pinned_reads.pin_cost_us),
+        pairs(
             "Ablation 9: internal-datapath interference on block I/O (paper §VI)",
-            pairs(
-                ["block 8-page reads", "MB/s"],
-                0,
-                &[
-                    ("alone", a.interference.block_alone_mbs),
-                    (
-                        "with saturating BA_PIN/BA_FLUSH stream",
-                        a.interference.block_contended_mbs,
-                    ),
-                ],
-            ),
+            ["block 8-page reads", "MB/s"],
+            0,
+            &[
+                ("alone", a.interference.block_alone_mbs),
+                (
+                    "with saturating BA_PIN/BA_FLUSH stream",
+                    a.interference.block_contended_mbs,
+                ),
+            ],
         ),
-        (
+        section(
             "Ablation 10: random 4 KiB read throughput vs queue depth",
             Table::new(&a.queue_depth.rows)
                 .col("QD", |r| r.0)
                 .col("ULL-SSD kIOPS", |r| format!("{:.0}", r.1))
-                .col("DC-SSD kIOPS", |r| format!("{:.0}", r.2))
-                .to_string(),
+                .col("DC-SSD kIOPS", |r| format!("{:.0}", r.2)),
         ),
     ];
-    let sections: Vec<String> = sections
-        .iter()
-        .map(|(title, table)| format!("{title}\n\n{table}"))
-        .collect();
     sections.join("\n")
 }
 

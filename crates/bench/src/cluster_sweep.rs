@@ -186,7 +186,7 @@ pub fn gate(sweep: &ClusterSweep) -> Result<String, String> {
 }
 
 /// Renders the clean cells and the fault-sweep summary line.
-pub fn render(sweep: &ClusterSweep) -> String {
+pub(crate) fn render(sweep: &ClusterSweep) -> String {
     let table = Table::new(&sweep.rows)
         .col("nodes", |r| r.nodes)
         .col("placement", |r| r.placement.clone())

@@ -60,7 +60,7 @@ pub fn run() -> Vec<CommitCostRow> {
 }
 
 /// Renders the per-scheme costs and reduction factors.
-pub fn render(rows: &[CommitCostRow]) -> String {
+pub(crate) fn render(rows: &[CommitCostRow]) -> String {
     let table = Table::new(rows)
         .col("payload(B)", |r| r.payload)
         .col("DC sync", |r| format!("{:.1}", r.dc_us))

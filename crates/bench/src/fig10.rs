@@ -77,7 +77,7 @@ pub fn run(quick: bool) -> Fig10Report {
 }
 
 /// Renders the normalized comparison and the absolute baseline.
-pub fn render(r: &Fig10Report) -> String {
+pub(crate) fn render(r: &Fig10Report) -> String {
     let rows = [
         ("baseline (2B-SSD)", 1.0),
         ("PM + DC-SSD", r.pm_dc),

@@ -141,7 +141,7 @@ pub fn run() -> Vec<Fig7Row> {
 }
 
 /// Renders the two panels as the tables the paper plots.
-pub fn render(rows: &[Fig7Row]) -> String {
+pub(crate) fn render(rows: &[Fig7Row]) -> String {
     let reads = Table::new(rows)
         .col("size(B)", |r| r.size)
         .col("DC-SSD", |r| format!("{:.1}", r.dc_read_us))

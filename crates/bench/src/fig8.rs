@@ -132,7 +132,7 @@ pub fn run() -> Vec<Fig8Row> {
 }
 
 /// Renders the two panels as the tables the paper plots.
-pub fn render(rows: &[Fig8Row]) -> String {
+pub(crate) fn render(rows: &[Fig8Row]) -> String {
     let reads = Table::new(rows)
         .col("size", |r| format!("{}K", r.size >> 10))
         .col("ULL-SSD", |r| format!("{:.0}", r.ull_read_mbs))

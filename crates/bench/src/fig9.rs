@@ -259,20 +259,15 @@ pub fn run(quick: bool) -> Fig9Report {
 }
 
 /// Renders every workload's series as one table.
-pub fn render(report: &Fig9Report) -> String {
+pub(crate) fn render(report: &Fig9Report) -> String {
     let mut rows = vec![("PostgreSQL+Linkbench".to_string(), report.pg)];
-    rows.extend(
-        report
-            .rocks
-            .iter()
-            .map(|(p, s)| (format!("RocksDB+YCSB-A {p}B"), *s)),
-    );
-    rows.extend(
-        report
-            .redis
-            .iter()
-            .map(|(p, s)| (format!("Redis+YCSB-A {p}B"), *s)),
-    );
+    for (engine, series) in [("RocksDB", &report.rocks), ("Redis", &report.redis)] {
+        rows.extend(
+            series
+                .iter()
+                .map(|(p, s)| (format!("{engine}+YCSB-A {p}B"), *s)),
+        );
+    }
     let table = Table::new(&rows)
         .col("workload", |r| r.0.clone())
         .col("DC-SSD", |r| format!("{:.0}", r.1.dc))
@@ -282,7 +277,7 @@ pub fn render(report: &Fig9Report) -> String {
         .col("2B/DC", |r| format!("{:.2}x", r.1.gain_vs_dc()))
         .col("2B/ULL", |r| format!("{:.2}x", r.1.gain_vs_ull()))
         .col("of ASYNC", |r| {
-            format!("{:.0}%", r.1.fraction_of_async() * 100.0)
+            format!("{:.0}%", 100.0 * r.1.fraction_of_async())
         });
     format!("Fig 9: application throughput (ops/s or txns/s)\n\n{table}")
 }

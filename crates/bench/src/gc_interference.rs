@@ -180,7 +180,7 @@ pub fn gc_threshold_ratio() -> f64 {
 }
 
 /// Renders the per-window table under its watermark headline.
-pub fn render(rows: &[GcWindowRow]) -> String {
+pub(crate) fn render(rows: &[GcWindowRow]) -> String {
     let table = Table::new(rows)
         .col("win", |r| r.window)
         .col("phase", |r| r.phase.clone())

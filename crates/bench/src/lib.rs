@@ -26,7 +26,7 @@
 //!
 //! [`registry`] holds the one table of studies that the `twob-bench`
 //! runner ([`mod@runner`]: `twob-bench <study>… | all | list | regen`),
-//! the golden test and CI iterate.
+//! the golden tests and CI read.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -103,7 +103,7 @@ pub fn run() -> Vec<QdRow> {
 }
 
 /// Renders one bandwidth-by-queue-depth table per comparator drive.
-pub fn render(rows: &[QdRow]) -> String {
+pub(crate) fn render(rows: &[QdRow]) -> String {
     let sizes = request_sizes();
     let panel = |device: &str| {
         let mbs = |size: u64, qd: usize| {

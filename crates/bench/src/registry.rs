@@ -5,10 +5,10 @@
 //! one-line summary, and function pointers for what it actually has: how
 //! to run and render it, its deterministic `json:` payload, the
 //! projection its golden fixture pins, its tracked `BENCH_*.json`, its CI
-//! gate. The
-//! runner, the golden test, fixture regeneration and CI all iterate
-//! [`REGISTRY`] and never name a study, so adding one is adding an entry
-//! here and nothing else.
+//! gate. The runner, fixture regeneration and CI iterate [`REGISTRY`] and
+//! never name a study; `tests/golden.rs` names the studies it checks and
+//! fails if that set is not exactly the fixtures declared here. Adding a
+//! study is adding an entry here (and, if pinned, its golden test).
 
 use std::fmt::Write as _;
 
@@ -122,8 +122,8 @@ pub struct Info {
 pub struct Output {
     /// Everything the study prints: its tables, then the `json:` line.
     pub stdout: String,
-    /// Fresh contents of its tracked file.
-    pub tracked: Option<String>,
+    /// Its tracked file's name and fresh contents.
+    pub tracked: Option<(&'static str, String)>,
     /// The gate's verdict, when one was asked for and exists.
     pub gate: Option<Verdict>,
 }
@@ -161,7 +161,9 @@ impl<T> Entry for Study<T> {
         }
         Output {
             stdout,
-            tracked: self.tracked.map(|(_, contents)| contents(&outcome) + "\n"),
+            tracked: self
+                .tracked
+                .map(|(file, contents)| (file, contents(&outcome) + "\n")),
             gate: self.gate.filter(|_| gate).map(|check| check(&outcome)),
         }
     }
@@ -371,7 +373,7 @@ mod tests {
         };
         let full = study.execute(false, true);
         assert_eq!(full.stdout, "n = 2\n\njson: 2\n");
-        assert_eq!(full.tracked.as_deref(), Some("[2]\n"));
+        assert_eq!(full.tracked, Some(("BENCH_toy.json", "[2]\n".to_string())));
         assert_eq!(full.gate, Some(Ok("full".to_string())));
         assert_eq!(
             study.execute(true, true).gate,

@@ -114,7 +114,7 @@ pub fn run() -> Vec<Row> {
 }
 
 /// Renders the per-cell table under the sweep's parameters.
-pub fn render(rows: &[Row]) -> String {
+pub(crate) fn render(rows: &[Row]) -> String {
     let table = Table::new(rows)
         .col("policy", |r| r.policy.clone())
         .col("rtt us", |r| r.rtt_us)

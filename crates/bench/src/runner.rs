@@ -211,9 +211,7 @@ fn run(studies: &[&'static str], flags: Flags) -> i32 {
             Some(Ok(summary)) => eprintln!("{summary}"),
             None => {}
         }
-        if let (true, Some(file), Some(contents)) =
-            (flags.write, entry.info().tracked, output.tracked)
-        {
+        if let (true, Some((file, contents))) = (flags.write, output.tracked) {
             let path = tracked_path(file);
             std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {path}: {e}"));
             eprintln!("wrote {path}");

@@ -241,7 +241,7 @@ pub fn gate(outcome: &Outcome) -> Result<String, String> {
 }
 
 /// Renders the ladder, the knees and the sharded-agreement line.
-pub fn render(outcome: &Outcome) -> String {
+pub(crate) fn render(outcome: &Outcome) -> String {
     let table = Table::new(&outcome.rows)
         .col("scheme", |r| r.scheme.clone())
         .col("rate/t", |r| r.rate_per_tenant)
@@ -328,7 +328,7 @@ mod tests {
 
     #[test]
     fn sharded_drives_agree_at_test_scale() {
-        // Fleet-scale (1024 tenants) runs in the binary; the test pins the
+        // Fleet-scale (1024 tenants) runs in the study; the test pins the
         // same invariant at a size debug builds can afford.
         let agreement = sharded_agreement(64, SHARDED_GROUPS, SHARDED_RATE);
         assert_eq!(agreement.drives.len(), 4);

@@ -43,7 +43,7 @@ use crate::registry::tracked_path;
 use crate::{to_json, Table};
 
 /// The tracked baseline's file name at the repo root.
-pub const BENCH_FILE: &str = "BENCH_sim_throughput.json";
+pub(crate) const BENCH_FILE: &str = "BENCH_sim_throughput.json";
 
 /// A regression is a mix whose speedup ratio fell below 80% of baseline.
 pub const REGRESSION_FLOOR: f64 = 0.8;
@@ -823,7 +823,7 @@ const FLOORS: [(&str, f64, &str); 3] = [
     ),
 ];
 
-/// Holds every [`FLOORS`] entry to its floor. Returns the pass summary.
+/// Holds each of the three speedups above to its floor. Returns the pass summary.
 ///
 /// # Errors
 ///
@@ -917,7 +917,7 @@ fn host_parallelism() -> usize {
 }
 
 /// Renders the tracked BENCH file: perf rows plus speedup ratios.
-pub fn bench_file(report: &Report) -> String {
+pub(crate) fn bench_file(report: &Report) -> String {
     #[derive(Debug)]
     #[allow(dead_code)] // fields are read through Debug by the serializer
     struct BenchFile<'a> {
@@ -935,7 +935,7 @@ pub fn bench_file(report: &Report) -> String {
 }
 
 /// Renders the wall-clock table and the speedup ratios.
-pub fn render(report: &Report) -> String {
+pub(crate) fn render(report: &Report) -> String {
     let perf = Table::new(&report.perf)
         .col("mix", |r| r.mix.clone())
         .col("kernel", |r| r.kernel.clone())

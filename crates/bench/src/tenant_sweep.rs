@@ -229,7 +229,7 @@ pub fn outcome() -> Outcome {
 }
 
 /// Renders the ladder, each scheme's knee, and the agreement lines.
-pub fn render(outcome: &Outcome) -> String {
+pub(crate) fn render(outcome: &Outcome) -> String {
     let table = Table::new(&outcome.rows)
         .col("tenants", |r| r.tenants)
         .col("scheme", |r| r.scheme.clone())
@@ -276,7 +276,7 @@ mod tests {
 
     #[test]
     fn sharded_placements_agree_for_every_scheme() {
-        // Fleet scale runs in the binary; the test pins the invariant at a
+        // Fleet scale runs in the study; the test pins the invariant at a
         // size debug builds can afford.
         for row in sharded(16, SHARDED_GROUPS) {
             assert_eq!(row.drives.len(), 4, "{}: drives", row.scheme);

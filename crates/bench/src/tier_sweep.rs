@@ -405,7 +405,7 @@ pub fn gate(sweep: &TierSweep) -> Result<String, String> {
 
 /// The sweep under its parameters: the shape of the `json:` line and of
 /// the tracked `BENCH_tier_sweep.json`.
-pub fn json(sweep: &TierSweep) -> String {
+pub(crate) fn json(sweep: &TierSweep) -> String {
     #[derive(Debug, Serialize)]
     #[allow(dead_code)] // fields are read through Debug by the serializer
     struct Outcome<'a> {
@@ -434,7 +434,7 @@ pub fn json(sweep: &TierSweep) -> String {
 
 /// Renders the ladder, the serve rungs, the tier paths and the
 /// sharded-agreement line.
-pub fn render(sweep: &TierSweep) -> String {
+pub(crate) fn render(sweep: &TierSweep) -> String {
     let ladder = Table::new(&sweep.rows)
         .col("engine", |r| r.engine.clone())
         .col("qd", |r| r.qd)
@@ -545,7 +545,7 @@ mod tests {
 
     #[test]
     fn sharded_drives_and_placements_agree_at_test_scale() {
-        // Fleet scale runs in the binary; the test pins the invariant at a
+        // Fleet scale runs in the study; the test pins the invariant at a
         // size debug builds can afford.
         let agreement = sharded_agreement(32, SHARDED_GROUPS);
         assert_eq!(agreement.drives.len(), 4);
