@@ -146,13 +146,15 @@ pub fn sharded_agreement(
             assert_eq!(*report, reports[0], "{at} diverged from lock-step");
         }
         let [lockstep, ..] = reports;
-        let base = first.get_or_insert_with(|| lockstep.clone());
-        assert_eq!(
-            (lockstep.digest, lockstep.completed),
-            (base.digest, base.completed),
-            "{} placement on {shard_count} shards diverged",
-            lockstep.scheme
-        );
+        match &first {
+            Some(base) => assert_eq!(
+                (lockstep.digest, lockstep.completed),
+                (base.digest, base.completed),
+                "{} placement on {shard_count} shards diverged",
+                lockstep.scheme
+            ),
+            None => first = Some(lockstep),
+        }
     }
     let labels = drives.map(ShardDrive::label).to_vec();
     (labels, first.expect("at least one placement"))

@@ -109,8 +109,8 @@ pub struct Info {
     pub json: bool,
     /// Whether a golden file pins it.
     pub fixture: bool,
-    /// Its tracked file's name at the repo root, if `--write` applies.
-    pub tracked: Option<&'static str>,
+    /// Whether `--write` applies: it has a tracked file.
+    pub write: bool,
     /// Whether `--gate` applies.
     pub gate: bool,
     /// Whether `--quick` applies.
@@ -147,7 +147,7 @@ impl<T> Entry for Study<T> {
             about: self.about,
             json: self.json.is_some(),
             fixture: self.fixture.is_some(),
-            tracked: self.tracked.map(|(file, _)| file),
+            write: self.tracked.is_some(),
             gate: self.gate.is_some(),
             quick: self.quick,
         }
@@ -381,12 +381,11 @@ mod tests {
         );
         assert_eq!(study.execute(true, false).gate, None);
         let info = study.info();
-        assert!(info.json && info.gate && info.quick && info.fixture);
+        assert!(info.json && info.gate && info.quick && info.fixture && info.write);
         assert_eq!(
             study.capture().as_deref(),
             Some("{2}"),
             "captures run at full scale"
         );
-        assert_eq!(info.tracked, Some("BENCH_toy.json"));
     }
 }

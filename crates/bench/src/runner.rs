@@ -38,7 +38,7 @@ impl Flags {
     fn against(self, info: &Info) -> [(bool, &'static str, bool); 3] {
         [
             (self.gate, "--gate", info.gate),
-            (self.write, "--write", info.tracked.is_some()),
+            (self.write, "--write", info.write),
             (self.quick, "--quick", info.quick),
         ]
     }
@@ -123,7 +123,7 @@ pub fn list() -> String {
                 (info.json, "json"),
                 (info.fixture, "fixture"),
                 (info.gate, "gate"),
-                (info.tracked.is_some(), "write"),
+                (info.write, "write"),
                 (info.quick, "quick"),
             ]
             .iter()
