@@ -22,7 +22,6 @@
 //! | Replication sweep (beyond the paper) | [`mod@repl_sweep`] | `repl_sweep` |
 //! | Cluster sweep (beyond the paper) | [`mod@cluster_sweep`] | `cluster_sweep` |
 //! | BA/CXL/block tier sweep (beyond the paper) | [`mod@tier_sweep`] | `tier_sweep` |
-//! | Kernel throughput (engine, not model) | [`mod@sim_throughput`] | `sim_throughput` |
 //!
 //! [`registry`] holds the one table of studies that the `twob-bench`
 //! runner ([`mod@runner`]: `twob-bench <study>… | all | list | regen`),
@@ -44,7 +43,6 @@ pub mod registry;
 pub mod repl_sweep;
 pub mod runner;
 pub mod serve_sweep;
-pub mod sim_throughput;
 pub mod table1;
 pub mod tenant_sweep;
 pub mod tier_sweep;

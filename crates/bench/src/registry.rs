@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 
 use crate::{
     ablations, cluster_sweep, commit_cost, fig10, fig7, fig8, fig9, gc_interference, qd_sweep,
-    repl_sweep, serve_sweep, sim_throughput, table1, tenant_sweep, tier_sweep, to_json,
+    repl_sweep, serve_sweep, table1, tenant_sweep, tier_sweep, to_json,
 };
 
 /// Where the golden fixtures live: `<name>.json` per pinned study.
@@ -178,7 +178,7 @@ impl<T> Entry for Study<T> {
 
 /// Every study, in the order the paper presents them and then the order
 /// the extensions landed.
-pub static REGISTRY: [&dyn Entry; 15] = [
+pub static REGISTRY: [&dyn Entry; 14] = [
     &Study::new(
         "table1_spec",
         "Table I: the 2B-SSD specification",
@@ -291,19 +291,6 @@ pub static REGISTRY: [&dyn Entry; 15] = [
             "BA-MMIO versus CXL.mem versus block commits, and hot/cold tiering",
             |_| tier_sweep::run(),
             tier_sweep::render,
-        )
-    },
-    // The `json:` line carries only deterministic fields (events, digests,
-    // final virtual instants); wall-clock rates go to the tracked file.
-    &Study::<sim_throughput::Report> {
-        json: Some(|report| to_json(&report.det)),
-        tracked: Some((sim_throughput::BENCH_FILE, sim_throughput::bench_file)),
-        gate: Some(sim_throughput::gate),
-        ..Study::new(
-            "sim_throughput",
-            "event-kernel throughput: wheel versus heap, sharded PDES drives",
-            |_| sim_throughput::run(),
-            sim_throughput::render,
         )
     },
 ];

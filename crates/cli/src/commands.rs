@@ -748,18 +748,36 @@ fn tier(parsed: &Parsed) -> CliResult {
     Ok(())
 }
 
+/// Parses `--mode` for a replica set with `followers` followers (a count
+/// that `followers_flag` sets). The library clamps a `semisync:K` beyond
+/// the follower count, so such a run would report a mode it did not run:
+/// refuse it here instead.
+fn commit_mode(
+    parsed: &Parsed,
+    default: &str,
+    followers: u64,
+    followers_flag: &str,
+) -> Result<twob_repl::CommitPolicy, Box<dyn Error>> {
+    let mode = parsed.str_or("mode", default);
+    let policy = twob_repl::CommitPolicy::parse(&mode)
+        .ok_or_else(|| format!("--mode must be async, sync, or semisync:K, not {mode:?}"))?;
+    match policy {
+        twob_repl::CommitPolicy::SemiSync(k) if k as u64 > followers => Err(format!(
+            "--mode {mode} waits for {k} follower acks, but {followers_flag} gives {followers}"
+        )
+        .into()),
+        _ => Ok(policy),
+    }
+}
+
 fn repl(parsed: &Parsed) -> CliResult {
-    use twob_repl::{
-        failover_sweep, CommitPolicy, NetLinkConfig, ReplConfig, ReplicaSet, ShipScheme,
-    };
+    use twob_repl::{failover_sweep, NetLinkConfig, ReplConfig, ReplicaSet, ShipScheme};
 
     let replicas = parsed.u64_or("replicas", 3)?;
     if !(1..=8).contains(&replicas) {
         return Err("--replicas must be between 1 and 8".into());
     }
-    let mode = parsed.str_or("mode", "semisync:2");
-    let policy = CommitPolicy::parse(&mode)
-        .ok_or_else(|| format!("--mode must be async, sync, or semisync:K, not {mode:?}"))?;
+    let policy = commit_mode(parsed, "semisync:2", replicas, "--replicas")?;
     let ship = parsed.str_or("ship", "ba");
     let scheme = ShipScheme::parse(&ship)
         .ok_or_else(|| format!("--ship must be ba or block, not {ship:?}"))?;
@@ -857,7 +875,7 @@ fn repl(parsed: &Parsed) -> CliResult {
         println!("json: {}", serde_json::to_string(&out)?);
     } else {
         println!(
-            "replica set: {engine} x{replicas}, {mode} over {ship} ship, \
+            "replica set: {engine} x{replicas}, {policy} over {ship} ship, \
              rtt {rtt_us} us (seed {seed}, {commits} commits)"
         );
         println!(
@@ -883,7 +901,7 @@ fn repl(parsed: &Parsed) -> CliResult {
 }
 
 fn cluster(parsed: &Parsed) -> CliResult {
-    use twob_repl::{fleet_sweep, CommitPolicy, Fleet, FleetConfig, PlacementKind, ShipScheme};
+    use twob_repl::{fleet_sweep, Fleet, FleetConfig, PlacementKind, ShipScheme};
 
     let nodes = parsed.u64_or("nodes", 9)?;
     if !(3..=48).contains(&nodes) {
@@ -900,9 +918,7 @@ fn cluster(parsed: &Parsed) -> CliResult {
     if rf == 0 || rf > nodes {
         return Err("--rf must be between 1 and --nodes".into());
     }
-    let mode = parsed.str_or("mode", "semisync:1");
-    let policy = CommitPolicy::parse(&mode)
-        .ok_or_else(|| format!("--mode must be async, sync, or semisync:K, not {mode:?}"))?;
+    let policy = commit_mode(parsed, "semisync:1", rf - 1, "--rf minus the primary")?;
     let ship = parsed.str_or("ship", "ba");
     let scheme = ShipScheme::parse(&ship)
         .ok_or_else(|| format!("--ship must be ba or block, not {ship:?}"))?;
@@ -1001,7 +1017,7 @@ fn cluster(parsed: &Parsed) -> CliResult {
             "fleet:        {nodes} nodes / 3 zones, {shards} shard(s) x rf {rf}, \
              {placement} placement"
         );
-        println!("commit path:  {mode} over {ship} ship (seed {seed}, {commits} commits/shard)");
+        println!("commit path:  {policy} over {ship} ship (seed {seed}, {commits} commits/shard)");
         println!(
             "steady state: released {}, {} follower reads, commit p50 {:.2} us, \
              read p99 {:.2} us",
@@ -1292,6 +1308,19 @@ mod tests {
         assert!(run(&["faults", "retry"]).is_err());
         assert!(run(&["faults", "sweep", "--cuts", "0"]).is_err());
         assert!(run(&["repl", "--mode", "carrier-pigeon"]).is_err());
+        // A quorum beyond the follower count would be clamped silently.
+        let clamped = run(&["repl", "--mode", "semisync:5", "--replicas", "3"]).unwrap_err();
+        assert!(
+            clamped.to_string().contains("--mode semisync:5"),
+            "{clamped}"
+        );
+        assert!(clamped.to_string().contains("--replicas"), "{clamped}");
+        let clamped = run(&["cluster", "--mode", "semisync:3", "--rf", "3"]).unwrap_err();
+        assert!(
+            clamped.to_string().contains("--mode semisync:3"),
+            "{clamped}"
+        );
+        assert!(clamped.to_string().contains("--rf"), "{clamped}");
         assert!(run(&["repl", "--ship", "floppy"]).is_err());
         assert!(run(&["repl", "--engine", "mysql"]).is_err());
         assert!(run(&["repl", "--replicas", "0"]).is_err());

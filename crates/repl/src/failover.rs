@@ -23,8 +23,8 @@ use twob_faults::{check_log_prefix, throwaway_wal, Engine, EngineKind, ReplFault
 use twob_sim::Executor;
 
 use crate::config::{CommitPolicy, ReplConfig};
-use crate::link::NetLinkConfig;
-use crate::set::{ReplicaSet, RESTART_DELAY, T0};
+use crate::link::{NetLinkConfig, T0};
+use crate::set::{ReplicaSet, RESTART_DELAY};
 use crate::ShipScheme;
 
 use crate::set::Ev;

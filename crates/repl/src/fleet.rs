@@ -1,13 +1,16 @@
 //! The cluster control plane: many replica sets on a fleet of 2B-SSD
 //! nodes, with live shard moves and joint-consensus membership change.
 //!
-//! [`ShardedReplCluster`](crate::ShardedReplCluster) proves one replica
-//! set on per-node PDES shards; [`Fleet`] scales that out. Every node of
-//! the fleet is one simulated 2B-SSD hosting the WALs of the shards
-//! placed on it through a [`ShardWalHost`] (one pin-table slot per shard
-//! — PR 4's multi-tenant arbitration applied to shards), and every node
-//! is its own PDES time domain: the [`NetLink`] one-way delay is the
-//! conservative lookahead, exactly as in the single replica set.
+//! [`ReplicaSet`](crate::ReplicaSet) runs one replica set, chaos and all,
+//! on one calendar; [`Fleet`] runs many over clean links, each node its
+//! own PDES time domain. Every node of the fleet is one simulated 2B-SSD
+//! hosting the WALs of the shards placed on it through a [`ShardWalHost`]
+//! (one pin-table slot per shard — PR 4's multi-tenant arbitration applied
+//! to shards). The only way nodes interact is over [`NetLink`]s, so the
+//! link's one-way delay *is* the conservative lookahead: a record or ack
+//! put on the wire at `t` cannot arrive anywhere before `t + one_way`,
+//! which is the cross-shard send bound the executor enforces. A 1-shard
+//! fleet is a single replica set on per-node shards.
 //!
 //! On top of that device layer sit the three cluster mechanisms this
 //! module exists to prove:
@@ -54,18 +57,9 @@ use twob_sim::{
 };
 use twob_wal::{HostConfig, HostMode, LogRecord, Lsn, ShardWalHost, WalError};
 
-use crate::link::{NetLink, NetLinkConfig};
+use crate::link::{NetLink, NetLinkConfig, ACK_WIRE_BYTES, RECORD_WIRE_OVERHEAD, T0};
 use crate::placement::{splitmix64, ClusterMap, DomainLayout, PlacementKind};
 use crate::{CommitPolicy, ShipScheme};
-
-/// Start instant: past the initial slot pins.
-const T0: SimTime = SimTime::from_nanos(1_000_000);
-
-/// Ack / control message size on the wire.
-const ACK_WIRE_BYTES: u64 = 64;
-
-/// Per-record framing overhead on the wire.
-const RECORD_WIRE_OVERHEAD: u64 = 24;
 
 /// A planned live shard move.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -422,20 +416,33 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// Host construction/open failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a lossy link (the fleet has no retransmit path — chaos
-    /// here is power cuts), an rf the fleet cannot host, or a move whose
-    /// destination contains the original primary.
+    /// [`WalError::BadConfig`] for a lossy link (the fleet has no
+    /// retransmit path — chaos here is power cuts), an empty run, an `rf`
+    /// the fleet cannot host, or a move whose destination contains the
+    /// shard's original primary; host construction/open failures.
     pub fn new(cfg: FleetConfig) -> Result<Fleet, WalError> {
-        assert!(
-            cfg.link.drop_prob == 0.0 && cfg.link.dup_prob == 0.0,
-            "the fleet needs lossless links; packet chaos lives in ReplicaSet"
-        );
-        assert!(cfg.commits_per_shard > 0 && cfg.shards > 0, "empty run");
+        let bad = |msg: String| Err(WalError::BadConfig(msg));
+        if cfg.link.drop_prob != 0.0 || cfg.link.dup_prob != 0.0 {
+            return bad(
+                "the fleet has no retransmit path: drop_prob and dup_prob must be 0".into(),
+            );
+        }
+        if cfg.commits_per_shard == 0 || cfg.shards == 0 {
+            return bad("commits_per_shard and shards must be positive".into());
+        }
+        if cfg.rf == 0 || cfg.rf > cfg.nodes {
+            return bad(format!("rf {} does not fit {} nodes", cfg.rf, cfg.nodes));
+        }
         let map = ClusterMap::build(cfg.placement, cfg.shards, cfg.nodes, cfg.rf, cfg.layout);
+        for m in cfg.moves.iter().filter(|m| m.shard < cfg.shards) {
+            let primary = map.primary_of(m.shard);
+            if m.new_set.contains(&primary) {
+                return bad(format!(
+                    "move of shard {} keeps the fenced primary {primary}",
+                    m.shard
+                ));
+            }
+        }
         let host_cfg = HostConfig {
             mode: match cfg.scheme {
                 ShipScheme::Ba => HostMode::Ba,
@@ -460,12 +467,11 @@ impl Fleet {
                     continue;
                 }
                 let members = map.replicas_of(shard).to_vec();
-                let mv = cfg.moves.iter().find(|m| m.shard == shard).map(|m| {
-                    assert!(
-                        !m.new_set.contains(&id),
-                        "move of shard {shard} keeps the fenced primary {id}"
-                    );
-                    MoveState {
+                let mv = cfg
+                    .moves
+                    .iter()
+                    .find(|m| m.shard == shard)
+                    .map(|m| MoveState {
                         new_set: m.new_set.clone(),
                         at_release: m.at_release,
                         joiners: m
@@ -477,8 +483,7 @@ impl Fleet {
                         done: BTreeSet::new(),
                         triggered: false,
                         armed: false,
-                    }
-                });
+                    });
                 ledgers.insert(
                     shard,
                     Ledger {
@@ -645,7 +650,7 @@ impl Fleet {
                     drain(node, ctx, t, shard);
                 }
                 Ev::Ack { shard, lsn, from } => {
-                    on_ack(node, ctx, t, shard, lsn, from, policy, commits, read_every);
+                    on_ack(node, ctx, t, shard, lsn, from, commits, read_every);
                 }
                 Ev::CatchupDone { shard, from } => {
                     let Some(led) = node.ledgers.get_mut(&shard) else {
@@ -1123,7 +1128,6 @@ fn on_ack(
     shard: u16,
     lsn: u64,
     from: usize,
-    policy: CommitPolicy,
     commits: u64,
     read_every: u64,
 ) {
@@ -1244,7 +1248,6 @@ fn on_ack(
             },
         );
     }
-    let _ = policy;
 }
 
 /// The atomic handoff: fence the local slot at the frontier and transfer
@@ -1310,6 +1313,151 @@ mod tests {
         assert_eq!(lock.shard_digests, seq.shard_digests);
         assert_eq!(lock.released, seq.released);
         assert_eq!(lock.clamped_posts, 0);
+    }
+
+    /// One replica set on per-node shards: a single shard replicated on
+    /// every node of a 4-node fleet, released at 2 of 3 follower acks.
+    fn one_set_cfg() -> FleetConfig {
+        FleetConfig {
+            nodes: 4,
+            shards: 1,
+            rf: 4,
+            policy: CommitPolicy::SemiSync(2),
+            commits_per_shard: 72,
+            read_every: 0,
+            ..FleetConfig::default()
+        }
+    }
+
+    fn rtt_us(cfg: &FleetConfig) -> f64 {
+        cfg.link.one_way.as_micros_f64() * 2.0
+    }
+
+    #[test]
+    fn quorum_release_waits_at_least_one_rtt() {
+        let report = Fleet::new(one_set_cfg()).unwrap().run();
+        assert!(report.passed(), "{:?}", report.violations);
+        assert_eq!(report.released, 72);
+        assert!(
+            report.commit_p50_us >= rtt_us(&one_set_cfg()),
+            "quorum release ({} us) beat the network round trip ({} us)",
+            report.commit_p50_us,
+            rtt_us(&one_set_cfg())
+        );
+    }
+
+    #[test]
+    fn replica_wal_appends_are_priced_by_their_own_devices() {
+        // With one follower whose ack is required, the release path is
+        // exactly primary append → ship → follower append → ack. On a
+        // jitter-free link that is the round trip plus the primary's own
+        // durability cost (what `Async` releases at) plus whatever the
+        // follower's device charges for its append — which must not be free.
+        let solo = |policy| FleetConfig {
+            nodes: 2,
+            rf: 2,
+            policy,
+            commits_per_shard: 12,
+            link: NetLinkConfig {
+                jitter_ns: 0,
+                ..NetLinkConfig::default()
+            },
+            ..one_set_cfg()
+        };
+        let local = Fleet::new(solo(CommitPolicy::Async)).unwrap().run();
+        let quorum = Fleet::new(solo(CommitPolicy::SemiSync(1))).unwrap().run();
+        assert!(local.passed() && quorum.passed());
+        let cfg = solo(CommitPolicy::Async);
+        let wire_bytes = cfg.payload_bytes as u64 + RECORD_WIRE_OVERHEAD + ACK_WIRE_BYTES;
+        let wire_us = rtt_us(&cfg) + wire_bytes as f64 / cfg.link.bytes_per_sec * 1e6;
+        assert!(
+            quorum.commit_p50_us > wire_us + local.commit_p50_us,
+            "release latency {} us leaves no room for the follower's append \
+             (wire {wire_us} us + primary {} us)",
+            quorum.commit_p50_us,
+            local.commit_p50_us
+        );
+    }
+
+    #[test]
+    fn deterministic_across_identical_builds() {
+        let a = Fleet::new(one_set_cfg()).unwrap().run();
+        let b = Fleet::new(one_set_cfg()).unwrap().run();
+        assert_eq!(a, b);
+    }
+
+    /// Every config `Fleet::new` cannot run is an error, not a panic.
+    fn bad_config(cfg: FleetConfig) -> String {
+        match Fleet::new(cfg) {
+            Err(WalError::BadConfig(msg)) => msg,
+            Err(other) => panic!("expected BadConfig, got {other}"),
+            Ok(_) => panic!("expected BadConfig, got a fleet"),
+        }
+    }
+
+    #[test]
+    fn lossy_link_is_a_bad_config() {
+        for link in [
+            NetLinkConfig {
+                drop_prob: 0.1,
+                ..NetLinkConfig::default()
+            },
+            NetLinkConfig {
+                dup_prob: 0.1,
+                ..NetLinkConfig::default()
+            },
+        ] {
+            let msg = bad_config(FleetConfig { link, ..base_cfg() });
+            assert!(msg.contains("drop_prob"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn empty_run_is_a_bad_config() {
+        for cfg in [
+            FleetConfig {
+                commits_per_shard: 0,
+                ..base_cfg()
+            },
+            FleetConfig {
+                shards: 0,
+                ..base_cfg()
+            },
+        ] {
+            assert!(bad_config(cfg).contains("must be positive"));
+        }
+    }
+
+    #[test]
+    fn rf_that_does_not_fit_the_fleet_is_a_bad_config() {
+        for (nodes, rf) in [(2, 3), (9, 0), (0, 0)] {
+            let msg = bad_config(FleetConfig {
+                nodes,
+                rf,
+                ..base_cfg()
+            });
+            assert_eq!(msg, format!("rf {rf} does not fit {nodes} nodes"));
+        }
+    }
+
+    #[test]
+    fn move_that_keeps_the_fenced_primary_is_a_bad_config() {
+        let mut cfg = base_cfg();
+        let old_set = Fleet::new(cfg.clone())
+            .unwrap()
+            .map()
+            .replicas_of(1)
+            .to_vec();
+        cfg.moves = vec![ShardMove {
+            shard: 1,
+            at_release: 2,
+            new_set: old_set.clone(),
+        }];
+        let msg = bad_config(cfg);
+        assert_eq!(
+            msg,
+            format!("move of shard 1 keeps the fenced primary {}", old_set[0])
+        );
     }
 
     #[test]

@@ -24,6 +24,12 @@
 //! failures, no acknowledged transaction is lost and all survivors converge
 //! to byte-identical engine state.
 //!
+//! A [`Fleet`] is the second engine: many replica sets on a fleet of nodes,
+//! every node its own PDES time domain, with failure-domain placement,
+//! live shard moves and correlated power cuts over clean links (a 1-shard
+//! fleet is a single replica set on per-node shards). `DESIGN.md` §9
+//! records why the two are not one.
+//!
 //! # Example
 //!
 //! ```rust
@@ -42,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cluster;
 mod config;
 mod failover;
 mod fleet;
@@ -50,7 +55,6 @@ mod link;
 mod placement;
 mod set;
 
-pub use cluster::{ClusterConfig, ClusterReport, ShardedReplCluster};
 pub use config::{CommitPolicy, ReplConfig, ShipScheme};
 pub use failover::{failover_sweep, run_failover, FailoverReport, ReplSweepReport};
 pub use fleet::{

@@ -34,21 +34,14 @@ use twob_wal::{
 };
 
 use crate::config::ReplConfig;
-use crate::link::NetLink;
+use crate::link::{NetLink, ACK_WIRE_BYTES, RECORD_WIRE_OVERHEAD, T0};
 use crate::ShipScheme;
-
-/// Start instant: past the BA-WAL's initial pins (matches the faults
-/// harness, so golden re-runs line up).
-pub(crate) const T0: SimTime = SimTime::from_nanos(1_000_000);
 
 /// Time a restarted node gets before recovery reads begin.
 pub(crate) const RESTART_DELAY: SimDuration = SimDuration::from_millis(5);
 
-/// Fixed framing overhead per shipped record (lsn + length + crc on the
-/// wire) and per batch/ack message, for serialization-time accounting.
-const RECORD_WIRE_OVERHEAD: u64 = 24;
+/// Fixed framing overhead per ship batch on the wire.
 const BATCH_WIRE_HEADER: u64 = 32;
-const ACK_WIRE_BYTES: u64 = 64;
 
 /// Retransmit timers fire at this many one-way latencies (4 RTT)...
 const RETX_ONE_WAYS: f64 = 8.0;

@@ -6,10 +6,10 @@
 //! - [`WheelQueue`](crate::WheelQueue): the default — a calendar queue with
 //!   slab-allocated event payloads, lazily sorted buckets, and batched
 //!   same-instant dispatch. This is the fast path every simulation runs on.
-//! - [`HeapQueue`]: the original binary-heap calendar, kept as the
-//!   differential-testing *oracle*: a test or bench that suspects the
-//!   kernel names it at the call site (`Executor<E, HeapQueue<E>>`) and
-//!   compares against the default.
+//! - [`HeapQueue`]: the original binary-heap calendar, kept in the hidden
+//!   [`oracle`](crate::oracle) module as the differential-testing
+//!   reference: a test that suspects the kernel names it at the call site
+//!   (`Executor<E, HeapQueue<E>>`) and compares against the default.
 //!
 //! Both calendars order events by `(time, insertion sequence)`, so events
 //! posted for the same instant fire in FIFO order. This makes every run of a
@@ -32,10 +32,10 @@
 //! assert_eq!(order, vec![(5, "early"), (10, "late")]);
 //! ```
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 
+#[cfg(doc)]
+use crate::oracle::HeapQueue;
 use crate::wheel::WheelQueue;
 use crate::SimTime;
 
@@ -66,113 +66,6 @@ pub trait Calendar<E>: Default {
 /// the calendar-queue [`WheelQueue`](crate::WheelQueue).
 pub type EventQueue<E> = WheelQueue<E>;
 
-/// One pending event: fires at `at`, FIFO among events at the same instant.
-#[derive(Debug, Clone)]
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // `BinaryHeap` is a max-heap; reverse so the earliest (time, seq)
-        // pops first. The sequence number breaks time ties FIFO.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// The original binary-heap calendar, retained as the differential-testing
-/// oracle for [`WheelQueue`](crate::WheelQueue).
-///
-/// Events for the same instant pop in the order they were pushed, which is
-/// what makes simulations built on the calendar deterministic.
-#[derive(Debug, Clone)]
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-}
-
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        HeapQueue::new()
-    }
-}
-
-impl<E> HeapQueue<E> {
-    /// Creates an empty calendar.
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Schedules `event` to fire at `at`.
-    pub fn push(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
-    }
-
-    /// Removes and returns the earliest event, FIFO among ties.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.at, e.event))
-    }
-
-    /// The firing time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total events ever pushed (the next tie-breaking sequence number).
-    pub fn pushed(&self) -> u64 {
-        self.next_seq
-    }
-}
-
-impl<E> Calendar<E> for HeapQueue<E> {
-    fn push(&mut self, at: SimTime, event: E) {
-        HeapQueue::push(self, at, event);
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        HeapQueue::pop(self)
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        HeapQueue::peek_time(self)
-    }
-    fn len(&self) -> usize {
-        HeapQueue::len(self)
-    }
-    fn pushed(&self) -> u64 {
-        HeapQueue::pushed(self)
-    }
-}
-
 /// Drains a [`Calendar`] in time order, tracking the current virtual
 /// instant and letting handlers post follow-up events.
 ///
@@ -180,8 +73,7 @@ impl<E> Calendar<E> for HeapQueue<E> {
 /// [`Executor::post`] to chain further events; posting "into the past" is
 /// clamped to the current instant so time never runs backwards. Every such
 /// clamp is counted — a clamp usually means a scheduling bug upstream, so
-/// sweeps assert [`Executor::clamped_posts`] stays zero (see the
-/// `sim_throughput` bench).
+/// sweeps assert [`Executor::clamped_posts`] stays zero.
 ///
 /// The second type parameter selects the calendar; it defaults to
 /// [`EventQueue`], so `Executor<MyEvent>` is the production kernel and
@@ -327,6 +219,7 @@ impl<E, Q: Calendar<E>> Executor<E, Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::HeapQueue;
     use crate::SimDuration;
 
     #[test]

@@ -10,17 +10,16 @@
 //! - [`EventQueue`] / [`Executor`]: the discrete-event kernel — a calendar
 //!   queue ([`WheelQueue`]) with slab event storage, keyed by `SimTime` with
 //!   FIFO tie-breaking by insertion sequence, and an executor that drains it
-//!   deterministically. The original binary-heap calendar survives as
-//!   [`HeapQueue`], the differential-testing oracle, named explicitly
-//!   wherever a test or bench compares the two.
+//!   deterministically. The original binary-heap calendar survives only
+//!   in the hidden `oracle` module, for the differential tests to name.
 //! - [`ShardedExecutor`]: conservative parallel discrete-event execution
 //!   across sharded time domains (dies, channels, replica nodes) with
 //!   byte-identical sequential/parallel firing order.
 //! - [`Server`] / [`MultiServer`]: FIFO queuing resources (NAND channels,
 //!   firmware cores, the PCIe link). An operation arriving at `t` with
 //!   service time `s` completes at `max(t, free_at) + s`, computed in closed
-//!   form on the hot path and pinned against the event-driven oracle
-//!   ([`Server::schedule_via_events`]) by proptests.
+//!   form on the hot path and pinned against the event-driven reference
+//!   (also in `oracle`) by proptests.
 //! - [`Histogram`] / [`RunningStats`]: latency/throughput statistics with
 //!   percentiles.
 //! - [`SimRng`] and [`Zipfian`]: seeded, reproducible randomness for
@@ -47,6 +46,8 @@
 mod clock;
 mod crc;
 mod event;
+#[doc(hidden)]
+pub mod oracle;
 mod resource;
 mod rng;
 mod shard;
@@ -58,7 +59,7 @@ mod wheel;
 
 pub use clock::Clock;
 pub use crc::{crc32, crc32_update, fnv1a64, fnv1a64_update, mix, mix_bytes, FNV_BASIS};
-pub use event::{Calendar, EventQueue, Executor, HeapQueue};
+pub use event::{Calendar, EventQueue, Executor};
 pub use resource::{MultiServer, ScheduledSpan, Server};
 pub use rng::{SimRng, Zipfian};
 pub use shard::{ShardCtx, ShardedExecutor};

@@ -4,13 +4,14 @@
 //! closed form — `start = max(arrival, free_at)`, `end = start + service` —
 //! with zero allocation. An earlier kernel iteration played every call out
 //! as a two-event chain on a freshly allocated calendar; that implementation
-//! survives as [`Server::schedule_via_events`], the oracle a proptest in
+//! survives as [`schedule_via_events`], the reference a proptest in
 //! `tests/props.rs` pins the closed form against byte-for-byte (the event
 //! kernel breaks time ties FIFO by insertion sequence, so the two agree on
 //! every schedule).
 
-use crate::event::HeapQueue;
-use crate::{Executor, SimDuration, SimTime};
+#[cfg(doc)]
+use crate::oracle::schedule_via_events;
+use crate::{SimDuration, SimTime};
 
 /// The span during which a scheduled operation occupied a resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,8 +87,8 @@ impl Server {
     /// the server is busy until `service` later. An arrival in the past
     /// (before the server's current `free_at`) is therefore clamped forward
     /// — it queues like any other request, and `busy_intervals` stays
-    /// sorted. [`Server::schedule_via_events`] is the event-driven oracle
-    /// this is proptest-pinned against.
+    /// sorted. [`schedule_via_events`] is the event-driven reference this
+    /// is proptest-pinned against.
     pub fn schedule(&mut self, arrival: SimTime, service: SimDuration) -> ScheduledSpan {
         let start = arrival.max(self.free_at);
         let end = start + service;
@@ -95,38 +96,9 @@ impl Server {
         ScheduledSpan { start, end }
     }
 
-    /// The legacy event-driven implementation of [`Server::schedule`]: the
-    /// arrival and completion play out as a two-event chain on a freshly
-    /// allocated binary-heap calendar. Kept as the differential-testing
-    /// oracle — byte-equivalent to the closed form, and the "before" side of
-    /// the `sim_throughput` bench's kernel comparison.
-    pub fn schedule_via_events(&mut self, arrival: SimTime, service: SimDuration) -> ScheduledSpan {
-        enum Ev {
-            Arrive(SimDuration),
-            Complete { start: SimTime },
-        }
-        let free_at = self.free_at;
-        let mut exec: Executor<Ev, HeapQueue<Ev>> = Executor::with_calendar();
-        exec.post(arrival, Ev::Arrive(service));
-        let mut span = None;
-        exec.run(|ex, t, ev| match ev {
-            Ev::Arrive(service) => {
-                // Service begins once both the request and the server are
-                // ready; the completion is a chained calendar event.
-                let start = t.max(free_at);
-                ex.post(start + service, Ev::Complete { start });
-            }
-            Ev::Complete { start } => span = Some(ScheduledSpan { start, end: t }),
-        });
-        let ScheduledSpan { start, end } =
-            span.expect("the arrival event always chains a completion");
-        self.commit_span(start, end, service);
-        ScheduledSpan { start, end }
-    }
-
     /// Books a computed span into the busy-time accounting shared by the
     /// closed-form path and the event-driven oracle.
-    fn commit_span(&mut self, start: SimTime, end: SimTime, service: SimDuration) {
+    pub(crate) fn commit_span(&mut self, start: SimTime, end: SimTime, service: SimDuration) {
         self.free_at = end;
         self.busy_total += service;
         self.served += 1;

@@ -62,8 +62,8 @@
 //! its worker count to the host's available parallelism (extra threads on
 //! a saturated host add context switches but no concurrency, and change
 //! nothing observable), so the same binary is bit-reproducible from a
-//! single-core CI runner to a many-core workstation. Tests below, the
-//! differential proptests, and the `sim_throughput` bench pin this.
+//! single-core CI runner to a many-core workstation. Tests below and the
+//! differential proptests pin this.
 //!
 //! # Example
 //!
@@ -424,8 +424,8 @@ impl<E> ShardedExecutor<E> {
     ///
     /// This is the fine-grained baseline schedule (PR 6 semantics), kept —
     /// like the `HeapQueue` kernel oracle — for differential testing and
-    /// as the `sharded-seq` benchmark baseline the adaptive engine is
-    /// measured against. On tie-free workloads (no two causally unrelated
+    /// as the baseline `sim.shard_adaptive_speedup` measures the adaptive
+    /// engine against. On tie-free workloads (no two causally unrelated
     /// events at the same instant on one shard) its firing sequence equals
     /// the adaptive schedule's; the sharded proptests pin this.
     ///

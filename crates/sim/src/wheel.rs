@@ -35,7 +35,7 @@ use crate::SimTime;
 
 use crate::event::Calendar;
 #[cfg(doc)]
-use crate::event::HeapQueue;
+use crate::oracle::HeapQueue;
 
 /// Number of buckets in the near-future window. A power of two keeps the
 /// reseed arithmetic cheap; 256 buckets keep per-bucket sorts small across

@@ -8,9 +8,8 @@
 //! `run_until` boundary logic.
 
 use proptest::prelude::*;
-use twob_sim::{
-    Calendar, Executor, HeapQueue, ShardCtx, ShardedExecutor, SimDuration, SimTime, WheelQueue,
-};
+use twob_sim::oracle::HeapQueue;
+use twob_sim::{Calendar, Executor, ShardCtx, ShardedExecutor, SimDuration, SimTime, WheelQueue};
 
 /// Drives one random event program through an executor backed by `Q` and
 /// returns the full `(time, tag)` firing sequence plus the kernel counters.

@@ -1,6 +1,7 @@
 //! Property-based tests of the simulation kernel's invariants.
 
 use proptest::prelude::*;
+use twob_sim::oracle::schedule_via_events;
 use twob_sim::{crc32, Histogram, MultiServer, Server, SimDuration, SimRng, SimTime, Zipfian};
 
 proptest! {
@@ -60,7 +61,7 @@ proptest! {
             let arrival = SimTime::from_nanos(arrival);
             let service = SimDuration::from_nanos(service);
             let a = fast.schedule(arrival, service);
-            let b = oracle.schedule_via_events(arrival, service);
+            let b = schedule_via_events(&mut oracle, arrival, service);
             prop_assert_eq!(a, b);
             prop_assert_eq!(fast.free_at(), oracle.free_at());
             prop_assert_eq!(fast.busy_total(), oracle.busy_total());
