@@ -1,14 +1,11 @@
 //! Fig 10 — hybrid store (2B-SSD) versus heterogeneous memory (PM + SSD).
 
 use serde::{Deserialize, Serialize};
-use twob_db::{EngineCosts, MiniPg};
-use twob_sim::{SimRng, SimTime};
 use twob_ssd::{Ssd, SsdConfig};
 use twob_wal::{PmWal, WalConfig, WalWriter};
-use twob_workloads::{ClientPool, LinkbenchConfig, LinkbenchWorkload};
+use twob_workloads::EngineKind;
 
-use crate::fig9::{make_wal, BaLayout, LogKind};
-
+use crate::fig9::{make_wal, throughput, BaLayout, LogKind};
 use crate::Table;
 
 /// Normalized Linkbench throughput of the four Fig 10 configurations.
@@ -30,44 +27,14 @@ fn pm_wal(cfg: SsdConfig) -> Box<dyn WalWriter> {
     Box::new(PmWal::new(Ssd::new(cfg.small()), WalConfig::default(), 8).expect("pm wal"))
 }
 
-fn run_pg(wal: Box<dyn WalWriter>, txns: u64, clients: usize, seed: u64) -> f64 {
-    let mut pg = MiniPg::new(wal, EngineCosts::postgres());
-    let mut rng = SimRng::seed_from(seed);
-    let mut wl = LinkbenchWorkload::new(LinkbenchConfig::standard(500));
-    let mut t = SimTime::ZERO;
-    for txn in wl.load_phase(&mut rng, 2) {
-        t = pg.run_txn(t, &txn).expect("load").commit_at;
-    }
-    let start = t;
-    let mut pool = ClientPool::starting_at(clients, start);
-    for _ in 0..txns {
-        let (client, at) = pool.next_client();
-        let txn = wl.next_txn(&mut rng);
-        let out = pg.run_txn(at, &txn).expect("txn");
-        pool.complete(client, out.commit_at);
-    }
-    txns as f64 / pool.makespan().saturating_since(start).as_secs_f64()
-}
-
 /// Regenerates Fig 10. `quick` runs a reduced transaction count.
 pub fn run(quick: bool) -> Fig10Report {
     let txns = if quick { 4_000 } else { 20_000 };
-    let clients = 8;
-    let seed = 45;
-    let baseline = run_pg(
-        make_wal(LogKind::TwoB, BaLayout::Halves),
-        txns,
-        clients,
-        seed,
-    );
-    let pm_dc = run_pg(pm_wal(SsdConfig::dc_ssd()), txns, clients, seed);
-    let pm_ull = run_pg(pm_wal(SsdConfig::ull_ssd()), txns, clients, seed);
-    let async_max = run_pg(
-        make_wal(LogKind::Async, BaLayout::Halves),
-        txns,
-        clients,
-        seed,
-    );
+    let run_pg = |wal| throughput(EngineKind::Pg, wal, 0, txns, 45);
+    let baseline = run_pg(make_wal(LogKind::TwoB, BaLayout::Halves));
+    let pm_dc = run_pg(pm_wal(SsdConfig::dc_ssd()));
+    let pm_ull = run_pg(pm_wal(SsdConfig::ull_ssd()));
+    let async_max = run_pg(make_wal(LogKind::Async, BaLayout::Halves));
     Fig10Report {
         baseline_tps: baseline,
         pm_dc: pm_dc / baseline,

@@ -2,13 +2,10 @@
 
 use serde::{Deserialize, Serialize};
 use twob_core::TwoBSsd;
-use twob_db::{EngineCosts, MiniPg, MiniRedis, MiniRocks};
-use twob_sim::{SimRng, SimTime};
+use twob_sim::SimRng;
 use twob_ssd::{Ssd, SsdConfig};
 use twob_wal::{BaWal, BlockWal, CommitMode, WalConfig, WalWriter};
-use twob_workloads::{
-    ClientPool, LinkbenchConfig, LinkbenchWorkload, YcsbConfig, YcsbOp, YcsbWorkload,
-};
+use twob_workloads::{EngineKind, EngineSession};
 
 use crate::Table;
 
@@ -118,68 +115,35 @@ pub fn make_wal(kind: LogKind, layout: BaLayout) -> Box<dyn WalWriter> {
     }
 }
 
-/// Throughput (txns/s) of the PostgreSQL-style engine running the
-/// Linkbench-like mix.
-pub fn pg_linkbench(kind: LogKind, txns: u64, clients: usize, seed: u64) -> f64 {
-    let mut pg = MiniPg::new(make_wal(kind, BaLayout::Halves), EngineCosts::postgres());
-    let mut rng = SimRng::seed_from(seed);
-    let mut wl = LinkbenchWorkload::new(LinkbenchConfig::standard(500));
-    let mut t = SimTime::ZERO;
-    for txn in wl.load_phase(&mut rng, 2) {
-        t = pg.run_txn(t, &txn).expect("load").commit_at;
+/// The BA-WAL buffering the paper gives each engine (§IV-B).
+fn layout(engine: EngineKind) -> BaLayout {
+    match engine {
+        EngineKind::Pg => BaLayout::Halves,
+        EngineKind::Rocks => BaLayout::Quarters,
+        EngineKind::Redis => BaLayout::SingleWhole,
     }
-    let start = t;
-    let mut pool = ClientPool::starting_at(clients, start);
-    for _ in 0..txns {
-        let (client, at) = pool.next_client();
-        let txn = wl.next_txn(&mut rng);
-        let out = pg.run_txn(at, &txn).expect("txn");
-        pool.complete(client, out.commit_at);
-    }
-    txns as f64 / pool.makespan().saturating_since(start).as_secs_f64()
 }
 
-/// Throughput (ops/s) of the RocksDB-style engine under YCSB-A with the
-/// given payload size.
-pub fn rocks_ycsb(kind: LogKind, payload: usize, ops: u64, clients: usize, seed: u64) -> f64 {
-    let mut db = MiniRocks::new(make_wal(kind, BaLayout::Quarters), EngineCosts::rocksdb());
-    let mut rng = SimRng::seed_from(seed);
-    let mut wl = YcsbWorkload::new(YcsbConfig::workload_a(500, payload));
-    let mut t = SimTime::ZERO;
-    for (key, value) in wl.load_phase(&mut rng) {
-        t = db.put(t, key, value).expect("load").commit_at;
-    }
-    let start = t;
-    let mut pool = ClientPool::starting_at(clients, start);
-    for _ in 0..ops {
-        let (client, at) = pool.next_client();
-        let done = match wl.next_op(&mut rng) {
-            YcsbOp::Read { key } => db.get(at, &key).0,
-            YcsbOp::Update { key, value } => db.put(at, key, value).expect("put").commit_at,
-        };
-        pool.complete(client, done);
-    }
-    ops as f64 / pool.makespan().saturating_since(start).as_secs_f64()
-}
-
-/// Throughput (ops/s) of the Redis-style engine under YCSB-A. Redis is
-/// single-threaded, so there is exactly one client.
-pub fn redis_ycsb(kind: LogKind, payload: usize, ops: u64, seed: u64) -> f64 {
-    let mut db = MiniRedis::new(make_wal(kind, BaLayout::SingleWhole), EngineCosts::redis());
-    let mut rng = SimRng::seed_from(seed);
-    let mut wl = YcsbWorkload::new(YcsbConfig::workload_a(500, payload));
-    let mut t = SimTime::ZERO;
-    for (key, value) in wl.load_phase(&mut rng) {
-        t = db.set(t, key, value).expect("load").commit_at;
-    }
-    let start = t;
-    for _ in 0..ops {
-        t = match wl.next_op(&mut rng) {
-            YcsbOp::Read { key } => db.get(t, &key).0,
-            YcsbOp::Update { key, value } => db.set(t, key, value).expect("set").commit_at,
-        };
-    }
-    ops as f64 / t.saturating_since(start).as_secs_f64()
+/// Steady-state throughput (ops/s or txns/s) of `engine` over `wal` under
+/// the workload the paper pairs it with: a 500-key working set, 8
+/// closed-loop clients (Redis runs one), `ops` measured operations after
+/// the load phase. `payload` sizes the YCSB values; Linkbench carries its
+/// own and ignores it.
+///
+/// # Panics
+///
+/// Panics if the engine or its WAL fails — the presets here never do.
+pub fn throughput(
+    engine: EngineKind,
+    wal: Box<dyn WalWriter>,
+    payload: usize,
+    ops: u64,
+    seed: u64,
+) -> f64 {
+    EngineSession::new(engine, wal, 500, payload)
+        .run(&mut SimRng::seed_from(seed), 8, ops)
+        .expect("fig 9 run")
+        .ops_per_sec()
 }
 
 /// Throughput of the four log configurations for one engine/payload cell.
@@ -245,17 +209,20 @@ pub fn run(quick: bool) -> Fig9Report {
     } else {
         (20_000, 20_000, 10_000)
     };
-    let clients = 8;
-    let pg = series(|kind| pg_linkbench(kind, pg_txns, clients, 42));
-    let rocks = payload_sizes()
-        .into_iter()
-        .map(|p| (p, series(|kind| rocks_ycsb(kind, p, kv_ops, clients, 43))))
-        .collect();
-    let redis = payload_sizes()
-        .into_iter()
-        .map(|p| (p, series(|kind| redis_ycsb(kind, p, redis_ops, 44))))
-        .collect();
-    Fig9Report { pg, rocks, redis }
+    let cell = |engine, payload, ops, seed| {
+        series(|kind| throughput(engine, make_wal(kind, layout(engine)), payload, ops, seed))
+    };
+    let sweep = |engine, ops, seed| {
+        payload_sizes()
+            .into_iter()
+            .map(|p| (p, cell(engine, p, ops, seed)))
+            .collect()
+    };
+    Fig9Report {
+        pg: cell(EngineKind::Pg, 0, pg_txns, 42),
+        rocks: sweep(EngineKind::Rocks, kv_ops, 43),
+        redis: sweep(EngineKind::Redis, redis_ops, 44),
+    }
 }
 
 /// Renders every workload's series as one table.

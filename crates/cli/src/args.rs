@@ -31,6 +31,13 @@ pub enum ArgError {
         /// What was expected.
         expected: &'static str,
     },
+    /// A flag the subcommand does not take.
+    UnknownFlag {
+        /// Flag name.
+        flag: String,
+        /// The flags the subcommand takes, as usage text.
+        accepted: String,
+    },
 }
 
 impl std::fmt::Display for ArgError {
@@ -45,6 +52,9 @@ impl std::fmt::Display for ArgError {
                 value,
                 expected,
             } => write!(f, "--{flag} {value:?}: expected {expected}"),
+            ArgError::UnknownFlag { flag, accepted } => {
+                write!(f, "unknown flag --{flag} (accepted: {accepted})")
+            }
         }
     }
 }
@@ -116,6 +126,29 @@ impl Parsed {
     pub fn is_set(&self, key: &str) -> bool {
         self.flags.contains_key(key)
     }
+
+    /// Checks that every given flag is one of the space-separated
+    /// `accepted` names — a misspelt flag must not silently run the defaults.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::UnknownFlag`] naming the (alphabetically first) stray
+    /// flag and the accepted set.
+    pub fn reject_unknown_flags(&self, accepted: &str) -> Result<(), ArgError> {
+        let accepted: Vec<&str> = accepted.split_whitespace().collect();
+        let stray = |key: &&String| !accepted.contains(&key.as_str());
+        let Some(flag) = self.flags.keys().filter(stray).min() else {
+            return Ok(());
+        };
+        Err(ArgError::UnknownFlag {
+            flag: flag.clone(),
+            accepted: if accepted.is_empty() {
+                "none".into()
+            } else {
+                format!("--{}", accepted.join(", --"))
+            },
+        })
+    }
 }
 
 #[cfg(test)]
@@ -166,5 +199,21 @@ mod tests {
         );
         let p = parse(strs(&["x", "--n", "abc"])).unwrap();
         assert!(matches!(p.u64_or("n", 0), Err(ArgError::BadValue { .. })));
+    }
+
+    #[test]
+    fn unknown_flags_are_named_with_the_accepted_set() {
+        let p = parse(strs(&["serve", "--tenats", "2", "--json", "--aa"])).unwrap();
+        assert_eq!(p.reject_unknown_flags("tenats json aa"), Ok(()));
+        let err = p.reject_unknown_flags("tenants json").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown flag --aa (accepted: --tenants, --json)"
+        );
+        let err = p.reject_unknown_flags("").unwrap_err();
+        assert_eq!(err.to_string(), "unknown flag --aa (accepted: none)");
+        // A bare `--` is a flag with an empty name, never an accepted one.
+        let p = parse(strs(&["spec", "--"])).unwrap();
+        assert!(p.reject_unknown_flags("").is_err());
     }
 }

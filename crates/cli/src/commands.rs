@@ -84,39 +84,58 @@ subcommands:
     );
 }
 
+/// A subcommand: its name, the flags it takes (space-separated, without the
+/// `--`), and its handler.
+type Subcommand = (&'static str, &'static str, fn(&Parsed) -> CliResult);
+
+const SUBCOMMANDS: &[Subcommand] = &[
+    ("spec", "", spec),
+    ("devices", "", devices),
+    ("latency", "device op size trace", latency),
+    ("gc", "churn seed trace json", gc),
+    ("wal", "scheme commits payload", wal),
+    ("ycsb", "log ops payload qd", ycsb),
+    ("tenants", "n mix seed ops json", tenants),
+    ("serve", "tenants arrival rate slo-p99-us seed json", serve),
+    ("tier", "n qd mix seed ops json", tier),
+    (
+        "repl",
+        "replicas mode rtt-us engine ship seed commits plans json",
+        repl,
+    ),
+    (
+        "cluster",
+        "nodes shards placement rf mode ship commits seed plans json",
+        cluster,
+    ),
+    ("replay", "trace device", replay),
+    ("crash-demo", "", crash_demo),
+    ("faults", "cuts seed", faults),
+];
+
 /// Routes a parsed command line.
 ///
 /// # Errors
 ///
-/// Flag and simulation failures.
+/// An unknown subcommand, a flag the subcommand does not take, bad flag
+/// values, and simulation failures.
 pub fn dispatch(parsed: &Parsed) -> CliResult {
-    match parsed.command.as_str() {
-        "spec" => spec(),
-        "devices" => devices(),
-        "latency" => latency(parsed),
-        "gc" => gc(parsed),
-        "wal" => wal(parsed),
-        "ycsb" => ycsb(parsed),
-        "tenants" => tenants(parsed),
-        "serve" => serve(parsed),
-        "tier" => tier(parsed),
-        "repl" => repl(parsed),
-        "cluster" => cluster(parsed),
-        "replay" => replay(parsed),
-        "crash-demo" => crash_demo(),
-        "faults" => faults(parsed),
-        "help" | "--help" | "-h" => {
-            help();
-            Ok(())
-        }
-        other => {
-            help();
-            Err(format!("unknown subcommand {other:?}").into())
-        }
+    if matches!(parsed.command.as_str(), "help" | "--help" | "-h") {
+        help();
+        return Ok(());
     }
+    let Some((_, flags, run)) = SUBCOMMANDS
+        .iter()
+        .find(|(name, ..)| *name == parsed.command)
+    else {
+        help();
+        return Err(format!("unknown subcommand {:?}", parsed.command).into());
+    };
+    parsed.reject_unknown_flags(flags)?;
+    run(parsed)
 }
 
-fn spec() -> CliResult {
+fn spec(_: &Parsed) -> CliResult {
     for (k, v) in TwoBSpec::default().table_rows() {
         println!("{k:>40}  {v}");
     }
@@ -151,7 +170,7 @@ fn print_trace(events: &[twob_sim::TraceEvent], last: u64) {
     }
 }
 
-fn devices() -> CliResult {
+fn devices(_: &Parsed) -> CliResult {
     println!("profile   4K read (us)  4K write (us)  notes");
     for (name, cfg) in [
         ("DC-SSD", SsdConfig::dc_ssd()),
@@ -379,61 +398,27 @@ fn wal(parsed: &Parsed) -> CliResult {
 }
 
 fn ycsb(parsed: &Parsed) -> CliResult {
-    use twob_db::{EngineCosts, MiniRocks};
     use twob_sim::SimRng;
-    use twob_workloads::{ClientPool, ServiceDriver, YcsbConfig, YcsbOp, YcsbWorkload};
+    use twob_workloads::{EngineKind, EngineSession};
 
     let log = parsed.str_or("log", "twob");
     let ops = parsed.u64_or("ops", 10_000)?;
     let payload = parsed.u64_or("payload", 256)? as usize;
     let qd = parsed.u64_or("qd", 1)? as usize;
-    if qd == 0 {
-        return Err("--qd must be at least 1".into());
+    if !(1..=1024).contains(&qd) {
+        return Err("--qd must be between 1 and 1024".into());
     }
-    let mut db = MiniRocks::new(make_wal(&log)?, EngineCosts::rocksdb());
-    let mut rng = SimRng::seed_from(7);
-    let mut wl = YcsbWorkload::new(YcsbConfig::workload_a(500, payload));
-    let mut t = SimTime::ZERO;
-    for (key, value) in wl.load_phase(&mut rng) {
-        t = db.put(t, key, value)?.commit_at;
-    }
-    let start = t;
-    println!("engine:      MiniRocks ({})", db.scheme());
-    if qd == 1 {
-        // Lock-step clients: one op in flight per client at a time.
-        let mut pool = ClientPool::starting_at(8, start);
-        for _ in 0..ops {
-            let (client, at) = pool.next_client();
-            let done = match wl.next_op(&mut rng) {
-                YcsbOp::Read { key } => db.get(at, &key).0,
-                YcsbOp::Update { key, value } => db.put(at, key, value)?.commit_at,
-            };
-            pool.complete(client, done);
-        }
-        let tput = ops as f64 / pool.makespan().saturating_since(start).as_secs_f64();
-        println!("workload:    YCSB-A, {payload} B values, 8 clients, {ops} ops");
-        println!("throughput:  {tput:.0} ops/s");
+    let mut db = EngineSession::new(EngineKind::Rocks, make_wal(&log)?, 500, payload);
+    println!("engine:      MiniRocks ({})", db.wal_scheme());
+    // 8 clients that each keep `qd` operations in flight are 8 x qd slots.
+    let pool = db.run(&mut SimRng::seed_from(7), 8 * qd, ops)?;
+    let depth = if qd == 1 {
+        String::new()
     } else {
-        // Closed loop: each client keeps `qd` ops outstanding on the
-        // event calendar.
-        let mut failure = None;
-        let report =
-            ServiceDriver::run_slots(8, qd, start, ops, |_, at| match wl.next_op(&mut rng) {
-                YcsbOp::Read { key } => db.get(at, &key).0,
-                YcsbOp::Update { key, value } => match db.put(at, key, value) {
-                    Ok(out) => out.commit_at,
-                    Err(e) => {
-                        failure.get_or_insert(e);
-                        at
-                    }
-                },
-            });
-        if let Some(e) = failure {
-            return Err(e.into());
-        }
-        println!("workload:    YCSB-A, {payload} B values, 8 clients x QD {qd}, {ops} ops");
-        println!("throughput:  {:.0} ops/s", report.ops_per_sec());
-    }
+        format!(" x QD {qd}")
+    };
+    println!("workload:    YCSB-A, {payload} B values, 8 clients{depth}, {ops} ops");
+    println!("throughput:  {:.0} ops/s", pool.ops_per_sec());
     println!("log WAF:     {:.1}", db.wal_stats().log_waf());
     Ok(())
 }
@@ -781,11 +766,7 @@ fn repl(parsed: &Parsed) -> CliResult {
     let ship = parsed.str_or("ship", "ba");
     let scheme = ShipScheme::parse(&ship)
         .ok_or_else(|| format!("--ship must be ba or block, not {ship:?}"))?;
-    let engine = match twob_workloads::EngineKind::parse(&parsed.str_or("engine", "rocks"))? {
-        twob_workloads::EngineKind::Pg => twob_faults::EngineKind::Pg,
-        twob_workloads::EngineKind::Rocks => twob_faults::EngineKind::Rocks,
-        twob_workloads::EngineKind::Redis => twob_faults::EngineKind::Redis,
-    };
+    let engine = twob_db::EngineKind::parse(&parsed.str_or("engine", "rocks"))?;
     let seed = parsed.u64_or("seed", 42)?;
     let commits = parsed.u64_or("commits", 60)?;
     if commits == 0 {
@@ -1063,7 +1044,7 @@ fn replay(parsed: &Parsed) -> CliResult {
     Ok(())
 }
 
-fn crash_demo() -> CliResult {
+fn crash_demo(_: &Parsed) -> CliResult {
     let mut dev = TwoBSsd::small_for_tests();
     let pin = dev.ba_pin(SimTime::ZERO, EntryId(0), 0, Lba(0), 1)?;
     let store = dev.mmio_write(pin.complete_at, EntryId(0), 0, b"unsynced")?;
@@ -1288,6 +1269,16 @@ mod tests {
         assert!(run(&["latency", "--op", "erase"]).is_err());
         assert!(run(&["wal", "--scheme", "carrier-pigeon"]).is_err());
         assert!(run(&["ycsb", "--ops", "10", "--qd", "0"]).is_err());
+        assert!(run(&["ycsb", "--ops", "10", "--qd", "1025"]).is_err());
+        // A flag the subcommand does not take would silently run the
+        // defaults: refuse it and say what is accepted.
+        let typo = run(&["serve", "--tenats", "2", "--json"]).unwrap_err();
+        assert!(typo.to_string().contains("--tenats"), "{typo}");
+        assert!(typo.to_string().contains("--tenants"), "{typo}");
+        assert!(run(&["repl", "--plan", "54"]).is_err());
+        assert!(run(&["ycsb", "--ops", "10", "--clients", "4"]).is_err());
+        assert!(run(&["faults", "sweep", "--cuts", "9", "--json"]).is_err());
+        assert!(run(&["spec", "--json"]).is_err());
         assert!(run(&["replay"]).is_err());
         assert!(run(&["gc", "--churn", "0"]).is_err());
         assert!(run(&["tenants", "--n", "0"]).is_err());

@@ -18,6 +18,8 @@
 //! Each engine takes any [`WalWriter`], so the same workload runs over
 //! conventional block WAL on DC-SSD/ULL-SSD (sync or async), BA-WAL on the
 //! 2B-SSD, or PM-buffered WAL — the exact grid of Figs 9 and 10.
+//! [`EngineKind`] names the three (labels, flag parsing, cost preset); the
+//! workload, fault and replication layers all use this one enum.
 //!
 //! # Example
 //!
@@ -43,6 +45,7 @@
 
 mod costs;
 mod error;
+mod kind;
 mod kvcodec;
 mod minipg;
 mod miniredis;
@@ -50,6 +53,7 @@ mod minirocks;
 
 pub use costs::EngineCosts;
 pub use error::DbError;
+pub use kind::EngineKind;
 pub use minipg::{MiniPg, PgOp, PgSnapshot, TxnOutcome};
 pub use miniredis::MiniRedis;
 pub use minirocks::MiniRocks;

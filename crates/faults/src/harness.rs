@@ -6,7 +6,7 @@ use std::fmt;
 
 use twob_core::TwoBSpec;
 use twob_core::TwoBSsd;
-use twob_db::{DbError, EngineCosts, MiniPg, MiniRedis, MiniRocks, PgOp, TxnOutcome};
+use twob_db::{DbError, EngineCosts, EngineKind, MiniPg, MiniRedis, MiniRocks, PgOp, TxnOutcome};
 use twob_nand::{BitErrorModel, EccConfig};
 use twob_sim::{SimDuration, SimRng, SimTime};
 use twob_ssd::{ErrorInjection, Ssd, SsdConfig};
@@ -14,32 +14,6 @@ use twob_wal::{replay, BaWal, BlockWal, CommitMode, LogRecord, Lsn, WalConfig, W
 
 use crate::device::{FaultyLogDevice, FlushFaults, SharedWal};
 use crate::plan::FaultPlan;
-
-/// Which mini database engine a schedule drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EngineKind {
-    /// MiniPg: relational transactions over the XLOG.
-    Pg,
-    /// MiniRocks: an LSM memtable over the WAL.
-    Rocks,
-    /// MiniRedis: a dictionary over the AOF.
-    Redis,
-}
-
-impl EngineKind {
-    /// Every engine, in sweep order.
-    pub const ALL: [EngineKind; 3] = [EngineKind::Pg, EngineKind::Rocks, EngineKind::Redis];
-}
-
-impl fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineKind::Pg => write!(f, "minipg"),
-            EngineKind::Rocks => write!(f, "minirocks"),
-            EngineKind::Redis => write!(f, "miniredis"),
-        }
-    }
-}
 
 /// Which commit scheme backs the engine's WAL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

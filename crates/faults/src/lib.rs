@@ -24,6 +24,11 @@
 //! [`sweep`] scales this to hundreds of schedules across every engine ×
 //! scheme combination, reproducible from a single `(count, seed)` pair —
 //! also exposed as `twob faults sweep --cuts N --seed S` on the CLI.
+//!
+//! [`EngineKind`] is `twob_db`'s, re-exported. [`Engine`] and [`Workload`]
+//! are this crate's own: an index-addressed, write-only commit stream (LSN
+//! *n* is stream index *n*), which is what recovery checks need and not
+//! what the closed-loop `twob_workloads::EngineSession` provides.
 
 #![warn(missing_docs)]
 
@@ -33,10 +38,11 @@ mod plan;
 
 pub use device::{FaultyLogDevice, FlushFaults, SharedWal};
 pub use harness::{
-    check_log_prefix, run_schedule, sweep, throwaway_wal, Engine, EngineKind, ScheduleReport,
-    SchemeKind, SweepReport, Workload,
+    check_log_prefix, run_schedule, sweep, throwaway_wal, Engine, ScheduleReport, SchemeKind,
+    SweepReport, Workload,
 };
 pub use plan::{ClusterFaultPlan, CutScope, FaultPlan, FlushFault, ReplFaultPlan, ShipFault};
+pub use twob_db::EngineKind;
 
 use proptest::prelude::*;
 

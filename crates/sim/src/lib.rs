@@ -6,7 +6,6 @@
 //!
 //! - [`SimTime`] / [`SimDuration`]: nanosecond-resolution virtual timestamps
 //!   and spans, as distinct newtypes so instants and spans cannot be mixed up.
-//! - [`Clock`]: a monotonically advancing virtual clock.
 //! - [`EventQueue`] / [`Executor`]: the discrete-event kernel — a calendar
 //!   queue ([`WheelQueue`]) with slab event storage, keyed by `SimTime` with
 //!   FIFO tie-breaking by insertion sequence, and an executor that drains it
@@ -20,8 +19,7 @@
 //!   service time `s` completes at `max(t, free_at) + s`, computed in closed
 //!   form on the hot path and pinned against the event-driven reference
 //!   (also in `oracle`) by proptests.
-//! - [`Histogram`] / [`RunningStats`]: latency/throughput statistics with
-//!   percentiles.
+//! - [`Histogram`]: exact-sample latency statistics with percentiles.
 //! - [`SimRng`] and [`Zipfian`]: seeded, reproducible randomness for
 //!   workload generation.
 //! - [`TraceRing`]: a bounded ring of trace events for debugging datapaths.
@@ -29,21 +27,19 @@
 //! # Example
 //!
 //! ```rust
-//! use twob_sim::{Clock, Server, SimDuration};
+//! use twob_sim::{Server, SimDuration, SimTime};
 //!
-//! let mut clock = Clock::new();
 //! let mut channel = Server::new();
-//! // Two back-to-back 5 us transfers on one channel queue up.
-//! let first = channel.schedule(clock.now(), SimDuration::from_micros(5));
-//! let second = channel.schedule(clock.now(), SimDuration::from_micros(5));
-//! assert_eq!(second.end.as_nanos() - first.end.as_nanos(), 5_000);
-//! clock.advance_to(second.end);
+//! // Two 5 us transfers arriving together on one channel queue up.
+//! let first = channel.schedule(SimTime::ZERO, SimDuration::from_micros(5));
+//! let second = channel.schedule(SimTime::ZERO, SimDuration::from_micros(5));
+//! assert_eq!(second.start, first.end);
+//! assert_eq!(second.end.as_nanos(), 10_000);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod clock;
 mod crc;
 mod event;
 #[doc(hidden)]
@@ -57,14 +53,13 @@ mod time;
 mod trace;
 mod wheel;
 
-pub use clock::Clock;
 pub use crc::{crc32, crc32_update, fnv1a64, fnv1a64_update, mix, mix_bytes, FNV_BASIS};
 pub use event::{Calendar, EventQueue, Executor};
 pub use resource::{MultiServer, ScheduledSpan, Server};
 pub use rng::{SimRng, Zipfian};
 pub use shard::{ShardCtx, ShardedExecutor};
 pub use span::LatencyBreakdown;
-pub use stats::{Histogram, RunningStats, Throughput};
+pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceRing};
 pub use wheel::WheelQueue;

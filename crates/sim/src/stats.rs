@@ -1,11 +1,11 @@
-//! Latency and throughput statistics.
+//! Latency statistics.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{SimDuration, SimTime};
+use crate::SimDuration;
 
 /// A latency histogram that records exact samples and reports percentiles.
 ///
@@ -205,169 +205,6 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// Running mean/min/max over a stream of f64 observations (Welford's method
-/// for variance).
-///
-/// # Example
-///
-/// ```rust
-/// use twob_sim::RunningStats;
-///
-/// let mut s = RunningStats::new();
-/// for x in [2.0, 4.0, 6.0] {
-///     s.push(x);
-/// }
-/// assert_eq!(s.mean(), 4.0);
-/// assert_eq!(s.count(), 3);
-/// ```
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of observations, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance, or 0.0 when fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation, or 0.0 when empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation, or 0.0 when empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
-
-/// Converts an operation count over a virtual-time window into ops/s and
-/// bytes/s figures.
-///
-/// # Example
-///
-/// ```rust
-/// use twob_sim::{SimTime, Throughput};
-///
-/// let t = Throughput::over_window(1_000, 4096 * 1_000, SimTime::ZERO,
-///     SimTime::from_nanos(1_000_000_000));
-/// assert_eq!(t.ops_per_sec(), 1_000.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Throughput {
-    ops: u64,
-    bytes: u64,
-    window_secs: f64,
-}
-
-impl Throughput {
-    /// Computes throughput for `ops` operations moving `bytes` total bytes
-    /// between `start` and `end` in virtual time.
-    pub fn over_window(ops: u64, bytes: u64, start: SimTime, end: SimTime) -> Self {
-        Throughput {
-            ops,
-            bytes,
-            window_secs: end.saturating_since(start).as_secs_f64(),
-        }
-    }
-
-    /// Operations per second (0.0 for an empty window).
-    pub fn ops_per_sec(&self) -> f64 {
-        if self.window_secs == 0.0 {
-            0.0
-        } else {
-            self.ops as f64 / self.window_secs
-        }
-    }
-
-    /// Bytes per second (0.0 for an empty window).
-    pub fn bytes_per_sec(&self) -> f64 {
-        if self.window_secs == 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.window_secs
-        }
-    }
-
-    /// Megabytes (1e6 bytes) per second.
-    pub fn mb_per_sec(&self) -> f64 {
-        self.bytes_per_sec() / 1e6
-    }
-
-    /// Total operations in the window.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-}
-
-impl fmt::Display for Throughput {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:.1} ops/s, {:.1} MB/s",
-            self.ops_per_sec(),
-            self.mb_per_sec()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,29 +371,5 @@ mod tests {
         let mut h = Histogram::new();
         h.record(SimDuration::from_nanos(1));
         let _ = h.percentile(1.5);
-    }
-
-    #[test]
-    fn running_stats_welford() {
-        let mut s = RunningStats::new();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            s.push(x);
-        }
-        assert_eq!(s.mean(), 2.5);
-        assert!((s.variance() - 1.25).abs() < 1e-12);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 4.0);
-    }
-
-    #[test]
-    fn throughput_math() {
-        let t = Throughput::over_window(
-            500,
-            500 * 4096,
-            SimTime::ZERO,
-            SimTime::from_nanos(500_000_000),
-        );
-        assert_eq!(t.ops_per_sec(), 1_000.0);
-        assert!((t.bytes_per_sec() - 4_096_000.0).abs() < 1e-6);
     }
 }

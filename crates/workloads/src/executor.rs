@@ -1,7 +1,10 @@
-//! Multi-client virtual-time execution: the lock-step [`ClientPool`].
+//! Multi-client virtual-time execution: the lock-step [`ClientPool`], the
+//! one slot scheduler.
 //!
-//! Queue-depth closed loops live in the serving stack now — see
-//! [`crate::ServiceDriver::run_slots`].
+//! A closed loop of `clients` clients that each keep `qd` operations in
+//! flight is a pool of `clients × qd` slots: slots are interchangeable, so
+//! issuing on the earliest-free slot visits the same instants in the same
+//! order as an event calendar of slot-free events would.
 
 use twob_sim::SimTime;
 
@@ -28,7 +31,7 @@ use twob_sim::SimTime;
 /// // 8 ops × 10 us over 4 clients finish in 20 us of virtual time.
 /// assert_eq!(pool.makespan(), SimTime::from_nanos(20_000));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClientPool {
     clocks: Vec<SimTime>,
     ops: u64,
@@ -129,6 +132,27 @@ impl ClientPool {
     }
 }
 
+/// Test driver shared by this crate's slot-loop tests: `ops` operations on a
+/// pool of `slots` slots, each taking `service(slot, issue instant)`. Returns
+/// the pool and its `(issue, completion)` log.
+#[cfg(test)]
+pub(crate) fn drive_slots(
+    slots: usize,
+    start: SimTime,
+    ops: usize,
+    service: impl Fn(usize, SimTime) -> twob_sim::SimDuration,
+) -> (ClientPool, Vec<(SimTime, SimTime)>) {
+    let mut pool = ClientPool::starting_at(slots, start);
+    let mut log = Vec::new();
+    while log.len() < ops {
+        let (slot, at) = pool.next_client();
+        let done = at + service(slot, at);
+        log.push((at, done));
+        pool.complete(slot, done);
+    }
+    (pool, log)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,19 +210,50 @@ mod tests {
         assert!((pool.ops_per_sec() - 400_000.0).abs() < 1.0);
     }
 
+    /// The reference the pool is checked against: every slot-free instant is
+    /// an event on a calendar, and popping one issues the next operation.
+    fn calendar_slots(
+        slots: usize,
+        start: SimTime,
+        ops: usize,
+        service: impl Fn(usize, SimTime) -> SimDuration,
+    ) -> Vec<(SimTime, SimTime)> {
+        let mut calendar = twob_sim::EventQueue::new();
+        for slot in 0..slots {
+            calendar.push(start, slot);
+        }
+        let mut log = Vec::new();
+        while log.len() < ops {
+            let (free_at, slot) = calendar.pop().expect("slots never run out");
+            let done = free_at + service(slot, free_at);
+            log.push((free_at, done));
+            calendar.push(done, slot);
+        }
+        log
+    }
+
     #[test]
     fn closed_loop_qd1_matches_client_pool() {
-        // At QD1 the closed-loop slot mode is exactly the lock-step
-        // ClientPool discipline: same makespan, same throughput.
-        let service = |c: usize| SimDuration::from_nanos(5_000 + c as u64 * 900);
+        // One op in flight per client, each client with its own service
+        // time: the pool issues exactly what a calendar of slot-free events
+        // issues.
+        let per_client = |c: usize, _| SimDuration::from_nanos(5_000 + c as u64 * 900);
         let start = SimTime::from_nanos(123);
-        let mut pool = ClientPool::starting_at(3, start);
-        for _ in 0..30 {
-            let (c, t) = pool.next_client();
-            pool.complete(c, t + service(c));
+        assert_eq!(
+            drive_slots(3, start, 30, per_client).1,
+            calendar_slots(3, start, 30, per_client)
+        );
+        // Deeper queues are more slots. With a service time that does not
+        // depend on the slot (ties and zero-length operations included) the
+        // logs still agree entry for entry.
+        let by_instant =
+            |_, at: SimTime| SimDuration::from_nanos((at.as_nanos() * 7 + 3) % 5 * 400);
+        for (clients, qd) in [(1, 4), (3, 4), (8, 8)] {
+            assert_eq!(
+                drive_slots(clients * qd, start, 200, by_instant).1,
+                calendar_slots(clients * qd, start, 200, by_instant),
+                "{clients} clients x qd {qd}"
+            );
         }
-        let report = crate::ServiceDriver::run_slots(3, 1, start, 30, |c, t| t + service(c));
-        assert_eq!(report.makespan, pool.makespan());
-        assert!((report.ops_per_sec() - pool.ops_per_sec()).abs() < 1e-9);
     }
 }

@@ -13,23 +13,27 @@
 //! - [`ChurnWorkload`] — seeded overwrite churn (uniform or 80/20 skewed)
 //!   that drains the free-block pool and keeps GC busy; the stimulus for
 //!   the `gc_interference` study.
-//! - [`ClientPool`] — a multi-client virtual-time executor: each simulated
-//!   client carries its own clock, the pool always dispatches the
-//!   farthest-behind client, and shared device queues emerge naturally in
+//! - [`ClientPool`] — the one slot scheduler: each simulated client (or
+//!   queue-depth slot) carries its own clock, the pool always dispatches
+//!   the farthest-behind one, and shared device queues emerge naturally in
 //!   the engine's busy-until resources.
+//! - [`EngineSession`] — the Fig 9 pairing, written once: an engine over
+//!   any `WalWriter`, the workload the paper runs against it (PostgreSQL +
+//!   Linkbench, RocksDB + YCSB-A, Redis + YCSB-A), its client rule (Redis
+//!   runs one) and the load-then-closed-loop run over a [`ClientPool`].
+//!   [`EngineKind`] is `twob_db`'s, re-exported.
 //! - [`mod@arrival`] — the open-loop arrival layer: seeded Poisson, bursty
 //!   (MMPP-style on/off), and diurnal-trace processes offering load that
 //!   does not self-throttle to the device.
-//! - [`ServiceDriver`] — the one event-loop owner of the serving stack:
-//!   open-loop serving with admission control and SLO tracking
-//!   ([`ServiceDriver::serve`], [`ServiceDriver::serve_sharded`]), plus the
-//!   closed-loop modes the old per-driver loops became
-//!   ([`ServiceDriver::run_slots`], [`ServiceDriver::run_sessions`],
-//!   [`ServiceDriver::run_nvme`]).
+//! - [`ServiceDriver`] — the owner of every calendar-driven loop: open-loop
+//!   serving with admission control and SLO tracking
+//!   ([`ServiceDriver::serve`], [`ServiceDriver::serve_sharded`]), the
+//!   multi-tenant session mode ([`ServiceDriver::run_sessions`]) and the
+//!   NVMe queue-pair mode ([`ServiceDriver::run_nvme`]).
 //! - [`TenantPool`] — the multi-tenant generalization of the paper's §V
-//!   co-location: N engines (a pg/rocks/redis mix), each with its own
-//!   group committer and log window, contending on one shared 2B-SSD;
-//!   state only, driven by [`ServiceDriver::run_sessions`].
+//!   co-location: N [`EngineSession`]s (a pg/rocks/redis mix), each with
+//!   its own group committer and log window, contending on one shared
+//!   2B-SSD; state only, driven by [`ServiceDriver::run_sessions`].
 //!
 //! # Example
 //!
@@ -58,6 +62,7 @@ pub mod fio;
 pub mod gen;
 mod linkbench;
 mod serve;
+mod session;
 mod tenant;
 pub mod trace;
 mod ycsb;
@@ -66,12 +71,9 @@ pub use arrival::{ArrivalConfig, ArrivalKind, ArrivalProcess};
 pub use churn::{ChurnConfig, ChurnWorkload};
 pub use executor::ClientPool;
 pub use linkbench::{LinkbenchConfig, LinkbenchWorkload};
-pub use serve::{
-    AdmissionPlan, AdmittedOp, ClosedLoopReport, ServeConfig, ServeReport, ServiceDriver,
-    ShardDrive,
-};
-pub use tenant::{
-    EngineKind, TenantOutcome, TenantPool, TenantPoolConfig, TenantReport, WalScheme,
-};
+pub use serve::{AdmissionPlan, AdmittedOp, ServeConfig, ServeReport, ServiceDriver, ShardDrive};
+pub use session::EngineSession;
+pub use tenant::{TenantOutcome, TenantPool, TenantPoolConfig, TenantReport, WalScheme};
 pub use trace::{parse_trace, replay_trace, TraceOp, TraceParseError, TraceReplayReport};
+pub use twob_db::EngineKind;
 pub use ycsb::{YcsbConfig, YcsbOp, YcsbWorkload};

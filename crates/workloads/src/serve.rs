@@ -1,14 +1,15 @@
 //! Session/driver, control, and measurement layers of the serving stack.
 //!
-//! [`ServiceDriver`] is the one event-loop owner in the workload layer.
-//! Every driver that used to carry its own loop — the closed-loop slot
-//! pool, the multi-tenant session pool, the NVMe closed-loop drive — is a
-//! mode of this driver now ([`ServiceDriver::run_slots`],
-//! [`ServiceDriver::run_sessions`], [`ServiceDriver::run_nvme`]), each a
-//! degenerate point of the open-loop family where the "arrival process"
-//! is completion-clocked (see [`crate::arrival::ClosedLoopArrivals`]).
+//! [`ServiceDriver`] owns every calendar-driven loop of the workload layer:
+//! the open-loop serving drives below, the multi-tenant session mode
+//! ([`ServiceDriver::run_sessions`]: engines behind group commit on one
+//! shared device) and the NVMe queue-pair mode
+//! ([`ServiceDriver::run_nvme`]). Lock-step slot loops — `N` interchangeable
+//! slots, each issuing its next operation the instant its last one
+//! completes — need no calendar and are [`crate::ClientPool`]'s job,
+//! usually through [`crate::EngineSession::run`].
 //!
-//! The open-loop serving path is the new capability:
+//! The open-loop serving path has four layers:
 //!
 //! 1. **generation** — per-tenant [`ArrivalProcess`] streams offer load in
 //!    *traffic time*, independent of what the device can absorb;
@@ -42,7 +43,7 @@ use twob_core::{
 };
 use twob_db::DbError;
 use twob_ftl::Lba;
-use twob_sim::{mix, EventQueue, Executor, Histogram, SimDuration, SimTime, FNV_BASIS};
+use twob_sim::{mix, Executor, Histogram, SimDuration, SimTime, FNV_BASIS};
 use twob_ssd::{NvmeEvent, NvmeOp, NvmeSsd, QdReport, SsdConfig};
 
 use crate::arrival::{ArrivalConfig, ArrivalProcess};
@@ -625,60 +626,11 @@ impl ServiceDriver {
         }
     }
 
-    /// Closed-loop slot mode (the old `ClosedLoopPool`): `clients`
-    /// clients each keep `qd` operations outstanding, issuing the next
-    /// the instant a slot frees. `op` is called as `(client, issue_at)`
-    /// and returns the completion instant (clamped forward).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clients` or `qd` is zero.
-    pub fn run_slots<F>(
-        clients: usize,
-        qd: usize,
-        start: SimTime,
-        total_ops: u64,
-        mut op: F,
-    ) -> ClosedLoopReport
-    where
-        F: FnMut(usize, SimTime) -> SimTime,
-    {
-        assert!(clients > 0, "need at least one client");
-        assert!(qd > 0, "need a queue depth of at least one");
-        let mut calendar: EventQueue<usize> = EventQueue::new();
-        for client in 0..clients {
-            for _ in 0..qd {
-                calendar.push(start, client);
-            }
-        }
-        let mut issued = 0u64;
-        let mut report = ClosedLoopReport {
-            ops: 0,
-            epoch: start,
-            makespan: start,
-            latency: Histogram::new(),
-        };
-        // Each calendar entry is a slot becoming free; issuing the next
-        // operation re-posts the slot at that operation's completion.
-        while let Some((free_at, client)) = calendar.pop() {
-            report.makespan = report.makespan.max(free_at);
-            if issued >= total_ops {
-                continue;
-            }
-            issued += 1;
-            let done = op(client, free_at).max(free_at);
-            report.ops += 1;
-            report.latency.record(done.saturating_since(free_at));
-            calendar.push(done, client);
-        }
-        report
-    }
-
-    /// Session mode (the old `TenantPool::run`): drives every tenant's
-    /// engine, group committer, and shared-device WAL to completion and
-    /// reports commit latencies. The loop always advances the earliest
-    /// event — a ready client's next operation or an armed group-commit
-    /// deadline — so a run is a pure function of the pool configuration.
+    /// Session mode: drives every tenant's engine, group committer, and
+    /// shared-device WAL to completion and reports commit latencies. The
+    /// loop always advances the earliest event — a ready client's next
+    /// operation or an armed group-commit deadline — so a run is a pure
+    /// function of the pool configuration.
     ///
     /// # Errors
     ///
@@ -860,11 +812,11 @@ impl ServiceDriver {
         }
     }
 
-    /// NVMe queue-pair mode (the old `NvmeSsd::run_closed_loop`): every
-    /// queue pair is kept at its configured depth, and each completion
-    /// immediately submits the next command to the queue that finished.
-    /// `next_op` maps the global command index to `(qid, op)` for the
-    /// priming phase; refills reuse the completing queue id.
+    /// NVMe queue-pair mode: every queue pair is kept at its configured
+    /// depth, and each completion immediately submits the next command to
+    /// the queue that finished. `next_op` maps the global command index to
+    /// `(qid, op)` for the priming phase; refills reuse the completing
+    /// queue id.
     ///
     /// # Panics
     ///
@@ -953,35 +905,11 @@ fn percentile_us(hist: &Histogram, q: f64) -> f64 {
     hist.percentile(q).as_nanos() as f64 / 1e3
 }
 
-/// The result of driving a closed-loop slot pool to completion.
-#[derive(Debug, Clone)]
-pub struct ClosedLoopReport {
-    /// Operations completed.
-    pub ops: u64,
-    /// The instant the pool started issuing.
-    pub epoch: SimTime,
-    /// The instant the last operation completed.
-    pub makespan: SimTime,
-    /// Per-operation latency (issue to completion).
-    pub latency: Histogram,
-}
-
-impl ClosedLoopReport {
-    /// Throughput in operations per virtual second over `makespan − epoch`.
-    pub fn ops_per_sec(&self) -> f64 {
-        let secs = self.makespan.saturating_since(self.epoch).as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.ops as f64 / secs
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arrival::ArrivalKind;
+    use crate::executor::drive_slots;
 
     fn quick_cfg(tenants: u16, scheme: WalScheme, kind: ArrivalKind, rate: f64) -> ServeConfig {
         ServeConfig {
@@ -1079,40 +1007,50 @@ mod tests {
         }
     }
 
+    /// `clients` closed-loop clients each keeping `qd` operations in flight
+    /// are `clients × qd` interchangeable slots of one [`crate::ClientPool`].
+    fn slot_pool(
+        clients: usize,
+        qd: usize,
+        start: SimTime,
+        ops: usize,
+        service: impl Fn(usize) -> SimDuration,
+    ) -> crate::ClientPool {
+        drive_slots(clients * qd, start, ops, |slot, _| service(slot / qd)).0
+    }
+
     #[test]
     fn closed_loop_slots_overlap_by_queue_depth() {
-        let fixed = SimDuration::from_micros(10);
-        let qd1 = ServiceDriver::run_slots(1, 1, SimTime::ZERO, 16, |_, t| t + fixed);
-        let qd4 = ServiceDriver::run_slots(1, 4, SimTime::ZERO, 16, |_, t| t + fixed);
-        assert_eq!(qd1.ops, 16);
-        assert_eq!(qd4.ops, 16);
+        let fixed = |_| SimDuration::from_micros(10);
+        let qd1 = slot_pool(1, 1, SimTime::ZERO, 16, fixed);
+        let qd4 = slot_pool(1, 4, SimTime::ZERO, 16, fixed);
+        assert_eq!(qd1.ops(), 16);
+        assert_eq!(qd4.ops(), 16);
         // A fixed-latency engine admits perfect overlap: QD4 finishes 4x
         // sooner and reports 4x the throughput.
-        assert_eq!(qd1.makespan, SimTime::from_nanos(160_000));
-        assert_eq!(qd4.makespan, SimTime::from_nanos(40_000));
+        assert_eq!(qd1.makespan(), SimTime::from_nanos(160_000));
+        assert_eq!(qd4.makespan(), SimTime::from_nanos(40_000));
         assert!((qd4.ops_per_sec() / qd1.ops_per_sec() - 4.0).abs() < 1e-9);
     }
 
     #[test]
     fn closed_loop_slots_count_makespan_from_epoch() {
         let start = SimTime::from_nanos(2_000_000);
-        let report =
-            ServiceDriver::run_slots(2, 2, start, 8, |_, t| t + SimDuration::from_micros(10));
-        assert_eq!(report.epoch, start);
-        assert_eq!(report.makespan, start + SimDuration::from_micros(20));
-        assert!((report.ops_per_sec() - 400_000.0).abs() < 1.0);
+        let pool = slot_pool(2, 2, start, 8, |_| SimDuration::from_micros(10));
+        assert_eq!(pool.epoch(), start);
+        assert_eq!(pool.makespan(), start + SimDuration::from_micros(20));
+        assert!((pool.ops_per_sec() - 400_000.0).abs() < 1.0);
     }
 
     #[test]
     fn closed_loop_slots_are_deterministic() {
         let run = || {
-            ServiceDriver::run_slots(4, 8, SimTime::ZERO, 100, |c, t| {
-                t + SimDuration::from_nanos(1_000 + (c as u64) * 37)
+            slot_pool(4, 8, SimTime::ZERO, 100, |c| {
+                SimDuration::from_nanos(1_000 + (c as u64) * 37)
             })
         };
-        let (a, b) = (run(), run());
-        assert_eq!(a.ops, b.ops);
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.latency.percentile(0.99), b.latency.percentile(0.99));
+        // Equal pools: every slot clock, the op count and the epoch.
+        assert_eq!(run(), run());
+        assert_eq!(run().ops(), 100);
     }
 }

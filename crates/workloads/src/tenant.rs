@@ -4,9 +4,8 @@
 //! single prototype, each logging into its own slice of the BA region. This
 //! module generalizes that setup to N tenants for the tenant sweep:
 //!
-//! - each tenant gets its own engine instance ([`MiniPg`] under the
-//!   Linkbench mix, [`MiniRocks`] or [`MiniRedis`] under YCSB-A), chosen
-//!   round-robin from a mix list;
+//! - each tenant gets its own [`EngineSession`] (the engine, its paired
+//!   workload and its client rule), chosen round-robin from a mix list;
 //! - each tenant commits through its own [`GroupCommit`] over a per-tenant
 //!   WAL — [`TenantBaWal`] windows arbitrated by the shared [`PinTable`],
 //!   or [`TenantBlockWal`] regions on the same device's block path;
@@ -29,70 +28,14 @@ use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 use twob_core::{IoCalendar, PinTable, RegionFrontEnd, TenantId, TwoBSsd};
-use twob_db::{DbError, EngineCosts, MiniPg, MiniRedis, MiniRocks};
+use twob_db::{DbError, EngineKind};
 use twob_sim::{SimDuration, SimRng, SimTime};
 use twob_wal::{
     CommitOutcome, GroupCommit, Lsn, TenantBaWal, TenantBlockWal, WalConfig, WalError, WalStats,
     WalWriter,
 };
 
-use crate::{LinkbenchConfig, LinkbenchWorkload, YcsbConfig, YcsbOp, YcsbWorkload};
-
-/// Which mini engine a tenant runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EngineKind {
-    /// [`MiniPg`] driven by the Linkbench-like transaction mix.
-    Pg,
-    /// [`MiniRocks`] driven by YCSB-A.
-    Rocks,
-    /// [`MiniRedis`] driven by YCSB-A.
-    Redis,
-}
-
-impl EngineKind {
-    /// Display label (also the token accepted by [`EngineKind::parse_mix`]).
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Pg => "pg",
-            EngineKind::Rocks => "rocks",
-            EngineKind::Redis => "redis",
-        }
-    }
-
-    /// Parses one engine token (the inverse of [`EngineKind::label`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending token if it names no engine.
-    pub fn parse(token: &str) -> Result<EngineKind, String> {
-        match token {
-            "pg" => Ok(EngineKind::Pg),
-            "rocks" => Ok(EngineKind::Rocks),
-            "redis" => Ok(EngineKind::Redis),
-            other => Err(format!("unknown engine '{other}' (pg|rocks|redis)")),
-        }
-    }
-
-    /// Parses a comma-separated mix such as `"pg,rocks,redis"`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending token if it names no engine, or an error for
-    /// an empty mix.
-    pub fn parse_mix(mix: &str) -> Result<Vec<EngineKind>, String> {
-        let kinds: Result<Vec<EngineKind>, String> = mix
-            .split(',')
-            .map(str::trim)
-            .filter(|t| !t.is_empty())
-            .map(EngineKind::parse)
-            .collect();
-        let kinds = kinds?;
-        if kinds.is_empty() {
-            return Err("empty engine mix".into());
-        }
-        Ok(kinds)
-    }
-}
+use crate::EngineSession;
 
 /// Which logging scheme every tenant uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -294,63 +237,9 @@ impl WalWriter for TenantWal {
     }
 }
 
-/// One tenant's engine plus its workload generator.
-pub(crate) enum EngineRt {
-    Pg(Box<MiniPg>, LinkbenchWorkload),
-    Rocks(Box<MiniRocks>, YcsbWorkload),
-    Redis(Box<MiniRedis>, YcsbWorkload),
-}
-
-impl EngineRt {
-    /// Runs the tenant's load phase, returning its end time. Load-phase
-    /// records populate in-memory state only (drained and dropped by the
-    /// caller); the measured phase is what reaches the log.
-    pub(crate) fn load(&mut self, rng: &mut SimRng) -> Result<SimTime, DbError> {
-        let mut t = SimTime::ZERO;
-        match self {
-            EngineRt::Pg(db, wl) => {
-                for txn in wl.load_phase(rng, 2) {
-                    t = db.run_txn(t, &txn)?.commit_at;
-                }
-            }
-            EngineRt::Rocks(db, wl) => {
-                for (key, value) in wl.load_phase(rng) {
-                    t = db.put(t, key, value)?.commit_at;
-                }
-            }
-            EngineRt::Redis(db, wl) => {
-                for (key, value) in wl.load_phase(rng) {
-                    t = db.set(t, key, value)?.commit_at;
-                }
-            }
-        }
-        Ok(t)
-    }
-
-    /// Dispatches one workload operation at `at`, returning when the
-    /// engine-side work (CPU + in-memory apply) is done. Log records it
-    /// produced are waiting in the recorder.
-    pub(crate) fn step(&mut self, at: SimTime, rng: &mut SimRng) -> Result<SimTime, DbError> {
-        match self {
-            EngineRt::Pg(db, wl) => {
-                let txn = wl.next_txn(rng);
-                Ok(db.run_txn(at, &txn)?.commit_at)
-            }
-            EngineRt::Rocks(db, wl) => Ok(match wl.next_op(rng) {
-                YcsbOp::Read { key } => db.get(at, &key).0,
-                YcsbOp::Update { key, value } => db.put(at, key, value)?.commit_at,
-            }),
-            EngineRt::Redis(db, wl) => Ok(match wl.next_op(rng) {
-                YcsbOp::Read { key } => db.get(at, &key).0,
-                YcsbOp::Update { key, value } => db.set(at, key, value)?.commit_at,
-            }),
-        }
-    }
-}
-
 pub(crate) struct Tenant {
     pub(crate) engine_kind: EngineKind,
-    pub(crate) engine: EngineRt,
+    pub(crate) engine: EngineSession,
     pub(crate) recorder: Rc<RefCell<Vec<Vec<u8>>>>,
     pub(crate) group: GroupCommit<TenantWal>,
     pub(crate) rng: SimRng,
@@ -377,16 +266,17 @@ impl TenantPool {
     ///
     /// # Errors
     ///
-    /// Configuration errors (zero tenants, regions that do not fit the
-    /// device, shares too small for a window) surface as [`DbError::Wal`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch` is zero (propagated from [`GroupCommit`]).
+    /// Configuration errors (zero tenants, clients or batch cap, regions
+    /// that do not fit the device, shares too small for a window) surface
+    /// as [`DbError::Wal`].
     pub fn new(dev: TwoBSsd, cfg: TenantPoolConfig) -> Result<Self, DbError> {
-        if cfg.tenants == 0 || cfg.mix.is_empty() || cfg.clients_per_tenant == 0 {
+        if cfg.tenants == 0
+            || cfg.mix.is_empty()
+            || cfg.clients_per_tenant == 0
+            || cfg.max_batch == 0
+        {
             return Err(DbError::Wal(WalError::BadConfig(
-                "need at least one tenant, engine, and client".into(),
+                "need at least one tenant, engine, client, and record per batch".into(),
             )));
         }
         let pins = if cfg.scheme.is_byte_path() {
@@ -440,25 +330,8 @@ impl TenantPool {
                 sink: recorder.clone(),
                 next_lsn: 0,
             });
-            let engine = match engine_kind {
-                EngineKind::Pg => EngineRt::Pg(
-                    Box::new(MiniPg::new(sink, EngineCosts::postgres())),
-                    LinkbenchWorkload::new(LinkbenchConfig::standard(cfg.keys)),
-                ),
-                EngineKind::Rocks => EngineRt::Rocks(
-                    Box::new(MiniRocks::new(sink, EngineCosts::rocksdb())),
-                    YcsbWorkload::new(YcsbConfig::workload_a(cfg.keys, cfg.payload_bytes)),
-                ),
-                EngineKind::Redis => EngineRt::Redis(
-                    Box::new(MiniRedis::new(sink, EngineCosts::redis())),
-                    YcsbWorkload::new(YcsbConfig::workload_a(cfg.keys, cfg.payload_bytes)),
-                ),
-            };
-            let clients = if matches!(engine_kind, EngineKind::Redis) {
-                1 // Redis is single-threaded.
-            } else {
-                cfg.clients_per_tenant
-            };
+            let engine = EngineSession::new(engine_kind, sink, cfg.keys, cfg.payload_bytes);
+            let clients = engine.clients(cfg.clients_per_tenant);
             tenants.push(Tenant {
                 engine_kind,
                 engine,
@@ -600,5 +473,13 @@ mod tests {
             ..quick_cfg(1, WalScheme::Ba)
         };
         assert!(TenantPool::new(device(1), cfg).is_err());
+        let cfg = TenantPoolConfig {
+            max_batch: 0,
+            ..quick_cfg(1, WalScheme::Ba)
+        };
+        assert!(matches!(
+            TenantPool::new(device(1), cfg).err(),
+            Some(DbError::Wal(WalError::BadConfig(_)))
+        ));
     }
 }

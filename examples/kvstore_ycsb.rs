@@ -3,37 +3,22 @@
 //!
 //! Run with: `cargo run --release --example kvstore_ycsb`
 
-use twob::db::{EngineCosts, MiniRocks};
-use twob::sim::{SimRng, SimTime};
+use twob::sim::SimRng;
 use twob::ssd::{Ssd, SsdConfig};
 use twob::wal::{BlockWal, CommitMode, WalConfig, WalWriter};
-use twob::workloads::{ClientPool, YcsbConfig, YcsbOp, YcsbWorkload};
+use twob::workloads::{EngineKind, EngineSession};
 
 fn run(wal: Box<dyn WalWriter>, label: &str, payload: usize) -> f64 {
-    let mut db = MiniRocks::new(wal, EngineCosts::rocksdb());
-    let mut rng = SimRng::seed_from(7);
-    let mut wl = YcsbWorkload::new(YcsbConfig::workload_a(500, payload));
-    // Load phase.
-    let mut t = SimTime::ZERO;
-    for (key, value) in wl.load_phase(&mut rng) {
-        t = db.put(t, key, value).expect("load").commit_at;
-    }
-    // Measurement: 8 virtual clients.
-    let ops = 10_000u64;
-    let start = t;
-    let mut pool = ClientPool::starting_at(8, start);
-    for _ in 0..ops {
-        let (client, at) = pool.next_client();
-        let done = match wl.next_op(&mut rng) {
-            YcsbOp::Read { key } => db.get(at, &key).0,
-            YcsbOp::Update { key, value } => db.put(at, key, value).expect("put").commit_at,
-        };
-        pool.complete(client, done);
-    }
-    let tput = ops as f64 / pool.makespan().saturating_since(start).as_secs_f64();
+    // The Fig 9 pairing for RocksDB: YCSB-A over a 500-key working set,
+    // a load phase, then 10,000 measured operations from 8 virtual clients.
+    let mut db = EngineSession::new(EngineKind::Rocks, wal, 500, payload);
+    let pool = db
+        .run(&mut SimRng::seed_from(7), 8, 10_000)
+        .expect("ycsb run");
+    let tput = pool.ops_per_sec();
     println!(
         "{label:<24} {tput:>12.0} ops/s   (wal: {}, log WAF {:.1})",
-        db.scheme(),
+        db.wal_scheme(),
         db.wal_stats().log_waf()
     );
     tput
