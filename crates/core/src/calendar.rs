@@ -23,11 +23,13 @@
 //! cal.submit(pin.complete_at, IoOp::BaFlush { eid });
 //! cal.submit(
 //!     pin.complete_at,
-//!     IoOp::BlockWrite { lba: Lba(8), data: vec![1u8; 4096] },
+//!     IoOp::BlockWrite { lba: Lba(8), data: vec![1u8; 4096].into() },
 //! );
 //! cal.drive(&mut dev);
 //! assert_eq!(cal.drain_completions().len(), 2);
 //! ```
+
+use std::sync::Arc;
 
 use twob_ftl::Lba;
 use twob_sim::{Executor, LatencyBreakdown, SimTime};
@@ -77,8 +79,10 @@ pub enum IoOp {
     BlockWrite {
         /// First logical page.
         lba: Lba,
-        /// Page-aligned payload.
-        data: Vec<u8>,
+        /// Page-aligned payload, shared rather than owned: a queued write
+        /// holds a pointer, so any number of them may hang off one image
+        /// (`Arc`, not `Rc`: the sharded calendar moves ops across threads).
+        data: Arc<[u8]>,
     },
     /// Block-path flush: destages the device write cache (the NVMe FLUSH
     /// a block-WAL issues to make an appended record durable).
@@ -368,7 +372,7 @@ mod tests {
             start,
             IoOp::BlockWrite {
                 lba: Lba(8),
-                data: vec![9u8; 4096],
+                data: vec![9u8; 4096].into(),
             },
         );
         cal.drive(&mut dev);
@@ -377,6 +381,26 @@ mod tests {
         assert!(done[0].complete_at <= done[1].complete_at);
         assert_eq!(done[0].id, write_id, "fast ack should drain first");
         assert_eq!(done[1].id, flush_id);
+    }
+
+    #[test]
+    fn queued_block_writes_share_one_payload() {
+        let mut dev = TwoBSsd::small_for_tests();
+        let page: Arc<[u8]> = vec![0xA5u8; 4096].into();
+        let mut cal = IoCalendar::new();
+        for lba in [Lba(8), Lba(9)] {
+            let data = Arc::clone(&page);
+            cal.submit(SimTime::ZERO, IoOp::BlockWrite { lba, data });
+        }
+        // A queued write holds a pointer, not a page.
+        assert_eq!(Arc::strong_count(&page), 3);
+        assert_eq!(cal.drive(&mut dev), 2);
+        // Each write ran, landed the shared bytes, and let go of them.
+        assert_eq!(Arc::strong_count(&page), 1);
+        let settled = cal.now() + SimDuration::from_millis(1);
+        for lba in [Lba(8), Lba(9)] {
+            assert_eq!(dev.read_pages(settled, lba, 1).unwrap().data, &page[..]);
+        }
     }
 
     #[test]
@@ -579,7 +603,7 @@ mod tests {
                 start,
                 IoOp::BlockWrite {
                     lba: Lba(8),
-                    data: vec![3u8; 4096],
+                    data: vec![3u8; 4096].into(),
                 },
             );
             cal.submit(start, IoOp::BaSync { eid: eids[1] });

@@ -497,7 +497,7 @@ mod tests {
                     g,
                     IoOp::BlockWrite {
                         lba: Lba(8 + (i as u64 % 16)),
-                        data: vec![i as u8; 4096],
+                        data: vec![i as u8; 4096].into(),
                     },
                 ),
                 1 => cal.submit(
@@ -607,7 +607,7 @@ mod tests {
                     0,
                     IoOp::BlockWrite {
                         lba: Lba(i % cap),
-                        data: vec![i as u8; 4096],
+                        data: vec![i as u8; 4096].into(),
                     },
                 );
             }

@@ -49,7 +49,7 @@ fn seed_workload(cal: &mut ShardedIoCalendar, eids: &[EntryId], seeds: &[OpSeed]
                 g,
                 IoOp::BlockWrite {
                     lba,
-                    data: vec![i as u8; 4096],
+                    data: vec![i as u8; 4096].into(),
                 },
             ),
             1 => cal.submit(at, g, IoOp::BlockRead { lba, pages: 1 }),

@@ -272,10 +272,15 @@ impl PageMappedFtl {
         flat_block * u64::from(self.nand.geometry().pages_per_block) + u64::from(page)
     }
 
+    /// Marks the page at `ppa` stale — a host overwrite, a GC relocation
+    /// or a trim replaced it — and releases its bytes: from here on only
+    /// the erase of its block touches it.
     fn invalidate(&mut self, ppa: Ppa) {
         let pages_per_block = u64::from(self.nand.geometry().pages_per_block);
         let block = ppa.0 / pages_per_block;
         self.reverse.remove(&ppa.0);
+        let addr = self.nand.geometry().page_from_ppa(ppa);
+        self.nand.release_page(addr);
         if let Some(count) = self.valid_count.get_mut(&block) {
             *count = count.saturating_sub(1);
         }
@@ -893,6 +898,52 @@ mod tests {
         let lbas = ftl.exported_pages().min(64);
         for lba in 0..lbas {
             assert!(ftl.read(Lba(lba)).is_ok());
+        }
+    }
+
+    #[test]
+    fn nand_holds_exactly_the_mapped_pages() {
+        #[track_caller]
+        fn check(ftl: &PageMappedFtl) {
+            assert_eq!(ftl.nand().resident_pages() as u64, ftl.stats().mapped_lbas);
+        }
+        let mut ftl = small_ftl(0.25);
+        ftl.set_background_gc(true);
+        // Overwrites and trims: every replaced page gives its bytes up.
+        fill_with_churn(&mut ftl, 96);
+        check(&ftl);
+        for lba in [3, 33, 34, 35, 3] {
+            ftl.trim(Lba(lba)).unwrap();
+            check(&ftl);
+        }
+        // A GC job in flight: each relocation releases the copy it moved.
+        let die = ftl.gc_start().unwrap().expect("no die is busy");
+        assert!(!ftl.gc_step(die).unwrap().unwrap().done);
+        check(&ftl);
+        // The host overwrites a page of the victim between two steps; the
+        // job skips it, and nothing reads the released copy.
+        let job = ftl.gc_jobs[ftl.die_index(die)].expect("job in flight");
+        let raced = (job.next_page..16)
+            .find_map(|page| ftl.reverse.get(&ftl.flat_ppa(job.victim, page)).copied())
+            .expect("the victim still holds a valid page");
+        ftl.write(raced, &page_of(0xEE)).unwrap();
+        check(&ftl);
+        while !ftl.gc_step(die).unwrap().unwrap().done {
+            check(&ftl);
+        }
+        check(&ftl);
+        // Every surviving LBA reads its last write: the churn's second lap
+        // (write 64 + lba) reached the first 32.
+        for lba in (0..64).map(Lba) {
+            if !ftl.is_mapped(lba) {
+                continue;
+            }
+            let last = match lba.0 {
+                _ if lba == raced => 0xEE,
+                0..32 => lba.0 + 64,
+                _ => lba.0,
+            };
+            assert_eq!(ftl.read(lba).unwrap().data, page_of(last as u8), "{lba}");
         }
     }
 

@@ -1,4 +1,10 @@
 //! The NAND array: real byte storage plus physical-rule enforcement.
+//!
+//! The rules cover every page; the bytes cover every page that can still
+//! be read. A page's owner may [`NandArray::release_page`] it once nothing
+//! will read it again (an FTL does on invalidate), which frees the image
+//! and nothing else — the block still counts the page as programmed until
+//! its next erase.
 
 use std::collections::HashMap;
 
@@ -72,7 +78,9 @@ pub struct WearReport {
 ///
 /// Enforces erase-before-program, strictly sequential programming within a
 /// block, bad-block refusal, and optional bit-error injection with an ECC
-/// budget. Stores real bytes so upper layers can be checked end-to-end.
+/// budget. Stores the real bytes of every page that can still be read —
+/// programmed and not [released](NandArray::release_page) — so upper layers
+/// can be checked end-to-end.
 ///
 /// # Example
 ///
@@ -219,28 +227,45 @@ impl NandArray {
         })
     }
 
+    /// Drops the bytes — only the bytes — of a programmed page its owner
+    /// will never read again. Block state is untouched: the page still
+    /// counts as programmed, cannot be programmed again before an erase,
+    /// and wear, timing and ECC draws are as if it were still held.
+    /// Reading it afterwards is [`NandError::ReadReleased`]. Releasing a
+    /// page that holds no bytes is a no-op.
+    pub fn release_page(&mut self, addr: PageAddr) {
+        self.pages.remove(&addr);
+    }
+
     /// Reads a programmed page.
     ///
     /// # Errors
     ///
     /// - [`NandError::BadBlock`] for bad blocks.
-    /// - [`NandError::ReadUnwritten`] if the page was never programmed.
+    /// - [`NandError::ReadUnwritten`] if the page was never programmed
+    ///   since its block's last erase.
+    /// - [`NandError::ReadReleased`] if it was programmed and then
+    ///   released.
     /// - [`NandError::Uncorrectable`] if injected bit errors exceed the ECC
     ///   budget; the block is then marked bad, as real firmware would retire
     ///   it.
     pub fn read_page(&mut self, addr: PageAddr) -> Result<ReadResult, NandError> {
-        let erase_count = {
+        let (erase_count, next_page) = {
             let state = self.block_state(addr.block);
             if state.bad {
                 return Err(NandError::BadBlock(addr.block));
             }
-            state.erase_count
+            (state.erase_count, state.next_page)
         };
         let data = self
             .pages
             .get(&addr)
             .cloned()
-            .ok_or(NandError::ReadUnwritten(addr))?;
+            .ok_or(if addr.page < next_page {
+                NandError::ReadReleased(addr)
+            } else {
+                NandError::ReadUnwritten(addr)
+            })?;
         self.reads += 1;
         let outcome = self.ecc.check_page(
             &self.error_model,
@@ -265,9 +290,10 @@ impl NandArray {
         })
     }
 
-    /// Returns `true` if the page currently holds programmed data.
+    /// Returns `true` if the page was programmed since its block's last
+    /// erase, whether or not its bytes were released since.
     pub fn is_programmed(&self, addr: PageAddr) -> bool {
-        self.pages.contains_key(&addr)
+        addr.page < self.next_page_of(addr.block)
     }
 
     /// Next programmable page index of a block (0 for a fresh block).
@@ -308,7 +334,8 @@ impl NandArray {
         }
     }
 
-    /// Number of pages currently holding data (for memory accounting).
+    /// Number of pages whose bytes are held: programmed and not released
+    /// (for memory accounting).
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
     }
@@ -380,6 +407,51 @@ mod tests {
             nand.read_page(blk.page(5)).unwrap_err(),
             NandError::ReadUnwritten(blk.page(5))
         );
+    }
+
+    #[test]
+    fn release_drops_the_bytes_and_nothing_else() {
+        let (g, mut nand) = test_array();
+        let blk = g.block_addr(0, 0, 0, 0);
+        nand.program_page(blk.page(0), &vec![1; 4096]).unwrap();
+        nand.program_page(blk.page(1), &vec![2; 4096]).unwrap();
+        let wear = nand.wear_report();
+        // Releasing a page that was never programmed is a no-op.
+        nand.release_page(blk.page(5));
+        nand.release_page(blk.page(0));
+        assert_eq!(nand.resident_pages(), 1);
+        assert_eq!(
+            nand.read_page(blk.page(0)).unwrap_err(),
+            NandError::ReadReleased(blk.page(0))
+        );
+        // "Never programmed" keeps its own error, and the neighbour reads.
+        assert_eq!(
+            nand.read_page(blk.page(5)).unwrap_err(),
+            NandError::ReadUnwritten(blk.page(5))
+        );
+        assert_eq!(nand.read_page(blk.page(1)).unwrap().data, vec![2; 4096]);
+        // The block's state did not move: still programmed, still in
+        // order, still needing an erase, no wear charged.
+        assert!(nand.is_programmed(blk.page(0)));
+        assert_eq!(nand.next_page_of(blk), 2);
+        assert_eq!(
+            nand.program_page(blk.page(0), &vec![3; 4096]).unwrap_err(),
+            NandError::ProgramWithoutErase(blk.page(0))
+        );
+        assert_eq!(nand.erase_count_of(blk), 0);
+        assert_eq!(
+            nand.wear_report(),
+            WearReport {
+                reads: wear.reads + 1,
+                ..wear
+            }
+        );
+        // Erase after release is clean, and the page is programmable again.
+        nand.erase_block(blk).unwrap();
+        assert!(!nand.is_programmed(blk.page(0)));
+        assert_eq!(nand.resident_pages(), 0);
+        nand.program_page(blk.page(0), &vec![4; 4096]).unwrap();
+        assert_eq!(nand.read_page(blk.page(0)).unwrap().data, vec![4; 4096]);
     }
 
     #[test]

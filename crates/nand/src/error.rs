@@ -27,6 +27,10 @@ pub enum NandError {
     BadBlock(BlockAddr),
     /// A read touched a page that has never been programmed since erase.
     ReadUnwritten(PageAddr),
+    /// A read touched a programmed page whose bytes were released
+    /// ([`NandArray::release_page`](crate::NandArray::release_page)): the
+    /// owner declared it dead and then read it anyway.
+    ReadReleased(PageAddr),
     /// ECC could not correct the raw bit errors in the page.
     Uncorrectable(PageAddr),
     /// The supplied buffer does not match the page size.
@@ -53,6 +57,7 @@ impl fmt::Display for NandError {
             ),
             NandError::BadBlock(b) => write!(f, "operation on bad block {b}"),
             NandError::ReadUnwritten(p) => write!(f, "read of unwritten page {p}"),
+            NandError::ReadReleased(p) => write!(f, "read of released page {p}"),
             NandError::Uncorrectable(p) => write!(f, "uncorrectable ECC error at {p}"),
             NandError::WrongBufferLen { got, expected } => {
                 write!(f, "buffer of {got} bytes where page size is {expected}")

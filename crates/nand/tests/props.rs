@@ -9,6 +9,15 @@ enum Op {
     Erase { block: u64 },
     Program { block: u64, fill: u8 },
     Read { block: u64, page: u32 },
+    Release { block: u64, page: u32 },
+}
+
+/// What the oracle knows of one page since its block's last erase.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Page {
+    Unwritten,
+    Holds(u8),
+    Released,
 }
 
 fn op_strategy(blocks: u64, pages: u32) -> impl Strategy<Value = Op> {
@@ -16,6 +25,7 @@ fn op_strategy(blocks: u64, pages: u32) -> impl Strategy<Value = Op> {
         (0..blocks).prop_map(|block| Op::Erase { block }),
         (0..blocks, any::<u8>()).prop_map(|(block, fill)| Op::Program { block, fill }),
         (0..blocks, 0..pages).prop_map(|(block, page)| Op::Read { block, page }),
+        (0..blocks, 0..pages).prop_map(|(block, page)| Op::Release { block, page }),
     ]
 }
 
@@ -23,16 +33,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Against an oracle model: reads return exactly the last bytes
-    /// programmed since the covering erase, and the array never accepts an
-    /// out-of-order or double program.
+    /// programmed since the covering erase, a released page reads as
+    /// released and nothing else about its block moves, and the array never
+    /// accepts an out-of-order or double program.
     #[test]
     fn nand_matches_oracle(
         ops in prop::collection::vec(op_strategy(8, 16), 1..120)
     ) {
         let geom = NandGeometry::small_test();
         let mut nand = NandArray::new(geom, FlashClass::LowLatencySlc.timing());
-        // Oracle: per block, the programmed pages and their fill bytes.
-        let mut oracle: Vec<Vec<Option<u8>>> = vec![vec![None; 16]; 8];
+        // Oracle: per block, what each page holds.
+        let mut oracle: Vec<Vec<Page>> = vec![vec![Page::Unwritten; 16]; 8];
         let mut next_page: Vec<u32> = vec![0; 8];
 
         for op in ops {
@@ -40,7 +51,7 @@ proptest! {
                 Op::Erase { block } => {
                     let addr = geom.block_from_flat(block);
                     nand.erase_block(addr).expect("erase always legal");
-                    oracle[block as usize] = vec![None; 16];
+                    oracle[block as usize] = vec![Page::Unwritten; 16];
                     next_page[block as usize] = 0;
                 }
                 Op::Program { block, fill } => {
@@ -49,7 +60,7 @@ proptest! {
                     let data = vec![fill; 4096];
                     if np < 16 {
                         nand.program_page(addr.page(np), &data).expect("in-order program");
-                        oracle[block as usize][np as usize] = Some(fill);
+                        oracle[block as usize][np as usize] = Page::Holds(fill);
                         next_page[block as usize] += 1;
                     } else {
                         // Block full: programming must fail.
@@ -59,10 +70,11 @@ proptest! {
                 Op::Read { block, page } => {
                     let addr = geom.block_from_flat(block);
                     match (oracle[block as usize][page as usize], nand.read_page(addr.page(page))) {
-                        (Some(fill), Ok(read)) => {
+                        (Page::Holds(fill), Ok(read)) => {
                             prop_assert!(read.data.iter().all(|&b| b == fill));
                         }
-                        (None, Err(NandError::ReadUnwritten(_))) => {}
+                        (Page::Unwritten, Err(NandError::ReadUnwritten(_)))
+                        | (Page::Released, Err(NandError::ReadReleased(_))) => {}
                         (expected, got) => {
                             return Err(TestCaseError::fail(format!(
                                 "oracle {expected:?} but nand returned {:?}",
@@ -71,7 +83,22 @@ proptest! {
                         }
                     }
                 }
+                Op::Release { block, page } => {
+                    let addr = geom.block_from_flat(block);
+                    nand.release_page(addr.page(page));
+                    let cell = &mut oracle[block as usize][page as usize];
+                    if *cell != Page::Unwritten {
+                        *cell = Page::Released;
+                    }
+                }
             }
+            // Only programs and erases move a block's write pointer, and
+            // the array holds exactly the bytes the oracle says it does.
+            for (block, np) in next_page.iter().enumerate() {
+                prop_assert_eq!(nand.next_page_of(geom.block_from_flat(block as u64)), *np);
+            }
+            let held = oracle.iter().flatten().filter(|p| matches!(p, Page::Holds(_))).count();
+            prop_assert_eq!(nand.resident_pages(), held);
         }
     }
 

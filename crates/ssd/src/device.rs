@@ -1334,6 +1334,28 @@ mod tests {
     }
 
     #[test]
+    fn serve_shaped_churn_holds_no_more_pages_than_live_lbas() {
+        // The block serving drive's shape — a 4 KiB write plus a flush,
+        // over and over a small log region — on its device profile. The
+        // deterministic stand-in for a resident-memory figure: an
+        // overwritten page's bytes go at the overwrite, not at the erase
+        // this fresh device never reaches.
+        const LIVE: u64 = 256;
+        let mut ssd = Ssd::new(SsdConfig::base_2b().bench_scale());
+        let mut t = SimTime::ZERO;
+        for round in 0..200u64 {
+            for lba in 0..LIVE {
+                let ack = ssd.write(t, Lba(lba), &page(round as u8)).unwrap();
+                t = ssd.flush(ack);
+            }
+        }
+        assert_eq!(ssd.ftl().stats().erases, 0, "the device collected garbage");
+        let resident = ssd.ftl().nand().resident_pages() as u64;
+        assert!(resident <= LIVE, "{resident} pages held for {LIVE} LBAs");
+        assert_eq!(ssd.read(t, Lba(LIVE - 1), 1).unwrap().data, page(199));
+    }
+
+    #[test]
     fn background_capacitor_power_loss_keeps_acked_writes() {
         let mut ssd = background_small();
         let mut t = SimTime::ZERO;

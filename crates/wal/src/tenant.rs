@@ -320,8 +320,8 @@ impl TenantBlockWal {
     ) -> Result<CommitOutcome, WalError> {
         let (dev, cal) = (&self.dev, &self.cal);
         let staged = self.log.append(now, payloads, |at, lba, image| {
-            // The calendar owns an operation's payload until it runs.
-            let data = image.to_vec();
+            // The calendar holds an operation's payload until it runs.
+            let data = image.into();
             Ok(run_op(dev, cal, at, IoOp::BlockWrite { lba, data })?.complete_at)
         })?;
         let flushed = run_op(dev, cal, staged.last_ack, IoOp::BlockFlush)?.complete_at;

@@ -35,6 +35,7 @@
 //!    [`Histogram`] quantiles.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use serde::Serialize;
 use twob_core::{
@@ -513,6 +514,9 @@ impl ServiceDriver {
         let region_pages = u64::from(cfg.region_pages);
         let mut measured = HashMap::with_capacity(plan.admitted.len());
         let mut block_seq = vec![0u64; usize::from(cfg.tenants)];
+        // Every block commit writes this one page image; a queued write
+        // holds a reference to it, not a copy.
+        let page: Arc<[u8]> = vec![0xA5; 4096].into();
         for (index, op) in plan.admitted.iter().enumerate() {
             let at = op.submit_at + epoch;
             let tenant = usize::from(op.tenant);
@@ -532,7 +536,7 @@ impl ServiceDriver {
                     let seq = &mut block_seq[tenant];
                     let lba = Lba(local as u64 * region_pages + *seq % region_pages);
                     *seq += 1;
-                    let data = vec![0xA5; 4096];
+                    let data = Arc::clone(&page);
                     submit(at, group, IoOp::BlockWrite { lba, data });
                     IoOp::BlockFlush
                 }
