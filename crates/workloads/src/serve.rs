@@ -311,6 +311,8 @@ impl ServiceDriver {
                 let used = group_window_bytes.entry(key).or_insert(0);
                 if *used + payload > group_ba_bytes {
                     shed_buffer += 1;
+                    // `deferred` counts admitted ops only.
+                    deferred -= u64::from(op.submit_at > op.arrival);
                     false
                 } else {
                     *used += payload;
@@ -962,6 +964,26 @@ mod tests {
         cfg.scheme = WalScheme::Block;
         let plan = ServiceDriver::plan(&cfg, 1, ServiceDriver::group_spec(2).ba_buffer_bytes);
         assert_eq!(plan.shed_buffer, 0);
+    }
+
+    #[test]
+    fn deferred_counts_only_ops_that_were_admitted() {
+        // Both triggers bite: the queue-depth pass defers most of the
+        // flood, then the BA-buffer trigger sheds most of what it deferred.
+        let mut cfg = quick_cfg(2, WalScheme::Ba, ArrivalKind::Poisson, 400_000.0);
+        cfg.payload_bytes = 32 << 10;
+        let plan = ServiceDriver::plan(&cfg, 1, ServiceDriver::group_spec(2).ba_buffer_bytes);
+        let waited = plan
+            .admitted
+            .iter()
+            .filter(|op| op.submit_at > op.arrival)
+            .count() as u64;
+        assert!(waited > 0 && plan.shed_buffer > 0 && plan.shed_queue > 0);
+        assert_eq!(plan.deferred, waited);
+        assert_eq!(
+            plan.offered,
+            plan.admitted.len() as u64 + plan.shed_queue + plan.shed_buffer
+        );
     }
 
     #[test]
