@@ -16,11 +16,10 @@
 //! - [`DiurnalArrivals`] — a piecewise-constant rate following a repeating
 //!   "compressed day" multiplier trace, the classic serving-traffic shape.
 //!
-//! [`ClosedLoopArrivals`] is the degenerate member of the family: its next
-//! op "arrives" the instant the driver polls it — i.e. when a slot frees —
-//! which is exactly the closed-loop drivers this stack replaced. Every
-//! process is a pure function of `(config, seed)`, so equal seeds give
-//! byte-identical arrival streams on any backend.
+//! Every process is a pure function of `(config, seed)`, so equal seeds
+//! give byte-identical arrival streams on any backend. (A closed loop is
+//! not a member of this family: its next op is issued when a slot frees,
+//! which is [`crate::ClientPool`]'s job.)
 
 use twob_sim::{SimRng, SimTime};
 
@@ -67,8 +66,7 @@ impl ArrivalKind {
 
 /// A deterministic open-loop arrival stream for one tenant.
 pub trait ArrivalProcess {
-    /// The next arrival instant strictly after `now` (except the
-    /// closed-loop degenerate, which arrives *at* `now`).
+    /// The next arrival instant strictly after `now`.
     fn next_after(&mut self, now: SimTime) -> SimTime;
 }
 
@@ -249,19 +247,6 @@ impl ArrivalProcess for DiurnalArrivals {
     }
 }
 
-/// The degenerate closed-loop "arrival process": the next op arrives the
-/// instant the driver polls — i.e. the moment a slot frees. Feeding this
-/// to an open-loop driver reproduces a closed-loop pool, which is how the
-/// legacy drivers are one point in this family rather than separate code.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClosedLoopArrivals;
-
-impl ArrivalProcess for ClosedLoopArrivals {
-    fn next_after(&mut self, now: SimTime) -> SimTime {
-        now
-    }
-}
-
 /// Per-tenant arrival configuration for a serving run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrivalConfig {
@@ -401,12 +386,5 @@ mod tests {
             per_slot[9],
             per_slot[1]
         );
-    }
-
-    #[test]
-    fn closed_loop_is_the_degenerate_process() {
-        let mut c = ClosedLoopArrivals;
-        let t = SimTime::from_nanos(1234);
-        assert_eq!(c.next_after(t), t);
     }
 }

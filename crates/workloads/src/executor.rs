@@ -71,12 +71,6 @@ impl ClientPool {
         self.epoch
     }
 
-    /// The earliest client clock (useful as the measurement window start
-    /// right after construction).
-    pub fn earliest(&self) -> SimTime {
-        self.clocks.iter().copied().min().expect("non-empty pool")
-    }
-
     /// Number of clients.
     pub fn len(&self) -> usize {
         self.clocks.len()
