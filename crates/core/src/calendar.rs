@@ -9,6 +9,13 @@
 //! engine, dies, channels, firmware cores, DMA engine — make the two paths
 //! contend exactly as the paper's dual-interface hardware does.
 //!
+//! A submitted operation stays on the calendar, payload and all, until its
+//! start instant is dispatched, and an open-loop drive submits a whole
+//! horizon before driving. [`IoOp::BlockWrite`] therefore shares its
+//! payload (`Arc<[u8]>`): build one page image, clone the pointer into
+//! every write that lands it. The device copies what it keeps, so the
+//! calendar is the last holder.
+//!
 //! # Example
 //!
 //! ```rust

@@ -23,6 +23,12 @@
 //! ([`TwoBSsd::mmio_write`] / [`TwoBSsd::mmio_read`]) and the unchanged
 //! NVMe block path (the [`twob_ssd::BlockDevice`] impl).
 //!
+//! Concurrent traffic on both paths is submitted as timestamped [`IoOp`]s
+//! to an [`IoCalendar`] (or a die-placed [`ShardedIoCalendar`]). A queued
+//! op owns what it carries until it is dispatched, so a block write carries
+//! its payload as an `Arc<[u8]>`: many queued writes may share one page
+//! image, and nothing below the calendar holds on to it.
+//!
 //! # Example
 //!
 //! ```rust

@@ -18,6 +18,12 @@
 //!   block pool drops below a watermark.
 //! - **Wear-aware allocation**: free blocks are taken lowest-erase-count
 //!   first, a simple but effective static wear-leveling policy.
+//! - **Stale pages hold no bytes**: a page invalidated by an overwrite, a
+//!   GC relocation or a trim is released in the NAND array at once, so the
+//!   array holds exactly one image per mapped LBA
+//!   (`nand().resident_pages() == stats().mapped_lbas`); the block keeps
+//!   the page as programmed until GC erases it, and reading it would be
+//!   `NandError::ReadReleased` — an FTL bug by construction.
 //!
 //! # Example
 //!

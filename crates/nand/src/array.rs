@@ -1,10 +1,4 @@
 //! The NAND array: real byte storage plus physical-rule enforcement.
-//!
-//! The rules cover every page; the bytes cover every page that can still
-//! be read. A page's owner may [`NandArray::release_page`] it once nothing
-//! will read it again (an FTL does on invalidate), which frees the image
-//! and nothing else — the block still counts the page as programmed until
-//! its next erase.
 
 use std::collections::HashMap;
 

@@ -16,7 +16,11 @@
 //!
 //! Pages store *real bytes*, so the whole stack above (FTL, SSD, 2B-SSD,
 //! WAL, databases) can be verified end-to-end by byte-equality, including
-//! across simulated power loss.
+//! across simulated power loss. The rules cover every page; the bytes cover
+//! every page that can still be read: an owner that will never read a page
+//! again [releases](NandArray::release_page) its image — an FTL does on
+//! invalidate — while the block goes on counting the page as programmed
+//! until its next erase.
 //!
 //! # Example
 //!

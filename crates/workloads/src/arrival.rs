@@ -17,9 +17,7 @@
 //!   "compressed day" multiplier trace, the classic serving-traffic shape.
 //!
 //! Every process is a pure function of `(config, seed)`, so equal seeds
-//! give byte-identical arrival streams on any backend. (A closed loop is
-//! not a member of this family: its next op is issued when a slot frees,
-//! which is [`crate::ClientPool`]'s job.)
+//! give byte-identical arrival streams on any backend.
 
 use twob_sim::{SimRng, SimTime};
 
