@@ -86,9 +86,8 @@ pub enum IoOp {
     BlockWrite {
         /// First logical page.
         lba: Lba,
-        /// Page-aligned payload, shared rather than owned: a queued write
-        /// holds a pointer, so any number of them may hang off one image
-        /// (`Arc`, not `Rc`: the sharded calendar moves ops across threads).
+        /// Page-aligned payload; queued writes may share one image (`Arc`,
+        /// not `Rc`: the sharded calendar moves ops across threads).
         data: Arc<[u8]>,
     },
     /// Block-path flush: destages the device write cache (the NVMe FLUSH

@@ -923,7 +923,7 @@ mod tests {
         // The host overwrites a page of the victim between two steps; the
         // job skips it, and nothing reads the released copy.
         let job = ftl.gc_jobs[ftl.die_index(die)].expect("job in flight");
-        let raced = (job.next_page..16)
+        let raced = (job.next_page..ftl.nand.geometry().pages_per_block)
             .find_map(|page| ftl.reverse.get(&ftl.flat_ppa(job.victim, page)).copied())
             .expect("the victim still holds a valid page");
         ftl.write(raced, &page_of(0xEE)).unwrap();
