@@ -56,6 +56,20 @@ pub fn to_json<T: fmt::Debug + ?Sized>(value: &T) -> String {
     serde_json::to_string(value).expect("the Debug-to-JSON translator is total")
 }
 
+/// Writes a run's output to stdout in one call. A reader that has seen
+/// enough and closed the pipe (`| head -1`) is not a failure.
+///
+/// # Errors
+///
+/// Any other write error.
+pub fn emit(text: &str) -> std::io::Result<()> {
+    use std::io::Write as _;
+    match std::io::stdout().write_all(text.as_bytes()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(e),
+        _ => Ok(()),
+    }
+}
+
 /// A simple aligned text table over `rows`, built one column at a time
 /// and rendered by `Display`: a header row, a rule, then one line per
 /// row, every line newline-terminated.

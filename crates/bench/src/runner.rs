@@ -20,6 +20,9 @@
 //! study does not have, is an error and nothing runs. Under `all` a flag
 //! applies wherever it exists and the runner names the studies it skips.
 
+use std::io;
+
+use crate::emit;
 use crate::registry::{find, tracked_path, Info, GOLDEN_DIR, REGISTRY};
 
 /// The three flags a run accepts.
@@ -159,7 +162,7 @@ pub fn lacking(studies: &[&'static str], flags: Flags) -> Vec<String> {
 
 /// Captures one fixture and reports `new` / `changed` / `unchanged`
 /// against what is on disk. Returns whether the file's bytes moved.
-fn write_fixture(name: &str, json: &str) -> bool {
+fn write_fixture(name: &str, json: &str) -> io::Result<bool> {
     let path = format!("{GOLDEN_DIR}{name}.json");
     let fresh = format!("{json}\n");
     let current = std::fs::read_to_string(&path).ok();
@@ -171,29 +174,34 @@ fn write_fixture(name: &str, json: &str) -> bool {
     if status != "unchanged" {
         std::fs::write(&path, &fresh).unwrap_or_else(|e| panic!("write {path}: {e}"));
     }
-    println!("{status:>9}  {name}.json ({} bytes)", fresh.len());
-    status != "unchanged"
+    emit(&format!(
+        "{status:>9}  {name}.json ({} bytes)\n",
+        fresh.len()
+    ))?;
+    Ok(status != "unchanged")
 }
 
 /// Re-captures every fixture the registry declares, all of them in one
 /// invocation.
-fn regen() {
-    let moved = REGISTRY
-        .iter()
-        .filter_map(|entry| Some(write_fixture(entry.info().name, &entry.capture()?)))
-        .filter(|&moved| moved)
-        .count();
-    if moved == 0 {
-        println!("\nall fixtures already match the current simulator");
-    } else {
-        println!("\n{moved} fixture(s) moved — review `git diff crates/bench/tests/golden/`");
+fn regen() -> io::Result<i32> {
+    let mut moved = 0;
+    for entry in REGISTRY {
+        if let Some(json) = entry.capture() {
+            moved += usize::from(write_fixture(entry.info().name, &json)?);
+        }
     }
+    emit(&if moved == 0 {
+        "\nall fixtures already match the current simulator\n".to_string()
+    } else {
+        format!("\n{moved} fixture(s) moved — review `git diff crates/bench/tests/golden/`\n")
+    })?;
+    Ok(0)
 }
 
 /// Runs the named studies in order: prints each one's tables and `json:`
 /// line on stdout; gate verdicts, skipped flags and written paths go to
 /// stderr. Returns the exit code — non-zero iff a gate failed.
-fn run(studies: &[&'static str], flags: Flags) -> i32 {
+fn run(studies: &[&'static str], flags: Flags) -> io::Result<i32> {
     for skip in lacking(studies, flags) {
         eprintln!("{skip}");
     }
@@ -201,7 +209,7 @@ fn run(studies: &[&'static str], flags: Flags) -> i32 {
     for name in studies {
         let entry = find(name).expect("parse admits registered names only");
         let output = entry.execute(flags.quick, flags.gate);
-        print!("{}", output.stdout);
+        emit(&output.stdout)?;
         match output.gate {
             Some(Err(violation)) => {
                 eprintln!("{name} gate failed: {violation}");
@@ -217,22 +225,25 @@ fn run(studies: &[&'static str], flags: Flags) -> i32 {
             eprintln!("wrote {path}");
         }
     }
-    i32::from(failed > 0)
+    Ok(i32::from(failed > 0))
 }
 
 /// The runner's entry point: `args` are the arguments after the program
 /// name; the return value is the process exit code.
 pub fn main(args: &[String]) -> i32 {
-    match parse(args) {
-        Ok(Plan::List) => print!("{}", list()),
+    let done = match parse(args) {
+        Ok(Plan::List) => emit(&list()).map(|()| 0),
         Ok(Plan::Regen) => regen(),
-        Ok(Plan::Run(studies, flags)) => return run(&studies, flags),
+        Ok(Plan::Run(studies, flags)) => run(&studies, flags),
         Err(problem) => {
             eprintln!("error: {problem}\n\n{}", usage());
             return 2;
         }
-    }
-    0
+    };
+    done.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        1
+    })
 }
 
 #[cfg(test)]

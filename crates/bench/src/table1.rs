@@ -10,7 +10,7 @@ pub fn rows() -> Vec<(String, String)> {
 }
 
 /// Renders the table under its title.
-pub(crate) fn render(rows: &[(String, String)]) -> String {
+pub fn render(rows: &[(String, String)]) -> String {
     let table = Table::new(rows)
         .col("Item", |r| r.0.clone())
         .col("Description", |r| r.1.clone());

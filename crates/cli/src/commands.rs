@@ -1,22 +1,26 @@
-//! CLI subcommands.
+//! CLI subcommands: each one returns what it prints.
 
 use std::error::Error;
+use std::fmt;
 
-use serde::Serialize;
-use twob_core::{EntryId, TwoBSpec, TwoBSsd};
+use twob_bench::{table1, tenant_sweep, tier_sweep, to_json, Table};
+use twob_core::{EntryId, TwoBSsd};
 use twob_ftl::Lba;
 use twob_sim::{SimDuration, SimTime};
 use twob_ssd::{Ssd, SsdConfig};
 use twob_wal::{BaWal, BlockWal, CommitMode, WalConfig, WalWriter};
+use twob_workloads::{
+    EngineKind, ServiceDriver, TenantPool, TenantPoolConfig, TenantReport, WalScheme,
+};
 
 use crate::args::Parsed;
 
-type CliResult = Result<(), Box<dyn Error>>;
+/// What a subcommand prints, newline-terminated.
+type CliResult = Result<String, Box<dyn Error>>;
 
-/// Prints usage.
-pub fn help() {
-    println!(
-        "twob — 2B-SSD (ISCA 2018) simulation CLI
+/// Usage.
+pub const HELP: &str = "\
+twob — 2B-SSD (ISCA 2018) simulation CLI
 
 subcommands:
   spec                                   paper Table I
@@ -80,9 +84,8 @@ subcommands:
                                          fault schedules (power cuts, flush
                                          faults, NAND errors) across every
                                          engine x commit scheme
-  help                                   this text"
-    );
-}
+  help                                   this text
+";
 
 /// A subcommand: its name, the flags it takes (space-separated, without the
 /// `--`), and its handler.
@@ -113,33 +116,63 @@ const SUBCOMMANDS: &[Subcommand] = &[
     ("faults", "cuts seed", faults),
 ];
 
-/// Routes a parsed command line.
+/// Routes a parsed command line and returns what it prints.
 ///
 /// # Errors
 ///
-/// An unknown subcommand, a flag the subcommand does not take, bad flag
-/// values, and simulation failures.
+/// An unknown subcommand (the message carries the usage), a flag the
+/// subcommand does not take, bad flag values, simulation failures, and a
+/// violated invariant (the message carries the report).
 pub fn dispatch(parsed: &Parsed) -> CliResult {
     if matches!(parsed.command.as_str(), "help" | "--help" | "-h") {
-        help();
-        return Ok(());
+        return Ok(HELP.to_string());
     }
     let Some((_, flags, run)) = SUBCOMMANDS
         .iter()
         .find(|(name, ..)| *name == parsed.command)
     else {
-        help();
-        return Err(format!("unknown subcommand {:?}", parsed.command).into());
+        return Err(format!("unknown subcommand {:?}\n\n{HELP}", parsed.command).into());
     };
     parsed.reject_unknown_flags(flags)?;
     run(parsed)
 }
 
-fn spec(_: &Parsed) -> CliResult {
-    for (k, v) in TwoBSpec::default().table_rows() {
-        println!("{k:>40}  {v}");
+/// The `json:` line of a `--json` run.
+fn json_line<T: fmt::Debug + ?Sized>(value: &T) -> String {
+    format!("json: {}\n", to_json(value))
+}
+
+/// Report values under their section names: serialized as one JSON object,
+/// in the order given.
+struct Sections<'a>(&'a [(&'a str, &'a dyn fmt::Debug)]);
+
+impl fmt::Debug for Sections<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.0.iter().copied()).finish()
     }
-    Ok(())
+}
+
+/// `report` if no invariant broke; otherwise an error that carries it.
+fn verdict(report: String, broken: usize, what: &str) -> CliResult {
+    if broken == 0 {
+        Ok(report)
+    } else {
+        Err(format!("{broken} {what}invariant violation(s)\n\n{report}").into())
+    }
+}
+
+/// `--qd`: how many operations each client keeps in flight. It sizes the
+/// client pool, so it is bounded.
+fn queue_depth(parsed: &Parsed, default: u64) -> Result<usize, Box<dyn Error>> {
+    let qd = parsed.u64_or("qd", default)?;
+    if !(1..=1024).contains(&qd) {
+        return Err("--qd must be between 1 and 1024".into());
+    }
+    Ok(qd as usize)
+}
+
+fn spec(_: &Parsed) -> CliResult {
+    Ok(table1::render(&table1::rows()))
 }
 
 fn probe_block(cfg: SsdConfig, write: bool) -> (f64, Vec<twob_sim::TraceEvent>) {
@@ -158,41 +191,53 @@ fn probe_block(cfg: SsdConfig, write: bool) -> (f64, Vec<twob_sim::TraceEvent>) 
     (us, ssd.trace_events())
 }
 
-fn print_trace(events: &[twob_sim::TraceEvent], last: u64) {
-    let skip = events.len().saturating_sub(last as usize);
-    println!(
-        "trace (last {} of {} events):",
-        events.len() - skip,
-        events.len()
-    );
-    for ev in &events[skip..] {
-        println!("  {ev}");
+/// The last `last` trace events, one per line under a heading; nothing
+/// when `last` is zero.
+fn trace_tail(events: &[twob_sim::TraceEvent], last: u64) -> String {
+    if last == 0 {
+        return String::new();
     }
+    let tail = &events[events.len().saturating_sub(last as usize)..];
+    let lines: String = tail.iter().map(|ev| format!("  {ev}\n")).collect();
+    format!(
+        "trace (last {} of {} events):\n{lines}",
+        tail.len(),
+        events.len()
+    )
 }
 
 fn devices(_: &Parsed) -> CliResult {
-    println!("profile   4K read (us)  4K write (us)  notes");
-    for (name, cfg) in [
+    let profiles = [
         ("DC-SSD", SsdConfig::dc_ssd()),
         ("ULL-SSD", SsdConfig::ull_ssd()),
         ("2B-SSD", SsdConfig::base_2b()),
-    ] {
-        let (read_us, _) = probe_block(cfg.clone(), false);
-        let (write_us, _) = probe_block(cfg.clone(), true);
-        let note = if cfg.internal_datapath_bytes_per_sec > 0 {
-            "block path + BA byte path"
-        } else {
-            "block path only"
-        };
-        println!("{name:<9} {read_us:>12.1} {write_us:>14.1}  {note}");
-    }
-    Ok(())
+    ];
+    let table = Table::new(&profiles)
+        .col("profile", |(name, _)| *name)
+        .col("4K read (us)", |(_, cfg)| {
+            format!("{:.1}", probe_block(cfg.clone(), false).0)
+        })
+        .col("4K write (us)", |(_, cfg)| {
+            format!("{:.1}", probe_block(cfg.clone(), true).0)
+        })
+        .col("notes", |(_, cfg)| {
+            if cfg.internal_datapath_bytes_per_sec > 0 {
+                "block path + BA byte path"
+            } else {
+                "block path only"
+            }
+        });
+    Ok(table.to_string())
 }
 
 fn latency(parsed: &Parsed) -> CliResult {
     let device = parsed.str_or("device", "ull");
     let op = parsed.str_or("op", "read");
     let size = parsed.u64_or("size", 4096)?;
+    // The byte probe pins one page and the block probes move one page.
+    if !(1..=4096).contains(&size) {
+        return Err("--size must be between 1 and 4096 (the probe covers one page)".into());
+    }
     let trace = parsed.u64_or("trace", 0)?;
     let write = match op.as_str() {
         "read" => false,
@@ -207,20 +252,17 @@ fn latency(parsed: &Parsed) -> CliResult {
             dev.set_tracing(true);
             let pin = dev.ba_pin(SimTime::ZERO, EntryId(0), 0, Lba(0), 1)?;
             let t = pin.complete_at + SimDuration::from_millis(1);
-            let len = size.clamp(1, 4096);
-            let us = if write {
-                let data = vec![0x5Au8; len as usize];
+            let done = if write {
+                let data = vec![0x5Au8; size as usize];
                 let store = dev.mmio_write(t, EntryId(0), 0, &data)?;
-                let sync = dev.ba_sync_range(store.retired_at, EntryId(0), 0, len)?;
-                sync.complete_at.saturating_since(t).as_micros_f64()
+                dev.ba_sync_range(store.retired_at, EntryId(0), 0, size)?
+                    .complete_at
             } else if device == "twob-dma" {
-                let dma = dev.ba_read_dma(t, EntryId(0), 0, len)?;
-                dma.complete_at.saturating_since(t).as_micros_f64()
+                dev.ba_read_dma(t, EntryId(0), 0, size)?.complete_at
             } else {
-                let read = dev.mmio_read(t, EntryId(0), 0, len)?;
-                read.complete_at.saturating_since(t).as_micros_f64()
+                dev.mmio_read(t, EntryId(0), 0, size)?.complete_at
             };
-            (us, dev.trace_events())
+            (done.saturating_since(t).as_micros_f64(), dev.trace_events())
         }
         other => {
             return Err(
@@ -228,11 +270,10 @@ fn latency(parsed: &Parsed) -> CliResult {
             )
         }
     };
-    println!("{device} {op} of {size} B: {us:.2} us");
-    if trace > 0 {
-        print_trace(&events, trace);
-    }
-    Ok(())
+    Ok(format!(
+        "{device} {op} of {size} B: {us:.2} us\n{}",
+        trace_tail(&events, trace)
+    ))
 }
 
 fn gc(parsed: &Parsed) -> CliResult {
@@ -273,65 +314,44 @@ fn gc(parsed: &Parsed) -> CliResult {
     let idle = ssd.quiesce_background();
     let stats = ssd.ftl().stats();
     let (started, abandoned) = ssd.ftl().gc_job_counts();
+    let [fresh_p50, fresh_p99, churn_p50, churn_p99] = [
+        (&fresh, 0.50),
+        (&fresh, 0.99),
+        (&storm, 0.50),
+        (&storm, 0.99),
+    ]
+    .map(|(hist, q)| hist.percentile(q).as_micros_f64());
     if parsed.is_set("json") {
-        // Fields reach the output through the vendored serde's
-        // Debug-based serializer, which the dead-code lint can't see.
-        #[derive(Debug, Serialize)]
-        #[allow(dead_code)]
-        struct GcJson {
-            device: String,
-            fill_pages: u64,
-            churn: u64,
-            seed: u64,
-            fresh_p50_us: f64,
-            fresh_p99_us: f64,
-            churn_p50_us: f64,
-            churn_p99_us: f64,
-            waf: f64,
-            gc_page_moves: u64,
-            erases: u64,
-            gc_jobs: u64,
-            gc_abandoned: u64,
-            idle_at_ns: u64,
-        }
-        let row = GcJson {
-            device: ssd.label().to_string(),
-            fill_pages: lbas,
-            churn,
-            seed,
-            fresh_p50_us: fresh.percentile(0.50).as_micros_f64(),
-            fresh_p99_us: fresh.percentile(0.99).as_micros_f64(),
-            churn_p50_us: storm.percentile(0.50).as_micros_f64(),
-            churn_p99_us: storm.percentile(0.99).as_micros_f64(),
-            waf: stats.waf(),
-            gc_page_moves: stats.gc_writes,
-            erases: stats.erases,
-            gc_jobs: started,
-            gc_abandoned: abandoned,
-            idle_at_ns: idle.as_nanos(),
-        };
-        println!("json: {}", serde_json::to_string(&row)?);
-        return Ok(());
+        return Ok(json_line(&Sections(&[
+            ("device", &ssd.label()),
+            ("fill_pages", &lbas),
+            ("churn", &churn),
+            ("seed", &seed),
+            ("fresh_p50_us", &fresh_p50),
+            ("fresh_p99_us", &fresh_p99),
+            ("churn_p50_us", &churn_p50),
+            ("churn_p99_us", &churn_p99),
+            ("waf", &stats.waf()),
+            ("ftl", &stats),
+            ("gc_jobs", &started),
+            ("gc_abandoned", &abandoned),
+            ("idle_at_ns", &idle),
+        ])));
     }
-    println!("device:           {} (background GC, greedy)", ssd.label());
-    println!("fill:             {lbas} pages, churn: {churn} overwrites (seed {seed})");
-    println!(
-        "write p50/p99:    fresh {:.1}/{:.1} us, under churn {:.1}/{:.1} us",
-        fresh.percentile(0.50).as_micros_f64(),
-        fresh.percentile(0.99).as_micros_f64(),
-        storm.percentile(0.50).as_micros_f64(),
-        storm.percentile(0.99).as_micros_f64()
-    );
-    println!("waf:              {:.2}", stats.waf());
-    println!(
-        "gc:               {} page moves, {} erases, {} jobs ({} abandoned)",
-        stats.gc_writes, stats.erases, started, abandoned
-    );
-    println!("idle at:          {idle}");
-    if trace > 0 {
-        print_trace(&ssd.trace_events(), trace);
-    }
-    Ok(())
+    Ok(format!(
+        "device:           {} (background GC, greedy)\n\
+         fill:             {lbas} pages, churn: {churn} overwrites (seed {seed})\n\
+         write p50/p99:    fresh {fresh_p50:.1}/{fresh_p99:.1} us, \
+         under churn {churn_p50:.1}/{churn_p99:.1} us\n\
+         waf:              {:.2}\n\
+         gc:               {} page moves, {} erases, {started} jobs ({abandoned} abandoned)\n\
+         idle at:          {idle}\n{}",
+        ssd.label(),
+        stats.waf(),
+        stats.gc_writes,
+        stats.erases,
+        trace_tail(&ssd.trace_events(), trace)
+    ))
 }
 
 fn make_wal(scheme: &str) -> Result<Box<dyn WalWriter>, Box<dyn Error>> {
@@ -379,37 +399,30 @@ fn wal(parsed: &Parsed) -> CliResult {
         t = out.commit_at;
     }
     let stats = wal.stats();
-    println!("scheme:            {}", wal.scheme());
-    println!("commits:           {commits} x {payload} B");
-    println!(
-        "mean commit cost:  {:.2} us",
-        stats.mean_commit_cost().as_micros_f64()
-    );
-    println!(
-        "throughput:        {:.0} commits/s",
-        commits as f64 / t.saturating_since(start).as_secs_f64()
-    );
-    println!("log WAF:           {:.1}", stats.log_waf());
-    println!(
-        "risk window:       {}",
+    Ok(format!(
+        "scheme:            {}\n\
+         commits:           {commits} x {payload} B\n\
+         mean commit cost:  {:.2} us\n\
+         throughput:        {:.0} commits/s\n\
+         log WAF:           {:.1}\n\
+         risk window:       {}\n",
+        wal.scheme(),
+        stats.mean_commit_cost().as_micros_f64(),
+        commits as f64 / t.saturating_since(start).as_secs_f64(),
+        stats.log_waf(),
         if risky { "YES (async)" } else { "none" }
-    );
-    Ok(())
+    ))
 }
 
 fn ycsb(parsed: &Parsed) -> CliResult {
     use twob_sim::SimRng;
-    use twob_workloads::{EngineKind, EngineSession};
+    use twob_workloads::EngineSession;
 
     let log = parsed.str_or("log", "twob");
     let ops = parsed.u64_or("ops", 10_000)?;
     let payload = parsed.u64_or("payload", 256)? as usize;
-    let qd = parsed.u64_or("qd", 1)? as usize;
-    if !(1..=1024).contains(&qd) {
-        return Err("--qd must be between 1 and 1024".into());
-    }
+    let qd = queue_depth(parsed, 1)?;
     let mut db = EngineSession::new(EngineKind::Rocks, make_wal(&log)?, 500, payload);
-    println!("engine:      MiniRocks ({})", db.wal_scheme());
     // 8 clients that each keep `qd` operations in flight are 8 x qd slots.
     let pool = db.run(&mut SimRng::seed_from(7), 8 * qd, ops)?;
     let depth = if qd == 1 {
@@ -417,87 +430,90 @@ fn ycsb(parsed: &Parsed) -> CliResult {
     } else {
         format!(" x QD {qd}")
     };
-    println!("workload:    YCSB-A, {payload} B values, 8 clients{depth}, {ops} ops");
-    println!("throughput:  {:.0} ops/s", pool.ops_per_sec());
-    println!("log WAF:     {:.1}", db.wal_stats().log_waf());
-    Ok(())
+    Ok(format!(
+        "engine:      MiniRocks ({})\n\
+         workload:    YCSB-A, {payload} B values, 8 clients{depth}, {ops} ops\n\
+         throughput:  {:.0} ops/s\n\
+         log WAF:     {:.1}\n",
+        db.wal_scheme(),
+        pool.ops_per_sec(),
+        db.wal_stats().log_waf()
+    ))
 }
 
-fn tenants(parsed: &Parsed) -> CliResult {
-    use twob_workloads::{EngineKind, ServiceDriver, TenantPool, TenantPoolConfig, WalScheme};
-
+/// The pool that `--n`, `--mix`, `--seed` and `--ops` (`default_ops` when
+/// absent) describe, checked: the tenant sweep's preset under the flags
+/// `tenants` and `tier` share. Its scheme is a placeholder.
+fn pool_flags(parsed: &Parsed, default_ops: u64) -> Result<TenantPoolConfig, Box<dyn Error>> {
     let n = parsed.u64_or("n", 4)?;
     if !(1..=64).contains(&n) {
         return Err("--n must be between 1 and 64 (the virtualized pin-table size)".into());
     }
     let mix = EngineKind::parse_mix(&parsed.str_or("mix", "pg,rocks,redis"))?;
     let seed = parsed.u64_or("seed", 61)?;
-    let ops = parsed.u64_or("ops", 200)?;
+    let ops = parsed.u64_or("ops", default_ops)?;
     if ops == 0 {
         return Err("--ops must be positive".into());
     }
-    let device = twob_bench::tenant_sweep::device;
-    let json = parsed.is_set("json");
-    #[derive(Debug, Serialize)]
-    #[allow(dead_code)]
-    struct TenantJson {
-        scheme: String,
-        commits: u64,
-        grouped_pct: f64,
-        p50_us: f64,
-        p99_us: f64,
-        worst_tenant_p99_us: f64,
-        commits_per_sec: f64,
-    }
-    let mut rows = Vec::new();
-    if !json {
-        println!(
-            "{n} tenant(s), mix [{}], seed {seed}, {ops} ops/tenant\n",
-            mix.iter().map(|k| k.label()).collect::<Vec<_>>().join(",")
-        );
-        println!(
-            "{:<7} {:>8} {:>9} {:>10} {:>10} {:>11} {:>10}",
-            "scheme", "commits", "grp %", "p50 us", "p99 us", "worst p99", "commit/s"
-        );
-    }
-    for scheme in [WalScheme::Ba, WalScheme::Block] {
+    Ok(TenantPoolConfig {
+        ops_per_tenant: ops,
+        ..TenantPoolConfig::standard(n as u16, mix, WalScheme::Ba, seed)
+    })
+}
+
+/// One closed-loop run of `base`'s tenants per scheme, each on a fresh
+/// tenant-sweep chassis.
+fn pool_reports(
+    base: &TenantPoolConfig,
+    schemes: impl IntoIterator<Item = WalScheme>,
+) -> Result<Vec<TenantReport>, Box<dyn Error>> {
+    let run = |scheme| {
         let cfg = TenantPoolConfig {
-            ops_per_tenant: ops,
-            ..TenantPoolConfig::standard(n as u16, mix.clone(), scheme, seed)
+            scheme,
+            ..base.clone()
         };
-        let mut pool = TenantPool::new(device(), cfg)?;
-        let report = ServiceDriver::run_sessions(&mut pool)?;
-        if json {
-            rows.push(TenantJson {
-                scheme: report.scheme,
-                commits: report.commits,
-                grouped_pct: report.grouped_pct,
-                p50_us: report.p50_us,
-                p99_us: report.p99_us,
-                worst_tenant_p99_us: report.worst_tenant_p99_us,
-                commits_per_sec: report.commits_per_sec,
-            });
-        } else {
-            println!(
-                "{:<7} {:>8} {:>9.1} {:>10.2} {:>10.2} {:>11.2} {:>10.0}",
-                report.scheme,
-                report.commits,
-                report.grouped_pct,
-                report.p50_us,
-                report.p99_us,
-                report.worst_tenant_p99_us,
-                report.commits_per_sec
-            );
-        }
+        let mut pool = TenantPool::new(tenant_sweep::device(), cfg)?;
+        Ok(ServiceDriver::run_sessions(&mut pool)?)
+    };
+    schemes.into_iter().map(run).collect()
+}
+
+/// The first line of a pool run's text report; `shape` follows the count.
+fn pool_heading(base: &TenantPoolConfig, shape: &str) -> String {
+    let mix: Vec<&str> = base.mix.iter().map(|kind| kind.label()).collect();
+    format!(
+        "{} tenant(s){shape}, mix [{}], seed {}, {} ops/tenant",
+        base.tenants,
+        mix.join(","),
+        base.seed,
+        base.ops_per_tenant
+    )
+}
+
+/// The columns every per-scheme table of pool runs starts with.
+fn pool_table(reports: &[TenantReport]) -> Table<'_, TenantReport> {
+    Table::new(reports)
+        .col("scheme", |r| r.scheme.clone())
+        .col("commits", |r| r.commits)
+        .col("grp %", |r| format!("{:.1}", r.grouped_pct))
+        .col("p50 us", |r| format!("{:.2}", r.p50_us))
+        .col("p99 us", |r| format!("{:.2}", r.p99_us))
+}
+
+fn tenants(parsed: &Parsed) -> CliResult {
+    let base = pool_flags(parsed, 200)?;
+    let reports = pool_reports(&base, [WalScheme::Ba, WalScheme::Block])?;
+    if parsed.is_set("json") {
+        return Ok(json_line(&reports));
     }
-    if json {
-        println!("json: {}", serde_json::to_string(&rows)?);
-    }
-    Ok(())
+    let table = pool_table(&reports)
+        .col("worst p99", |r| format!("{:.2}", r.worst_tenant_p99_us))
+        .col("commit/s", |r| format!("{:.0}", r.commits_per_sec));
+    Ok(format!("{}\n\n{table}", pool_heading(&base, "")))
 }
 
 fn serve(parsed: &Parsed) -> CliResult {
-    use twob_workloads::{ArrivalConfig, ArrivalKind, ServeConfig, ServiceDriver, WalScheme};
+    use twob_workloads::{ArrivalConfig, ArrivalKind, ServeConfig};
 
     let tenants = parsed.u64_or("tenants", 16)?;
     if !(1..=256).contains(&tenants) {
@@ -515,44 +531,7 @@ fn serve(parsed: &Parsed) -> CliResult {
         return Err("--slo-p99-us must be positive".into());
     }
     let seed = parsed.u64_or("seed", 61)?;
-    let json = parsed.is_set("json");
-    #[derive(Debug, Serialize)]
-    #[allow(dead_code)]
-    struct ServeJson {
-        scheme: String,
-        offered: u64,
-        admitted: u64,
-        deferred: u64,
-        shed: u64,
-        offered_ops_per_sec: f64,
-        admitted_ops_per_sec: f64,
-        p50_us: f64,
-        p99_us: f64,
-        p999_us: f64,
-        slo_p99_us: f64,
-        slo_ok: bool,
-        windows_over_slo: u64,
-    }
-    if !json {
-        println!(
-            "{tenants} tenant(s), {} arrivals at {rate} ops/s/tenant, \
-             p99 SLO {slo_p99_us} us (seed {seed})\n",
-            kind.label()
-        );
-        println!(
-            "{:<7} {:>8} {:>9} {:>8} {:>6} {:>10} {:>10} {:>10} {:>7}",
-            "scheme",
-            "offered",
-            "admitted",
-            "deferred",
-            "shed",
-            "p50 us",
-            "p99 us",
-            "p999 us",
-            "slo"
-        );
-    }
-    let mut rows = Vec::new();
+    let mut reports = Vec::new();
     for scheme in [WalScheme::Ba, WalScheme::Block] {
         let mut cfg = ServeConfig::standard(
             tenants as u16,
@@ -564,173 +543,59 @@ fn serve(parsed: &Parsed) -> CliResult {
         if report.clamped_posts != 0 {
             return Err(format!("{} serve clamped posts into the past", report.scheme).into());
         }
-        if json {
-            rows.push(ServeJson {
-                scheme: report.scheme,
-                offered: report.offered,
-                admitted: report.admitted,
-                deferred: report.deferred,
-                shed: report.shed_queue + report.shed_buffer,
-                offered_ops_per_sec: report.offered_ops_per_sec,
-                admitted_ops_per_sec: report.admitted_ops_per_sec,
-                p50_us: report.p50_us,
-                p99_us: report.p99_us,
-                p999_us: report.p999_us,
-                slo_p99_us: report.slo_p99_us,
-                slo_ok: report.slo_ok,
-                windows_over_slo: report.windows_over_slo,
-            });
-        } else {
-            println!(
-                "{:<7} {:>8} {:>9} {:>8} {:>6} {:>10.2} {:>10.2} {:>10.2} {:>7}",
-                report.scheme,
-                report.offered,
-                report.admitted,
-                report.deferred,
-                report.shed_queue + report.shed_buffer,
-                report.p50_us,
-                report.p99_us,
-                report.p999_us,
-                if report.slo_ok { "met" } else { "MISSED" }
-            );
-        }
+        reports.push(report);
     }
-    if json {
-        println!("json: {}", serde_json::to_string(&rows)?);
+    if parsed.is_set("json") {
+        return Ok(json_line(&reports));
     }
-    Ok(())
+    let table = Table::new(&reports)
+        .col("scheme", |r| r.scheme.clone())
+        .col("offered", |r| r.offered)
+        .col("admitted", |r| r.admitted)
+        .col("deferred", |r| r.deferred)
+        .col("shed", |r| r.shed_queue + r.shed_buffer)
+        .col("p50 us", |r| format!("{:.2}", r.p50_us))
+        .col("p99 us", |r| format!("{:.2}", r.p99_us))
+        .col("p999 us", |r| format!("{:.2}", r.p999_us))
+        .col("slo", |r| if r.slo_ok { "met" } else { "MISSED" });
+    Ok(format!(
+        "{tenants} tenant(s), {} arrivals at {rate} ops/s/tenant, \
+         p99 SLO {slo_p99_us} us (seed {seed})\n\n{table}",
+        kind.label()
+    ))
 }
 
 fn tier(parsed: &Parsed) -> CliResult {
     use twob_cxl::RegionFrontEnd;
-    use twob_workloads::{EngineKind, ServiceDriver, TenantPool, TenantPoolConfig, WalScheme};
-
-    let n = parsed.u64_or("n", 4)?;
-    if !(1..=64).contains(&n) {
-        return Err("--n must be between 1 and 64 (the virtualized pin-table size)".into());
-    }
-    let qd = parsed.u64_or("qd", 4)?;
-    if qd == 0 {
-        return Err("--qd must be positive".into());
-    }
-    let mix = EngineKind::parse_mix(&parsed.str_or("mix", "pg,rocks,redis"))?;
-    let seed = parsed.u64_or("seed", 61)?;
-    let ops = parsed.u64_or("ops", 50)?;
-    if ops == 0 {
-        return Err("--ops must be positive".into());
-    }
-    let json = parsed.is_set("json");
-
-    #[derive(Debug, Serialize)]
-    #[allow(dead_code)]
-    struct TierJson {
-        scheme: String,
-        commits: u64,
-        grouped_pct: f64,
-        p50_us: f64,
-        p99_us: f64,
-        commits_per_sec: f64,
-    }
-    #[derive(Debug, Serialize)]
-    #[allow(dead_code)]
-    struct PathJson {
-        front_end: String,
-        commit_us: f64,
-        cold_read_us: f64,
-        hot_read_us: f64,
-        promotions: u64,
-        demotions: u64,
-    }
 
     // Closed-loop commit latency per front-end: the same seeded tenants on
     // a fresh device each time, 64 B payloads (the byte path's regime).
-    let device = twob_bench::tenant_sweep::device;
-    if !json {
-        println!(
-            "{n} tenant(s) x qd {qd}, mix [{}], seed {seed}, {ops} ops/tenant\n",
-            mix.iter().map(|k| k.label()).collect::<Vec<_>>().join(",")
-        );
-        println!(
-            "{:<7} {:>8} {:>9} {:>10} {:>10} {:>10}",
-            "scheme", "commits", "grp %", "p50 us", "p99 us", "commit/s"
-        );
-    }
-    let mut rows = Vec::new();
-    for scheme in [WalScheme::Ba, WalScheme::Cxl, WalScheme::Block] {
-        let cfg = TenantPoolConfig {
-            clients_per_tenant: qd as usize,
-            ops_per_tenant: ops,
-            payload_bytes: 64,
-            ..TenantPoolConfig::standard(n as u16, mix.clone(), scheme, seed)
-        };
-        let mut pool = TenantPool::new(device(), cfg)?;
-        let report = ServiceDriver::run_sessions(&mut pool)?;
-        if json {
-            rows.push(TierJson {
-                scheme: report.scheme,
-                commits: report.commits,
-                grouped_pct: report.grouped_pct,
-                p50_us: report.p50_us,
-                p99_us: report.p99_us,
-                commits_per_sec: report.commits_per_sec,
-            });
-        } else {
-            println!(
-                "{:<7} {:>8} {:>9.1} {:>10.2} {:>10.2} {:>10.0}",
-                report.scheme,
-                report.commits,
-                report.grouped_pct,
-                report.p50_us,
-                report.p99_us,
-                report.commits_per_sec
-            );
-        }
-    }
-
+    let base = TenantPoolConfig {
+        clients_per_tenant: queue_depth(parsed, 4)?,
+        payload_bytes: tier_sweep::PAYLOAD_BYTES,
+        ..pool_flags(parsed, 50)?
+    };
+    let rows = pool_reports(&base, tier_sweep::SCHEMES)?;
     // The tiered WAL's hot/cold cycle per byte front-end: fill past
     // rotation, read a demoted record cold off NAND, promote it back, read
     // it hot from the byte tier.
-    if !json {
-        println!("\ntiered WAL (hot tail, demote to NAND, promote back):");
-        println!(
-            "{:<9} {:>10} {:>11} {:>10} {:>6} {:>5}",
-            "front-end", "commit us", "cold rd us", "hot rd us", "promo", "demo"
-        );
+    let paths = [RegionFrontEnd::BaMmio, RegionFrontEnd::Cxl].map(tier_sweep::tier_path);
+    if parsed.is_set("json") {
+        return Ok(json_line(&Sections(&[("rows", &rows), ("paths", &paths)])));
     }
-    let mut paths = Vec::new();
-    for front_end in [RegionFrontEnd::BaMmio, RegionFrontEnd::Cxl] {
-        let path = twob_bench::tier_sweep::tier_path(front_end);
-        if json {
-            paths.push(PathJson {
-                front_end: path.front_end,
-                commit_us: path.commit_us,
-                cold_read_us: path.cold_read_us,
-                hot_read_us: path.hot_read_us,
-                promotions: path.promotions,
-                demotions: path.demotions,
-            });
-        } else {
-            println!(
-                "{:<9} {:>10.2} {:>11.2} {:>10.2} {:>6} {:>5}",
-                path.front_end,
-                path.commit_us,
-                path.cold_read_us,
-                path.hot_read_us,
-                path.promotions,
-                path.demotions
-            );
-        }
-    }
-    if json {
-        #[derive(Debug, Serialize)]
-        #[allow(dead_code)]
-        struct TierOut {
-            rows: Vec<TierJson>,
-            paths: Vec<PathJson>,
-        }
-        println!("json: {}", serde_json::to_string(&TierOut { rows, paths })?);
-    }
-    Ok(())
+    let ladder = pool_table(&rows).col("commit/s", |r| format!("{:.0}", r.commits_per_sec));
+    let cycle = Table::new(&paths)
+        .col("front-end", |p| p.front_end.clone())
+        .col("commit us", |p| format!("{:.2}", p.commit_us))
+        .col("cold rd us", |p| format!("{:.2}", p.cold_read_us))
+        .col("hot rd us", |p| format!("{:.2}", p.hot_read_us))
+        .col("promo", |p| p.promotions)
+        .col("demo", |p| p.demotions);
+    Ok(format!(
+        "{}\n\n{ladder}\n\
+         tiered WAL (hot tail, demote to NAND, promote back):\n{cycle}",
+        pool_heading(&base, &format!(" x qd {}", base.clients_per_tenant))
+    ))
 }
 
 /// Parses `--mode` for a replica set with `followers` followers (a count
@@ -755,18 +620,33 @@ fn commit_mode(
     }
 }
 
+/// How `repl` and `cluster` end a text report: one line per steady-state
+/// violation, a blank line, the fault sweep.
+fn sweep_tail(violations: &[String], sweep: &dyn fmt::Display) -> String {
+    let flagged: String = violations
+        .iter()
+        .map(|v| format!("VIOLATION: {v}\n"))
+        .collect();
+    format!("{flagged}\n{sweep}\n")
+}
+
+/// Parses `--ship`.
+fn ship_scheme(parsed: &Parsed) -> Result<twob_repl::ShipScheme, Box<dyn Error>> {
+    let ship = parsed.str_or("ship", "ba");
+    twob_repl::ShipScheme::parse(&ship)
+        .ok_or_else(|| format!("--ship must be ba or block, not {ship:?}").into())
+}
+
 fn repl(parsed: &Parsed) -> CliResult {
-    use twob_repl::{failover_sweep, NetLinkConfig, ReplConfig, ReplicaSet, ShipScheme};
+    use twob_repl::{failover_sweep, NetLinkConfig, ReplConfig, ReplicaSet};
 
     let replicas = parsed.u64_or("replicas", 3)?;
     if !(1..=8).contains(&replicas) {
         return Err("--replicas must be between 1 and 8".into());
     }
     let policy = commit_mode(parsed, "semisync:2", replicas, "--replicas")?;
-    let ship = parsed.str_or("ship", "ba");
-    let scheme = ShipScheme::parse(&ship)
-        .ok_or_else(|| format!("--ship must be ba or block, not {ship:?}"))?;
-    let engine = twob_db::EngineKind::parse(&parsed.str_or("engine", "rocks"))?;
+    let scheme = ship_scheme(parsed)?;
+    let engine = EngineKind::parse(&parsed.str_or("engine", "rocks"))?;
     let seed = parsed.u64_or("seed", 42)?;
     let commits = parsed.u64_or("commits", 60)?;
     if commits == 0 {
@@ -774,9 +654,8 @@ fn repl(parsed: &Parsed) -> CliResult {
     }
     let rtt_us = parsed.u64_or("rtt-us", 50)?;
     let plans = parsed.u64_or("plans", 8)?;
-    let json = parsed.is_set("json");
 
-    let cfg = ReplConfig {
+    let steady = ReplicaSet::new(ReplConfig {
         engine,
         scheme,
         policy,
@@ -784,105 +663,34 @@ fn repl(parsed: &Parsed) -> CliResult {
         link: NetLinkConfig::from_rtt_us(rtt_us),
         seed,
         commits,
-    };
-    let steady = ReplicaSet::new(cfg)?.run_steady();
+    })?
+    .run_steady();
     let sweep = failover_sweep(plans, seed);
-
-    if json {
-        #[derive(Debug, Serialize)]
-        #[allow(dead_code)]
-        struct SteadyJson {
-            engine: String,
-            ship: String,
-            mode: String,
-            replicas: u64,
-            rtt_us: u64,
-            seed: u64,
-            commits: u64,
-            released: u64,
-            p50_us: f64,
-            p99_us: f64,
-            mean_us: f64,
-            commits_per_sec: f64,
-            ship_batches: u64,
-            ship_records: u64,
-            violations: Vec<String>,
-        }
-        #[derive(Debug, Serialize)]
-        #[allow(dead_code)]
-        struct FailoverJson {
-            plans: u64,
-            seed: u64,
-            acked_commits: u64,
-            survivors: u64,
-            violations: Vec<String>,
-        }
-        #[derive(Debug, Serialize)]
-        #[allow(dead_code)]
-        struct ReplJson {
-            steady: SteadyJson,
-            failover: FailoverJson,
-        }
-        let out = ReplJson {
-            steady: SteadyJson {
-                engine: engine.to_string(),
-                ship: scheme.to_string(),
-                mode: policy.to_string(),
-                replicas,
-                rtt_us,
-                seed,
-                commits,
-                released: steady.released,
-                p50_us: steady.p50_us,
-                p99_us: steady.p99_us,
-                mean_us: steady.mean_us,
-                commits_per_sec: steady.commits_per_sec,
-                ship_batches: steady.ship_batches,
-                ship_records: steady.ship_records,
-                violations: steady.violations.clone(),
-            },
-            failover: FailoverJson {
-                plans: sweep.plans,
-                seed: sweep.seed,
-                acked_commits: sweep.acked_commits,
-                survivors: sweep.survivors,
-                violations: sweep
-                    .violations
-                    .iter()
-                    .map(|(e, s, ps, d)| format!("[{e}/{s} seed={ps}] {d}"))
-                    .collect(),
-            },
-        };
-        println!("json: {}", serde_json::to_string(&out)?);
+    let report = if parsed.is_set("json") {
+        json_line(&Sections(&[("steady", &steady), ("failover", &sweep)]))
     } else {
-        println!(
-            "replica set: {engine} x{replicas}, {policy} over {ship} ship, \
-             rtt {rtt_us} us (seed {seed}, {commits} commits)"
-        );
-        println!(
-            "steady state: released {}, p50 {:.2} us, p99 {:.2} us, \
-             mean {:.2} us, {:.0} commits/s",
-            steady.released, steady.p50_us, steady.p99_us, steady.mean_us, steady.commits_per_sec
-        );
-        println!(
-            "shipping:     {} batches, {} records on the wire",
-            steady.ship_batches, steady.ship_records
-        );
-        for v in &steady.violations {
-            println!("VIOLATION: {v}");
-        }
-        println!("\n{sweep}");
-    }
+        format!(
+            "replica set: {engine} x{replicas}, {policy} over {scheme} ship, \
+             rtt {rtt_us} us (seed {seed}, {commits} commits)\n\
+             steady state: released {}, p50 {:.2} us, p99 {:.2} us, \
+             mean {:.2} us, {:.0} commits/s\n\
+             shipping:     {} batches, {} records on the wire\n{}",
+            steady.released,
+            steady.p50_us,
+            steady.p99_us,
+            steady.mean_us,
+            steady.commits_per_sec,
+            steady.ship_batches,
+            steady.ship_records,
+            sweep_tail(&steady.violations, &sweep)
+        )
+    };
     let broken = steady.violations.len() + sweep.violations.len();
-    if broken == 0 {
-        Ok(())
-    } else {
-        Err(format!("{broken} replication invariant violation(s)").into())
-    }
+    verdict(report, broken, "replication ")
 }
 
 fn cluster(parsed: &Parsed) -> CliResult {
-    use twob_repl::{fleet_sweep, Fleet, FleetConfig, PlacementKind, ShipScheme};
+    use twob_repl::{fleet_sweep, Fleet, FleetConfig, PlacementKind};
 
     let nodes = parsed.u64_or("nodes", 9)?;
     if !(3..=48).contains(&nodes) {
@@ -900,18 +708,15 @@ fn cluster(parsed: &Parsed) -> CliResult {
         return Err("--rf must be between 1 and --nodes".into());
     }
     let policy = commit_mode(parsed, "semisync:1", rf - 1, "--rf minus the primary")?;
-    let ship = parsed.str_or("ship", "ba");
-    let scheme = ShipScheme::parse(&ship)
-        .ok_or_else(|| format!("--ship must be ba or block, not {ship:?}"))?;
+    let scheme = ship_scheme(parsed)?;
     let commits = parsed.u64_or("commits", 8)?;
     if commits == 0 {
         return Err("--commits must be positive".into());
     }
     let seed = parsed.u64_or("seed", 42)?;
     let plans = parsed.u64_or("plans", 8)?;
-    let json = parsed.is_set("json");
 
-    let cfg = FleetConfig {
+    let config = FleetConfig {
         nodes: nodes as usize,
         shards: shards as u16,
         rf: rf as usize,
@@ -922,100 +727,32 @@ fn cluster(parsed: &Parsed) -> CliResult {
         seed,
         ..FleetConfig::default()
     };
-    let steady = Fleet::new(cfg)?.run();
+    let steady = Fleet::new(config.clone())?.run();
     let sweep = fleet_sweep(plans, seed);
-
-    if json {
-        #[derive(Debug, Serialize)]
-        #[allow(dead_code)]
-        struct SteadyJson {
-            nodes: u64,
-            shards: u64,
-            rf: u64,
-            placement: String,
-            mode: String,
-            ship: String,
-            seed: u64,
-            commits_per_shard: u64,
-            released: u64,
-            reads: u64,
-            commit_p50_us: f64,
-            read_p99_us: f64,
-            shard_digests: Vec<String>,
-            violations: Vec<String>,
-        }
-        #[derive(Debug, Serialize)]
-        #[allow(dead_code)]
-        struct SweepJson {
-            plans: u64,
-            runs: u64,
-            released: u64,
-            reads: u64,
-            moved: u64,
-            digest: String,
-            violations: Vec<String>,
-        }
-        #[derive(Debug, Serialize)]
-        #[allow(dead_code)]
-        struct ClusterJson {
-            steady: SteadyJson,
-            fault_sweep: SweepJson,
-        }
-        let out = ClusterJson {
-            steady: SteadyJson {
-                nodes,
-                shards,
-                rf,
-                placement: placement.to_string(),
-                mode: policy.to_string(),
-                ship: scheme.to_string(),
-                seed,
-                commits_per_shard: commits,
-                released: steady.released,
-                reads: steady.reads,
-                commit_p50_us: steady.commit_p50_us,
-                read_p99_us: steady.read_p99_us,
-                shard_digests: steady
-                    .shard_digests
-                    .iter()
-                    .map(|d| format!("{d:016x}"))
-                    .collect(),
-                violations: steady.violations.clone(),
-            },
-            fault_sweep: SweepJson {
-                plans,
-                runs: sweep.runs,
-                released: sweep.released,
-                reads: sweep.reads,
-                moved: sweep.moved,
-                digest: format!("{:016x}", sweep.digest),
-                violations: sweep.violations.clone(),
-            },
-        };
-        println!("json: {}", serde_json::to_string(&out)?);
+    let report = if parsed.is_set("json") {
+        json_line(&Sections(&[
+            ("config", &config),
+            ("steady", &steady),
+            ("fault_sweep", &sweep),
+        ]))
     } else {
-        println!(
+        format!(
             "fleet:        {nodes} nodes / 3 zones, {shards} shard(s) x rf {rf}, \
-             {placement} placement"
-        );
-        println!("commit path:  {policy} over {ship} ship (seed {seed}, {commits} commits/shard)");
-        println!(
-            "steady state: released {}, {} follower reads, commit p50 {:.2} us, \
-             read p99 {:.2} us",
-            steady.released, steady.reads, steady.commit_p50_us, steady.read_p99_us
-        );
-        println!("config log:   {} entries", steady.config_log.len());
-        for v in &steady.violations {
-            println!("VIOLATION: {v}");
-        }
-        println!("\n{sweep}");
-    }
+             {placement} placement\n\
+             commit path:  {policy} over {scheme} ship (seed {seed}, {commits} commits/shard)\n\
+             steady state: released {}, {} follower reads, commit p50 {:.2} us, \
+             read p99 {:.2} us\n\
+             config log:   {} entries\n{}",
+            steady.released,
+            steady.reads,
+            steady.commit_p50_us,
+            steady.read_p99_us,
+            steady.config_log.len(),
+            sweep_tail(&steady.violations, &sweep)
+        )
+    };
     let broken = steady.violations.len() + sweep.violations.len();
-    if broken == 0 {
-        Ok(())
-    } else {
-        Err(format!("{broken} cluster invariant violation(s)").into())
-    }
+    verdict(report, broken, "cluster ")
 }
 
 fn replay(parsed: &Parsed) -> CliResult {
@@ -1034,14 +771,21 @@ fn replay(parsed: &Parsed) -> CliResult {
     };
     let mut ssd = Ssd::new(cfg);
     let report = replay_trace(&mut ssd, SimTime::ZERO, &ops)?;
-    println!("trace:        {path}");
-    println!("device:       {}", ssd.label());
-    println!("operations:   {}", report.ops);
-    println!("cold reads:   {}", report.cold_reads);
-    println!("virtual time: {}", report.elapsed);
-    println!("throughput:   {:.1} MB/s", report.mb_per_sec());
-    println!("ftl:          {}", ssd.ftl().stats());
-    Ok(())
+    Ok(format!(
+        "trace:        {path}\n\
+         device:       {}\n\
+         operations:   {}\n\
+         cold reads:   {}\n\
+         virtual time: {}\n\
+         throughput:   {:.1} MB/s\n\
+         ftl:          {}\n",
+        ssd.label(),
+        report.ops,
+        report.cold_reads,
+        report.elapsed,
+        report.mb_per_sec(),
+        ssd.ftl().stats()
+    ))
 }
 
 fn crash_demo(_: &Parsed) -> CliResult {
@@ -1056,7 +800,7 @@ fn crash_demo(_: &Parsed) -> CliResult {
         0,
         8,
     )?;
-    println!(
+    let unsynced = format!(
         "1. store without BA_SYNC, then power loss: dump={}, data survived={}",
         dump.dumped,
         &read.data == b"unsynced"
@@ -1074,18 +818,16 @@ fn crash_demo(_: &Parsed) -> CliResult {
         0,
         8,
     )?;
-    println!(
-        "2. store + BA_SYNC, then power loss:       dump={}, restored={}, data survived={}",
+    Ok(format!(
+        "{unsynced}\n\
+         2. store + BA_SYNC, then power loss:       dump={}, restored={}, data survived={}\n\
+         \nThe write-combining buffer is the risk window; BA_SYNC (clflush +\n\
+         mfence + write-verify read) closes it, and the capacitors carry the\n\
+         BA-buffer to NAND on power loss (paper Fig 3 / SIII-A4).\n",
         dump.dumped,
         report.restored,
         &read.data == b"synced!!"
-    );
-    println!(
-        "\nThe write-combining buffer is the risk window; BA_SYNC (clflush +\n\
-         mfence + write-verify read) closes it, and the capacitors carry the\n\
-         BA-buffer to NAND on power loss (paper Fig 3 / SIII-A4)."
-    );
-    Ok(())
+    ))
 }
 
 fn faults(parsed: &Parsed) -> CliResult {
@@ -1099,12 +841,7 @@ fn faults(parsed: &Parsed) -> CliResult {
         return Err("--cuts must be positive".into());
     }
     let report = twob_faults::sweep(cuts, seed);
-    println!("{report}");
-    if report.passed() {
-        Ok(())
-    } else {
-        Err(format!("{} invariant violation(s)", report.violations.len()).into())
-    }
+    verdict(format!("{report}\n"), report.violations.len(), "")
 }
 
 #[cfg(test)]
@@ -1112,9 +849,12 @@ mod tests {
     use super::*;
     use crate::args::parse;
 
+    /// What `twob <args>` would print: whole lines, or the error.
     fn run(args: &[&str]) -> CliResult {
         let parsed = parse(args.iter().map(|s| s.to_string())).expect("parse");
-        dispatch(&parsed)
+        let text = dispatch(&parsed)?;
+        assert!(text.ends_with('\n'), "{args:?} ends mid-line: {text:?}");
+        Ok(text)
     }
 
     #[test]
@@ -1230,36 +970,115 @@ mod tests {
 
     #[test]
     fn json_variants_run() {
-        run(&["gc", "--churn", "200", "--seed", "3", "--json"]).unwrap();
-        run(&["tenants", "--n", "2", "--ops", "40", "--json"]).unwrap();
-        run(&["serve", "--tenants", "2", "--rate", "30000", "--json"]).unwrap();
-        run(&["tier", "--n", "2", "--ops", "20", "--json"]).unwrap();
-        run(&[
-            "repl",
-            "--commits",
-            "10",
-            "--plans",
-            "1",
-            "--seed",
+        for args in [
+            &["gc", "--churn", "200", "--seed", "3", "--json"][..],
+            &["tenants", "--n", "2", "--ops", "40", "--json"],
+            &["serve", "--tenants", "2", "--rate", "30000", "--json"],
+            &["tier", "--n", "2", "--ops", "20", "--json"],
+            &[
+                "repl",
+                "--commits",
+                "10",
+                "--plans",
+                "1",
+                "--seed",
+                "4",
+                "--json",
+            ],
+            &[
+                "cluster",
+                "--nodes",
+                "9",
+                "--shards",
+                "4",
+                "--commits",
+                "6",
+                "--plans",
+                "1",
+                "--seed",
+                "11",
+                "--json",
+            ],
+        ] {
+            // One `json: ` line and nothing else, the same on a second run.
+            let payload = run(args).unwrap();
+            assert!(payload.starts_with("json: "), "{args:?}: {payload}");
+            assert_eq!(payload.matches('\n').count(), 1, "{args:?}");
+            assert_eq!(run(args).unwrap(), payload, "{args:?}");
+        }
+    }
+
+    /// The value of `key` in the first JSON object after `anchor`.
+    fn value_after<'a>(json: &'a str, anchor: &str, key: &str) -> &'a str {
+        let object = &json[json.find(anchor).expect(anchor)..];
+        let key = format!("\"{key}\":");
+        let value = &object[object.find(&key).expect(&key) + key.len()..];
+        &value[..value.find([',', '}']).expect("a delimiter")]
+    }
+
+    fn golden(study: &str) -> String {
+        let path = format!("{}{study}.json", twob_bench::registry::GOLDEN_DIR);
+        std::fs::read_to_string(path).expect("golden fixture")
+    }
+
+    #[test]
+    fn serve_json_agrees_with_the_serve_sweep_fixture() {
+        let fixture = golden("serve_sweep");
+        let serve = run(&[
+            "serve",
+            "--tenants",
+            "64",
+            "--rate",
+            "20000",
+            "--slo-p99-us",
             "4",
+            "--seed",
+            "61",
             "--json",
         ])
         .unwrap();
-        run(&[
-            "cluster",
-            "--nodes",
-            "9",
-            "--shards",
-            "4",
-            "--commits",
-            "6",
-            "--plans",
-            "1",
-            "--seed",
-            "11",
-            "--json",
+        for scheme in ["ba", "block"] {
+            let rung = format!("\"scheme\":\"{scheme}\",\"rate_per_tenant\":20000");
+            let report = format!("\"scheme\":\"{scheme}\"");
+            for key in ["admitted", "p50_us", "p99_us", "p999_us", "slo_ok"] {
+                assert_eq!(
+                    value_after(&serve, &report, key),
+                    value_after(&fixture, &rung, key),
+                    "{scheme} {key}"
+                );
+            }
+            let shed: u64 = ["shed_queue", "shed_buffer"]
+                .iter()
+                .map(|key| value_after(&serve, &report, key).parse::<u64>().unwrap())
+                .sum();
+            assert_eq!(
+                shed.to_string(),
+                value_after(&fixture, &rung, "shed"),
+                "{scheme}"
+            );
+        }
+    }
+
+    #[test]
+    fn tenants_json_agrees_with_the_tenant_sweep_fixture() {
+        let fixture = golden("tenant_sweep");
+        let tenants = run(&[
+            "tenants", "--n", "4", "--ops", "200", "--seed", "61", "--json",
         ])
         .unwrap();
+        // A fixture row is a report's leading fields, names and order alike.
+        let rows: Vec<&str> = fixture
+            .split("},{")
+            .filter(|row| row.contains("\"tenants\":4,"))
+            .collect();
+        assert_eq!(rows.len(), 2, "{rows:?}");
+        for row in rows {
+            let fields = row.trim_start_matches('{');
+            assert!(
+                tenants.contains(&format!("{{{fields},\"per_tenant\":")),
+                "{row}"
+            );
+        }
     }
 
     #[test]
@@ -1270,6 +1089,27 @@ mod tests {
         assert!(run(&["wal", "--scheme", "carrier-pigeon"]).is_err());
         assert!(run(&["ycsb", "--ops", "10", "--qd", "0"]).is_err());
         assert!(run(&["ycsb", "--ops", "10", "--qd", "1025"]).is_err());
+        // `tier --qd` sizes the same client pool: same bound, same words.
+        for qd in ["1025", "100000000000"] {
+            let unbounded = run(&["tier", "--n", "2", "--qd", qd, "--ops", "1"]).unwrap_err();
+            assert_eq!(
+                unbounded.to_string(),
+                run(&["ycsb", "--qd", qd]).unwrap_err().to_string()
+            );
+            assert!(unbounded.to_string().contains("--qd"), "{unbounded}");
+        }
+        // A probe covers one page; a size it cannot measure is not clamped.
+        for (device, size) in [
+            ("twob-mmio", "1000000"),
+            ("twob-mmio", "0"),
+            ("dc", "1000000"),
+        ] {
+            let clamped = run(&[
+                "latency", "--device", device, "--op", "write", "--size", size,
+            ])
+            .unwrap_err();
+            assert!(clamped.to_string().contains("--size"), "{clamped}");
+        }
         // A flag the subcommand does not take would silently run the
         // defaults: refuse it and say what is accepted.
         let typo = run(&["serve", "--tenats", "2", "--json"]).unwrap_err();

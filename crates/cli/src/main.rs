@@ -16,15 +16,11 @@ mod commands;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let parsed = match args::parse(std::env::args().skip(1)) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            commands::help();
-            return ExitCode::FAILURE;
-        }
+    let done = match args::parse(std::env::args().skip(1)) {
+        Ok(parsed) => commands::dispatch(&parsed),
+        Err(e) => Err(format!("{e}\n\n{}", commands::HELP).into()),
     };
-    match commands::dispatch(&parsed) {
+    match done.and_then(|text| Ok(twob_bench::emit(&text)?)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
