@@ -183,7 +183,7 @@ fn write_fixture(name: &str, json: &str) -> io::Result<bool> {
 
 /// Re-captures every fixture the registry declares, all of them in one
 /// invocation.
-fn regen() -> io::Result<i32> {
+fn regen() -> io::Result<()> {
     let mut moved = 0;
     for entry in REGISTRY {
         if let Some(json) = entry.capture() {
@@ -194,8 +194,7 @@ fn regen() -> io::Result<i32> {
         "\nall fixtures already match the current simulator\n".to_string()
     } else {
         format!("\n{moved} fixture(s) moved — review `git diff crates/bench/tests/golden/`\n")
-    })?;
-    Ok(0)
+    })
 }
 
 /// Runs the named studies in order: prints each one's tables and `json:`
@@ -233,7 +232,7 @@ fn run(studies: &[&'static str], flags: Flags) -> io::Result<i32> {
 pub fn main(args: &[String]) -> i32 {
     let done = match parse(args) {
         Ok(Plan::List) => emit(&list()).map(|()| 0),
-        Ok(Plan::Regen) => regen(),
+        Ok(Plan::Regen) => regen().map(|()| 0),
         Ok(Plan::Run(studies, flags)) => run(&studies, flags),
         Err(problem) => {
             eprintln!("error: {problem}\n\n{}", usage());

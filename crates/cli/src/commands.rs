@@ -153,11 +153,11 @@ impl fmt::Debug for Sections<'_> {
 }
 
 /// `report` if no invariant broke; otherwise an error that carries it.
-fn verdict(report: String, broken: usize, what: &str) -> CliResult {
+fn verdict(report: String, broken: usize) -> CliResult {
     if broken == 0 {
         Ok(report)
     } else {
-        Err(format!("{broken} {what}invariant violation(s)\n\n{report}").into())
+        Err(format!("{broken} invariant violation(s)\n\n{report}").into())
     }
 }
 
@@ -685,8 +685,7 @@ fn repl(parsed: &Parsed) -> CliResult {
             sweep_tail(&steady.violations, &sweep)
         )
     };
-    let broken = steady.violations.len() + sweep.violations.len();
-    verdict(report, broken, "replication ")
+    verdict(report, steady.violations.len() + sweep.violations.len())
 }
 
 fn cluster(parsed: &Parsed) -> CliResult {
@@ -751,8 +750,7 @@ fn cluster(parsed: &Parsed) -> CliResult {
             sweep_tail(&steady.violations, &sweep)
         )
     };
-    let broken = steady.violations.len() + sweep.violations.len();
-    verdict(report, broken, "cluster ")
+    verdict(report, steady.violations.len() + sweep.violations.len())
 }
 
 fn replay(parsed: &Parsed) -> CliResult {
@@ -841,7 +839,7 @@ fn faults(parsed: &Parsed) -> CliResult {
         return Err("--cuts must be positive".into());
     }
     let report = twob_faults::sweep(cuts, seed);
-    verdict(format!("{report}\n"), report.violations.len(), "")
+    verdict(format!("{report}\n"), report.violations.len())
 }
 
 #[cfg(test)]
