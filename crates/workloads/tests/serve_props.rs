@@ -34,6 +34,78 @@ fn any_config() -> impl Strategy<Value = ServeConfig> {
         })
 }
 
+/// What a serve report pins: `digest`, interpolated `p50/p99/p999_us`,
+/// `worst_tenant_p99_us`, `windows`, `windows_over_slo`, and the bits of
+/// `admitted_ops_per_sec`.
+type Pin = (u64, f64, f64, f64, f64, u64, u64, u64);
+
+fn pin(r: &twob_workloads::ServeReport) -> Pin {
+    (
+        r.digest,
+        r.p50_us,
+        r.p99_us,
+        r.p999_us,
+        r.worst_tenant_p99_us,
+        r.windows,
+        r.windows_over_slo,
+        r.admitted_ops_per_sec.to_bits(),
+    )
+}
+
+/// Every scheme under every arrival process on single-device `serve`,
+/// plus one sharded BA case, pinned to literals: 8 tenants, a 2 ms
+/// horizon, a rate past the 80 k ops/s-per-tenant admission depth so
+/// deferral is exercised, and a 100 µs p99 target some windows miss.
+/// Any change to how commits reach the calendar or how completions are
+/// measured moves a literal here.
+#[test]
+fn serve_reports_are_pinned() {
+    let cfg = |scheme, kind| {
+        let mut cfg = ServeConfig::standard(8, scheme, ArrivalConfig::new(kind, 90_000.0, 61));
+        cfg.horizon = twob_sim::SimDuration::from_micros(2_000);
+        cfg.slo_p99_us = 100.0;
+        cfg
+    };
+    // (scheme, arrival, (digest, p50, p99, p999, worst tenant p99,
+    //  windows, windows over SLO, admitted ops/s bits))
+    #[rustfmt::skip]
+    let pinned: [(WalScheme, ArrivalKind, Pin); 9] = [
+        (WalScheme::Ba, ArrivalKind::Poisson, (3858766942020800988, 70.844, 196.292, 198.9515, 198.535, 20, 19, 4693773208621281043)),
+        (WalScheme::Ba, ArrivalKind::Bursty, (1527762306039768125, 73.348, 198.05655, 199.70748999999998, 199.66192999999998, 20, 20, 4692975599943948720)),
+        (WalScheme::Ba, ArrivalKind::Diurnal, (3429277273756503628, 38.7075, 198.87849, 199.89678899999998, 199.56725, 20, 9, 4692480495207786820)),
+        (WalScheme::Cxl, ArrivalKind::Poisson, (3457986761543234929, 71.13, 196.578, 199.2375, 198.821, 20, 19, 4693772456162175376)),
+        (WalScheme::Cxl, ArrivalKind::Bursty, (484864727803629892, 73.634, 198.34255, 199.99348999999998, 199.94792999999999, 20, 20, 4692974956092930104)),
+        (WalScheme::Cxl, ArrivalKind::Diurnal, (7240958725754016952, 38.9935, 199.16449, 200.18278899999999, 199.85325, 20, 9, 4692479305531510207)),
+        (WalScheme::Block, ArrivalKind::Poisson, (12161289281114134277, 73.77, 199.218, 201.8775, 201.461, 20, 19, 4693765520049791424)),
+        (WalScheme::Block, ArrivalKind::Bursty, (478338558156808596, 76.274, 200.98254999999997, 202.63349, 202.58793, 20, 20, 4692969021121859898)),
+        (WalScheme::Block, ArrivalKind::Diurnal, (4003964755925526473, 41.6335, 201.80449, 202.822789, 202.49325, 20, 9, 4692468339183581176)),
+    ];
+    for (scheme, kind, want) in pinned {
+        let report = ServiceDriver::serve(&cfg(scheme, kind));
+        assert!(report.deferred > 0, "{scheme:?}/{kind:?} never deferred");
+        assert_eq!(pin(&report), want, "{scheme:?}/{kind:?}");
+    }
+    let sharded = ServiceDriver::serve_sharded(
+        &cfg(WalScheme::Ba, ArrivalKind::Poisson),
+        2,
+        ShardDrive::Adaptive,
+    );
+    assert_eq!(
+        pin(&sharded),
+        (
+            1682126533706202603,
+            70.844,
+            196.292,
+            198.9515,
+            198.535,
+            20,
+            19,
+            4693773208621281043
+        ),
+        "sharded"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
