@@ -523,8 +523,10 @@ fn serve(parsed: &Parsed) -> CliResult {
     let kind = ArrivalKind::parse(&arrival)
         .ok_or_else(|| format!("--arrival must be poisson, burst, or diurnal, not {arrival:?}"))?;
     let rate = parsed.u64_or("rate", 20_000)?;
-    if rate == 0 {
-        return Err("--rate must be positive".into());
+    if !(1..=10_000_000).contains(&rate) {
+        return Err(
+            "--rate must be between 1 and 10000000 (arrival gaps floor at 1 ns per tenant)".into(),
+        );
     }
     let slo_p99_us = parsed.u64_or("slo-p99-us", 400)?;
     if slo_p99_us == 0 {
@@ -1132,6 +1134,9 @@ mod tests {
         assert!(run(&["tier", "--mix", "pg,mysql"]).is_err());
         assert!(run(&["serve", "--arrival", "carrier-pigeon"]).is_err());
         assert!(run(&["serve", "--rate", "0"]).is_err());
+        // One arrival per ns per tenant is not the rate the header prints.
+        let unbounded = run(&["serve", "--tenants", "2", "--rate", "100000000000"]).unwrap_err();
+        assert!(unbounded.to_string().contains("--rate"), "{unbounded}");
         assert!(run(&["serve", "--slo-p99-us", "0"]).is_err());
         assert!(run(&["latency", "--trace", "yes"]).is_err());
         assert!(run(&["faults", "retry"]).is_err());

@@ -1,10 +1,15 @@
-//! Property-based tests of the 2B-SSD's mapping table, BA-buffer, and the
-//! dual-path consistency invariant.
+//! Property-based tests of the 2B-SSD's mapping table, BA-buffer, the
+//! dual-path consistency invariant, and the streaming calendar drive.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
-use twob_core::{BaBuffer, EntryId, MappingTable, PinError, PinTable, TenantId, TwoBSsd};
+use twob_core::{
+    BaBuffer, EntryId, IoCalendar, IoCompletion, IoOp, MappingTable, PinError, PinTable, TenantId,
+    TwoBSsd,
+};
 use twob_ftl::Lba;
 use twob_pcie::PostedWrite;
 use twob_sim::{fnv1a64_update, SimDuration, SimRng, SimTime};
@@ -208,8 +213,176 @@ fn byte_path_mixed_sequence_digest_is_pinned() {
     assert_eq!(h, 5560537839612442530);
 }
 
+/// A calendar program: per op, a start-time step (0 is a same-instant tie)
+/// and which op to issue (see [`calendar_setup`]).
+fn calendar_program() -> impl Strategy<Value = Vec<(u64, u8)>> {
+    prop::collection::vec(
+        (prop_oneof![2 => Just(0u64), 3 => 1u64..20_000], 0u8..10),
+        1..60,
+    )
+}
+
+/// A device with block data at LBA 16 and two one-page BA windows pinned,
+/// and `program` as time-sorted calendar ops dated from the pins' end:
+/// every `IoOp` kind, a `BlockWrite` + `BlockFlush` pair at one instant
+/// (kind 8), and a sync of an entry never pinned (kind 9, an error).
+fn calendar_setup(program: &[(u64, u8)]) -> (TwoBSsd, Vec<(SimTime, IoOp)>) {
+    let mut dev = TwoBSsd::small_for_tests();
+    let ack = dev
+        .write_pages(SimTime::ZERO, Lba(16), &[0x5A; 4096])
+        .expect("seed write");
+    let mut t = dev.flush(ack);
+    let mut eids = Vec::new();
+    for lba in [0, 2] {
+        let (eid, pin) = dev.ba_pin_auto(t, Lba(lba), 1).expect("pin");
+        t = pin.complete_at;
+        eids.push(eid);
+    }
+    let page: Arc<[u8]> = vec![0xA5; 4096].into();
+    let mut ops = Vec::new();
+    for (i, &(step, kind)) in program.iter().enumerate() {
+        t += SimDuration::from_nanos(step);
+        let eid = eids[i % 2];
+        let write = IoOp::BlockWrite {
+            lba: Lba(8 + i as u64 % 4),
+            data: Arc::clone(&page),
+        };
+        let op = match kind {
+            0 => IoOp::BaFlush { eid },
+            1 => IoOp::BaSync { eid },
+            2 => IoOp::BaSyncRange {
+                eid,
+                rel_offset: 64,
+                len: 128,
+            },
+            3 => IoOp::BaReadDma {
+                eid,
+                rel_offset: 0,
+                len: 256,
+            },
+            4 => IoOp::BlockRead {
+                lba: Lba(16),
+                pages: 1,
+            },
+            5 => write,
+            6 => IoOp::BlockFlush,
+            7 => IoOp::CxlPersist {
+                eid,
+                rel_offset: 0,
+                len: 64,
+            },
+            8 => {
+                ops.push((t, write));
+                IoOp::BlockFlush
+            }
+            _ => IoOp::BaSync { eid: EntryId(7) },
+        };
+        ops.push((t, op));
+    }
+    (dev, ops)
+}
+
+/// What two drives must agree on per completion.
+type Landed = (
+    u64,
+    SimTime,
+    SimTime,
+    Option<twob_core::TwoBError>,
+    Option<Vec<u8>>,
+);
+
+fn landed(c: IoCompletion) -> Landed {
+    (c.id, c.submitted, c.complete_at, c.error, c.data)
+}
+
+/// A source op dated before the calendar's clock still runs, at `now`,
+/// and is counted as a clamp rather than silently re-dated.
+#[test]
+fn drive_with_counts_a_source_op_dated_before_now() {
+    let mut dev = TwoBSsd::small_for_tests();
+    let mut cal = IoCalendar::new();
+    cal.submit(SimTime::from_nanos(1_000_000), IoOp::BlockFlush);
+    assert_eq!(cal.drive(&mut dev), 1);
+    assert_eq!(cal.clamped_posts(), 0);
+    let now = cal.now();
+    let mut landed = Vec::new();
+    let done = cal.drive_with(&mut dev, [(SimTime::ZERO, IoOp::BlockFlush)], |c| {
+        landed.push(c)
+    });
+    assert_eq!(done, 1);
+    assert_eq!(cal.clamped_posts(), 1);
+    assert!(landed[0].complete_at >= now);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Streaming a time-sorted program through `drive_with` is the same run
+    /// as submitting all of it and calling `drive`: the same completions
+    /// (id, instants, error, data) in the same order, and the same device
+    /// and FTL state afterwards.
+    #[test]
+    fn drive_with_matches_submit_all_then_drive(program in calendar_program()) {
+        // Every program holds a write + flush pair and an unpinned entry.
+        let program: Vec<(u64, u8)> = [(0, 8), (0, 9)].into_iter().chain(program).collect();
+        let (mut eager_dev, ops) = calendar_setup(&program);
+        let mut eager = IoCalendar::new();
+        for (at, op) in ops.clone() {
+            eager.submit(at, op);
+        }
+        eager.drive(&mut eager_dev);
+        let want: Vec<Landed> = eager.drain_completions().into_iter().map(landed).collect();
+
+        let (mut dev, _) = calendar_setup(&program);
+        let mut streamed = IoCalendar::new();
+        let mut got = Vec::new();
+        let done = streamed.drive_with(&mut dev, ops, |c| got.push(landed(c)));
+        prop_assert_eq!(done, got.len());
+        prop_assert_eq!(&got, &want);
+        prop_assert!(got.iter().any(|c| c.3.is_some()), "the unpinned sync must fail");
+        prop_assert_eq!(dev.stats(), eager_dev.stats());
+        prop_assert_eq!(dev.ssd().ftl().stats(), eager_dev.ssd().ftl().stats());
+        prop_assert_eq!(streamed.clamped_posts(), 0);
+        prop_assert_eq!(streamed.now(), eager.now());
+    }
+
+    /// `drive_with` is lazy: it pulls the next op only after posting the
+    /// previous one, and posts an op only once nothing earlier is pending.
+    /// So from the pull that follows op `k`'s post on, no completion dated
+    /// before op `k`'s start may still reach the sink.
+    #[test]
+    fn drive_with_posts_an_op_only_when_nothing_earlier_is_pending(
+        program in calendar_program(),
+    ) {
+        enum Log {
+            Pull(Option<SimTime>),
+            Sink(SimTime),
+        }
+        let (mut dev, ops) = calendar_setup(&program);
+        let log = RefCell::new(Vec::new());
+        let mut ops = ops.into_iter();
+        let source = std::iter::from_fn(|| {
+            let next = ops.next();
+            log.borrow_mut().push(Log::Pull(next.as_ref().map(|(at, _)| *at)));
+            next
+        });
+        IoCalendar::new().drive_with(&mut dev, source, |c| {
+            log.borrow_mut().push(Log::Sink(c.complete_at));
+        });
+        let (mut posted, mut held) = (SimTime::ZERO, None);
+        for entry in log.into_inner() {
+            match entry {
+                Log::Pull(next) => {
+                    posted = held.unwrap_or(posted);
+                    held = next;
+                }
+                Log::Sink(at) => prop_assert!(
+                    at >= posted,
+                    "a completion at {} landed after the op at {} was posted", at, posted
+                ),
+            }
+        }
+    }
 
     /// Whatever sequence of inserts and removes, live entries never
     /// overlap in buffer space nor in LBA space.
