@@ -107,3 +107,112 @@ fn readback_digests_are_pinned_in_both_gc_modes_and_across_a_power_cut() {
          background volatile): {got:#018X?}"
     );
 }
+
+/// Submits seeded bursts of overwrites, every write of a burst at the same
+/// instant, into a 256-slot write cache. A burst longer than the cache
+/// fills it, so writes wait for the earliest-free slot while destages end
+/// out of order across dies; a slot choice that is not earliest-free (a
+/// FIFO of free instants, say) moves the digest. Returns the digest of
+/// every write's acknowledgement instant and latency breakdown, then of
+/// the FTL, device and wear counters and the instant the device goes idle.
+fn ack_timeline_digest(mut cfg: SsdConfig) -> u64 {
+    const BURSTS: u64 = 40;
+    cfg.write_cache_pages = 256;
+    let mut ssd = Ssd::new(cfg);
+    let lbas = ssd.capacity_pages();
+    let mut rng = SimRng::seed_from(0xAC_4B);
+    let mut t = SimTime::ZERO;
+    let mut h = FNV_BASIS;
+    let mut slot_waits = 0;
+    for burst in 0..BURSTS {
+        for i in 0..rng.next_u64_below(400) {
+            let lba = rng.next_u64_below(lbas);
+            let target = if rng.chance(0.9) {
+                lba % (lbas / 8)
+            } else {
+                lba
+            };
+            let mut page = vec![burst as u8; 4096];
+            page[..8].copy_from_slice(&i.to_le_bytes());
+            let ack = ssd.write(t, Lba(target), &page).expect("write");
+            let b = ssd.last_breakdown();
+            slot_waits += u64::from(b.slot_wait > SimDuration::ZERO);
+            h = [
+                ack.as_nanos(),
+                b.firmware.as_nanos(),
+                b.slot_wait.as_nanos(),
+                b.queue_wait.as_nanos(),
+                b.gc_wait.as_nanos(),
+                b.nand_busy.as_nanos(),
+                b.xfer.as_nanos(),
+            ]
+            .into_iter()
+            .fold(h, mix);
+        }
+        t += SimDuration::from_micros(rng.next_u64_below(2_000));
+    }
+    let idle = ssd.quiesce_background();
+    let ftl = ssd.ftl().stats();
+    let dev = ssd.stats();
+    let wear = ssd.ftl().nand().wear_report();
+    let (started, abandoned) = ssd.ftl().gc_job_counts();
+    assert!(slot_waits > 0, "no write ever waited for a cache slot");
+    assert!(ftl.gc_writes > 0, "GC never relocated a valid page");
+    [
+        ftl.host_reads,
+        ftl.host_writes,
+        ftl.gc_reads,
+        ftl.gc_writes,
+        ftl.erases,
+        ftl.trims,
+        ftl.free_blocks,
+        ftl.mapped_lbas,
+        dev.read_cmds,
+        dev.write_cmds,
+        dev.pages_read,
+        dev.pages_written,
+        dev.prefetch_hits,
+        dev.prefetched_pages,
+        dev.flushes,
+        dev.gated_writes,
+        dev.internal_pages,
+        wear.programs,
+        wear.reads,
+        wear.erases,
+        wear.max_erase_count,
+        wear.min_erase_count,
+        wear.bad_blocks,
+        started,
+        abandoned,
+        idle.as_nanos(),
+    ]
+    .into_iter()
+    .fold(h, mix)
+}
+
+#[test]
+fn write_ack_timeline_is_pinned() {
+    let inline = SsdConfig::base_2b().small();
+    let background = inline.clone().with_background_gc(GcPolicy::Greedy);
+    let volatile = |mut cfg: SsdConfig| {
+        cfg.capacitor_backed_cache = false;
+        cfg
+    };
+    let got = [
+        ack_timeline_digest(inline.clone()),
+        ack_timeline_digest(background.clone()),
+        ack_timeline_digest(volatile(inline)),
+        ack_timeline_digest(volatile(background)),
+    ];
+    assert_eq!(
+        got,
+        [
+            0xDC12_4F4A_37DE_9CDE,
+            0xB721_916B_3725_C8C8,
+            0x9E4E_D096_64EE_5DC4,
+            0x2255_0E96_6E7C_A0F1,
+        ],
+        "write-ack timeline moved (inline, background, inline volatile, \
+         background volatile): {got:#018X?}"
+    );
+}
