@@ -33,6 +33,14 @@ pub enum NandError {
     ReadReleased(PageAddr),
     /// ECC could not correct the raw bit errors in the page.
     Uncorrectable(PageAddr),
+    /// The address lies outside the array's geometry: a coordinate of the
+    /// block, or the page index, is out of range.
+    OutOfRange {
+        /// The block addressed.
+        block: BlockAddr,
+        /// The page addressed within it, for page operations.
+        page: Option<u32>,
+    },
     /// The supplied buffer does not match the page size.
     WrongBufferLen {
         /// Buffer length supplied by the caller.
@@ -59,6 +67,13 @@ impl fmt::Display for NandError {
             NandError::ReadUnwritten(p) => write!(f, "read of unwritten page {p}"),
             NandError::ReadReleased(p) => write!(f, "read of released page {p}"),
             NandError::Uncorrectable(p) => write!(f, "uncorrectable ECC error at {p}"),
+            NandError::OutOfRange { block, page: None } => {
+                write!(f, "block {block} outside the geometry")
+            }
+            NandError::OutOfRange {
+                block,
+                page: Some(page),
+            } => write!(f, "page {} outside the geometry", block.page(*page)),
             NandError::WrongBufferLen { got, expected } => {
                 write!(f, "buffer of {got} bytes where page size is {expected}")
             }

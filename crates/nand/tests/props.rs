@@ -1,7 +1,7 @@
 //! Property-based tests of the NAND array's physical invariants.
 
 use proptest::prelude::*;
-use twob_nand::{FlashClass, NandArray, NandError, NandGeometry};
+use twob_nand::{BlockAddr, FlashClass, NandArray, NandError, NandGeometry};
 
 /// An abstract NAND operation drawn by proptest.
 #[derive(Debug, Clone)]
@@ -100,6 +100,68 @@ proptest! {
             let held = oracle.iter().flatten().filter(|p| matches!(p, Page::Holds(_))).count();
             prop_assert_eq!(nand.resident_pages(), held);
         }
+    }
+
+    /// An address outside the geometry — any block coordinate, or a page
+    /// past the block's last — is refused with `OutOfRange` by every
+    /// operation that takes one, reads as never programmed, and moves
+    /// neither the wear counters nor the page store, whatever in-range
+    /// traffic came first.
+    #[test]
+    fn out_of_range_addresses_error_and_change_nothing(
+        warmup in prop::collection::vec(op_strategy(8, 16), 0..60),
+        coords in (0u32..5, 0u32..5, 0u32..3, 0u32..20, 0u32..40),
+        (outside_axis, past) in (0usize..5, 0u32..3),
+    ) {
+        let geom = NandGeometry::small_test();
+        // Arbitrary coordinates, then one of them pushed past its bound.
+        let mut c = [coords.0, coords.1, coords.2, coords.3, coords.4];
+        let bounds = [
+            geom.channels,
+            geom.ways_per_channel,
+            geom.planes_per_way,
+            geom.blocks_per_plane,
+            geom.pages_per_block,
+        ];
+        c[outside_axis] = c[outside_axis].max(bounds[outside_axis] + past);
+        let [channel, way, plane, block, page] = c;
+        let addr = BlockAddr { channel, way, plane, block };
+        let block_inside = (0..4).all(|axis| c[axis] < bounds[axis]);
+        let mut nand = NandArray::new(geom, FlashClass::LowLatencySlc.timing());
+        for op in warmup {
+            let _ = match op {
+                Op::Erase { block } => nand.erase_block(geom.block_from_flat(block)).map(drop),
+                Op::Program { block, fill } => {
+                    let b = geom.block_from_flat(block);
+                    nand.program_page(b.page(nand.next_page_of(b)), &vec![fill; 4096]).map(drop)
+                }
+                Op::Read { block, page } => nand.read_page(geom.block_from_flat(block).page(page)).map(drop),
+                Op::Release { block, page } => {
+                    nand.release_page(geom.block_from_flat(block).page(page));
+                    Ok(())
+                }
+            };
+        }
+        if block_inside {
+            // Fill the block, so the page past its end is the next in order.
+            for p in nand.next_page_of(addr)..geom.pages_per_block {
+                nand.program_page(addr.page(p), &vec![0x5A; 4096]).expect("in-range fill");
+            }
+        }
+        let before = (nand.wear_report(), nand.resident_pages());
+        let outside = |err: NandError| matches!(err, NandError::OutOfRange { .. });
+        prop_assert!(nand.program_page(addr.page(page), &vec![1; 4096]).is_err_and(outside));
+        prop_assert!(nand.read_page(addr.page(page)).is_err_and(outside));
+        nand.release_page(addr.page(page));
+        prop_assert!(!nand.is_programmed(addr.page(page)));
+        if !block_inside {
+            prop_assert!(nand.erase_block(addr).is_err_and(outside));
+            prop_assert!(nand.mark_bad(addr).is_err_and(outside));
+            prop_assert!(!nand.is_bad(addr));
+            prop_assert_eq!(nand.next_page_of(addr), 0);
+            prop_assert_eq!(nand.erase_count_of(addr), 0);
+        }
+        prop_assert_eq!((nand.wear_report(), nand.resident_pages()), before);
     }
 
     /// Double programming any page is always rejected.
