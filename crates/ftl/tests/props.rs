@@ -70,7 +70,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The FTL is observationally a `HashMap<Lba, u8>` — even while GC
-    /// relocates pages underneath.
+    /// relocates pages underneath — and the NAND array holds the bytes of
+    /// exactly the mapped pages after every op: a stale or missing reverse
+    /// entry would keep or drop one.
     #[test]
     fn ftl_matches_flat_map(ops in prop::collection::vec(op_strategy(48), 1..400)) {
         let mut ftl = fresh_ftl();
@@ -98,6 +100,7 @@ proptest! {
                     }
                 },
             }
+            prop_assert_eq!(ftl.nand().resident_pages() as u64, ftl.stats().mapped_lbas);
         }
         // Final sweep: every mapped LBA reads back its model value.
         for (lba, fill) in &model {
@@ -127,7 +130,8 @@ proptest! {
     /// and foreground writes preserve WAF accounting and never lose a live
     /// page. Statistics are charged at step execution, so every relocation
     /// pairs exactly one GC read with one GC write no matter where the job
-    /// is preempted or abandoned.
+    /// is preempted or abandoned. A relocation releases the copy it moved,
+    /// so the NAND array holds exactly the mapped pages after every op.
     #[test]
     fn gc_preemption_never_loses_a_page(ops in prop::collection::vec(gc_op_strategy(48), 1..600)) {
         let mut ftl = fresh_ftl();
@@ -183,6 +187,7 @@ proptest! {
             prop_assert_eq!(stats.gc_reads, stats.gc_writes);
             let (started, abandoned) = ftl.gc_job_counts();
             prop_assert!(abandoned <= started);
+            prop_assert_eq!(ftl.nand().resident_pages() as u64, stats.mapped_lbas);
         }
         // No live page was lost: every model LBA reads back its fill, and
         // nothing extra stayed mapped.
