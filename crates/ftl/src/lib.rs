@@ -11,7 +11,10 @@
 //!
 //! Design choices:
 //!
-//! - **Page-mapped**: a full LBA→PPA table, as in enterprise NVMe drives.
+//! - **Page-mapped**: a full LBA→PPA table, as in enterprise NVMe drives,
+//!   allocated in chunks as LBAs are first written. The reverse map is
+//!   chunked the same way by flat page, and valid counts are indexed by
+//!   flat block: no FTL metadata is hashed.
 //! - **Per-die write frontiers**: consecutive writes stripe across dies so
 //!   programs overlap, which is what gives SSDs their bandwidth.
 //! - **Greedy GC**: victim = fewest valid pages; kicks in when the free
