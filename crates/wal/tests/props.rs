@@ -11,9 +11,9 @@ use twob_core::{IoCalendar, PinTable, RegionFrontEnd, TenantId, TwoBSsd};
 use twob_sim::{SimDuration, SimTime};
 use twob_ssd::{Ssd, SsdConfig};
 use twob_wal::{
-    decode_stream, BaWal, BlockWal, CommitMode, CommitOutcome, HostConfig, LogCursor, LogRecord,
-    Lsn, PmWal, ShardWalHost, SharedDevice, TenantBaWal, TenantBlockWal, WalConfig, WalTail,
-    WalWriter,
+    decode_stream, BaWal, BlockWal, CommitMode, CommitOutcome, HostConfig, HostMode, LogCursor,
+    LogRecord, Lsn, PmWal, ShardWalHost, SharedDevice, TenantBaWal, TenantBlockWal, WalConfig,
+    WalError, WalTail, WalWriter,
 };
 
 /// One step of a cursor interleaving: append a record, poll the cursor, or
@@ -298,6 +298,74 @@ proptest! {
             prop_assert_eq!(twob_counters(host.device()), want.clone());
             if let Some(single) = &single {
                 prop_assert_eq!(twob_counters(single.device()), want);
+            }
+        }
+    }
+
+    /// A block slot's follower read answers what a tail read from the same
+    /// LSN answers — the same record at the same instant, the same lag, or
+    /// (at and past the frontier) a lag where the tail is caught up — and
+    /// leaves the device in the same state. Appends interleave over three
+    /// slots without waiting for each other, so reads queue behind
+    /// in-flight programs; one slot may be fenced and the node
+    /// power-cycled mid-stream.
+    #[test]
+    fn block_read_record_matches_full_scan(
+        ops in prop::collection::vec((0u16..3, 1usize..600, 0u64..3_000), 1..160),
+        fence in prop_oneof![
+            Just(None),
+            (0u16..3, any::<prop::sample::Index>()).prop_map(Some),
+        ],
+        power_cycle in prop_oneof![Just(None), any::<prop::sample::Index>().prop_map(Some)],
+    ) {
+        let mut host = ShardWalHost::new(
+            TwoBSsd::small_for_tests(),
+            HostConfig {
+                mode: HostMode::Block,
+                ..HostConfig::default()
+            },
+        )
+        .expect("host");
+        let mut t = SimTime::from_nanos(1_000_000);
+        for slot in 0..3 {
+            host.open_slot(t, slot).expect("open slot");
+        }
+        let fence = fence.map(|(slot, at)| (slot, at.index(ops.len())));
+        let power_cycle = power_cycle.map(|at| at.index(ops.len()));
+        for (step, &(slot, len, gap)) in ops.iter().enumerate() {
+            if let Some((fenced, _)) = fence.filter(|&(_, at)| at == step) {
+                let next = host.next_lsn(fenced).expect("open");
+                host.fence(fenced, next).expect("fence at the frontier");
+            }
+            if power_cycle == Some(step) {
+                let up = t + SimDuration::from_millis(5);
+                host.power_cycle(t, up).expect("power cycle");
+                t = up;
+            }
+            t += SimDuration::from_nanos(gap);
+            // A fenced or full slot refuses the append; the reads below
+            // must agree either way.
+            let _ = host.append(t, slot, &vec![len as u8; len]);
+        }
+        for slot in 0..3 {
+            let next = host.next_lsn(slot).expect("open").0;
+            for lsn in 0..next + 2 {
+                let (mut by_record, mut by_tail) = (host.clone(), host.clone());
+                match (
+                    by_record.read_record(t, slot, Lsn(lsn)),
+                    by_tail.read_tail(t, slot, Lsn(lsn)),
+                ) {
+                    (Ok((rec, at)), Ok(batch)) => {
+                        prop_assert_eq!(Some(&rec), batch.records.first());
+                        prop_assert_eq!(at, batch.complete_at);
+                    }
+                    (Err(WalError::CursorLag { requested, .. }), Ok(batch)) => {
+                        prop_assert!(lsn >= next && batch.records.is_empty());
+                        prop_assert_eq!(requested, lsn);
+                    }
+                    (record, tail) => prop_assert_eq!(record.map(|_| ()), tail.map(|_| ())),
+                }
+                prop_assert_eq!(twob_counters(by_record.device()), twob_counters(by_tail.device()));
             }
         }
     }
