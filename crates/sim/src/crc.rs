@@ -16,17 +16,58 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Streaming form: feed chunks into a running state initialized with
 /// `!0u32`, and finish by xoring with `!0u32`.
+///
+/// Slice-by-8: eight bytes per step through [`CRC_TABLES`], the remainder
+/// one byte at a time through the first table.
 pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = state;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(w[4])]
+            ^ t[2][usize::from(w[5])]
+            ^ t[1][usize::from(w[6])]
+            ^ t[0][usize::from(w[7])];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     crc
 }
+
+/// `CRC_TABLES[0][b]` is the reflected CRC step of byte `b`, and
+/// `CRC_TABLES[k][b]` the same byte followed by `k` zero bytes: 8 KiB,
+/// built at compile time from the IEEE polynomial `0xEDB8_8320`.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
 
 /// Computes the 64-bit FNV-1a hash of `bytes`.
 ///

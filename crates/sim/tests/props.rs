@@ -4,6 +4,19 @@ use proptest::prelude::*;
 use twob_sim::oracle::schedule_via_events;
 use twob_sim::{crc32, Histogram, MultiServer, Server, SimDuration, SimRng, SimTime, Zipfian};
 
+/// The CRC-32 oracle: the reflected IEEE polynomial one bit at a time.
+fn bitwise_crc32(state: u32, bytes: &[u8]) -> u32 {
+    let mut crc = state;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    crc
+}
+
 proptest! {
     /// A server never starts a request before its arrival, never ends it
     /// before `start + service`, and serves FIFO (ends are monotonic when
@@ -173,6 +186,20 @@ proptest! {
             state = twob_sim::crc32_update(state, piece);
         }
         prop_assert_eq!(state ^ !0u32, crc32(&data));
+    }
+
+    /// The table-driven CRC-32 equals the bitwise reference from any state,
+    /// over every length/remainder split and any two-piece chunking.
+    #[test]
+    fn crc32_update_matches_bitwise_reference(
+        state in any::<u32>(),
+        data in prop::collection::vec(any::<u8>(), 0..300),
+        split in any::<prop::sample::Index>()
+    ) {
+        prop_assert_eq!(twob_sim::crc32_update(state, &data), bitwise_crc32(state, &data));
+        let (head, tail) = data.split_at(split.index(data.len() + 1));
+        let streamed = twob_sim::crc32_update(twob_sim::crc32_update(state, head), tail);
+        prop_assert_eq!(streamed, bitwise_crc32(state, &data));
     }
 
     /// CRC-32 detects any single-byte change.
