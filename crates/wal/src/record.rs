@@ -1,7 +1,7 @@
 //! The on-media log record format.
 
 use serde::{Deserialize, Serialize};
-use twob_sim::crc32;
+use twob_sim::crc32_update;
 
 /// A log sequence number: records are totally ordered by `Lsn`.
 #[derive(
@@ -55,11 +55,10 @@ impl LogRecord {
         RECORD_HEADER_BYTES + self.payload.len()
     }
 
+    /// `crc32(lsn ∥ payload)`, streamed without joining the two.
     fn body_crc(lsn: Lsn, payload: &[u8]) -> u32 {
-        let mut body = Vec::with_capacity(8 + payload.len());
-        body.extend_from_slice(&lsn.0.to_le_bytes());
-        body.extend_from_slice(payload);
-        crc32(&body)
+        let state = crc32_update(!0, &lsn.0.to_le_bytes());
+        crc32_update(state, payload) ^ !0
     }
 
     /// Serializes the record.
@@ -124,6 +123,18 @@ mod tests {
                 None => assert!(payload.is_empty()),
             }
         }
+    }
+
+    #[test]
+    fn encoding_is_pinned() {
+        // The CRC covers `lsn ∥ payload` in that order: 0xD511_8C48 is
+        // zlib's crc32 of those 23 bytes.
+        let mut want = vec![15, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0x48, 0x8C, 0x11, 0xD5];
+        want.extend_from_slice(b"UPDATE accounts");
+        assert_eq!(
+            LogRecord::new(Lsn(7), b"UPDATE accounts".to_vec()).encode(),
+            want
+        );
     }
 
     #[test]
