@@ -418,8 +418,10 @@ impl Fleet {
     ///
     /// [`WalError::BadConfig`] for a lossy link (the fleet has no
     /// retransmit path — chaos here is power cuts), an empty run, an `rf`
-    /// the fleet cannot host, or a move whose destination contains the
-    /// shard's original primary; host construction/open failures.
+    /// the fleet cannot host, a move whose destination contains the
+    /// shard's original primary, or a commit stream longer than a node's
+    /// slot log holds ([`HostConfig::records_per_slot`]); host
+    /// construction/open failures.
     pub fn new(cfg: FleetConfig) -> Result<Fleet, WalError> {
         let bad = |msg: String| Err(WalError::BadConfig(msg));
         if cfg.link.drop_prob != 0.0 || cfg.link.dup_prob != 0.0 {
@@ -451,6 +453,13 @@ impl Fleet {
             slots: cfg.shards,
             ..HostConfig::default()
         };
+        let capacity = host_cfg.records_per_slot(cfg.payload_bytes);
+        if cfg.commits_per_shard > capacity {
+            return bad(format!(
+                "{} commits per shard of {} B exceed the {capacity} records a {} slot log holds",
+                cfg.commits_per_shard, cfg.payload_bytes, host_cfg.mode
+            ));
+        }
         let mut net_rng = SimRng::seed_from(cfg.seed ^ 0xF1EE_7F1E_E7F1_EE7F);
         let mut states = Vec::with_capacity(cfg.nodes);
         for id in 0..cfg.nodes {
@@ -1437,6 +1446,43 @@ mod tests {
                 ..base_cfg()
             });
             assert_eq!(msg, format!("rf {rf} does not fit {nodes} nodes"));
+        }
+    }
+
+    #[test]
+    fn stream_past_the_slot_log_is_a_bad_config() {
+        for (scheme, commits_per_shard, payload_bytes, limit) in [
+            (ShipScheme::Block, 410, 64, 409),
+            (ShipScheme::Ba, 511, 64, 510),
+            (ShipScheme::Ba, 8, 0, 0),
+            (ShipScheme::Block, 8, 0, 0),
+        ] {
+            let msg = bad_config(FleetConfig {
+                scheme,
+                commits_per_shard,
+                payload_bytes,
+                ..base_cfg()
+            });
+            assert!(
+                msg.contains(&format!("exceed the {limit} records")),
+                "{msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn stream_that_fills_the_slot_log_runs_clean() {
+        for (scheme, commits_per_shard) in [(ShipScheme::Block, 409), (ShipScheme::Ba, 510)] {
+            let report = Fleet::new(FleetConfig {
+                scheme,
+                shards: 2,
+                commits_per_shard,
+                ..base_cfg()
+            })
+            .unwrap()
+            .run();
+            assert!(report.passed(), "{scheme:?}: {:?}", report.violations);
+            assert_eq!(report.released, 2 * commits_per_shard);
         }
     }
 
