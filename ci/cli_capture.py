@@ -2,12 +2,14 @@
 """Captures what `twob` prints for a fixed invocation list, and compares
 two captures: the harness a CLI output refactor is judged against.
 
-  ci/cli_capture.py capture <twob-binary> <out-dir>
+  ci/cli_capture.py capture <twob-binary> <out-dir> [<runner-binary>]
   ci/cli_capture.py tokens  <capture-file>
   ci/cli_capture.py compare <parent-dir> <change-dir>
 
 `capture` runs every invocation below and writes `<NN>.out` (stdout),
-`<NN>.cmd` (the argument vector) and `<NN>.status` (the exit code).
+`<NN>.cmd` (the argument vector) and `<NN>.status` (the exit code). The
+`STUDIES` lines run through the study runner binary, which defaults to the
+first one; a build whose studies live in a separate binary names it.
 `tokens` prints a capture's numeric tokens, one per line, in order: a run
 of digits with an optional sign and fraction that touches no letter, so
 header words such as `p50` or `4K` do not count. `compare` demands, per
@@ -74,6 +76,23 @@ INVOCATIONS = [
     "replay --trace trace.txt --device dc",
 ]
 
+STUDIES = [
+    # The study runner: each study that finishes in well under a second.
+    "list",
+    "table1_spec",
+    "fig7_latency",
+    "fig8_bandwidth",
+    "commit_cost",
+    "gc_interference",
+    "fig9_apps --quick",
+    "fig10_hetero --quick",
+    "cluster_sweep --gate",
+    # Usage errors: nothing runs, exit 2.
+    "no_such_study",
+    "fig7_latency --write",
+    "list --gate",
+]
+
 TOKEN = re.compile(r"(?<![A-Za-z0-9_.])-?\d+(?:\.\d+)?(?![A-Za-z0-9_])")
 
 
@@ -81,14 +100,16 @@ def tokens(text):
     return TOKEN.findall(text)
 
 
-def capture(binary, out_dir):
+def capture(binary, out_dir, runner=None):
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     binary = pathlib.Path(binary).resolve()
+    runner = pathlib.Path(runner).resolve() if runner else binary
     # `replay` prints the path it was given: keep it relative, run in `out`.
     (out / "trace.txt").write_text("W 0 2\nF\nR 0 2\nT 0 1\n")
-    for n, line in enumerate(INVOCATIONS):
-        run = subprocess.run([binary, *line.split()], capture_output=True, text=True, cwd=out)
+    lines = [(binary, line) for line in INVOCATIONS] + [(runner, line) for line in STUDIES]
+    for n, (program, line) in enumerate(lines):
+        run = subprocess.run([program, *line.split()], capture_output=True, text=True, cwd=out)
         (out / f"{n:02}.cmd").write_text(line + "\n")
         (out / f"{n:02}.out").write_text(run.stdout)
         (out / f"{n:02}.status").write_text(f"{run.returncode}\n")
@@ -149,8 +170,8 @@ def compare(parent_dir, change_dir):
 
 
 def main(argv):
-    if len(argv) == 4 and argv[1] == "capture":
-        capture(argv[2], argv[3])
+    if len(argv) in (4, 5) and argv[1] == "capture":
+        capture(*argv[2:])
     elif len(argv) == 3 and argv[1] == "tokens":
         print("\n".join(tokens(pathlib.Path(argv[2]).read_text())))
     elif len(argv) == 4 and argv[1] == "compare":
