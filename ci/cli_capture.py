@@ -8,8 +8,9 @@ two captures: the harness a CLI output refactor is judged against.
 
 `capture` runs every invocation below and writes `<NN>.out` (stdout),
 `<NN>.cmd` (the argument vector) and `<NN>.status` (the exit code). The
-`STUDIES` lines run through the study runner binary, which defaults to the
-first one; a build whose studies live in a separate binary names it.
+`STUDIES` lines run through the study runner binary, which defaults to
+`twob` itself; only a build from before the two front doors were folded
+into one (studies in a separate `twob-bench` binary) needs to name it.
 `tokens` prints a capture's numeric tokens, one per line, in order: a run
 of digits with an optional sign and fraction that touches no letter, so
 header words such as `p50` or `4K` do not count. `compare` demands, per

@@ -8,7 +8,7 @@
 # a run that prints no matching line fails, so a check is never vacuous.
 # A filtered command's own exit status is deliberately not checked (no
 # pipefail): this check is about the bytes printed, and what a sweep
-# enforces beyond them (`twob-bench --gate`) has its own CI job.
+# enforces beyond them (`twob … --gate`) has its own CI job.
 set -eu
 
 command=$1

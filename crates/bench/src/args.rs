@@ -1,4 +1,5 @@
-//! Tiny dependency-free argument parsing for the CLI.
+//! Tiny dependency-free argument parsing: the one parser every `twob`
+//! command line goes through.
 
 use std::collections::HashMap;
 
@@ -9,7 +10,8 @@ pub struct Parsed {
     /// The subcommand (first positional argument).
     pub command: String,
     /// Positional arguments following the subcommand (e.g. a sub-action
-    /// like `sweep` in `twob faults sweep`). They must precede any flag.
+    /// like `sweep` in `twob faults sweep`, or more study names). None may
+    /// follow a flag that takes a value.
     pub args: Vec<String>,
     /// `--key value` pairs.
     pub flags: HashMap<String, String>,
@@ -31,6 +33,8 @@ pub enum ArgError {
         /// What was expected.
         expected: &'static str,
     },
+    /// A flag given twice: which value counts would be a guess.
+    RepeatedFlag(String),
     /// A flag the subcommand does not take.
     UnknownFlag {
         /// Flag name.
@@ -45,13 +49,17 @@ impl std::fmt::Display for ArgError {
         match self {
             ArgError::MissingCommand => write!(f, "no subcommand given (try `twob help`)"),
             ArgError::UnexpectedPositional(arg) => {
-                write!(f, "unexpected argument {arg:?} (flags are --key value)")
+                write!(
+                    f,
+                    "unexpected argument {arg:?} (flags are --key value; switches take none)"
+                )
             }
             ArgError::BadValue {
                 flag,
                 value,
                 expected,
             } => write!(f, "--{flag} {value:?}: expected {expected}"),
+            ArgError::RepeatedFlag(flag) => write!(f, "--{flag} given twice"),
             ArgError::UnknownFlag { flag, accepted } => {
                 write!(f, "unknown flag --{flag} (accepted: {accepted})")
             }
@@ -61,10 +69,16 @@ impl std::fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
+/// The flags that never take a value: `twob gc --json`,
+/// `twob serve_sweep --gate tier_sweep`.
+pub const SWITCHES: [&str; 4] = ["json", "gate", "write", "quick"];
+
 /// Parses `args` (without the program name) into a [`Parsed`].
 ///
-/// A flag followed by another flag (or by nothing) is a boolean switch
-/// and gets the value `"true"` — e.g. `twob gc --json`.
+/// A switch, or a flag followed by another flag (or by nothing), gets the
+/// value `"true"`. Any other flag takes the next argument as its value,
+/// and no positional may come after it: the `stray` in
+/// `twob x --n 5 stray` is refused, not dropped.
 ///
 /// # Errors
 ///
@@ -74,21 +88,23 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Parsed, ArgError
     let command = iter.next().ok_or(ArgError::MissingCommand)?;
     let mut positionals = Vec::new();
     let mut flags = HashMap::new();
-    let mut seen_flag = false;
+    let mut seen_value_flag = false;
     while let Some(arg) = iter.next() {
         let Some(key) = arg.strip_prefix("--") else {
-            if seen_flag {
+            if seen_value_flag {
                 return Err(ArgError::UnexpectedPositional(arg));
             }
             positionals.push(arg);
             continue;
         };
-        seen_flag = true;
-        let value = match iter.peek() {
-            Some(next) if !next.starts_with("--") => iter.next().expect("peeked"),
-            _ => "true".to_string(),
-        };
-        flags.insert(key.to_string(), value);
+        let takes_value = !SWITCHES.contains(&key);
+        seen_value_flag |= takes_value;
+        let value = iter
+            .next_if(|next| takes_value && !next.starts_with("--"))
+            .unwrap_or_else(|| "true".to_string());
+        if flags.insert(key.to_string(), value).is_some() {
+            return Err(ArgError::RepeatedFlag(key.to_string()));
+        }
     }
     Ok(Parsed {
         command,
@@ -127,15 +143,14 @@ impl Parsed {
         self.flags.contains_key(key)
     }
 
-    /// Checks that every given flag is one of the space-separated
-    /// `accepted` names — a misspelt flag must not silently run the defaults.
+    /// Checks that every given flag is one of the `accepted` names — a
+    /// misspelt flag must not silently run the defaults.
     ///
     /// # Errors
     ///
     /// [`ArgError::UnknownFlag`] naming the (alphabetically first) stray
     /// flag and the accepted set.
-    pub fn reject_unknown_flags(&self, accepted: &str) -> Result<(), ArgError> {
-        let accepted: Vec<&str> = accepted.split_whitespace().collect();
+    pub fn reject_unknown_flags(&self, accepted: &[&str]) -> Result<(), ArgError> {
         let stray = |key: &&String| !accepted.contains(&key.as_str());
         let Some(flag) = self.flags.keys().filter(stray).min() else {
             return Ok(());
@@ -186,17 +201,27 @@ mod tests {
         // Trailing switch, nothing left to peek at.
         let p = parse(strs(&["tenants", "--n", "2", "--json"])).unwrap();
         assert!(p.is_set("json"));
+        // A switch never takes the next word as its value.
+        let p = parse(strs(&["serve_sweep", "--gate", "tier_sweep"])).unwrap();
+        assert_eq!(p.args, strs(&["tier_sweep"]));
+        assert_eq!(p.str_or("gate", "x"), "true");
     }
 
     #[test]
     fn rejects_malformed_input() {
         assert_eq!(parse(strs(&[])).unwrap_err(), ArgError::MissingCommand);
-        // Positionals may not follow a flag (they would be swallowed as
-        // flag values otherwise).
+        // Positionals may not follow a flag that takes a value (they would
+        // be swallowed as flag values otherwise).
         assert_eq!(
             parse(strs(&["x", "--n", "5", "stray"])).unwrap_err(),
             ArgError::UnexpectedPositional("stray".into())
         );
+        // The last value must not win silently.
+        assert_eq!(
+            parse(strs(&["x", "--n", "2", "--n", "3"])).unwrap_err(),
+            ArgError::RepeatedFlag("n".into())
+        );
+        assert!(parse(strs(&["x", "--json", "--json"])).is_err());
         let p = parse(strs(&["x", "--n", "abc"])).unwrap();
         assert!(matches!(p.u64_or("n", 0), Err(ArgError::BadValue { .. })));
     }
@@ -204,16 +229,16 @@ mod tests {
     #[test]
     fn unknown_flags_are_named_with_the_accepted_set() {
         let p = parse(strs(&["serve", "--tenats", "2", "--json", "--aa"])).unwrap();
-        assert_eq!(p.reject_unknown_flags("tenats json aa"), Ok(()));
-        let err = p.reject_unknown_flags("tenants json").unwrap_err();
+        assert_eq!(p.reject_unknown_flags(&["tenats", "json", "aa"]), Ok(()));
+        let err = p.reject_unknown_flags(&["tenants", "json"]).unwrap_err();
         assert_eq!(
             err.to_string(),
             "unknown flag --aa (accepted: --tenants, --json)"
         );
-        let err = p.reject_unknown_flags("").unwrap_err();
+        let err = p.reject_unknown_flags(&[]).unwrap_err();
         assert_eq!(err.to_string(), "unknown flag --aa (accepted: none)");
         // A bare `--` is a flag with an empty name, never an accepted one.
         let p = parse(strs(&["spec", "--"])).unwrap();
-        assert!(p.reject_unknown_flags("").is_err());
+        assert!(p.reject_unknown_flags(&[]).is_err());
     }
 }

@@ -1,8 +1,10 @@
-//! CLI subcommands: each one returns what it prints.
+//! The one command table: every subcommand and study verb, its help
+//! lines and its handler. Each handler returns what it prints.
 
 use std::error::Error;
 use std::fmt;
 
+use twob_bench::registry::find;
 use twob_bench::{table1, tenant_sweep, tier_sweep, to_json, Table};
 use twob_core::{EntryId, TwoBSsd};
 use twob_ftl::Lba;
@@ -13,12 +15,16 @@ use twob_workloads::{
     EngineKind, ServiceDriver, TenantPool, TenantPoolConfig, TenantReport, WalScheme,
 };
 
-use crate::args::Parsed;
+use crate::args::{ArgError, Parsed};
+use crate::runner;
 
 /// What a subcommand prints, newline-terminated.
-type CliResult = Result<String, Box<dyn Error>>;
+pub type CliResult = Result<String, Box<dyn Error>>;
 
-/// Usage.
+/// Usage: one entry per [`ROWS`] row, its name first, every flag it takes
+/// spelled `--name` (`[--name]` for a switch). The flags a row accepts are
+/// read from here, so the help cannot name a flag the row refuses or miss
+/// one it takes.
 pub const HELP: &str = "\
 twob — 2B-SSD (ISCA 2018) simulation CLI
 
@@ -85,56 +91,101 @@ subcommands:
                                          faults, NAND errors) across every
                                          engine x commit scheme
   help                                   this text
+
+studies, one per paper table or figure and sweep (`twob list` names them):
+  <study>... [--gate] [--write] [--quick]
+                                         run the named studies: --gate
+                                         enforces their CI gates, --write
+                                         refreshes their tracked BENCH files
+                                         and --quick cuts their op counts
+  all      [--gate] [--write] [--quick]  every study; a flag applies to the
+                                         studies that have it
+  list                                   every study and what it has
+  regen                                  re-capture every golden fixture
 ";
 
-/// A subcommand: its name, the flags it takes (space-separated, without the
-/// `--`), and its handler.
-type Subcommand = (&'static str, &'static str, fn(&Parsed) -> CliResult);
+/// What runs a command line.
+pub type Handler = fn(&Parsed) -> CliResult;
 
-const SUBCOMMANDS: &[Subcommand] = &[
-    ("spec", "", spec),
-    ("devices", "", devices),
-    ("latency", "device op size trace", latency),
-    ("gc", "churn seed trace json", gc),
-    ("wal", "scheme commits payload", wal),
-    ("ycsb", "log ops payload qd", ycsb),
-    ("tenants", "n mix seed ops json", tenants),
-    ("serve", "tenants arrival rate slo-p99-us seed json", serve),
-    ("tier", "n qd mix seed ops json", tier),
-    (
-        "repl",
-        "replicas mode rtt-us engine ship seed commits plans json",
-        repl,
-    ),
-    (
-        "cluster",
-        "nodes shards placement rf mode ship commits seed plans json",
-        cluster,
-    ),
-    ("replay", "trace device", replay),
-    ("crash-demo", "", crash_demo),
-    ("faults", "cuts seed", faults),
+/// The row every study name routes to.
+const STUDY: &str = "<study>...";
+
+/// One row per command: its name, how many positionals it takes (a study
+/// any number of further study names), its handler. Its help lines and
+/// flags are its entry in [`HELP`].
+const ROWS: &[(&str, usize, Handler)] = &[
+    ("spec", 0, spec),
+    ("devices", 0, devices),
+    ("latency", 0, latency),
+    ("gc", 0, gc),
+    ("wal", 0, wal),
+    ("ycsb", 0, ycsb),
+    ("tenants", 0, tenants),
+    ("serve", 0, serve),
+    ("tier", 0, tier),
+    ("repl", 0, repl),
+    ("cluster", 0, cluster),
+    ("replay", 0, replay),
+    ("crash-demo", 0, crash_demo),
+    ("faults", 1, faults),
+    ("help", 0, |_| Ok(HELP.to_string())),
+    (STUDY, usize::MAX, runner::run),
+    ("all", 0, runner::run),
+    ("list", 0, |_| Ok(runner::list())),
+    ("regen", 0, |_| runner::regen()),
 ];
 
-/// Routes a parsed command line and returns what it prints.
+/// A row's entry in [`HELP`]: the line that starts `  <name>`, then every
+/// more deeply indented line below it.
+fn help_lines(name: &str) -> impl Iterator<Item = &'static str> + '_ {
+    HELP.lines()
+        .skip_while(move |line| {
+            line.strip_prefix("  ")
+                .and_then(|line| line.split(' ').next())
+                != Some(name)
+        })
+        .enumerate()
+        .take_while(|&(i, line)| i == 0 || line.starts_with("   "))
+        .map(|(_, line)| line)
+}
+
+/// The flags a row takes: every `--name` its help lines show, in order.
+fn flags(name: &str) -> Vec<&'static str> {
+    let mut flags = Vec::new();
+    for word in help_lines(name).flat_map(str::split_whitespace) {
+        let word = word.trim_start_matches('[').trim_end_matches(']');
+        if let Some(flag) = word.strip_prefix("--").filter(|f| !flags.contains(f)) {
+            flags.push(flag);
+        }
+    }
+    flags
+}
+
+/// Checks a parsed command line against its row and returns what runs
+/// it. A name that is no row is a study: it and every positional must be
+/// in the registry, and each must have every flag given.
 ///
 /// # Errors
 ///
-/// An unknown subcommand (the message carries the usage), a flag the
-/// subcommand does not take, bad flag values, simulation failures, and a
-/// violated invariant (the message carries the report).
-pub fn dispatch(parsed: &Parsed) -> CliResult {
-    if matches!(parsed.command.as_str(), "help" | "--help" | "-h") {
-        return Ok(HELP.to_string());
-    }
-    let Some((_, flags, run)) = SUBCOMMANDS
-        .iter()
-        .find(|(name, ..)| *name == parsed.command)
-    else {
-        return Err(format!("unknown subcommand {:?}\n\n{HELP}", parsed.command).into());
+/// An unknown command or study, a positional or flag the row does not
+/// take, a flag a named study lacks: nothing has run.
+pub fn lookup(parsed: &Parsed) -> Result<Handler, Box<dyn Error>> {
+    let name = match parsed.command.as_str() {
+        "--help" | "-h" => "help",
+        study if find(study).is_some() => STUDY,
+        name => name,
     };
-    parsed.reject_unknown_flags(flags)?;
-    run(parsed)
+    let Some(&(_, positionals, run)) = ROWS.iter().find(|row| row.0 == name) else {
+        return Err(format!("unknown subcommand or study {:?}", parsed.command).into());
+    };
+    if let Some(stray) = parsed.args.get(positionals) {
+        return Err(ArgError::UnexpectedPositional(stray.clone()).into());
+    }
+    parsed.reject_unknown_flags(&flags(name))?;
+    if name == STUDY {
+        runner::check(parsed)?;
+    }
+    Ok(run)
 }
 
 /// The `json:` line of a `--json` run.
@@ -175,20 +226,23 @@ fn spec(_: &Parsed) -> CliResult {
     Ok(table1::render(&table1::rows()))
 }
 
-fn probe_block(cfg: SsdConfig, write: bool) -> (f64, Vec<twob_sim::TraceEvent>) {
+/// Probes one 4 KiB block read or write on a fresh small drive with one
+/// page written and flushed: its latency in microseconds and its trace.
+fn probe_block(
+    cfg: SsdConfig,
+    write: bool,
+) -> Result<(f64, Vec<twob_sim::TraceEvent>), Box<dyn Error>> {
     let mut ssd = Ssd::new(cfg.small());
     ssd.set_tracing(true);
     let page = vec![0xA5u8; 4096];
-    let ack = ssd.write(SimTime::ZERO, Lba(0), &page).expect("populate");
+    let ack = ssd.write(SimTime::ZERO, Lba(0), &page)?;
     let t = ssd.flush(ack) + SimDuration::from_millis(1);
-    let us = if write {
-        let done = ssd.write(t, Lba(0), &page).expect("probe");
-        done.saturating_since(t).as_micros_f64()
+    let done = if write {
+        ssd.write(t, Lba(0), &page)?
     } else {
-        let read = ssd.read(t, Lba(0), 1).expect("probe");
-        read.complete_at.saturating_since(t).as_micros_f64()
+        ssd.read(t, Lba(0), 1)?.complete_at
     };
-    (us, ssd.trace_events())
+    Ok((done.saturating_since(t).as_micros_f64(), ssd.trace_events()))
 }
 
 /// The last `last` trace events, one per line under a heading; nothing
@@ -207,26 +261,25 @@ fn trace_tail(events: &[twob_sim::TraceEvent], last: u64) -> String {
 }
 
 fn devices(_: &Parsed) -> CliResult {
-    let profiles = [
+    let mut rows = Vec::new();
+    for (name, cfg) in [
         ("DC-SSD", SsdConfig::dc_ssd()),
         ("ULL-SSD", SsdConfig::ull_ssd()),
         ("2B-SSD", SsdConfig::base_2b()),
-    ];
-    let table = Table::new(&profiles)
-        .col("profile", |(name, _)| *name)
-        .col("4K read (us)", |(_, cfg)| {
-            format!("{:.1}", probe_block(cfg.clone(), false).0)
-        })
-        .col("4K write (us)", |(_, cfg)| {
-            format!("{:.1}", probe_block(cfg.clone(), true).0)
-        })
-        .col("notes", |(_, cfg)| {
-            if cfg.internal_datapath_bytes_per_sec > 0 {
-                "block path + BA byte path"
-            } else {
-                "block path only"
-            }
-        });
+    ] {
+        let [read, write] = [false, true].map(|is_write| probe_block(cfg.clone(), is_write));
+        let notes = if cfg.internal_datapath_bytes_per_sec > 0 {
+            "block path + BA byte path"
+        } else {
+            "block path only"
+        };
+        rows.push((name, read?.0, write?.0, notes));
+    }
+    let table = Table::new(&rows)
+        .col("profile", |row| row.0)
+        .col("4K read (us)", |row| format!("{:.1}", row.1))
+        .col("4K write (us)", |row| format!("{:.1}", row.2))
+        .col("notes", |row| row.3);
     Ok(table.to_string())
 }
 
@@ -245,8 +298,8 @@ fn latency(parsed: &Parsed) -> CliResult {
         other => return Err(format!("--op must be read or write, not {other:?}").into()),
     };
     let (us, events) = match device.as_str() {
-        "dc" => probe_block(SsdConfig::dc_ssd(), write),
-        "ull" => probe_block(SsdConfig::ull_ssd(), write),
+        "dc" => probe_block(SsdConfig::dc_ssd(), write)?,
+        "ull" => probe_block(SsdConfig::ull_ssd(), write)?,
         "twob-mmio" | "twob-dma" => {
             let mut dev = TwoBSsd::small_for_tests();
             dev.set_tracing(true);
@@ -851,8 +904,8 @@ mod tests {
 
     /// What `twob <args>` would print: whole lines, or the error.
     fn run(args: &[&str]) -> CliResult {
-        let parsed = parse(args.iter().map(|s| s.to_string())).expect("parse");
-        let text = dispatch(&parsed)?;
+        let parsed = parse(args.iter().map(|s| s.to_string()))?;
+        let text = lookup(&parsed)?(&parsed)?;
         assert!(text.ends_with('\n'), "{args:?} ends mid-line: {text:?}");
         Ok(text)
     }
@@ -1168,11 +1221,80 @@ mod tests {
         assert!(run(&["cluster", "--mode", "carrier-pigeon"]).is_err());
         assert!(run(&["cluster", "--ship", "floppy"]).is_err());
         assert!(run(&["cluster", "--commits", "0"]).is_err());
+        // Input that must not be dropped silently: a stray positional, a
+        // flag given twice, a value after a switch.
+        assert!(run(&["serve", "stray", "--tenants", "2"]).is_err());
+        assert!(run(&["spec", "extra"]).is_err());
+        assert!(run(&["faults", "sweep", "bogus", "--cuts", "2"]).is_err());
+        let repeated = run(&["serve", "--tenants", "2", "--tenants", "3"]).unwrap_err();
+        assert!(repeated.to_string().contains("--tenants"), "{repeated}");
+        let valued = run(&["gc", "--json", "5"]).unwrap_err();
+        assert!(valued.to_string().contains("\"5\""), "{valued}");
+    }
+
+    #[test]
+    fn one_namespace() {
+        for &(name, ..) in ROWS {
+            assert!(find(name).is_none(), "{name} is both a row and a study");
+            assert!(help_lines(name).next().is_some(), "help names no {name}");
+        }
+        for verb in ["help", "all", "list", "regen"] {
+            assert!(ROWS.iter().any(|row| row.0 == verb), "{verb}");
+        }
+    }
+
+    /// The flag set each row accepts, read from its help lines: pinned,
+    /// so an edit to the help text cannot widen or narrow it unnoticed.
+    #[test]
+    fn each_row_takes_the_flags_its_help_shows() {
+        let accepted = [
+            ("spec", ""),
+            ("devices", ""),
+            ("latency", "device op size trace"),
+            ("gc", "churn seed trace json"),
+            ("wal", "scheme commits payload"),
+            ("ycsb", "log ops payload qd"),
+            ("tenants", "n mix seed ops json"),
+            ("serve", "tenants arrival rate slo-p99-us seed json"),
+            ("tier", "n qd mix seed ops json"),
+            (
+                "repl",
+                "replicas mode rtt-us engine ship seed commits plans json",
+            ),
+            (
+                "cluster",
+                "nodes shards placement rf mode ship commits seed plans json",
+            ),
+            ("replay", "trace device"),
+            ("crash-demo", ""),
+            ("faults", "cuts seed"),
+            ("help", ""),
+            (STUDY, "gate write quick"),
+            ("all", "gate write quick"),
+            ("list", ""),
+            ("regen", ""),
+        ];
+        let names: Vec<&str> = ROWS.iter().map(|row| row.0).collect();
+        assert_eq!(names, accepted.map(|(name, _)| name));
+        for (name, flags_then) in accepted {
+            let flags_then: Vec<&str> = flags_then.split_whitespace().collect();
+            assert_eq!(flags(name), flags_then, "{name}");
+        }
+        // The switches the parser knows are the ones the help brackets.
+        let mut bracketed: Vec<&str> = HELP
+            .split_whitespace()
+            .filter_map(|word| word.strip_prefix("[--")?.strip_suffix(']'))
+            .collect();
+        bracketed.sort_unstable();
+        bracketed.dedup();
+        let mut switches = crate::args::SWITCHES;
+        switches.sort_unstable();
+        assert_eq!(bracketed, switches);
     }
 
     #[test]
     fn replay_runs_a_trace_file() {
-        let dir = std::env::temp_dir().join("twob-cli-test");
+        let dir = std::env::temp_dir().join("twob-replay-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.txt");
         std::fs::write(&path, "W 0 2\nF\nR 0 2\nT 0 1\n").unwrap();

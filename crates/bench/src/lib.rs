@@ -23,9 +23,9 @@
 //! | Cluster sweep (beyond the paper) | [`mod@cluster_sweep`] | `cluster_sweep` |
 //! | BA/CXL/block tier sweep (beyond the paper) | [`mod@tier_sweep`] | `tier_sweep` |
 //!
-//! [`registry`] holds the one table of studies that the `twob-bench`
-//! runner ([`mod@runner`]: `twob-bench <study>… | all | list | regen`),
-//! the golden tests and CI read.
+//! [`registry`] holds the one table of studies that the `twob` binary
+//! (`twob <study>… | all | list | regen`, beside its subcommands), the
+//! golden tests and CI read.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +41,6 @@ pub mod gc_interference;
 pub mod qd_sweep;
 pub mod registry;
 pub mod repl_sweep;
-pub mod runner;
 pub mod serve_sweep;
 pub mod table1;
 pub mod tenant_sweep;
@@ -54,20 +53,6 @@ use twob_workloads::{ServeConfig, ServeReport, ServiceDriver, ShardDrive};
 /// Serializes a report value for a `json:` line, fixture or tracked file.
 pub fn to_json<T: fmt::Debug + ?Sized>(value: &T) -> String {
     serde_json::to_string(value).expect("the Debug-to-JSON translator is total")
-}
-
-/// Writes a run's output to stdout in one call. A reader that has seen
-/// enough and closed the pipe (`| head -1`) is not a failure.
-///
-/// # Errors
-///
-/// Any other write error.
-pub fn emit(text: &str) -> std::io::Result<()> {
-    use std::io::Write as _;
-    match std::io::stdout().write_all(text.as_bytes()) {
-        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(e),
-        _ => Ok(()),
-    }
 }
 
 /// A simple aligned text table over `rows`, built one column at a time

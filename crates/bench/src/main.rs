@@ -1,6 +1,51 @@
-//! `twob-bench`: see [`twob_bench::runner`].
+//! `twob` — the one front door to the 2B-SSD simulation: device probes,
+//! WAL and workload runs, and every study of the paper's evaluation.
+//!
+//! ```text
+//! twob spec                                        # paper Table I
+//! twob latency --device ull --op read --size 4096  # one latency probe
+//! twob wal --scheme ba --commits 1000 --payload 128
+//! twob fig7_latency fig8_bandwidth                 # studies, by name
+//! twob serve_sweep tier_sweep --gate               # ... and their CI gates
+//! twob list | regen | help
+//! ```
+//!
+//! One parser (`args::parse`) reads every line and one table
+//! (`commands::ROWS`) routes it. Exit codes: 2 when the line is refused
+//! before anything runs, 1 when a run fails, 0 otherwise.
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    std::process::exit(twob_bench::runner::main(&args));
+mod args;
+mod commands;
+mod runner;
+
+use std::process::ExitCode;
+
+/// Writes a run's output to stdout in one call. A reader that has seen
+/// enough and closed the pipe (`| head -1`) is not a failure.
+fn emit(text: &str) -> std::io::Result<()> {
+    use std::io::Write as _;
+    match std::io::stdout().write_all(text.as_bytes()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(e),
+        _ => Ok(()),
+    }
+}
+
+fn main() -> ExitCode {
+    let checked = args::parse(std::env::args().skip(1))
+        .map_err(Into::into)
+        .and_then(|parsed| commands::lookup(&parsed).map(|run| (parsed, run)));
+    let (parsed, run) = match checked {
+        Ok(line) => line,
+        Err(e) => {
+            eprintln!("error: {e}\n\n{}", commands::HELP);
+            return ExitCode::from(2);
+        }
+    };
+    match run(&parsed).and_then(|text| Ok(emit(&text)?)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }

@@ -39,7 +39,7 @@ pub enum Fixture<T> {
 pub struct Study<T> {
     /// Name on the command line; also the stem of its fixture file.
     pub name: &'static str,
-    /// One line for `twob-bench list`.
+    /// One line for `twob list`.
     pub about: &'static str,
     /// Whether `run` honours `--quick` (a reduced op count).
     pub quick: bool,

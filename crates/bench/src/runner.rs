@@ -1,9 +1,9 @@
-//! The one `twob-bench` runner over the [`registry`](crate::registry).
+//! The study rows of `twob` over the [`registry`](twob_bench::registry).
 //!
 //! ```text
-//! twob-bench <study>... [--gate] [--write] [--quick]
-//! twob-bench all        [--gate] [--write] [--quick]
-//! twob-bench list | regen
+//! twob <study>... [--gate] [--write] [--quick]
+//! twob all        [--gate] [--write] [--quick]
+//! twob list | regen
 //! ```
 //!
 //! - `--gate` enforces the study's CI gate and exits non-zero on a
@@ -16,103 +16,45 @@
 //!   it moved. Run it after an *intentional* timing change, then review
 //!   `git diff crates/bench/tests/golden/`.
 //!
-//! Arguments are strict: an unknown study or flag, or a flag a named
-//! study does not have, is an error and nothing runs. Under `all` a flag
-//! applies wherever it exists and the runner names the studies it skips.
+//! A flag a named study does not have is an error and nothing runs
+//! ([`check`]). Under `all` a flag applies wherever it exists and the
+//! runner names the studies it skips.
 
-use std::io;
+use std::error::Error;
 
+use twob_bench::registry::{find, tracked_path, GOLDEN_DIR, REGISTRY};
+
+use crate::args::Parsed;
+use crate::commands::CliResult;
 use crate::emit;
-use crate::registry::{find, tracked_path, Info, GOLDEN_DIR, REGISTRY};
 
-/// The three flags a run accepts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Flags {
-    /// `--gate`
-    pub gate: bool,
-    /// `--write`
-    pub write: bool,
-    /// `--quick`
-    pub quick: bool,
-}
-
-impl Flags {
-    /// Per flag: whether it is set, its spelling, whether `info` has it.
-    fn against(self, info: &Info) -> [(bool, &'static str, bool); 3] {
-        [
-            (self.gate, "--gate", info.gate),
-            (self.write, "--write", info.write),
-            (self.quick, "--quick", info.quick),
-        ]
+/// The studies a study line names: every one under `all`, else the
+/// command, then every positional.
+fn named(parsed: &Parsed) -> Vec<&str> {
+    if parsed.command == "all" {
+        return REGISTRY.iter().map(|e| e.info().name).collect();
     }
+    std::iter::once(&parsed.command)
+        .chain(&parsed.args)
+        .map(String::as_str)
+        .collect()
 }
 
-/// What one invocation asks for.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Plan {
-    /// Print the registry.
-    List,
-    /// Re-capture every golden fixture.
-    Regen,
-    /// Run these studies, in order, under these flags.
-    Run(Vec<&'static str>, Flags),
-}
-
-/// Parses the arguments after the program name; flags may come before,
-/// after or between study names.
+/// Refuses a study line before anything runs: a name that is no study,
+/// or a flag a named study does not have.
 ///
 /// # Errors
 ///
-/// Returns what is wrong with the command line; the caller prints it with
-/// [`usage`].
-pub fn parse(args: &[String]) -> Result<Plan, String> {
-    let mut flags = Flags::default();
-    let mut names = Vec::new();
-    for arg in args {
-        match arg.as_str() {
-            "--gate" => flags.gate = true,
-            "--write" => flags.write = true,
-            "--quick" => flags.quick = true,
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
-            name => names.push(name),
-        }
+/// The first such problem.
+pub fn check(parsed: &Parsed) -> Result<(), String> {
+    let names = named(parsed);
+    if let Some(name) = names.iter().find(|name| find(name).is_none()) {
+        return Err(format!("unknown study {name}"));
     }
-    match names.as_slice() {
-        [] => Err("no study named".to_string()),
-        [verb @ ("list" | "regen")] if flags != Flags::default() => {
-            Err(format!("{verb} takes no flags"))
-        }
-        ["list"] => Ok(Plan::List),
-        ["regen"] => Ok(Plan::Regen),
-        ["all"] => Ok(Plan::Run(
-            REGISTRY.iter().map(|e| e.info().name).collect(),
-            flags,
-        )),
-        _ => {
-            let mut studies = Vec::new();
-            for name in names {
-                let entry = find(name).ok_or_else(|| format!("unknown study {name}"))?;
-                studies.push(entry.info().name);
-            }
-            match lacking(&studies, flags).into_iter().next() {
-                Some(problem) => Err(problem),
-                None => Ok(Plan::Run(studies, flags)),
-            }
-        }
+    match lacking(&names, parsed).into_iter().next() {
+        Some(problem) => Err(problem),
+        None => Ok(()),
     }
-}
-
-/// The usage text: the verbs, then the registry — every study and what
-/// it has, which is what the flags apply to.
-pub fn usage() -> String {
-    format!(
-        "usage: twob-bench <study>... [--gate] [--write] [--quick]\n\
-         \x20      twob-bench all        [--gate] [--write] [--quick]\n\
-         \x20      twob-bench list | regen\n\n\
-         --gate enforces a study's CI gate, --write refreshes its tracked BENCH_*.json,\n\
-         --quick runs its reduced op count; each applies to the studies that list it:\n\n{}",
-        list()
-    )
 }
 
 /// The registry as text, one study per line: name, what it has
@@ -142,27 +84,36 @@ pub fn list() -> String {
         .collect()
 }
 
-/// One `<study> has no <flag>` line per set flag a study lacks: an error
+/// One `<study> has no <flag>` line per given flag a study lacks: an error
 /// for a named study, what a run under `all` says it skips.
-pub fn lacking(studies: &[&'static str], flags: Flags) -> Vec<String> {
+pub fn lacking(studies: &[&str], parsed: &Parsed) -> Vec<String> {
     let mut out = Vec::new();
     for info in studies
         .iter()
         .filter_map(|name| find(name))
         .map(|e| e.info())
     {
-        for (set, flag, has) in flags.against(&info) {
-            if set && !has {
-                out.push(format!("{} has no {flag}", info.name));
+        for (flag, has) in [
+            ("gate", info.gate),
+            ("write", info.write),
+            ("quick", info.quick),
+        ] {
+            if parsed.is_set(flag) && !has {
+                out.push(format!("{} has no --{flag}", info.name));
             }
         }
     }
     out
 }
 
+/// Writes `contents` to `path`, naming the path on failure.
+fn write(path: &str, contents: &str) -> Result<(), Box<dyn Error>> {
+    std::fs::write(path, contents).map_err(|e| format!("write {path}: {e}").into())
+}
+
 /// Captures one fixture and reports `new` / `changed` / `unchanged`
 /// against what is on disk. Returns whether the file's bytes moved.
-fn write_fixture(name: &str, json: &str) -> io::Result<bool> {
+fn write_fixture(name: &str, json: &str) -> Result<bool, Box<dyn Error>> {
     let path = format!("{GOLDEN_DIR}{name}.json");
     let fresh = format!("{json}\n");
     let current = std::fs::read_to_string(&path).ok();
@@ -172,7 +123,7 @@ fn write_fixture(name: &str, json: &str) -> io::Result<bool> {
         Some(_) => "unchanged",
     };
     if status != "unchanged" {
-        std::fs::write(&path, &fresh).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        write(&path, &fresh)?;
     }
     emit(&format!(
         "{status:>9}  {name}.json ({} bytes)\n",
@@ -182,32 +133,37 @@ fn write_fixture(name: &str, json: &str) -> io::Result<bool> {
 }
 
 /// Re-captures every fixture the registry declares, all of them in one
-/// invocation.
-fn regen() -> io::Result<()> {
+/// invocation; returns the closing verdict.
+pub fn regen() -> CliResult {
     let mut moved = 0;
     for entry in REGISTRY {
         if let Some(json) = entry.capture() {
             moved += usize::from(write_fixture(entry.info().name, &json)?);
         }
     }
-    emit(&if moved == 0 {
+    Ok(if moved == 0 {
         "\nall fixtures already match the current simulator\n".to_string()
     } else {
         format!("\n{moved} fixture(s) moved — review `git diff crates/bench/tests/golden/`\n")
     })
 }
 
-/// Runs the named studies in order: prints each one's tables and `json:`
-/// line on stdout; gate verdicts, skipped flags and written paths go to
-/// stderr. Returns the exit code — non-zero iff a gate failed.
-fn run(studies: &[&'static str], flags: Flags) -> io::Result<i32> {
-    for skip in lacking(studies, flags) {
+/// The `<study>...` and `all` rows: runs the studies the line names, in
+/// order. Prints each one's tables and `json:` line on stdout as it
+/// finishes; gate verdicts, skipped flags and written paths go to stderr.
+///
+/// # Errors
+///
+/// An I/O error, or — once every study has run — a failed gate.
+pub fn run(parsed: &Parsed) -> CliResult {
+    let studies = named(parsed);
+    for skip in lacking(&studies, parsed) {
         eprintln!("{skip}");
     }
     let mut failed = 0;
-    for name in studies {
-        let entry = find(name).expect("parse admits registered names only");
-        let output = entry.execute(flags.quick, flags.gate);
+    for name in &studies {
+        let entry = find(name).ok_or_else(|| format!("unknown study {name}"))?;
+        let output = entry.execute(parsed.is_set("quick"), parsed.is_set("gate"));
         emit(&output.stdout)?;
         match output.gate {
             Some(Err(violation)) => {
@@ -218,120 +174,103 @@ fn run(studies: &[&'static str], flags: Flags) -> io::Result<i32> {
             Some(Ok(summary)) => eprintln!("{summary}"),
             None => {}
         }
-        if let (true, Some((file, contents))) = (flags.write, output.tracked) {
+        if let (true, Some((file, contents))) = (parsed.is_set("write"), output.tracked) {
             let path = tracked_path(file);
-            std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {path}: {e}"));
+            write(&path, &contents)?;
             eprintln!("wrote {path}");
         }
     }
-    Ok(i32::from(failed > 0))
-}
-
-/// The runner's entry point: `args` are the arguments after the program
-/// name; the return value is the process exit code.
-pub fn main(args: &[String]) -> i32 {
-    let done = match parse(args) {
-        Ok(Plan::List) => emit(&list()).map(|()| 0),
-        Ok(Plan::Regen) => regen().map(|()| 0),
-        Ok(Plan::Run(studies, flags)) => run(&studies, flags),
-        Err(problem) => {
-            eprintln!("error: {problem}\n\n{}", usage());
-            return 2;
-        }
-    };
-    done.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        1
-    })
+    if failed > 0 {
+        return Err(format!("{failed} gate(s) failed").into());
+    }
+    Ok(String::new())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::parse;
+    use crate::commands::{lookup, HELP};
 
-    fn plan(args: &[&str]) -> Result<Plan, String> {
-        parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    /// A command line as `twob` reads it, or why it refuses it before
+    /// anything runs.
+    fn line(args: &[&str]) -> Result<Parsed, String> {
+        let parsed = parse(args.iter().map(|a| a.to_string())).map_err(|e| e.to_string())?;
+        lookup(&parsed).map_err(|e| e.to_string())?;
+        Ok(parsed)
     }
 
-    const GATE: Flags = Flags {
-        gate: true,
-        write: false,
-        quick: false,
-    };
-
     #[test]
-    fn flags_may_come_before_or_after_study_names() {
-        let expected = Ok(Plan::Run(vec!["serve_sweep", "tier_sweep"], GATE));
-        assert_eq!(plan(&["serve_sweep", "tier_sweep", "--gate"]), expected);
-        assert_eq!(plan(&["--gate", "serve_sweep", "tier_sweep"]), expected);
-        assert_eq!(plan(&["serve_sweep", "--gate", "tier_sweep"]), expected);
-        assert_eq!(
-            plan(&["fig9_apps", "--quick"]),
-            Ok(Plan::Run(
-                vec!["fig9_apps"],
-                Flags {
-                    quick: true,
-                    ..Flags::default()
-                }
-            ))
-        );
+    fn flags_may_follow_or_separate_study_names_but_not_lead() {
+        for args in [
+            ["serve_sweep", "tier_sweep", "--gate"],
+            ["serve_sweep", "--gate", "tier_sweep"],
+        ] {
+            let parsed = line(&args).unwrap();
+            assert_eq!(named(&parsed), ["serve_sweep", "tier_sweep"], "{args:?}");
+            assert!(parsed.is_set("gate"), "{args:?}");
+        }
+        let quick = line(&["fig9_apps", "--quick"]).unwrap();
+        assert!(quick.is_set("quick") && !quick.is_set("gate"));
+        // A flag first is the command: no such subcommand or study.
+        let leading = line(&["--gate", "serve_sweep", "tier_sweep"]).unwrap_err();
+        assert!(leading.contains("--gate"), "{leading}");
     }
 
     #[test]
     fn typos_and_unsupported_flags_are_errors() {
         // The parent's binaries ran no gate and exited 0 on each of these.
-        let unknown_flag = plan(&["cluster_sweep", "--gate-clustr"]).unwrap_err();
+        let unknown_flag = line(&["cluster_sweep", "--gate-clustr"]).unwrap_err();
         assert!(unknown_flag.contains("--gate-clustr"), "{unknown_flag}");
-        let unknown_study = plan(&["no_such_study"]).unwrap_err();
+        let unknown_study = line(&["no_such_study"]).unwrap_err();
+        assert!(unknown_study.contains("no_such_study"), "{unknown_study}");
+        let unknown_study = line(&["fig7_latency", "no_such_study"]).unwrap_err();
         assert!(unknown_study.contains("no_such_study"), "{unknown_study}");
         assert_eq!(
-            plan(&["fig7_latency", "--write"]).unwrap_err(),
+            line(&["fig7_latency", "--write"]).unwrap_err(),
             "fig7_latency has no --write"
         );
         assert_eq!(
-            plan(&["fig7_latency", "--gate"]).unwrap_err(),
+            line(&["fig7_latency", "--gate"]).unwrap_err(),
             "fig7_latency has no --gate"
         );
         assert_eq!(
-            plan(&["serve_sweep", "--quick"]).unwrap_err(),
+            line(&["serve_sweep", "--quick"]).unwrap_err(),
             "serve_sweep has no --quick"
         );
-        assert!(plan(&[]).is_err());
-        assert!(plan(&["--gate"]).is_err());
-        assert!(plan(&["list", "--gate"]).is_err());
-        assert!(plan(&["regen", "--write"]).is_err());
+        assert!(line(&[]).is_err());
+        assert!(line(&["--gate"]).is_err());
+        assert!(line(&["list", "--gate"]).is_err());
+        assert!(line(&["regen", "--write"]).is_err());
         // `all` is the whole registry, not one more study to mix in.
-        assert!(plan(&["all", "fig7_latency"]).is_err());
+        assert!(line(&["all", "fig7_latency"]).is_err());
     }
 
     #[test]
     fn usage_names_every_study_and_flag() {
-        let usage = usage();
-        for entry in REGISTRY {
-            assert!(usage.contains(entry.info().name));
-        }
         for word in ["--gate", "--write", "--quick", "list", "regen", "all"] {
-            assert!(usage.contains(word), "{word}");
+            assert!(HELP.contains(word), "{word}");
+        }
+        let listing = list();
+        for entry in REGISTRY {
+            assert!(listing.contains(entry.info().name));
         }
     }
 
     #[test]
     fn all_gate_runs_every_gate_and_names_what_it_skips() {
-        let Ok(Plan::Run(studies, flags)) = plan(&["all", "--gate"]) else {
-            panic!("all --gate is a run");
-        };
-        assert_eq!(studies.len(), REGISTRY.len());
-        assert_eq!(flags, GATE);
+        let parsed = line(&["all", "--gate"]).unwrap();
+        assert_eq!(named(&parsed).len(), REGISTRY.len());
         // Every study either has a gate to run or is named as skipped.
-        let skipped = lacking(&studies, flags);
+        let skipped = lacking(&named(&parsed), &parsed);
         for entry in REGISTRY {
             let info = entry.info();
             let named = skipped.contains(&format!("{} has no --gate", info.name));
             assert_eq!(info.gate, !named, "{}", info.name);
         }
         assert!(skipped.len() < REGISTRY.len(), "some study has a gate");
-        // Named studies never skip: parse already refused the flag.
-        assert!(lacking(&["serve_sweep"], GATE).is_empty());
+        // Named studies never skip: the lookup already refused the flag.
+        assert!(lacking(&["serve_sweep"], &parsed).is_empty());
     }
 
     #[test]

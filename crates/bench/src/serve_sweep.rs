@@ -22,7 +22,7 @@
 //! [`SLO_P99_US`] tail bound and shed nothing. BA's knee must sit at or
 //! above block's — the paper's latency gap, restated as sustainable
 //! serving capacity — and CI enforces exactly that via the study's
-//! [`gate`] (`twob-bench serve_sweep --gate`).
+//! [`gate`] (`twob serve_sweep --gate`).
 //!
 //! A second section re-runs one rung at fleet scale on the sharded device
 //! model ([`SHARDED_TENANTS`] tenants across [`SHARDED_GROUPS`] die-group

@@ -24,7 +24,7 @@
 //! group→shard placements, demanding one identical completion digest from
 //! all of them: the byte front-end must be invisible to placement.
 //!
-//! The study's [`gate`] (`twob-bench tier_sweep --gate`, a CI step)
+//! The study's [`gate`] (`twob tier_sweep --gate`, a CI step)
 //! enforces the headline: the CXL hot tier's p99 stays under block's at
 //! every swept queue depth, closed-loop and serve-mode both, and every
 //! tier path's hot read beats its cold read.
