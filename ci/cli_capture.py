@@ -75,6 +75,10 @@ INVOCATIONS = [
     "cluster --nodes 9 --shards 4 --commits 6 --plans 1 --seed 11 --json",
     # replay_runs_a_trace_file.
     "replay --trace trace.txt --device dc",
+    # The shard-count limit is the node host's: block slots take no
+    # pin-table share, BA slots one mapping entry each.
+    "cluster --ship block --shards 17 --commits 2 --plans 0",
+    "cluster --shards 9 --commits 2 --plans 0",
 ]
 
 STUDIES = [

@@ -750,9 +750,10 @@ fn cluster(parsed: &Parsed) -> CliResult {
     if !(3..=48).contains(&nodes) {
         return Err("--nodes must be between 3 and 48".into());
     }
+    // How many shards a node's host fits is `Fleet::new`'s to say.
     let shards = parsed.u64_or("shards", 6)?;
-    if !(1..=64).contains(&shards) {
-        return Err("--shards must be between 1 and 64 (one pin-table entry each)".into());
+    if shards == 0 {
+        return Err("--shards must be positive".into());
     }
     let placement_name = parsed.str_or("placement", "hash");
     let placement = PlacementKind::parse(&placement_name)
@@ -772,7 +773,7 @@ fn cluster(parsed: &Parsed) -> CliResult {
 
     let config = FleetConfig {
         nodes: nodes as usize,
-        shards: shards as u16,
+        shards: u16::try_from(shards).unwrap_or(u16::MAX),
         rf: rf as usize,
         placement,
         policy,
@@ -1215,6 +1216,9 @@ mod tests {
         assert!(run(&["cluster", "--nodes", "2"]).is_err());
         assert!(run(&["cluster", "--nodes", "49"]).is_err());
         assert!(run(&["cluster", "--shards", "0"]).is_err());
+        // The node's host, not the CLI, bounds the shard count.
+        assert!(run(&["cluster", "--shards", "9", "--plans", "0"]).is_err());
+        assert!(run(&["cluster", "--shards", "70000", "--plans", "0"]).is_err());
         assert!(run(&["cluster", "--placement", "ring"]).is_err());
         assert!(run(&["cluster", "--rf", "0"]).is_err());
         assert!(run(&["cluster", "--nodes", "4", "--rf", "5"]).is_err());

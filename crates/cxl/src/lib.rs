@@ -48,7 +48,7 @@
 
 pub mod tier;
 
-pub use tier::{TierAction, TierPolicy, TierPolicyConfig, TierStats, TierWalConfig, TieredWal};
+pub use tier::{TierAction, TierPolicy, TierStats, TierWalConfig, TieredWal};
 // The subsystem's face: the pieces hosted lower in the stack for
 // dependency reasons, re-exported so tier users need only this crate.
 pub use twob_core::RegionFrontEnd;

@@ -42,36 +42,6 @@ pub enum TierAction {
     Demote,
 }
 
-/// Tunables for the hot/cold policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TierPolicyConfig {
-    /// Cold reads a segment must absorb within one [`hit_window`] before
-    /// it is promoted.
-    ///
-    /// [`hit_window`]: TierPolicyConfig::hit_window
-    pub promote_after_hits: u32,
-    /// Width of the hit-counting window; hits older than this do not
-    /// argue for promotion.
-    pub hit_window: SimDuration,
-    /// Idle time after which a promoted segment is demoted by
-    /// [`TieredWal::sweep`].
-    pub demote_after: SimDuration,
-    /// Most segments the policy will hold promoted at once (the tail
-    /// window is extra); promoting past this evicts the coldest.
-    pub max_promoted: usize,
-}
-
-impl Default for TierPolicyConfig {
-    fn default() -> Self {
-        TierPolicyConfig {
-            promote_after_hits: 2,
-            hit_window: SimDuration::from_micros(500),
-            demote_after: SimDuration::from_millis(2),
-            max_promoted: 2,
-        }
-    }
-}
-
 /// Counters the tier layer exposes (and the tier sweep reports).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TierStats {
@@ -97,27 +67,28 @@ struct SegmentHeat {
 /// The hot/cold decision maker: tracks per-segment read heat and answers
 /// "promote?", "demote?", and "who is coldest?". Pure bookkeeping — the
 /// [`TieredWal`] performs the moves it recommends.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TierPolicy {
-    cfg: TierPolicyConfig,
     heat: BTreeMap<u64, SegmentHeat>,
     stats: TierStats,
 }
 
 impl TierPolicy {
-    /// Creates a policy with the given tunables.
-    pub fn new(cfg: TierPolicyConfig) -> Self {
-        TierPolicy {
-            cfg,
-            heat: BTreeMap::new(),
-            stats: TierStats::default(),
-        }
-    }
+    /// Cold reads a segment must absorb within one [`Self::HIT_WINDOW`]
+    /// before it is promoted.
+    pub const PROMOTE_AFTER_HITS: u32 = 2;
 
-    /// The tunables this policy runs with.
-    pub fn config(&self) -> TierPolicyConfig {
-        self.cfg
-    }
+    /// Width of the hit-counting window; hits older than this do not argue
+    /// for promotion.
+    pub const HIT_WINDOW: SimDuration = SimDuration::from_micros(500);
+
+    /// Idle time after which a promoted segment is demoted by
+    /// [`TieredWal::sweep`].
+    pub const DEMOTE_AFTER: SimDuration = SimDuration::from_millis(2);
+
+    /// Most segments the policy holds promoted at once (the tail window is
+    /// extra); promoting past this evicts the coldest.
+    pub const MAX_PROMOTED: usize = 2;
 
     /// Accumulated counters.
     pub fn stats(&self) -> TierStats {
@@ -144,13 +115,13 @@ impl TierPolicy {
             window_start: now,
             hits: 0,
         });
-        if now.saturating_since(heat.window_start) > self.cfg.hit_window {
+        if now.saturating_since(heat.window_start) > Self::HIT_WINDOW {
             heat.window_start = now;
             heat.hits = 0;
         }
         heat.hits += 1;
         heat.last_touch = now;
-        if heat.hits >= self.cfg.promote_after_hits {
+        if heat.hits >= Self::PROMOTE_AFTER_HITS {
             TierAction::Promote
         } else {
             TierAction::Stay
@@ -161,7 +132,7 @@ impl TierPolicy {
     pub fn wants_demotion(&self, seg: u64, now: SimTime) -> bool {
         self.heat
             .get(&seg)
-            .map(|h| now.saturating_since(h.last_touch) >= self.cfg.demote_after)
+            .map(|h| now.saturating_since(h.last_touch) >= Self::DEMOTE_AFTER)
             .unwrap_or(true)
     }
 
@@ -198,8 +169,6 @@ pub struct TierWalConfig {
     pub window_pages: u32,
     /// Byte front-end serving the tail and every promoted segment.
     pub byte_front_end: RegionFrontEnd,
-    /// Hot/cold policy tunables.
-    pub policy: TierPolicyConfig,
 }
 
 impl Default for TierWalConfig {
@@ -208,7 +177,6 @@ impl Default for TierWalConfig {
             wal: WalConfig::default(),
             window_pages: 2,
             byte_front_end: RegionFrontEnd::Cxl,
-            policy: TierPolicyConfig::default(),
         }
     }
 }
@@ -265,7 +233,7 @@ impl TieredWal {
     ///
     /// [`WalError::BadConfig`] for an invalid shape (including a `Block`
     /// byte front-end, or a share too small for the tail plus
-    /// `policy.max_promoted` promoted windows), [`WalError::Pin`] if the
+    /// [`TierPolicy::MAX_PROMOTED`] promoted windows), [`WalError::Pin`] if the
     /// arbiter refuses the window, or device failures.
     pub fn new(
         dev: SharedDevice,
@@ -274,12 +242,12 @@ impl TieredWal {
         tenant: TenantId,
         cfg: TierWalConfig,
     ) -> Result<Self, WalError> {
-        let windows_needed = (cfg.policy.max_promoted as u64 + 1) * u64::from(cfg.window_pages);
+        let windows_needed = (TierPolicy::MAX_PROMOTED as u64 + 1) * u64::from(cfg.window_pages);
         if windows_needed > pins.borrow().share_pages() {
             return Err(WalError::BadConfig(format!(
                 "share holds {} pages but tail + {} promoted windows need {}",
                 pins.borrow().share_pages(),
-                cfg.policy.max_promoted,
+                TierPolicy::MAX_PROMOTED,
                 windows_needed
             )));
         }
@@ -297,7 +265,7 @@ impl TieredWal {
             cal,
             pins,
             cfg,
-            policy: TierPolicy::new(cfg.policy),
+            policy: TierPolicy::default(),
             tail,
             index: BTreeMap::new(),
             promoted: BTreeMap::new(),
@@ -317,11 +285,6 @@ impl TieredWal {
     /// Tiering counters.
     pub fn stats(&self) -> TierStats {
         self.policy.stats()
-    }
-
-    /// The policy (read-only), for inspecting heat decisions.
-    pub fn policy(&self) -> &TierPolicy {
-        &self.policy
     }
 
     /// Segments currently promoted into the byte tier (tail excluded).
@@ -373,7 +336,7 @@ impl TieredWal {
     /// promoted segment first if the policy's budget is full).
     fn promote(&mut self, seg: u64, at: SimTime) -> Result<(), WalError> {
         let mut t = at;
-        if self.promoted.len() >= self.cfg.policy.max_promoted {
+        if self.promoted.len() >= TierPolicy::MAX_PROMOTED {
             let victim = self
                 .policy
                 .coldest(self.promoted.keys().copied())
@@ -678,27 +641,21 @@ mod tests {
 
     #[test]
     fn promotion_budget_evicts_the_coldest_segment() {
-        let cfg = TierWalConfig {
-            policy: TierPolicyConfig {
-                max_promoted: 1,
-                ..TierPolicyConfig::default()
-            },
-            ..TierWalConfig::default()
-        };
-        let (mut wal, _dev, _cal, t) = filled(cfg, 3);
+        assert_eq!(TierPolicy::MAX_PROMOTED, 2);
+        let (mut wal, _dev, _cal, mut t) = filled(TierWalConfig::default(), 4);
         let per_window = u64::from(wal.cfg.window_pages) * PAGE / 1024;
-        // Promote segment 0, then heat segment 1 past the threshold: the
-        // budget of one forces segment 0 back out.
-        let (_, t1) = wal.read(t, Lsn(0)).unwrap();
-        let (_, t2) = wal.read(t1, Lsn(1)).unwrap();
-        assert_eq!(wal.promoted_segments(), vec![0]);
-        let (_, t3) = wal.read(t2, Lsn(per_window)).unwrap();
-        let (_, _t4) = wal.read(t3, Lsn(per_window + 1)).unwrap();
-        assert_eq!(wal.promoted_segments(), vec![1]);
+        // Heat segments 0, 1 and 2 past the threshold in turn: the budget
+        // of two forces the coldest, segment 0, back out.
+        for seg in 0..3 {
+            for lsn in [seg * per_window, seg * per_window + 1] {
+                t = wal.read(t, Lsn(lsn)).unwrap().1;
+            }
+        }
+        assert_eq!(wal.promoted_segments(), vec![1, 2]);
         let s = wal.stats();
-        assert_eq!(s.promotions, 2);
-        // 3 tail rotations + 1 capacity eviction.
-        assert_eq!(s.demotions, 4);
+        assert_eq!(s.promotions, 3);
+        // 4 tail rotations + 1 capacity eviction.
+        assert_eq!(s.demotions, 5);
     }
 
     #[test]
@@ -707,7 +664,7 @@ mod tests {
         let (_, t1) = wal.read(t, Lsn(0)).unwrap();
         let (_, t2) = wal.read(t1, Lsn(1)).unwrap();
         assert_eq!(wal.promoted_segments(), vec![0]);
-        let idle_cutoff = t2 + wal.policy().config().demote_after;
+        let idle_cutoff = t2 + TierPolicy::DEMOTE_AFTER;
         assert_eq!(wal.sweep(t2).unwrap(), 0, "a hot segment must survive");
         assert_eq!(wal.sweep(idle_cutoff).unwrap(), 1);
         assert!(wal.promoted_segments().is_empty());
@@ -768,7 +725,7 @@ mod tests {
                 digest.push((lsn, bytes.len(), done.as_nanos()));
                 now = done;
             }
-            wal.sweep(now + wal.policy().config().demote_after).unwrap();
+            wal.sweep(now + TierPolicy::DEMOTE_AFTER).unwrap();
             assert_eq!(cal.borrow().clamped_posts(), 0);
             (digest, wal.stats())
         };

@@ -264,11 +264,12 @@ fn error_injection(plan: &FaultPlan) -> Option<ErrorInjection> {
     })
 }
 
-/// Time given to the restart before recovery reads begin.
-const RESTART_DELAY: SimDuration = SimDuration::from_millis(5);
+/// Time given to a restarted node before recovery reads begin.
+pub const RESTART_DELAY: SimDuration = SimDuration::from_millis(5);
 
-/// Start instant: past the BA-WAL's initial pins.
-const T0: SimTime = SimTime::from_nanos(1_000_000);
+/// Start instant of every fault schedule and replication run: past the
+/// WALs' initial pins.
+pub const T0: SimTime = SimTime::from_nanos(1_000_000);
 
 /// Runs one deterministic fault schedule end to end and checks every
 /// recovery invariant. Never panics on invariant failure — failures come

@@ -39,7 +39,7 @@ mod plan;
 pub use device::{FaultyLogDevice, FlushFaults, SharedWal};
 pub use harness::{
     check_log_prefix, run_schedule, sweep, throwaway_wal, Engine, ScheduleReport, SchemeKind,
-    SweepReport, Workload,
+    SweepReport, Workload, RESTART_DELAY, T0,
 };
 pub use plan::{ClusterFaultPlan, CutScope, FaultPlan, FlushFault, ReplFaultPlan, ShipFault};
 pub use twob_db::EngineKind;

@@ -19,12 +19,14 @@
 
 use std::fmt;
 
-use twob_faults::{check_log_prefix, throwaway_wal, Engine, EngineKind, ReplFaultPlan};
+use twob_faults::{
+    check_log_prefix, throwaway_wal, Engine, EngineKind, ReplFaultPlan, RESTART_DELAY, T0,
+};
 use twob_sim::Executor;
 
 use crate::config::{CommitPolicy, ReplConfig};
-use crate::link::{NetLinkConfig, T0};
-use crate::set::{ReplicaSet, RESTART_DELAY};
+use crate::link::NetLinkConfig;
+use crate::set::ReplicaSet;
 use crate::ShipScheme;
 
 use crate::set::Ev;

@@ -33,8 +33,8 @@
 //!    quorums always intersect (the property the `cluster_props` suite
 //!    brute-forces).
 //!
-//! Followers serve reads: every `read_every`-th released commit is read
-//! back from a deterministic member of its ack set, priced on the host's
+//! Followers serve reads: every released commit is read back from a
+//! deterministic member of its ack set, priced on the host's
 //! log path — `BA_READ_DMA` out of the pinned window for BA hosts, NAND
 //! page reads for block hosts — so the byte-path advantage shows up as
 //! cluster-level read latency.
@@ -51,13 +51,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use twob_core::TwoBSsd;
-use twob_faults::{ClusterFaultPlan, CutScope};
+use twob_faults::{ClusterFaultPlan, CutScope, T0};
 use twob_sim::{
     mix, mix_bytes, Histogram, ShardCtx, ShardedExecutor, SimDuration, SimRng, SimTime, FNV_BASIS,
 };
 use twob_wal::{HostConfig, HostMode, LogRecord, Lsn, ShardWalHost, WalError};
 
-use crate::link::{NetLink, NetLinkConfig, ACK_WIRE_BYTES, RECORD_WIRE_OVERHEAD, T0};
+use crate::link::{NetLink, NetLinkConfig, ACK_WIRE_BYTES, RECORD_WIRE_OVERHEAD};
 use crate::placement::{splitmix64, ClusterMap, DomainLayout, PlacementKind};
 use crate::{CommitPolicy, ShipScheme};
 
@@ -101,10 +101,6 @@ pub struct FleetConfig {
     pub scheme: ShipScheme,
     /// Commits per shard (single closed-loop stream each).
     pub commits_per_shard: u64,
-    /// Commit payload bytes.
-    pub payload_bytes: usize,
-    /// Issue a follower read every this many released commits (0 = none).
-    pub read_every: u64,
     /// Network model for every node pair.
     pub link: NetLinkConfig,
     /// Seed for link jitter and client think time.
@@ -126,8 +122,6 @@ impl Default for FleetConfig {
             policy: CommitPolicy::SemiSync(1),
             scheme: ShipScheme::Ba,
             commits_per_shard: 8,
-            payload_bytes: 64,
-            read_every: 1,
             link: NetLinkConfig::default(),
             seed: 42,
             moves: Vec::new(),
@@ -238,10 +232,13 @@ pub fn rule_met(rule: &[RuleClause], acks: &BTreeSet<usize>) -> bool {
         .all(|(need, set)| set.iter().filter(|m| acks.contains(m)).count() >= *need)
 }
 
+/// Commit payload bytes.
+const PAYLOAD_BYTES: usize = 64;
+
 /// Deterministic commit payload, distinct per (shard, lsn).
-fn shard_payload(shard: u16, lsn: u64, bytes: usize) -> Vec<u8> {
+fn shard_payload(shard: u16, lsn: u64) -> Vec<u8> {
     let h = splitmix64((u64::from(shard) << 32) ^ lsn);
-    (0..bytes)
+    (0..PAYLOAD_BYTES)
         .map(|i| (h.rotate_left((i % 8) as u32 * 8) as u8).wrapping_add(i as u8))
         .collect()
 }
@@ -453,11 +450,11 @@ impl Fleet {
             slots: cfg.shards,
             ..HostConfig::default()
         };
-        let capacity = host_cfg.records_per_slot(cfg.payload_bytes);
+        let capacity = host_cfg.records_per_slot(PAYLOAD_BYTES);
         if cfg.commits_per_shard > capacity {
             return bad(format!(
-                "{} commits per shard of {} B exceed the {capacity} records a {} slot log holds",
-                cfg.commits_per_shard, cfg.payload_bytes, host_cfg.mode
+                "{} commits per shard of {PAYLOAD_BYTES} B exceed the {capacity} records a {} slot log holds",
+                cfg.commits_per_shard, host_cfg.mode
             ));
         }
         let mut net_rng = SimRng::seed_from(cfg.seed ^ 0xF1EE_7F1E_E7F1_EE7F);
@@ -552,8 +549,6 @@ impl Fleet {
     ) -> impl Fn(&mut ShardCtx<'_, Ev>, &mut NodeState, SimTime, Ev) + Sync + use<> {
         let policy = self.cfg.policy;
         let commits = self.cfg.commits_per_shard;
-        let payload_bytes = self.cfg.payload_bytes;
-        let read_every = self.cfg.read_every;
         let one_way = self.cfg.link.one_way;
         move |ctx, node, t, ev| {
             if node.fails_at.is_some_and(|f| t >= f) {
@@ -591,7 +586,7 @@ impl Fleet {
                     node.pending.entry(shard).or_default().insert(
                         txn,
                         PendingRec {
-                            payload: shard_payload(shard, txn, payload_bytes),
+                            payload: shard_payload(shard, txn),
                             ack_to: None,
                             ship_to,
                             local: true,
@@ -659,7 +654,7 @@ impl Fleet {
                     drain(node, ctx, t, shard);
                 }
                 Ev::Ack { shard, lsn, from } => {
-                    on_ack(node, ctx, t, shard, lsn, from, commits, read_every);
+                    on_ack(node, ctx, t, shard, lsn, from, commits);
                 }
                 Ev::CatchupDone { shard, from } => {
                     let Some(led) = node.ledgers.get_mut(&shard) else {
@@ -713,7 +708,7 @@ impl Fleet {
                     issued_at,
                 } => match node.host.read_record(t, shard, Lsn(lsn)) {
                     Ok((rec, done)) => {
-                        if rec.payload != shard_payload(shard, lsn, payload_bytes) {
+                        if rec.payload != shard_payload(shard, lsn) {
                             node.violations.push(format!(
                                 "read shard {shard} lsn {lsn} at node {}: wrong payload",
                                 node.id
@@ -862,9 +857,7 @@ impl Fleet {
             for lsn in 0..shard_released[usize::from(shard)] {
                 match promoted.get(lsn as usize) {
                     Some(rec)
-                        if rec.lsn == Lsn(lsn)
-                            && rec.payload == shard_payload(shard, lsn, self.cfg.payload_bytes) => {
-                    }
+                        if rec.lsn == Lsn(lsn) && rec.payload == shard_payload(shard, lsn) => {}
                     _ => violations.push(format!(
                         "shard {shard}: acked lsn {lsn} lost or corrupt on promoted node {leader}"
                     )),
@@ -1129,7 +1122,6 @@ fn drain(node: &mut NodeState, ctx: &mut ShardCtx<'_, Ev>, t: SimTime, shard: u1
 /// Handles an ack at the shard's current primary: quorum counting under
 /// the commit's fixed rule, release, follower-read issue, move trigger,
 /// fenced handoff, and the closed loop's next issue.
-#[allow(clippy::too_many_arguments)]
 fn on_ack(
     node: &mut NodeState,
     ctx: &mut ShardCtx<'_, Ev>,
@@ -1138,7 +1130,6 @@ fn on_ack(
     lsn: u64,
     from: usize,
     commits: u64,
-    read_every: u64,
 ) {
     let Some(led) = node.ledgers.get_mut(&shard) else {
         return;
@@ -1163,22 +1154,20 @@ fn on_ack(
     // Follower read: a deterministic member of the ack set holds the
     // record (dense appends), so route the read there — the read-your-
     // quorum routing real systems get from replica LSN tracking.
-    if read_every > 0 && lsn.is_multiple_of(read_every) {
-        let ackers: Vec<usize> = outst.acks.iter().copied().collect();
-        let target = ackers[lsn as usize % ackers.len()];
-        let at = node.links[target]
-            .delivery_reliable(t, ACK_WIRE_BYTES)
-            .expect("lossless link partitioned");
-        ctx.send(
-            target,
-            at,
-            Ev::Read {
-                shard,
-                lsn,
-                issued_at: t,
-            },
-        );
-    }
+    let ackers: Vec<usize> = outst.acks.iter().copied().collect();
+    let target = ackers[lsn as usize % ackers.len()];
+    let at = node.links[target]
+        .delivery_reliable(t, ACK_WIRE_BYTES)
+        .expect("lossless link partitioned");
+    ctx.send(
+        target,
+        at,
+        Ev::Read {
+            shard,
+            lsn,
+            issued_at: t,
+        },
+    );
 
     // Move lifecycle at this release point.
     let mut hand_off = false;
@@ -1333,7 +1322,6 @@ mod tests {
             rf: 4,
             policy: CommitPolicy::SemiSync(2),
             commits_per_shard: 72,
-            read_every: 0,
             ..FleetConfig::default()
         }
     }
@@ -1377,7 +1365,7 @@ mod tests {
         let quorum = Fleet::new(solo(CommitPolicy::SemiSync(1))).unwrap().run();
         assert!(local.passed() && quorum.passed());
         let cfg = solo(CommitPolicy::Async);
-        let wire_bytes = cfg.payload_bytes as u64 + RECORD_WIRE_OVERHEAD + ACK_WIRE_BYTES;
+        let wire_bytes = PAYLOAD_BYTES as u64 + RECORD_WIRE_OVERHEAD + ACK_WIRE_BYTES;
         let wire_us = rtt_us(&cfg) + wire_bytes as f64 / cfg.link.bytes_per_sec * 1e6;
         assert!(
             quorum.commit_p50_us > wire_us + local.commit_p50_us,
@@ -1451,16 +1439,12 @@ mod tests {
 
     #[test]
     fn stream_past_the_slot_log_is_a_bad_config() {
-        for (scheme, commits_per_shard, payload_bytes, limit) in [
-            (ShipScheme::Block, 410, 64, 409),
-            (ShipScheme::Ba, 511, 64, 510),
-            (ShipScheme::Ba, 8, 0, 0),
-            (ShipScheme::Block, 8, 0, 0),
-        ] {
+        for (scheme, commits_per_shard, limit) in
+            [(ShipScheme::Block, 410, 409), (ShipScheme::Ba, 511, 510)]
+        {
             let msg = bad_config(FleetConfig {
                 scheme,
                 commits_per_shard,
-                payload_bytes,
                 ..base_cfg()
             });
             assert!(
@@ -1484,6 +1468,30 @@ mod tests {
             assert!(report.passed(), "{scheme:?}: {:?}", report.violations);
             assert_eq!(report.released, 2 * commits_per_shard);
         }
+    }
+
+    #[test]
+    fn block_hosts_take_more_shards_than_the_pin_table_has_shares() {
+        // Block slots never pin, so 17 shards fit where the 16-page buffer
+        // would give a 17th pin-table share no room.
+        let report = Fleet::new(FleetConfig {
+            scheme: ShipScheme::Block,
+            shards: 17,
+            commits_per_shard: 2,
+            ..base_cfg()
+        })
+        .unwrap()
+        .run();
+        assert!(report.passed(), "{:?}", report.violations);
+        assert_eq!(report.released, 34);
+        // BA slots each hold a mapping-table entry: the ninth is refused
+        // by name.
+        let msg = bad_config(FleetConfig {
+            shards: 9,
+            commits_per_shard: 2,
+            ..base_cfg()
+        });
+        assert_eq!(msg, "9 slots exceed the 8-entry mapping table");
     }
 
     #[test]

@@ -9,10 +9,6 @@
 
 use twob_sim::{SimDuration, SimRng, SimTime};
 
-/// Start instant of every replication run: past the WALs' initial pins
-/// (matches the faults harness, so golden re-runs line up).
-pub(crate) const T0: SimTime = SimTime::from_nanos(1_000_000);
-
 /// Fixed framing overhead per shipped record (lsn + length + crc on the
 /// wire), for serialization-time accounting.
 pub(crate) const RECORD_WIRE_OVERHEAD: u64 = 24;

@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 
 use twob_core::TwoBSsd;
-use twob_faults::{Engine, ReplFaultPlan, SharedWal, ShipFault, Workload};
+use twob_faults::{Engine, ReplFaultPlan, SharedWal, ShipFault, Workload, T0};
 use twob_sim::{Executor, Histogram, SimDuration, SimRng, SimTime};
 use twob_ssd::{Ssd, SsdConfig};
 use twob_wal::{
@@ -34,11 +34,8 @@ use twob_wal::{
 };
 
 use crate::config::ReplConfig;
-use crate::link::{NetLink, ACK_WIRE_BYTES, RECORD_WIRE_OVERHEAD, T0};
+use crate::link::{NetLink, ACK_WIRE_BYTES, RECORD_WIRE_OVERHEAD};
 use crate::ShipScheme;
-
-/// Time a restarted node gets before recovery reads begin.
-pub(crate) const RESTART_DELAY: SimDuration = SimDuration::from_millis(5);
 
 /// Fixed framing overhead per ship batch on the wire.
 const BATCH_WIRE_HEADER: u64 = 32;

@@ -114,7 +114,6 @@ impl BaWal {
             region_pages: cfg.region_pages,
             window_pages: half_pages,
             windows: buffers,
-            record_overhead: cfg.record_overhead,
         };
         shape.validate(dev.capacity_pages())?;
         let log = ByteLog::open(&mut OwnedDevice(&mut dev), SimTime::ZERO, shape)?;

@@ -235,7 +235,6 @@ mod tests {
         let cfg = WalConfig {
             region_base_lba: 0,
             region_pages: u32::MAX,
-            ..WalConfig::default()
         };
         let err = BlockWal::new(
             Ssd::new(SsdConfig::ull_ssd().small()),

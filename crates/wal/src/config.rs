@@ -23,22 +23,38 @@ impl std::fmt::Display for CommitMode {
     }
 }
 
-/// Tunables shared by the WAL schemes.
+/// Fixed per-record host CPU cost (formatting, locking, bookkeeping), paid
+/// by every WAL scheme and every shard-WAL host.
+pub(crate) const RECORD_OVERHEAD: SimDuration = SimDuration::from_nanos(150);
+
+/// Host memcpy throughput for staging records, bytes/s.
+const MEMCPY_BYTES_PER_SEC: f64 = 10e9;
+
+/// Latency of one persistent store to battery-backed DRAM on the memory
+/// bus (`PmWal` only): store + `clflush` + fence at DRAM speed.
+const PM_WRITE_BASE: SimDuration = SimDuration::from_nanos(200);
+
+/// Incremental PM cost per 64-byte line (`PmWal` only).
+const PM_PER_LINE: SimDuration = SimDuration::from_nanos(8);
+
+/// Host memcpy time for `bytes`.
+pub(crate) fn memcpy(bytes: u64) -> SimDuration {
+    SimDuration::from_nanos_f64(bytes as f64 * 1e9 / MEMCPY_BYTES_PER_SEC)
+}
+
+/// Persistent-memory write time for `bytes` (store + flush + fence).
+pub(crate) fn pm_write(bytes: u64) -> SimDuration {
+    let lines = bytes.div_ceil(64).max(1);
+    PM_WRITE_BASE + PM_PER_LINE * (lines - 1)
+}
+
+/// Where a WAL's log region lies on its device.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WalConfig {
     /// First LBA of the log region on the device.
     pub region_base_lba: u64,
     /// Size of the log region in pages; the writer wraps within it.
     pub region_pages: u32,
-    /// Host memcpy throughput for staging records, bytes/s.
-    pub memcpy_bytes_per_sec: u64,
-    /// Fixed per-record CPU cost (formatting, locking, bookkeeping).
-    pub record_overhead: SimDuration,
-    /// Latency of one persistent store to battery-backed DRAM on the
-    /// memory bus (`PmWal` only): store + `clflush` + fence at DRAM speed.
-    pub pm_write_base: SimDuration,
-    /// Incremental PM cost per 64-byte line (`PmWal` only).
-    pub pm_per_line: SimDuration,
 }
 
 impl Default for WalConfig {
@@ -46,26 +62,11 @@ impl Default for WalConfig {
         WalConfig {
             region_base_lba: 0,
             region_pages: 64,
-            memcpy_bytes_per_sec: 10_000_000_000,
-            record_overhead: SimDuration::from_nanos(150),
-            pm_write_base: SimDuration::from_nanos(200),
-            pm_per_line: SimDuration::from_nanos(8),
         }
     }
 }
 
 impl WalConfig {
-    /// Host memcpy time for `bytes`.
-    pub fn memcpy(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_nanos_f64(bytes as f64 * 1e9 / self.memcpy_bytes_per_sec as f64)
-    }
-
-    /// Persistent-memory write time for `bytes` (store + flush + fence).
-    pub fn pm_write(&self, bytes: u64) -> SimDuration {
-        let lines = bytes.div_ceil(64).max(1);
-        self.pm_write_base + self.pm_per_line * (lines - 1)
-    }
-
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -74,9 +75,6 @@ impl WalConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.region_pages < 2 {
             return Err("log region needs at least 2 pages".into());
-        }
-        if self.memcpy_bytes_per_sec == 0 {
-            return Err("memcpy bandwidth must be positive".into());
         }
         Ok(())
     }
@@ -93,19 +91,17 @@ mod tests {
 
     #[test]
     fn memcpy_cost_is_linear() {
-        let cfg = WalConfig::default();
         assert!(
-            cfg.memcpy(8192)
+            memcpy(8192)
                 .as_nanos()
-                .abs_diff(cfg.memcpy(4096).as_nanos() * 2)
+                .abs_diff(memcpy(4096).as_nanos() * 2)
                 <= 1
         );
     }
 
     #[test]
     fn pm_write_is_sub_microsecond_for_small_records() {
-        let cfg = WalConfig::default();
-        assert!(cfg.pm_write(100).as_nanos() < 1_000);
+        assert!(pm_write(100).as_nanos() < 1_000);
     }
 
     #[test]

@@ -41,9 +41,10 @@ use std::collections::BTreeMap;
 use twob_core::{EntryId, PinTable, RegionFrontEnd, TenantId, TwoBSsd};
 use twob_ftl::Lba;
 use twob_pcie::PcieTimings;
-use twob_sim::{SimDuration, SimTime};
+use twob_sim::SimTime;
 use twob_ssd::BlockDevice;
 
+use crate::config::RECORD_OVERHEAD;
 use crate::logcore::{
     repin_at_once, scan_region, ByteLog, ByteLogShape, Done, WindowPort, PAGE_BYTES,
 };
@@ -72,23 +73,14 @@ impl std::fmt::Display for HostMode {
     }
 }
 
-/// Geometry and pricing of one node's shard-WAL host.
+/// Log path and slot count of one node's shard-WAL host.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostConfig {
     /// Log path for every slot.
     pub mode: HostMode,
-    /// Maximum concurrently hosted shard slots; also the pin-table tenant
-    /// count the BA-buffer is partitioned across.
+    /// Maximum concurrently hosted shard slots; in `Ba` mode also the
+    /// pin-table tenant count the BA-buffer is partitioned across.
     pub slots: u16,
-    /// Pinned window per BA slot, in pages. Must fit the per-slot share.
-    pub window_pages: u32,
-    /// Per-slot NAND log region in pages (a multiple of `window_pages`);
-    /// slot `i`'s region starts at `region_base_lba + i * region_pages`.
-    pub region_pages: u32,
-    /// First LBA of slot 0's region.
-    pub region_base_lba: u64,
-    /// Fixed per-record CPU cost (formatting, locking, bookkeeping).
-    pub record_overhead: SimDuration,
     /// Byte front-end serving the BA slots' windows (`Ba` mode only):
     /// the paper's MMIO path or the CXL.mem cache-line path.
     pub front_end: RegionFrontEnd,
@@ -99,24 +91,26 @@ impl Default for HostConfig {
         HostConfig {
             mode: HostMode::Ba,
             slots: 4,
-            window_pages: 2,
-            region_pages: 8,
-            region_base_lba: 0,
-            record_overhead: SimDuration::from_nanos(150),
             front_end: RegionFrontEnd::BaMmio,
         }
     }
 }
 
 impl HostConfig {
+    /// Pinned window per BA slot, in pages.
+    pub const WINDOW_PAGES: u32 = 2;
+
+    /// Per-slot NAND log region in pages, a multiple of the window; slot
+    /// `i`'s region starts at LBA `i * REGION_PAGES`.
+    pub const REGION_PAGES: u32 = 8;
+
     /// Geometry of `slot`'s log: its own region, one window.
     fn slot_shape(&self, slot: u16) -> ByteLogShape {
         ByteLogShape {
-            region_base_lba: self.region_base_lba + u64::from(slot) * u64::from(self.region_pages),
-            region_pages: self.region_pages,
-            window_pages: self.window_pages,
+            region_base_lba: u64::from(slot) * u64::from(Self::REGION_PAGES),
+            region_pages: Self::REGION_PAGES,
+            window_pages: Self::WINDOW_PAGES,
             windows: 1,
-            record_overhead: self.record_overhead,
         }
     }
 
@@ -128,13 +122,13 @@ impl HostConfig {
     /// erased media, and a record must fit one window.
     pub fn records_per_slot(&self, payload_bytes: usize) -> u64 {
         let record = (RECORD_HEADER_BYTES + payload_bytes) as u64;
-        let per_window = u64::from(self.window_pages) * PAGE_BYTES / record;
+        let per_window = u64::from(Self::WINDOW_PAGES) * PAGE_BYTES / record;
         if payload_bytes == 0 || per_window == 0 {
             return 0;
         }
         match self.mode {
-            HostMode::Block => u64::from(self.region_pages) * PAGE_BYTES / record,
-            HostMode::Ba => per_window * u64::from(self.region_pages / self.window_pages + 1),
+            HostMode::Block => u64::from(Self::REGION_PAGES) * PAGE_BYTES / record,
+            HostMode::Ba => per_window * u64::from(Self::REGION_PAGES / Self::WINDOW_PAGES + 1),
         }
     }
 }
@@ -232,10 +226,10 @@ impl ShardWalHost {
     ///
     /// # Errors
     ///
-    /// [`WalError::BadConfig`] if the geometry cannot fit: zero-sized
-    /// windows/regions, a region not a multiple of the window, more slots
-    /// than mapping-table entries, regions exceeding the device, or (in
-    /// `Ba` mode) windows exceeding the per-slot BA-buffer share.
+    /// [`WalError::BadConfig`] if the slots cannot fit the device: zero
+    /// slots, regions exceeding the device, or (in `Ba` mode) more slots
+    /// than mapping-table entries or windows exceeding the per-slot
+    /// BA-buffer share.
     pub fn new(dev: TwoBSsd, cfg: HostConfig) -> Result<Self, WalError> {
         if cfg.slots == 0 {
             return Err(WalError::BadConfig("slots must be positive".into()));
@@ -252,14 +246,20 @@ impl ShardWalHost {
                 )));
             }
             let share = dev.spec().ba_buffer_pages() / u64::from(cfg.slots);
-            if u64::from(cfg.window_pages) > share {
+            if u64::from(HostConfig::WINDOW_PAGES) > share {
                 return Err(WalError::BadConfig(format!(
                     "{}-page window exceeds the {share}-page per-slot share",
-                    cfg.window_pages
+                    HostConfig::WINDOW_PAGES
                 )));
             }
         }
-        let pins = PinTable::new(dev.spec(), cfg.slots)?;
+        // Block slots never pin: one unused share, so their count is
+        // bounded by the device's log space alone.
+        let shares = match cfg.mode {
+            HostMode::Ba => cfg.slots,
+            HostMode::Block => 1,
+        };
+        let pins = PinTable::new(dev.spec(), shares)?;
         Ok(ShardWalHost {
             dev,
             pins,
@@ -316,7 +316,7 @@ impl ShardWalHost {
     }
 
     fn window_bytes(&self) -> u64 {
-        u64::from(self.cfg.window_pages) * PAGE_BYTES
+        u64::from(HostConfig::WINDOW_PAGES) * PAGE_BYTES
     }
 
     /// Opens `slot` with an empty log. In `Ba` mode this pins the slot's
@@ -459,7 +459,7 @@ impl ShardWalHost {
                         max: window_bytes as usize,
                     });
                 }
-                let region_bytes = u64::from(self.cfg.region_pages) * PAGE_BYTES;
+                let region_bytes = u64::from(HostConfig::REGION_PAGES) * PAGE_BYTES;
                 if staged.len() as u64 + bytes.len() as u64 > region_bytes {
                     return Err(WalError::BadConfig(format!(
                         "slot {slot} block log overflows its {region_bytes}-byte region"
@@ -471,7 +471,7 @@ impl ShardWalHost {
                 let end_page = (staged.len() as u64).div_ceil(PAGE_BYTES);
                 let mut span = staged[(first_page * PAGE_BYTES) as usize..].to_vec();
                 span.resize(((end_page - first_page) * PAGE_BYTES) as usize, 0);
-                let t = now + self.cfg.record_overhead;
+                let t = now + RECORD_OVERHEAD;
                 let written = self.dev.write_pages(t, Lba(base + first_page), &span)?;
                 let durable = self.dev.flush(written);
                 offsets.push(start);
@@ -549,7 +549,7 @@ impl ShardWalHost {
         staged_len: usize,
     ) -> Result<(Vec<u8>, SimTime), WalError> {
         let written = (staged_len as u64).div_ceil(PAGE_BYTES);
-        let pages = written.max(1).min(u64::from(self.cfg.region_pages));
+        let pages = written.max(1).min(u64::from(HostConfig::REGION_PAGES));
         let base = self.slot_base(slot);
         scan_region(&mut self.dev, now, base, pages)
     }
@@ -1032,38 +1032,46 @@ mod tests {
 
     #[test]
     fn bad_geometries_are_rejected() {
-        let dev = TwoBSsd::small_for_tests;
-        for cfg in [
-            HostConfig {
-                slots: 0,
-                ..HostConfig::default()
-            },
-            HostConfig {
-                window_pages: 3,
-                region_pages: 8,
-                ..HostConfig::default()
-            },
-            HostConfig {
-                slots: 9, // > 8 mapping entries
-                window_pages: 1,
-                region_pages: 4,
-                ..HostConfig::default()
-            },
-            HostConfig {
-                window_pages: 8, // > 16/4-page share
-                region_pages: 16,
-                ..HostConfig::default()
-            },
-            HostConfig {
-                region_base_lba: 1 << 40,
-                ..HostConfig::default()
-            },
+        use twob_core::TwoBSpec;
+        use twob_ssd::SsdConfig;
+
+        let small = TwoBSsd::small_for_tests;
+        // A 16-entry table over the same 16-page buffer: nine slots fit the
+        // table, but a 1-page share cannot hold a 2-page window.
+        let wide_table = || {
+            let spec = TwoBSpec {
+                max_entries: 16,
+                ..TwoBSpec::small_for_tests()
+            };
+            TwoBSsd::new(SsdConfig::base_2b().small(), spec)
+        };
+        let cfg = |mode, slots| HostConfig {
+            mode,
+            slots,
+            ..HostConfig::default()
+        };
+        for (dev, cfg, why) in [
+            (small(), cfg(HostMode::Ba, 0), "slots must be positive"),
+            (small(), cfg(HostMode::Ba, 9), "9 slots exceed the 8-entry"),
+            (
+                wide_table(),
+                cfg(HostMode::Ba, 9),
+                "exceeds the 1-page per-slot share",
+            ),
+            (
+                small(),
+                cfg(HostMode::Block, 64),
+                "log region exceeds device",
+            ),
         ] {
-            assert!(
-                matches!(ShardWalHost::new(dev(), cfg), Err(WalError::BadConfig(_))),
-                "{cfg:?} accepted"
-            );
+            match ShardWalHost::new(dev, cfg) {
+                Err(WalError::BadConfig(msg)) => assert!(msg.contains(why), "{cfg:?}: {msg}"),
+                other => panic!("{cfg:?}: expected BadConfig, got {other:?}"),
+            }
         }
+        // Block slots take no pin-table share: more of them than the
+        // BA-buffer has pages still fit.
+        assert!(ShardWalHost::new(small(), cfg(HostMode::Block, 17)).is_ok());
     }
 
     #[test]

@@ -20,9 +20,10 @@
 
 use twob_core::{EntryId, IoCompletion, IoOp};
 use twob_ftl::Lba;
-use twob_sim::{SimDuration, SimTime};
+use twob_sim::SimTime;
 use twob_ssd::{BlockDevice, SsdError};
 
+use crate::config::{memcpy, RECORD_OVERHEAD};
 use crate::record::RECORD_HEADER_BYTES;
 use crate::{
     decode_stream, CommitOutcome, LogRecord, Lsn, SharedCalendar, SharedDevice, WalConfig,
@@ -119,7 +120,7 @@ pub(crate) trait WindowPort {
     fn pin(&mut self, at: SimTime, lba: Lba, pages: u32) -> Result<(EntryId, SimTime), WalError>;
 }
 
-/// Geometry and host cost of a [`ByteLog`].
+/// Geometry of a [`ByteLog`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ByteLogShape {
     /// First LBA of the log region.
@@ -130,8 +131,6 @@ pub(crate) struct ByteLogShape {
     pub window_pages: u32,
     /// Windows appended to in rotation.
     pub windows: usize,
-    /// Fixed per-append CPU cost.
-    pub record_overhead: SimDuration,
 }
 
 impl ByteLogShape {
@@ -324,7 +323,7 @@ impl ByteLog {
                 max: window_bytes as usize,
             });
         }
-        let mut t = now + self.shape.record_overhead;
+        let mut t = now + RECORD_OVERHEAD;
         let mut dirty_from: Option<u64> = None;
         let mut landed = None;
         for payload in payloads {
@@ -504,7 +503,7 @@ impl PageLog {
         if records == 0 {
             return Err(WalError::BadConfig("empty batch".into()));
         }
-        let staged_at = now + self.cfg.record_overhead * records + self.cfg.memcpy(encoded);
+        let staged_at = now + RECORD_OVERHEAD * records + memcpy(encoded);
         let mut last_ack = staged_at;
         for payload in payloads {
             let bytes = LogRecord::encode_parts(Lsn(self.next_lsn), payload);

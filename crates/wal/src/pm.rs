@@ -4,6 +4,7 @@ use twob_ftl::Lba;
 use twob_sim::SimTime;
 use twob_ssd::BlockDevice;
 
+use crate::config::{memcpy, pm_write, RECORD_OVERHEAD};
 use crate::{CommitOutcome, LogRecord, Lsn, WalConfig, WalError, WalStats, WalWriter};
 
 #[derive(Debug, Clone)]
@@ -126,7 +127,8 @@ impl<D: BlockDevice> PmWal<D> {
         Ok(self.halves[self.active].ready_at)
     }
 
-    /// Flushes both halves (inactive first), e.g. at shutdown.
+    /// Flushes both halves (inactive first), e.g. at shutdown, returning
+    /// when the last flush has landed on the log device.
     ///
     /// # Errors
     ///
@@ -140,7 +142,7 @@ impl<D: BlockDevice> PmWal<D> {
                 self.active ^= 1;
             }
         }
-        Ok(t)
+        Ok(self.halves.iter().fold(t, |t, half| t.max(half.ready_at)))
     }
 
     /// Records still resident in the PM halves (durable in NVRAM, not yet
@@ -166,13 +168,13 @@ impl<D: BlockDevice> WalWriter for PmWal<D> {
             });
         }
         self.next_lsn += 1;
-        let mut t = now + self.cfg.record_overhead;
+        let mut t = now + RECORD_OVERHEAD;
         t = t.max(self.halves[self.active].ready_at);
         if self.halves[self.active].used + bytes.len() > self.half_bytes() {
             t = t.max(self.rotate(t)?);
         }
         // Durable store into battery-backed DRAM.
-        t = t + self.cfg.memcpy(bytes.len() as u64) + self.cfg.pm_write(bytes.len() as u64);
+        t = t + memcpy(bytes.len() as u64) + pm_write(bytes.len() as u64);
         let half = &mut self.halves[self.active];
         half.data[half.used..half.used + bytes.len()].copy_from_slice(&bytes);
         half.used += bytes.len();
@@ -239,6 +241,26 @@ mod tests {
         for rec in &out.records {
             assert_eq!(rec.payload, format!("pm-{:03}", rec.lsn.0).as_bytes());
         }
+    }
+
+    #[test]
+    fn finalize_returns_when_its_own_flush_lands() {
+        let mut w = wal();
+        let mut t = SimTime::from_nanos(1_000_000);
+        for i in 0..5u64 {
+            t = w
+                .append_commit(t, format!("flush-{i}").as_bytes())
+                .unwrap()
+                .commit_at;
+        }
+        let image = w.halves[w.active].data.clone();
+        let done = w.finalize(t).unwrap();
+        // The same half-sized write on a twin device acks when the flush
+        // does: finalize may not return before it.
+        let mut twin = Ssd::new(SsdConfig::dc_ssd().small());
+        let ack = twin.write_pages(t, Lba(0), &image).unwrap();
+        assert!(ack > t);
+        assert_eq!(done, ack);
     }
 
     #[test]

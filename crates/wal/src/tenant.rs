@@ -157,7 +157,6 @@ impl TenantBaWal {
             region_pages: cfg.region_pages,
             window_pages,
             windows: 1,
-            record_overhead: cfg.record_overhead,
         };
         shape.validate(dev.borrow().capacity_pages())?;
         let mut port = SharedWindow {
@@ -374,7 +373,6 @@ mod tests {
         WalConfig {
             region_base_lba: u64::from(tenant) * 16,
             region_pages: 16,
-            ..WalConfig::default()
         }
     }
 
@@ -433,7 +431,6 @@ mod tests {
         let blk_cfg = WalConfig {
             region_base_lba: 32,
             region_pages: 16,
-            ..WalConfig::default()
         };
         let mut blk = TenantBlockWal::new(dev, cal, TenantId(1), blk_cfg).unwrap();
         let start = SimTime::from_nanos(1_000_000);
@@ -453,7 +450,6 @@ mod tests {
         let cfg = WalConfig {
             region_base_lba: 0,
             region_pages: 16,
-            ..WalConfig::default()
         };
         let mut w = TenantBlockWal::new(dev, cal, TenantId(0), cfg).unwrap();
         let out = w.append_commit(SimTime::ZERO, b"tx").unwrap();

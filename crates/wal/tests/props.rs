@@ -162,7 +162,16 @@ fn small_region() -> WalConfig {
 
 const WINDOW_PAGES: u32 = 2;
 
-fn tenant_ba(front_end: RegionFrontEnd) -> Tenant<TenantBaWal> {
+/// A shard-WAL host's log geometry: one 2-page window over an 8-page
+/// region at LBA 0.
+fn host_region() -> WalConfig {
+    WalConfig {
+        region_pages: HostConfig::REGION_PAGES,
+        ..WalConfig::default()
+    }
+}
+
+fn tenant_ba(front_end: RegionFrontEnd, region: WalConfig) -> Tenant<TenantBaWal> {
     let dev = TwoBSsd::small_for_tests();
     let pins = PinTable::new(dev.spec(), 1).expect("pin table");
     let dev = Rc::new(RefCell::new(dev));
@@ -171,7 +180,7 @@ fn tenant_ba(front_end: RegionFrontEnd) -> Tenant<TenantBaWal> {
         Rc::new(RefCell::new(IoCalendar::new())),
         Rc::new(RefCell::new(pins)),
         TenantId(0),
-        small_region(),
+        region,
         WINDOW_PAGES,
         front_end,
     )
@@ -254,8 +263,14 @@ proptest! {
                 .expect("pm wal"),
             &payloads,
         )?;
-        check_commit_is_a_one_record_batch(|| tenant_ba(RegionFrontEnd::BaMmio), &payloads)?;
-        check_commit_is_a_one_record_batch(|| tenant_ba(RegionFrontEnd::Cxl), &payloads)?;
+        check_commit_is_a_one_record_batch(
+            || tenant_ba(RegionFrontEnd::BaMmio, small_region()),
+            &payloads,
+        )?;
+        check_commit_is_a_one_record_batch(
+            || tenant_ba(RegionFrontEnd::Cxl, small_region()),
+            &payloads,
+        )?;
         check_commit_is_a_one_record_batch(tenant_block, &payloads)?;
     }
 
@@ -263,17 +278,17 @@ proptest! {
     /// for one record stream at one single-buffered window, `BaWal`, a
     /// 1-tenant `TenantBaWal` and a 1-slot `ShardWalHost` commit every
     /// record at the same instant — through every rotation and region wrap,
-    /// on both byte front-ends — and leave identical device counters.
+    /// on both byte front-ends — and leave identical device counters. The
+    /// writers run at the host's fixed geometry.
     #[test]
     fn byte_window_writers_agree_at_one_window(payloads in mixed_payloads(64)) {
+        assert_eq!(HostConfig::WINDOW_PAGES, WINDOW_PAGES);
         for front_end in [RegionFrontEnd::BaMmio, RegionFrontEnd::Cxl] {
-            let mut tenant = tenant_ba(front_end);
+            let mut tenant = tenant_ba(front_end, host_region());
             let mut host = ShardWalHost::new(
                 TwoBSsd::small_for_tests(),
                 HostConfig {
                     slots: 1,
-                    window_pages: WINDOW_PAGES,
-                    region_pages: small_region().region_pages,
                     front_end,
                     ..HostConfig::default()
                 },
@@ -282,7 +297,7 @@ proptest! {
             host.open_slot(SimTime::ZERO, 0).expect("open slot");
             // `BaWal` drives fixed entries through MMIO only.
             let mut single = (front_end == RegionFrontEnd::BaMmio).then(|| {
-                BaWal::new_single(TwoBSsd::small_for_tests(), small_region(), WINDOW_PAGES)
+                BaWal::new_single(TwoBSsd::small_for_tests(), host_region(), WINDOW_PAGES)
                     .expect("ba wal")
             });
             let mut t = SimTime::from_nanos(1_000_000);

@@ -254,18 +254,18 @@ pub struct ArrivalConfig {
     pub ops_per_sec: f64,
     /// Base seed; tenants are decorrelated via [`gen::tenant_seed`].
     pub seed: u64,
-    /// Burst/diurnal state-dwell / phase length.
-    pub phase: twob_sim::SimDuration,
 }
 
 impl ArrivalConfig {
-    /// A config with the default 200 µs phase length.
+    /// Burst/diurnal state-dwell / phase length.
+    const PHASE: twob_sim::SimDuration = twob_sim::SimDuration::from_micros(200);
+
+    /// A config for `kind` at `ops_per_sec` per tenant.
     pub fn new(kind: ArrivalKind, ops_per_sec: f64, seed: u64) -> Self {
         ArrivalConfig {
             kind,
             ops_per_sec,
             seed,
-            phase: twob_sim::SimDuration::from_micros(200),
         }
     }
 
@@ -275,10 +275,10 @@ impl ArrivalConfig {
         match self.kind {
             ArrivalKind::Poisson => Box::new(PoissonArrivals::new(self.ops_per_sec, seed)),
             ArrivalKind::Bursty => {
-                Box::new(BurstyArrivals::new(self.ops_per_sec, self.phase, seed))
+                Box::new(BurstyArrivals::new(self.ops_per_sec, Self::PHASE, seed))
             }
             ArrivalKind::Diurnal => {
-                Box::new(DiurnalArrivals::new(self.ops_per_sec, self.phase, seed))
+                Box::new(DiurnalArrivals::new(self.ops_per_sec, Self::PHASE, seed))
             }
         }
     }

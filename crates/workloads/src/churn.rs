@@ -4,7 +4,7 @@
 //! overwriting live data so the free-block pool drains and the collector
 //! has victims with a controllable amount of still-valid data. This module
 //! generates exactly that: a deterministic, seeded stream of single-page
-//! overwrites with an optional hot set, so the same seed always produces
+//! overwrites with an 80/20 hot set, so the same seed always produces
 //! the same LBA sequence — the property the GC determinism tests and the
 //! `gc_interference` bench build on.
 
@@ -18,33 +18,20 @@ pub struct ChurnConfig {
     pub lbas: u64,
     /// RNG seed; equal seeds yield byte-identical streams.
     pub seed: u64,
-    /// Fraction of the LBA space forming the hot set (in `(0, 1]`).
-    pub hot_fraction: f64,
-    /// Probability an overwrite lands in the hot set. `0.0` with any
-    /// `hot_fraction` degenerates to uniform churn; skewed churn leaves
-    /// cold blocks mostly valid, which is what gives GC real copy work.
-    pub hot_probability: f64,
 }
 
 impl ChurnConfig {
-    /// Uniform churn over `lbas` logical pages.
-    pub fn uniform(lbas: u64, seed: u64) -> Self {
-        ChurnConfig {
-            lbas,
-            seed,
-            hot_fraction: 1.0,
-            hot_probability: 0.0,
-        }
-    }
+    /// Fraction of the LBA space forming the hot set.
+    const HOT_FRACTION: f64 = 0.2;
 
-    /// The classic 80/20 skew: 80 % of overwrites hit the hottest 20 %.
+    /// Probability an overwrite lands in the hot set. Skewed churn leaves
+    /// cold blocks mostly valid, which is what gives GC real copy work.
+    const HOT_PROBABILITY: f64 = 0.8;
+
+    /// The classic 80/20 skew: 80 % of overwrites hit the hottest 20 % of
+    /// `lbas` logical pages.
     pub fn skewed(lbas: u64, seed: u64) -> Self {
-        ChurnConfig {
-            lbas,
-            seed,
-            hot_fraction: 0.2,
-            hot_probability: 0.8,
-        }
+        ChurnConfig { lbas, seed }
     }
 }
 
@@ -61,13 +48,9 @@ impl ChurnWorkload {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.lbas` is zero or `hot_fraction` is out of `(0, 1]`.
+    /// Panics if `cfg.lbas` is zero.
     pub fn new(cfg: ChurnConfig) -> Self {
         assert!(cfg.lbas > 0, "churn needs a non-empty LBA space");
-        assert!(
-            cfg.hot_fraction > 0.0 && cfg.hot_fraction <= 1.0,
-            "hot_fraction must be in (0, 1]"
-        );
         ChurnWorkload {
             rng: SimRng::seed_from(cfg.seed),
             cfg,
@@ -98,8 +81,8 @@ impl ChurnWorkload {
         Lba(crate::gen::hot_cold_draw(
             &mut self.rng,
             self.cfg.lbas,
-            self.cfg.hot_fraction,
-            self.cfg.hot_probability,
+            ChurnConfig::HOT_FRACTION,
+            ChurnConfig::HOT_PROBABILITY,
         ))
     }
 
@@ -130,8 +113,8 @@ mod tests {
 
     #[test]
     fn different_seeds_diverge() {
-        let mut a = ChurnWorkload::new(ChurnConfig::uniform(384, 1));
-        let mut b = ChurnWorkload::new(ChurnConfig::uniform(384, 2));
+        let mut a = ChurnWorkload::new(ChurnConfig::skewed(384, 1));
+        let mut b = ChurnWorkload::new(ChurnConfig::skewed(384, 2));
         let seq_a: Vec<Lba> = (0..100).map(|_| a.next_lba()).collect();
         let seq_b: Vec<Lba> = (0..100).map(|_| b.next_lba()).collect();
         assert_ne!(seq_a, seq_b);
@@ -159,7 +142,7 @@ mod tests {
 
     #[test]
     fn fill_sequence_covers_every_lba_once() {
-        let w = ChurnWorkload::new(ChurnConfig::uniform(16, 0));
+        let w = ChurnWorkload::new(ChurnConfig::skewed(16, 0));
         let fill: Vec<u64> = w.fill_sequence().map(|l| l.0).collect();
         assert_eq!(fill, (0..16).collect::<Vec<_>>());
     }

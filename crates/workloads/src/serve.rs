@@ -15,9 +15,10 @@
 //!    *traffic time*, independent of what the device can absorb;
 //! 2. **admission** — [`ServiceDriver::plan`] applies the control layer at
 //!    arrival time, from host-side accounting only: a per-tenant
-//!    queue-depth trigger (at most `admit_per_window` admissions per
-//!    tenant-window; excess is *deferred* up to `defer_windows` windows,
-//!    then *shed*) and a BA-buffer-saturation trigger (admitted BA bytes
+//!    queue-depth trigger (at most [`ServeConfig::ADMIT_PER_WINDOW`]
+//!    admissions per tenant-window; excess is *deferred* up to
+//!    [`ServeConfig::DEFER_WINDOWS`] windows, then *shed*) and a
+//!    BA-buffer-saturation trigger (admitted BA bytes
 //!    per device group per window capped at the group's BA buffer;
 //!    excess is shed). Decisions never consult completions, so the same
 //!    plan drives every backend identically;
@@ -51,7 +52,7 @@ use twob_sim::{mix, Executor, Histogram, SimDuration, SimTime, FNV_BASIS};
 use twob_ssd::{NvmeEvent, NvmeOp, NvmeSsd, QdReport, SsdConfig};
 
 use crate::arrival::{ArrivalConfig, ArrivalProcess};
-use crate::tenant::{TenantOutcome, TenantPool, TenantReport, WalScheme};
+use crate::tenant::{TenantOutcome, TenantPool, TenantPoolConfig, TenantReport, WalScheme};
 
 /// Configuration of one open-loop serving run.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,25 +68,28 @@ pub struct ServeConfig {
     pub horizon: SimDuration,
     /// Commit payload bytes (the BA sync length).
     pub payload_bytes: usize,
-    /// Block-scheme log-region pages per tenant (writes rotate within).
-    pub region_pages: u32,
-    /// Admission/SLO window length.
-    pub window: SimDuration,
-    /// Queue-depth trigger: admissions per tenant per window before
-    /// deferral.
-    pub admit_per_window: u32,
-    /// How many windows an op may be deferred before it is shed.
-    pub defer_windows: u64,
     /// p99 latency target, µs (measured from original arrival).
     pub slo_p99_us: f64,
-    /// p999 latency target, µs.
-    pub slo_p999_us: f64,
 }
 
 impl ServeConfig {
-    /// The serving preset: 4 ms horizon, 100 µs windows, queue-depth 8
-    /// per window, 2-window defer budget, 128 B payloads, 400/2000 µs
-    /// p99/p999 SLOs.
+    /// Block-scheme log-region pages per tenant (writes rotate within).
+    const REGION_PAGES: u64 = 4;
+
+    /// Admission/SLO window length.
+    pub const WINDOW: SimDuration = SimDuration::from_micros(100);
+
+    /// Queue-depth trigger: admissions per tenant per window before
+    /// deferral.
+    pub const ADMIT_PER_WINDOW: u32 = 8;
+
+    /// How many windows an op may be deferred before it is shed.
+    pub const DEFER_WINDOWS: u64 = 2;
+
+    /// p999 latency target, µs.
+    const SLO_P999_US: f64 = 2_000.0;
+
+    /// The serving preset: 4 ms horizon, 128 B payloads, a 400 µs p99 SLO.
     pub fn standard(tenants: u16, scheme: WalScheme, arrival: ArrivalConfig) -> Self {
         ServeConfig {
             tenants,
@@ -93,12 +97,7 @@ impl ServeConfig {
             arrival,
             horizon: SimDuration::from_micros(4_000),
             payload_bytes: 128,
-            region_pages: 4,
-            window: SimDuration::from_micros(100),
-            admit_per_window: 8,
-            defer_windows: 2,
             slo_p99_us: 400.0,
-            slo_p999_us: 2_000.0,
         }
     }
 }
@@ -226,12 +225,7 @@ impl ServiceDriver {
     pub fn plan(cfg: &ServeConfig, groups: usize, group_ba_bytes: u64) -> AdmissionPlan {
         assert!(cfg.tenants > 0, "need at least one tenant");
         assert!(groups > 0, "need at least one device group");
-        assert!(
-            cfg.window > SimDuration::ZERO,
-            "need a non-zero admission window"
-        );
-        assert!(cfg.admit_per_window > 0, "need a non-zero admission depth");
-        let win_ns = cfg.window.as_nanos();
+        let win_ns = ServeConfig::WINDOW.as_nanos();
         let horizon_ns = cfg.horizon.as_nanos();
 
         // Arrival layer: every tenant's stream, merged into one
@@ -251,9 +245,9 @@ impl ServiceDriver {
         raw.sort_unstable();
         let offered = raw.len() as u64;
 
-        // Queue-depth trigger: per tenant, at most `admit_per_window`
+        // Queue-depth trigger: per tenant, at most `ADMIT_PER_WINDOW`
         // admissions per window; the earliest window with free capacity
-        // takes the op, up to `defer_windows` past its arrival window.
+        // takes the op, up to `DEFER_WINDOWS` past its arrival window.
         struct TenantAdmit {
             window: u64,
             admitted_in_window: u32,
@@ -272,7 +266,7 @@ impl ServiceDriver {
             let arrival_window = arrival.as_nanos() / win_ns;
             // `state.window` always has free capacity (the invariant below).
             let window = state.window.max(arrival_window);
-            if window - arrival_window > cfg.defer_windows {
+            if window - arrival_window > ServeConfig::DEFER_WINDOWS {
                 shed_queue += 1; // Shed ops consume no window capacity.
                 continue;
             }
@@ -292,7 +286,7 @@ impl ServiceDriver {
                 submit_at,
             });
             state.admitted_in_window += 1;
-            if state.admitted_in_window >= cfg.admit_per_window {
+            if state.admitted_in_window >= ServeConfig::ADMIT_PER_WINDOW {
                 state.window += 1;
                 state.admitted_in_window = 0;
             }
@@ -487,7 +481,7 @@ impl ServiceDriver {
                         dev,
                         SimTime::ZERO,
                         TenantId(tenant),
-                        Lba(u64::from(tenant) * u64::from(cfg.region_pages)),
+                        Lba(u64::from(tenant) * ServeConfig::REGION_PAGES),
                         1,
                     )
                     .expect("fleet pins fit their shares");
@@ -514,7 +508,6 @@ impl ServiceDriver {
     ) -> impl Iterator<Item = (SimTime, usize, IoOp)> + 'a {
         let groups = eids.len();
         let len = cfg.payload_bytes as u64;
-        let region_pages = u64::from(cfg.region_pages);
         let mut block_seq = vec![0u64; usize::from(cfg.tenants)];
         // Every block commit writes this one page image; a queued write
         // holds a reference to it, not a copy.
@@ -542,7 +535,8 @@ impl ServiceDriver {
                 ),
                 WalScheme::Block => {
                     let seq = &mut block_seq[tenant];
-                    let lba = Lba(local as u64 * region_pages + *seq % region_pages);
+                    let pages = ServeConfig::REGION_PAGES;
+                    let lba = Lba(local as u64 * pages + *seq % pages);
                     *seq += 1;
                     let data = Arc::clone(&page);
                     (Some(IoOp::BlockWrite { lba, data }), IoOp::BlockFlush)
@@ -658,7 +652,7 @@ impl ServiceDriver {
         // The committing client blocks until its batch is durable.
         tenant.clients[ci] = None;
         tenant.waiting.insert(last_ticket, ci);
-        if tenant.group.pending_len() >= pool.cfg.max_batch {
+        if tenant.group.pending_len() >= TenantPoolConfig::MAX_BATCH {
             Self::drive_session(tenant, done)?;
         }
         Ok(())
@@ -851,7 +845,10 @@ struct Measure<'a> {
 
 impl<'a> Measure<'a> {
     fn new(cfg: &'a ServeConfig, plan: &'a AdmissionPlan, epoch: SimDuration) -> Self {
-        let windows = cfg.horizon.as_nanos().div_ceil(cfg.window.as_nanos());
+        let windows = cfg
+            .horizon
+            .as_nanos()
+            .div_ceil(ServeConfig::WINDOW.as_nanos());
         Measure {
             cfg,
             plan,
@@ -875,7 +872,7 @@ impl<'a> Measure<'a> {
         let latency = complete_at.saturating_since(op.arrival + self.epoch);
         self.all.record(latency);
         self.per_tenant[usize::from(op.tenant)].record(latency);
-        let window = op.arrival.as_nanos() / self.cfg.window.as_nanos();
+        let window = op.arrival.as_nanos() / ServeConfig::WINDOW.as_nanos();
         self.per_window[window as usize].record(latency);
     }
 
@@ -889,7 +886,7 @@ impl<'a> Measure<'a> {
         let windows: Vec<&Histogram> = self.per_window.iter().filter(|h| !h.is_empty()).collect();
         let windows_over_slo = windows
             .iter()
-            .filter(|h| h.p99() / 1e3 > cfg.slo_p99_us || h.p999() / 1e3 > cfg.slo_p999_us)
+            .filter(|h| h.p99() / 1e3 > cfg.slo_p99_us || h.p999() / 1e3 > ServeConfig::SLO_P999_US)
             .count() as u64;
         let horizon_secs = cfg.horizon.as_secs_f64();
         let span_secs = self
@@ -978,7 +975,7 @@ mod tests {
         assert!(plan.shed_queue > 0, "overload must shed");
         // Every admitted op still respects the defer bound, which is what
         // keeps admitted-op latency bounded under any overload.
-        let bound = cfg.window.as_nanos() * (cfg.defer_windows + 1);
+        let bound = ServeConfig::WINDOW.as_nanos() * (ServeConfig::DEFER_WINDOWS + 1);
         for op in &plan.admitted {
             assert!(op.submit_at.saturating_since(op.arrival).as_nanos() <= bound);
         }
@@ -986,9 +983,11 @@ mod tests {
 
     #[test]
     fn ba_buffer_trigger_sheds_byte_floods() {
+        // 32 KiB commits into a 64 KiB buffer: two tenants admitting 8 per
+        // window each offer eight times what one window's buffer holds.
         let mut cfg = quick_cfg(2, WalScheme::Ba, ArrivalKind::Poisson, 400_000.0);
-        cfg.payload_bytes = 32 << 10; // 32 KiB commits into a 64 KiB buffer
-        cfg.admit_per_window = 64;
+        cfg.payload_bytes = 32 << 10;
+        assert_eq!(ServeConfig::ADMIT_PER_WINDOW, 8);
         let plan = ServiceDriver::plan(&cfg, 1, ServiceDriver::group_spec(2).ba_buffer_bytes);
         assert!(plan.shed_buffer > 0, "byte flood must trip the BA trigger");
         // The block scheme has no BA window to saturate.

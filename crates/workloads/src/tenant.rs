@@ -94,21 +94,23 @@ pub struct TenantPoolConfig {
     pub seed: u64,
     /// Group-commit window.
     pub group_window: SimDuration,
-    /// Group-commit batch cap.
-    pub max_batch: usize,
-    /// Log-region pages per tenant (regions are laid out contiguously from
-    /// LBA 0: tenant `i` owns `[i * region_pages, (i+1) * region_pages)`).
-    pub region_pages: u32,
     /// YCSB payload bytes for the key-value tenants.
     pub payload_bytes: usize,
-    /// Working-set size (Linkbench nodes / YCSB records) per tenant.
-    pub keys: u64,
 }
 
 impl TenantPoolConfig {
+    /// Group-commit batch cap.
+    pub(crate) const MAX_BATCH: usize = 16;
+
+    /// Log-region pages per tenant (regions are laid out contiguously from
+    /// LBA 0: tenant `i` owns `[i * REGION_PAGES, (i+1) * REGION_PAGES)`).
+    const REGION_PAGES: u32 = 16;
+
+    /// Working-set size (Linkbench nodes / YCSB records) per tenant.
+    const KEYS: u64 = 200;
+
     /// The tenant-sweep preset: 4 clients per tenant, 10 µs group window,
-    /// 16-record batches, 16-page log regions, 128 B YCSB payloads over a
-    /// 200-key working set.
+    /// 128 B YCSB payloads.
     pub fn standard(tenants: u16, mix: Vec<EngineKind>, scheme: WalScheme, seed: u64) -> Self {
         TenantPoolConfig {
             tenants,
@@ -118,10 +120,7 @@ impl TenantPoolConfig {
             ops_per_tenant: 400,
             seed,
             group_window: SimDuration::from_micros(10),
-            max_batch: 16,
-            region_pages: 16,
             payload_bytes: 128,
-            keys: 200,
         }
     }
 }
@@ -266,17 +265,13 @@ impl TenantPool {
     ///
     /// # Errors
     ///
-    /// Configuration errors (zero tenants, clients or batch cap, regions
-    /// that do not fit the device, shares too small for a window) surface
-    /// as [`DbError::Wal`].
+    /// Configuration errors (zero tenants or clients, regions that do not
+    /// fit the device, shares too small for a window) surface as
+    /// [`DbError::Wal`].
     pub fn new(dev: TwoBSsd, cfg: TenantPoolConfig) -> Result<Self, DbError> {
-        if cfg.tenants == 0
-            || cfg.mix.is_empty()
-            || cfg.clients_per_tenant == 0
-            || cfg.max_batch == 0
-        {
+        if cfg.tenants == 0 || cfg.mix.is_empty() || cfg.clients_per_tenant == 0 {
             return Err(DbError::Wal(WalError::BadConfig(
-                "need at least one tenant, engine, client, and record per batch".into(),
+                "need at least one tenant, engine, and client".into(),
             )));
         }
         let pins = if cfg.scheme.is_byte_path() {
@@ -291,9 +286,8 @@ impl TenantPool {
         let mut tenants = Vec::with_capacity(usize::from(cfg.tenants));
         for i in 0..cfg.tenants {
             let wal_cfg = WalConfig {
-                region_base_lba: u64::from(i) * u64::from(cfg.region_pages),
-                region_pages: cfg.region_pages,
-                ..WalConfig::default()
+                region_base_lba: u64::from(i) * u64::from(TenantPoolConfig::REGION_PAGES),
+                region_pages: TenantPoolConfig::REGION_PAGES,
             };
             let wal = match &pins {
                 Some(pins) => {
@@ -330,13 +324,14 @@ impl TenantPool {
                 sink: recorder.clone(),
                 next_lsn: 0,
             });
-            let engine = EngineSession::new(engine_kind, sink, cfg.keys, cfg.payload_bytes);
+            let engine =
+                EngineSession::new(engine_kind, sink, TenantPoolConfig::KEYS, cfg.payload_bytes);
             let clients = engine.clients(cfg.clients_per_tenant);
             tenants.push(Tenant {
                 engine_kind,
                 engine,
                 recorder,
-                group: GroupCommit::new(wal, cfg.group_window, cfg.max_batch),
+                group: GroupCommit::new(wal, cfg.group_window, TenantPoolConfig::MAX_BATCH),
                 rng: crate::gen::tenant_rng(cfg.seed, i),
                 clients: vec![Some(SimTime::ZERO); clients],
                 waiting: HashMap::new(),
@@ -373,7 +368,6 @@ mod tests {
     fn quick_cfg(tenants: u16, scheme: WalScheme) -> TenantPoolConfig {
         TenantPoolConfig {
             ops_per_tenant: 60,
-            keys: 50,
             ..TenantPoolConfig::standard(
                 tenants,
                 vec![EngineKind::Pg, EngineKind::Rocks, EngineKind::Redis],
@@ -470,11 +464,6 @@ mod tests {
     fn bad_configs_error_cleanly() {
         let cfg = TenantPoolConfig {
             tenants: 0,
-            ..quick_cfg(1, WalScheme::Ba)
-        };
-        assert!(TenantPool::new(device(1), cfg).is_err());
-        let cfg = TenantPoolConfig {
-            max_batch: 0,
             ..quick_cfg(1, WalScheme::Ba)
         };
         assert!(matches!(

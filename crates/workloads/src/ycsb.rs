@@ -3,36 +3,29 @@
 use serde::{Deserialize, Serialize};
 use twob_sim::{SimRng, Zipfian};
 
-/// YCSB workload parameters.
+/// YCSB workload parameters: workload A, the mix the paper runs against
+/// RocksDB and Redis.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct YcsbConfig {
     /// Number of records in the keyspace.
     pub records: u64,
     /// Value size per operation — the "payload size" axis of paper Fig 9.
     pub payload_bytes: usize,
-    /// Fraction of reads (the rest are updates).
-    pub read_fraction: f64,
-    /// Zipfian exponent (YCSB default 0.99).
-    pub theta: f64,
 }
 
 impl YcsbConfig {
-    /// Workload A: 50 % reads / 50 % updates — "write-heavy", the mix the
-    /// paper runs against RocksDB and Redis.
+    /// Fraction of reads, the rest being updates: workload A's 50/50 —
+    /// "write-heavy".
+    pub const READ_FRACTION: f64 = 0.5;
+
+    /// Zipfian exponent (the YCSB default).
+    const THETA: f64 = 0.99;
+
+    /// Workload A over `records` keys with `payload_bytes` values.
     pub fn workload_a(records: u64, payload_bytes: usize) -> Self {
         YcsbConfig {
             records,
             payload_bytes,
-            read_fraction: 0.5,
-            theta: 0.99,
-        }
-    }
-
-    /// Workload B: 95 % reads / 5 % updates — "read-mostly".
-    pub fn workload_b(records: u64, payload_bytes: usize) -> Self {
-        YcsbConfig {
-            read_fraction: 0.95,
-            ..YcsbConfig::workload_a(records, payload_bytes)
         }
     }
 }
@@ -80,14 +73,10 @@ impl YcsbWorkload {
     ///
     /// # Panics
     ///
-    /// Panics if `read_fraction` is outside `[0, 1]` or `records` is 0.
+    /// Panics if `records` is 0.
     pub fn new(cfg: YcsbConfig) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&cfg.read_fraction),
-            "read_fraction must be in [0, 1]"
-        );
         YcsbWorkload {
-            zipf: Zipfian::new(cfg.records, cfg.theta),
+            zipf: Zipfian::new(cfg.records, YcsbConfig::THETA),
             cfg,
         }
     }
@@ -117,7 +106,7 @@ impl YcsbWorkload {
     /// Draws the next operation.
     pub fn next_op(&mut self, rng: &mut SimRng) -> YcsbOp {
         let key = crate::gen::zipf_key(&self.zipf, rng);
-        if rng.chance(self.cfg.read_fraction) {
+        if rng.chance(YcsbConfig::READ_FRACTION) {
             YcsbOp::Read { key }
         } else {
             YcsbOp::Update {
@@ -143,15 +132,6 @@ mod tests {
             (0.47..0.53).contains(&fraction),
             "update fraction {fraction}"
         );
-    }
-
-    #[test]
-    fn workload_b_is_read_mostly() {
-        let mut rng = SimRng::seed_from(2);
-        let mut wl = YcsbWorkload::new(YcsbConfig::workload_b(1_000, 100));
-        let n = 10_000;
-        let updates = (0..n).filter(|_| wl.next_op(&mut rng).is_update()).count();
-        assert!((updates as f64 / n as f64) < 0.08);
     }
 
     #[test]

@@ -178,7 +178,8 @@ proptest! {
         // Admitted commits wait at most the deferral cap before submit,
         // then clear a device that admission keeps under its sustainable
         // rate: the tail stays within the cap plus a service allowance.
-        let cap_us = cfg.window.as_nanos() as f64 / 1e3 * (cfg.defer_windows + 1) as f64;
+        let cap_us =
+            ServeConfig::WINDOW.as_nanos() as f64 / 1e3 * (ServeConfig::DEFER_WINDOWS + 1) as f64;
         prop_assert!(
             report.p99_us <= cap_us + 100.0,
             "admitted p99 {} us escaped the deferral cap {} us",
