@@ -55,6 +55,9 @@ INVOCATIONS = [
     # all_subcommands_run.
     "devices",
     "latency --device twob-dma --op read --size 2048",
+    # The byte path's stores: one WC line, and a page of them.
+    "latency --device twob-mmio --op write --size 4096 --trace 8",
+    "latency --device twob-mmio --op write --size 8",
     "latency --device ull --op write --trace 8",
     "gc --churn 400 --seed 3 --trace 12",
     "wal --scheme pm --commits 50 --payload 64",

@@ -1,6 +1,6 @@
 //! The BA-buffer: capacitor-backed device DRAM with landing-time tracking.
 
-use twob_pcie::PostedWrite;
+use twob_pcie::{LineBytes, PostedWrite};
 use twob_sim::SimTime;
 
 /// The byte-addressable buffer carved out of the SSD-internal DRAM.
@@ -15,13 +15,13 @@ use twob_sim::SimTime;
 ///
 /// ```rust
 /// use twob_core::BaBuffer;
-/// use twob_pcie::PostedWrite;
+/// use twob_pcie::{LineBytes, PostedWrite};
 /// use twob_sim::SimTime;
 ///
 /// let mut buf = BaBuffer::new(4096);
 /// buf.apply_posted(&PostedWrite {
 ///     offset: 0,
-///     data: b"hello".to_vec(),
+///     data: LineBytes::new(b"hello").unwrap(),
 ///     lands_at: SimTime::from_nanos(500),
 /// });
 /// assert_eq!(buf.read(0, 5), b"hello");
@@ -32,8 +32,9 @@ use twob_sim::SimTime;
 #[derive(Debug, Clone)]
 pub struct BaBuffer {
     bytes: Vec<u8>,
-    /// `(lands_at, offset, previous bytes)` for in-flight fragments.
-    inflight: Vec<(SimTime, u64, Vec<u8>)>,
+    /// `(lands_at, offset, previous bytes)` for in-flight fragments; a
+    /// fragment is at most a line, so the old bytes are held inline.
+    inflight: Vec<(SimTime, u64, LineBytes)>,
 }
 
 impl BaBuffer {
@@ -60,7 +61,8 @@ impl BaBuffer {
         let start = p.offset as usize;
         let end = start + p.data.len();
         assert!(end <= self.bytes.len(), "posted write beyond BA-buffer");
-        let old = self.bytes[start..end].to_vec();
+        let mut old = p.data;
+        old.copy_from_slice(&self.bytes[start..end]);
         self.inflight.push((p.lands_at, p.offset, old));
         self.bytes[start..end].copy_from_slice(&p.data);
     }
@@ -112,8 +114,7 @@ impl BaBuffer {
     /// would unwind overlapping writes in the wrong order.)
     pub fn power_loss(&mut self, at: SimTime) -> usize {
         let mut lost = 0;
-        let pending: Vec<(SimTime, u64, Vec<u8>)> = std::mem::take(&mut self.inflight);
-        for (lands_at, offset, old) in pending.into_iter().rev() {
+        for (lands_at, offset, old) in self.inflight.drain(..).rev() {
             if lands_at > at {
                 lost += old.len();
                 let start = offset as usize;
@@ -151,7 +152,7 @@ mod tests {
     fn posted(offset: u64, data: &[u8], lands_ns: u64) -> PostedWrite {
         PostedWrite {
             offset,
-            data: data.to_vec(),
+            data: LineBytes::new(data).expect("a fragment fits a line"),
             lands_at: SimTime::from_nanos(lands_ns),
         }
     }

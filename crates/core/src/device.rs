@@ -376,13 +376,11 @@ impl TwoBSsd {
         self.check_power()?;
         let entry = *self.table.get(eid).ok_or(TwoBError::EntryNotFound(eid))?;
         self.buffer.settle(now);
-        let data = self
-            .buffer
-            .read(entry.buffer_offset, entry.len_bytes())
-            .to_vec();
-        let done =
-            self.ssd
-                .internal_write_pages(now + self.spec.api_overhead, entry.start_lba, &data)?;
+        let done = self.ssd.internal_write_pages(
+            now + self.spec.api_overhead,
+            entry.start_lba,
+            self.buffer.read(entry.buffer_offset, entry.len_bytes()),
+        )?;
         self.table.remove(eid)?;
         self.ssd.lba_checker_unpin(entry.start_lba, entry.pages);
         self.stats.flushes += 1;

@@ -11,7 +11,7 @@ use twob_core::{
     TwoBSsd,
 };
 use twob_ftl::Lba;
-use twob_pcie::PostedWrite;
+use twob_pcie::{LineBytes, PostedWrite};
 use twob_sim::{fnv1a64_update, SimDuration, SimRng, SimTime};
 use twob_ssd::BlockDevice;
 
@@ -82,7 +82,7 @@ fn regression_overlapping_unlanded_writes_roll_back() {
         let lands_at = SimTime::from_nanos(land_clock);
         real.apply_posted(&PostedWrite {
             offset,
-            data: data.clone(),
+            data: LineBytes::new(data).expect("a fragment fits a line"),
             lands_at,
         });
         if lands_at <= cut_time {
@@ -211,6 +211,26 @@ fn byte_path_mixed_sequence_digest_is_pinned() {
     windows(&mut dev, &mut h, &mut t);
     fold(&mut h, format!("{:?}", dev.stats()).as_bytes());
     assert_eq!(h, 5560537839612442530);
+}
+
+/// A store over a whole BA window — every byte of the test device's
+/// buffer — round-trips byte-equal through `BA_SYNC` and read-DMA.
+#[test]
+fn whole_window_store_round_trips() {
+    let mut dev = TwoBSsd::small_for_tests();
+    let len = dev.spec().ba_buffer_bytes;
+    let pin = dev
+        .ba_pin(SimTime::ZERO, EntryId(0), 0, Lba(0), (len / 4096) as u32)
+        .unwrap();
+    let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+    let store = dev
+        .mmio_write(pin.complete_at, EntryId(0), 0, &data)
+        .unwrap();
+    let sync = dev.ba_sync(store.retired_at, EntryId(0)).unwrap();
+    let dma = dev
+        .ba_read_dma(sync.complete_at, EntryId(0), 0, len)
+        .unwrap();
+    assert!(dma.data == data, "the window did not round-trip");
 }
 
 /// A calendar program: per op, a start-time step (0 is a same-instant tie)
@@ -460,7 +480,7 @@ proptest! {
             let lands_at = SimTime::from_nanos(land_clock);
             real.apply_posted(&PostedWrite {
                 offset,
-                data: data.clone(),
+                data: LineBytes::new(data).expect("a fragment fits a line"),
                 lands_at,
             });
             if lands_at <= cut_time {

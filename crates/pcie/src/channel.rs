@@ -2,20 +2,77 @@
 //! shares, its posted writes, and the durability point — plus the MMIO
 //! price list and the two-step protocol of paper Fig 3.
 
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+
 use twob_sim::{SimDuration, SimTime};
 
 use crate::timings::{lines_spanned, LINE};
 use crate::PcieTimings;
 
+/// At most one 64-byte line of bytes, held inline: the payload of a
+/// [`PostedWrite`]. The channel splits every store at line boundaries, so
+/// no fragment is longer, and a fragment costs no heap allocation.
+/// Derefs to the bytes it holds.
+#[derive(Clone, Copy)]
+pub struct LineBytes {
+    len: u8,
+    bytes: [u8; LINE as usize],
+}
+
+impl LineBytes {
+    /// A copy of `data`, or `None` if it is longer than a line.
+    pub fn new(data: &[u8]) -> Option<Self> {
+        (data.len() as u64 <= LINE).then(|| Self::copy_of(data))
+    }
+
+    /// A copy of a slice the caller has already cut to at most a line.
+    fn copy_of(data: &[u8]) -> Self {
+        let mut bytes = [0; LINE as usize];
+        bytes[..data.len()].copy_from_slice(data);
+        LineBytes {
+            len: data.len() as u8,
+            bytes,
+        }
+    }
+}
+
+impl Deref for LineBytes {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+}
+
+impl DerefMut for LineBytes {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.bytes[..self.len as usize]
+    }
+}
+
+impl PartialEq for LineBytes {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for LineBytes {}
+
+impl fmt::Debug for LineBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// A posted write in flight to the device: a byte fragment plus the instant
 /// it lands in device DRAM. The device model applies the bytes, and
 /// fault-injection discards fragments whose `lands_at` is after the outage.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PostedWrite {
     /// Byte offset within the mapped window.
     pub offset: u64,
-    /// The bytes written.
-    pub data: Vec<u8>,
+    /// The bytes written: never more than the one line `offset` is in.
+    pub data: LineBytes,
     /// When the fragment reaches device DRAM.
     pub lands_at: SimTime,
 }
@@ -111,12 +168,48 @@ impl FrontEnd for PcieTimings {
     }
 }
 
+/// One store fragment: the offset it starts at, and its bytes.
+type Fragment = (u64, LineBytes);
+
 /// One 64-byte line of host-resident store fragments, in store order.
 #[derive(Debug, Clone)]
 struct Line {
     line: u64,
-    fragments: Vec<(u64, Vec<u8>)>,
+    fragments: Vec<Fragment>,
     first_store_at: SimTime,
+}
+
+impl Line {
+    /// Moves the line's fragments onto `posted`, all landing at
+    /// `lands_at`, and keeps the emptied list in `spare` for a later line.
+    /// A line with no fragments is a posted one.
+    fn post(
+        &mut self,
+        lands_at: SimTime,
+        posted: &mut Vec<PostedWrite>,
+        spare: &mut Vec<Vec<Fragment>>,
+    ) {
+        posted.extend(self.fragments.drain(..).map(|(offset, data)| PostedWrite {
+            offset,
+            data,
+            lands_at,
+        }));
+        spare.push(std::mem::take(&mut self.fragments));
+    }
+}
+
+/// `data` stored at `offset`, cut at line boundaries: one `(offset, bytes)`
+/// per line touched, in address order.
+fn split_lines(offset: u64, data: &[u8]) -> impl Iterator<Item = (u64, &[u8])> {
+    let (head, tail) = data.split_at((LINE - offset % LINE).min(data.len() as u64) as usize);
+    let tail_at = offset + head.len() as u64;
+    std::iter::once((offset, head))
+        .filter(|(_, bytes)| !bytes.is_empty())
+        .chain(
+            tail.chunks(LINE as usize)
+                .enumerate()
+                .map(move |(i, bytes)| (tail_at + i as u64 * LINE, bytes)),
+        )
 }
 
 /// One CPU's view of one mapped device window: stores retire into a
@@ -129,6 +222,8 @@ struct Line {
 pub struct ByteChannel<C> {
     timings: C,
     lines: Vec<Line>,
+    /// Emptied fragment lists of posted lines, for new lines to reuse.
+    spare: Vec<Vec<Fragment>>,
     /// Landing instant of the latest posted line, for durability ordering.
     last_land: SimTime,
 }
@@ -139,6 +234,7 @@ impl<C: FrontEnd> ByteChannel<C> {
         ByteChannel {
             timings,
             lines: Vec::new(),
+            spare: Vec::new(),
             last_land: SimTime::ZERO,
         }
     }
@@ -162,77 +258,105 @@ impl<C: FrontEnd> ByteChannel<C> {
         self.lines.len()
     }
 
-    fn post_line(&mut self, line: Line, lands_at: SimTime, posted: &mut Vec<PostedWrite>) {
-        self.last_land = self.last_land.max(lands_at);
-        posted.extend(
-            line.fragments
-                .into_iter()
-                .map(|(offset, data)| PostedWrite {
-                    offset,
-                    data,
-                    lands_at,
-                }),
-        );
+    /// Notes that `posted`, if any, lands at `lands_at`.
+    fn record_landing(&mut self, posted: Vec<PostedWrite>, lands_at: SimTime) -> Vec<PostedWrite> {
+        if !posted.is_empty() {
+            self.last_land = self.last_land.max(lands_at);
+        }
+        posted
     }
 
     fn drain_all(&mut self, at: SimTime) -> Vec<PostedWrite> {
         let lands_at = at + self.timings.flight();
         let mut posted = Vec::new();
-        for line in std::mem::take(&mut self.lines) {
-            self.post_line(line, lands_at, &mut posted);
+        for mut line in self.lines.drain(..) {
+            line.post(lands_at, &mut posted, &mut self.spare);
         }
-        posted
+        self.record_landing(posted, lands_at)
     }
 
     /// CPU store of `data` at `offset`: the store retires quickly and its
     /// bytes stay in the line buffer; lingering and capacity-evicted
     /// lines post toward the device (the returned fragments).
+    ///
+    /// The work is linear in the lines the store touches: the store
+    /// touches each of its lines once, so only lines resident before it
+    /// are looked up, and a new line that leaves in the same store posts
+    /// straight from `data` without ever becoming resident.
     pub fn store(&mut self, now: SimTime, offset: u64, data: &[u8]) -> StoreOutcome {
         let retired_at = now + self.timings.store_cost(data.len() as u64);
-        // Distribute the bytes over 64-byte lines.
-        let mut cursor = 0usize;
-        while cursor < data.len() {
-            let abs = offset + cursor as u64;
-            let line = abs / LINE;
-            let line_end = (line + 1) * LINE;
-            let take = ((line_end - abs) as usize).min(data.len() - cursor);
-            let fragment = data[cursor..cursor + take].to_vec();
-            match self.lines.iter_mut().find(|l| l.line == line) {
-                Some(existing) => existing.fragments.push((abs, fragment)),
-                None => self.lines.push(Line {
-                    line,
-                    fragments: vec![(abs, fragment)],
-                    first_store_at: now,
-                }),
-            }
-            cursor += take;
-        }
         let lands_at = retired_at + self.timings.flight();
-        let mut posted = Vec::new();
-        // Linger eviction: the CPU opportunistically drains old lines.
-        if let Some(linger) = self.timings.linger() {
-            let mut i = 0;
-            while i < self.lines.len() {
-                if self.lines[i].first_store_at + linger <= retired_at {
-                    let line = self.lines.remove(i);
-                    self.post_line(line, lands_at, &mut posted);
-                } else {
-                    i += 1;
-                }
+        let post_new = |(offset, bytes): (u64, &[u8])| PostedWrite {
+            offset,
+            data: LineBytes::copy_of(bytes),
+            lands_at,
+        };
+        // Resident lines the store touches take their fragment at the end.
+        let end = offset + data.len() as u64;
+        let mut touched = Vec::new();
+        for l in &mut self.lines {
+            let from = (l.line * LINE).max(offset);
+            let to = ((l.line + 1) * LINE).min(end);
+            if from < to {
+                let bytes = &data[(from - offset) as usize..(to - offset) as usize];
+                l.fragments.push((from, LineBytes::copy_of(bytes)));
+                touched.push(l.line);
             }
         }
-        // Capacity eviction: oldest lines go first.
-        while self.lines.len() > self.timings.line_capacity() {
-            let oldest = self
-                .lines
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.first_store_at)
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            let line = self.lines.remove(oldest);
-            self.post_line(line, lands_at, &mut posted);
+        touched.sort_unstable();
+        // Every other line the store touches is new, stored at `now`, and
+        // behind every resident line.
+        let mut new_lines = lines_spanned(offset, data.len() as u64) as usize - touched.len();
+        let mut new = split_lines(offset, data)
+            .filter(|(at, _)| touched.binary_search(&(at / LINE)).is_err());
+        let mut posted = Vec::new();
+        // Linger eviction, in resident order: the CPU opportunistically
+        // drains old lines. The new lines linger out together, last.
+        if let Some(linger) = self.timings.linger() {
+            self.lines.retain_mut(|l| {
+                let stale = l.first_store_at + linger <= retired_at;
+                if stale {
+                    l.post(lands_at, &mut posted, &mut self.spare);
+                }
+                !stale
+            });
+            if now + linger <= retired_at {
+                posted.reserve(new_lines);
+                posted.extend(new.by_ref().map(post_new));
+                new_lines = 0;
+            }
         }
+        // Capacity eviction: oldest first, by `(first_store_at, position)`.
+        // The new lines come after every resident line stored at or before
+        // `now`, in address order. Resident lines stored after `now` (a
+        // caller's clock may run backwards) come after them, but they are
+        // never evicted: there are no more resident lines than capacity.
+        let mut excess =
+            (self.lines.len() + new_lines).saturating_sub(self.timings.line_capacity());
+        if excess > 0 {
+            let mut older: Vec<usize> = (0..self.lines.len())
+                .filter(|&i| self.lines[i].first_store_at <= now)
+                .collect();
+            older.sort_by_key(|&i| self.lines[i].first_store_at);
+            for &i in older.iter().take(excess) {
+                self.lines[i].post(lands_at, &mut posted, &mut self.spare);
+            }
+            excess -= excess.min(older.len());
+            posted.reserve(excess);
+            posted.extend(new.by_ref().take(excess).map(post_new));
+            self.lines.retain(|l| !l.fragments.is_empty());
+        }
+        // The new lines still here stay resident.
+        for (at, bytes) in new {
+            let mut fragments = self.spare.pop().unwrap_or_default();
+            fragments.push((at, LineBytes::copy_of(bytes)));
+            self.lines.push(Line {
+                line: at / LINE,
+                fragments,
+                first_store_at: now,
+            });
+        }
+        let posted = self.record_landing(posted, lands_at);
         StoreOutcome { retired_at, posted }
     }
 
@@ -420,7 +544,7 @@ mod tests {
         assert!(out
             .posted
             .iter()
-            .any(|p| p.offset == 0 && p.data == vec![1u8; 8]));
+            .any(|p| p.offset == 0 && *p.data == [1u8; 8]));
     }
 
     #[test]

@@ -62,8 +62,8 @@ mod timings;
 
 pub use bar::{AddressTranslationUnit, Bar, BarError};
 pub use channel::{
-    ByteChannel, FlushOutcome, FrontEnd, HostByteChannel, PostedWrite, ReadOutcome, StoreOutcome,
-    SyncOutcome,
+    ByteChannel, FlushOutcome, FrontEnd, HostByteChannel, LineBytes, PostedWrite, ReadOutcome,
+    StoreOutcome, SyncOutcome,
 };
 pub use cxl::{CxlChannel, CxlTimings};
 pub use timings::PcieTimings;
