@@ -99,6 +99,11 @@ STUDIES = [
     "no_such_study",
     "fig7_latency --write",
     "list --gate",
+    # Appended after the list above so its capture indices stay put: the
+    # studies that run `sharded_agreement` across all four drives.
+    "serve_sweep --gate",
+    "tier_sweep --gate",
+    "tenant_sweep",
 ]
 
 TOKEN = re.compile(r"(?<![A-Za-z0-9_.])-?\d+(?:\.\d+)?(?![A-Za-z0-9_])")

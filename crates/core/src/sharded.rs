@@ -23,6 +23,13 @@
 //!   observing the parent completion and sent to the owning shard another
 //!   interconnect delay later.
 //!
+//! Operations reach their shard one of two ways: [`ShardedIoCalendar::submit`]
+//! seeds one before the run, and [`ShardedIoCalendar::run_fed`] pulls each
+//! shard's operations from a time-ordered feed as the shard reaches them.
+//! A fed operation fires ahead of any event already pending at its instant,
+//! as a seeded one would, so the two are the same run; the feed just never
+//! holds a whole plan on the calendars.
+//!
 //! The interconnect delay doubles as the executor's lookahead. Crucially,
 //! the host observation path is uniform: completions pay the interconnect
 //! delay even when their group lives on shard 0 (the executor turns such
@@ -32,7 +39,8 @@
 //! parallel, or under the lock-step oracle, yields byte-identical results.
 
 use twob_sim::{
-    mix, mix_bytes, LatencyBreakdown, ShardCtx, ShardedExecutor, SimDuration, SimTime, FNV_BASIS,
+    mix, mix_bytes, LatencyBreakdown, ShardCtx, ShardDrive, ShardedExecutor, SimDuration, SimTime,
+    FNV_BASIS,
 };
 
 use crate::calendar::dispatch_completion;
@@ -142,8 +150,40 @@ struct GroupTotals {
 struct ShardState {
     devices: Vec<(usize, TwoBSsd)>,
     totals: Vec<GroupTotals>,
-    observed: Vec<(u64, u64, bool)>,
+    /// `(id, completion instant, failed)` per observed completion, in
+    /// canonical `(instant, id)` order up to `sealed`; the entries after it
+    /// share one instant and are put in `id` order once time moves on.
+    observed: Vec<(u64, SimTime, bool)>,
+    sealed: usize,
+    /// Digest of `observed[..sealed]`.
+    host_digest: u64,
     chains: Vec<Chain>,
+}
+
+impl ShardState {
+    /// Appends one host observation. Observations fire in completion-time
+    /// order, so only a same-instant run can be out of `id` order; the run
+    /// before is sealed as soon as a later instant lands.
+    fn observe(&mut self, id: u64, complete_at: SimTime, failed: bool) {
+        if let Some(&(_, last, _)) = self.observed.last() {
+            debug_assert!(last <= complete_at, "observations out of time order");
+            if last != complete_at {
+                self.seal_log();
+            }
+        }
+        self.observed.push((id, complete_at, failed));
+    }
+
+    /// Orders the open same-instant run by `id` and folds it into the
+    /// digest, leaving the whole log canonical.
+    fn seal_log(&mut self) {
+        let run = &mut self.observed[self.sealed..];
+        run.sort_unstable_by_key(|&(id, ..)| id);
+        self.host_digest = run.iter().fold(self.host_digest, |h, &(id, at, failed)| {
+            mix(mix(mix(h, at.as_nanos()), id), u64::from(failed))
+        });
+        self.sealed = self.observed.len();
+    }
 }
 
 /// Folds one completion into a group digest: completion instant, payload
@@ -196,6 +236,8 @@ impl ShardedIoCalendar {
                 devices: Vec::new(),
                 totals: Vec::new(),
                 observed: Vec::new(),
+                sealed: 0,
+                host_digest: FNV_BASIS,
                 chains: Vec::new(),
             })
             .collect();
@@ -232,6 +274,17 @@ impl ShardedIoCalendar {
                 op,
             },
         );
+        id
+    }
+
+    /// Allocates an id for an operation the caller feeds through
+    /// [`ShardedIoCalendar::run_fed`], so it cannot collide with an id
+    /// [`ShardedIoCalendar::submit`] or
+    /// [`ShardedIoCalendar::submit_after`] hands out. A caller that registers
+    /// no chains may number its fed operations itself.
+    pub fn reserve_id(&mut self) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
         id
     }
 
@@ -303,7 +356,7 @@ impl ShardedIoCalendar {
                 complete_at,
                 failed,
             } => {
-                state.observed.push((id, complete_at.as_nanos(), failed));
+                state.observe(id, complete_at, failed);
                 let mut i = 0;
                 while i < state.chains.len() {
                     if state.chains[i].after == id {
@@ -328,23 +381,60 @@ impl ShardedIoCalendar {
 
     /// Drains every shard sequentially with adaptive round batching.
     pub fn run(&mut self) {
-        let handler = self.handler();
-        self.pdes.run(&mut self.states, &handler);
+        self.run_fed(self.no_feeds(), ShardDrive::Adaptive);
     }
 
     /// Drains every shard on up to `threads` worker threads (clamped to
     /// the shard count and the host's available parallelism), producing
     /// the identical schedule to [`ShardedIoCalendar::run`].
     pub fn run_parallel(&mut self, threads: usize) {
-        let handler = self.handler();
-        self.pdes.run_parallel(&mut self.states, &handler, threads);
+        self.run_fed(self.no_feeds(), ShardDrive::Parallel(threads));
     }
 
     /// Drains every shard under the fine-grained lock-step oracle (one
     /// lookahead window per round) — the differential baseline.
     pub fn run_lockstep(&mut self) {
+        self.run_fed(self.no_feeds(), ShardDrive::Lockstep);
+    }
+
+    fn no_feeds(&self) -> Vec<std::iter::Empty<(SimTime, u64, usize, IoOp)>> {
+        vec![std::iter::empty(); self.placement.shards()]
+    }
+
+    /// Runs under `drive` with one feed of `(start, id, group, op)` per
+    /// shard: shard `s` pulls the operations of the groups it owns from
+    /// `feeds[s]`, in start order, as it reaches them. The result, rounds
+    /// and event count included, equals submitting every fed operation
+    /// up front in feed order and running; the calendars just never hold
+    /// more than the operations in flight. Fed ids are the caller's (see
+    /// [`ShardedIoCalendar::reserve_id`]).
+    ///
+    /// # Panics
+    ///
+    /// If there is not one feed per shard, or a fed operation's group is
+    /// not on its feed's shard.
+    pub fn run_fed<I>(&mut self, feeds: Vec<I>, drive: ShardDrive)
+    where
+        I: IntoIterator<Item = (SimTime, u64, usize, IoOp)>,
+        I::IntoIter: Send,
+    {
         let handler = self.handler();
-        self.pdes.run_lockstep(&mut self.states, &handler);
+        let feeds = feeds
+            .into_iter()
+            .map(|feed| {
+                feed.into_iter().map(|(at, id, group, op)| {
+                    let start = Ev::Start {
+                        id,
+                        submitted: at,
+                        group,
+                        op,
+                    };
+                    (at, start)
+                })
+            })
+            .collect();
+        self.pdes.run_fed(&mut self.states, feeds, &handler, drive);
+        self.states[0].seal_log();
     }
 
     /// Number of die groups.
@@ -416,13 +506,9 @@ impl ShardedIoCalendar {
 
     /// Digest of the host's observation log, canonically ordered by
     /// `(completion instant, id)` so causally unrelated same-instant
-    /// observations cannot perturb it.
+    /// observations cannot perturb it. Folded as the log lands.
     pub fn host_digest(&self) -> u64 {
-        let mut log = self.states[0].observed.clone();
-        log.sort_unstable_by_key(|&(id, at, _)| (at, id));
-        log.iter().fold(FNV_BASIS, |h, &(id, at, failed)| {
-            mix(mix(mix(h, at), id), u64::from(failed))
-        })
+        self.states[0].host_digest
     }
 
     /// Completions the host has observed.
@@ -435,12 +521,8 @@ impl ShardedIoCalendar {
     /// same order [`ShardedIoCalendar::host_digest`] folds over. This is
     /// how a serving layer recovers per-operation latencies from a sharded
     /// run without threading a callback through the PDES seam.
-    pub fn observed_log(&self) -> Vec<(u64, SimTime, bool)> {
-        let mut log = self.states[0].observed.clone();
-        log.sort_unstable_by_key(|&(id, at, _)| (at, id));
-        log.into_iter()
-            .map(|(id, at, failed)| (id, SimTime::from_nanos(at), failed))
-            .collect()
+    pub fn observed_log(&self) -> &[(u64, SimTime, bool)] {
+        &self.states[0].observed
     }
 
     /// Chains whose parent never completed during a run.

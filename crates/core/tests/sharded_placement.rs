@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use twob_core::{EntryId, GroupPlacement, IoOp, ShardedIoCalendar, TwoBSpec, TwoBSsd};
 use twob_ftl::Lba;
-use twob_sim::{LatencyBreakdown, SimDuration, SimTime};
+use twob_sim::{LatencyBreakdown, ShardDrive, SimDuration, SimTime};
 use twob_ssd::SsdConfig;
 
 const IC: SimDuration = SimDuration::from_micros(2);
@@ -180,6 +180,165 @@ proptest! {
                 "adaptive batching used more rounds ({} vs {})",
                 seq_rounds, lock_rounds
             );
+        }
+    }
+}
+
+/// One submission of a fed-versus-seeded program: an operation, and the
+/// follow-up it chains (delay, group, op), if any.
+type Step = (SimTime, usize, IoOp, Option<(SimDuration, usize, IoOp)>);
+
+/// Groups that host chain parents; each chains onto group `g + 1`, which
+/// hosts no parent. The parents' completion instants therefore do not
+/// depend on anything later added to groups 1 and 3.
+const PARENT_GROUPS: [usize; 2] = [0, 2];
+
+/// A four-group program from `seeds`: block write + flush pairs at one
+/// instant, reads, BA syncs, and chains from groups 0 and 2 onto the next
+/// group.
+fn fed_program(eids: &[EntryId], seeds: &[OpSeed]) -> Vec<Step> {
+    let mut steps = Vec::new();
+    for (i, &(group_sel, kind, lba_sel, chain)) in seeds.iter().enumerate() {
+        let g = group_sel % 4;
+        let at = SimTime::from_nanos(1_000_000 + 53_000 * i as u64 + 13 * lba_sel);
+        let lba = Lba(8 + lba_sel % 16);
+        let follow = (chain && PARENT_GROUPS.contains(&g)).then(|| {
+            let delay = SimDuration::from_nanos(5_000 + 7_001 * i as u64);
+            (delay, g + 1, IoOp::BlockRead { lba, pages: 1 })
+        });
+        let op = match kind % 4 {
+            0 => {
+                let data = vec![i as u8; 4096].into();
+                steps.push((at, g, IoOp::BlockWrite { lba, data }, None));
+                IoOp::BlockFlush
+            }
+            1 => IoOp::BlockRead { lba, pages: 1 },
+            2 => IoOp::BaSync { eid: eids[g] },
+            _ => IoOp::BaSyncRange {
+                eid: eids[g],
+                rel_offset: 0,
+                len: 64,
+            },
+        };
+        steps.push((at, g, op, follow));
+    }
+    steps
+}
+
+/// One time-ordered feed of `(start, id, group, op)` per shard.
+type Feeds = Vec<Vec<(SimTime, u64, usize, IoOp)>>;
+
+/// Builds the calendar and submits `steps` whole (`fed == false`) or
+/// registers only their chains and returns one time-ordered feed per
+/// shard. Ids come out the same either way.
+fn submit_steps(
+    steps: &[Step],
+    placement: &GroupPlacement,
+    fed: bool,
+) -> (ShardedIoCalendar, Feeds) {
+    let (devices, _) = sliced_devices(4);
+    let mut cal = ShardedIoCalendar::new(devices, placement.clone(), IC);
+    let mut feeds = vec![Vec::new(); placement.shards()];
+    for (at, group, op, follow) in steps.iter().cloned() {
+        let id = if fed {
+            let id = cal.reserve_id();
+            feeds[placement.shard_of(group)].push((at, id, group, op));
+            id
+        } else {
+            cal.submit(at, group, op)
+        };
+        if let Some((delay, g, op)) = follow {
+            cal.submit_after(id, delay, g, op);
+        }
+    }
+    for feed in &mut feeds {
+        feed.sort_by_key(|&(at, ..)| at); // Stable: submission order on ties.
+    }
+    (cal, feeds)
+}
+
+/// Everything a fed run must reproduce of the seeded one.
+type FedCheck = (Fingerprint, u64, u64, u64);
+
+fn run_steps(steps: &[Step], placement: &GroupPlacement, fed: bool, drive: ShardDrive) -> FedCheck {
+    let (mut cal, feeds) = submit_steps(steps, placement, fed);
+    if fed {
+        cal.run_fed(feeds, drive);
+    } else {
+        match drive {
+            ShardDrive::Lockstep => cal.run_lockstep(),
+            ShardDrive::Adaptive => cal.run(),
+            ShardDrive::Parallel(n) => cal.run_parallel(n),
+        }
+    }
+    assert_eq!(cal.clamped_posts(), 0, "stale cross-shard delivery");
+    assert_eq!(cal.unresolved_chains(), 0, "chain parent never observed");
+    assert!(
+        cal.observed_log()
+            .windows(2)
+            .all(|w| (w[0].1, w[0].0) < (w[1].1, w[1].0)),
+        "host log not in (instant, id) order"
+    );
+    let fp = (
+        cal.group_digests(),
+        cal.breakdown_totals(),
+        cal.host_digest(),
+        cal.completed(),
+    );
+    (fp, cal.rounds(), cal.batched_rounds(), cal.processed())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Feeding each shard its operations as it reaches them is the run
+    /// that submits them whole, under every drive and placement: same
+    /// observables, rounds and event count. The program is extended so
+    /// that every chained follow-up is released at the very instant a fed
+    /// operation starts on its group, the tie a feed must win.
+    #[test]
+    fn fed_runs_equal_seeded_runs(
+        seeds in prop::collection::vec((0usize..8, 0u8..4, 0u64..32, any::<bool>()), 4..24),
+    ) {
+        let (_, eids) = sliced_devices(4);
+        let mut steps = fed_program(&eids, &seeds);
+        // Learn each chain's release instant from a seeded run, then start
+        // a fed op on the chain's group at exactly that instant.
+        let single = GroupPlacement::round_robin(4, 1);
+        let (mut probe, _) = submit_steps(&steps, &single, false);
+        probe.run();
+        let completed: std::collections::HashMap<u64, SimTime> =
+            probe.observed_log().iter().map(|&(id, at, _)| (id, at)).collect();
+        let mut id = 0u64;
+        let mut ties = Vec::new();
+        for (_, _, _, follow) in &steps {
+            if let Some((delay, g, op)) = follow {
+                // The same read as the follow-up's: which of the two the
+                // die serves first shows in the host log.
+                let release = completed[&id] + IC + IC + *delay;
+                ties.push((release, *g, op.clone(), None));
+                id += 1;
+            }
+            id += 1;
+        }
+        steps.extend(ties);
+
+        for placement in [
+            GroupPlacement::round_robin(4, 1),
+            GroupPlacement::round_robin(4, 2),
+            GroupPlacement::round_robin(4, 4),
+            GroupPlacement::new(vec![2, 2, 0, 1], 3),
+        ] {
+            for drive in [
+                ShardDrive::Lockstep,
+                ShardDrive::Adaptive,
+                ShardDrive::Parallel(2),
+                ShardDrive::Parallel(4),
+            ] {
+                let seeded = run_steps(&steps, &placement, false, drive);
+                let fed = run_steps(&steps, &placement, true, drive);
+                prop_assert_eq!(&fed, &seeded, "{:?} under {:?}", drive, &placement);
+            }
         }
     }
 }

@@ -179,6 +179,24 @@ impl<E, Q: Calendar<E>> Executor<E, Q> {
         }
     }
 
+    /// Fires `event` at `at` through `handler` without queueing it, as if it
+    /// had been the earliest pending event: the clock advances to `at` and
+    /// the event is counted. An `at` in the past is clamped and counted like
+    /// a past [`Executor::post`]. The sharded executor dispatches fed events
+    /// this way, ahead of any queued event at the same instant.
+    pub(crate) fn fire<F>(&mut self, at: SimTime, event: E, handler: &mut F)
+    where
+        F: FnMut(&mut Executor<E, Q>, SimTime, E),
+    {
+        if at < self.now {
+            self.clamped += 1;
+        }
+        let at = at.max(self.now);
+        self.now = at;
+        self.processed += 1;
+        handler(self, at, event);
+    }
+
     /// Drains the calendar, firing every event (including ones posted by the
     /// handler itself) in deterministic `(time, seq)` order.
     pub fn run<F>(&mut self, mut handler: F)

@@ -57,7 +57,7 @@ pub use crc::{crc32, crc32_update, fnv1a64, fnv1a64_update, mix, mix_bytes, FNV_
 pub use event::{Calendar, EventQueue, Executor};
 pub use resource::{MultiServer, ScheduledSpan, Server};
 pub use rng::{SimRng, Zipfian};
-pub use shard::{ShardCtx, ShardedExecutor};
+pub use shard::{ShardCtx, ShardDrive, ShardedExecutor};
 pub use span::LatencyBreakdown;
 pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};

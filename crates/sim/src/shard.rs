@@ -65,6 +65,16 @@
 //! single-core CI runner to a many-core workstation. Tests below and the
 //! differential proptests pin this.
 //!
+//! # Feeds
+//!
+//! Events known before the run can be [`ShardedExecutor::seed`]ed, or
+//! handed to [`ShardedExecutor::run_fed`] as one time-ordered feed per
+//! shard, which the shard pulls from as it reaches each event. A feed's
+//! head enters every next-event snapshot, and a fed event fires before any
+//! queued event at the same instant — where a seeded one, posted ahead of
+//! every runtime event, fires too. So the fed run is the seeded run, round
+//! for round, without the calendars holding every future event at once.
+//!
 //! # Example
 //!
 //! ```rust
@@ -92,6 +102,30 @@ use std::sync::{Barrier, Mutex};
 
 use crate::{Executor, SimDuration, SimTime};
 
+/// How a [`ShardedExecutor`] schedules its rounds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardDrive {
+    /// The fine-grained lock-step oracle (sequential baseline):
+    /// [`ShardedExecutor::run_lockstep`].
+    Lockstep,
+    /// Adaptive round batching on one thread: [`ShardedExecutor::run`].
+    Adaptive,
+    /// Adaptive round batching on up to `n` worker threads:
+    /// [`ShardedExecutor::run_parallel`].
+    Parallel(usize),
+}
+
+impl ShardDrive {
+    /// Stable label for reports.
+    pub fn label(self) -> String {
+        match self {
+            ShardDrive::Lockstep => "lockstep".into(),
+            ShardDrive::Adaptive => "adaptive".into(),
+            ShardDrive::Parallel(n) => format!("par{n}"),
+        }
+    }
+}
+
 /// A cross-shard message buffered until the round barrier.
 #[derive(Debug, Clone)]
 struct Envelope<E> {
@@ -100,7 +134,90 @@ struct Envelope<E> {
     dst: usize,
     /// Emission order within the sender's round, for deterministic ties.
     order: u64,
-    event: E,
+    /// The payload, taken when the envelope is delivered.
+    event: Option<E>,
+}
+
+/// An envelope's delivery key, `(fire time, sender, send order)`, plus its
+/// index in the batch being delivered.
+type MailKey = (SimTime, usize, u64, usize);
+
+/// Posts every envelope of `mail` through `post(dst, at, event)` in
+/// `(fire time, sender, send order)` order and leaves `mail` empty. It
+/// sorts the small `keys` rather than the envelopes, whose events can be
+/// large.
+fn deliver<E>(
+    mail: &mut Vec<Envelope<E>>,
+    keys: &mut Vec<MailKey>,
+    mut post: impl FnMut(usize, SimTime, E),
+) {
+    keys.clear();
+    keys.extend(
+        mail.iter()
+            .enumerate()
+            .map(|(i, m)| (m.at, m.src, m.order, i)),
+    );
+    // `(at, src, order)` is unique, so the unstable sort is deterministic.
+    keys.sort_unstable();
+    for &(at, _, _, i) in keys.iter() {
+        let m = &mut mail[i];
+        if let Some(event) = m.event.take() {
+            post(m.dst, at, event);
+        }
+    }
+    mail.clear();
+}
+
+/// One shard's stream of external events in time order, pulled as the
+/// shard reaches them instead of seeded before the run.
+///
+/// A fed event fires *before* any queued event at the same instant — where
+/// a seeded one fires, since [`ShardedExecutor::seed`] posts ahead of every
+/// event a handler posts at runtime and the calendar breaks time ties in
+/// posting order. Its head also enters every next-event snapshot. So a run
+/// fed a stream is the run seeded with it, round for round.
+struct Feed<E, I> {
+    head: Option<(SimTime, E)>,
+    rest: I,
+}
+
+impl<E, I: Iterator<Item = (SimTime, E)>> Feed<E, I> {
+    fn new(mut rest: I) -> Self {
+        Feed {
+            head: rest.next(),
+            rest,
+        }
+    }
+
+    fn head_time(&self) -> Option<SimTime> {
+        self.head.as_ref().map(|&(at, _)| at)
+    }
+
+    /// The shard's next-event time in nanoseconds (`u64::MAX` = idle): the
+    /// earlier of its calendar head and this feed's head.
+    fn next_ns(&self, exec: &Executor<E>) -> u64 {
+        exec.peek_next_time()
+            .into_iter()
+            .chain(self.head_time())
+            .min()
+            .map_or(u64::MAX, SimTime::as_nanos)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        let next = self.rest.next();
+        debug_assert!(
+            next.as_ref()
+                .zip(self.head_time())
+                .is_none_or(|(&(at, _), head)| at >= head),
+            "a feed must be in time order"
+        );
+        std::mem::replace(&mut self.head, next)
+    }
+}
+
+/// Feeds for a run that has none.
+fn no_feeds<E>(n: usize) -> Vec<Feed<E, std::iter::Empty<(SimTime, E)>>> {
+    (0..n).map(|_| Feed::new(std::iter::empty())).collect()
 }
 
 /// The per-shard view handed to event handlers: local posting plus
@@ -158,7 +275,7 @@ impl<E> ShardCtx<'_, E> {
             src: self.shard,
             dst,
             order,
-            event,
+            event: Some(event),
         });
     }
 }
@@ -196,12 +313,16 @@ fn hint_for(own_ns: u64, min1: u64, count1: u32, min2: u64, step: SimDuration) -
     (others != u64::MAX).then(|| SimTime::from_nanos(others) + step)
 }
 
-/// Drains one shard through `min(hint, send caps)` for this round,
-/// buffering cross-shard sends into `outbox`. Every emitted envelope
-/// tightens the effective horizon to `arrival + lookahead - 1 ns` so that
-/// responses to this round's sends can never arrive in the shard's past.
-fn drain_shard<E, S, F>(
+/// Drains one shard, calendar and feed, through `min(hint, send caps)` for
+/// this round, buffering cross-shard sends into `outbox`. Every emitted
+/// envelope tightens the effective horizon to `arrival + lookahead - 1 ns`
+/// so that responses to this round's sends can never arrive in the shard's
+/// past. Under lock-step the hint is the global window, which no send cap
+/// can undercut.
+#[allow(clippy::too_many_arguments)]
+fn drain_shard<E, S, I, F>(
     exec: &mut Executor<E>,
+    feed: &mut Feed<E, I>,
     shard: usize,
     hint: Option<SimTime>,
     lookahead: SimDuration,
@@ -209,17 +330,24 @@ fn drain_shard<E, S, F>(
     state: &mut S,
     handler: &F,
 ) where
+    I: Iterator<Item = (SimTime, E)>,
     F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E),
 {
     debug_assert!(outbox.is_empty(), "outbox leaked between rounds");
     let step = lookahead - SimDuration::from_nanos(1);
     let mut eff = hint;
     let mut scanned = 0usize;
-    while let Some(t) = exec.peek_next_time() {
+    loop {
+        let queued = exec.peek_next_time();
+        // The feed wins a tie (see `Feed`).
+        let fed = feed
+            .head_time()
+            .filter(|&at| queued.is_none_or(|q| at <= q));
+        let Some(t) = fed.or(queued) else { break };
         if eff.is_some_and(|e| t > e) {
             break;
         }
-        exec.step(&mut |ex: &mut Executor<E>, t, ev| {
+        let mut fire = |ex: &mut Executor<E>, t, ev| {
             let mut ctx = ShardCtx {
                 shard,
                 exec: ex,
@@ -227,7 +355,13 @@ fn drain_shard<E, S, F>(
                 lookahead,
             };
             handler(&mut ctx, state, t, ev);
-        });
+        };
+        match fed.and_then(|_| feed.pop()) {
+            Some((at, ev)) => exec.fire(at, ev, &mut fire),
+            None => {
+                exec.step(&mut fire);
+            }
+        }
         // Tighten the horizon by any envelopes the event just emitted: a
         // response to a send arriving at A cannot return before A + L.
         while scanned < outbox.len() {
@@ -255,6 +389,8 @@ pub struct ShardedExecutor<E> {
     outboxes: Vec<Vec<Envelope<E>>>,
     /// Reusable merge buffer for sequential delivery.
     mail: Vec<Envelope<E>>,
+    /// Reusable delivery keys for `mail`.
+    keys: Vec<MailKey>,
     /// Reusable next-event snapshot (nanoseconds, `u64::MAX` = idle).
     next_ns: Vec<u64>,
 }
@@ -280,6 +416,7 @@ impl<E> ShardedExecutor<E> {
             batched_rounds: 0,
             outboxes: (0..n).map(|_| Vec::new()).collect(),
             mail: Vec::new(),
+            keys: Vec::new(),
             next_ns: Vec::with_capacity(n),
         }
     }
@@ -332,19 +469,6 @@ impl<E> ShardedExecutor<E> {
         &self.shards[i]
     }
 
-    /// The classic global safe horizon, if any events are pending.
-    fn horizon(&self) -> Option<SimTime> {
-        let min = self
-            .shards
-            .iter()
-            .filter_map(|s| s.peek_next_time())
-            .min()?;
-        // Inclusive horizon: lookahead - 1 ns, so an event fired exactly at
-        // `min` can send a message arriving at `min + lookahead` without any
-        // shard having simulated that instant yet.
-        Some(min + self.lookahead - SimDuration::from_nanos(1))
-    }
-
     /// Merges every shard's outbox and delivers in deterministic
     /// `(fire time, sender, send order)` order, leaving the outboxes empty
     /// for reuse.
@@ -352,27 +476,34 @@ impl<E> ShardedExecutor<E> {
         for outbox in &mut self.outboxes {
             self.mail.append(outbox);
         }
-        self.mail.sort_by_key(|m| (m.at, m.src, m.order));
-        for m in self.mail.drain(..) {
+        let shards = &mut self.shards;
+        deliver(&mut self.mail, &mut self.keys, |dst, at, event| {
             debug_assert!(
-                m.at >= self.shards[m.dst].now(),
+                at >= shards[dst].now(),
                 "conservative horizon admitted a stale delivery"
             );
-            self.shards[m.dst].post(m.at, m.event);
-        }
+            shards[dst].post(at, event);
+        });
     }
 
     /// One adaptive round: snapshot, per-shard hints, drain, deliver.
     /// Returns `false` when every shard is idle.
-    fn adaptive_round<S, F>(&mut self, states: &mut [S], handler: &F) -> bool
+    fn adaptive_round<S, I, F>(
+        &mut self,
+        states: &mut [S],
+        feeds: &mut [Feed<E, I>],
+        handler: &F,
+    ) -> bool
     where
+        I: Iterator<Item = (SimTime, E)>,
         F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E),
     {
         self.next_ns.clear();
         self.next_ns.extend(
             self.shards
                 .iter()
-                .map(|s| s.peek_next_time().map_or(u64::MAX, |t| t.as_nanos())),
+                .zip(feeds.iter())
+                .map(|(s, f)| f.next_ns(s)),
         );
         let (min1, count1, min2) = min_two(&self.next_ns);
         if min1 == u64::MAX {
@@ -386,10 +517,17 @@ impl<E> ShardedExecutor<E> {
         }
         let lookahead = self.lookahead;
         let step = lookahead - SimDuration::from_nanos(1);
-        for (i, (shard, state)) in self.shards.iter_mut().zip(states.iter_mut()).enumerate() {
+        for (i, ((shard, feed), state)) in self
+            .shards
+            .iter_mut()
+            .zip(feeds.iter_mut())
+            .zip(states.iter_mut())
+            .enumerate()
+        {
             let hint = hint_for(self.next_ns[i], min1, count1, min2, step);
             drain_shard(
                 shard,
+                feed,
                 i,
                 hint,
                 lookahead,
@@ -400,6 +538,52 @@ impl<E> ShardedExecutor<E> {
         }
         self.flush_mail();
         true
+    }
+
+    /// Lock-step rounds until every shard is idle: each round drains every
+    /// shard through the global `min + lookahead - 1 ns` window.
+    fn lockstep<S, I, F>(&mut self, states: &mut [S], feeds: &mut [Feed<E, I>], handler: &F)
+    where
+        I: Iterator<Item = (SimTime, E)>,
+        F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E),
+    {
+        let lookahead = self.lookahead;
+        loop {
+            let min = self
+                .shards
+                .iter()
+                .zip(feeds.iter())
+                .map(|(s, f)| f.next_ns(s))
+                .min()
+                .unwrap_or(u64::MAX);
+            if min == u64::MAX {
+                break;
+            }
+            // Inclusive horizon: lookahead - 1 ns, so an event fired exactly
+            // at `min` can send a message arriving at `min + lookahead`
+            // without any shard having simulated that instant yet.
+            let horizon = SimTime::from_nanos(min) + lookahead - SimDuration::from_nanos(1);
+            self.rounds += 1;
+            for (i, ((shard, feed), state)) in self
+                .shards
+                .iter_mut()
+                .zip(feeds.iter_mut())
+                .zip(states.iter_mut())
+                .enumerate()
+            {
+                drain_shard(
+                    shard,
+                    feed,
+                    i,
+                    Some(horizon),
+                    lookahead,
+                    &mut self.outboxes[i],
+                    state,
+                    handler,
+                );
+            }
+            self.flush_mail();
+        }
     }
 
     /// Drains every shard sequentially with adaptive round batching.
@@ -416,7 +600,8 @@ impl<E> ShardedExecutor<E> {
         F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E),
     {
         assert_eq!(states.len(), self.len(), "one state per shard");
-        while self.adaptive_round(states, handler) {}
+        let mut feeds = no_feeds(self.len());
+        while self.adaptive_round(states, &mut feeds, handler) {}
     }
 
     /// Drains every shard sequentially in classic conservative lock-step:
@@ -437,23 +622,8 @@ impl<E> ShardedExecutor<E> {
         F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E),
     {
         assert_eq!(states.len(), self.len(), "one state per shard");
-        while let Some(horizon) = self.horizon() {
-            self.rounds += 1;
-            let lookahead = self.lookahead;
-            for (i, (shard, state)) in self.shards.iter_mut().zip(states.iter_mut()).enumerate() {
-                let outbox = &mut self.outboxes[i];
-                shard.run_until(horizon, |ex, t, ev| {
-                    let mut ctx = ShardCtx {
-                        shard: i,
-                        exec: ex,
-                        outbox,
-                        lookahead,
-                    };
-                    handler(&mut ctx, state, t, ev);
-                });
-            }
-            self.flush_mail();
-        }
+        let mut feeds = no_feeds(self.len());
+        self.lockstep(states, &mut feeds, handler);
     }
 
     /// Like [`ShardedExecutor::run`], but shards are fanned out across
@@ -478,11 +648,61 @@ impl<E> ShardedExecutor<E> {
         F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E) + Sync,
     {
         assert_eq!(states.len(), self.len(), "one state per shard");
+        let mut feeds = no_feeds(self.len());
+        self.parallel(states, &mut feeds, handler, threads);
+    }
+
+    /// Runs under `drive` with one feed per shard: shard `i` pulls its
+    /// external events from `feeds[i]`, which must be in time order, as it
+    /// reaches them. The run is the one [`ShardedExecutor::seed`]ing every
+    /// fed event up front would give — same firing sequence, rounds and
+    /// event count — without holding them all on the calendars; `seed`
+    /// plus [`ShardedExecutor::run`] is the empty-feed case.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `states` or `feeds` does not hold one entry per shard, or
+    /// on a `Parallel(0)` drive.
+    pub fn run_fed<S, I, F>(
+        &mut self,
+        states: &mut [S],
+        feeds: Vec<I>,
+        handler: &F,
+        drive: ShardDrive,
+    ) where
+        E: Send,
+        S: Send,
+        I: Iterator<Item = (SimTime, E)> + Send,
+        F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E) + Sync,
+    {
+        assert_eq!(states.len(), self.len(), "one state per shard");
+        assert_eq!(feeds.len(), self.len(), "one feed per shard");
+        let mut feeds: Vec<Feed<E, I>> = feeds.into_iter().map(Feed::new).collect();
+        match drive {
+            ShardDrive::Lockstep => self.lockstep(states, &mut feeds, handler),
+            ShardDrive::Adaptive => while self.adaptive_round(states, &mut feeds, handler) {},
+            ShardDrive::Parallel(threads) => self.parallel(states, &mut feeds, handler, threads),
+        }
+    }
+
+    /// The body of [`ShardedExecutor::run_parallel`], over any feeds.
+    fn parallel<S, I, F>(
+        &mut self,
+        states: &mut [S],
+        feeds: &mut [Feed<E, I>],
+        handler: &F,
+        threads: usize,
+    ) where
+        E: Send,
+        S: Send,
+        I: Iterator<Item = (SimTime, E)> + Send,
+        F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E) + Sync,
+    {
         assert!(threads > 0, "need at least one worker thread");
         let host = std::thread::available_parallelism().map_or(1, |p| p.get());
         let threads = threads.min(self.len()).min(host);
         if threads <= 1 {
-            while self.adaptive_round(states, handler) {}
+            while self.adaptive_round(states, feeds, handler) {}
             return;
         }
         let n = self.len();
@@ -501,9 +721,10 @@ impl<E> ShardedExecutor<E> {
         let rounds = AtomicU64::new(0);
         let batched = AtomicU64::new(0);
         std::thread::scope(|scope| {
-            for (wi, ((shards, states), outboxes)) in self
+            for (wi, (((shards, feeds), states), outboxes)) in self
                 .shards
                 .chunks_mut(chunk)
+                .zip(feeds.chunks_mut(chunk))
                 .zip(states.chunks_mut(chunk))
                 .zip(self.outboxes.chunks_mut(chunk))
                 .enumerate()
@@ -515,7 +736,7 @@ impl<E> ShardedExecutor<E> {
                 let batched = &batched;
                 scope.spawn(move || {
                     worker_loop(
-                        wi, chunk, lookahead, shards, states, outboxes, barrier, next_ns,
+                        wi, chunk, lookahead, shards, feeds, states, outboxes, barrier, next_ns,
                         mailboxes, rounds, batched, handler,
                     );
                 });
@@ -532,11 +753,12 @@ impl<E> ShardedExecutor<E> {
 /// hints, same per-destination delivery order — so the firing sequence is
 /// identical to the sequential path.
 #[allow(clippy::too_many_arguments)]
-fn worker_loop<E, S, F>(
+fn worker_loop<E, S, I, F>(
     wi: usize,
     chunk: usize,
     lookahead: SimDuration,
     shards: &mut [Executor<E>],
+    feeds: &mut [Feed<E, I>],
     states: &mut [S],
     outboxes: &mut [Vec<Envelope<E>>],
     barrier: &Barrier,
@@ -546,6 +768,7 @@ fn worker_loop<E, S, F>(
     batched: &AtomicU64,
     handler: &F,
 ) where
+    I: Iterator<Item = (SimTime, E)>,
     F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E),
 {
     let base = wi * chunk;
@@ -553,12 +776,10 @@ fn worker_loop<E, S, F>(
     let mut snapshot = vec![0u64; next_ns.len()];
     let mut stage: Vec<Vec<Envelope<E>>> = (0..mailboxes.len()).map(|_| Vec::new()).collect();
     let mut inbox: Vec<Envelope<E>> = Vec::new();
+    let mut keys: Vec<MailKey> = Vec::new();
     loop {
-        for (j, s) in shards.iter().enumerate() {
-            next_ns[base + j].store(
-                s.peek_next_time().map_or(u64::MAX, |t| t.as_nanos()),
-                Ordering::Relaxed,
-            );
+        for (j, (s, f)) in shards.iter().zip(feeds.iter()).enumerate() {
+            next_ns[base + j].store(f.next_ns(s), Ordering::Relaxed);
         }
         barrier.wait();
         for (slot, published) in snapshot.iter_mut().zip(next_ns) {
@@ -581,6 +802,7 @@ fn worker_loop<E, S, F>(
             let hint = hint_for(snapshot[i], min1, count1, min2, step);
             drain_shard(
                 &mut shards[j],
+                &mut feeds[j],
                 i,
                 hint,
                 lookahead,
@@ -608,15 +830,14 @@ fn worker_loop<E, S, F>(
         // Per-destination order (fire time, sender, send order) is the
         // restriction of the sequential global merge order to this
         // worker's shards, so calendar tie-breaking sequences match.
-        inbox.sort_by_key(|m| (m.at, m.src, m.order));
-        for m in inbox.drain(..) {
-            let shard = &mut shards[m.dst - base];
+        deliver(&mut inbox, &mut keys, |dst, at, event| {
+            let shard = &mut shards[dst - base];
             debug_assert!(
-                m.at >= shard.now(),
+                at >= shard.now(),
                 "conservative horizon admitted a stale delivery"
             );
-            shard.post(m.at, m.event);
-        }
+            shard.post(at, event);
+        });
     }
 }
 
@@ -758,6 +979,72 @@ mod tests {
         assert_eq!(lockstep.rounds(), events, "lock-step rounds once per event");
         assert_eq!(adaptive.rounds(), u64::from(TTL) + 1, "one round per visit");
         assert_eq!(adaptive.batched_rounds(), adaptive.rounds());
+    }
+
+    #[test]
+    fn a_fed_run_is_the_seeded_run() {
+        // Every external event posts a local follow-up onto the shard's next
+        // external instant and sends a message onto one of the next shard's
+        // external instants, so fed events tie with runtime events on every
+        // shard; every third instant holds two external events.
+        const N: usize = 3;
+        const GAP: u64 = 2_000;
+        let lookahead = SimDuration::from_micros(1);
+        type Ev = (u64, u8); // (tag, kind: 0 external, 1 local, 2 message)
+        let base = |s: usize| 500 * s as u64;
+        let external = |s: usize| -> Vec<(SimTime, Ev)> {
+            (0..40u64)
+                .flat_map(|k| {
+                    let at = SimTime::from_nanos(GAP * k + base(s));
+                    (0..1 + u64::from(k % 3 == 0)).map(move |j| (at, (10 * k + j, 0)))
+                })
+                .collect()
+        };
+        let handler = |ctx: &mut ShardCtx<'_, Ev>, log: &mut Vec<(u64, Ev)>, t: SimTime, ev: Ev| {
+            log.push((t.as_nanos(), ev));
+            if ev.1 == 0 {
+                ctx.post(t + SimDuration::from_nanos(GAP), (ev.0, 1));
+                let dst = (ctx.shard() + 1) % N;
+                let earliest = (t + lookahead).as_nanos();
+                let k = (earliest.saturating_sub(base(dst))).div_ceil(GAP);
+                ctx.send(dst, SimTime::from_nanos(GAP * k + base(dst)), (ev.0, 2));
+            }
+        };
+        for drive in [
+            ShardDrive::Lockstep,
+            ShardDrive::Adaptive,
+            ShardDrive::Parallel(2),
+            ShardDrive::Parallel(4),
+        ] {
+            let mut seeded: ShardedExecutor<Ev> = ShardedExecutor::new(N, lookahead);
+            for s in 0..N {
+                for (at, ev) in external(s) {
+                    seeded.seed(s, at, ev);
+                }
+            }
+            let mut seeded_logs: Vec<Vec<(u64, Ev)>> = vec![Vec::new(); N];
+            match drive {
+                ShardDrive::Lockstep => seeded.run_lockstep(&mut seeded_logs, &handler),
+                ShardDrive::Adaptive => seeded.run(&mut seeded_logs, &handler),
+                ShardDrive::Parallel(n) => seeded.run_parallel(&mut seeded_logs, &handler, n),
+            }
+
+            let mut fed: ShardedExecutor<Ev> = ShardedExecutor::new(N, lookahead);
+            let mut fed_logs: Vec<Vec<(u64, Ev)>> = vec![Vec::new(); N];
+            let feeds = (0..N).map(|s| external(s).into_iter()).collect();
+            fed.run_fed(&mut fed_logs, feeds, &handler, drive);
+
+            assert_eq!(fed_logs, seeded_logs, "{drive:?}: firing order moved");
+            assert_eq!(fed.rounds(), seeded.rounds(), "{drive:?}");
+            assert_eq!(fed.batched_rounds(), seeded.batched_rounds(), "{drive:?}");
+            assert_eq!(fed.processed(), seeded.processed(), "{drive:?}");
+            assert_eq!(fed.clamped_posts(), 0);
+            // The ties the rule exists for did occur: a fed event and a
+            // runtime event fired at one instant on one shard.
+            assert!(seeded_logs.iter().any(|log| log
+                .windows(2)
+                .any(|w| w[0].0 == w[1].0 && w[0].1 .1 == 0 && w[1].1 .1 != 0)));
+        }
     }
 
     #[test]

@@ -71,9 +71,10 @@ pub use arrival::{ArrivalConfig, ArrivalKind, ArrivalProcess};
 pub use churn::{ChurnConfig, ChurnWorkload};
 pub use executor::ClientPool;
 pub use linkbench::{LinkbenchConfig, LinkbenchWorkload};
-pub use serve::{AdmissionPlan, AdmittedOp, ServeConfig, ServeReport, ServiceDriver, ShardDrive};
+pub use serve::{AdmissionPlan, AdmittedOp, ServeConfig, ServeReport, ServiceDriver};
 pub use session::EngineSession;
 pub use tenant::{TenantOutcome, TenantPool, TenantPoolConfig, TenantReport, WalScheme};
 pub use trace::{parse_trace, replay_trace, TraceOp, TraceParseError, TraceReplayReport};
 pub use twob_db::EngineKind;
+pub use twob_sim::ShardDrive;
 pub use ycsb::{YcsbConfig, YcsbOp, YcsbWorkload};

@@ -30,14 +30,15 @@
 //!    `(admit instant, tenant)` order. [`ServiceDriver::serve`] streams
 //!    it through [`IoCalendar::drive_with`], so a commit enters the
 //!    calendar only when it is due; [`ServiceDriver::serve_sharded`]
-//!    submits it whole to a [`ShardedIoCalendar`] placement, digest-equal
-//!    across lock-step, adaptive, and parallel drives;
+//!    streams it the same way into a [`ShardedIoCalendar`] placement, one
+//!    feed per shard holding only the commits of that shard's groups,
+//!    digest-equal across lock-step, adaptive, and parallel drives;
 //! 4. **measurement** — each completion is counted as it lands (the
-//!    sharded drive replays its host observation log), joined to its plan
-//!    entry by id arithmetic. Latency is measured from *original arrival*
-//!    (deferral is not free), tracked per tenant and per SLO window
-//!    against p99/p999 targets with the interpolated [`Histogram`]
-//!    quantiles.
+//!    sharded drive reads its host observation log, canonical as it
+//!    landed), joined to its plan entry by id arithmetic. Latency is
+//!    measured from *original arrival* (deferral is not free), tracked
+//!    per tenant and per SLO window against p99/p999 targets with the
+//!    interpolated [`Histogram`] quantiles.
 
 use std::sync::Arc;
 
@@ -48,7 +49,7 @@ use twob_core::{
 };
 use twob_db::DbError;
 use twob_ftl::Lba;
-use twob_sim::{mix, Executor, Histogram, SimDuration, SimTime, FNV_BASIS};
+use twob_sim::{mix, Executor, Histogram, ShardDrive, SimDuration, SimTime, FNV_BASIS};
 use twob_ssd::{NvmeEvent, NvmeOp, NvmeSsd, QdReport, SsdConfig};
 
 use crate::arrival::{ArrivalConfig, ArrivalProcess};
@@ -135,28 +136,6 @@ impl AdmissionPlan {
     /// Total ops turned away.
     pub fn shed(&self) -> u64 {
         self.shed_queue + self.shed_buffer
-    }
-}
-
-/// How a sharded serve drives its placement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardDrive {
-    /// The fine-grained lock-step oracle (sequential baseline).
-    Lockstep,
-    /// Adaptive round batching on one thread.
-    Adaptive,
-    /// Adaptive round batching on up to `n` worker threads.
-    Parallel(usize),
-}
-
-impl ShardDrive {
-    /// Stable label for reports.
-    pub fn label(self) -> String {
-        match self {
-            ShardDrive::Lockstep => "lockstep".into(),
-            ShardDrive::Adaptive => "adaptive".into(),
-            ShardDrive::Parallel(n) => format!("par{n}"),
-        }
     }
 }
 
@@ -360,7 +339,8 @@ impl ServiceDriver {
 
         let mut cal = IoCalendar::new();
         let eids = [eids];
-        let ops = Self::commit_ops(cfg, &plan, epoch, &eids).map(|(at, _, op)| (at, op));
+        let ops =
+            Self::commit_ops(cfg, &plan, epoch, &eids, |_| true).map(|(at, _, _, op)| (at, op));
         let mut measure = Measure::new(cfg, &plan, epoch);
         let mut digest = FNV_BASIS;
         let mut last = None;
@@ -442,22 +422,22 @@ impl ServiceDriver {
                 eids
             })
             .collect();
-        let mut cal = ShardedIoCalendar::new(
-            devices,
-            GroupPlacement::round_robin(groups, shards),
-            SimDuration::from_micros(2),
-        );
-        for (at, group, op) in Self::commit_ops(cfg, &plan, epoch, &eids) {
-            cal.submit(at, group, op);
-        }
-        match drive {
-            ShardDrive::Lockstep => cal.run_lockstep(),
-            ShardDrive::Adaptive => cal.run(),
-            ShardDrive::Parallel(threads) => cal.run_parallel(threads),
-        }
+        let placement = GroupPlacement::round_robin(groups, shards);
+        let mut cal =
+            ShardedIoCalendar::new(devices, placement.clone(), SimDuration::from_micros(2));
+        // One feed per shard, each building only its own groups' commits.
+        let feeds = (0..shards)
+            .map(|shard| {
+                let placement = &placement;
+                Self::commit_ops(cfg, &plan, epoch, &eids, move |g| {
+                    placement.shard_of(g) == shard
+                })
+            })
+            .collect();
+        cal.run_fed(feeds, drive);
         assert_eq!(cal.unresolved_chains(), 0, "no dangling op chains");
         let mut measure = Measure::new(cfg, &plan, epoch);
-        for (id, complete_at, failed) in cal.observed_log() {
+        for &(id, complete_at, failed) in cal.observed_log() {
             measure.record(id, complete_at, failed);
         }
         measure.report(cal.host_digest(), cal.clamped_posts())
@@ -492,61 +472,71 @@ impl ServiceDriver {
         (eids, epoch)
     }
 
-    /// Every admitted op's commit as calendar ops `(start, group, op)`, in
-    /// plan order, each made only when the iterator is pulled. The one
-    /// place a scheme becomes calendar ops: a range `BA_SYNC` or a CXL
-    /// persist barrier on the tenant's window (`eids[group][local
-    /// tenant]`), or a page write plus the flush that is measured —
-    /// [`Self::ops_per_commit`] ops per commit, the last one measured.
-    /// Tenant `t` is local tenant `t / groups` of group `t % groups`, with
-    /// `groups = eids.len()`.
+    /// The commits of every admitted op whose group passes `keep`, as
+    /// calendar ops `(start, id, group, op)` in plan order, each made only
+    /// when the iterator is pulled; a skipped group's entries are passed
+    /// over before any op is built. The one place a scheme becomes
+    /// calendar ops: a range `BA_SYNC` or a CXL persist barrier on the
+    /// tenant's window (`eids[group][local tenant]`), or a page write plus
+    /// the flush that is measured — [`Self::ops_per_commit`] ops per
+    /// commit, the last one measured, numbered plan index ×
+    /// `ops_per_commit` + k. Tenant `t` is local tenant `t / groups` of
+    /// group `t % groups`, with `groups = eids.len()`.
     fn commit_ops<'a>(
         cfg: &'a ServeConfig,
         plan: &'a AdmissionPlan,
         epoch: SimDuration,
         eids: &'a [Vec<EntryId>],
-    ) -> impl Iterator<Item = (SimTime, usize, IoOp)> + 'a {
+        keep: impl Fn(usize) -> bool + 'a,
+    ) -> impl Iterator<Item = (SimTime, u64, usize, IoOp)> + 'a {
         let groups = eids.len();
         let len = cfg.payload_bytes as u64;
         let mut block_seq = vec![0u64; usize::from(cfg.tenants)];
         // Every block commit writes this one page image; a queued write
         // holds a reference to it, not a copy.
         let page: Arc<[u8]> = vec![0xA5; 4096].into();
-        plan.admitted.iter().flat_map(move |op| {
-            let at = op.submit_at + epoch;
-            let tenant = usize::from(op.tenant);
-            let (group, local) = (tenant % groups, tenant / groups);
-            let (write, commit) = match cfg.scheme {
-                WalScheme::Ba => (
-                    None,
-                    IoOp::BaSyncRange {
-                        eid: eids[group][local],
-                        rel_offset: 0,
-                        len,
-                    },
-                ),
-                WalScheme::Cxl => (
-                    None,
-                    IoOp::CxlPersist {
-                        eid: eids[group][local],
-                        rel_offset: 0,
-                        len,
-                    },
-                ),
-                WalScheme::Block => {
-                    let seq = &mut block_seq[tenant];
-                    let pages = ServeConfig::REGION_PAGES;
-                    let lba = Lba(local as u64 * pages + *seq % pages);
-                    *seq += 1;
-                    let data = Arc::clone(&page);
-                    (Some(IoOp::BlockWrite { lba, data }), IoOp::BlockFlush)
-                }
-            };
-            write
-                .into_iter()
-                .chain([commit])
-                .map(move |op| (at, group, op))
-        })
+        let per_commit = Self::ops_per_commit(cfg.scheme);
+        plan.admitted
+            .iter()
+            .enumerate()
+            .filter(move |(_, op)| keep(usize::from(op.tenant) % groups))
+            .flat_map(move |(i, op)| {
+                let first_id = i as u64 * per_commit;
+                let at = op.submit_at + epoch;
+                let tenant = usize::from(op.tenant);
+                let (group, local) = (tenant % groups, tenant / groups);
+                let (write, commit) = match cfg.scheme {
+                    WalScheme::Ba => (
+                        None,
+                        IoOp::BaSyncRange {
+                            eid: eids[group][local],
+                            rel_offset: 0,
+                            len,
+                        },
+                    ),
+                    WalScheme::Cxl => (
+                        None,
+                        IoOp::CxlPersist {
+                            eid: eids[group][local],
+                            rel_offset: 0,
+                            len,
+                        },
+                    ),
+                    WalScheme::Block => {
+                        let seq = &mut block_seq[tenant];
+                        let pages = ServeConfig::REGION_PAGES;
+                        let lba = Lba(local as u64 * pages + *seq % pages);
+                        *seq += 1;
+                        let data = Arc::clone(&page);
+                        (Some(IoOp::BlockWrite { lba, data }), IoOp::BlockFlush)
+                    }
+                };
+                write
+                    .into_iter()
+                    .chain([commit])
+                    .zip(first_id..)
+                    .map(move |(op, id)| (at, id, group, op))
+            })
     }
 
     /// Calendar ops [`ServiceDriver::commit_ops`] spells per commit: the
