@@ -106,6 +106,13 @@ STUDIES = [
     "tenant_sweep",
 ]
 
+# Appended after STUDIES so every earlier capture index stays put: the
+# largest and the smallest closed-loop session pools, run through `twob`.
+SESSIONS = [
+    "tenants --n 64 --ops 40 --json",
+    "tenants --n 1 --mix redis --ops 300 --seed 9 --json",
+]
+
 TOKEN = re.compile(r"(?<![A-Za-z0-9_.])-?\d+(?:\.\d+)?(?![A-Za-z0-9_])")
 
 
@@ -120,7 +127,11 @@ def capture(binary, out_dir, runner=None):
     runner = pathlib.Path(runner).resolve() if runner else binary
     # `replay` prints the path it was given: keep it relative, run in `out`.
     (out / "trace.txt").write_text("W 0 2\nF\nR 0 2\nT 0 1\n")
-    lines = [(binary, line) for line in INVOCATIONS] + [(runner, line) for line in STUDIES]
+    lines = (
+        [(binary, line) for line in INVOCATIONS]
+        + [(runner, line) for line in STUDIES]
+        + [(binary, line) for line in SESSIONS]
+    )
     for n, (program, line) in enumerate(lines):
         run = subprocess.run([program, *line.split()], capture_output=True, text=True, cwd=out)
         (out / f"{n:02}.cmd").write_text(line + "\n")

@@ -102,6 +102,8 @@ pub struct Zipfian {
     zeta2: f64,
     alpha: f64,
     eta: f64,
+    /// `0.5^theta`: rank 1's share of the mass past rank 0.
+    half_pow_theta: f64,
 }
 
 impl Zipfian {
@@ -128,6 +130,7 @@ impl Zipfian {
             zeta2,
             alpha,
             eta,
+            half_pow_theta: 0.5f64.powf(theta),
         }
     }
 
@@ -147,7 +150,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < 1.0 + self.half_pow_theta {
             return 1;
         }
         let rank = (self.items as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
@@ -237,6 +240,23 @@ mod tests {
         for _ in 0..5_000 {
             assert!(zipf.sample(&mut rng) < 37);
         }
+    }
+
+    #[test]
+    fn zipfian_draws_are_pinned() {
+        // The YCSB/Linkbench working set: any change to how a draw maps
+        // onto a rank (rank 1 at draw 3 included) moves this sequence.
+        let mut rng = SimRng::seed_from(2024);
+        let zipf = Zipfian::new(200, 0.99);
+        let ranks: Vec<u64> = (0..64).map(|_| zipf.sample(&mut rng)).collect();
+        #[rustfmt::skip]
+        let want = [
+            11, 2, 1, 5, 43, 62, 175, 25, 0, 4, 16, 66, 12, 9, 3, 90,
+            4, 2, 115, 38, 26, 8, 18, 2, 7, 3, 0, 9, 6, 47, 21, 24,
+            28, 7, 159, 27, 0, 2, 9, 0, 2, 0, 48, 118, 0, 173, 2, 21,
+            2, 10, 12, 0, 139, 0, 19, 87, 0, 35, 0, 0, 58, 3, 6, 183,
+        ];
+        assert_eq!(ranks, want);
     }
 
     #[test]

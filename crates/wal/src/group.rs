@@ -56,7 +56,6 @@ pub struct GroupOutcome {
 struct PendingCommit {
     ticket: u64,
     submitted: SimTime,
-    payload: Vec<u8>,
 }
 
 /// A group-commit front end over any [`WalWriter`]. See the module docs.
@@ -65,6 +64,8 @@ pub struct GroupCommit<W: WalWriter> {
     window: SimDuration,
     max_batch: usize,
     pending: Vec<PendingCommit>,
+    /// `pending[i]`'s payload: lent to [`WalWriter::append_batch`] as is.
+    payloads: Vec<Vec<u8>>,
     deadlines: EventQueue<()>,
     next_ticket: u64,
     batches: u64,
@@ -85,6 +86,7 @@ impl<W: WalWriter> GroupCommit<W> {
             window,
             max_batch,
             pending: Vec::new(),
+            payloads: Vec::new(),
             deadlines: EventQueue::new(),
             next_ticket: 0,
             batches: 0,
@@ -137,8 +139,8 @@ impl<W: WalWriter> GroupCommit<W> {
         self.pending.push(PendingCommit {
             ticket,
             submitted: now,
-            payload: payload.to_vec(),
         });
+        self.payloads.push(payload.to_vec());
         ticket
     }
 
@@ -150,7 +152,8 @@ impl<W: WalWriter> GroupCommit<W> {
     /// # Errors
     ///
     /// Propagates the inner writer's error; the batch's committers stay
-    /// pending so a caller can retry.
+    /// pending, and its deadline armed, so a caller can retry with the
+    /// same call.
     pub fn drive<F>(&mut self, now: SimTime, mut on_complete: F) -> Result<(), WalError>
     where
         F: FnMut(GroupOutcome),
@@ -161,12 +164,12 @@ impl<W: WalWriter> GroupCommit<W> {
             let at = self.batch_close_time(self.max_batch);
             self.flush_batch(at, &mut on_complete)?;
         }
-        while self.deadlines.peek_time().is_some_and(|t| t <= now) {
-            let (at, ()) = self.deadlines.pop().expect("peeked deadline exists");
-            if self.pending.is_empty() {
-                continue; // the batch already flushed via max_batch
+        while let Some(at) = self.deadlines.peek_time().filter(|&t| t <= now) {
+            // An empty batch already flushed via max_batch.
+            if !self.pending.is_empty() {
+                self.flush_batch(at, &mut on_complete)?;
             }
-            self.flush_batch(at, &mut on_complete)?;
+            self.deadlines.pop();
         }
         Ok(())
     }
@@ -204,23 +207,20 @@ impl<W: WalWriter> GroupCommit<W> {
         F: FnMut(GroupOutcome),
     {
         let take = self.pending.len().min(self.max_batch);
-        let payloads: Vec<Vec<u8>> = self.pending[..take]
-            .iter()
-            .map(|p| p.payload.clone())
-            .collect();
+        // A failed batch leaves both vectors as they were, for a retry.
         let CommitOutcome {
             lsn: last_lsn,
             commit_at,
             durable_at,
-        } = self.inner.append_batch(at, &payloads)?;
-        let batch: Vec<PendingCommit> = self.pending.drain(..take).collect();
+        } = self.inner.append_batch(at, &self.payloads[..take])?;
+        self.payloads.drain(..take);
         self.batches += 1;
-        if batch.len() > 1 {
-            self.grouped += batch.len() as u64;
+        if take > 1 {
+            self.grouped += take as u64;
         }
         // `append_batch` assigns consecutive LSNs and reports the last.
-        let first_lsn = last_lsn.0 + 1 - batch.len() as u64;
-        for (i, p) in batch.iter().enumerate() {
+        let first_lsn = last_lsn.0 + 1 - take as u64;
+        for (i, p) in self.pending.drain(..take).enumerate() {
             on_complete(GroupOutcome {
                 ticket: p.ticket,
                 submitted: p.submitted,
@@ -236,7 +236,7 @@ impl<W: WalWriter> GroupCommit<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BaWal, WalConfig};
+    use crate::{BaWal, LogRecord, WalConfig};
     use twob_core::TwoBSsd;
 
     fn ba_wal() -> BaWal {
@@ -338,6 +338,91 @@ mod tests {
             .unwrap();
         assert_eq!(done, 6);
         assert_eq!(group.batches(), 2);
+    }
+
+    /// A tenant log whose first batch fails before anything reaches it.
+    struct FailsOnce {
+        inner: crate::TenantBaWal,
+        failed: bool,
+    }
+
+    impl WalWriter for FailsOnce {
+        fn append_commit(
+            &mut self,
+            now: SimTime,
+            payload: &[u8],
+        ) -> Result<CommitOutcome, WalError> {
+            self.inner.append_commit(now, payload)
+        }
+
+        fn append_batch(
+            &mut self,
+            now: SimTime,
+            payloads: &[Vec<u8>],
+        ) -> Result<CommitOutcome, WalError> {
+            if !std::mem::replace(&mut self.failed, true) {
+                return Err(WalError::BadConfig("injected batch failure".into()));
+            }
+            self.inner.append_batch(now, payloads)
+        }
+
+        fn scheme(&self) -> String {
+            self.inner.scheme()
+        }
+
+        fn stats(&self) -> crate::WalStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn a_failed_batch_stays_pending_for_a_retry() {
+        use std::{cell::RefCell, rc::Rc};
+        use twob_core::{IoCalendar, PinTable, TenantId};
+
+        let dev = Rc::new(RefCell::new(TwoBSsd::small_for_tests()));
+        let pins = PinTable::new(dev.borrow().spec(), 1).unwrap();
+        let cal = Rc::new(RefCell::new(IoCalendar::new()));
+        let pins = Rc::new(RefCell::new(pins));
+        let cfg = WalConfig::default();
+        let inner = crate::TenantBaWal::new(dev.clone(), cal, pins, TenantId(0), cfg, 4).unwrap();
+        let wal = FailsOnce {
+            inner,
+            failed: false,
+        };
+        let mut group = GroupCommit::new(wal, SimDuration::from_micros(10), 8);
+        let base = SimTime::from_nanos(1_000_000);
+        let payloads: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 20 + usize::from(i)]).collect();
+        let tickets: Vec<u64> = (0u64..)
+            .zip(&payloads)
+            .map(|(i, p)| group.submit(base + SimDuration::from_nanos(i * 100), p))
+            .collect();
+        assert_eq!(tickets, [0, 1, 2, 3, 4]);
+
+        let now = base + SimDuration::from_micros(50);
+        let mut outcomes = Vec::new();
+        assert!(group.drive(now, |o| outcomes.push(o)).is_err());
+        assert!(outcomes.is_empty());
+        assert_eq!(group.pending_len(), 5);
+        assert_eq!(group.batches(), 0);
+        assert_eq!(group.inner().stats().commits, 0);
+
+        // The same call again issues the same batch, in ticket order.
+        group.drive(now, |o| outcomes.push(o)).unwrap();
+        assert_eq!(group.pending_len(), 0);
+        assert_eq!(group.batches(), 1);
+        let got: Vec<(u64, Lsn)> = outcomes.iter().map(|o| (o.ticket, o.lsn)).collect();
+        assert_eq!(got, (0..5).map(|i| (i, Lsn(i))).collect::<Vec<_>>());
+
+        // What reached the log is every payload, once, under its LSN.
+        let durable = outcomes[4].commit_at;
+        let end = group.into_inner().inner.finalize(durable).unwrap();
+        let replayed = crate::replay(&mut *dev.borrow_mut(), end, cfg.region_base_lba, 4).unwrap();
+        let want: Vec<LogRecord> = (0..5)
+            .zip(payloads)
+            .map(|(i, p)| LogRecord::new(Lsn(i), p))
+            .collect();
+        assert_eq!(replayed.records, want);
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //!
 //! [`IoCalendar`]: twob_core::IoCalendar
 
+use std::sync::Arc;
+
 use twob_core::{EntryId, IoCompletion, IoOp};
 use twob_ftl::Lba;
 use twob_sim::SimTime;
@@ -36,9 +38,10 @@ pub(crate) type Done = Result<SimTime, WalError>;
 /// Bytes per BA-buffer page (the mapping table's pin granularity).
 pub(crate) const PAGE_BYTES: u64 = 4096;
 
-/// Submits one operation, drives the shared calendar, and plucks out its
-/// completion. Every caller drains inside its own call, so the calendar's
-/// completion buffer holds only this drive's results.
+/// Streams one operation onto the shared calendar with
+/// [`IoCalendar::drive_with`](twob_core::IoCalendar::drive_with) and
+/// returns the completion its sink receives. Every caller drives the
+/// calendar empty inside its own call, so that completion is the only one.
 ///
 /// # Errors
 ///
@@ -49,17 +52,12 @@ pub fn run_op(
     at: SimTime,
     op: IoOp,
 ) -> Result<IoCompletion, WalError> {
-    let mut cal = cal.borrow_mut();
-    let id = cal.submit(at, op);
-    cal.drive(&mut dev.borrow_mut());
-    let done = cal
-        .drain_completions()
-        .into_iter()
-        .find(|c| c.id == id)
-        .expect("a driven calendar completes every submitted op");
-    match done.error.clone() {
-        Some(e) => Err(e.into()),
-        None => Ok(done),
+    let mut done = None;
+    cal.borrow_mut()
+        .drive_with(&mut dev.borrow_mut(), [(at, op)], |c| done = Some(c));
+    match done.expect("a driven calendar completes every submitted op") {
+        IoCompletion { error: Some(e), .. } => Err(e.into()),
+        done => Ok(done),
     }
 }
 
@@ -174,6 +172,8 @@ pub(crate) struct ByteLog {
     active: usize,
     next_segment: u64,
     next_lsn: u64,
+    /// The record being stored, encoded: one buffer reused by every append.
+    record: Vec<u8>,
     pub(crate) stats: WalStats,
 }
 
@@ -191,6 +191,7 @@ impl ByteLog {
             active: 0,
             next_segment: 0,
             next_lsn: 0,
+            record: Vec::new(),
             stats: WalStats::default(),
         };
         for _ in 0..shape.windows {
@@ -327,8 +328,8 @@ impl ByteLog {
         let mut dirty_from: Option<u64> = None;
         let mut landed = None;
         for payload in payloads {
-            let bytes = LogRecord::encode_parts(Lsn(self.next_lsn), payload);
-            let len = bytes.len() as u64;
+            LogRecord::encode_into(Lsn(self.next_lsn), payload, &mut self.record);
+            let len = self.record.len() as u64;
             // Wait for the active window if its pin is still in flight
             // (rare with two windows: double buffering hides it).
             t = t.max(self.ready_at());
@@ -341,7 +342,7 @@ impl ByteLog {
             let eid = self.pinned_entry();
             let window = &mut self.windows[self.active];
             let offset = window.used;
-            t = port.store(t, eid, offset, &bytes)?;
+            t = port.store(t, eid, offset, &self.record)?;
             window.used += len;
             dirty_from.get_or_insert(offset);
             self.next_lsn += 1;
@@ -413,8 +414,10 @@ pub(crate) struct Staged {
 pub(crate) struct PageLog {
     cfg: WalConfig,
     next_lsn: u64,
-    /// Image of the tail page; bytes past `fill` are zero.
-    image: Vec<u8>,
+    /// Image of the tail page; bytes past `fill` are zero. A page write
+    /// may share it (a calendar op holds its payload until it runs); it is
+    /// copied only if still shared when next written to.
+    image: Arc<[u8]>,
     fill: usize,
     cursor_page: u64,
     pub(crate) stats: WalStats,
@@ -438,7 +441,7 @@ impl PageLog {
         Ok(PageLog {
             cfg: *cfg,
             next_lsn: 0,
-            image: vec![0; page_size],
+            image: vec![0; page_size].into(),
             fill: 0,
             cursor_page: 0,
             stats: WalStats::default(),
@@ -468,7 +471,7 @@ impl PageLog {
     fn write_tail_page(
         &mut self,
         at: SimTime,
-        write_page: &mut impl FnMut(SimTime, Lba, &[u8]) -> Done,
+        write_page: &mut impl FnMut(SimTime, Lba, &Arc<[u8]>) -> Done,
     ) -> Done {
         let page = self.cursor_page % u64::from(self.cfg.region_pages);
         let ack = write_page(at, Lba(self.cfg.region_base_lba + page), &self.image)?;
@@ -484,7 +487,7 @@ impl PageLog {
         &mut self,
         now: SimTime,
         payloads: impl Iterator<Item = &'a [u8]> + Clone,
-        mut write_page: impl FnMut(SimTime, Lba, &[u8]) -> Done,
+        mut write_page: impl FnMut(SimTime, Lba, &Arc<[u8]>) -> Done,
     ) -> Result<Staged, WalError> {
         let page_size = self.image.len();
         let region_bytes = u64::from(self.cfg.region_pages) * page_size as u64;
@@ -506,23 +509,27 @@ impl PageLog {
         let staged_at = now + RECORD_OVERHEAD * records + memcpy(encoded);
         let mut last_ack = staged_at;
         for payload in payloads {
-            let bytes = LogRecord::encode_parts(Lsn(self.next_lsn), payload);
+            // The record goes into the page image as its header, then its
+            // payload: no encoded copy in between.
+            let header = LogRecord::header(Lsn(self.next_lsn), payload);
             self.next_lsn += 1;
             self.stats.payload_bytes += payload.len() as u64;
-            let mut rest = bytes.as_slice();
-            while !rest.is_empty() {
-                if self.fill == 0 {
-                    self.stats.distinct_pages += 1;
-                }
-                let take = (page_size - self.fill).min(rest.len());
-                self.image[self.fill..self.fill + take].copy_from_slice(&rest[..take]);
-                self.fill += take;
-                rest = &rest[take..];
-                if self.fill == page_size {
-                    last_ack = self.write_tail_page(staged_at, &mut write_page)?;
-                    self.cursor_page += 1;
-                    self.fill = 0;
-                    self.image.fill(0);
+            for mut rest in [&header[..], payload] {
+                while !rest.is_empty() {
+                    if self.fill == 0 {
+                        self.stats.distinct_pages += 1;
+                    }
+                    let take = (page_size - self.fill).min(rest.len());
+                    let image = Arc::make_mut(&mut self.image);
+                    image[self.fill..self.fill + take].copy_from_slice(&rest[..take]);
+                    self.fill += take;
+                    rest = &rest[take..];
+                    if self.fill == page_size {
+                        last_ack = self.write_tail_page(staged_at, &mut write_page)?;
+                        self.cursor_page += 1;
+                        self.fill = 0;
+                        Arc::make_mut(&mut self.image).fill(0);
+                    }
                 }
             }
         }

@@ -70,11 +70,26 @@ impl LogRecord {
     /// not copy the payload into a `LogRecord` first.
     pub(crate) fn encode_parts(lsn: Lsn, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&lsn.0.to_le_bytes());
-        out.extend_from_slice(&Self::body_crc(lsn, payload).to_le_bytes());
-        out.extend_from_slice(payload);
+        Self::encode_into(lsn, payload, &mut out);
         out
+    }
+
+    /// [`LogRecord::encode_parts`] into `out`, replacing what it held: an
+    /// append path that keeps one buffer allocates nothing per record.
+    pub(crate) fn encode_into(lsn: Lsn, payload: &[u8], out: &mut Vec<u8>) {
+        out.clear();
+        out.extend_from_slice(&Self::header(lsn, payload));
+        out.extend_from_slice(payload);
+    }
+
+    /// The bytes an encoded record puts before its payload:
+    /// `len ∥ lsn ∥ crc32(lsn ∥ payload)`.
+    pub(crate) fn header(lsn: Lsn, payload: &[u8]) -> [u8; RECORD_HEADER_BYTES] {
+        let mut header = [0; RECORD_HEADER_BYTES];
+        header[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..12].copy_from_slice(&lsn.0.to_le_bytes());
+        header[12..16].copy_from_slice(&Self::body_crc(lsn, payload).to_le_bytes());
+        header
     }
 
     /// Attempts to decode one record from the head of `bytes`. Returns the

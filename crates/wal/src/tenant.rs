@@ -23,6 +23,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use twob_core::{EntryId, IoCalendar, IoOp, PinTable, RegionFrontEnd, TenantId, TwoBSsd};
 use twob_ftl::Lba;
@@ -320,7 +321,7 @@ impl TenantBlockWal {
         let (dev, cal) = (&self.dev, &self.cal);
         let staged = self.log.append(now, payloads, |at, lba, image| {
             // The calendar holds an operation's payload until it runs.
-            let data = image.into();
+            let data = Arc::clone(image);
             Ok(run_op(dev, cal, at, IoOp::BlockWrite { lba, data })?.complete_at)
         })?;
         let flushed = run_op(dev, cal, staged.last_ack, IoOp::BlockFlush)?.complete_at;

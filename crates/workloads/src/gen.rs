@@ -28,7 +28,15 @@ pub fn tenant_rng(base: u64, tenant: u16) -> SimRng {
 
 /// The YCSB key string for a rank (`user<rank>`, zero-padded to 12).
 pub fn key_for(rank: u64) -> Vec<u8> {
-    format!("user{rank:012}").into_bytes()
+    let digits = rank.checked_ilog10().map_or(1, |log| log as usize + 1);
+    let mut key = vec![b'0'; 4 + digits.max(12)];
+    key[..4].copy_from_slice(b"user");
+    let mut rest = rank;
+    for digit in key.iter_mut().rev().take(digits) {
+        *digit = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    key
 }
 
 /// Draws a Zipfian-ranked YCSB key: one `zipf.sample` draw, nothing else.
@@ -93,6 +101,20 @@ mod tests {
     fn key_scheme_is_ycsb_shaped() {
         assert_eq!(key_for(0), b"user000000000000".to_vec());
         assert_eq!(key_for(42), b"user000000000042".to_vec());
+    }
+
+    #[test]
+    fn key_for_matches_the_formatted_key() {
+        let formatted = |rank: u64| format!("user{rank:012}").into_bytes();
+        for rank in [0, 9, 10, 999_999_999_999, 1_000_000_000_000, u64::MAX] {
+            assert_eq!(key_for(rank), formatted(rank), "{rank}");
+        }
+        let mut rng = SimRng::seed_from(12);
+        for _ in 0..10_000 {
+            // Every digit count, from 1 to 20.
+            let rank = rng.next_u64_below(u64::MAX) >> rng.next_u64_below(64);
+            assert_eq!(key_for(rank), formatted(rank), "{rank}");
+        }
     }
 
     #[test]

@@ -549,7 +549,8 @@ impl ServiceDriver {
     /// shared-device WAL to completion and reports commit latencies. The
     /// loop always advances the earliest event — a ready client's next
     /// operation or an armed group-commit deadline — so a run is a pure
-    /// function of the pool configuration.
+    /// function of the pool configuration. At an equal instant a deadline
+    /// goes first, then the lowest tenant, then its lowest client.
     ///
     /// # Errors
     ///
@@ -570,42 +571,19 @@ impl ServiceDriver {
             }
         }
 
-        // Event loop: always advance the earliest event — a ready client's
-        // next operation or an armed group-commit deadline.
-        loop {
-            let mut next_client: Option<(usize, usize, SimTime)> = None;
-            let mut next_deadline: Option<(usize, SimTime)> = None;
-            for (ti, tenant) in pool.tenants.iter().enumerate() {
-                if tenant.remaining > 0 {
-                    for (ci, clock) in tenant.clients.iter().enumerate() {
-                        if let Some(at) = clock {
-                            if next_client.is_none_or(|(_, _, t)| *at < t) {
-                                next_client = Some((ti, ci, *at));
-                            }
-                        }
-                    }
-                }
-                if let Some(d) = tenant.group.next_deadline() {
-                    if next_deadline.is_none_or(|(_, t)| d < t) {
-                        next_deadline = Some((ti, d));
-                    }
-                }
+        // Event loop: always advance the earliest event. Each tenant's own
+        // earliest event is cached, and a step touches one tenant's
+        // clients and committer only, so only that entry is recomputed.
+        let mut events = SessionEvents::new(pool.tenants.len());
+        for (ti, tenant) in pool.tenants.iter().enumerate() {
+            events.set(ti, SessionEvent::next(tenant, ti));
+        }
+        while let Some((at, ti, client)) = events.first().unpack() {
+            match client {
+                Some(ci) => Self::dispatch_session(pool, ti, ci, at)?,
+                None => Self::drive_session(&mut pool.tenants[ti], at)?,
             }
-            match (next_client, next_deadline) {
-                (Some((ti, ci, at)), deadline) => {
-                    if let Some((di, d)) = deadline {
-                        if d <= at {
-                            Self::drive_session(&mut pool.tenants[di], d)?;
-                            continue;
-                        }
-                    }
-                    Self::dispatch_session(pool, ti, ci, at)?;
-                }
-                (None, Some((di, d))) => {
-                    Self::drive_session(&mut pool.tenants[di], d)?;
-                }
-                (None, None) => break,
-            }
+            events.set(ti, SessionEvent::next(&pool.tenants[ti], ti));
         }
         // Tail flush: batches armed after the last ops, and any committer
         // stranded by an empty deadline queue.
@@ -629,16 +607,17 @@ impl ServiceDriver {
         tenant.remaining -= 1;
         let done = tenant.engine.step(at, &mut tenant.rng)?;
         tenant.end = tenant.end.max(done);
-        let records: Vec<Vec<u8>> = tenant.recorder.borrow_mut().drain(..).collect();
-        if records.is_empty() {
+        let last_ticket = tenant
+            .recorder
+            .borrow_mut()
+            .drain(..)
+            .map(|payload| tenant.group.submit(done, &payload))
+            .last();
+        let Some(last_ticket) = last_ticket else {
             // Read-only operation: the client moves on immediately.
             tenant.clients[ci] = Some(done);
             return Ok(());
-        }
-        let mut last_ticket = 0;
-        for payload in &records {
-            last_ticket = tenant.group.submit(done, payload);
-        }
+        };
         // The committing client blocks until its batch is durable.
         tenant.clients[ci] = None;
         tenant.waiting.insert(last_ticket, ci);
@@ -814,6 +793,83 @@ impl ServiceDriver {
     }
 }
 
+/// A tenant's next event in the session loop, packed into one integer
+/// whose order is the loop's: the instant (bits 64–127), then an armed
+/// group-commit deadline before a ready client (bit 63), then the lower
+/// tenant (bits 32–47), then the lower client (bits 0–31). A `min` of
+/// two is branch-free, where comparing tuples mispredicts on every
+/// instant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct SessionEvent(u128);
+
+impl SessionEvent {
+    /// A tenant with nothing to do.
+    const NONE: SessionEvent = SessionEvent(u128::MAX);
+    const CLIENT: u128 = 1 << 63;
+
+    /// Tenant `ti`'s earliest event: its armed deadline or its earliest
+    /// ready client (a client counts only while operations remain).
+    fn next(tenant: &crate::tenant::Tenant, ti: usize) -> Self {
+        let deadline = tenant
+            .group
+            .next_deadline()
+            .map(|d| Self::pack(d, ti, None));
+        let ready = tenant.clients.iter().enumerate();
+        let ready = ready.filter_map(|(ci, clock)| clock.map(|t| Self::pack(t, ti, Some(ci))));
+        let client = ready.min().filter(|_| tenant.remaining > 0);
+        deadline
+            .into_iter()
+            .chain(client)
+            .min()
+            .unwrap_or(Self::NONE)
+    }
+
+    fn pack(at: SimTime, ti: usize, client: Option<usize>) -> Self {
+        let kind = client.map_or(0, |ci| Self::CLIENT | ci as u128);
+        SessionEvent(u128::from(at.as_nanos()) << 64 | (ti as u128) << 32 | kind)
+    }
+
+    /// The event's instant, tenant, and client (`None` for a deadline), or
+    /// `None` if there is no event.
+    fn unpack(&self) -> Option<(SimTime, usize, Option<usize>)> {
+        let key = self.0;
+        let client = (key & Self::CLIENT != 0).then_some(key as u32 as usize);
+        let at = SimTime::from_nanos((key >> 64) as u64);
+        (*self != Self::NONE).then_some((at, (key >> 32) as u16 as usize, client))
+    }
+}
+
+/// The pool's earliest [`SessionEvent`]: a tournament tree with one leaf
+/// per tenant, so setting one tenant's event replays only its path to
+/// the root, log₂ of the tenant count, and the root is the earliest.
+struct SessionEvents {
+    /// Node `k`'s children are `2k` and `2k + 1`; the leaves are the upper
+    /// half, padded with [`SessionEvent::NONE`].
+    tree: Vec<SessionEvent>,
+}
+
+impl SessionEvents {
+    fn new(tenants: usize) -> Self {
+        let leaves = tenants.next_power_of_two();
+        SessionEvents {
+            tree: vec![SessionEvent::NONE; 2 * leaves],
+        }
+    }
+
+    fn set(&mut self, ti: usize, event: SessionEvent) {
+        let mut k = self.tree.len() / 2 + ti;
+        self.tree[k] = event;
+        while k > 1 {
+            k /= 2;
+            self.tree[k] = self.tree[2 * k].min(self.tree[2 * k + 1]);
+        }
+    }
+
+    fn first(&self) -> SessionEvent {
+        self.tree[1]
+    }
+}
+
 /// The measurement layer, fed one completion at a time by either drive:
 /// joins each completion to its plan entry by arithmetic (completion `id`
 /// belongs to commit `id / k`, `k` = [`ServiceDriver::ops_per_commit`],
@@ -934,6 +990,32 @@ mod tests {
     use super::*;
     use crate::arrival::ArrivalKind;
     use crate::executor::drive_slots;
+
+    #[test]
+    fn session_events_order_as_the_tie_rule() {
+        // Earliest instant, then a deadline before a client, then the
+        // lower tenant, then the lower client.
+        let mut rng = twob_sim::SimRng::seed_from(3);
+        let events: Vec<(SimTime, usize, Option<usize>)> = (0..400)
+            .map(|_| {
+                let at = SimTime::from_nanos(rng.next_u64_below(4) * (1 << 40));
+                let client = rng.chance(0.5).then(|| rng.next_u64_below(5) as usize);
+                (at, rng.next_u64_below(70) as usize, client)
+            })
+            .collect();
+        let rule = |&(at, ti, client): &(SimTime, usize, Option<usize>)| {
+            (at, client.is_some(), ti, client)
+        };
+        for a in &events {
+            let packed = SessionEvent::pack(a.0, a.1, a.2);
+            assert_eq!(packed.unpack(), Some(*a));
+            for b in &events {
+                let other = SessionEvent::pack(b.0, b.1, b.2);
+                assert_eq!(packed.cmp(&other), rule(a).cmp(&rule(b)), "{a:?} vs {b:?}");
+            }
+        }
+        assert_eq!(SessionEvent::NONE.unpack(), None);
+    }
 
     fn quick_cfg(tenants: u16, scheme: WalScheme, kind: ArrivalKind, rate: f64) -> ServeConfig {
         ServeConfig {

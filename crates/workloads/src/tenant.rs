@@ -19,11 +19,11 @@
 //! until its batch's durability point. The pool holds state only — the
 //! event loop lives in [`crate::ServiceDriver::run_sessions`], which always
 //! dispatches the earliest event (farthest-behind ready client or armed
-//! batch deadline, ties broken by tenant then client index), so a run is a
-//! pure function of its configuration.
+//! batch deadline; at an equal instant a deadline first, then the lower
+//! tenant, then the lower client index), so a run is a pure function of
+//! its configuration.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
@@ -88,7 +88,8 @@ pub struct TenantPoolConfig {
     /// Simulated clients per tenant (Redis tenants are single-threaded and
     /// always run one).
     pub clients_per_tenant: usize,
-    /// Measured commits... operations dispatched per tenant.
+    /// Operations each tenant's clients dispatch in the measured phase,
+    /// reads and writes alike; only the writes commit.
     pub ops_per_tenant: u64,
     /// Base RNG seed; tenant `i` derives its own stream from it.
     pub seed: u64,
@@ -145,7 +146,7 @@ pub struct TenantOutcome {
 pub struct TenantReport {
     /// Tenant count.
     pub tenants: u16,
-    /// Scheme label (`"ba"` or `"block"`).
+    /// Scheme label ([`WalScheme::label`]: `"ba"`, `"cxl"` or `"block"`).
     pub scheme: String,
     /// Total commits across tenants.
     pub commits: u64,
@@ -236,6 +237,22 @@ impl WalWriter for TenantWal {
     }
 }
 
+/// Ticket → client index for the blocked clients of one tenant: at most
+/// one entry per client, so a short vector searched front to back.
+#[derive(Default)]
+pub(crate) struct Waiting(Vec<(u64, usize)>);
+
+impl Waiting {
+    pub(crate) fn insert(&mut self, ticket: u64, client: usize) {
+        self.0.push((ticket, client));
+    }
+
+    pub(crate) fn remove(&mut self, ticket: &u64) -> Option<usize> {
+        let i = self.0.iter().position(|(t, _)| t == ticket)?;
+        Some(self.0.swap_remove(i).1)
+    }
+}
+
 pub(crate) struct Tenant {
     pub(crate) engine_kind: EngineKind,
     pub(crate) engine: EngineSession,
@@ -245,7 +262,7 @@ pub(crate) struct Tenant {
     /// Per-client clocks; `None` while the client waits on a commit.
     pub(crate) clients: Vec<Option<SimTime>>,
     /// Ticket → client index, for the ticket each blocked client waits on.
-    pub(crate) waiting: HashMap<u64, usize>,
+    pub(crate) waiting: Waiting,
     pub(crate) remaining: u64,
     pub(crate) latencies_ns: Vec<u64>,
     pub(crate) end: SimTime,
@@ -265,13 +282,20 @@ impl TenantPool {
     ///
     /// # Errors
     ///
-    /// Configuration errors (zero tenants or clients, regions that do not
-    /// fit the device, shares too small for a window) surface as
+    /// Configuration errors (zero tenants or clients, more clients per
+    /// tenant than 32 bits count, regions that do not fit the device,
+    /// shares too small for a window) surface as
     /// [`DbError::Wal`].
     pub fn new(dev: TwoBSsd, cfg: TenantPoolConfig) -> Result<Self, DbError> {
         if cfg.tenants == 0 || cfg.mix.is_empty() || cfg.clients_per_tenant == 0 {
             return Err(DbError::Wal(WalError::BadConfig(
                 "need at least one tenant, engine, and client".into(),
+            )));
+        }
+        // The session loop numbers a tenant's clients in 32 bits.
+        if u32::try_from(cfg.clients_per_tenant).is_err() {
+            return Err(DbError::Wal(WalError::BadConfig(
+                "at most u32::MAX clients per tenant".into(),
             )));
         }
         let pins = if cfg.scheme.is_byte_path() {
@@ -334,7 +358,7 @@ impl TenantPool {
                 group: GroupCommit::new(wal, cfg.group_window, TenantPoolConfig::MAX_BATCH),
                 rng: crate::gen::tenant_rng(cfg.seed, i),
                 clients: vec![Some(SimTime::ZERO); clients],
-                waiting: HashMap::new(),
+                waiting: Waiting::default(),
                 remaining: cfg.ops_per_tenant,
                 latencies_ns: Vec::new(),
                 end: SimTime::ZERO,
@@ -464,6 +488,14 @@ mod tests {
     fn bad_configs_error_cleanly() {
         let cfg = TenantPoolConfig {
             tenants: 0,
+            ..quick_cfg(1, WalScheme::Ba)
+        };
+        assert!(matches!(
+            TenantPool::new(device(1), cfg).err(),
+            Some(DbError::Wal(WalError::BadConfig(_)))
+        ));
+        let cfg = TenantPoolConfig {
+            clients_per_tenant: usize::MAX,
             ..quick_cfg(1, WalScheme::Ba)
         };
         assert!(matches!(
