@@ -381,24 +381,17 @@ impl ShardedIoCalendar {
 
     /// Drains every shard sequentially with adaptive round batching.
     pub fn run(&mut self) {
-        self.run_fed(self.no_feeds(), ShardDrive::Adaptive);
+        self.run_with(ShardDrive::Adaptive);
     }
 
-    /// Drains every shard on up to `threads` worker threads (clamped to
-    /// the shard count and the host's available parallelism), producing
-    /// the identical schedule to [`ShardedIoCalendar::run`].
-    pub fn run_parallel(&mut self, threads: usize) {
-        self.run_fed(self.no_feeds(), ShardDrive::Parallel(threads));
-    }
-
-    /// Drains every shard under the fine-grained lock-step oracle (one
-    /// lookahead window per round) — the differential baseline.
-    pub fn run_lockstep(&mut self) {
-        self.run_fed(self.no_feeds(), ShardDrive::Lockstep);
-    }
-
-    fn no_feeds(&self) -> Vec<std::iter::Empty<(SimTime, u64, usize, IoOp)>> {
-        vec![std::iter::empty(); self.placement.shards()]
+    /// Drains every shard under `drive`: the adaptive schedule on one
+    /// worker or on up to `n` threads (clamped to the shard count and the
+    /// host's available parallelism), which fire identically, or the
+    /// fine-grained lock-step oracle (one lookahead window per round) —
+    /// the differential baseline.
+    pub fn run_with(&mut self, drive: ShardDrive) {
+        let feeds = vec![std::iter::empty(); self.placement.shards()];
+        self.run_fed(feeds, drive);
     }
 
     /// Runs under `drive` with one feed of `(start, id, group, op)` per
@@ -511,11 +504,6 @@ impl ShardedIoCalendar {
         self.states[0].host_digest
     }
 
-    /// Completions the host has observed.
-    pub fn host_observations(&self) -> usize {
-        self.states[0].observed.len()
-    }
-
     /// The host's observation log — `(id, completion instant, failed)` per
     /// completion — canonically ordered by `(completion instant, id)`, the
     /// same order [`ShardedIoCalendar::host_digest`] folds over. This is
@@ -622,16 +610,11 @@ mod tests {
         )
     }
 
-    fn drive(groups: usize, placement: GroupPlacement, mode: u8) -> ShardedIoCalendar {
+    fn drive(groups: usize, placement: GroupPlacement, mode: ShardDrive) -> ShardedIoCalendar {
         let (devices, eids) = sliced_devices(groups);
         let mut cal = ShardedIoCalendar::new(devices, placement, IC);
         seed_workload(&mut cal, &eids, 24);
-        match mode {
-            0 => cal.run(),
-            1 => cal.run_parallel(2),
-            2 => cal.run_parallel(4),
-            _ => cal.run_lockstep(),
-        }
+        cal.run_with(mode);
         assert_eq!(cal.clamped_posts(), 0, "stale cross-shard delivery");
         assert_eq!(cal.unresolved_chains(), 0, "chain parent never observed");
         cal
@@ -639,27 +622,27 @@ mod tests {
 
     #[test]
     fn sequential_parallel_and_lockstep_agree() {
-        let seq = drive(4, GroupPlacement::round_robin(4, 2), 0);
-        for mode in [1u8, 2] {
+        let seq = drive(4, GroupPlacement::round_robin(4, 2), ShardDrive::Adaptive);
+        for mode in [ShardDrive::Parallel(2), ShardDrive::Parallel(4)] {
             let par = drive(4, GroupPlacement::round_robin(4, 2), mode);
-            assert_eq!(fingerprint(&par), fingerprint(&seq), "mode {mode}");
+            assert_eq!(fingerprint(&par), fingerprint(&seq), "mode {mode:?}");
             assert_eq!(par.rounds(), seq.rounds(), "schedules must be identical");
         }
-        let lock = drive(4, GroupPlacement::round_robin(4, 2), 3);
+        let lock = drive(4, GroupPlacement::round_robin(4, 2), ShardDrive::Lockstep);
         assert_eq!(fingerprint(&lock), fingerprint(&seq));
         assert!(seq.rounds() <= lock.rounds());
     }
 
     #[test]
     fn placement_does_not_change_results() {
-        let baseline = drive(4, GroupPlacement::round_robin(4, 1), 0);
+        let baseline = drive(4, GroupPlacement::round_robin(4, 1), ShardDrive::Adaptive);
         for placement in [
             GroupPlacement::round_robin(4, 2),
             GroupPlacement::round_robin(4, 4),
             GroupPlacement::new(vec![1, 0, 1, 0], 2),
             GroupPlacement::new(vec![2, 2, 0, 1], 3),
         ] {
-            let other = drive(4, placement.clone(), 0);
+            let other = drive(4, placement.clone(), ShardDrive::Adaptive);
             assert_eq!(
                 fingerprint(&other),
                 fingerprint(&baseline),
@@ -670,7 +653,7 @@ mod tests {
 
     #[test]
     fn background_gc_rides_with_its_die_group() {
-        let run = |mode: u8| {
+        let run = |mode: ShardDrive| {
             let groups = 2usize;
             let cfg = SsdConfig::base_2b()
                 .small()
@@ -693,14 +676,11 @@ mod tests {
                     },
                 );
             }
-            match mode {
-                0 => cal.run(),
-                _ => cal.run_parallel(2),
-            }
+            cal.run_with(mode);
             assert_eq!(cal.clamped_posts(), 0);
             cal
         };
-        let seq = run(0);
+        let seq = run(ShardDrive::Adaptive);
         assert!(
             seq.device(0).ssd().ftl().stats().erases > 0,
             "churned group never collected garbage on its shard"
@@ -710,7 +690,7 @@ mod tests {
             0,
             "idle group's GC must not be driven by the other shard's load"
         );
-        let par = run(1);
+        let par = run(ShardDrive::Parallel(2));
         assert_eq!(par.group_digests(), seq.group_digests());
         assert_eq!(
             par.device(0).ssd().ftl().stats().erases,

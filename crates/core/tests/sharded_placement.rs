@@ -97,17 +97,12 @@ fn drive(
     seeds: &[OpSeed],
     groups: usize,
     placement: GroupPlacement,
-    mode: u8,
+    mode: ShardDrive,
 ) -> (Fingerprint, u64) {
     let (devices, eids) = sliced_devices(groups);
     let mut cal = ShardedIoCalendar::new(devices, placement, IC);
     seed_workload(&mut cal, &eids, seeds);
-    match mode {
-        0 => cal.run(),
-        1 => cal.run_parallel(2),
-        2 => cal.run_parallel(4),
-        _ => cal.run_lockstep(),
-    }
+    cal.run_with(mode);
     assert_eq!(cal.clamped_posts(), 0, "stale cross-shard delivery");
     assert_eq!(cal.unresolved_chains(), 0, "chain parent never observed");
     let fp = (
@@ -144,24 +139,24 @@ proptest! {
         // Baseline: everything on one shard, sequential — semantically the
         // plain single-calendar model.
         let (baseline, _) =
-            drive(&seeds, groups, GroupPlacement::round_robin(groups, 1), 0);
+            drive(&seeds, groups, GroupPlacement::round_robin(groups, 1), ShardDrive::Adaptive);
 
         for placement in [
             GroupPlacement::round_robin(groups, 2),
             GroupPlacement::round_robin(groups, groups),
             random,
         ] {
-            let (seq, seq_rounds) = drive(&seeds, groups, placement.clone(), 0);
+            let (seq, seq_rounds) = drive(&seeds, groups, placement.clone(), ShardDrive::Adaptive);
             prop_assert_eq!(
                 &seq, &baseline,
                 "sequential run under {:?} diverged from single-shard baseline",
                 &placement
             );
-            for mode in [1u8, 2] {
+            for mode in [ShardDrive::Parallel(2), ShardDrive::Parallel(4)] {
                 let (par, par_rounds) = drive(&seeds, groups, placement.clone(), mode);
                 prop_assert_eq!(
                     &par, &baseline,
-                    "parallel mode {} under {:?} diverged",
+                    "parallel mode {:?} under {:?} diverged",
                     mode, &placement
                 );
                 prop_assert_eq!(
@@ -169,7 +164,7 @@ proptest! {
                     "parallel must replay the sequential schedule exactly"
                 );
             }
-            let (lock, lock_rounds) = drive(&seeds, groups, placement.clone(), 3);
+            let (lock, lock_rounds) = drive(&seeds, groups, placement.clone(), ShardDrive::Lockstep);
             prop_assert_eq!(
                 &lock, &baseline,
                 "lock-step oracle under {:?} diverged",
@@ -265,11 +260,7 @@ fn run_steps(steps: &[Step], placement: &GroupPlacement, fed: bool, drive: Shard
     if fed {
         cal.run_fed(feeds, drive);
     } else {
-        match drive {
-            ShardDrive::Lockstep => cal.run_lockstep(),
-            ShardDrive::Adaptive => cal.run(),
-            ShardDrive::Parallel(n) => cal.run_parallel(n),
-        }
+        cal.run_with(drive);
     }
     assert_eq!(cal.clamped_posts(), 0, "stale cross-shard delivery");
     assert_eq!(cal.unresolved_chains(), 0, "chain parent never observed");

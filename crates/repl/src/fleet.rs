@@ -53,7 +53,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use twob_core::TwoBSsd;
 use twob_faults::{ClusterFaultPlan, CutScope, T0};
 use twob_sim::{
-    mix, mix_bytes, Histogram, ShardCtx, ShardedExecutor, SimDuration, SimRng, SimTime, FNV_BASIS,
+    mix, mix_bytes, Histogram, ShardCtx, ShardDrive, ShardedExecutor, SimDuration, SimRng, SimTime,
+    FNV_BASIS,
 };
 use twob_wal::{HostConfig, HostMode, LogRecord, Lsn, ShardWalHost, WalError};
 
@@ -728,23 +729,22 @@ impl Fleet {
     }
 
     /// Drives the fleet to quiescence sequentially (adaptive batching).
-    pub fn run(mut self) -> FleetReport {
-        let handler = self.handler();
-        self.pdes.run(&mut self.states, &handler);
-        self.report()
+    pub fn run(self) -> FleetReport {
+        self.run_with(ShardDrive::Adaptive)
     }
 
     /// Drives the fleet on up to `threads` workers — identical schedule.
-    pub fn run_parallel(mut self, threads: usize) -> FleetReport {
-        let handler = self.handler();
-        self.pdes.run_parallel(&mut self.states, &handler, threads);
-        self.report()
+    pub fn run_parallel(self, threads: usize) -> FleetReport {
+        self.run_with(ShardDrive::Parallel(threads))
     }
 
-    /// Drives the fleet under the fine-grained lock-step oracle.
-    pub fn run_lockstep(mut self) -> FleetReport {
+    /// Drives the fleet to quiescence under `drive`: the adaptive
+    /// schedule on one worker or several, which fire identically, or the
+    /// fine-grained lock-step oracle.
+    pub fn run_with(mut self, drive: ShardDrive) -> FleetReport {
         let handler = self.handler();
-        self.pdes.run_lockstep(&mut self.states, &handler);
+        let feeds = vec![std::iter::empty(); self.states.len()];
+        self.pdes.run_fed(&mut self.states, feeds, &handler, drive);
         self.report()
     }
 
@@ -1306,7 +1306,9 @@ mod tests {
         assert!(seq.reads > 0);
         let par = Fleet::new(base_cfg()).unwrap().run_parallel(4);
         assert_eq!(par, seq, "parallel run diverged");
-        let lock = Fleet::new(base_cfg()).unwrap().run_lockstep();
+        let lock = Fleet::new(base_cfg())
+            .unwrap()
+            .run_with(ShardDrive::Lockstep);
         assert_eq!(lock.node_digests, seq.node_digests);
         assert_eq!(lock.shard_digests, seq.shard_digests);
         assert_eq!(lock.released, seq.released);

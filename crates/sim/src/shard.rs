@@ -10,25 +10,35 @@
 //!
 //! # Round structure
 //!
-//! Execution proceeds in barrier rounds. Each round:
+//! Execution proceeds in barrier rounds, all run by one loop whatever the
+//! drive. The shards are split into one contiguous chunk per worker, and
+//! each worker, each round:
 //!
-//! 1. Snapshot every shard's next-event time.
-//! 2. Every shard independently drains its calendar through a per-shard
-//!    safe horizon (below) — sequentially, or on persistent worker threads
-//!    via [`ShardedExecutor::run_parallel`]. Cross-shard sends are buffered
-//!    in a per-shard outbox, never delivered mid-round.
-//! 3. At the round barrier, outboxes are delivered in
+//! 1. Publishes its shards' next-event times and reads everyone's: the
+//!    snapshot.
+//! 2. Drains each of its shards through that shard's safe horizon (below),
+//!    computed from the snapshot. Cross-shard sends are buffered in a
+//!    per-shard outbox, never delivered mid-round.
+//! 3. Hands the buffered sends to the workers owning their destinations
+//!    and, at the round barrier, delivers its own in
 //!    `(fire time, sender shard, send order)` order.
 //!
-//! # Adaptive per-shard horizons
+//! A drive ([`ShardDrive`]) is a horizon rule plus a worker count:
+//! [`ShardedExecutor::run_lockstep`] is the lock-step rule on one worker,
+//! [`ShardedExecutor::run`] the adaptive rule on one worker, and
+//! [`ShardedExecutor::run_parallel`] the adaptive rule on up to `n`
+//! persistent worker threads. One worker runs on the calling thread and
+//! meets no barrier.
+//!
+//! # Horizon rules
 //!
 //! The classic conservative horizon is global: everyone stops at
 //! `global_min + lookahead - 1 ns`, which barriers the whole simulation
 //! once per lookahead window even when only one shard has work. That
-//! lock-step schedule is retained as [`ShardedExecutor::run_lockstep`] —
-//! the differential baseline, in the same spirit as the `HeapQueue` kernel
-//! oracle. The default [`ShardedExecutor::run`] /
-//! [`ShardedExecutor::run_parallel`] pair instead computes, per shard `i`:
+//! lock-step rule is retained as [`ShardedExecutor::run_lockstep`] — the
+//! differential baseline, in the same spirit as the `HeapQueue` kernel
+//! oracle. The adaptive rule of [`ShardedExecutor::run`] and
+//! [`ShardedExecutor::run_parallel`] instead computes, per shard `i`:
 //!
 //! - a *hint* `H_i = min(next_j for j != i) + lookahead - 1 ns`, unbounded
 //!   when every other shard is idle;
@@ -102,13 +112,14 @@ use std::sync::{Barrier, Mutex};
 
 use crate::{Executor, SimDuration, SimTime};
 
-/// How a [`ShardedExecutor`] schedules its rounds.
+/// How a [`ShardedExecutor`] schedules its rounds: a horizon rule plus a
+/// worker count, run by the one round loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardDrive {
-    /// The fine-grained lock-step oracle (sequential baseline):
+    /// The fine-grained lock-step oracle on one worker:
     /// [`ShardedExecutor::run_lockstep`].
     Lockstep,
-    /// Adaptive round batching on one thread: [`ShardedExecutor::run`].
+    /// Adaptive round batching on one worker: [`ShardedExecutor::run`].
     Adaptive,
     /// Adaptive round batching on up to `n` worker threads:
     /// [`ShardedExecutor::run_parallel`].
@@ -216,8 +227,8 @@ impl<E, I: Iterator<Item = (SimTime, E)>> Feed<E, I> {
 }
 
 /// Feeds for a run that has none.
-fn no_feeds<E>(n: usize) -> Vec<Feed<E, std::iter::Empty<(SimTime, E)>>> {
-    (0..n).map(|_| Feed::new(std::iter::empty())).collect()
+fn no_feeds<E>(n: usize) -> Vec<std::iter::Empty<(SimTime, E)>> {
+    (0..n).map(|_| std::iter::empty()).collect()
 }
 
 /// The per-shard view handed to event handlers: local posting plus
@@ -377,22 +388,73 @@ fn drain_shard<E, S, I, F>(
     }
 }
 
+/// How far a shard may drain in one round: with the worker count, the
+/// whole difference between the drives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Horizon {
+    /// Every shard stops at the global `min + lookahead - 1 ns` window;
+    /// no round counts as batched.
+    Lockstep,
+    /// Per shard, [`hint_for`] tightened by send caps.
+    Adaptive,
+}
+
+/// What the workers of one drive share.
+struct Rounds<E> {
+    horizon: Horizon,
+    lookahead: SimDuration,
+    /// Shards per worker; worker `w` owns shards `w * chunk ..`.
+    chunk: usize,
+    workers: usize,
+    barrier: Barrier,
+    /// Published next-event times (nanoseconds, MAX = idle). The round
+    /// barriers provide the cross-thread happens-before edges, so all
+    /// atomic accesses can be relaxed.
+    next_ns: Vec<AtomicU64>,
+    /// One mailbox per worker: senders stage envelopes by destination
+    /// worker and hand them over once per round, receivers swap the batch
+    /// out.
+    mailboxes: Vec<Mutex<Vec<Envelope<E>>>>,
+    rounds: AtomicU64,
+    batched: AtomicU64,
+}
+
+impl<E> Rounds<E> {
+    fn new(shards: usize, workers: usize, lookahead: SimDuration, horizon: Horizon) -> Self {
+        let chunk = shards.div_ceil(workers);
+        let workers = shards.div_ceil(chunk);
+        Rounds {
+            horizon,
+            lookahead,
+            chunk,
+            workers,
+            barrier: Barrier::new(workers),
+            next_ns: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            mailboxes: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
+            rounds: AtomicU64::new(0),
+            batched: AtomicU64::new(0),
+        }
+    }
+
+    /// Waits for every other worker; a lone worker has nobody to meet.
+    fn meet(&self) {
+        if self.workers > 1 {
+            self.barrier.wait();
+        }
+    }
+}
+
 /// A bank of per-domain [`Executor`]s advanced in conservative rounds.
-/// See the [module docs](self) for the safety and determinism argument.
+/// See the module docs of `shard.rs` for the safety and determinism
+/// argument.
 #[derive(Debug, Clone)]
 pub struct ShardedExecutor<E> {
     shards: Vec<Executor<E>>,
     lookahead: SimDuration,
     rounds: u64,
     batched_rounds: u64,
-    /// One reusable outbox per shard, cleared at every delivery.
+    /// One reusable outbox per shard, emptied at every round's hand-over.
     outboxes: Vec<Vec<Envelope<E>>>,
-    /// Reusable merge buffer for sequential delivery.
-    mail: Vec<Envelope<E>>,
-    /// Reusable delivery keys for `mail`.
-    keys: Vec<MailKey>,
-    /// Reusable next-event snapshot (nanoseconds, `u64::MAX` = idle).
-    next_ns: Vec<u64>,
 }
 
 impl<E> ShardedExecutor<E> {
@@ -415,9 +477,6 @@ impl<E> ShardedExecutor<E> {
             rounds: 0,
             batched_rounds: 0,
             outboxes: (0..n).map(|_| Vec::new()).collect(),
-            mail: Vec::new(),
-            keys: Vec::new(),
-            next_ns: Vec::with_capacity(n),
         }
     }
 
@@ -469,123 +528,6 @@ impl<E> ShardedExecutor<E> {
         &self.shards[i]
     }
 
-    /// Merges every shard's outbox and delivers in deterministic
-    /// `(fire time, sender, send order)` order, leaving the outboxes empty
-    /// for reuse.
-    fn flush_mail(&mut self) {
-        for outbox in &mut self.outboxes {
-            self.mail.append(outbox);
-        }
-        let shards = &mut self.shards;
-        deliver(&mut self.mail, &mut self.keys, |dst, at, event| {
-            debug_assert!(
-                at >= shards[dst].now(),
-                "conservative horizon admitted a stale delivery"
-            );
-            shards[dst].post(at, event);
-        });
-    }
-
-    /// One adaptive round: snapshot, per-shard hints, drain, deliver.
-    /// Returns `false` when every shard is idle.
-    fn adaptive_round<S, I, F>(
-        &mut self,
-        states: &mut [S],
-        feeds: &mut [Feed<E, I>],
-        handler: &F,
-    ) -> bool
-    where
-        I: Iterator<Item = (SimTime, E)>,
-        F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E),
-    {
-        self.next_ns.clear();
-        self.next_ns.extend(
-            self.shards
-                .iter()
-                .zip(feeds.iter())
-                .map(|(s, f)| f.next_ns(s)),
-        );
-        let (min1, count1, min2) = min_two(&self.next_ns);
-        if min1 == u64::MAX {
-            return false;
-        }
-        self.rounds += 1;
-        if count1 == 1 {
-            // Exactly one shard holds the minimum: its hint extends past
-            // the global window, so this round batches.
-            self.batched_rounds += 1;
-        }
-        let lookahead = self.lookahead;
-        let step = lookahead - SimDuration::from_nanos(1);
-        for (i, ((shard, feed), state)) in self
-            .shards
-            .iter_mut()
-            .zip(feeds.iter_mut())
-            .zip(states.iter_mut())
-            .enumerate()
-        {
-            let hint = hint_for(self.next_ns[i], min1, count1, min2, step);
-            drain_shard(
-                shard,
-                feed,
-                i,
-                hint,
-                lookahead,
-                &mut self.outboxes[i],
-                state,
-                handler,
-            );
-        }
-        self.flush_mail();
-        true
-    }
-
-    /// Lock-step rounds until every shard is idle: each round drains every
-    /// shard through the global `min + lookahead - 1 ns` window.
-    fn lockstep<S, I, F>(&mut self, states: &mut [S], feeds: &mut [Feed<E, I>], handler: &F)
-    where
-        I: Iterator<Item = (SimTime, E)>,
-        F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E),
-    {
-        let lookahead = self.lookahead;
-        loop {
-            let min = self
-                .shards
-                .iter()
-                .zip(feeds.iter())
-                .map(|(s, f)| f.next_ns(s))
-                .min()
-                .unwrap_or(u64::MAX);
-            if min == u64::MAX {
-                break;
-            }
-            // Inclusive horizon: lookahead - 1 ns, so an event fired exactly
-            // at `min` can send a message arriving at `min + lookahead`
-            // without any shard having simulated that instant yet.
-            let horizon = SimTime::from_nanos(min) + lookahead - SimDuration::from_nanos(1);
-            self.rounds += 1;
-            for (i, ((shard, feed), state)) in self
-                .shards
-                .iter_mut()
-                .zip(feeds.iter_mut())
-                .zip(states.iter_mut())
-                .enumerate()
-            {
-                drain_shard(
-                    shard,
-                    feed,
-                    i,
-                    Some(horizon),
-                    lookahead,
-                    &mut self.outboxes[i],
-                    state,
-                    handler,
-                );
-            }
-            self.flush_mail();
-        }
-    }
-
     /// Drains every shard sequentially with adaptive round batching.
     /// `states` carries one mutable state per shard (same order as
     /// construction); `handler` fires for every event with that shard's
@@ -599,9 +541,7 @@ impl<E> ShardedExecutor<E> {
     where
         F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E),
     {
-        assert_eq!(states.len(), self.len(), "one state per shard");
-        let mut feeds = no_feeds(self.len());
-        while self.adaptive_round(states, &mut feeds, handler) {}
+        self.on_caller(states, no_feeds(self.len()), handler, Horizon::Adaptive);
     }
 
     /// Drains every shard sequentially in classic conservative lock-step:
@@ -621,21 +561,20 @@ impl<E> ShardedExecutor<E> {
     where
         F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E),
     {
-        assert_eq!(states.len(), self.len(), "one state per shard");
-        let mut feeds = no_feeds(self.len());
-        self.lockstep(states, &mut feeds, handler);
+        self.on_caller(states, no_feeds(self.len()), handler, Horizon::Lockstep);
     }
 
-    /// Like [`ShardedExecutor::run`], but shards are fanned out across
-    /// persistent worker threads that stay alive for the whole drive and
-    /// meet at two barriers per round (snapshot, delivery) — no thread is
-    /// spawned per round, no buffer allocated per round.
+    /// [`ShardedExecutor::run`] on up to `threads` workers: the same round
+    /// loop, with the shards split into one contiguous chunk per worker.
+    /// The workers stay alive for the whole drive and meet at two barriers
+    /// per round (snapshot, delivery) — no thread is spawned per round, no
+    /// buffer allocated per round.
     ///
     /// `threads` is clamped to the shard count *and* the host's available
     /// parallelism: more workers than cores add context switches without
     /// concurrency, and the firing sequence is thread-count-invariant by
-    /// construction, so nothing observable changes. With one effective
-    /// worker this is exactly the sequential adaptive loop.
+    /// construction, so nothing observable changes. One effective worker
+    /// runs on the calling thread and spawns nothing.
     ///
     /// # Panics
     ///
@@ -647,9 +586,12 @@ impl<E> ShardedExecutor<E> {
         S: Send,
         F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E) + Sync,
     {
-        assert_eq!(states.len(), self.len(), "one state per shard");
-        let mut feeds = no_feeds(self.len());
-        self.parallel(states, &mut feeds, handler, threads);
+        self.run_fed(
+            states,
+            no_feeds(self.len()),
+            handler,
+            ShardDrive::Parallel(threads),
+        );
     }
 
     /// Runs under `drive` with one feed per shard: shard `i` pulls its
@@ -675,114 +617,112 @@ impl<E> ShardedExecutor<E> {
         I: Iterator<Item = (SimTime, E)> + Send,
         F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E) + Sync,
     {
-        assert_eq!(states.len(), self.len(), "one state per shard");
-        assert_eq!(feeds.len(), self.len(), "one feed per shard");
-        let mut feeds: Vec<Feed<E, I>> = feeds.into_iter().map(Feed::new).collect();
-        match drive {
-            ShardDrive::Lockstep => self.lockstep(states, &mut feeds, handler),
-            ShardDrive::Adaptive => while self.adaptive_round(states, &mut feeds, handler) {},
-            ShardDrive::Parallel(threads) => self.parallel(states, &mut feeds, handler, threads),
-        }
-    }
-
-    /// The body of [`ShardedExecutor::run_parallel`], over any feeds.
-    fn parallel<S, I, F>(
-        &mut self,
-        states: &mut [S],
-        feeds: &mut [Feed<E, I>],
-        handler: &F,
-        threads: usize,
-    ) where
-        E: Send,
-        S: Send,
-        I: Iterator<Item = (SimTime, E)> + Send,
-        F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E) + Sync,
-    {
-        assert!(threads > 0, "need at least one worker thread");
-        let host = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let threads = threads.min(self.len()).min(host);
-        if threads <= 1 {
-            while self.adaptive_round(states, feeds, handler) {}
-            return;
-        }
-        let n = self.len();
-        let chunk = n.div_ceil(threads);
-        let workers = n.div_ceil(chunk);
-        let lookahead = self.lookahead;
-        let barrier = Barrier::new(workers);
-        // Published next-event times (nanoseconds, MAX = idle). The round
-        // barriers provide the cross-thread happens-before edges, so all
-        // atomic accesses can be relaxed.
-        let next_ns: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        // One mailbox per worker: senders stage envelopes by destination
-        // worker and push once per round, receivers swap the batch out.
-        let mailboxes: Vec<Mutex<Vec<Envelope<E>>>> =
-            (0..workers).map(|_| Mutex::new(Vec::new())).collect();
-        let rounds = AtomicU64::new(0);
-        let batched = AtomicU64::new(0);
+        let (horizon, threads) = match drive {
+            ShardDrive::Lockstep => (Horizon::Lockstep, 1),
+            ShardDrive::Adaptive => (Horizon::Adaptive, 1),
+            ShardDrive::Parallel(threads) => {
+                assert!(threads > 0, "need at least one worker thread");
+                let host = std::thread::available_parallelism().map_or(1, |p| p.get());
+                (Horizon::Adaptive, threads.min(host))
+            }
+        };
+        let mut feeds = self.feeds(states, feeds);
+        let shared = Rounds::new(self.len(), threads, self.lookahead, horizon);
+        let chunk = shared.chunk;
         std::thread::scope(|scope| {
-            for (wi, (((shards, feeds), states), outboxes)) in self
+            let mut lanes = self
                 .shards
                 .chunks_mut(chunk)
                 .zip(feeds.chunks_mut(chunk))
                 .zip(states.chunks_mut(chunk))
                 .zip(self.outboxes.chunks_mut(chunk))
-                .enumerate()
-            {
-                let barrier = &barrier;
-                let next_ns = &next_ns;
-                let mailboxes = &mailboxes;
-                let rounds = &rounds;
-                let batched = &batched;
+                .enumerate();
+            // Worker 0 runs on the calling thread, after the others exist.
+            let first = lanes.next();
+            for (wi, (((shards, feeds), states), outboxes)) in lanes {
+                let shared = &shared;
                 scope.spawn(move || {
-                    worker_loop(
-                        wi, chunk, lookahead, shards, feeds, states, outboxes, barrier, next_ns,
-                        mailboxes, rounds, batched, handler,
-                    );
+                    worker_loop(wi, shared, shards, feeds, states, outboxes, handler);
                 });
             }
+            if let Some((_, (((shards, feeds), states), outboxes))) = first {
+                worker_loop(0, &shared, shards, feeds, states, outboxes, handler);
+            }
         });
-        self.rounds += rounds.into_inner();
-        self.batched_rounds += batched.into_inner();
+        self.tally(&shared);
+    }
+
+    /// [`ShardedExecutor::run_fed`] on one worker, which needs no thread
+    /// and so no `Send` bounds: the body of [`ShardedExecutor::run`] and
+    /// [`ShardedExecutor::run_lockstep`].
+    fn on_caller<S, I, F>(&mut self, states: &mut [S], feeds: Vec<I>, handler: &F, horizon: Horizon)
+    where
+        I: Iterator<Item = (SimTime, E)>,
+        F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E),
+    {
+        let mut feeds = self.feeds(states, feeds);
+        let shared = Rounds::new(self.len(), 1, self.lookahead, horizon);
+        worker_loop(
+            0,
+            &shared,
+            &mut self.shards,
+            &mut feeds,
+            states,
+            &mut self.outboxes,
+            handler,
+        );
+        self.tally(&shared);
+    }
+
+    /// Checks one state and one feed per shard and wraps the feeds.
+    fn feeds<S, I>(&self, states: &[S], feeds: Vec<I>) -> Vec<Feed<E, I>>
+    where
+        I: Iterator<Item = (SimTime, E)>,
+    {
+        assert_eq!(states.len(), self.len(), "one state per shard");
+        assert_eq!(feeds.len(), self.len(), "one feed per shard");
+        feeds.into_iter().map(Feed::new).collect()
+    }
+
+    /// Adds a finished drive's round counts to the executor's.
+    fn tally(&mut self, shared: &Rounds<E>) {
+        self.rounds += shared.rounds.load(Ordering::Relaxed);
+        self.batched_rounds += shared.batched.load(Ordering::Relaxed);
     }
 }
 
-/// The persistent per-worker round loop for
-/// [`ShardedExecutor::run_parallel`]. Mirrors
-/// [`ShardedExecutor::adaptive_round`] exactly — same snapshot, same
-/// hints, same per-destination delivery order — so the firing sequence is
-/// identical to the sequential path.
-#[allow(clippy::too_many_arguments)]
+/// The executor's one round loop, run by each worker of a drive over its
+/// chunk of shards (`shards`, `feeds`, `states` and `outboxes` all start at
+/// shard `wi * chunk`): publish next-event times, snapshot, drain each
+/// shard through its horizon, hand sends to their destination workers,
+/// deliver. Every worker computes the same horizons from the same
+/// snapshot, and each delivers in the same per-destination order, so the
+/// firing sequence does not depend on the worker count.
 fn worker_loop<E, S, I, F>(
     wi: usize,
-    chunk: usize,
-    lookahead: SimDuration,
+    shared: &Rounds<E>,
     shards: &mut [Executor<E>],
     feeds: &mut [Feed<E, I>],
     states: &mut [S],
     outboxes: &mut [Vec<Envelope<E>>],
-    barrier: &Barrier,
-    next_ns: &[AtomicU64],
-    mailboxes: &[Mutex<Vec<Envelope<E>>>],
-    rounds: &AtomicU64,
-    batched: &AtomicU64,
     handler: &F,
 ) where
     I: Iterator<Item = (SimTime, E)>,
     F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E),
 {
-    let base = wi * chunk;
+    let base = wi * shared.chunk;
+    let lookahead = shared.lookahead;
     let step = lookahead - SimDuration::from_nanos(1);
-    let mut snapshot = vec![0u64; next_ns.len()];
-    let mut stage: Vec<Vec<Envelope<E>>> = (0..mailboxes.len()).map(|_| Vec::new()).collect();
+    let mut snapshot = vec![0u64; shared.next_ns.len()];
+    let mut stage: Vec<Vec<Envelope<E>>> = (0..shared.workers).map(|_| Vec::new()).collect();
     let mut inbox: Vec<Envelope<E>> = Vec::new();
     let mut keys: Vec<MailKey> = Vec::new();
     loop {
         for (j, (s, f)) in shards.iter().zip(feeds.iter()).enumerate() {
-            next_ns[base + j].store(f.next_ns(s), Ordering::Relaxed);
+            shared.next_ns[base + j].store(f.next_ns(s), Ordering::Relaxed);
         }
-        barrier.wait();
-        for (slot, published) in snapshot.iter_mut().zip(next_ns) {
+        shared.meet();
+        for (slot, published) in snapshot.iter_mut().zip(&shared.next_ns) {
             *slot = published.load(Ordering::Relaxed);
         }
         // Every worker computes the same minima from the same snapshot, so
@@ -791,15 +731,25 @@ fn worker_loop<E, S, I, F>(
         if min1 == u64::MAX {
             break;
         }
+        // Exactly one shard holding the minimum extends its adaptive hint
+        // past the global window, so the round batches.
+        let batched = shared.horizon == Horizon::Adaptive && count1 == 1;
         if wi == 0 {
-            rounds.fetch_add(1, Ordering::Relaxed);
-            if count1 == 1 {
-                batched.fetch_add(1, Ordering::Relaxed);
+            shared.rounds.fetch_add(1, Ordering::Relaxed);
+            if batched {
+                shared.batched.fetch_add(1, Ordering::Relaxed);
             }
         }
         for j in 0..shards.len() {
             let i = base + j;
-            let hint = hint_for(snapshot[i], min1, count1, min2, step);
+            // Inclusive horizon: lookahead - 1 ns, so an event fired exactly
+            // at the minimum can send a message arriving at
+            // `min + lookahead` without any shard having simulated that
+            // instant yet.
+            let hint = match shared.horizon {
+                Horizon::Lockstep => Some(SimTime::from_nanos(min1) + step),
+                Horizon::Adaptive => hint_for(snapshot[i], min1, count1, min2, step),
+            };
             drain_shard(
                 &mut shards[j],
                 &mut feeds[j],
@@ -810,26 +760,32 @@ fn worker_loop<E, S, I, F>(
                 &mut states[j],
                 handler,
             );
-            for env in outboxes[j].drain(..) {
-                stage[env.dst / chunk].push(env);
+            if let [only] = stage.as_mut_slice() {
+                only.append(&mut outboxes[j]);
+            } else {
+                for env in outboxes[j].drain(..) {
+                    stage[env.dst / shared.chunk].push(env);
+                }
             }
         }
         for (dst, staged) in stage.iter_mut().enumerate() {
             if !staged.is_empty() {
-                mailboxes[dst]
-                    .lock()
-                    .expect("mailbox poisoned")
-                    .append(staged);
+                let mut mailbox = shared.mailboxes[dst].lock().expect("mailbox poisoned");
+                if mailbox.is_empty() {
+                    std::mem::swap(&mut *mailbox, staged);
+                } else {
+                    mailbox.append(staged);
+                }
             }
         }
-        barrier.wait();
+        shared.meet();
         {
-            let mut mb = mailboxes[wi].lock().expect("mailbox poisoned");
-            std::mem::swap(&mut inbox, &mut *mb);
+            let mut mailbox = shared.mailboxes[wi].lock().expect("mailbox poisoned");
+            std::mem::swap(&mut inbox, &mut *mailbox);
         }
         // Per-destination order (fire time, sender, send order) is the
-        // restriction of the sequential global merge order to this
-        // worker's shards, so calendar tie-breaking sequences match.
+        // restriction of the global merge order to this worker's shards,
+        // so calendar tie-breaking sequences match at any worker count.
         deliver(&mut inbox, &mut keys, |dst, at, event| {
             let shard = &mut shards[dst - base];
             debug_assert!(
@@ -1023,11 +979,7 @@ mod tests {
                 }
             }
             let mut seeded_logs: Vec<Vec<(u64, Ev)>> = vec![Vec::new(); N];
-            match drive {
-                ShardDrive::Lockstep => seeded.run_lockstep(&mut seeded_logs, &handler),
-                ShardDrive::Adaptive => seeded.run(&mut seeded_logs, &handler),
-                ShardDrive::Parallel(n) => seeded.run_parallel(&mut seeded_logs, &handler, n),
-            }
+            seeded.run_fed(&mut seeded_logs, no_feeds(N), &handler, drive);
 
             let mut fed: ShardedExecutor<Ev> = ShardedExecutor::new(N, lookahead);
             let mut fed_logs: Vec<Vec<(u64, Ev)>> = vec![Vec::new(); N];

@@ -9,7 +9,9 @@
 
 use proptest::prelude::*;
 use twob_sim::oracle::HeapQueue;
-use twob_sim::{Calendar, Executor, ShardCtx, ShardedExecutor, SimDuration, SimTime, WheelQueue};
+use twob_sim::{
+    Calendar, Executor, ShardCtx, ShardDrive, ShardedExecutor, SimDuration, SimTime, WheelQueue,
+};
 
 /// Drives one random event program through an executor backed by `Q` and
 /// returns the full `(time, tag)` firing sequence plus the kernel counters.
@@ -119,26 +121,21 @@ proptest! {
     ) {
         let lookahead = SimDuration::from_nanos(lookahead_ns);
         let handler = sharded_program_handler(n, lookahead);
-        let drive = |mode: u8| {
+        let drive = |mode: ShardDrive| {
             let mut pdes: ShardedExecutor<u32> = ShardedExecutor::new(n, lookahead);
             for &(s, at, tag) in &seeds {
                 pdes.seed(s % n, SimTime::from_nanos(at), tag);
             }
             let mut states: Vec<ShardLog> = vec![Vec::new(); n];
-            match mode {
-                0 => pdes.run(&mut states, &handler),
-                1 => pdes.run_parallel(&mut states, &handler, 2),
-                2 => pdes.run_parallel(&mut states, &handler, 4),
-                _ => pdes.run_lockstep(&mut states, &handler),
-            }
+            pdes.run_fed(&mut states, vec![std::iter::empty(); n], &handler, mode);
             (states, pdes.rounds(), pdes.processed(), pdes.clamped_posts())
         };
 
-        let (seq_states, seq_rounds, seq_processed, seq_clamped) = drive(0);
+        let (seq_states, seq_rounds, seq_processed, seq_clamped) = drive(ShardDrive::Adaptive);
         prop_assert_eq!(seq_clamped, 0, "adaptive sequential run clamped");
-        for mode in [1u8, 2] {
+        for mode in [ShardDrive::Parallel(2), ShardDrive::Parallel(4)] {
             let (states, rounds, processed, clamped) = drive(mode);
-            prop_assert_eq!(&states, &seq_states, "thread mode {} diverged", mode);
+            prop_assert_eq!(&states, &seq_states, "thread mode {:?} diverged", mode);
             prop_assert_eq!(rounds, seq_rounds);
             prop_assert_eq!(processed, seq_processed);
             prop_assert_eq!(clamped, 0, "parallel run clamped");
@@ -147,7 +144,7 @@ proptest! {
         // The lock-step oracle may order same-instant events differently
         // (they are causally unrelated), so compare canonically sorted
         // per-shard logs, and never in fewer rounds than adaptive.
-        let (lock_states, lock_rounds, lock_processed, lock_clamped) = drive(3);
+        let (lock_states, lock_rounds, lock_processed, lock_clamped) = drive(ShardDrive::Lockstep);
         prop_assert_eq!(lock_clamped, 0, "lock-step oracle clamped");
         prop_assert_eq!(lock_processed, seq_processed);
         prop_assert!(

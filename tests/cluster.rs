@@ -5,6 +5,7 @@
 
 use twob::faults::{ClusterFaultPlan, CutScope};
 use twob::repl::{fleet_sweep, CommitPolicy, Fleet, FleetConfig, PlacementKind, ShipScheme};
+use twob::sim::ShardDrive;
 
 /// The full acceptance sweep: 48 cluster fault plans (node, rack and zone
 /// cuts, half with a live shard move) × {hash, range} × {Async,
@@ -48,7 +49,7 @@ fn all_three_drives_agree_under_cluster_faults() {
             assert_eq!(seq.clamped_posts, 0);
             let par = Fleet::new(cfg.clone()).unwrap().run_parallel(4);
             assert_eq!(par, seq, "plan {i}/{placement}: parallel drive diverged");
-            let lock = Fleet::new(cfg).unwrap().run_lockstep();
+            let lock = Fleet::new(cfg).unwrap().run_with(ShardDrive::Lockstep);
             assert_eq!(lock.node_digests, seq.node_digests, "plan {i}/{placement}");
             assert_eq!(
                 lock.shard_digests, seq.shard_digests,
