@@ -39,11 +39,11 @@ impl Inode {
         (INODE_DIRECT_BLOCKS * crate::layout::PAGE) as u64
     }
 
-    /// Serializes into exactly [`INODE_SIZE`] bytes.
+    /// Serializes into exactly `INODE_SIZE` bytes.
     ///
     /// # Panics
     ///
-    /// Panics if the name exceeds [`NAME_MAX`] (validated at create time).
+    /// Panics if the name exceeds `NAME_MAX` (validated at create time).
     pub fn encode(&self) -> Vec<u8> {
         assert!(self.name.len() <= NAME_MAX, "name validated at create");
         let mut out = Vec::with_capacity(INODE_SIZE);

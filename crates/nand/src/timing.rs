@@ -42,7 +42,7 @@ impl NandTiming {
 pub enum FlashClass {
     /// Low-latency single-bit NAND in the Z-NAND mould: ~3 µs reads
     /// (the ULL-SSD comparator and the 2B-SSD prototype both use this;
-    /// Table I lists "single-bit NAND flash", and [58] reports 3 µs tR).
+    /// Table I lists "single-bit NAND flash", and \[58\] reports 3 µs tR).
     LowLatencySlc,
     /// Datacenter TLC 3D V-NAND in the PM963 mould: tens-of-µs reads,
     /// high-hundreds-of-µs programs.

@@ -17,7 +17,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Streaming form: feed chunks into a running state initialized with
 /// `!0u32`, and finish by xoring with `!0u32`.
 ///
-/// Slice-by-8: eight bytes per step through [`CRC_TABLES`], the remainder
+/// Slice-by-8: eight bytes per step through `CRC_TABLES`, the remainder
 /// one byte at a time through the first table.
 pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;

@@ -71,7 +71,7 @@ impl Slot {
 /// A calendar queue ordered by `(time, insertion sequence)` — the default
 /// [`EventQueue`](crate::EventQueue) behind [`Executor`](crate::Executor).
 ///
-/// See the [module docs](self) for the layout and determinism argument.
+/// See the module docs of `wheel.rs` for the layout and determinism argument.
 #[derive(Debug, Clone)]
 pub struct WheelQueue<E> {
     /// Imminent events, sorted descending by `(at, seq)`; pop from the back.
