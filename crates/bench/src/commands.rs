@@ -331,7 +331,6 @@ fn latency(parsed: &Parsed) -> CliResult {
 
 fn gc(parsed: &Parsed) -> CliResult {
     use twob_sim::Histogram;
-    use twob_ssd::GcPolicy;
     use twob_workloads::{ChurnConfig, ChurnWorkload};
 
     let churn = parsed.u64_or("churn", 1_000)?;
@@ -340,11 +339,7 @@ fn gc(parsed: &Parsed) -> CliResult {
     if churn == 0 {
         return Err("--churn must be positive".into());
     }
-    let mut ssd = Ssd::new(
-        SsdConfig::ull_ssd()
-            .small()
-            .with_background_gc(GcPolicy::Greedy),
-    );
+    let mut ssd = Ssd::new(SsdConfig::ull_ssd().small().with_background_gc());
     ssd.set_tracing(trace > 0);
     let lbas = ssd.capacity_pages();
     let mut wl = ChurnWorkload::new(ChurnConfig::skewed(lbas, seed));

@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use twob_core::{TwoBSpec, TwoBSsd};
 use twob_ftl::Lba;
 use twob_sim::{Histogram, SimTime};
-use twob_ssd::{BlockDevice, GcPolicy, SsdConfig};
+use twob_ssd::{BlockDevice, SsdConfig};
 use twob_workloads::{ChurnConfig, ChurnWorkload};
 
 use crate::Table;
@@ -72,9 +72,7 @@ fn us(d: twob_sim::SimDuration) -> f64 {
 
 /// Runs the study: fill, then churn, with both paths probed per window.
 pub fn run() -> Vec<GcWindowRow> {
-    let cfg = SsdConfig::base_2b()
-        .small()
-        .with_background_gc(GcPolicy::Greedy);
+    let cfg = SsdConfig::base_2b().small().with_background_gc();
     let geom = cfg.geometry;
     let total_blocks = geom.blocks_total();
     let mut dev = TwoBSsd::new(cfg, TwoBSpec::small_for_tests());

@@ -572,10 +572,8 @@ mod tests {
     /// of LBA space, and (optionally) enough block-write churn below it to
     /// put GC permanently in motion.
     fn gc_device(churn_rounds: u64) -> (TwoBSsd, EntryId, SimTime) {
-        use twob_ssd::{GcPolicy, SsdConfig};
-        let cfg = SsdConfig::base_2b()
-            .small()
-            .with_background_gc(GcPolicy::Greedy);
+        use twob_ssd::SsdConfig;
+        let cfg = SsdConfig::base_2b().small().with_background_gc();
         let mut dev = TwoBSsd::new(cfg, crate::TwoBSpec::small_for_tests());
         let lbas = dev.capacity_pages();
         let (eid, pin) = dev.ba_pin_auto(SimTime::ZERO, Lba(lbas - 1), 1).unwrap();

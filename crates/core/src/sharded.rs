@@ -535,7 +535,7 @@ mod tests {
     use super::*;
     use crate::{EntryId, TwoBSpec};
     use twob_ftl::Lba;
-    use twob_ssd::{BlockDevice, GcPolicy, SsdConfig};
+    use twob_ssd::{BlockDevice, SsdConfig};
 
     const IC: SimDuration = SimDuration::from_micros(2);
 
@@ -658,7 +658,7 @@ mod tests {
             let cfg = SsdConfig::base_2b()
                 .small()
                 .die_slice(groups as u32)
-                .with_background_gc(GcPolicy::Greedy);
+                .with_background_gc();
             let devices: Vec<TwoBSsd> = (0..groups)
                 .map(|_| TwoBSsd::new(cfg.clone(), TwoBSpec::small_for_tests()))
                 .collect();

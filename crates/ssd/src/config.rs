@@ -30,21 +30,6 @@ pub enum GcMode {
     Background,
 }
 
-/// Foreground-priority policy for background GC: how aggressively GC steps
-/// are scheduled relative to foreground traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GcPolicy {
-    /// Chain the next step immediately when the previous one finishes; GC
-    /// competes with foreground I/O at full tilt.
-    Greedy,
-    /// Leave a gap of idle virtual time between consecutive steps, giving
-    /// queued foreground I/O a window to claim the dies first.
-    Yield {
-        /// Idle time inserted between consecutive GC steps.
-        gap: SimDuration,
-    },
-}
-
 /// Full configuration of a simulated SSD.
 ///
 /// The three presets ([`SsdConfig::dc_ssd`], [`SsdConfig::ull_ssd`],
@@ -93,9 +78,6 @@ pub struct SsdConfig {
     /// How GC is driven (inline in the write path, or as background
     /// calendar events).
     pub gc_mode: GcMode,
-    /// Foreground-priority policy for background GC steps; ignored in
-    /// [`GcMode::Inline`].
-    pub gc_policy: GcPolicy,
 }
 
 impl SsdConfig {
@@ -121,7 +103,6 @@ impl SsdConfig {
             internal_datapath_bytes_per_sec: 0,
             error_injection: None,
             gc_mode: GcMode::Inline,
-            gc_policy: GcPolicy::Greedy,
         }
     }
 
@@ -148,7 +129,6 @@ impl SsdConfig {
             internal_datapath_bytes_per_sec: 0,
             error_injection: None,
             gc_mode: GcMode::Inline,
-            gc_policy: GcPolicy::Greedy,
         }
     }
 
@@ -240,12 +220,11 @@ impl SsdConfig {
         self
     }
 
-    /// Switches the device to event-driven background GC with the given
-    /// foreground-priority policy.
+    /// Switches the device to event-driven background GC, each step
+    /// chained as the previous one ends.
     #[must_use]
-    pub fn with_background_gc(mut self, policy: GcPolicy) -> Self {
+    pub fn with_background_gc(mut self) -> Self {
         self.gc_mode = GcMode::Background;
-        self.gc_policy = policy;
         self
     }
 

@@ -9,7 +9,7 @@ use twob_sim::{
     Executor, LatencyBreakdown, MultiServer, Server, SimDuration, SimTime, TraceEvent, TraceRing,
 };
 
-use crate::config::{GcMode, GcPolicy};
+use crate::config::GcMode;
 use crate::{SsdConfig, SsdError};
 
 /// A completed block read.
@@ -437,11 +437,11 @@ impl Ssd {
                 if step.done {
                     if self.ftl.gc_needed() {
                         if let Ok(Some(next)) = self.ftl.gc_start() {
-                            ex.post(self.next_gc_step_at(end), next);
+                            ex.post(end, next);
                         }
                     }
                 } else {
-                    ex.post(self.next_gc_step_at(end), die);
+                    ex.post(end, die);
                 }
             }
             // Job vanished (an emergency collection finished it first).
@@ -451,14 +451,6 @@ impl Ssd {
             Err(_) => {
                 self.ftl.gc_abandon(die);
             }
-        }
-    }
-
-    /// When the next GC step may fire after the previous ended at `end`.
-    fn next_gc_step_at(&self, end: SimTime) -> SimTime {
-        match self.cfg.gc_policy {
-            GcPolicy::Greedy => end,
-            GcPolicy::Yield { gap } => end + gap,
         }
     }
 
@@ -1226,11 +1218,7 @@ mod tests {
     }
 
     fn background_small() -> Ssd {
-        Ssd::new(
-            SsdConfig::ull_ssd()
-                .small()
-                .with_background_gc(crate::GcPolicy::Greedy),
-        )
+        Ssd::new(SsdConfig::ull_ssd().small().with_background_gc())
     }
 
     /// Closed-loop overwrite churn: fills the LBA space, then overwrites

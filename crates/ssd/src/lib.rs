@@ -46,7 +46,7 @@ mod error;
 mod queue;
 mod traits;
 
-pub use config::{ErrorInjection, GcMode, GcPolicy, SsdConfig};
+pub use config::{ErrorInjection, GcMode, SsdConfig};
 pub use device::{BlockRead, Ssd, SsdStats};
 pub use error::SsdError;
 pub use queue::{

@@ -10,7 +10,7 @@
 
 use twob_ftl::Lba;
 use twob_sim::{mix, mix_bytes, SimDuration, SimRng, SimTime, FNV_BASIS};
-use twob_ssd::{GcPolicy, Ssd, SsdConfig, SsdError};
+use twob_ssd::{Ssd, SsdConfig, SsdError};
 
 const LBAS: u64 = 64;
 const OPS: u64 = 5_000;
@@ -79,7 +79,7 @@ fn churn_digest(cfg: SsdConfig) -> u64 {
 #[test]
 fn readback_digests_are_pinned_in_both_gc_modes_and_across_a_power_cut() {
     let inline = SsdConfig::base_2b().small();
-    let background = inline.clone().with_background_gc(GcPolicy::Greedy);
+    let background = inline.clone().with_background_gc();
     // No shipped profile has a volatile cache; the rollback path is only
     // reachable by clearing the flag.
     let volatile = |mut cfg: SsdConfig| {
@@ -193,7 +193,7 @@ fn ack_timeline_digest(mut cfg: SsdConfig) -> u64 {
 #[test]
 fn write_ack_timeline_is_pinned() {
     let inline = SsdConfig::base_2b().small();
-    let background = inline.clone().with_background_gc(GcPolicy::Greedy);
+    let background = inline.clone().with_background_gc();
     let volatile = |mut cfg: SsdConfig| {
         cfg.capacitor_backed_cache = false;
         cfg
