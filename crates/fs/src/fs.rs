@@ -215,11 +215,6 @@ impl<D: BlockDevice, J: WalWriter> MiniFs<D, J> {
         self.journal.scheme()
     }
 
-    /// The journal mode.
-    pub fn journal_mode(&self) -> JournalMode {
-        self.mode
-    }
-
     /// Raw journal counters (commit costs, encoded bytes, WAF).
     pub fn journal_stats(&self) -> twob_wal::WalStats {
         self.journal.stats()

@@ -131,18 +131,12 @@ const UNMAPPED: Ppa = Ppa(u64::MAX);
 pub struct GcJob {
     victim: u64,
     next_page: u32,
-    moved: u32,
 }
 
 impl GcJob {
     /// Flat index of the victim block being collected.
     pub fn victim_block(&self) -> u64 {
         self.victim
-    }
-
-    /// Valid pages relocated so far by executed steps.
-    pub fn pages_moved(&self) -> u32 {
-        self.moved
     }
 }
 
@@ -487,7 +481,6 @@ impl PageMappedFtl {
         self.gc_jobs[die_idx] = Some(GcJob {
             victim,
             next_page: 0,
-            moved: 0,
         });
         self.gc_jobs_started += 1;
         Ok(Some(die))
@@ -534,7 +527,6 @@ impl PageMappedFtl {
             });
             self.append_page(lba, &read.data, true, &mut ios)?;
             job.next_page = page + 1;
-            job.moved += 1;
             self.gc_jobs[die_idx] = Some(job);
             Ok(Some(GcStepResult { ios, done: false }))
         } else {

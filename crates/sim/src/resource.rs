@@ -134,11 +134,6 @@ impl Server {
         self.free_at
     }
 
-    /// Returns `true` if the server would be idle at `instant`.
-    pub fn is_idle_at(&self, instant: SimTime) -> bool {
-        self.free_at <= instant
-    }
-
     /// Total busy time accumulated across all scheduled operations.
     pub fn busy_total(&self) -> SimDuration {
         self.busy_total

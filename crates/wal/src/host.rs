@@ -283,11 +283,6 @@ impl ShardWalHost {
         &mut self.dev
     }
 
-    /// Slot IDs currently open, in order.
-    pub fn open_slots(&self) -> Vec<u16> {
-        self.slots.keys().copied().collect()
-    }
-
     /// Whether `slot` is open.
     pub fn is_open(&self, slot: u16) -> bool {
         self.slots.contains_key(&slot)
