@@ -144,7 +144,7 @@ impl AdmissionPlan {
 pub struct ServeReport {
     /// Tenant count.
     pub tenants: u16,
-    /// Scheme label (`"ba"` or `"block"`).
+    /// Scheme label ([`WalScheme::label`]: `"ba"`, `"cxl"` or `"block"`).
     pub scheme: String,
     /// Arrival-process label.
     pub arrival: String,
