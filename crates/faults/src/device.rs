@@ -1,5 +1,4 @@
-//! Fault-injecting wrappers: a flush-faulting block device and a shared WAL
-//! handle that lets the harness reach the device behind a `Box<dyn WalWriter>`.
+//! The flush-faulting block device wrapper.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -8,7 +7,6 @@ use std::rc::Rc;
 use twob_ftl::Lba;
 use twob_sim::SimTime;
 use twob_ssd::{BlockDevice, BlockRead, SsdError};
-use twob_wal::{CommitOutcome, CursorBatch, Lsn, WalError, WalStats, WalTail, WalWriter};
 
 use crate::plan::FlushFault;
 
@@ -80,11 +78,6 @@ impl<D: BlockDevice> FaultyLogDevice<D> {
         (dev, faults)
     }
 
-    /// The wrapped device.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-
     /// The wrapped device, mutably (for power cuts and recovery reads).
     pub fn inner_mut(&mut self) -> &mut D {
         &mut self.inner
@@ -133,67 +126,10 @@ impl<D: BlockDevice> BlockDevice for FaultyLogDevice<D> {
     }
 }
 
-/// A clonable WAL handle: the engine owns one clone as its `Box<dyn
-/// WalWriter>`, the harness keeps the other to cut power on the underlying
-/// device and drive recovery after the engine is dropped.
-///
-/// The whole stack is single-threaded virtual time, so `Rc<RefCell<_>>` is
-/// sufficient; a borrow panic would indicate a genuine reentrancy bug.
-#[derive(Debug)]
-pub struct SharedWal<W: WalWriter>(Rc<RefCell<W>>);
-
-impl<W: WalWriter> SharedWal<W> {
-    /// Wraps a concrete WAL writer.
-    pub fn new(wal: W) -> Self {
-        SharedWal(Rc::new(RefCell::new(wal)))
-    }
-
-    /// Runs `f` with mutable access to the concrete writer (device access,
-    /// recovery entry points).
-    pub fn with<R>(&self, f: impl FnOnce(&mut W) -> R) -> R {
-        f(&mut self.0.borrow_mut())
-    }
-}
-
-impl<W: WalWriter> Clone for SharedWal<W> {
-    fn clone(&self) -> Self {
-        SharedWal(Rc::clone(&self.0))
-    }
-}
-
-impl<W: WalWriter> WalWriter for SharedWal<W> {
-    fn append_commit(&mut self, now: SimTime, payload: &[u8]) -> Result<CommitOutcome, WalError> {
-        self.0.borrow_mut().append_commit(now, payload)
-    }
-
-    fn append_batch(
-        &mut self,
-        now: SimTime,
-        payloads: &[Vec<u8>],
-    ) -> Result<CommitOutcome, WalError> {
-        self.0.borrow_mut().append_batch(now, payloads)
-    }
-
-    fn scheme(&self) -> String {
-        self.0.borrow().scheme()
-    }
-
-    fn stats(&self) -> WalStats {
-        self.0.borrow().stats()
-    }
-}
-
-impl<W: WalWriter + WalTail> WalTail for SharedWal<W> {
-    fn read_tail(&mut self, now: SimTime, from: Lsn) -> Result<CursorBatch, WalError> {
-        self.0.borrow_mut().read_tail(now, from)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use twob_ssd::{Ssd, SsdConfig};
-    use twob_wal::{BlockWal, CommitMode, WalConfig};
 
     fn small_dev() -> Ssd {
         Ssd::new(SsdConfig::dc_ssd().small())
@@ -219,19 +155,5 @@ mod tests {
         let _ = dev.flush(SimTime::ZERO);
         assert_eq!(faults.duplicated(), 1);
         assert_eq!(faults.flushes(), 1);
-    }
-
-    #[test]
-    fn shared_wal_reaches_device_behind_trait_object() {
-        let (dev, _faults) = FaultyLogDevice::new(small_dev());
-        let wal = BlockWal::new(dev, WalConfig::default(), CommitMode::Sync).unwrap();
-        let shared = SharedWal::new(wal);
-        let mut boxed: Box<dyn WalWriter> = Box::new(shared.clone());
-        let out = boxed.append_commit(SimTime::ZERO, b"payload").unwrap();
-        assert!(out.durable_at.is_some());
-        // The harness-side clone still reaches the concrete device.
-        let label = shared.with(|w| w.device_mut().label().to_string());
-        assert!(!label.is_empty());
-        assert_eq!(shared.stats().commits, 1);
     }
 }

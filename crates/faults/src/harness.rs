@@ -1,7 +1,6 @@
 //! The crash-consistency harness: run a workload, cut power at an arbitrary
 //! virtual instant, restart the stack, and check the recovery invariants.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use twob_core::TwoBSpec;
@@ -10,10 +9,11 @@ use twob_db::{DbError, EngineCosts, EngineKind, MiniPg, MiniRedis, MiniRocks, Pg
 use twob_nand::{BitErrorModel, EccConfig};
 use twob_sim::{SimDuration, SimRng, SimTime};
 use twob_ssd::{ErrorInjection, Ssd, SsdConfig};
-use twob_wal::{replay, BaWal, BlockWal, CommitMode, LogRecord, Lsn, WalConfig, WalWriter};
+use twob_wal::{CommitMode, LogRecord, Lsn, WalError, WalWriter};
 
-use crate::device::{FaultyLogDevice, FlushFaults, SharedWal};
+use crate::device::FlushFaults;
 use crate::plan::FaultPlan;
+use crate::recovery::{check_log_prefix, for_each_plan, golden_rerun, BaCycle, CutWal, GoldenMiss};
 
 /// Which commit scheme backs the engine's WAL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -141,6 +141,14 @@ pub enum Engine {
 
 impl Engine {
     /// Creates an engine of `kind` logging through `wal`.
+    ///
+    /// Every kind is priced with `EngineCosts::default()`, which are
+    /// PostgreSQL's CPU costs, while `twob_workloads::EngineSession`
+    /// charges [`EngineKind::costs`]: a Rocks or Redis engine here, and in
+    /// the replication layer built on this type, pays Postgres CPU per
+    /// operation. This is a known disagreement between the two price
+    /// lists; aligning it moves the replication sweeps' bytes, so it waits
+    /// for a change that regenerates them.
     pub fn build(kind: EngineKind, wal: Box<dyn WalWriter>) -> Engine {
         let costs = EngineCosts::default();
         match kind {
@@ -277,201 +285,157 @@ pub const T0: SimTime = SimTime::from_nanos(1_000_000);
 pub fn run_schedule(engine: EngineKind, scheme: SchemeKind, plan: &FaultPlan) -> ScheduleReport {
     let mut report = ScheduleReport::new(engine, scheme, plan);
     let workload = Workload::generate(engine, plan);
-    let wal_cfg = WalConfig::default();
-
-    match scheme {
-        SchemeKind::BlockSync | SchemeKind::BlockAsync => {
-            let mode = if scheme == SchemeKind::BlockSync {
-                CommitMode::Sync
-            } else {
-                CommitMode::Async
-            };
-            let mut cfg = SsdConfig::dc_ssd().small();
-            cfg.error_injection = error_injection(plan);
-            let (dev, faults) = FaultyLogDevice::new(Ssd::new(cfg));
-            let wal = match BlockWal::new(dev, wal_cfg, mode) {
-                Ok(w) => w,
-                Err(e) => {
-                    report.violations.push(format!("wal setup failed: {e:?}"));
-                    return report;
-                }
-            };
-            let shared = SharedWal::new(wal);
-            let mut eng = Engine::build(engine, Box::new(shared.clone()));
-            let (issued, cut_at) = drive(&mut eng, &workload, plan, Some(&faults), &mut report);
-            drop(eng);
-
-            // Power cut, then restart.
-            let recover_at = cut_at + RESTART_DELAY;
-            shared.with(|w| {
-                w.device_mut().inner_mut().power_loss(cut_at);
-                w.device_mut().inner_mut().power_on(recover_at);
-            });
-            let recovered = match shared.with(|w| {
-                replay(
-                    w.device_mut(),
-                    recover_at,
-                    wal_cfg.region_base_lba,
-                    wal_cfg.region_pages,
-                )
-            }) {
-                Ok(outcome) => outcome.records,
-                Err(e) => {
-                    report.violations.push(format!("replay failed: {e:?}"));
-                    return report;
-                }
-            };
-            verify(&mut report, engine, &workload, &issued, cut_at, recovered);
+    let (log, faults) = match build_wal(scheme, plan) {
+        Ok(built) => built,
+        Err(e) => {
+            report.violations.push(format!("wal setup failed: {e:?}"));
+            return report;
         }
-        SchemeKind::Ba => {
-            let mut cfg = SsdConfig::base_2b().small();
-            cfg.error_injection = error_injection(plan);
-            let mut spec = TwoBSpec::small_for_tests();
-            if plan.weak_capacitors {
-                // Undersize the bank so the dump's energy gate fails.
-                spec.capacitors_uf = 0.5;
-            }
-            let wal = match BaWal::new(TwoBSsd::new(cfg, spec), wal_cfg, 4) {
-                Ok(w) => w,
-                Err(e) => {
-                    report.violations.push(format!("wal setup failed: {e:?}"));
-                    return report;
-                }
-            };
-            let shared = SharedWal::new(wal);
-            let mut eng = Engine::build(engine, Box::new(shared.clone()));
-            let (issued, cut_at) = drive(&mut eng, &workload, plan, None, &mut report);
-            drop(eng);
+    };
+    let mut eng = Engine::build(engine, Box::new(log.clone()));
+    let (issued, cut_at) = drive(&mut eng, &workload, plan, faults.as_ref(), &mut report);
+    drop(eng);
 
-            // Pre-cut device state: mapping entries and the bytes they map.
-            let pre_entries = shared.with(|w| w.device_mut().entries());
-            let pre_images: Result<Vec<Vec<u8>>, _> = shared.with(|w| {
-                pre_entries
-                    .iter()
-                    .map(|e| {
-                        w.device_mut()
-                            .mmio_read(cut_at, e.eid, 0, e.len_bytes())
-                            .map(|r| r.data)
-                    })
-                    .collect()
-            });
-            let pre_images = match pre_images {
-                Ok(images) => images,
-                Err(e) => {
-                    report
-                        .violations
-                        .push(format!("pre-cut mmio_read failed: {e:?}"));
-                    return report;
-                }
-            };
-
-            // Power cut: capacitor dump, then restart: restore.
-            let recover_at = cut_at + RESTART_DELAY;
-            let dump = shared.with(|w| w.device_mut().power_loss(cut_at));
-            let restore = shared.with(|w| w.device_mut().power_on(recover_at));
-            let stats = shared.with(|w| w.device_mut().stats());
-
-            if plan.weak_capacitors {
-                // The loss must be *detected*, never silent.
-                report.detected_loss = true;
-                if dump.dumped {
-                    report
-                        .violations
-                        .push("weak-capacitor dump unexpectedly succeeded".into());
-                }
-                if dump.reason.is_none() {
-                    report
-                        .violations
-                        .push("abandoned dump carries no reason".into());
-                }
-                if restore.restored {
-                    report
-                        .violations
-                        .push("restore claimed success after an abandoned dump".into());
-                }
-                if stats.data_loss_events == 0 {
-                    report
-                        .violations
-                        .push("data loss not counted in device stats".into());
-                }
-                return report;
-            }
-
-            if !dump.dumped {
-                report
-                    .violations
-                    .push(format!("capacitor dump failed: {:?}", dump.reason));
-                return report;
-            }
-            if !restore.restored {
-                report.violations.push("restore found no valid dump".into());
-                return report;
-            }
-
-            // FTL mapping table round-trips through the dump.
-            let post_entries = shared.with(|w| w.device_mut().entries());
-            if post_entries != pre_entries {
-                report.violations.push(format!(
-                    "mapping table did not round-trip: {} entries before, {} after",
-                    pre_entries.len(),
-                    post_entries.len()
-                ));
-            }
-            // BA-buffer dump/restore is byte-identical.
-            for (entry, pre) in pre_entries.iter().zip(&pre_images) {
-                match shared.with(|w| {
-                    w.device_mut()
-                        .mmio_read(recover_at, entry.eid, 0, entry.len_bytes())
-                }) {
-                    Ok(read) => {
-                        if read.data != *pre {
-                            report.violations.push(format!(
-                                "BA-buffer bytes for {:?} differ after restore",
-                                entry.eid
-                            ));
-                        }
-                    }
-                    Err(e) => report
-                        .violations
-                        .push(format!("post-restore mmio_read failed: {e:?}")),
-                }
-            }
-            if let Err(e) = shared.with(|w| w.device_mut().check_invariants()) {
-                report
-                    .violations
-                    .push(format!("device invariants violated: {e}"));
-            }
-
-            // Recovered records: the buffered tail plus flushed segments.
-            let buffered = match shared.with(|w| w.recover_buffered(recover_at)) {
-                Ok(records) => records,
-                Err(e) => {
-                    report
-                        .violations
-                        .push(format!("recover_buffered failed: {e:?}"));
-                    return report;
-                }
-            };
-            let flushed = match shared.with(|w| {
-                replay(
-                    w.device_mut(),
-                    recover_at,
-                    wal_cfg.region_base_lba,
-                    wal_cfg.region_pages,
-                )
-            }) {
-                Ok(outcome) => outcome.records,
-                Err(e) => {
-                    report.violations.push(format!("replay failed: {e:?}"));
-                    return report;
-                }
-            };
-            let mut recovered = flushed;
-            recovered.extend(buffered);
-            verify(&mut report, engine, &workload, &issued, cut_at, recovered);
-        }
+    // Power cut, then restart and read back. A 2B-SSD has checks of its
+    // own between the restore and the read-back.
+    let recover_at = cut_at + RESTART_DELAY;
+    let recovered = match log.ba_device(|dev| cut_ba(&mut report, dev, plan, cut_at, recover_at)) {
+        None => log.recover(cut_at, recover_at),
+        Some(true) => log.read_back(recover_at),
+        Some(false) => return report,
+    };
+    match recovered {
+        Ok(records) => verify(&mut report, engine, &workload, &issued, cut_at, records),
+        Err(e) => report.violations.push(e),
     }
     report
+}
+
+/// The WAL `scheme` names over a fresh small device carrying `plan`'s NAND
+/// error injection (and, for BA-WAL, its capacitor shortfall), plus the
+/// flush-fault handle of a block device.
+fn build_wal(
+    scheme: SchemeKind,
+    plan: &FaultPlan,
+) -> Result<(CutWal, Option<FlushFaults>), WalError> {
+    let error_injection = error_injection(plan);
+    if scheme == SchemeKind::Ba {
+        let mut spec = TwoBSpec::small_for_tests();
+        if plan.weak_capacitors {
+            // Undersize the bank so the dump's energy gate fails.
+            spec.capacitors_uf = 0.5;
+        }
+        let cfg = SsdConfig {
+            error_injection,
+            ..SsdConfig::base_2b().small()
+        };
+        return Ok((CutWal::ba(TwoBSsd::new(cfg, spec))?, None));
+    }
+    let mode = if scheme == SchemeKind::BlockSync {
+        CommitMode::Sync
+    } else {
+        CommitMode::Async
+    };
+    let cfg = SsdConfig {
+        error_injection,
+        ..SsdConfig::dc_ssd().small()
+    };
+    let (wal, faults) = CutWal::block(Ssd::new(cfg), mode)?;
+    Ok((wal, Some(faults)))
+}
+
+/// The BA-WAL cut: capacitor dump, restart, restore, and the checks only a
+/// 2B-SSD has between restore and read-back — the weak-capacitor contract,
+/// the mapping table's round trip and byte-identical BA-buffer images.
+/// Returns whether the log is worth reading back.
+fn cut_ba(
+    report: &mut ScheduleReport,
+    dev: &mut TwoBSsd,
+    plan: &FaultPlan,
+    cut_at: SimTime,
+    recover_at: SimTime,
+) -> bool {
+    // Pre-cut device state: mapping entries and the bytes they map.
+    let pre_entries = dev.entries();
+    let pre_images: Result<Vec<Vec<u8>>, _> = pre_entries
+        .iter()
+        .map(|e| {
+            dev.mmio_read(cut_at, e.eid, 0, e.len_bytes())
+                .map(|r| r.data)
+        })
+        .collect();
+    let pre_images = match pre_images {
+        Ok(images) => images,
+        Err(e) => {
+            report
+                .violations
+                .push(format!("pre-cut mmio_read failed: {e:?}"));
+            return false;
+        }
+    };
+
+    let cycle = BaCycle::run(dev, cut_at, recover_at);
+    if plan.weak_capacitors {
+        // The loss must be *detected*, never silent.
+        report.detected_loss = true;
+        if cycle.dump.dumped {
+            report
+                .violations
+                .push("weak-capacitor dump unexpectedly succeeded".into());
+        }
+        if cycle.dump.reason.is_none() {
+            report
+                .violations
+                .push("abandoned dump carries no reason".into());
+        }
+        if cycle.restore.restored {
+            report
+                .violations
+                .push("restore claimed success after an abandoned dump".into());
+        }
+        if dev.stats().data_loss_events == 0 {
+            report
+                .violations
+                .push("data loss not counted in device stats".into());
+        }
+        return false;
+    }
+    if let Err(e) = cycle.check() {
+        report.violations.push(e);
+        return false;
+    }
+
+    // FTL mapping table round-trips through the dump.
+    let post_entries = dev.entries();
+    if post_entries != pre_entries {
+        report.violations.push(format!(
+            "mapping table did not round-trip: {} entries before, {} after",
+            pre_entries.len(),
+            post_entries.len()
+        ));
+    }
+    // BA-buffer dump/restore is byte-identical.
+    for (entry, pre) in pre_entries.iter().zip(&pre_images) {
+        match dev.mmio_read(recover_at, entry.eid, 0, entry.len_bytes()) {
+            Ok(read) => {
+                if read.data != *pre {
+                    report.violations.push(format!(
+                        "BA-buffer bytes for {:?} differ after restore",
+                        entry.eid
+                    ));
+                }
+            }
+            Err(e) => report
+                .violations
+                .push(format!("post-restore mmio_read failed: {e:?}")),
+        }
+    }
+    if let Err(e) = dev.check_invariants() {
+        report
+            .violations
+            .push(format!("device invariants violated: {e}"));
+    }
+    true
 }
 
 /// Drives the workload through the engine, arming flush faults as the plan
@@ -513,40 +477,6 @@ fn drive(
     (issued, t + SimDuration::from_nanos(plan.cut_delay_ns))
 }
 
-/// Checks that a set of recovered records forms a consistent log prefix and
-/// returns it in canonical (LSN-sorted, deduplicated) order.
-///
-/// The rules, shared by the sweep harness and the torn-tail replay tests:
-///
-/// - Duplicate LSNs are tolerated (a record can be recovered both from a
-///   NAND segment and from the restored BA-buffer) but must carry
-///   byte-identical payloads.
-/// - After deduplication the LSNs must be dense from 0: a torn tail may
-///   truncate the log, but never punch a hole in the middle of it.
-pub fn check_log_prefix(recovered: &[LogRecord]) -> Result<Vec<LogRecord>, String> {
-    let mut by_lsn: BTreeMap<u64, &[u8]> = BTreeMap::new();
-    for rec in recovered {
-        if let Some(existing) = by_lsn.get(&rec.lsn.0) {
-            if *existing != rec.payload.as_slice() {
-                return Err(format!("two different payloads recovered for {}", rec.lsn));
-            }
-        } else {
-            by_lsn.insert(rec.lsn.0, &rec.payload);
-        }
-    }
-    for (expect, have) in by_lsn.keys().enumerate() {
-        if expect as u64 != *have {
-            return Err(format!(
-                "hole in recovered log: expected lsn:{expect}, found lsn:{have}"
-            ));
-        }
-    }
-    Ok(by_lsn
-        .into_iter()
-        .map(|(lsn, payload)| LogRecord::new(Lsn(lsn), payload.to_vec()))
-        .collect())
-}
-
 /// The post-recovery invariant checks shared by every scheme:
 ///
 /// 1. The recovered log is prefix-consistent: LSNs dense from 0, no holes
@@ -570,11 +500,11 @@ fn verify(
             return;
         }
     };
-    report.recovered_records = records.len() as u64;
-    let by_lsn: BTreeMap<u64, Vec<u8>> =
-        records.into_iter().map(|r| (r.lsn.0, r.payload)).collect();
+    let prefix = records.len();
+    report.recovered_records = prefix as u64;
 
-    // 2. Acknowledged durability is honoured.
+    // 2. Acknowledged durability is honoured: the prefix is dense from 0,
+    // so an LSN is recovered iff it falls inside it.
     let mut required = 0u64;
     for (idx, commit) in issued.iter().enumerate() {
         let (Some(lsn), Some(durable_at)) = (commit.lsn, commit.durable_at) else {
@@ -584,7 +514,7 @@ fn verify(
             continue; // Acknowledged after the cut: legitimately at risk.
         }
         required += 1;
-        if !by_lsn.contains_key(&lsn.0) {
+        if lsn.0 >= prefix as u64 {
             report.violations.push(format!(
                 "commit {idx} ({lsn}, durable {}ns before the cut) was lost",
                 cut_at.saturating_since(durable_at)
@@ -597,51 +527,16 @@ fn verify(
     }
 
     // 3. Replayed state matches a golden re-run of the same prefix.
-    let records: Vec<LogRecord> = by_lsn
-        .into_iter()
-        .map(|(lsn, payload)| LogRecord::new(Lsn(lsn), payload))
-        .collect();
-    let prefix = records.len();
-    let mut rebuilt = Engine::build(engine, throwaway_wal());
-    if let Err(e) = rebuilt.apply_records(&records) {
-        report
-            .violations
-            .push(format!("recovered records failed to apply: {e:?}"));
-        return;
-    }
-    let mut golden = Engine::build(engine, throwaway_wal());
-    let mut t = T0;
-    for idx in 0..prefix {
-        match golden.commit(t, workload, idx) {
-            Ok(outcome) => t = outcome.commit_at,
-            Err(e) => {
-                report
-                    .violations
-                    .push(format!("golden re-run failed at commit {idx}: {e:?}"));
-                return;
-            }
-        }
-    }
-    if rebuilt.state_digest() != golden.state_digest() {
-        report.violations.push(format!(
-            "recovered state digest {:#018x} diverges from a golden re-run \
-             of {prefix} commits ({:#018x})",
-            rebuilt.state_digest(),
-            golden.state_digest()
-        ));
-    }
-}
-
-/// A WAL for engines whose log is never read back (golden re-runs): a plain
-/// block WAL over a fresh in-memory device.
-pub fn throwaway_wal() -> Box<dyn WalWriter> {
-    let wal = BlockWal::new(
-        Ssd::new(SsdConfig::ull_ssd().small()),
-        WalConfig::default(),
-        CommitMode::Async,
-    )
-    .expect("default WAL config is valid");
-    Box::new(wal)
+    let miss = match golden_rerun(engine, workload, &records) {
+        Ok(_) => return,
+        Err(GoldenMiss::Apply(e)) => format!("recovered records failed to apply: {e:?}"),
+        Err(GoldenMiss::Rerun(idx, e)) => format!("golden re-run failed at commit {idx}: {e:?}"),
+        Err(GoldenMiss::Diverged { recovered, golden }) => format!(
+            "recovered state digest {recovered:#018x} diverges from a golden re-run \
+             of {prefix} commits ({golden:#018x})"
+        ),
+    };
+    report.violations.push(miss);
 }
 
 /// Aggregate outcome of a fault sweep.
@@ -709,26 +604,22 @@ pub fn sweep(schedules: u64, seed: u64) -> SweepReport {
         detected_losses: 0,
         violations: Vec::new(),
     };
-    let combos: Vec<(EngineKind, SchemeKind)> = EngineKind::ALL
-        .iter()
-        .flat_map(|&e| SchemeKind::ALL.iter().map(move |&s| (e, s)))
-        .collect();
-    for i in 0..schedules {
-        let (engine, scheme) = combos[(i % combos.len() as u64) as usize];
-        let plan_seed = seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(i.wrapping_mul(0x2545_f491_4f6c_dd1d));
-        let plan = FaultPlan::random(plan_seed);
-        let run = run_schedule(engine, scheme, &plan);
-        report.commits += run.commits_issued;
-        report.recovered += run.recovered_records;
-        if run.detected_loss && run.passed() {
-            report.detected_losses += 1;
-        }
-        for v in run.violations {
-            report.violations.push((engine, scheme, plan_seed, v));
-        }
-    }
+    for_each_plan(
+        schedules,
+        seed,
+        &SchemeKind::ALL,
+        |engine, scheme, plan_seed| {
+            let run = run_schedule(engine, scheme, &FaultPlan::random(plan_seed));
+            report.commits += run.commits_issued;
+            report.recovered += run.recovered_records;
+            if run.detected_loss && run.passed() {
+                report.detected_losses += 1;
+            }
+            for v in run.violations {
+                report.violations.push((engine, scheme, plan_seed, v));
+            }
+        },
+    );
     report
 }
 

@@ -25,6 +25,12 @@
 //! scheme combination, reproducible from a single `(count, seed)` pair —
 //! also exposed as `twob faults sweep --cuts N --seed S` on the CLI.
 //!
+//! The checks after a cut are written once, for this harness and for the
+//! replication layer's failover and fleet: [`CutWal::recover`] reads a WAL
+//! back, [`golden_rerun`] compares recovered state with a golden re-run,
+//! [`promote`] is the promotion rule of a replicated log, and
+//! [`for_each_plan`] is the seeded loop every sweep runs.
+//!
 //! [`EngineKind`] is `twob_db`'s, re-exported. [`Engine`] and [`Workload`]
 //! are this crate's own: an index-addressed, write-only commit stream (LSN
 //! *n* is stream index *n*), which is what recovery checks need and not
@@ -35,13 +41,18 @@
 mod device;
 mod harness;
 mod plan;
+mod recovery;
 
-pub use device::{FaultyLogDevice, FlushFaults, SharedWal};
+pub use device::{FaultyLogDevice, FlushFaults};
 pub use harness::{
-    check_log_prefix, run_schedule, sweep, throwaway_wal, Engine, ScheduleReport, SchemeKind,
-    SweepReport, Workload, RESTART_DELAY, T0,
+    run_schedule, sweep, Engine, ScheduleReport, SchemeKind, SweepReport, Workload, RESTART_DELAY,
+    T0,
 };
 pub use plan::{ClusterFaultPlan, CutScope, FaultPlan, FlushFault, ReplFaultPlan, ShipFault};
+pub use recovery::{
+    check_log_prefix, for_each_plan, golden_rerun, promote, throwaway_wal, CutWal, GoldenMiss,
+    Promotion,
+};
 pub use twob_db::EngineKind;
 
 use proptest::prelude::*;

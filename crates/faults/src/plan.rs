@@ -163,7 +163,7 @@ impl ReplFaultPlan {
                 (at, replica, fault)
             })
             .collect();
-        ship_faults.sort_unstable_by_key(|&(at, replica, _)| (at, replica));
+        ship_faults.sort_by_key(|&(at, replica, _)| (at, replica));
         ReplFaultPlan {
             seed,
             replicas,
@@ -324,6 +324,31 @@ mod tests {
                 assert!(replica < p.replicas);
             }
         }
+    }
+
+    #[test]
+    fn tied_ship_faults_keep_the_order_they_were_drawn_in() {
+        // Two faults drawn for one (commit, replica) pair: the sort is
+        // stable, so the first drawn is the one a shipment meets first.
+        use ShipFault::{Delay, Drop, Duplicate};
+        assert_eq!(
+            ReplFaultPlan::random(5).ship_faults,
+            vec![
+                (2, 1, Duplicate),
+                (9, 1, Drop),
+                (9, 1, Delay(154_518)),
+                (10, 1, Duplicate)
+            ]
+        );
+        assert_eq!(
+            ReplFaultPlan::random(10).ship_faults,
+            vec![
+                (2, 0, Delay(27_416)),
+                (2, 0, Delay(161_676)),
+                (2, 1, Drop),
+                (5, 0, Duplicate)
+            ]
+        );
     }
 
     #[test]

@@ -20,9 +20,11 @@
 use std::fmt;
 
 use twob_faults::{
-    check_log_prefix, throwaway_wal, Engine, EngineKind, ReplFaultPlan, RESTART_DELAY, T0,
+    check_log_prefix, for_each_plan, golden_rerun, promote, throwaway_wal, Engine, EngineKind,
+    GoldenMiss, ReplFaultPlan, RESTART_DELAY, T0,
 };
 use twob_sim::Executor;
+use twob_wal::LogRecord;
 
 use crate::config::{CommitPolicy, ReplConfig};
 use crate::link::NetLinkConfig;
@@ -98,10 +100,10 @@ pub fn run_failover(
     exec.post(T0, Ev::Issue);
     // Phase A: run until the last commit is issued (which fixes the cut
     // instant) or the calendar drains (a stall — itself a violation).
-    loop {
+    let cut_at = loop {
         let more = exec.step(&mut |ex, t, ev| set.handle(ex, t, ev));
-        if set.cut_at.is_some() {
-            break;
+        if let Some(cut_at) = set.cut_at {
+            break cut_at;
         }
         if !more {
             report.violations.push(format!(
@@ -111,30 +113,23 @@ pub fn run_failover(
             report.violations.extend(set.violations.clone());
             return report;
         }
-    }
-    let cut_at = set.cut_at.expect("phase A fixes the cut");
+    };
     // Phase B: let everything scheduled up to the cut land — ship batches,
     // acks, releases. Later events die with the primary.
     exec.run_until(cut_at, |ex, t, ev| set.handle(ex, t, ev));
     report.violations.extend(set.violations.clone());
     report.acked_commits = set.released;
 
-    // The cut: the primary is gone for good (no recovery attempted), and
-    // every survivor is power-cycled so its ack durability promise is
-    // tested against the simulated medium.
-    let _ = set
-        .primary_log
-        .power_cycle_and_recover(cut_at, cut_at + RESTART_DELAY, &set.wal_cfg);
+    // The cut: the primary is gone for good, and every survivor is
+    // power-cycled so its ack durability promise is tested against the
+    // simulated medium.
     let recover_at = cut_at + RESTART_DELAY;
-    let mut recovered: Vec<(usize, Vec<twob_wal::LogRecord>)> = Vec::new();
+    let mut recovered: Vec<(usize, Vec<LogRecord>)> = Vec::new();
     for (r, rep) in set.replicas.iter().enumerate() {
         if !rep.link.is_up() {
             continue;
         }
-        let records = match rep
-            .log
-            .power_cycle_and_recover(cut_at, recover_at, &set.wal_cfg)
-        {
+        let records = match rep.log.recover(cut_at, recover_at) {
             Ok(records) => records,
             Err(e) => {
                 report
@@ -151,45 +146,62 @@ pub fn run_failover(
         }
     }
     report.survivors = recovered.len();
-    if recovered.is_empty() {
+
+    // Promote the most caught-up survivor (tie → lowest index).
+    let Some(promotion) = promote(recovered.iter().map(|(r, log)| (*r, &log[..]))) else {
         report
             .violations
             .push("no survivor available for promotion".into());
         return report;
-    }
-
-    // Promote the most caught-up survivor (tie → lowest index).
-    let (promoted, promoted_prefix) = recovered
-        .iter()
-        .max_by(|(ra, a), (rb, b)| a.len().cmp(&b.len()).then(rb.cmp(ra)))
-        .map(|(r, prefix)| (*r, prefix.clone()))
-        .expect("non-empty");
+    };
+    let (promoted, log) = (promotion.leader, promotion.log);
     report.promoted = Some(promoted);
-    report.promoted_prefix = promoted_prefix.len() as u64;
+    report.promoted_prefix = log.len() as u64;
 
     // Guarantee 1: no acknowledged transaction is lost.
-    if report.acked_commits > promoted_prefix.len() as u64 {
+    if report.acked_commits > log.len() as u64 {
         report.violations.push(format!(
             "acknowledged commits lost: client saw {} released, promoted \
              survivor {promoted} recovered only {}",
             report.acked_commits,
-            promoted_prefix.len()
+            log.len()
         ));
     }
 
     // Guarantee 2: every survivor's recovered log is a byte-identical
-    // prefix of the promoted log, and after catch-up every survivor's
-    // engine state digest matches — and matches a golden re-run.
-    let mut digests = Vec::new();
-    for (r, prefix) in &recovered {
-        for (i, rec) in prefix.iter().enumerate() {
-            if rec != &promoted_prefix[i] {
-                report.violations.push(format!(
-                    "survivor {r} diverges from promoted {promoted} at lsn:{i}"
-                ));
-                break;
-            }
+    // prefix of the promoted log...
+    for &(r, at) in &promotion.diverged {
+        report.violations.push(format!(
+            "survivor {r} diverges from promoted {promoted} at lsn:{at}"
+        ));
+    }
+    // ...the promoted log replays to the state of a golden re-run of the
+    // same op-stream prefix...
+    let converged = match golden_rerun(engine, &set.workload, log) {
+        Ok(digest) => digest,
+        Err(GoldenMiss::Apply(e)) => {
+            report
+                .violations
+                .push(format!("survivor {promoted} replay failed: {e:?}"));
+            return report;
         }
+        Err(GoldenMiss::Rerun(idx, e)) => {
+            report
+                .violations
+                .push(format!("golden re-run failed at {idx}: {e:?}"));
+            return report;
+        }
+        Err(GoldenMiss::Diverged { recovered, golden }) => {
+            report.violations.push(format!(
+                "converged digest {recovered:#018x} diverges from golden re-run \
+                 of {} commits ({golden:#018x})",
+                log.len()
+            ));
+            recovered
+        }
+    };
+    // ...and after catch-up every survivor's engine lands on that state.
+    for (r, prefix) in &recovered {
         let mut rebuilt = Engine::build(engine, throwaway_wal());
         if let Err(e) = rebuilt.apply_records(prefix) {
             report
@@ -198,43 +210,16 @@ pub fn run_failover(
             continue;
         }
         // Catch-up shipping from the new primary.
-        if let Err(e) = rebuilt.apply_records(&promoted_prefix[prefix.len()..]) {
+        if let Err(e) = rebuilt.apply_records(&log[prefix.len()..]) {
             report
                 .violations
                 .push(format!("survivor {r} catch-up failed: {e:?}"));
             continue;
         }
-        digests.push((*r, rebuilt.state_digest()));
-    }
-    if let Some(&(_, first)) = digests.first() {
-        for &(r, d) in &digests {
-            if d != first {
-                report.violations.push(format!(
-                    "survivor {r} digest {d:#018x} diverges after catch-up ({first:#018x})"
-                ));
-            }
-        }
-        // Golden: re-running the same op-stream prefix on a fresh engine
-        // must land on the same state.
-        let mut golden = Engine::build(engine, throwaway_wal());
-        let mut t = T0;
-        for idx in 0..promoted_prefix.len() {
-            match golden.commit(t, &set.workload, idx) {
-                Ok(out) => t = out.commit_at,
-                Err(e) => {
-                    report
-                        .violations
-                        .push(format!("golden re-run failed at {idx}: {e:?}"));
-                    return report;
-                }
-            }
-        }
-        if first != golden.state_digest() {
+        let d = rebuilt.state_digest();
+        if d != converged {
             report.violations.push(format!(
-                "converged digest {first:#018x} diverges from golden re-run \
-                 of {} commits ({:#018x})",
-                promoted_prefix.len(),
-                golden.state_digest()
+                "survivor {r} digest {d:#018x} diverges after catch-up ({converged:#018x})"
             ));
         }
     }
@@ -301,23 +286,19 @@ pub fn failover_sweep(plans: u64, seed: u64) -> ReplSweepReport {
         survivors: 0,
         violations: Vec::new(),
     };
-    let combos: Vec<(EngineKind, ShipScheme)> = EngineKind::ALL
-        .iter()
-        .flat_map(|&e| ShipScheme::ALL.iter().map(move |&s| (e, s)))
-        .collect();
-    for i in 0..plans {
-        let (engine, scheme) = combos[(i % combos.len() as u64) as usize];
-        let plan_seed = seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(i.wrapping_mul(0x2545_f491_4f6c_dd1d));
-        let plan = ReplFaultPlan::random(plan_seed);
-        let run = run_failover(engine, scheme, &plan);
-        report.acked_commits += run.acked_commits;
-        report.survivors += run.survivors as u64;
-        for v in run.violations {
-            report.violations.push((engine, scheme, plan_seed, v));
-        }
-    }
+    for_each_plan(
+        plans,
+        seed,
+        &ShipScheme::ALL,
+        |engine, scheme, plan_seed| {
+            let run = run_failover(engine, scheme, &ReplFaultPlan::random(plan_seed));
+            report.acked_commits += run.acked_commits;
+            report.survivors += run.survivors as u64;
+            for v in run.violations {
+                report.violations.push((engine, scheme, plan_seed, v));
+            }
+        },
+    );
     report
 }
 

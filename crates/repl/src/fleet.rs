@@ -51,7 +51,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use twob_core::TwoBSsd;
-use twob_faults::{ClusterFaultPlan, CutScope, T0};
+use twob_faults::{promote, ClusterFaultPlan, CutScope, T0};
 use twob_sim::{
     mix, mix_bytes, Histogram, ShardCtx, ShardDrive, ShardedExecutor, SimDuration, SimRng, SimTime,
     FNV_BASIS,
@@ -753,8 +753,7 @@ impl Fleet {
     fn report(mut self) -> FleetReport {
         let final_now = (0..self.states.len())
             .map(|i| self.pdes.shard(i).now())
-            .max()
-            .expect("a fleet has nodes");
+            .fold(SimTime::ZERO, SimTime::max);
         let victims: Vec<usize> = self
             .cfg
             .cut
@@ -770,12 +769,7 @@ impl Fleet {
         // Merge releases; the closed loop makes each shard's stream
         // 0..k dense — any gap or duplicate is a reorder/drop of an
         // acknowledged record.
-        let mut releases: Vec<(u16, u64, u64)> = self
-            .states
-            .iter()
-            .flat_map(|n| n.commit_lats.iter().copied())
-            .collect();
-        releases.sort_unstable_by_key(|&(s, l, _)| (s, l));
+        let releases = merged(self.states.iter().map(|n| &n.commit_lats[..]));
         let mut shard_released = vec![0u64; usize::from(self.cfg.shards)];
         for shard in 0..self.cfg.shards {
             let lsns: Vec<u64> = releases
@@ -797,12 +791,7 @@ impl Fleet {
         for &(_, _, ns) in &releases {
             commit_hist.record(SimDuration::from_nanos(ns));
         }
-        let mut read_lats: Vec<(u16, u64, u64)> = self
-            .states
-            .iter()
-            .flat_map(|n| n.read_lats.iter().copied())
-            .collect();
-        read_lats.sort_unstable_by_key(|&(s, l, _)| (s, l));
+        let read_lats = merged(self.states.iter().map(|n| &n.read_lats[..]));
         let mut read_hist = Histogram::new();
         for &(_, _, ns) in &read_lats {
             read_hist.record(SimDuration::from_nanos(ns));
@@ -831,50 +820,14 @@ impl Fleet {
                     Err(e) => violations.push(format!("node {}: recover shard {shard}: {e}", n.id)),
                 }
             }
-            // Async releases at primary-local durability only, and power
-            // cuts preserve synced bytes (capacitor dump) — so the cut
-            // primary's log is legitimate recovery input. Quorum policies
-            // must survive on the non-victim holders alone.
-            let eligible: Vec<&(usize, Vec<LogRecord>)> = logs
-                .iter()
-                .filter(|(id, _)| policy_includes(self.cfg.policy, &victims, *id))
-                .collect();
-            let promoted = eligible
-                .iter()
-                .max_by(|a, b| a.1.len().cmp(&b.1.len()).then(b.0.cmp(&a.0)))
-                .map(|(id, recs)| (*id, recs.clone()));
-            let Some((leader, promoted)) = promoted else {
-                if shard_released[usize::from(shard)] > 0 {
-                    violations.push(format!(
-                        "shard {shard}: {} acked commits but no eligible holder",
-                        shard_released[usize::from(shard)]
-                    ));
-                }
-                continue;
-            };
-            // Guarantee 1: every acknowledged commit is in the promoted
-            // log, byte-for-byte.
-            for lsn in 0..shard_released[usize::from(shard)] {
-                match promoted.get(lsn as usize) {
-                    Some(rec)
-                        if rec.lsn == Lsn(lsn) && rec.payload == shard_payload(shard, lsn) => {}
-                    _ => violations.push(format!(
-                        "shard {shard}: acked lsn {lsn} lost or corrupt on promoted node {leader}"
-                    )),
-                }
-            }
-            // Guarantee 2: every eligible holder is a byte-identical
-            // prefix of the promoted log — catch-up converges them.
-            for (id, recs) in &eligible {
-                if promoted.len() < recs.len() || recs[..] != promoted[..recs.len()] {
-                    violations.push(format!(
-                        "shard {shard}: node {id} diverges from promoted node {leader}"
-                    ));
-                }
-            }
-            shard_digests[usize::from(shard)] = promoted.iter().fold(FNV_BASIS, |d, rec| {
-                mix_bytes(mix(d, rec.lsn.0), &rec.payload)
-            });
+            shard_digests[usize::from(shard)] = check_shard(
+                shard,
+                shard_released[usize::from(shard)],
+                self.cfg.policy,
+                &victims,
+                &logs,
+                &mut violations,
+            );
         }
 
         let mut config_log = Vec::new();
@@ -1022,6 +975,66 @@ pub fn fleet_sweep(plans: u64, seed: u64) -> FleetSweepReport {
         }
     }
     report
+}
+
+/// Every node's `(shard, lsn, ns)` samples of one kind, merged in one total
+/// order: ties between nodes never depend on the sort.
+fn merged<'a>(parts: impl Iterator<Item = &'a [(u16, u64, u64)]>) -> Vec<(u16, u64, u64)> {
+    let mut all: Vec<(u16, u64, u64)> = parts.flatten().copied().collect();
+    all.sort_unstable();
+    all
+}
+
+/// Promotes `shard`'s most caught-up eligible holder among `logs` (each
+/// node's recovered slot) and checks both guarantees against the
+/// `released` acknowledged commits, pushing what fails. Returns the
+/// promoted log's digest, 0 when no holder is eligible.
+///
+/// Async releases at primary-local durability only, and power cuts
+/// preserve synced bytes (capacitor dump) — so the cut primary's log is
+/// legitimate recovery input. Quorum policies must survive on the
+/// non-victim holders alone.
+fn check_shard(
+    shard: u16,
+    released: u64,
+    policy: CommitPolicy,
+    victims: &[usize],
+    logs: &[(usize, Vec<LogRecord>)],
+    violations: &mut Vec<String>,
+) -> u64 {
+    let eligible = logs
+        .iter()
+        .filter(|(id, _)| policy_includes(policy, victims, *id))
+        .map(|(id, recs)| (*id, &recs[..]));
+    let Some(promotion) = promote(eligible) else {
+        if released > 0 {
+            violations.push(format!(
+                "shard {shard}: {released} acked commits but no eligible holder"
+            ));
+        }
+        return 0;
+    };
+    let leader = promotion.leader;
+    // Guarantee 1: every acknowledged commit is in the promoted log,
+    // byte-for-byte.
+    for lsn in 0..released {
+        match promotion.log.get(lsn as usize) {
+            Some(rec) if rec.lsn == Lsn(lsn) && rec.payload == shard_payload(shard, lsn) => {}
+            _ => violations.push(format!(
+                "shard {shard}: acked lsn {lsn} lost or corrupt on promoted node {leader}"
+            )),
+        }
+    }
+    // Guarantee 2: every eligible holder is a byte-identical prefix of the
+    // promoted log — catch-up converges them.
+    for (id, _) in &promotion.diverged {
+        violations.push(format!(
+            "shard {shard}: node {id} diverges from promoted node {leader}"
+        ));
+    }
+    promotion.log.iter().fold(FNV_BASIS, |d, rec| {
+        mix_bytes(mix(d, rec.lsn.0), &rec.payload)
+    })
 }
 
 /// Whether `id`'s recovered log may be promoted under `policy`.
@@ -1295,6 +1308,97 @@ mod tests {
             commits_per_shard: 6,
             ..FleetConfig::default()
         }
+    }
+
+    /// A shard's slot as an honest holder recovers it: `n` records.
+    fn slot(shard: u16, n: u64) -> Vec<LogRecord> {
+        (0..n)
+            .map(|l| LogRecord::new(Lsn(l), shard_payload(shard, l)))
+            .collect()
+    }
+
+    fn shard_check(
+        released: u64,
+        policy: CommitPolicy,
+        victims: &[usize],
+        logs: &[(usize, Vec<LogRecord>)],
+    ) -> (u64, Vec<String>) {
+        let mut violations = Vec::new();
+        let digest = check_shard(1, released, policy, victims, logs, &mut violations);
+        (digest, violations)
+    }
+
+    #[test]
+    fn merged_samples_sort_on_the_whole_tuple() {
+        let a = [(1, 0, 9), (0, 2, 5)];
+        let b = [(0, 2, 3), (0, 1, 7)];
+        let want = vec![(0, 1, 7), (0, 2, 3), (0, 2, 5), (1, 0, 9)];
+        assert_eq!(merged([&a[..], &b[..]].into_iter()), want);
+        assert_eq!(merged([&b[..], &a[..]].into_iter()), want);
+    }
+
+    #[test]
+    fn shard_check_passes_prefix_holders_and_names_what_breaks() {
+        let quorum = CommitPolicy::SemiSync(2);
+        let clean = vec![(3, slot(1, 4)), (5, slot(1, 4)), (7, slot(1, 3))];
+        let (digest, v) = shard_check(4, quorum, &[], &clean);
+        assert!(v.is_empty(), "{v:?}");
+        assert_eq!(digest, shard_check(4, quorum, &[], &clean[1..2]).0);
+
+        // A lost acked record: every holder stops short of lsn 3.
+        let short = vec![(3, slot(1, 3)), (5, slot(1, 2))];
+        let (_, v) = shard_check(4, quorum, &[], &short);
+        assert_eq!(
+            v,
+            ["shard 1: acked lsn 3 lost or corrupt on promoted node 3"]
+        );
+
+        // A diverging eligible holder.
+        let mut diverging = clean.clone();
+        diverging[2].1[1] = LogRecord::new(Lsn(1), b"torn".to_vec());
+        let (_, v) = shard_check(4, quorum, &[], &diverging);
+        assert_eq!(v, ["shard 1: node 7 diverges from promoted node 3"]);
+
+        // Two equally long holders: the lowest id (3) is promoted, so its
+        // corrupt record is an acked loss and both others diverge from it.
+        let mut tied = clean.clone();
+        tied[0].1[2] = LogRecord::new(Lsn(2), b"torn".to_vec());
+        let (_, v) = shard_check(4, quorum, &[], &tied);
+        assert_eq!(
+            v,
+            [
+                "shard 1: acked lsn 2 lost or corrupt on promoted node 3",
+                "shard 1: node 5 diverges from promoted node 3",
+                "shard 1: node 7 diverges from promoted node 3",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_cut_victim_is_promotable_under_async_only() {
+        // Victim 3 holds a longer, diverging log: under a quorum policy it
+        // is no holder at all; under async it is the longest and wins.
+        let mut victim = slot(1, 5);
+        victim[1] = LogRecord::new(Lsn(1), b"torn".to_vec());
+        let logs = vec![(3, victim), (5, slot(1, 4)), (7, slot(1, 4))];
+        for quorum in [CommitPolicy::SemiSync(2), CommitPolicy::Sync] {
+            let (digest, v) = shard_check(4, quorum, &[3], &logs);
+            assert!(v.is_empty(), "{quorum}: {v:?}");
+            assert_eq!(digest, shard_check(4, quorum, &[], &logs[1..2]).0);
+        }
+        let (_, v) = shard_check(4, CommitPolicy::Async, &[3], &logs);
+        assert_eq!(
+            v,
+            [
+                "shard 1: acked lsn 1 lost or corrupt on promoted node 3",
+                "shard 1: node 5 diverges from promoted node 3",
+                "shard 1: node 7 diverges from promoted node 3",
+            ]
+        );
+        // Every holder a victim: nothing is left to promote.
+        let (digest, v) = shard_check(4, CommitPolicy::SemiSync(2), &[3, 5, 7], &logs);
+        assert_eq!(digest, 0);
+        assert_eq!(v, ["shard 1: 4 acked commits but no eligible holder"]);
     }
 
     #[test]

@@ -25,13 +25,10 @@
 use std::collections::BTreeMap;
 
 use twob_core::TwoBSsd;
-use twob_faults::{Engine, ReplFaultPlan, SharedWal, ShipFault, Workload, T0};
+use twob_faults::{CutWal, Engine, ReplFaultPlan, ShipFault, Workload, T0};
 use twob_sim::{Executor, Histogram, SimDuration, SimRng, SimTime};
 use twob_ssd::{Ssd, SsdConfig};
-use twob_wal::{
-    replay, BaWal, BlockWal, CommitMode, CursorBatch, LogRecord, Lsn, WalConfig, WalError, WalTail,
-    WalWriter,
-};
+use twob_wal::{CommitMode, LogRecord, Lsn, WalError, WalTail, WalWriter};
 
 use crate::config::ReplConfig;
 use crate::link::{NetLink, ACK_WIRE_BYTES, RECORD_WIRE_OVERHEAD};
@@ -55,108 +52,15 @@ const RETX_FLOOR: SimDuration = SimDuration::from_micros(200);
 /// healthy run ever reaches.
 const MAX_RETX_ROUNDS: u64 = 1_000;
 
-/// One node's WAL: the writer half is boxed into the node's engine, this
-/// shared half keeps tail reads and the power-cut/recovery path reachable.
-pub(crate) enum NodeLog {
-    /// BA-WAL over a private 2B-SSD.
-    Ba(SharedWal<BaWal>),
-    /// Synchronous block WAL over a private conventional SSD.
-    Block(SharedWal<BlockWal<Ssd>>),
-}
-
-impl NodeLog {
-    pub(crate) fn build(scheme: ShipScheme, cfg: WalConfig) -> Result<NodeLog, WalError> {
-        match scheme {
-            ShipScheme::Ba => {
-                let wal = BaWal::new(TwoBSsd::small_for_tests(), cfg, 4)?;
-                Ok(NodeLog::Ba(SharedWal::new(wal)))
-            }
-            ShipScheme::Block => {
-                let dev = Ssd::new(SsdConfig::dc_ssd().small());
-                let wal = BlockWal::new(dev, cfg, CommitMode::Sync)?;
-                Ok(NodeLog::Block(SharedWal::new(wal)))
-            }
-        }
-    }
-
-    /// A clone of the writer half, for the node's engine.
-    pub(crate) fn writer(&self) -> Box<dyn WalWriter> {
-        match self {
-            NodeLog::Ba(s) => Box::new(s.clone()),
-            NodeLog::Block(s) => Box::new(s.clone()),
-        }
-    }
-
-    fn read_tail(&mut self, now: SimTime, from: Lsn) -> Result<CursorBatch, WalError> {
-        match self {
-            NodeLog::Ba(s) => s.read_tail(now, from),
-            NodeLog::Block(s) => s.read_tail(now, from),
-        }
-    }
-
-    fn append_batch(
-        &mut self,
-        now: SimTime,
-        payloads: &[Vec<u8>],
-    ) -> Result<twob_wal::CommitOutcome, WalError> {
-        match self {
-            NodeLog::Ba(s) => s.append_batch(now, payloads),
-            NodeLog::Block(s) => s.append_batch(now, payloads),
-        }
-    }
-
-    /// Cuts power at `cut_at`, restarts at `recover_at`, and returns every
-    /// record the node's log yields after the cycle (flushed segments plus,
-    /// for BA-WAL, the capacitor-restored buffer tail).
-    pub(crate) fn power_cycle_and_recover(
-        &self,
-        cut_at: SimTime,
-        recover_at: SimTime,
-        cfg: &WalConfig,
-    ) -> Result<Vec<LogRecord>, String> {
-        match self {
-            NodeLog::Ba(s) => {
-                let dump = s.with(|w| w.device_mut().power_loss(cut_at));
-                if !dump.dumped {
-                    return Err(format!("capacitor dump failed: {:?}", dump.reason));
-                }
-                let restore = s.with(|w| w.device_mut().power_on(recover_at));
-                if !restore.restored {
-                    return Err("restore found no valid dump".into());
-                }
-                let mut records = s
-                    .with(|w| {
-                        replay(
-                            w.device_mut(),
-                            recover_at,
-                            cfg.region_base_lba,
-                            cfg.region_pages,
-                        )
-                    })
-                    .map_err(|e| format!("replay failed: {e:?}"))?
-                    .records;
-                let buffered = s
-                    .with(|w| w.recover_buffered(recover_at))
-                    .map_err(|e| format!("recover_buffered failed: {e:?}"))?;
-                records.extend(buffered);
-                Ok(records)
-            }
-            NodeLog::Block(s) => {
-                s.with(|w| {
-                    w.device_mut().power_loss(cut_at);
-                    w.device_mut().power_on(recover_at);
-                });
-                s.with(|w| {
-                    replay(
-                        w.device_mut(),
-                        recover_at,
-                        cfg.region_base_lba,
-                        cfg.region_pages,
-                    )
-                })
-                .map(|o| o.records)
-                .map_err(|e| format!("replay failed: {e:?}"))
-            }
+/// One node's WAL, a [`CutWal`]: the engine logs through one clone, the
+/// set keeps another for tail reads, replica appends and the power-cut
+/// recovery path.
+fn node_log(scheme: ShipScheme) -> Result<CutWal, WalError> {
+    match scheme {
+        ShipScheme::Ba => CutWal::ba(TwoBSsd::small_for_tests()),
+        ShipScheme::Block => {
+            let ssd = Ssd::new(SsdConfig::dc_ssd().small());
+            Ok(CutWal::block(ssd, CommitMode::Sync)?.0)
         }
     }
 }
@@ -164,7 +68,7 @@ impl NodeLog {
 /// One replica node: its own log, engine, link to the primary, and apply
 /// frontier (the next LSN it expects).
 pub(crate) struct Replica {
-    pub(crate) log: NodeLog,
+    pub(crate) log: CutWal,
     pub(crate) engine: Engine,
     pub(crate) link: NetLink,
     pub(crate) applied: u64,
@@ -228,9 +132,8 @@ impl SteadyReport {
 /// a closed-loop client on one shared event calendar.
 pub struct ReplicaSet {
     pub(crate) cfg: ReplConfig,
-    pub(crate) wal_cfg: WalConfig,
     pub(crate) workload: Workload,
-    pub(crate) primary_log: NodeLog,
+    primary_log: CutWal,
     pub(crate) primary_engine: Engine,
     pub(crate) replicas: Vec<Replica>,
     /// Primary's view of each replica's apply frontier (next LSN needed).
@@ -267,15 +170,14 @@ impl ReplicaSet {
     ///
     /// Propagates WAL construction failures (invalid config).
     pub fn new(cfg: ReplConfig) -> Result<ReplicaSet, WalError> {
-        let wal_cfg = WalConfig::default();
         let workload = Workload::from_seed(cfg.engine, cfg.seed, cfg.commits);
-        let primary_log = NodeLog::build(cfg.scheme, wal_cfg)?;
-        let primary_engine = Engine::build(cfg.engine, primary_log.writer());
+        let primary_log = node_log(cfg.scheme)?;
+        let primary_engine = Engine::build(cfg.engine, Box::new(primary_log.clone()));
         let mut net_rng = SimRng::seed_from(cfg.seed ^ 0x2e71_1a7e_2e71_1a7e);
         let mut replicas = Vec::with_capacity(cfg.replicas);
         for r in 0..cfg.replicas {
-            let log = NodeLog::build(cfg.scheme, wal_cfg)?;
-            let engine = Engine::build(cfg.engine, log.writer());
+            let log = node_log(cfg.scheme)?;
+            let engine = Engine::build(cfg.engine, Box::new(log.clone()));
             let link = NetLink::new(cfg.link, net_rng.fork(r as u64));
             replicas.push(Replica {
                 log,
@@ -288,7 +190,6 @@ impl ReplicaSet {
         let client_rng = SimRng::seed_from(cfg.seed ^ 0xc11e_47c1_1e47_c11e);
         Ok(ReplicaSet {
             cfg,
-            wal_cfg,
             workload,
             primary_log,
             primary_engine,
