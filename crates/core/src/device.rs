@@ -218,6 +218,11 @@ impl TwoBSsd {
         self.table.iter().copied().collect()
     }
 
+    /// The mapping table, for the pin table's first-fit over one share.
+    pub(crate) fn table(&self) -> &MappingTable {
+        &self.table
+    }
+
     /// Installs the OS permission policy consulted by [`TwoBSsd::ba_pin`].
     pub fn set_permission_policy(&mut self, policy: PermissionPolicy) {
         self.policy = policy;
@@ -274,7 +279,8 @@ impl TwoBSsd {
 
     /// Lowest free page-aligned buffer offset with room for `pages`.
     pub fn free_buffer_offset(&self, pages: u32) -> Option<u64> {
-        self.table.free_buffer_offset(pages)
+        self.table
+            .free_buffer_offset(0..self.spec.ba_buffer_bytes, pages)
     }
 
     fn check_power(&self) -> Result<(), TwoBError> {
@@ -350,7 +356,6 @@ impl TwoBSsd {
             self.spec.max_entries.saturating_sub(1) as u8,
         )))?;
         let offset = self
-            .table
             .free_buffer_offset(pages)
             .ok_or(TwoBError::BufferOutOfRange {
                 offset: 0,
@@ -832,6 +837,32 @@ mod tests {
         let a = d.ba_entry_info(e0).unwrap();
         let b = d.ba_entry_info(e1).unwrap();
         assert!(!a.buffer_overlaps(b.buffer_offset, b.len_bytes()));
+    }
+
+    #[test]
+    fn auto_pin_reuses_holes_first_fit() {
+        let mut d = dev();
+        let pin = |d: &mut TwoBSsd, lba, pages| {
+            let (eid, _) = d.ba_pin_auto(SimTime::ZERO, Lba(lba), pages).unwrap();
+            (eid, d.ba_entry_info(eid).unwrap().buffer_offset)
+        };
+        let first = [(0, 2), (10, 1), (20, 2)].map(|(lba, pages)| pin(&mut d, lba, pages));
+        assert_eq!(
+            first,
+            [(EntryId(0), 0), (EntryId(1), 8192), (EntryId(2), 12288)]
+        );
+        d.ba_flush(SimTime::ZERO, EntryId(0)).unwrap();
+        // Three pages skip the two-page hole; single pages then fill it.
+        let refill = [(30, 3), (40, 1), (50, 1)].map(|(lba, pages)| pin(&mut d, lba, pages));
+        assert_eq!(
+            refill,
+            [(EntryId(0), 20480), (EntryId(3), 0), (EntryId(4), 4096)]
+        );
+        // Eight pages remain, all past the last window.
+        assert!(matches!(
+            d.ba_pin_auto(SimTime::ZERO, Lba(60), 9),
+            Err(TwoBError::BufferOutOfRange { .. })
+        ));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The BA-buffer mapping table (paper §III-A2, Fig 2).
 
 use std::fmt;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 use twob_ftl::Lba;
@@ -204,28 +205,27 @@ impl MappingTable {
             .map(|i| EntryId(i as u8))
     }
 
-    /// Finds the lowest page-aligned buffer offset with room for `pages`,
-    /// if any — a first-fit allocator for callers that do not care where
-    /// their window lives.
-    pub fn free_buffer_offset(&self, pages: u32) -> Option<u64> {
+    /// Finds the lowest page-aligned offset in the byte range `within` with
+    /// room for `pages` — the one first-fit allocator: the device passes
+    /// the whole buffer, the pin table one tenant's share. Only windows
+    /// that reach into `within` are sorted, so a search stays linear in
+    /// the table.
+    pub fn free_buffer_offset(&self, within: Range<u64>, pages: u32) -> Option<u64> {
         let len = u64::from(pages) * 4096;
         let mut windows: Vec<(u64, u64)> = self
             .iter()
+            .filter(|e| e.buffer_overlaps(within.start, within.end - within.start))
             .map(|e| (e.buffer_offset, e.buffer_end()))
             .collect();
         windows.sort_unstable();
-        let mut cursor = 0u64;
+        let mut cursor = within.start;
         for (start, end) in windows {
             if cursor + len <= start {
                 return Some(cursor);
             }
             cursor = cursor.max(end);
         }
-        if cursor + len <= self.buffer_bytes {
-            Some(cursor)
-        } else {
-            None
-        }
+        (cursor + len <= within.end).then_some(cursor)
     }
 }
 
@@ -317,11 +317,16 @@ mod tests {
         t.insert(EntryId(1), 12288, Lba(10), 1).unwrap();
         assert_eq!(t.free_eid(), Some(EntryId(2)));
         // Hole between entry 0 (ends 8192) and entry 1 (starts 12288).
-        assert_eq!(t.free_buffer_offset(1), Some(8192));
+        assert_eq!(t.free_buffer_offset(0..64 << 10, 1), Some(8192));
         // Two pages do not fit in the hole; first fit lands after entry 1.
-        assert_eq!(t.free_buffer_offset(2), Some(16384));
+        assert_eq!(t.free_buffer_offset(0..64 << 10, 2), Some(16384));
         // Too big for the remaining space.
-        assert_eq!(t.free_buffer_offset(16), None);
+        assert_eq!(t.free_buffer_offset(0..64 << 10, 16), None);
+        // A range starts its search at its own start, past any window that
+        // reaches into it, and ends at its own end.
+        assert_eq!(t.free_buffer_offset(4096..64 << 10, 1), Some(8192));
+        assert_eq!(t.free_buffer_offset(12288..32768, 1), Some(16384));
+        assert_eq!(t.free_buffer_offset(12288..32768, 5), None);
     }
 
     #[test]

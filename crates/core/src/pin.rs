@@ -13,9 +13,11 @@
 //! - every pin carries a per-entry **state machine**
 //!   (`Pinning → Pinned → Unpinning`) so in-flight loads and flushes
 //!   cannot be raced by byte-path traffic;
-//! - ownership is checked on every access, and the table can prove
-//!   **`BA_GET_ENTRY_INFO` parity** — its view of each entry byte-matches
-//!   the device mapping table's — at any quiescent point;
+//! - ownership is checked on every access. A row holds only what the
+//!   device does not know (owner, state, front-end); where each window
+//!   lies is the device mapping table's to say (`BA_GET_ENTRY_INFO`), and
+//!   the table can prove **parity** — both tables hold the same entry
+//!   IDs — at any quiescent point;
 //! - after a power-loss dump and restore, [`PinTable::reattach`] re-binds
 //!   surviving entries to their tenants (the dump covers all live pins,
 //!   so a clean dump loses nothing).
@@ -99,30 +101,19 @@ impl fmt::Display for RegionFrontEnd {
     }
 }
 
-/// One live row of the pin table.
+/// One live row of the pin table: the columns the device's mapping table
+/// does not have. The window's buffer offset, LBA and length are the
+/// device's ([`TwoBSsd::ba_entry_info`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PinEntry {
     /// Owning tenant.
     pub tenant: TenantId,
     /// Lifecycle state.
     pub state: PinState,
-    /// Absolute byte offset of the window in the BA-buffer.
-    pub buffer_offset: u64,
-    /// First pinned LBA.
-    pub lba: Lba,
-    /// Window length in 4 KiB pages.
-    pub pages: u32,
     /// When the in-flight transition (pin load) completes.
     pub ready_at: SimTime,
     /// Byte front-end serving this window's accesses.
     pub front_end: RegionFrontEnd,
-}
-
-impl PinEntry {
-    /// Window length in bytes.
-    pub fn len_bytes(&self) -> u64 {
-        u64::from(self.pages) * 4096
-    }
 }
 
 /// Errors raised by the pin-table arbiter (checked *before* the device's
@@ -313,7 +304,8 @@ impl PinTable {
             .collect()
     }
 
-    /// The pin-table row for `eid` (the arbiter's `BA_GET_ENTRY_INFO`).
+    /// The pin-table row for `eid`; the window itself is
+    /// [`TwoBSsd::ba_entry_info`].
     ///
     /// # Errors
     ///
@@ -372,8 +364,9 @@ impl PinTable {
     /// offset inside `tenant`'s share.
     ///
     /// The arbiter rejects windows that leave the share or overlap the
-    /// tenant's live windows *before* calling the device, so a tenant can
-    /// never learn about (or collide with) another tenant's entries.
+    /// tenant's live windows (as the device maps them) *before* calling
+    /// the device, so a tenant can never learn about (or collide with)
+    /// another tenant's entries.
     ///
     /// # Errors
     ///
@@ -400,8 +393,11 @@ impl PinTable {
         }
         let offset = (u64::from(tenant.0) * self.share_pages + rel_page) * 4096;
         let len = u64::from(pages) * 4096;
-        for (eid, live) in self.entries_for(tenant) {
-            if offset < live.buffer_offset + live.len_bytes() && live.buffer_offset < offset + len {
+        for (eid, _) in self.entries_for(tenant) {
+            if dev
+                .ba_entry_info(eid)
+                .is_ok_and(|live| live.buffer_overlaps(offset, len))
+            {
                 return Err(PinError::WindowOverlap { tenant, eid });
             }
         }
@@ -415,18 +411,15 @@ impl PinTable {
         self.entries[usize::from(eid.0)] = Some(PinEntry {
             tenant,
             state: PinState::Pinning,
-            buffer_offset: offset,
-            lba,
-            pages,
             ready_at: done.complete_at,
             front_end: RegionFrontEnd::BaMmio,
         });
         Ok((eid, done))
     }
 
-    /// Pins `pages` pages of `lba` at the first share-relative offset that
-    /// fits inside `tenant`'s share (first-fit, like
-    /// [`TwoBSsd::ba_pin_auto`] but confined to the share).
+    /// Pins `pages` pages of `lba` at the first offset that fits inside
+    /// `tenant`'s share: the device's first-fit
+    /// ([`crate::MappingTable::free_buffer_offset`]) over the share.
     ///
     /// # Errors
     ///
@@ -442,24 +435,11 @@ impl PinTable {
     ) -> Result<(EntryId, ApiCompletion), PinError> {
         self.check_tenant(tenant)?;
         let base = u64::from(tenant.0) * self.share_pages * 4096;
-        let len = u64::from(pages) * 4096;
-        let mut windows: Vec<(u64, u64)> = self
-            .entries_for(tenant)
-            .into_iter()
-            .map(|(_, e)| (e.buffer_offset, e.buffer_offset + e.len_bytes()))
-            .collect();
-        windows.sort_unstable();
-        let mut cursor = base;
-        for (start, end) in windows {
-            if cursor + len <= start {
-                break;
-            }
-            cursor = cursor.max(end);
-        }
-        if cursor + len > base + self.share_pages * 4096 {
-            return Err(PinError::ShareExhausted(tenant));
-        }
-        self.pin_at(dev, now, tenant, (cursor - base) / 4096, lba, pages)
+        let offset = dev
+            .table()
+            .free_buffer_offset(base..base + self.share_pages * 4096, pages)
+            .ok_or(PinError::ShareExhausted(tenant))?;
+        self.pin_at(dev, now, tenant, (offset - base) / 4096, lba, pages)
     }
 
     /// [`PinTable::pin`], then [`PinTable::set_front_end`] once the load has
@@ -679,89 +659,48 @@ impl PinTable {
         }
     }
 
-    /// Proves `BA_GET_ENTRY_INFO` parity: every pin-table row must
-    /// byte-match the device mapping table's entry, and the device must
-    /// hold no entries the arbiter does not know about.
+    /// Proves parity with the device mapping table: both hold the same
+    /// entry IDs. Geometry cannot differ, because only the device keeps it.
     ///
     /// # Errors
     ///
-    /// [`PinError::Parity`] naming the first divergence.
+    /// [`PinError::Parity`] naming both ID sets.
     pub fn verify_device_parity(&self, dev: &TwoBSsd) -> Result<(), PinError> {
-        let device = dev.entries();
-        let ours = self.entries();
-        if device.len() != ours.len() {
+        let device: Vec<EntryId> = dev.entries().iter().map(|e| e.eid).collect();
+        let ours: Vec<EntryId> = self.entries().into_iter().map(|(eid, _)| eid).collect();
+        if device != ours {
             return Err(PinError::Parity(format!(
-                "device holds {} entries, pin table {}",
-                device.len(),
-                ours.len()
+                "device holds {device:?}, pin table {ours:?}"
             )));
-        }
-        for (eid, entry) in ours {
-            let info = dev
-                .ba_entry_info(eid)
-                .map_err(|e| PinError::Parity(format!("{eid} missing on device: {e}")))?;
-            if info.buffer_offset != entry.buffer_offset
-                || info.start_lba != entry.lba
-                || info.pages != entry.pages
-            {
-                return Err(PinError::Parity(format!(
-                    "{eid} differs: device (offset={}, {}, pages={}) vs pin table \
-                     (offset={}, {}, pages={})",
-                    info.buffer_offset,
-                    info.start_lba,
-                    info.pages,
-                    entry.buffer_offset,
-                    entry.lba,
-                    entry.pages
-                )));
-            }
         }
         Ok(())
     }
 
     /// Re-binds tenants to the entries a power-on restore brought back:
-    /// rows the device lost are dropped, surviving rows become `Pinned`,
-    /// and a geometry mismatch is a parity failure. Returns how many rows
-    /// survived.
+    /// rows the device lost are dropped and surviving rows become
+    /// `Pinned`. Returns how many rows survived.
     ///
     /// # Errors
     ///
-    /// [`PinError::Parity`] if a surviving entry's geometry changed, or if
-    /// the device restored an entry the arbiter never created.
+    /// [`PinError::Parity`] if the device restored an entry the arbiter
+    /// never created.
     pub fn reattach(&mut self, dev: &TwoBSsd, now: SimTime) -> Result<usize, PinError> {
-        for entry in dev.entries() {
-            let known = self.entries.get(usize::from(entry.eid.0)).and_then(|e| *e);
-            match known {
-                None => {
-                    return Err(PinError::Parity(format!(
-                        "device restored {} unknown to the pin table",
-                        entry.eid
-                    )))
-                }
-                Some(ours)
-                    if ours.buffer_offset != entry.buffer_offset
-                        || ours.lba != entry.start_lba
-                        || ours.pages != entry.pages =>
-                {
-                    return Err(PinError::Parity(format!(
-                        "restored {} geometry differs from the pin table",
-                        entry.eid
-                    )))
-                }
-                Some(_) => {}
+        for e in dev.entries() {
+            if self.entry_info(e.eid).is_err() {
+                return Err(PinError::Parity(format!(
+                    "device restored {} unknown to the pin table",
+                    e.eid
+                )));
             }
         }
-        let device: std::collections::HashSet<u8> = dev.entries().iter().map(|e| e.eid.0).collect();
         let mut survived = 0;
         for (i, slot) in self.entries.iter_mut().enumerate() {
-            if device.contains(&(i as u8)) {
-                if let Some(entry) = slot.as_mut() {
-                    entry.state = PinState::Pinned;
-                    entry.ready_at = now;
-                    survived += 1;
-                }
-            } else {
+            if dev.ba_entry_info(EntryId(i as u8)).is_err() {
                 *slot = None;
+            } else if let Some(entry) = slot.as_mut() {
+                entry.state = PinState::Pinned;
+                entry.ready_at = now;
+                survived += 1;
             }
         }
         Ok(survived)
@@ -795,10 +734,54 @@ mod tests {
         let now = SimTime::ZERO;
         let (e0, _) = pins.pin(&mut dev, now, TenantId(0), Lba(0), 2).unwrap();
         let (e1, _) = pins.pin(&mut dev, now, TenantId(1), Lba(10), 2).unwrap();
-        let a = pins.entry_info(e0).unwrap();
-        let b = pins.entry_info(e1).unwrap();
+        let a = dev.ba_entry_info(e0).unwrap();
+        let b = dev.ba_entry_info(e1).unwrap();
         assert_eq!(a.buffer_offset, 0);
         assert_eq!(b.buffer_offset, 4 * 4096, "tenant 1 starts at its share");
+    }
+
+    #[test]
+    fn first_fit_reuses_holes_inside_the_share() {
+        let (mut dev, mut pins) = setup(2);
+        let (t0, t1) = (TenantId(0), TenantId(1));
+        let pin = |dev: &mut TwoBSsd, pins: &mut PinTable, t, tenant, lba, pages| {
+            let (eid, _) = pins.pin(dev, t, tenant, Lba(lba), pages).unwrap();
+            (eid, dev.ba_entry_info(eid).unwrap().buffer_offset)
+        };
+        let first =
+            [(t0, 100, 3), (t1, 0, 2), (t1, 10, 1), (t1, 20, 2)].map(|(tenant, lba, pages)| {
+                pin(&mut dev, &mut pins, SimTime::ZERO, tenant, lba, pages)
+            });
+        assert_eq!(
+            first,
+            [
+                (EntryId(0), 0),
+                (EntryId(1), 32768),
+                (EntryId(2), 40960),
+                (EntryId(3), 45056)
+            ]
+        );
+        let ready = pins.entry_info(EntryId(1)).unwrap().ready_at;
+        let t = pins
+            .unpin(&mut dev, ready, t1, EntryId(1))
+            .unwrap()
+            .complete_at;
+        // Three pages skip the two-page hole; single pages then fill it.
+        let refill = [(30, 3), (40, 1), (50, 1)]
+            .map(|(lba, pages)| pin(&mut dev, &mut pins, t, t1, lba, pages));
+        assert_eq!(
+            refill,
+            [
+                (EntryId(1), 53248),
+                (EntryId(4), 32768),
+                (EntryId(5), 36864)
+            ]
+        );
+        assert_eq!(
+            pins.pin(&mut dev, t, t1, Lba(60), 1).unwrap_err(),
+            PinError::ShareExhausted(t1)
+        );
+        pins.verify_device_parity(&dev).unwrap();
     }
 
     #[test]
@@ -912,6 +895,28 @@ mod tests {
             pins.verify_device_parity(&dev),
             Err(PinError::Parity(_))
         ));
+    }
+
+    #[test]
+    fn parity_and_reattach_detect_out_of_band_pin() {
+        use twob_sim::SimDuration;
+        let (mut dev, mut pins) = setup(2);
+        pins.pin(&mut dev, SimTime::ZERO, TenantId(0), Lba(0), 1)
+            .unwrap();
+        // Something bypasses the arbiter and pins on the raw device.
+        let (stray, done) = dev.ba_pin_auto(SimTime::ZERO, Lba(50), 1).unwrap();
+        assert!(matches!(
+            pins.verify_device_parity(&dev),
+            Err(PinError::Parity(_))
+        ));
+        let cut = done.complete_at + SimDuration::from_micros(100);
+        assert!(dev.power_loss(cut).dumped);
+        let up = cut + SimDuration::from_millis(1);
+        assert!(dev.power_on(up).restored);
+        assert_eq!(
+            pins.reattach(&dev, up).unwrap_err(),
+            PinError::Parity(format!("device restored {stray} unknown to the pin table"))
+        );
     }
 
     #[test]

@@ -178,6 +178,7 @@ impl ShardState {
     /// digest, leaving the whole log canonical.
     fn seal_log(&mut self) {
         let run = &mut self.observed[self.sealed..];
+        // Unstable is exact: an id completes once, so no key ties.
         run.sort_unstable_by_key(|&(id, ..)| id);
         self.host_digest = run.iter().fold(self.host_digest, |h, &(id, at, failed)| {
             mix(mix(mix(h, at.as_nanos()), id), u64::from(failed))
@@ -480,6 +481,7 @@ impl ShardedIoCalendar {
             .flat_map(|s| s.totals.iter())
             .map(|t| (t.group, t.digest))
             .collect();
+        // Unstable is exact: each group has one row, on one shard.
         out.sort_unstable_by_key(|&(g, _)| g);
         out
     }
@@ -493,6 +495,7 @@ impl ShardedIoCalendar {
             .flat_map(|s| s.totals.iter())
             .map(|t| (t.group, t.breakdown))
             .collect();
+        // Unstable is exact: each group has one row, on one shard.
         out.sort_unstable_by_key(|&(g, _)| g);
         out
     }
@@ -649,6 +652,21 @@ mod tests {
                 "placement {placement:?} changed observable results"
             );
         }
+    }
+
+    #[test]
+    fn group_reports_are_strictly_increasing_by_group() {
+        // Shard 0 holds groups 1 and 3, so the shard walk meets them before
+        // 0 and 2; the sort puts each group, once, in its place.
+        let cal = drive(
+            4,
+            GroupPlacement::new(vec![1, 0, 1, 0], 2),
+            ShardDrive::Adaptive,
+        );
+        let digests: Vec<usize> = cal.group_digests().iter().map(|&(g, _)| g).collect();
+        let totals: Vec<usize> = cal.breakdown_totals().iter().map(|&(g, _)| g).collect();
+        assert_eq!(digests, [0, 1, 2, 3]);
+        assert_eq!(totals, [0, 1, 2, 3]);
     }
 
     #[test]

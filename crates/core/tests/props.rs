@@ -106,7 +106,9 @@ fn regression_free_offset_insertable_after_three_page_entry() {
         let start = next_lba + lba_gap;
         next_lba = start + u64::from(pages);
         let eid = table.free_eid().expect("free eid");
-        let offset = table.free_buffer_offset(pages).expect("free offset");
+        let offset = table
+            .free_buffer_offset(0..64 << 10, pages)
+            .expect("free offset");
         assert!(
             table.insert(eid, offset, Lba(start), pages).is_ok(),
             "proposed window rejected for pages={pages} offset={offset}"
@@ -450,7 +452,7 @@ proptest! {
             let start = next_lba + lba_gap;
             next_lba = start + u64::from(pages);
             let Some(eid) = table.free_eid() else { break };
-            let Some(offset) = table.free_buffer_offset(pages) else { break };
+            let Some(offset) = table.free_buffer_offset(0..64 << 10, pages) else { break };
             prop_assert!(
                 table.insert(eid, offset, Lba(start), pages).is_ok(),
                 "proposed window rejected"
@@ -523,8 +525,8 @@ proptest! {
 
     /// Multi-tenant arbitration: arbitrary pin/write/unpin/power-loss
     /// interleavings never produce overlapping pinned windows, never let a
-    /// window leave its tenant's share, keep the arbiter in byte-parity
-    /// with the device mapping table, and the power-loss dump restores
+    /// window leave its tenant's share, keep the arbiter's entry IDs those
+    /// of the device mapping table, and the power-loss dump restores
     /// exactly the bytes each surviving window held.
     #[test]
     fn pin_table_arbitration_survives_churn_and_crashes(
@@ -560,8 +562,9 @@ proptest! {
                     if live.is_empty() {
                         continue;
                     }
-                    let (eid, entry) = live[pick % live.len()];
-                    let rel = offset % (entry.len_bytes() - data.len() as u64 + 1);
+                    let (eid, _) = live[pick % live.len()];
+                    let window = dev.ba_entry_info(eid).expect("the device maps an owned pin");
+                    let rel = offset % (window.len_bytes() - data.len() as u64 + 1);
                     let store = pins
                         .write(&mut dev, t, TenantId(tenant), eid, rel, &data)
                         .expect("in-window write on an owned pin");
@@ -590,8 +593,9 @@ proptest! {
                     // at-risk window). Synced bytes must then survive the
                     // dump exactly.
                     for (eid, entry) in pins.entries() {
+                        let len = dev.ba_entry_info(eid).expect("a mapped pin").len_bytes();
                         let sync = pins
-                            .sync_range(&mut dev, t, entry.tenant, eid, 0, entry.len_bytes())
+                            .sync_range(&mut dev, t, entry.tenant, eid, 0, len)
                             .map_err(|e| TestCaseError::fail(format!("sync {eid}: {e}")))?;
                         t = sync.complete_at;
                     }
@@ -628,26 +632,27 @@ proptest! {
                     }
                 }
             }
-            // Invariants after *every* op: windows confined to their
-            // tenant's share, pairwise disjoint, and arbiter/device parity.
-            let live = pins.entries();
+            // Invariants after *every* op, on the windows as the device maps
+            // them: confined to their tenant's share, pairwise disjoint,
+            // and arbiter/device parity.
+            pins.verify_device_parity(&dev)
+                .map_err(|e| TestCaseError::fail(format!("parity: {e}")))?;
+            let live = dev.entries();
             let share = pins.share_pages() * 4096;
-            for (i, (ea, a)) in live.iter().enumerate() {
-                let base = u64::from(a.tenant.0) * share;
+            for (i, a) in live.iter().enumerate() {
+                let tenant = pins.entry_info(a.eid).expect("parity: an owned row").tenant;
+                let base = u64::from(tenant.0) * share;
                 prop_assert!(
-                    a.buffer_offset >= base && a.buffer_offset + a.len_bytes() <= base + share,
-                    "{} escaped tenant {:?}'s share", ea, a.tenant
+                    a.buffer_offset >= base && a.buffer_end() <= base + share,
+                    "{} escaped {}'s share", a.eid, tenant
                 );
-                for (eb, b) in &live[i + 1..] {
+                for b in &live[i + 1..] {
                     prop_assert!(
-                        a.buffer_offset + a.len_bytes() <= b.buffer_offset
-                            || b.buffer_offset + b.len_bytes() <= a.buffer_offset,
-                        "{} and {} overlap in buffer space", ea, eb
+                        a.buffer_end() <= b.buffer_offset || b.buffer_end() <= a.buffer_offset,
+                        "{} and {} overlap in buffer space", a.eid, b.eid
                     );
                 }
             }
-            pins.verify_device_parity(&dev)
-                .map_err(|e| TestCaseError::fail(format!("parity: {e}")))?;
         }
     }
 

@@ -1037,6 +1037,22 @@ fn check_shard(
     })
 }
 
+/// Sends `ev` to node `to` over `links[to]`, leaving at `at` with `bytes`
+/// on the wire.
+fn send(
+    links: &mut [NetLink],
+    ctx: &mut ShardCtx<'_, Ev>,
+    to: usize,
+    at: SimTime,
+    bytes: u64,
+    ev: Ev,
+) {
+    let arrive = links[to]
+        .delivery_reliable(at, bytes)
+        .expect("Fleet::new refuses lossy links and nothing partitions a fleet link");
+    ctx.send(to, arrive, ev);
+}
+
 /// Whether `id`'s recovered log may be promoted under `policy`.
 fn policy_includes(policy: CommitPolicy, victims: &[usize], id: usize) -> bool {
     match policy {
@@ -1077,19 +1093,13 @@ fn drain(node: &mut NodeState, ctx: &mut ShardCtx<'_, Ev>, t: SimTime, shard: u1
         if p.local {
             let bytes = rec.payload.len() as u64 + RECORD_WIRE_OVERHEAD;
             for &target in &p.ship_to {
-                let at = node.links[target]
-                    .delivery_reliable(durable, bytes)
-                    .expect("lossless link partitioned");
-                ctx.send(
-                    target,
-                    at,
-                    Ev::Replicate {
-                        shard,
-                        lsn: next,
-                        payload: rec.payload.clone(),
-                        reply_to: node.id,
-                    },
-                );
+                let ev = Ev::Replicate {
+                    shard,
+                    lsn: next,
+                    payload: rec.payload.clone(),
+                    reply_to: node.id,
+                };
+                send(&mut node.links, ctx, target, durable, bytes, ev);
             }
             ctx.post(
                 durable,
@@ -1100,34 +1110,22 @@ fn drain(node: &mut NodeState, ctx: &mut ShardCtx<'_, Ev>, t: SimTime, shard: u1
                 },
             );
         } else if let Some(to) = p.ack_to {
-            let at = node.links[to]
-                .delivery_reliable(durable, ACK_WIRE_BYTES)
-                .expect("lossless link partitioned");
-            ctx.send(
-                to,
-                at,
-                Ev::Ack {
-                    shard,
-                    lsn: next,
-                    from: node.id,
-                },
-            );
+            let ev = Ev::Ack {
+                shard,
+                lsn: next,
+                from: node.id,
+            };
+            send(&mut node.links, ctx, to, durable, ACK_WIRE_BYTES, ev);
         }
     }
     if let Some(&(target, reply_to)) = node.catchup_ack.get(&shard) {
         if node.host.next_lsn(shard).expect("slot open").0 >= target {
             node.catchup_ack.remove(&shard);
-            let at = node.links[reply_to]
-                .delivery_reliable(t, ACK_WIRE_BYTES)
-                .expect("lossless link partitioned");
-            ctx.send(
-                reply_to,
-                at,
-                Ev::CatchupDone {
-                    shard,
-                    from: node.id,
-                },
-            );
+            let ev = Ev::CatchupDone {
+                shard,
+                from: node.id,
+            };
+            send(&mut node.links, ctx, reply_to, t, ACK_WIRE_BYTES, ev);
         }
     }
 }
@@ -1169,18 +1167,12 @@ fn on_ack(
     // quorum routing real systems get from replica LSN tracking.
     let ackers: Vec<usize> = outst.acks.iter().copied().collect();
     let target = ackers[lsn as usize % ackers.len()];
-    let at = node.links[target]
-        .delivery_reliable(t, ACK_WIRE_BYTES)
-        .expect("lossless link partitioned");
-    ctx.send(
-        target,
-        at,
-        Ev::Read {
-            shard,
-            lsn,
-            issued_at: t,
-        },
-    );
+    let ev = Ev::Read {
+        shard,
+        lsn,
+        issued_at: t,
+    };
+    send(&mut node.links, ctx, target, t, ACK_WIRE_BYTES, ev);
 
     // Move lifecycle at this release point.
     let mut hand_off = false;
@@ -1218,19 +1210,13 @@ fn on_ack(
                                 .map(|(_, p)| p.len() as u64 + RECORD_WIRE_OVERHEAD)
                                 .sum();
                             for j in joiners {
-                                let at = node.links[j]
-                                    .delivery_reliable(batch.complete_at, bytes.max(1))
-                                    .expect("lossless link partitioned");
-                                ctx.send(
-                                    j,
-                                    at,
-                                    Ev::Catchup {
-                                        shard,
-                                        records: records.clone(),
-                                        target: target_lsn,
-                                        reply_to: node.id,
-                                    },
-                                );
+                                let ev = Ev::Catchup {
+                                    shard,
+                                    records: records.clone(),
+                                    target: target_lsn,
+                                    reply_to: node.id,
+                                };
+                                send(&mut node.links, ctx, j, batch.complete_at, bytes.max(1), ev);
                             }
                         }
                         Err(e) => node
@@ -1282,19 +1268,14 @@ fn do_handoff(node: &mut NodeState, ctx: &mut ShardCtx<'_, Ev>, t: SimTime, shar
         new_set[0]
     ));
     node.digest = mix(mix(node.digest, 0xFE9CE ^ u64::from(shard)), fence.0);
-    let at = node.links[new_set[0]]
-        .delivery_reliable(t, ACK_WIRE_BYTES)
-        .expect("lossless link partitioned");
-    ctx.send(
-        new_set[0],
-        at,
-        Ev::Handoff {
-            shard,
-            members: new_set,
-            next_txn: fence.0,
-            released,
-        },
-    );
+    let to = new_set[0];
+    let ev = Ev::Handoff {
+        shard,
+        members: new_set,
+        next_txn: fence.0,
+        released,
+    };
+    send(&mut node.links, ctx, to, t, ACK_WIRE_BYTES, ev);
 }
 
 #[cfg(test)]

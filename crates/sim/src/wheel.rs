@@ -249,7 +249,8 @@ impl<E> WheelQueue<E> {
                         // Descending sort: the earliest (at, seq) ends up at
                         // the back, and a run of same-instant ties drains
                         // back-to-front in FIFO seq order — the batched
-                        // same-instant dispatch.
+                        // same-instant dispatch. Unstable is exact: `seq`
+                        // is unique, so no two keys tie.
                         self.ready
                             .sort_unstable_by_key(|s| std::cmp::Reverse(s.key()));
                         return;

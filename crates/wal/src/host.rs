@@ -517,7 +517,7 @@ impl ShardWalHost {
                 let mut t = now;
                 let mut raw = Vec::new();
                 if let Some(eid) = log.entry() {
-                    let len = log.used().min(self.pins.entry_info(eid)?.len_bytes());
+                    let len = log.used().min(self.dev.ba_entry_info(eid)?.len_bytes());
                     if len > 0 {
                         let read = self.dev.ba_read_dma(now, eid, 0, len)?;
                         t = read.complete_at;

@@ -4,7 +4,8 @@
 //!
 //! Run with: `cargo run --release --example concurrent_clients`
 
-use crossbeam::channel;
+use std::sync::mpsc;
+
 use twob::core::{EntryId, SharedTwoBSsd, TwoBSsd};
 use twob::ftl::Lba;
 use twob::sim::{SimDuration, SimTime};
@@ -13,7 +14,7 @@ fn main() {
     let dev = SharedTwoBSsd::new(TwoBSsd::small_for_tests());
     let clients = 4u8;
     let commits_per_client = 50u64;
-    let (tx, rx) = channel::unbounded();
+    let (tx, rx) = mpsc::channel();
 
     let handles: Vec<_> = (0..clients)
         .map(|i| {
