@@ -17,7 +17,7 @@
 //!
 //! [`IoCalendar`]: twob_core::IoCalendar
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 use twob_core::{EntryId, IoOp, RegionFrontEnd, TenantId};
@@ -206,7 +206,9 @@ pub struct TieredWal {
     cfg: TierWalConfig,
     policy: TierPolicy,
     tail: TenantBaWal,
-    index: BTreeMap<u64, RecordLoc>,
+    /// `(lsn, location)` of every live record, in LSN order. Segments
+    /// only grow with the LSN, so a wrap's dying segment is one run.
+    index: VecDeque<(u64, RecordLoc)>,
     promoted: BTreeMap<u64, HotSegment>,
 }
 
@@ -267,7 +269,7 @@ impl TieredWal {
             cfg,
             policy: TierPolicy::default(),
             tail,
-            index: BTreeMap::new(),
+            index: VecDeque::new(),
             promoted: BTreeMap::new(),
         })
     }
@@ -309,7 +311,7 @@ impl TieredWal {
 
     fn oldest_lsn(&self) -> u64 {
         let next = self.tail.next_lsn();
-        self.index.keys().next().copied().unwrap_or(next)
+        self.index.front().map_or(next, |&(lsn, _)| lsn)
     }
 
     /// The error for a record the region wrap has overwritten.
@@ -394,7 +396,9 @@ impl TieredWal {
                     t = demote(dev, cal, pins, tenant, hot, t)?;
                     policy.record_demotion();
                 }
-                index.retain(|_, loc| loc.segment != dying);
+                let first = index.partition_point(|(_, loc)| loc.segment < dying);
+                let end = index.partition_point(|(_, loc)| loc.segment <= dying);
+                index.drain(first..end);
                 policy.forget(dying);
             }
             Ok(t)
@@ -412,7 +416,7 @@ impl TieredWal {
     pub fn append(&mut self, now: SimTime, payload: &[u8]) -> Result<CommitOutcome, WalError> {
         let (tail, hook) = self.tail_and_rotation_hook();
         let (outcome, loc) = tail.append_commit_with(now, payload, hook)?;
-        self.index.insert(outcome.lsn.0, loc);
+        self.index.push_back((outcome.lsn.0, loc));
         Ok(outcome)
     }
 
@@ -428,10 +432,10 @@ impl TieredWal {
     /// record, [`WalError::BadConfig`] for an LSN never appended, or
     /// device failures.
     pub fn read(&mut self, now: SimTime, lsn: Lsn) -> Result<(Vec<u8>, SimTime), WalError> {
-        let loc = match self.index.get(&lsn.0) {
-            Some(loc) => *loc,
-            None if lsn.0 < self.tail.next_lsn() => return Err(self.lag(lsn)),
-            None => {
+        let loc = match self.index.binary_search_by_key(&lsn.0, |&(lsn, _)| lsn) {
+            Ok(at) => self.index[at].1,
+            Err(_) if lsn.0 < self.tail.next_lsn() => return Err(self.lag(lsn)),
+            Err(_) => {
                 return Err(WalError::BadConfig(format!(
                     "{lsn:?} has not been appended"
                 )))
@@ -445,7 +449,8 @@ impl TieredWal {
                 .get(&loc.segment)
                 .map(|hot| (hot.eid, hot.ready_at))
         };
-        let (bytes, done_at) = if let Some((eid, ready_at)) = hot {
+        // What the tier returned, and where in it the record lies.
+        let (data, at, done_at) = if let Some((eid, ready_at)) = hot {
             self.policy.on_hot_read(loc.segment, now);
             let out = self.pins.borrow_mut().read(
                 &mut self.dev.borrow_mut(),
@@ -455,7 +460,8 @@ impl TieredWal {
                 loc.offset,
                 loc.len,
             )?;
-            (out.data, out.complete_at)
+            let whole = 0..out.data.len();
+            (out.data, whole, out.complete_at)
         } else {
             if loc.segment < self.oldest_live_seg() {
                 return Err(self.lag(lsn));
@@ -474,13 +480,12 @@ impl TieredWal {
             )?;
             let data = done.data.expect("block reads complete with data");
             let start = (loc.offset - first_page * PAGE) as usize;
-            let bytes = data[start..start + loc.len as usize].to_vec();
             if self.policy.on_cold_read(loc.segment, now) == TierAction::Promote {
                 self.promote(loc.segment, done.complete_at)?;
             }
-            (bytes, done.complete_at)
+            (data, start..start + loc.len as usize, done.complete_at)
         };
-        let (record, _) = LogRecord::decode(&bytes).ok_or_else(|| {
+        let (record, _) = LogRecord::decode(&data[at]).ok_or_else(|| {
             WalError::CorruptTail(format!("{lsn:?} failed to decode from its tier"))
         })?;
         if record.lsn != lsn {

@@ -593,8 +593,10 @@ impl ShardWalHost {
         let next = self.slot(slot)?.next_lsn();
         let (raw, t) = match &self.slot(slot)?.log {
             SlotLog::Ba { log, index } => {
+                // The index's LSNs strictly increase.
                 let resident = log.entry().and_then(|eid| {
-                    let (_, loc) = index.iter().find(|(l, _)| *l == lsn.0)?;
+                    let at = index.binary_search_by_key(&lsn.0, |&(l, _)| l).ok()?;
+                    let (_, loc) = index[at];
                     Some((eid, loc.offset, loc.len))
                 });
                 if let Some((eid, offset, len)) = resident {
