@@ -1066,7 +1066,9 @@ mod tests {
     }
 
     fn golden(study: &str) -> String {
-        let path = format!("{}{study}.json", twob_bench::registry::GOLDEN_DIR);
+        let path = twob_bench::registry::golden_dir()
+            .expect("tests run inside the checkout")
+            .join(format!("{study}.json"));
         std::fs::read_to_string(path).expect("golden fixture")
     }
 

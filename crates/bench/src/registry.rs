@@ -11,14 +11,12 @@
 //! study is adding an entry here (and, if pinned, its golden test).
 
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 
 use crate::{
     ablations, cluster_sweep, commit_cost, fig10, fig7, fig8, fig9, gc_interference, qd_sweep,
     repl_sweep, serve_sweep, table1, tenant_sweep, tier_sweep, to_json,
 };
-
-/// Where the golden fixtures live: `<name>.json` per pinned study.
-pub const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/");
 
 /// Renders some view of a study's outcome as text.
 pub type Render<T> = fn(&T) -> String;
@@ -300,10 +298,41 @@ pub fn find(name: &str) -> Option<&'static dyn Entry> {
     REGISTRY.iter().copied().find(|e| e.info().name == name)
 }
 
-/// Absolute path of a tracked file, resolved relative to this crate so
-/// the runner works from any working directory.
-pub fn tracked_path(file: &str) -> String {
-    format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"))
+/// The checkout `twob` reads and writes: the nearest ancestor of the
+/// working directory that holds the workspace `Cargo.toml` (a `[workspace]`
+/// manifest beside `crates/bench`). It is the working tree's, not the one
+/// the binary was built in, so a `twob` built in one checkout and run in
+/// another writes only the other.
+fn checkout_root() -> Result<PathBuf, String> {
+    let cwd = std::env::current_dir().map_err(|e| format!("working directory: {e}"))?;
+    let is_root = |dir: &Path| {
+        dir.join("crates/bench").is_dir()
+            && std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|toml| toml.lines().any(|line| line.trim() == "[workspace]"))
+    };
+    cwd.ancestors()
+        .find(|dir| is_root(dir))
+        .map(Path::to_path_buf)
+        .ok_or_else(|| format!("{} is not inside a twob checkout", cwd.display()))
+}
+
+/// Where the working checkout's golden fixtures live: `<name>.json` per
+/// pinned study.
+///
+/// # Errors
+///
+/// The working directory is not inside a checkout.
+pub fn golden_dir() -> Result<PathBuf, String> {
+    Ok(checkout_root()?.join("crates/bench/tests/golden"))
+}
+
+/// Path of a tracked file at the working checkout's root.
+///
+/// # Errors
+///
+/// The working directory is not inside a checkout.
+pub fn tracked_path(file: &str) -> Result<PathBuf, String> {
+    Ok(checkout_root()?.join(file))
 }
 
 #[cfg(test)]
@@ -325,7 +354,7 @@ mod tests {
     /// declares: no orphan file, no unpinned declaration.
     #[test]
     fn fixture_files_match_the_registry() {
-        let mut on_disk: Vec<String> = std::fs::read_dir(GOLDEN_DIR)
+        let mut on_disk: Vec<String> = std::fs::read_dir(golden_dir().unwrap())
             .expect("list tests/golden")
             .map(|entry| entry.expect("dir entry").file_name().into_string().unwrap())
             .collect();

@@ -21,8 +21,9 @@
 //! runner names the studies it skips.
 
 use std::error::Error;
+use std::path::Path;
 
-use twob_bench::registry::{find, tracked_path, GOLDEN_DIR, REGISTRY};
+use twob_bench::registry::{find, golden_dir, tracked_path, REGISTRY};
 
 use crate::args::Parsed;
 use crate::commands::CliResult;
@@ -107,14 +108,14 @@ pub fn lacking(studies: &[&str], parsed: &Parsed) -> Vec<String> {
 }
 
 /// Writes `contents` to `path`, naming the path on failure.
-fn write(path: &str, contents: &str) -> Result<(), Box<dyn Error>> {
-    std::fs::write(path, contents).map_err(|e| format!("write {path}: {e}").into())
+fn write(path: &Path, contents: &str) -> Result<(), Box<dyn Error>> {
+    std::fs::write(path, contents).map_err(|e| format!("write {}: {e}", path.display()).into())
 }
 
 /// Captures one fixture and reports `new` / `changed` / `unchanged`
 /// against what is on disk. Returns whether the file's bytes moved.
-fn write_fixture(name: &str, json: &str) -> Result<bool, Box<dyn Error>> {
-    let path = format!("{GOLDEN_DIR}{name}.json");
+fn write_fixture(dir: &Path, name: &str, json: &str) -> Result<bool, Box<dyn Error>> {
+    let path = dir.join(format!("{name}.json"));
     let fresh = format!("{json}\n");
     let current = std::fs::read_to_string(&path).ok();
     let status = match &current {
@@ -135,10 +136,11 @@ fn write_fixture(name: &str, json: &str) -> Result<bool, Box<dyn Error>> {
 /// Re-captures every fixture the registry declares, all of them in one
 /// invocation; returns the closing verdict.
 pub fn regen() -> CliResult {
+    let dir = golden_dir()?;
     let mut moved = 0;
     for entry in REGISTRY {
         if let Some(json) = entry.capture() {
-            moved += usize::from(write_fixture(entry.info().name, &json)?);
+            moved += usize::from(write_fixture(&dir, entry.info().name, &json)?);
         }
     }
     Ok(if moved == 0 {
@@ -175,9 +177,9 @@ pub fn run(parsed: &Parsed) -> CliResult {
             None => {}
         }
         if let (true, Some((file, contents))) = (parsed.is_set("write"), output.tracked) {
-            let path = tracked_path(file);
+            let path = tracked_path(file)?;
             write(&path, &contents)?;
-            eprintln!("wrote {path}");
+            eprintln!("wrote {}", path.display());
         }
     }
     if failed > 0 {

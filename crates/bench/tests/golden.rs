@@ -9,7 +9,7 @@
 //! regenerate the fixtures with
 //! `cargo run --release -p twob-bench -- regen` and review the diff.
 
-use twob_bench::registry::{find, GOLDEN_DIR, REGISTRY};
+use twob_bench::registry::{find, golden_dir, REGISTRY};
 
 /// Captures `study` and asserts byte identity with its fixture, pointing
 /// at the first divergent byte and the regeneration command on mismatch.
@@ -17,8 +17,11 @@ fn assert_matches_golden(study: &str) {
     let json = find(study)
         .and_then(|entry| entry.capture())
         .unwrap_or_else(|| panic!("the registry pins no fixture for {study}"));
-    let expected = std::fs::read_to_string(format!("{GOLDEN_DIR}{study}.json"))
-        .unwrap_or_else(|e| panic!("read fixture {study}: {e}"));
+    let path = golden_dir()
+        .expect("tests run inside the checkout")
+        .join(format!("{study}.json"));
+    let expected =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read fixture {study}: {e}"));
     let expected = expected.trim_end();
     if json != expected {
         let at = json

@@ -9,14 +9,18 @@
 //! engine, dies, channels, firmware cores, DMA engine — make the two paths
 //! contend exactly as the paper's dual-interface hardware does.
 //!
-//! A submitted operation stays on the calendar, payload and all, until its
-//! start instant is dispatched. An open-loop drive therefore streams its
-//! horizon through [`IoCalendar::drive_with`]: each operation enters the
-//! calendar when it is due and each completion goes to a sink as it lands,
-//! so the calendar holds what is in flight, not the horizon.
-//! [`IoOp::BlockWrite`] shares its payload (`Arc<[u8]>`): build one page
-//! image, clone the pointer into every write that lands it. The device
-//! copies what it keeps, so the calendar is the last holder.
+//! Only completions queue on the calendar. An operation is dispatched
+//! straight from where it waits — the submitted list or a drive's source —
+//! once it is due, that is once no pending completion lands before its
+//! start; its completion is then queued until it lands. A submitted
+//! operation stays on the submitted list, payload and all, until it is
+//! dispatched. An open-loop drive therefore streams its horizon through
+//! [`IoCalendar::drive_with`]: each operation is pulled when it is due and
+//! each completion goes to a sink as it lands, so the calendar holds what
+//! is in flight, not the horizon. [`IoOp::BlockWrite`] shares its payload
+//! (`Arc<[u8]>`): build one page image, clone the pointer into every write
+//! that lands it. The device copies what it keeps, so the calendar is the
+//! last holder.
 //!
 //! # Example
 //!
@@ -122,33 +126,24 @@ pub struct IoCompletion {
     pub data: Option<Vec<u8>>,
     /// The device error, if the operation failed.
     pub error: Option<TwoBError>,
-    /// Per-stage latency attribution for block-path operations (zero for
-    /// byte-path operations, which commit through MMIO + BA-buffer DRAM
-    /// and never queue on the die/channel servers).
-    pub breakdown: LatencyBreakdown,
 }
 
-/// Calendar events: a submitted operation starting, or its completion
-/// landing. Completions are events too, so a long-running operation's
-/// completion interleaves in time order with later submissions.
-#[derive(Debug, Clone)]
-enum IoEvent {
-    Start {
-        id: u64,
-        submitted: SimTime,
-        op: IoOp,
-    },
-    Done {
-        completion: IoCompletion,
-    },
-}
+// A completion is the calendar's event, moved on every queue push and pop.
+// At 136 B (it once carried a 48 B per-stage latency breakdown) each move
+// was a libc copy call, about a quarter of a profiled `serve_byte` run's
+// samples; a field that grows it past 96 B brings that cost back.
+const _: () = assert!(std::mem::size_of::<IoCompletion>() <= 96);
 
 /// The shared calendar routing BA-path and block-path traffic to a
 /// [`TwoBSsd`]. See the module docs for the model.
 #[derive(Debug, Clone, Default)]
 pub struct IoCalendar {
-    exec: Executor<IoEvent>,
+    /// Completions in flight: the only events that queue.
+    exec: Executor<IoCompletion>,
     next_id: u64,
+    /// Submitted operations not yet dispatched, `(start, id, op)` in
+    /// submission order.
+    submitted: Vec<(SimTime, u64, IoOp)>,
     completions: Vec<IoCompletion>,
 }
 
@@ -160,22 +155,15 @@ impl IoCalendar {
 
     /// Schedules `op` to start at `at`, returning its completion id.
     pub fn submit(&mut self, at: SimTime, op: IoOp) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.exec.post(
-            at,
-            IoEvent::Start {
-                id,
-                submitted: at,
-                op,
-            },
-        );
+        let id = self.take_id();
+        self.submitted.push((at, id, op));
         id
     }
 
-    /// Events still pending on the calendar.
-    pub fn pending(&self) -> usize {
-        self.exec.pending()
+    fn take_id(&mut self) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        id
     }
 
     /// The calendar's current virtual instant.
@@ -183,12 +171,12 @@ impl IoCalendar {
         self.exec.now()
     }
 
-    /// How many submissions or completions were posted at instants already
-    /// in the past and clamped forward to `now`. A non-zero count after a
-    /// [`IoCalendar::drive`] or [`IoCalendar::drive_with`] means a caller
-    /// dated an operation before the calendar's clock — the operation
-    /// still ran (at `now`), but the intended timeline was not the one
-    /// simulated.
+    /// How many operations started, or completions were posted, at
+    /// instants already in the past and were clamped forward to `now`. A
+    /// non-zero count after a [`IoCalendar::drive`] or
+    /// [`IoCalendar::drive_with`] means a caller dated an operation before
+    /// the calendar's clock — the operation still ran (at `now`), but the
+    /// intended timeline was not the one simulated.
     pub fn clamped_posts(&self) -> u64 {
         self.exec.clamped_posts()
     }
@@ -207,38 +195,52 @@ impl IoCalendar {
     /// Drains the calendar against `dev` while streaming `source` onto
     /// it, handing each completion to `sink` as it lands instead of
     /// keeping it. `source` yields `(start, op)` with non-decreasing start
-    /// instants; an op is submitted, under the next id, only once no
-    /// pending event fires before its start, so the calendar holds the
-    /// operations in flight rather than a whole horizon. Completions reach
-    /// `sink` in the order [`IoCalendar::drive`] records them, and the run
-    /// equals submitting all of `source` up front and calling
+    /// instants, merged behind the submitted operations at an equal
+    /// instant. An op is dispatched straight from its source, under the
+    /// next id, once no pending completion lands before its start, so
+    /// only completions queue: the calendar holds the operations in
+    /// flight rather than a whole horizon. Completions reach `sink` in the
+    /// order [`IoCalendar::drive`] records them, and the run equals
+    /// submitting all of `source` up front and calling
     /// [`IoCalendar::drive`]. Returns how many operations completed.
     pub fn drive_with<S, F>(&mut self, dev: &mut TwoBSsd, source: S, mut sink: F) -> usize
     where
         S: IntoIterator<Item = (SimTime, IoOp)>,
         F: FnMut(IoCompletion),
     {
-        let mut source = source.into_iter();
-        let mut due = source.next();
+        // A start before the clock is due at the clock, as a past post is;
+        // the sort is stable, so ops due at one instant keep their ids' order.
+        let now = self.exec.now();
+        let mut submitted = std::mem::take(&mut self.submitted);
+        submitted.sort_by_key(|&(at, ..)| at.max(now));
+        let mut submitted = submitted.into_iter().peekable();
+        let mut source = source.into_iter().peekable();
         let mut completed = 0;
-        let mut handler = |ex: &mut Executor<IoEvent>, t, ev| match ev {
-            IoEvent::Start { id, submitted, op } => {
-                let completion = dispatch_completion(dev, t, id, submitted, op);
-                ex.post(completion.complete_at, IoEvent::Done { completion });
-            }
-            IoEvent::Done { completion } => {
-                completed += 1;
-                sink(completion);
-            }
+        let mut land = |_: &mut Executor<IoCompletion>, _, completion| {
+            completed += 1;
+            sink(completion);
         };
         loop {
-            // Post the held op once no pending event fires before it.
-            if let Some((at, op)) =
-                due.take_if(|(at, _)| self.exec.peek_next_time().is_none_or(|t| *at <= t))
-            {
-                self.submit(at, op);
-                due = source.next();
-            } else if !self.exec.step(&mut handler) {
+            let now = self.exec.now();
+            // The next op; a submitted one goes first at an equal instant.
+            let (from_submitted, next) = match (submitted.peek(), source.peek()) {
+                (Some(&(a, ..)), Some(&(b, _))) if b.max(now) < a.max(now) => (false, Some(b)),
+                (Some(&(a, ..)), _) => (true, Some(a)),
+                (None, head) => (false, head.map(|&(b, _)| b)),
+            };
+            // Dispatch the next op once no pending completion lands before it.
+            let due = next.is_some_and(|at| self.exec.peek_next_time().is_none_or(|t| at <= t));
+            let op = match (due, from_submitted) {
+                (false, _) => None,
+                (true, true) => submitted.next(),
+                (true, false) => source.next().map(|(at, op)| (at, self.take_id(), op)),
+            };
+            if let Some((at, id, op)) = op {
+                self.exec.fire(at, op, |ex, t, op| {
+                    let (completion, _) = dispatch_completion(dev, t, id, at, op);
+                    ex.post(completion.complete_at, completion);
+                });
+            } else if !self.exec.step(&mut land) {
                 break;
             }
         }
@@ -253,16 +255,19 @@ impl IoCalendar {
 }
 
 /// Runs one operation against the device at instant `t` and assembles its
-/// completion record. Shared by the single-calendar [`IoCalendar`] and the
-/// die-placed [`ShardedIoCalendar`](crate::ShardedIoCalendar), so both
-/// price operations — and drive background GC/dump chains — identically.
+/// completion record, beside its per-stage latency attribution (zero for
+/// byte-path operations, which commit through MMIO + BA-buffer DRAM and
+/// never queue on the die/channel servers, and for failed ones). Shared by
+/// the single-calendar [`IoCalendar`] and the die-placed
+/// [`ShardedIoCalendar`](crate::ShardedIoCalendar), so both price
+/// operations — and drive background GC/dump chains — identically.
 pub(crate) fn dispatch_completion(
     dev: &mut TwoBSsd,
     t: SimTime,
     id: u64,
     submitted: SimTime,
     op: IoOp,
-) -> IoCompletion {
+) -> (IoCompletion, LatencyBreakdown) {
     // Background GC steps and buffer dumps due by `t` fire first, so they
     // contend with this operation exactly as concurrent hardware would —
     // including across pure byte-path operations that never reach the SSD.
@@ -317,22 +322,26 @@ pub(crate) fn dispatch_completion(
         ),
     };
     match outcome {
-        Ok(complete_at) => IoCompletion {
-            id,
-            submitted,
-            complete_at,
-            data,
-            error: None,
+        Ok(complete_at) => (
+            IoCompletion {
+                id,
+                submitted,
+                complete_at,
+                data,
+                error: None,
+            },
             breakdown,
-        },
-        Err(error) => IoCompletion {
-            id,
-            submitted,
-            complete_at: t,
-            data: None,
-            error: Some(error),
-            breakdown: LatencyBreakdown::ZERO,
-        },
+        ),
+        Err(error) => (
+            IoCompletion {
+                id,
+                submitted,
+                complete_at: t,
+                data: None,
+                error: Some(error),
+            },
+            LatencyBreakdown::ZERO,
+        ),
     }
 }
 

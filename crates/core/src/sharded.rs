@@ -134,22 +134,23 @@ struct Chain {
     id: u64,
 }
 
-/// Per-group accumulation: completion digest, completed-operation count,
-/// and component-wise latency totals.
-#[derive(Debug, Clone)]
-struct GroupTotals {
+/// One die group on its shard: the device and its running totals —
+/// completion digest, completed-operation count, and component-wise
+/// latency totals (sums, so they are added at dispatch).
+#[derive(Debug)]
+struct Group {
     group: usize,
+    dev: TwoBSsd,
     digest: u64,
     completed: u64,
     breakdown: LatencyBreakdown,
 }
 
-/// Per-shard state: the die-group devices this shard owns, their running
-/// totals, and (on shard 0 only) the host observation log and chain table.
+/// Per-shard state: the die groups this shard owns, and (on shard 0 only)
+/// the host observation log and chain table.
 #[derive(Debug)]
 struct ShardState {
-    devices: Vec<(usize, TwoBSsd)>,
-    totals: Vec<GroupTotals>,
+    groups: Vec<Group>,
     /// `(id, completion instant, failed)` per observed completion, in
     /// canonical `(instant, id)` order up to `sealed`; the entries after it
     /// share one instant and are put in `id` order once time moves on.
@@ -161,6 +162,14 @@ struct ShardState {
 }
 
 impl ShardState {
+    /// Die group `group`, which this shard owns.
+    fn group(&mut self, group: usize) -> &mut Group {
+        self.groups
+            .iter_mut()
+            .find(|g| g.group == group)
+            .expect("an operation reached a shard that does not own its group")
+    }
+
     /// Appends one host observation. Observations fire in completion-time
     /// order, so only a same-instant run can be out of `id` order; the run
     /// before is sealed as soon as a later instant lands.
@@ -234,19 +243,17 @@ impl ShardedIoCalendar {
         let shards = placement.shards();
         let mut states: Vec<ShardState> = (0..shards)
             .map(|_| ShardState {
-                devices: Vec::new(),
-                totals: Vec::new(),
+                groups: Vec::new(),
                 observed: Vec::new(),
                 sealed: 0,
                 host_digest: FNV_BASIS,
                 chains: Vec::new(),
             })
             .collect();
-        for (g, dev) in devices.into_iter().enumerate() {
-            let s = placement.shard_of(g);
-            states[s].devices.push((g, dev));
-            states[s].totals.push(GroupTotals {
-                group: g,
+        for (group, dev) in devices.into_iter().enumerate() {
+            states[placement.shard_of(group)].groups.push(Group {
+                group,
+                dev,
                 digest: FNV_BASIS,
                 completed: 0,
                 breakdown: LatencyBreakdown::ZERO,
@@ -320,12 +327,9 @@ impl ShardedIoCalendar {
                 group,
                 op,
             } => {
-                let (_, dev) = state
-                    .devices
-                    .iter_mut()
-                    .find(|(g, _)| *g == group)
-                    .expect("operation routed to a shard that does not own its group");
-                let completion = dispatch_completion(dev, t, id, submitted, op);
+                let g = state.group(group);
+                let (completion, breakdown) = dispatch_completion(&mut g.dev, t, id, submitted, op);
+                g.breakdown.accumulate(&breakdown);
                 let complete_at = completion.complete_at;
                 let failed = completion.error.is_some();
                 ctx.post(complete_at, Ev::Done { group, completion });
@@ -343,14 +347,9 @@ impl ShardedIoCalendar {
                 );
             }
             Ev::Done { group, completion } => {
-                let totals = state
-                    .totals
-                    .iter_mut()
-                    .find(|tot| tot.group == group)
-                    .expect("completion landed on a shard that does not own its group");
-                totals.digest = fold_completion(totals.digest, &completion);
-                totals.completed += 1;
-                totals.breakdown.accumulate(&completion.breakdown);
+                let g = state.group(group);
+                g.digest = fold_completion(g.digest, &completion);
+                g.completed += 1;
             }
             Ev::Observe {
                 id,
@@ -467,8 +466,8 @@ impl ShardedIoCalendar {
     pub fn completed(&self) -> u64 {
         self.states
             .iter()
-            .flat_map(|s| s.totals.iter())
-            .map(|t| t.completed)
+            .flat_map(|s| s.groups.iter())
+            .map(|g| g.completed)
             .sum()
     }
 
@@ -478,8 +477,8 @@ impl ShardedIoCalendar {
         let mut out: Vec<(usize, u64)> = self
             .states
             .iter()
-            .flat_map(|s| s.totals.iter())
-            .map(|t| (t.group, t.digest))
+            .flat_map(|s| s.groups.iter())
+            .map(|g| (g.group, g.digest))
             .collect();
         // Unstable is exact: each group has one row, on one shard.
         out.sort_unstable_by_key(|&(g, _)| g);
@@ -492,8 +491,8 @@ impl ShardedIoCalendar {
         let mut out: Vec<(usize, LatencyBreakdown)> = self
             .states
             .iter()
-            .flat_map(|s| s.totals.iter())
-            .map(|t| (t.group, t.breakdown))
+            .flat_map(|s| s.groups.iter())
+            .map(|g| (g.group, g.breakdown))
             .collect();
         // Unstable is exact: each group has one row, on one shard.
         out.sort_unstable_by_key(|&(g, _)| g);
@@ -525,11 +524,11 @@ impl ShardedIoCalendar {
     pub fn device(&self, group: usize) -> &TwoBSsd {
         let s = self.placement.shard_of(group);
         &self.states[s]
-            .devices
+            .groups
             .iter()
-            .find(|(g, _)| *g == group)
+            .find(|g| g.group == group)
             .expect("placement and device list agree by construction")
-            .1
+            .dev
     }
 }
 

@@ -12,7 +12,8 @@ use twob_core::{
 };
 use twob_ftl::Lba;
 use twob_pcie::{LineBytes, PostedWrite};
-use twob_sim::{fnv1a64_update, SimDuration, SimRng, SimTime};
+use twob_sim::oracle::HeapQueue;
+use twob_sim::{fnv1a64_update, Executor, SimDuration, SimRng, SimTime};
 use twob_ssd::BlockDevice;
 
 /// One step of a multi-tenant pin-table interleaving.
@@ -244,11 +245,9 @@ fn calendar_program() -> impl Strategy<Value = Vec<(u64, u8)>> {
     )
 }
 
-/// A device with block data at LBA 16 and two one-page BA windows pinned,
-/// and `program` as time-sorted calendar ops dated from the pins' end:
-/// every `IoOp` kind, a `BlockWrite` + `BlockFlush` pair at one instant
-/// (kind 8), and a sync of an entry never pinned (kind 9, an error).
-fn calendar_setup(program: &[(u64, u8)]) -> (TwoBSsd, Vec<(SimTime, IoOp)>) {
+/// A device with block data at LBA 16 (durably destaged) and two one-page
+/// BA windows pinned, and the instant the pins completed.
+fn pinned_device() -> (TwoBSsd, Vec<EntryId>, SimTime) {
     let mut dev = TwoBSsd::small_for_tests();
     let ack = dev
         .write_pages(SimTime::ZERO, Lba(16), &[0x5A; 4096])
@@ -260,6 +259,15 @@ fn calendar_setup(program: &[(u64, u8)]) -> (TwoBSsd, Vec<(SimTime, IoOp)>) {
         t = pin.complete_at;
         eids.push(eid);
     }
+    (dev, eids, t)
+}
+
+/// [`pinned_device`] and `program` as time-sorted calendar ops dated from
+/// the pins' end: every `IoOp` kind, a `BlockWrite` + `BlockFlush` pair at
+/// one instant (kind 8), and a sync of an entry never pinned (kind 9, an
+/// error).
+fn calendar_setup(program: &[(u64, u8)]) -> (TwoBSsd, Vec<(SimTime, IoOp)>) {
+    let (dev, eids, mut t) = pinned_device();
     let page: Arc<[u8]> = vec![0xA5; 4096].into();
     let mut ops = Vec::new();
     for (i, &(step, kind)) in program.iter().enumerate() {
@@ -336,8 +344,221 @@ fn drive_with_counts_a_source_op_dated_before_now() {
     assert!(landed[0].complete_at >= now);
 }
 
+/// An event of [`QueuedStarts`]: an op starting, or its completion landing.
+enum Queued {
+    Start {
+        id: u64,
+        submitted: SimTime,
+        op: IoOp,
+    },
+    Done(IoCompletion),
+}
+
+/// The calendar as it was before only completions queued, kept as the
+/// judge of streamed dispatch: every op is a queued `Start` event on the
+/// oracle kernel, and a source op is posted once no pending event fires
+/// before its start.
+#[derive(Default)]
+struct QueuedStarts {
+    exec: Executor<Queued, HeapQueue<Queued>>,
+    next_id: u64,
+}
+
+impl QueuedStarts {
+    fn submit(&mut self, at: SimTime, op: IoOp) {
+        let id = self.next_id;
+        self.next_id += 1;
+        let start = Queued::Start {
+            id,
+            submitted: at,
+            op,
+        };
+        self.exec.post(at, start);
+    }
+
+    fn drive_with<S, F>(&mut self, dev: &mut TwoBSsd, source: S, mut sink: F)
+    where
+        S: IntoIterator<Item = (SimTime, IoOp)>,
+        F: FnMut(IoCompletion),
+    {
+        let mut handler = |ex: &mut Executor<Queued, HeapQueue<Queued>>, t, ev| match ev {
+            Queued::Start { id, submitted, op } => {
+                let done = IoCompletion {
+                    id,
+                    submitted,
+                    ..price_alone(dev, t, op)
+                };
+                ex.post(done.complete_at, Queued::Done(done));
+            }
+            Queued::Done(done) => sink(done),
+        };
+        let mut source = source.into_iter();
+        let mut due = source.next();
+        loop {
+            if let Some((at, op)) =
+                due.take_if(|(at, _)| self.exec.peek_next_time().is_none_or(|t| *at <= t))
+            {
+                self.submit(at, op);
+                due = source.next();
+            } else if !self.exec.step(&mut handler) {
+                break;
+            }
+        }
+    }
+}
+
+/// What a drive shows: each pull from its source and each completion
+/// handed to its sink, in the order they happened.
+#[derive(Debug, PartialEq)]
+enum Seen {
+    Pull(Option<SimTime>),
+    Land(Landed),
+}
+
+/// Drives `source` through `drive`, logging what it shows.
+fn seen(
+    source: &[(SimTime, IoOp)],
+    drive: impl FnOnce(&mut dyn Iterator<Item = (SimTime, IoOp)>, &mut dyn FnMut(IoCompletion)),
+) -> Vec<Seen> {
+    let log = RefCell::new(Vec::new());
+    let mut ops = source.iter().cloned();
+    let mut pulls = std::iter::from_fn(|| {
+        let next = ops.next();
+        log.borrow_mut()
+            .push(Seen::Pull(next.as_ref().map(|(at, _)| *at)));
+        next
+    });
+    drive(&mut pulls, &mut |c| {
+        log.borrow_mut().push(Seen::Land(landed(c)))
+    });
+    log.into_inner()
+}
+
+/// `op` dispatched at `t` on a calendar of its own, which starts it at
+/// `t`: the device's price for it, whatever the scheduling around it.
+fn price_alone(dev: &mut TwoBSsd, t: SimTime, op: IoOp) -> IoCompletion {
+    let mut cal = IoCalendar::new();
+    cal.submit(t, op);
+    cal.drive(dev);
+    cal.drain_completions()
+        .pop()
+        .expect("one op, one completion")
+}
+
+/// One judge op per kind: byte-path durability points and a read-DMA,
+/// block writes, flushes and reads, and two ops outside their window,
+/// which fail at zero latency.
+fn judge_op(kind: usize, i: usize, eids: &[EntryId], page: &Arc<[u8]>) -> IoOp {
+    let eid = eids[i % 2];
+    match kind {
+        0 => IoOp::BaSyncRange {
+            eid,
+            rel_offset: 64,
+            len: 128,
+        },
+        1 => IoOp::CxlPersist {
+            eid,
+            rel_offset: 0,
+            len: 64,
+        },
+        2 => IoOp::BaReadDma {
+            eid,
+            rel_offset: 0,
+            len: 256,
+        },
+        3 => IoOp::BlockWrite {
+            lba: Lba(8 + i as u64 % 4),
+            data: Arc::clone(page),
+        },
+        4 => IoOp::BlockFlush,
+        5 => IoOp::BlockRead {
+            lba: Lba(16),
+            pages: 1,
+        },
+        6 => IoOp::BaSyncRange {
+            eid,
+            rel_offset: 4096,
+            len: 64,
+        },
+        _ => IoOp::BaReadDma {
+            eid,
+            rel_offset: 4000,
+            len: 256,
+        },
+    }
+}
+
+/// Judge ops as `(step, kind)`: a step of 0 ties the previous instant.
+fn judge_ops() -> impl Strategy<Value = Vec<(u64, usize)>> {
+    prop::collection::vec(
+        (prop_oneof![2 => Just(0u64), 3 => 1u64..20_000], 0usize..=7),
+        0..24,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Streamed dispatch is the queued-starts calendar: the same
+    /// completions in the same sink order, interleaved the same way with
+    /// the source's pulls, and the same clamps, clock and device state.
+    /// A first `submit` + `drive` moves the clock on; then ops are
+    /// submitted out of order and a source streams beside them, both
+    /// dated from `rewind` before the clock, so their heads lie in the
+    /// past.
+    #[test]
+    fn streamed_dispatch_matches_queued_starts(
+        first in judge_ops(),
+        late in judge_ops(),
+        source in judge_ops(),
+        rewind in 0u64..40_000,
+    ) {
+        let (_, eids, t0) = pinned_device();
+        let page: Arc<[u8]> = vec![0xA5; 4096].into();
+        // A sorted timeline runs forward from `base` by its steps; an
+        // unsorted one reads them as offsets from `base`.
+        let timeline = |base: SimTime, ops: &[(u64, usize)], sorted: bool| {
+            let mut t = base;
+            ops.iter()
+                .enumerate()
+                .map(|(i, &(step, kind))| {
+                    let step = SimDuration::from_nanos(step);
+                    t = if sorted { t + step } else { base + step };
+                    (t, judge_op(kind, i, &eids, &page))
+                })
+                .collect::<Vec<_>>()
+        };
+
+        let (mut dev, ..) = pinned_device();
+        let mut cal = IoCalendar::new();
+        let (mut ref_dev, ..) = pinned_device();
+        let mut reference = QueuedStarts::default();
+        for (at, op) in timeline(t0, &first, true) {
+            cal.submit(at, op.clone());
+            reference.submit(at, op);
+        }
+        cal.drive(&mut dev);
+        let got: Vec<Landed> = cal.drain_completions().into_iter().map(landed).collect();
+        let mut want = Vec::new();
+        reference.drive_with(&mut ref_dev, None, |c| want.push(landed(c)));
+        prop_assert_eq!(got, want);
+
+        let base = SimTime::from_nanos(cal.now().as_nanos().saturating_sub(rewind)).max(t0);
+        for (at, op) in timeline(base, &late, false) {
+            cal.submit(at, op.clone());
+            reference.submit(at, op);
+        }
+        let source = timeline(base, &source, true);
+        let mut done = 0;
+        let got = seen(&source, |ops, sink| done = cal.drive_with(&mut dev, ops, sink));
+        prop_assert_eq!(done, got.iter().filter(|s| matches!(s, Seen::Land(_))).count());
+        let want = seen(&source, |ops, sink| reference.drive_with(&mut ref_dev, ops, sink));
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(cal.clamped_posts(), reference.exec.clamped_posts());
+        prop_assert_eq!(cal.now(), reference.exec.now());
+        prop_assert_eq!(dev.stats(), ref_dev.stats());
+        prop_assert_eq!(dev.ssd().ftl().stats(), ref_dev.ssd().ftl().stats());
+    }
 
     /// Streaming a time-sorted program through `drive_with` is the same run
     /// as submitting all of it and calling `drive`: the same completions

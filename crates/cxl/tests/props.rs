@@ -37,7 +37,7 @@ enum TierOp {
 
 fn tier_op() -> impl Strategy<Value = TierOp> {
     prop_oneof![
-        4 => (1usize..2049, any::<u8>()).prop_map(|(len, fill)| TierOp::Append(len, fill)),
+        4 => (1usize..=2048, any::<u8>()).prop_map(|(len, fill)| TierOp::Append(len, fill)),
         4 => any::<u64>().prop_map(TierOp::Read),
         1 => any::<bool>().prop_map(TierOp::Sweep),
         1 => Just(TierOp::Finalize),

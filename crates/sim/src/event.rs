@@ -183,10 +183,12 @@ impl<E, Q: Calendar<E>> Executor<E, Q> {
     /// had been the earliest pending event: the clock advances to `at` and
     /// the event is counted. An `at` in the past is clamped and counted like
     /// a past [`Executor::post`]. The sharded executor dispatches fed events
-    /// this way, ahead of any queued event at the same instant.
-    pub(crate) fn fire<F>(&mut self, at: SimTime, event: E, handler: &mut F)
+    /// this way, ahead of any queued event at the same instant; the I/O
+    /// calendar dispatches due operations this way, so the event need not
+    /// be of the queued type `E`, only its follow-ups are.
+    pub fn fire<X, F>(&mut self, at: SimTime, event: X, handler: F)
     where
-        F: FnMut(&mut Executor<E, Q>, SimTime, E),
+        F: FnOnce(&mut Executor<E, Q>, SimTime, X),
     {
         if at < self.now {
             self.clamped += 1;

@@ -21,7 +21,15 @@
 //!    BA-buffer-saturation trigger (admitted BA bytes
 //!    per device group per window capped at the group's BA buffer;
 //!    excess is shed). Decisions never consult completions, so the same
-//!    plan drives every backend identically;
+//!    plan drives every backend identically. Each tenant's stream is
+//!    increasing, so the plan merges them with a heap of their heads on
+//!    the total key `(instant, tenant)` and admits each arrival as it
+//!    pops; the offered horizon is never collected or sorted. The admitted
+//!    ops are then sorted into device submission order,
+//!    `(submit_at, tenant)`. That order is not the merge's (a deferred op
+//!    moves to its window's start), and the sort is unstable: the order
+//!    it leaves among one tenant's deferred ops at one instant is pinned
+//!    by the serving fixtures, so its input order and key stay;
 //! 3. **execution** — admitted ops are distilled WAL commits
 //!    ([`IoOp::BaSyncRange`] on a pinned per-tenant window for the BA
 //!    scheme, an [`IoOp::CxlPersist`] barrier on the same window for the
@@ -40,6 +48,8 @@
 //!    per tenant and per SLO window against p99/p999 targets with the
 //!    interpolated [`Histogram`] quantiles.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::Arc;
 
 use serde::Serialize;
@@ -207,22 +217,16 @@ impl ServiceDriver {
         let win_ns = ServeConfig::WINDOW.as_nanos();
         let horizon_ns = cfg.horizon.as_nanos();
 
-        // Arrival layer: every tenant's stream, merged into one
-        // deterministic (time, tenant) order.
-        let mut raw: Vec<(SimTime, u16)> = Vec::new();
-        for tenant in 0..cfg.tenants {
-            let mut process: Box<dyn ArrivalProcess> = cfg.arrival.build(tenant);
-            let mut at = SimTime::ZERO;
-            loop {
-                at = process.next_after(at);
-                if at.as_nanos() >= horizon_ns {
-                    break;
-                }
-                raw.push((at, tenant));
-            }
-        }
-        raw.sort_unstable();
-        let offered = raw.len() as u64;
+        // Arrival layer: every tenant's stream is increasing, so a heap of
+        // the streams' heads merges them into one deterministic
+        // `(time, tenant)` order. The key is total, so no tie is left to
+        // the heap, and the admission below takes each arrival as it pops.
+        let mut processes: Vec<Box<dyn ArrivalProcess>> =
+            (0..cfg.tenants).map(|t| cfg.arrival.build(t)).collect();
+        let mut heads: BinaryHeap<Reverse<(SimTime, u16)>> = (0..cfg.tenants)
+            .map(|t| Reverse((processes[usize::from(t)].next_after(SimTime::ZERO), t)))
+            .filter(|Reverse((at, _))| at.as_nanos() < horizon_ns)
+            .collect();
 
         // Queue-depth trigger: per tenant, at most `ADMIT_PER_WINDOW`
         // admissions per window; the earliest window with free capacity
@@ -237,10 +241,22 @@ impl ServiceDriver {
                 admitted_in_window: 0,
             })
             .collect();
-        let mut admitted: Vec<AdmittedOp> = Vec::with_capacity(raw.len());
-        let mut deferred = 0u64;
-        let mut shed_queue = 0u64;
-        for (arrival, tenant) in raw {
+        // Sized for the offered load's long-run mean plus a margin, so the
+        // vector rarely regrows (a regrowth copies it, the plan's peak).
+        let mean = cfg.arrival.ops_per_sec * cfg.horizon.as_secs_f64() * f64::from(cfg.tenants);
+        let mut admitted: Vec<AdmittedOp> = Vec::with_capacity((mean * 1.05) as usize + 64);
+        let (mut offered, mut deferred, mut shed_queue) = (0u64, 0u64, 0u64);
+        while let Some(mut head) = heads.peek_mut() {
+            let Reverse((arrival, tenant)) = *head;
+            // Advance the tenant's stream in place: one sift, not a pop
+            // and a push.
+            let next = processes[usize::from(tenant)].next_after(arrival);
+            if next.as_nanos() < horizon_ns {
+                *head = Reverse((next, tenant));
+            } else {
+                PeekMut::pop(head);
+            }
+            offered += 1;
             let state = &mut states[usize::from(tenant)];
             let arrival_window = arrival.as_nanos() / win_ns;
             // `state.window` always has free capacity (the invariant below).

@@ -1,11 +1,134 @@
 //! Property-based tests of the open-loop serving stack: determinism,
-//! drive equivalence on the sharded device model, and the overload
-//! contract of admission control.
+//! drive equivalence on the sharded device model, the overload contract
+//! of admission control, and the admission plan against a reference.
 
 use proptest::prelude::*;
+use twob_sim::{SimDuration, SimTime};
 use twob_workloads::{
-    ArrivalConfig, ArrivalKind, ServeConfig, ServiceDriver, ShardDrive, WalScheme,
+    AdmissionPlan, AdmittedOp, ArrivalConfig, ArrivalKind, ServeConfig, ServiceDriver, ShardDrive,
+    WalScheme,
 };
+
+/// The admission plan as it was before the arrival streams were merged,
+/// kept as the judge of the merge: collect every tenant's stream, sort it
+/// by `(instant, tenant)`, then admit. Also returns how many neighbours in
+/// that order are two tenants at one nanosecond.
+fn collect_sort_admit(
+    cfg: &ServeConfig,
+    groups: usize,
+    group_ba_bytes: u64,
+) -> (AdmissionPlan, usize) {
+    let win_ns = ServeConfig::WINDOW.as_nanos();
+    let horizon_ns = cfg.horizon.as_nanos();
+    let mut raw: Vec<(SimTime, u16)> = Vec::new();
+    for tenant in 0..cfg.tenants {
+        let mut process = cfg.arrival.build(tenant);
+        let mut at = SimTime::ZERO;
+        loop {
+            at = process.next_after(at);
+            if at.as_nanos() >= horizon_ns {
+                break;
+            }
+            raw.push((at, tenant));
+        }
+    }
+    raw.sort_unstable();
+    let ties = raw.windows(2).filter(|w| w[0].0 == w[1].0).count();
+    let offered = raw.len() as u64;
+
+    // Per tenant: the first window with free capacity, and its admissions.
+    let mut states = vec![(0u64, 0u32); usize::from(cfg.tenants)];
+    let mut admitted: Vec<AdmittedOp> = Vec::with_capacity(raw.len());
+    let (mut deferred, mut shed_queue) = (0u64, 0u64);
+    for (arrival, tenant) in raw {
+        let (window_now, in_window) = &mut states[usize::from(tenant)];
+        let arrival_window = arrival.as_nanos() / win_ns;
+        let window = (*window_now).max(arrival_window);
+        if window - arrival_window > ServeConfig::DEFER_WINDOWS {
+            shed_queue += 1;
+            continue;
+        }
+        if window > *window_now {
+            (*window_now, *in_window) = (window, 0);
+        }
+        let submit_at = if window == arrival_window {
+            arrival
+        } else {
+            deferred += 1;
+            SimTime::from_nanos(window * win_ns)
+        };
+        admitted.push(AdmittedOp {
+            tenant,
+            arrival,
+            submit_at,
+        });
+        *in_window += 1;
+        if *in_window >= ServeConfig::ADMIT_PER_WINDOW {
+            (*window_now, *in_window) = (*window_now + 1, 0);
+        }
+    }
+
+    admitted.sort_unstable_by_key(|op| (op.submit_at, op.tenant));
+    let mut shed_buffer = 0u64;
+    if cfg.scheme.is_byte_path() {
+        let mut tallies = vec![(0u64, 0u64); groups];
+        let payload = cfg.payload_bytes as u64;
+        admitted.retain(|op| {
+            let window = op.submit_at.as_nanos() / win_ns;
+            let (current, used) = &mut tallies[usize::from(op.tenant) % groups];
+            if *current != window {
+                (*current, *used) = (window, 0);
+            }
+            if *used + payload > group_ba_bytes {
+                shed_buffer += 1;
+                deferred -= u64::from(op.submit_at > op.arrival);
+                false
+            } else {
+                *used += payload;
+                true
+            }
+        });
+    }
+    let plan = AdmissionPlan {
+        offered,
+        admitted,
+        deferred,
+        shed_queue,
+        shed_buffer,
+    };
+    (plan, ties)
+}
+
+/// A planning case: tenants 1–64 under any arrival process and scheme,
+/// a group count dividing the tenants, a BA-buffer budget from one commit
+/// up, and a mean per-tenant gap from 1 ns (same-nanosecond ties between
+/// tenants) to 50 µs, over a horizon that keeps the offered load near
+/// 30 k arrivals.
+fn plan_case() -> impl Strategy<Value = (ServeConfig, usize, u64)> {
+    (
+        any_kind(),
+        prop_oneof![
+            Just(WalScheme::Ba),
+            Just(WalScheme::Cxl),
+            Just(WalScheme::Block)
+        ],
+        1usize..=64,
+        0usize..=63,
+        prop_oneof![1u64..10, 10u64..1_000, 1_000u64..50_000],
+        1u64..=600,
+        any::<u64>(),
+    )
+        .prop_map(|(kind, scheme, tenants, pick, gap_ns, commits, seed)| {
+            let rate = 1e9 / gap_ns as f64;
+            let arrival = ArrivalConfig::new(kind, rate, seed);
+            let mut cfg = ServeConfig::standard(tenants as u16, scheme, arrival);
+            let horizon_ns = (30_000 * gap_ns / tenants as u64).clamp(1, 1_000_000);
+            cfg.horizon = SimDuration::from_nanos(horizon_ns);
+            let divisors: Vec<usize> = (1..=tenants).filter(|g| tenants % g == 0).collect();
+            let budget = commits * cfg.payload_bytes as u64;
+            (cfg, divisors[pick % divisors.len()], budget)
+        })
+}
 
 /// A serving configuration drawn from the property space: any arrival
 /// process, either commit scheme, a light-to-busy offered rate, and a
@@ -104,6 +227,40 @@ fn serve_reports_are_pinned() {
         ),
         "sharded"
     );
+}
+
+/// At a 1 ns mean gap, 64 tenants collide: the merged order has tenants
+/// arriving at one nanosecond, and the plan still equals the reference's.
+#[test]
+fn same_nanosecond_arrivals_plan_as_the_reference() {
+    for kind in [
+        ArrivalKind::Poisson,
+        ArrivalKind::Bursty,
+        ArrivalKind::Diurnal,
+    ] {
+        let arrival = ArrivalConfig::new(kind, 1e9, 7);
+        let mut cfg = ServeConfig::standard(64, WalScheme::Block, arrival);
+        cfg.horizon = SimDuration::from_nanos(500);
+        let (want, ties) = collect_sort_admit(&cfg, 4, 64 << 10);
+        assert!(
+            ties > 1_000,
+            "{kind:?}: only {ties} same-nanosecond neighbours"
+        );
+        assert!(want.deferred > 0 && want.shed_queue > 0);
+        assert_eq!(ServiceDriver::plan(&cfg, 4, 64 << 10), want);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Merging the tenants' streams plans exactly what collecting and
+    /// sorting them did, field for field.
+    #[test]
+    fn plan_equals_collect_sort_admit((cfg, groups, budget) in plan_case()) {
+        let (want, _) = collect_sort_admit(&cfg, groups, budget);
+        prop_assert_eq!(ServiceDriver::plan(&cfg, groups, budget), want);
+    }
 }
 
 proptest! {
