@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Non-test code lines, the figure each PR's "net-negative" claim quotes
 # (ROADMAP item 8, CHANGES.md): per crate over crates/*/src, then the
-# examples and the vendored stand-ins, then the total of all three.
+# examples and the vendored stand-ins, then the total of all three. Two
+# rows after the total count code that also ships but stays outside it,
+# so the total reads as it always has: the benchmark (benchmark/src) and
+# the facade crate (src).
 #
 #   ci/loc.sh [repo-root]
 #
@@ -28,4 +31,5 @@ done
 examples=$(count examples/*.rs)
 vendor=$(count vendor/*/src/*.rs)
 printf '%-10s %6d\n' 'crates/*' "$crates" examples "$examples" vendor "$vendor" \
-    total "$((crates + examples + vendor))"
+    total "$((crates + examples + vendor))" \
+    benchmark "$(count $(find benchmark/src -name '*.rs' | sort))" facade "$(count src/*.rs)"

@@ -1,248 +1,113 @@
-//! Ablations of the design choices DESIGN.md calls out.
+//! Ablations of the design choices DESIGN.md calls out, each one a
+//! measurement no other study makes: the BA-WAL window, commit tails with
+//! their log WAF, group commit, pinned small reads and internal-datapath
+//! interference.
 
 use serde::{Deserialize, Serialize};
 use twob_core::TwoBSsd;
-use twob_ftl::Lba;
 use twob_sim::{SimDuration, SimTime};
-use twob_ssd::{Ssd, SsdConfig};
+use twob_ssd::SsdConfig;
 use twob_wal::{BaWal, WalConfig, WalWriter};
 
 use crate::Table;
 
-/// Double buffering versus a single window for BA-WAL (paper §IV-B).
+/// One BA-WAL window configuration: double buffering against a single
+/// window (paper §IV-B) and the window size (paper §VI: a small buffer
+/// suffices).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DoubleBufferingAblation {
-    /// Commit throughput with double buffering, commits/s.
-    pub double_ops_per_sec: f64,
-    /// Commit throughput with one window, commits/s.
-    pub single_ops_per_sec: f64,
-    /// Worst-case commit latency with double buffering, µs.
-    pub double_worst_us: f64,
-    /// Worst-case commit latency with one window, µs.
-    pub single_worst_us: f64,
+pub struct WindowRow {
+    /// Whether two windows alternate (double buffering) or one is reused.
+    pub double: bool,
+    /// Pages per window.
+    pub pages: u32,
+    /// Commit throughput, commits/s.
+    pub ops_per_sec: f64,
+    /// Worst commit latency, µs.
+    pub worst_us: f64,
 }
 
-fn drive(mut wal: BaWal, commits: u64, payload: usize) -> (f64, f64) {
-    let start = SimTime::from_nanos(1_000_000);
-    let mut t = start;
-    let body = vec![0x70u8; payload];
-    let mut worst = SimDuration::ZERO;
-    for _ in 0..commits {
-        let out = wal.append_commit(t, &body).expect("commit");
-        worst = worst.max(out.commit_at.saturating_since(t));
-        t = out.commit_at;
-    }
-    let tput = commits as f64 / t.saturating_since(start).as_secs_f64();
-    (tput, worst.as_micros_f64())
-}
-
-/// Runs the double-buffering ablation.
-pub fn double_buffering() -> DoubleBufferingAblation {
-    let commits = 3_000;
-    let payload = 100;
-    let (double_tput, double_worst) = drive(
-        BaWal::new(TwoBSsd::small_for_tests(), WalConfig::default(), 8).expect("wal"),
-        commits,
-        payload,
-    );
-    let (single_tput, single_worst) = drive(
-        BaWal::new_single(TwoBSsd::small_for_tests(), WalConfig::default(), 8).expect("wal"),
-        commits,
-        payload,
-    );
-    DoubleBufferingAblation {
-        double_ops_per_sec: double_tput,
-        single_ops_per_sec: single_tput,
-        double_worst_us: double_worst,
-        single_worst_us: single_worst,
-    }
-}
-
-/// Read-ahead on/off for DC-SSD sequential reads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ReadAheadAblation {
-    /// Mean sequential 4 KiB read latency with read-ahead, µs.
-    pub with_read_ahead_us: f64,
-    /// Mean sequential 4 KiB read latency without, µs.
-    pub without_read_ahead_us: f64,
-}
-
-fn sequential_read_mean(cfg: SsdConfig) -> f64 {
-    let mut ssd = Ssd::new(cfg.small());
-    let mut t = SimTime::ZERO;
-    let pages = 64u64;
-    for i in 0..pages {
-        t = ssd.write(t, Lba(i), &vec![1u8; 4096]).expect("populate");
-    }
-    t = ssd.flush(t) + SimDuration::from_millis(1);
-    let mut total = SimDuration::ZERO;
-    for i in 0..pages {
-        let read = ssd.read(t, Lba(i), 1).expect("read");
-        total += read.complete_at.saturating_since(t);
-        t = read.complete_at + SimDuration::from_micros(100);
-    }
-    total.as_micros_f64() / pages as f64
-}
-
-/// Runs the read-ahead ablation.
-pub fn read_ahead() -> ReadAheadAblation {
-    let with = sequential_read_mean(SsdConfig::dc_ssd());
-    let mut no_ra = SsdConfig::dc_ssd();
-    no_ra.read_ahead_pages = 0;
-    let without = sequential_read_mean(no_ra);
-    ReadAheadAblation {
-        with_read_ahead_us: with,
-        without_read_ahead_us: without,
-    }
-}
-
-/// WAF of conventional block WAL versus BA-WAL (paper §IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WafAblation {
-    /// Log WAF of the conventional block WAL.
-    pub block_waf: f64,
-    /// Log WAF of BA-WAL.
-    pub ba_waf: f64,
-}
-
-/// Runs the WAF comparison: many small commits through both schemes.
-pub fn waf() -> WafAblation {
-    use crate::fig9::{make_wal, BaLayout, LogKind};
-    let commits = 2_000u64;
-    let body = vec![0x42u8; 64];
-    let mut block = make_wal(LogKind::Ull, BaLayout::Halves);
-    let mut ba = make_wal(LogKind::TwoB, BaLayout::Halves);
-    let mut t1 = SimTime::from_nanos(1_000_000);
-    let mut t2 = t1;
-    for _ in 0..commits {
-        t1 = block.append_commit(t1, &body).expect("block").commit_at;
-        t2 = ba.append_commit(t2, &body).expect("ba").commit_at;
-    }
-    WafAblation {
-        block_waf: block.stats().log_waf(),
-        ba_waf: ba.stats().log_waf(),
-    }
-}
-
-/// §VI's warning: "the bandwidth can be monopolized by the internal
-/// datapath so that other applications accessing with block I/O would not
-/// be able to get it enough". Measures block-read throughput with and
-/// without a concurrent pin/flush stream on the same 2B-SSD.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct InterferenceAblation {
-    /// Block-read throughput alone, MB/s.
-    pub block_alone_mbs: f64,
-    /// Block-read throughput while the internal datapath streams, MB/s.
-    pub block_contended_mbs: f64,
-}
-
-/// Runs the internal-datapath interference experiment.
-pub fn interference() -> InterferenceAblation {
-    use twob_core::{EntryId, TwoBSpec, TwoBSsd};
-    use twob_ftl::Lba;
-    use twob_ssd::BlockDevice as _;
-
-    fn block_read_mbs(dev: &mut TwoBSsd, contend: bool) -> f64 {
-        let span_pages = 512u64;
-        let mut t = SimTime::ZERO;
-        for i in 0..span_pages {
-            t = dev
-                .write_pages(t, Lba(i), &vec![0x11u8; 4096])
-                .expect("populate");
-        }
-        // A separate extent for the internal stream to churn.
-        let pin_base = span_pages;
-        for i in 0..64u64 {
-            t = dev
-                .write_pages(t, Lba(pin_base + i), &vec![0x22u8; 4096])
-                .expect("populate pin extent");
-        }
-        t = dev.flush(t);
-        let start = t;
-        let mut internal_t = t;
-        let reads = 256u64;
-        for i in 0..reads {
-            if contend {
-                // Keep an internal pin/flush stream saturating the
-                // datapath: issue the next cycle whenever the previous
-                // one finished.
-                while internal_t <= t {
-                    let pin = dev
-                        .ba_pin(internal_t, EntryId(0), 0, Lba(pin_base), 64)
-                        .expect("pin");
-                    let flush = dev.ba_flush(pin.complete_at, EntryId(0)).expect("flush");
-                    internal_t = flush.complete_at;
-                }
+/// Runs the window table: a single 8-page window, then double buffering
+/// at 2, 4 and 8 pages per half, each taking 3,000 commits of 100 B.
+pub fn windows() -> Vec<WindowRow> {
+    [(false, 8), (true, 2), (true, 4), (true, 8)]
+        .into_iter()
+        .map(|(double, pages)| {
+            let dev = TwoBSsd::small_for_tests();
+            let wal = if double {
+                BaWal::new(dev, WalConfig::default(), pages)
+            } else {
+                BaWal::new_single(dev, WalConfig::default(), pages)
+            };
+            let mut wal = wal.expect("wal");
+            let start = SimTime::from_nanos(1_000_000);
+            let mut t = start;
+            let mut worst = SimDuration::ZERO;
+            let commits = 3_000u64;
+            for _ in 0..commits {
+                let out = wal.append_commit(t, &[0x70u8; 100]).expect("commit");
+                worst = worst.max(out.commit_at.saturating_since(t));
+                t = out.commit_at;
             }
-            // Sequential block reads, 8 pages per request.
-            let lba = (i * 8) % (span_pages - 8);
-            let read = dev.read_pages(t, Lba(lba), 8).expect("read");
-            t = read.complete_at;
-        }
-        let bytes = reads * 8 * 4096;
-        t.saturating_since(start).bytes_per_sec(bytes) / 1e6
-    }
-
-    let spec = TwoBSpec {
-        ba_buffer_bytes: 1 << 20,
-        ..TwoBSpec::default()
-    };
-    let mut alone = TwoBSsd::new(SsdConfig::base_2b().bench_scale(), spec);
-    let mut contended = TwoBSsd::new(SsdConfig::base_2b().bench_scale(), spec);
-    InterferenceAblation {
-        block_alone_mbs: block_read_mbs(&mut alone, false),
-        block_contended_mbs: block_read_mbs(&mut contended, true),
-    }
+            WindowRow {
+                double,
+                pages,
+                ops_per_sec: commits as f64 / t.saturating_since(start).as_secs_f64(),
+                worst_us: worst.as_micros_f64(),
+            }
+        })
+        .collect()
 }
 
-/// Random-read throughput versus queue depth (the paper evaluates at QD1
-/// only; this sweep verifies the device model's queuing behaves sanely
-/// beyond it).
+/// Commit-latency distribution per scheme under multi-client load
+/// (paper §IV-A: BA-WAL "optimizes both tail latencies and SSD lifespan").
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QueueDepthAblation {
-    /// `(queue depth, ULL-SSD kIOPS, DC-SSD kIOPS)` rows.
-    pub rows: Vec<(usize, f64, f64)>,
+pub struct TailLatencyRow {
+    /// Scheme label.
+    pub scheme: String,
+    /// Median commit latency, µs.
+    pub p50_us: f64,
+    /// 99th-percentile commit latency, µs.
+    pub p99_us: f64,
+    /// Worst commit latency, µs.
+    pub max_us: f64,
+    /// Physical NAND programs per host log page (device-level WAF of the
+    /// log traffic).
+    pub device_waf: f64,
 }
 
-/// Runs a random 4 KiB read sweep at several queue depths.
-pub fn queue_depth() -> QueueDepthAblation {
-    use twob_ftl::Lba;
-    use twob_sim::SimRng;
+/// Runs the tail-latency comparison: 8 virtual clients pushing small
+/// commits through each scheme.
+pub fn tail_latency() -> Vec<TailLatencyRow> {
+    use crate::fig9::{make_wal, BaLayout, LogKind};
+    use twob_sim::Histogram;
     use twob_workloads::ClientPool;
 
-    fn kiops(cfg: SsdConfig, depth: usize) -> f64 {
-        let mut ssd = Ssd::new(cfg.bench_scale());
-        let mut rng = SimRng::seed_from(23);
-        let span = 4_096u64;
-        let mut t = SimTime::ZERO;
-        for lba in 0..span {
-            t = ssd
-                .write(t, Lba(lba), &vec![0xAAu8; 4096])
-                .expect("populate");
-        }
-        t = ssd.flush(t);
-        let ops = 2_000u64;
-        let mut pool = ClientPool::starting_at(depth, t);
-        for _ in 0..ops {
-            let (client, at) = pool.next_client();
-            let lba = rng.next_u64_below(span);
-            let read = ssd.read(at, Lba(lba), 1).expect("read");
-            pool.complete(client, read.complete_at);
-        }
-        ops as f64 / pool.makespan().saturating_since(t).as_secs_f64() / 1e3
-    }
-
-    let rows = [1usize, 2, 4, 8, 16, 32]
+    let commits = 4_000u64;
+    let clients = 8;
+    [LogKind::Dc, LogKind::Ull, LogKind::TwoB]
         .into_iter()
-        .map(|depth| {
-            (
-                depth,
-                kiops(SsdConfig::ull_ssd(), depth),
-                kiops(SsdConfig::dc_ssd(), depth),
-            )
+        .map(|kind| {
+            let mut wal = make_wal(kind, BaLayout::Halves);
+            let mut pool = ClientPool::starting_at(clients, SimTime::from_nanos(1_000_000));
+            let mut hist = Histogram::new();
+            for i in 0..commits {
+                let (client, at) = pool.next_client();
+                // A little think time between a client's commits.
+                let issue = at + SimDuration::from_micros(3 + (i % 5));
+                let out = wal.append_commit(issue, &[0x42u8; 128]).expect("commit");
+                hist.record(out.commit_at.saturating_since(issue));
+                pool.complete(client, out.commit_at);
+            }
+            let stats = wal.stats();
+            TailLatencyRow {
+                scheme: wal.scheme(),
+                p50_us: hist.percentile(0.50).as_micros_f64(),
+                p99_us: hist.percentile(0.99).as_micros_f64(),
+                max_us: hist.max().as_micros_f64(),
+                device_waf: stats.log_waf(),
+            }
         })
-        .collect();
-    QueueDepthAblation { rows }
+        .collect()
 }
 
 /// Group commit (batched appends) versus per-record commits.
@@ -359,183 +224,100 @@ pub fn pinned_reads() -> PinnedReadAblation {
     }
 }
 
-/// Commit-latency distribution per scheme under multi-client load
-/// (paper §IV-A: BA-WAL "optimizes both tail latencies and SSD lifespan").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TailLatencyRow {
-    /// Scheme label.
-    pub scheme: String,
-    /// Median commit latency, µs.
-    pub p50_us: f64,
-    /// 99th-percentile commit latency, µs.
-    pub p99_us: f64,
-    /// Worst commit latency, µs.
-    pub max_us: f64,
-    /// Physical NAND programs per host log page (device-level WAF of the
-    /// log traffic).
-    pub device_waf: f64,
-}
-
-/// Runs the tail-latency comparison: 8 virtual clients pushing small
-/// commits through each scheme.
-pub fn tail_latency() -> Vec<TailLatencyRow> {
-    use crate::fig9::{make_wal, BaLayout, LogKind};
-    use twob_sim::Histogram;
-    use twob_workloads::ClientPool;
-
-    let commits = 4_000u64;
-    let clients = 8;
-    [LogKind::Dc, LogKind::Ull, LogKind::TwoB]
-        .into_iter()
-        .map(|kind| {
-            let mut wal = make_wal(kind, BaLayout::Halves);
-            let mut pool = ClientPool::starting_at(clients, SimTime::from_nanos(1_000_000));
-            let mut hist = Histogram::new();
-            for i in 0..commits {
-                let (client, at) = pool.next_client();
-                // A little think time between a client's commits.
-                let issue = at + SimDuration::from_micros(3 + (i % 5));
-                let out = wal.append_commit(issue, &[0x42u8; 128]).expect("commit");
-                hist.record(out.commit_at.saturating_since(issue));
-                pool.complete(client, out.commit_at);
-            }
-            let stats = wal.stats();
-            TailLatencyRow {
-                scheme: wal.scheme(),
-                p50_us: hist.percentile(0.50).as_micros_f64(),
-                p99_us: hist.percentile(0.99).as_micros_f64(),
-                max_us: hist.max().as_micros_f64(),
-                device_waf: stats.log_waf(),
-            }
-        })
-        .collect()
-}
-
-/// File-system metadata journaling on block vs BA journal (paper §IV:
-/// "2B-SSD is also a good fit for file system journaling").
+/// §VI's warning: "the bandwidth can be monopolized by the internal
+/// datapath so that other applications accessing with block I/O would not
+/// be able to get it enough". Measures block-read throughput with and
+/// without a concurrent pin/flush stream on the same 2B-SSD.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FsJournalAblation {
-    /// Metadata ops/s with a conventional block journal on DC-SSD.
-    pub block_ops_per_sec: f64,
-    /// Metadata ops/s with the journal on the 2B-SSD byte path.
-    pub ba_ops_per_sec: f64,
+pub struct InterferenceAblation {
+    /// Block-read throughput alone, MB/s.
+    pub block_alone_mbs: f64,
+    /// Block-read throughput while the internal datapath streams, MB/s.
+    pub block_contended_mbs: f64,
 }
 
-/// Runs a metadata-heavy create/write/delete churn over both journals.
-pub fn fs_journaling() -> FsJournalAblation {
-    use twob_fs::MiniFs;
-    use twob_wal::{BlockWal, CommitMode};
+/// Runs the internal-datapath interference experiment.
+pub fn interference() -> InterferenceAblation {
+    use twob_core::{EntryId, TwoBSpec, TwoBSsd};
+    use twob_ftl::Lba;
+    use twob_ssd::BlockDevice as _;
 
-    fn churn<J: twob_wal::WalWriter>(mut fs: MiniFs<Ssd, J>, rounds: u32) -> f64 {
-        let start = SimTime::from_nanos(1_000_000);
-        let mut t = start;
-        let mut ops = 0u64;
-        for i in 0..rounds {
-            let name = format!("tmp-{i}");
-            t = fs.create(t, &name).expect("create");
-            t = fs.write(t, &name, 0, &[0x61u8; 100]).expect("write");
-            t = fs.delete(t, &name).expect("delete");
-            ops += 3;
+    fn block_read_mbs(dev: &mut TwoBSsd, contend: bool) -> f64 {
+        let span_pages = 512u64;
+        let mut t = SimTime::ZERO;
+        for i in 0..span_pages {
+            t = dev
+                .write_pages(t, Lba(i), &vec![0x11u8; 4096])
+                .expect("populate");
         }
-        ops as f64 / t.saturating_since(start).as_secs_f64()
+        // A separate extent for the internal stream to churn.
+        let pin_base = span_pages;
+        for i in 0..64u64 {
+            t = dev
+                .write_pages(t, Lba(pin_base + i), &vec![0x22u8; 4096])
+                .expect("populate pin extent");
+        }
+        t = dev.flush(t);
+        let start = t;
+        let mut internal_t = t;
+        let reads = 256u64;
+        for i in 0..reads {
+            if contend {
+                // Keep an internal pin/flush stream saturating the
+                // datapath: issue the next cycle whenever the previous
+                // one finished.
+                while internal_t <= t {
+                    let pin = dev
+                        .ba_pin(internal_t, EntryId(0), 0, Lba(pin_base), 64)
+                        .expect("pin");
+                    let flush = dev.ba_flush(pin.complete_at, EntryId(0)).expect("flush");
+                    internal_t = flush.complete_at;
+                }
+            }
+            // Sequential block reads, 8 pages per request.
+            let lba = (i * 8) % (span_pages - 8);
+            let read = dev.read_pages(t, Lba(lba), 8).expect("read");
+            t = read.complete_at;
+        }
+        let bytes = reads * 8 * 4096;
+        t.saturating_since(start).bytes_per_sec(bytes) / 1e6
     }
 
-    let rounds = 300;
-    let block = churn(
-        MiniFs::format(
-            Ssd::new(SsdConfig::dc_ssd().small()),
-            BlockWal::new(
-                Ssd::new(SsdConfig::dc_ssd().bench_scale()),
-                WalConfig::default(),
-                CommitMode::Sync,
-            )
-            .expect("journal"),
-            SimTime::ZERO,
-        )
-        .expect("format"),
-        rounds,
-    );
-    let ba = churn(
-        MiniFs::format(
-            Ssd::new(SsdConfig::dc_ssd().small()),
-            BaWal::new(TwoBSsd::small_for_tests(), WalConfig::default(), 4).expect("journal"),
-            SimTime::ZERO,
-        )
-        .expect("format"),
-        rounds,
-    );
-    FsJournalAblation {
-        block_ops_per_sec: block,
-        ba_ops_per_sec: ba,
+    let spec = TwoBSpec {
+        ba_buffer_bytes: 1 << 20,
+        ..TwoBSpec::default()
+    };
+    let mut alone = TwoBSsd::new(SsdConfig::base_2b().bench_scale(), spec);
+    let mut contended = TwoBSsd::new(SsdConfig::base_2b().bench_scale(), spec);
+    InterferenceAblation {
+        block_alone_mbs: block_read_mbs(&mut alone, false),
+        block_contended_mbs: block_read_mbs(&mut contended, true),
     }
-}
-
-/// BA-buffer size sensitivity (paper §VI: ~8 MB suffices; bigger buffers
-/// add usability, not bandwidth).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BufferSizeAblation {
-    /// `(window pages, commit throughput)` per BA-WAL window size.
-    pub rows: Vec<(u32, f64)>,
-}
-
-/// Runs the buffer-size sensitivity sweep.
-pub fn buffer_size() -> BufferSizeAblation {
-    let rows = [2u32, 4, 8]
-        .into_iter()
-        .map(|half_pages| {
-            let cfg = WalConfig {
-                region_pages: 64,
-                ..WalConfig::default()
-            };
-            let (tput, _) = drive(
-                BaWal::new(TwoBSsd::small_for_tests(), cfg, half_pages).expect("wal"),
-                2_000,
-                100,
-            );
-            (half_pages, tput)
-        })
-        .collect();
-    BufferSizeAblation { rows }
 }
 
 /// Every ablation's result, in report order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ablations {
     /// Ablation 1.
-    pub double_buffering: DoubleBufferingAblation,
+    pub windows: Vec<WindowRow>,
     /// Ablation 2.
-    pub read_ahead: ReadAheadAblation,
-    /// Ablation 3.
-    pub waf: WafAblation,
-    /// Ablation 4.
     pub tail_latency: Vec<TailLatencyRow>,
-    /// Ablation 5.
-    pub fs_journaling: FsJournalAblation,
-    /// Ablation 6.
-    pub buffer_size: BufferSizeAblation,
-    /// Ablation 7.
+    /// Ablation 3.
     pub group_commit: GroupCommitAblation,
-    /// Ablation 8.
+    /// Ablation 4.
     pub pinned_reads: PinnedReadAblation,
-    /// Ablation 9.
+    /// Ablation 5.
     pub interference: InterferenceAblation,
-    /// Ablation 10.
-    pub queue_depth: QueueDepthAblation,
 }
 
-/// Runs all ten ablations.
+/// Runs all five ablations.
 pub fn run() -> Ablations {
     Ablations {
-        double_buffering: double_buffering(),
-        read_ahead: read_ahead(),
-        waf: waf(),
+        windows: windows(),
         tail_latency: tail_latency(),
-        fs_journaling: fs_journaling(),
-        buffer_size: buffer_size(),
         group_commit: group_commit(),
         pinned_reads: pinned_reads(),
         interference: interference(),
-        queue_depth: queue_depth(),
     }
 }
 
@@ -551,36 +333,17 @@ pub(crate) fn render(a: &Ablations) -> String {
             .col(head[1], |r| format!("{:.digits$}", r.1));
         section(title, table)
     };
-    let db = &a.double_buffering;
-    let buffering = [
-        ("double", db.double_ops_per_sec, db.double_worst_us),
-        ("single", db.single_ops_per_sec, db.single_worst_us),
-    ];
     let sections = [
         section(
-            "Ablation 1: BA-WAL double buffering (paper §IV-B)",
-            Table::new(&buffering)
-                .col("buffering", |r| r.0)
-                .col("commits/s", |r| format!("{:.0}", r.1))
-                .col("worst commit (us)", |r| format!("{:.1}", r.2)),
-        ),
-        pairs(
-            "Ablation 2: DC-SSD sequential read-ahead (paper §V-B)",
-            ["read-ahead", "mean seq 4K read (us)"],
-            1,
-            &[
-                ("on", a.read_ahead.with_read_ahead_us),
-                ("off", a.read_ahead.without_read_ahead_us),
-            ],
-        ),
-        pairs(
-            "Ablation 3: log write amplification (paper §IV-A)",
-            ["scheme", "log WAF"],
-            1,
-            &[("block WAL", a.waf.block_waf), ("BA-WAL", a.waf.ba_waf)],
+            "Ablation 1: BA-WAL double buffering and window size (paper §IV-B, §VI)",
+            Table::new(&a.windows)
+                .col("buffering", |r| if r.double { "double" } else { "single" })
+                .col("window", |r| format!("{} pages", r.pages))
+                .col("commits/s", |r| format!("{:.0}", r.ops_per_sec))
+                .col("worst commit (us)", |r| format!("{:.1}", r.worst_us)),
         ),
         section(
-            "Ablation 4: commit tail latency under 8 clients (paper §IV-A)",
+            "Ablation 2: commit tail latency and log WAF under 8 clients (paper §IV-A)",
             Table::new(&a.tail_latency)
                 .col("scheme", |r| r.scheme.clone())
                 .col("p50 (us)", |r| format!("{:.2}", r.p50_us))
@@ -589,22 +352,7 @@ pub(crate) fn render(a: &Ablations) -> String {
                 .col("log WAF", |r| format!("{:.1}", r.device_waf)),
         ),
         pairs(
-            "Ablation 5: filesystem metadata journaling (paper §IV)",
-            ["journal", "metadata ops/s"],
-            0,
-            &[
-                ("block (DC-SSD)", a.fs_journaling.block_ops_per_sec),
-                ("BA-WAL (2B-SSD)", a.fs_journaling.ba_ops_per_sec),
-            ],
-        ),
-        section(
-            "Ablation 6: BA-WAL window size sensitivity (paper §VI)",
-            Table::new(&a.buffer_size.rows)
-                .col("window", |r| format!("{} pages", r.0))
-                .col("commits/s", |r| format!("{:.0}", r.1)),
-        ),
-        pairs(
-            "Ablation 7: group commit vs per-record commits",
+            "Ablation 3: group commit vs per-record commits",
             ["scheme", "records/s (durable)"],
             0,
             &[
@@ -614,7 +362,7 @@ pub(crate) fn render(a: &Ablations) -> String {
             ],
         ),
         pairs(
-            "Ablation 8: bulk block write + pinned small reads (paper §VI)",
+            "Ablation 4: bulk block write + pinned small reads (paper §VI)",
             ["path", "mean 64 B read (us)"],
             2,
             &[
@@ -623,7 +371,7 @@ pub(crate) fn render(a: &Ablations) -> String {
             ],
         ) + &format!("one-time pin cost: {:.1} us\n", a.pinned_reads.pin_cost_us),
         pairs(
-            "Ablation 9: internal-datapath interference on block I/O (paper §VI)",
+            "Ablation 5: internal-datapath interference on block I/O (paper §VI)",
             ["block 8-page reads", "MB/s"],
             0,
             &[
@@ -633,13 +381,6 @@ pub(crate) fn render(a: &Ablations) -> String {
                     a.interference.block_contended_mbs,
                 ),
             ],
-        ),
-        section(
-            "Ablation 10: random 4 KiB read throughput vs queue depth",
-            Table::new(&a.queue_depth.rows)
-                .col("QD", |r| r.0)
-                .col("ULL-SSD kIOPS", |r| format!("{:.0}", r.1))
-                .col("DC-SSD kIOPS", |r| format!("{:.0}", r.2)),
         ),
     ];
     sections.join("\n")
@@ -651,31 +392,31 @@ mod tests {
 
     #[test]
     fn double_buffering_hides_flushes() {
-        let a = double_buffering();
+        let rows = windows();
+        let single = rows.iter().find(|r| !r.double).unwrap();
+        let double = |pages: u32| rows.iter().find(|r| r.double && r.pages == pages).unwrap();
+        let same_size = double(single.pages);
         assert!(
-            a.double_ops_per_sec > a.single_ops_per_sec,
-            "double buffering should win: {a:?}"
+            same_size.ops_per_sec > single.ops_per_sec,
+            "double buffering should win: {rows:?}"
         );
         assert!(
-            a.single_worst_us > a.double_worst_us * 3.0,
-            "single-buffer worst case should spike: {a:?}"
+            single.worst_us > same_size.worst_us * 3.0,
+            "single-buffer worst case should spike: {rows:?}"
         );
-    }
-
-    #[test]
-    fn read_ahead_pays_for_sequential_scans() {
-        let a = read_ahead();
+        // Bigger windows flush less often but commits already hide
+        // flushes; throughput moves by far less than the window grows.
+        let doubles: Vec<f64> = rows
+            .iter()
+            .filter(|r| r.double)
+            .map(|r| r.ops_per_sec)
+            .collect();
+        let lo = doubles.iter().copied().fold(f64::MAX, f64::min);
+        let hi = doubles.iter().copied().fold(0.0, f64::max);
         assert!(
-            a.with_read_ahead_us * 2.0 < a.without_read_ahead_us,
-            "read-ahead should at least halve sequential latency: {a:?}"
+            hi < lo * 1.5,
+            "throughput should not scale with window size: {rows:?}"
         );
-    }
-
-    #[test]
-    fn ba_wal_eliminates_log_write_amplification() {
-        let a = waf();
-        assert!((a.ba_waf - 1.0).abs() < f64::EPSILON, "{a:?}");
-        assert!(a.block_waf > 10.0, "{a:?}");
     }
 
     #[test]
@@ -691,24 +432,6 @@ mod tests {
             a.block_contended_mbs > a.block_alone_mbs * 0.2,
             "block path should be degraded, not starved: {a:?}"
         );
-    }
-
-    #[test]
-    fn queue_depth_scales_throughput_until_saturation() {
-        let a = queue_depth();
-        let at = |d: usize| a.rows.iter().find(|(depth, _, _)| *depth == d).unwrap();
-        let (_, ull_1, dc_1) = at(1);
-        let (_, ull_8, dc_8) = at(8);
-        let (_, ull_32, dc_32) = at(32);
-        // Concurrency buys real throughput on both devices...
-        assert!(*ull_8 > ull_1 * 2.0, "{a:?}");
-        assert!(*dc_8 > dc_1 * 2.0, "{a:?}");
-        // ...but saturates: QD32 is no more than ~2.5x QD8.
-        assert!(*ull_32 < ull_8 * 3.0, "{a:?}");
-        assert!(*dc_32 < dc_8 * 5.0, "{a:?}");
-        // DC's deep NAND latency means it scales further with depth than
-        // ULL, whose QD1 latency is already near the interface floor.
-        assert!(dc_32 / dc_1 > ull_32 / ull_1, "{a:?}");
     }
 
     #[test]
@@ -744,28 +467,6 @@ mod tests {
         // Only the block schemes amplify log writes at the device.
         assert!((ba.device_waf - 1.0).abs() < f64::EPSILON);
         assert!(dc.device_waf > 5.0);
-    }
-
-    #[test]
-    fn fs_journaling_gains_from_the_byte_path() {
-        let a = fs_journaling();
-        let gain = a.ba_ops_per_sec / a.block_ops_per_sec;
-        assert!(
-            (1.3..6.0).contains(&gain),
-            "metadata-op gain {gain:.2} out of expected band: {a:?}"
-        );
-    }
-
-    #[test]
-    fn buffer_size_has_diminishing_returns() {
-        let a = buffer_size();
-        let first = a.rows.first().unwrap().1;
-        let last = a.rows.last().unwrap().1;
-        // Bigger windows flush less often but commits already hide flushes;
-        // throughput moves by far less than the window grows.
-        assert!(
-            last < first * 1.5,
-            "throughput should not scale with window size: {a:?}"
-        );
+        assert!(ull.device_waf > 10.0, "{ull:?}");
     }
 }

@@ -161,6 +161,16 @@ fn flags(name: &str) -> Vec<&'static str> {
     flags
 }
 
+/// The row a command names: `--help` and `-h` are `help`, a study is
+/// the study row, and any other word is its own row name.
+fn row_name(command: &str) -> &str {
+    match command {
+        "--help" | "-h" => "help",
+        study if find(study).is_some() => STUDY,
+        name => name,
+    }
+}
+
 /// Checks a parsed command line against its row and returns what runs
 /// it. A name that is no row is a study: it and every positional must be
 /// in the registry, and each must have every flag given.
@@ -170,11 +180,7 @@ fn flags(name: &str) -> Vec<&'static str> {
 /// An unknown command or study, a positional or flag the row does not
 /// take, a flag a named study lacks: nothing has run.
 pub fn lookup(parsed: &Parsed) -> Result<Handler, Box<dyn Error>> {
-    let name = match parsed.command.as_str() {
-        "--help" | "-h" => "help",
-        study if find(study).is_some() => STUDY,
-        name => name,
-    };
+    let name = row_name(&parsed.command);
     let Some(&(_, positionals, run)) = ROWS.iter().find(|row| row.0 == name) else {
         return Err(format!("unknown subcommand or study {:?}", parsed.command).into());
     };
@@ -897,6 +903,7 @@ fn faults(parsed: &Parsed) -> CliResult {
 mod tests {
     use super::*;
     use crate::args::parse;
+    use twob_bench::registry::REGISTRY;
 
     /// What `twob <args>` would print: whole lines, or the error.
     fn run(args: &[&str]) -> CliResult {
@@ -1291,6 +1298,47 @@ mod tests {
         let mut switches = crate::args::SWITCHES;
         switches.sort_unstable();
         assert_eq!(bracketed, switches);
+    }
+
+    /// The words the argv fuzz draws from: every row, every study, every
+    /// flag some row's help shows, and words no row takes.
+    fn argv_alphabet() -> Vec<String> {
+        let known_flags = ROWS.iter().flat_map(|row| flags(row.0));
+        let other = "--tenats --bogus -- -h --help sweep 0 7 -1 18446744073709551616 x \u{2603}";
+        ROWS.iter()
+            .map(|row| row.0.to_string())
+            .chain(REGISTRY.iter().map(|entry| entry.info().name.to_string()))
+            .chain(known_flags.map(|flag| format!("--{flag}")))
+            .chain(other.split(' ').chain([""]).map(String::from))
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// No argv makes the parser or the lookup panic, and a line the
+        /// lookup accepts gives only flags its row's help shows.
+        #[test]
+        fn lookup_accepts_only_flags_the_row_shows(
+            picks in proptest::collection::vec(proptest::any::<proptest::sample::Index>(), 0..6)
+        ) {
+            let alphabet = argv_alphabet();
+            let argv: Vec<String> = picks
+                .iter()
+                .map(|pick| alphabet[pick.index(alphabet.len())].clone())
+                .collect();
+            let Ok(parsed) = parse(argv.clone()) else {
+                return Ok(());
+            };
+            if lookup(&parsed).is_ok() {
+                let row = row_name(&parsed.command);
+                let shown = flags(row);
+                for flag in parsed.flags.keys() {
+                    proptest::prop_assert!(
+                        shown.contains(&flag.as_str()),
+                        "{argv:?} ran {row} with --{flag}, which its help does not show"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

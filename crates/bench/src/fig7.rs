@@ -41,7 +41,7 @@ const GAP: SimDuration = SimDuration::from_millis(1);
 /// Mean block read/write latency of `cfg` at QD1 for `size`-byte requests
 /// (rounded up to pages, as block I/O requires). Random offsets defeat the
 /// read-ahead heuristic, matching FIO's random profile.
-fn block_latencies(cfg: SsdConfig, size: u64) -> (f64, f64) {
+pub(crate) fn block_latencies(cfg: SsdConfig, size: u64) -> (f64, f64) {
     let mut ssd = Ssd::new(cfg.small());
     let pages = fio::pages_for(size);
     let mut t = SimTime::ZERO;

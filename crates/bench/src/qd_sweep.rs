@@ -159,6 +159,31 @@ mod tests {
     }
 
     #[test]
+    fn read_ahead_pays_for_sequential_scans() {
+        // The sweep reads sequentially, so the DC-SSD's read-ahead serves
+        // most QD1 reads; Fig 7's strided probes defeat it and pay the
+        // full NAND read.
+        let seq = read_row("DC-SSD", SsdConfig::dc_ssd(), 4096, 1);
+        let (strided_us, _) = crate::fig7::block_latencies(SsdConfig::dc_ssd(), 4096);
+        assert!(
+            seq.mean_lat_us * 2.0 < strided_us,
+            "read-ahead should at least halve sequential latency: {seq:?} vs {strided_us} us"
+        );
+    }
+
+    #[test]
+    fn dc_gains_more_from_depth_than_ull() {
+        // DC's deep NAND latency leaves more to overlap than ULL, whose
+        // QD1 latency is already near the interface floor.
+        let gain = |device: &str, cfg: fn() -> SsdConfig| {
+            read_row(device, cfg(), 4096, 64).read_mbs / read_row(device, cfg(), 4096, 1).read_mbs
+        };
+        let dc = gain("DC-SSD", SsdConfig::dc_ssd);
+        let ull = gain("ULL-SSD", SsdConfig::ull_ssd);
+        assert!(dc > ull, "DC x{dc:.2} vs ULL x{ull:.2}");
+    }
+
+    #[test]
     fn sweep_is_deterministic() {
         let a = read_row("ULL-SSD", SsdConfig::ull_ssd(), 65536, 4);
         let b = read_row("ULL-SSD", SsdConfig::ull_ssd(), 65536, 4);

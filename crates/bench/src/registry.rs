@@ -220,7 +220,7 @@ pub static REGISTRY: [&dyn Entry; 14] = [
         |_| commit_cost::run(),
         |rows| commit_cost::render(rows),
     ),
-    &Study::new(
+    &Study::pinned(
         "ablations",
         "ablations of the design choices DESIGN.md calls out",
         |_| ablations::run(),

@@ -76,6 +76,7 @@ pinned! {
     fig9_json_is_byte_identical_to_capture => "fig9_apps",
     fig10_json_is_byte_identical_to_capture => "fig10_hetero",
     commit_cost_json_is_byte_identical_to_capture => "commit_cost",
+    ablations_json_is_byte_identical_to_capture => "ablations",
     qd_sweep_json_is_byte_identical_to_capture => "qd_sweep",
     gc_interference_json_is_byte_identical_to_capture => "gc_interference",
     tenant_sweep_json_is_byte_identical_to_capture => "tenant_sweep",

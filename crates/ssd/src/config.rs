@@ -63,9 +63,6 @@ pub struct SsdConfig {
     /// Effective program parallelism multiplier per die (multi-plane and
     /// cache-program techniques), applied to destage throughput.
     pub program_parallelism: u32,
-    /// Pages the sequential read-ahead heuristic prefetches ahead of a
-    /// detected streak; 0 disables read-ahead.
-    pub read_ahead_pages: u32,
     /// Time the device takes to acknowledge a flush when the cache is
     /// already persistent.
     pub flush_ack: SimDuration,
@@ -98,7 +95,6 @@ impl SsdConfig {
             write_cache_pages: 256,
             capacitor_backed_cache: true,
             program_parallelism: 4,
-            read_ahead_pages: 32,
             flush_ack: SimDuration::from_micros(5),
             internal_datapath_bytes_per_sec: 0,
             error_injection: None,
@@ -124,7 +120,6 @@ impl SsdConfig {
             write_cache_pages: 256,
             capacitor_backed_cache: true,
             program_parallelism: 2,
-            read_ahead_pages: 32,
             flush_ack: SimDuration::from_micros(3),
             internal_datapath_bytes_per_sec: 0,
             error_injection: None,

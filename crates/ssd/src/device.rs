@@ -154,6 +154,10 @@ pub struct Ssd {
 /// Cap on retained prefetched pages to bound memory.
 const PREFETCH_CAP: usize = 256;
 
+/// Pages the sequential read-ahead heuristic prefetches ahead of a
+/// detected streak.
+const READ_AHEAD_PAGES: u64 = 32;
+
 impl Ssd {
     /// Builds a device from a profile.
     ///
@@ -636,13 +640,13 @@ impl Ssd {
         let sequential = self.last_seq_end == Some(lba.0);
         self.last_seq_end = Some(end);
         self.streak = if sequential { self.streak + 1 } else { 0 };
-        if self.cfg.read_ahead_pages == 0 || self.streak < 2 {
+        if self.streak < 2 {
             return;
         }
         if self.prefetched.len() >= PREFETCH_CAP {
             self.prefetched.clear();
         }
-        for ahead in 0..u64::from(self.cfg.read_ahead_pages) {
+        for ahead in 0..READ_AHEAD_PAGES {
             let next = Lba(end + ahead);
             if next.0 >= self.ftl.exported_pages() || self.prefetched.contains_key(&next.0) {
                 continue;

@@ -19,7 +19,6 @@
 //!   between the byte tiers and block NAND.
 //! - [`wal`] — write-ahead logging schemes (Block-WAL, BA-WAL, PM-WAL).
 //! - [`db`] — miniature PostgreSQL/RocksDB/Redis-style engines.
-//! - [`fs`] — a journaling mini-filesystem with a pluggable journal.
 //! - [`workloads`] — Linkbench-like, YCSB, and FIO-like drivers.
 //! - [`faults`] — deterministic fault injection and the crash-consistency
 //!   harness (power cuts, flush faults, NAND errors, recovery invariants).
@@ -48,7 +47,6 @@ pub use twob_core as core;
 pub use twob_cxl as cxl;
 pub use twob_db as db;
 pub use twob_faults as faults;
-pub use twob_fs as fs;
 pub use twob_ftl as ftl;
 pub use twob_nand as nand;
 pub use twob_pcie as pcie;
