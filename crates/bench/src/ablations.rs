@@ -404,6 +404,11 @@ mod tests {
             single.worst_us > same_size.worst_us * 3.0,
             "single-buffer worst case should spike: {rows:?}"
         );
+    }
+
+    #[test]
+    fn buffer_size_has_diminishing_returns() {
+        let rows = windows();
         // Bigger windows flush less often but commits already hide
         // flushes; throughput moves by far less than the window grows.
         let doubles: Vec<f64> = rows
@@ -464,9 +469,17 @@ mod tests {
         // Median AND tail both collapse on the byte path.
         assert!(ba.p50_us * 5.0 < ull.p50_us, "{ba:?} vs {ull:?}");
         assert!(ba.p99_us < dc.p99_us, "{ba:?} vs {dc:?}");
+    }
+
+    #[test]
+    fn ba_wal_eliminates_log_write_amplification() {
+        let rows = tail_latency();
+        let ba = rows.iter().find(|r| r.scheme.contains("BA-WAL")).unwrap();
+        let dc = rows.iter().find(|r| r.scheme.contains("DC-SSD")).unwrap();
+        let ull = rows.iter().find(|r| r.scheme.contains("ULL-SSD")).unwrap();
         // Only the block schemes amplify log writes at the device.
-        assert!((ba.device_waf - 1.0).abs() < f64::EPSILON);
-        assert!(dc.device_waf > 5.0);
+        assert!((ba.device_waf - 1.0).abs() < f64::EPSILON, "{ba:?}");
+        assert!(dc.device_waf > 5.0, "{dc:?}");
         assert!(ull.device_waf > 10.0, "{ull:?}");
     }
 }
