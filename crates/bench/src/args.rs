@@ -71,7 +71,7 @@ impl std::error::Error for ArgError {}
 
 /// The flags that never take a value: `twob gc --json`,
 /// `twob serve_sweep --gate tier_sweep`.
-pub const SWITCHES: [&str; 4] = ["json", "gate", "write", "quick"];
+pub const SWITCHES: [&str; 3] = ["json", "gate", "quick"];
 
 /// Parses `args` (without the program name) into a [`Parsed`].
 ///

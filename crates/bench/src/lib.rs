@@ -50,7 +50,7 @@ use std::fmt;
 
 use twob_workloads::{ServeConfig, ServeReport, ServiceDriver, ShardDrive};
 
-/// Serializes a report value for a `json:` line, fixture or tracked file.
+/// Serializes a report value for a `json:` line (and so its fixture).
 pub fn to_json<T: fmt::Debug + ?Sized>(value: &T) -> String {
     serde_json::to_string(value).expect("the Debug-to-JSON translator is total")
 }

@@ -3,12 +3,14 @@
 //!
 //! Each study is one [`Study`] value in [`REGISTRY`] — its name, a
 //! one-line summary, and function pointers for what it actually has: how
-//! to run and render it, its deterministic `json:` payload, the
-//! projection its golden fixture pins, its tracked `BENCH_*.json`, its CI
-//! gate. The runner, fixture regeneration and CI iterate [`REGISTRY`] and
-//! never name a study; `tests/golden.rs` names the studies it checks and
-//! fails if that set is not exactly the fixtures declared here. Adding a
-//! study is adding an entry here (and, if pinned, its golden test).
+//! to run and render it, its deterministic `json:` payload, its CI gate.
+//! A study with a `json:` line is pinned: `tests/golden/<name>.json` holds
+//! that line's payload from a full-scale run, taken from the same
+//! [`Entry::execute`] call that prints it. The runner, fixture
+//! regeneration and CI iterate [`REGISTRY`] and never name a study;
+//! `tests/golden.rs` names the studies it checks and fails if that set is
+//! not exactly the pinned ones. Adding a study is adding an entry here
+//! (and, if pinned, its golden test).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -24,15 +26,6 @@ pub type Render<T> = fn(&T) -> String;
 /// A gate's verdict: the pass summary, or the violated condition.
 pub type Verdict = Result<String, String>;
 
-/// What a study's golden fixture pins.
-pub enum Fixture<T> {
-    /// This view of a full-scale run.
-    Of(Render<T>),
-    /// Its own capture, for a study whose run also computes costly parts
-    /// that no fixture pins.
-    Own(fn() -> String),
-}
-
 /// One study, typed by the value its run produces.
 pub struct Study<T> {
     /// Name on the command line; also the stem of its fixture file.
@@ -46,12 +39,8 @@ pub struct Study<T> {
     /// Renders the human-readable tables, newline-terminated.
     pub text: Render<T>,
     /// The deterministic `json:` payload, byte-stable across runs and
-    /// machines.
+    /// machines; at full scale, what `tests/golden/<name>.json` pins.
     pub json: Option<Render<T>>,
-    /// What `tests/golden/<name>.json` pins.
-    pub fixture: Option<Fixture<T>>,
-    /// The tracked file at the repo root and its contents.
-    pub tracked: Option<(&'static str, Render<T>)>,
     /// The CI gate.
     pub gate: Option<fn(&T) -> Verdict>,
 }
@@ -72,16 +61,13 @@ impl<T> Study<T> {
             run,
             text,
             json: None,
-            fixture: None,
-            tracked: None,
             gate: None,
         }
     }
 }
 
 impl<T: std::fmt::Debug> Study<T> {
-    /// A study whose whole outcome is both its `json:` line and what its
-    /// fixture pins — the common case.
+    /// A study whose whole outcome is its `json:` line — the common case.
     pub const fn pinned(
         name: &'static str,
         about: &'static str,
@@ -90,7 +76,6 @@ impl<T: std::fmt::Debug> Study<T> {
     ) -> Self {
         Study {
             json: Some(to_json),
-            fixture: Some(Fixture::Of(to_json)),
             ..Study::new(name, about, run, text)
         }
     }
@@ -103,12 +88,8 @@ pub struct Info {
     pub name: &'static str,
     /// One-line summary.
     pub about: &'static str,
-    /// Whether it prints a `json:` line.
+    /// Whether it prints a `json:` line, and so is pinned by a golden file.
     pub json: bool,
-    /// Whether a golden file pins it.
-    pub fixture: bool,
-    /// Whether `--write` applies: it has a tracked file.
-    pub write: bool,
     /// Whether `--gate` applies.
     pub gate: bool,
     /// Whether `--quick` applies.
@@ -120,10 +101,15 @@ pub struct Info {
 pub struct Output {
     /// Everything the study prints: its tables, then the `json:` line.
     pub stdout: String,
-    /// Its tracked file's name and fresh contents.
-    pub tracked: Option<(&'static str, String)>,
     /// The gate's verdict, when one was asked for and exists.
     pub gate: Option<Verdict>,
+}
+
+impl Output {
+    /// The payload of the printed `json:` line, if the study has one.
+    pub fn json(&self) -> Option<&str> {
+        self.stdout.lines().last()?.strip_prefix("json: ")
+    }
 }
 
 /// A registry entry: a [`Study`] with its outcome type erased.
@@ -133,9 +119,6 @@ pub trait Entry: Sync {
     /// Runs the study once and renders everything derived from that run;
     /// the gate is evaluated only when `gate` is set.
     fn execute(&self, quick: bool, gate: bool) -> Output;
-    /// Runs the study at full scale and returns the bytes its fixture
-    /// pins; `None` when no golden file pins it.
-    fn capture(&self) -> Option<String>;
 }
 
 impl<T> Entry for Study<T> {
@@ -144,8 +127,6 @@ impl<T> Entry for Study<T> {
             name: self.name,
             about: self.about,
             json: self.json.is_some(),
-            fixture: self.fixture.is_some(),
-            write: self.tracked.is_some(),
             gate: self.gate.is_some(),
             quick: self.quick,
         }
@@ -159,17 +140,7 @@ impl<T> Entry for Study<T> {
         }
         Output {
             stdout,
-            tracked: self
-                .tracked
-                .map(|(file, contents)| (file, contents(&outcome) + "\n")),
             gate: self.gate.filter(|_| gate).map(|check| check(&outcome)),
-        }
-    }
-
-    fn capture(&self) -> Option<String> {
-        match self.fixture.as_ref()? {
-            Fixture::Of(view) => Some(view(&(self.run)(false))),
-            Fixture::Own(capture) => Some(capture()),
         }
     }
 }
@@ -238,31 +209,21 @@ pub static REGISTRY: [&dyn Entry; 14] = [
         |_| gc_interference::run(),
         |rows| gc_interference::render(rows),
     ),
-    // The fixture pins the ladder; the `json:` line adds the sharded rows.
-    &Study {
-        json: Some(to_json),
-        fixture: Some(Fixture::Own(|| to_json(&tenant_sweep::run()))),
-        ..Study::new(
-            "tenant_sweep",
-            "commit latency as 1-64 mixed-engine tenants share one 2B-SSD",
-            |_| tenant_sweep::outcome(),
-            tenant_sweep::render,
-        )
-    },
+    &Study::pinned(
+        "tenant_sweep",
+        "commit latency as 1-64 mixed-engine tenants share one 2B-SSD",
+        |_| tenant_sweep::outcome(),
+        tenant_sweep::render,
+    ),
     &Study::pinned(
         "repl_sweep",
         "replication: commit latency across policies, RTTs and ship schemes",
         |_| repl_sweep::run(),
         |rows| repl_sweep::render(rows),
     ),
-    // The fixture pins the ladder; the `json:` line and the tracked file
-    // add the knees and the 1024-tenant sharded digest.
     &Study {
-        json: Some(to_json),
-        fixture: Some(Fixture::Own(|| to_json(&serve_sweep::run()))),
-        tracked: Some(("BENCH_serve_sweep.json", to_json)),
         gate: Some(serve_sweep::gate),
-        ..Study::new(
+        ..Study::pinned(
             "serve_sweep",
             "open-loop serving knee at a p99 SLO, BA-WAL versus block-WAL",
             |_| serve_sweep::outcome(),
@@ -278,11 +239,9 @@ pub static REGISTRY: [&dyn Entry; 14] = [
             cluster_sweep::render,
         )
     },
-    // The `json:` line and the tracked file wrap the sweep in its
-    // parameters; the fixture pins the bare sweep.
+    // The `json:` line wraps the sweep in its parameters.
     &Study {
         json: Some(tier_sweep::json),
-        tracked: Some(("BENCH_tier_sweep.json", tier_sweep::json)),
         gate: Some(tier_sweep::gate),
         ..Study::pinned(
             "tier_sweep",
@@ -326,15 +285,6 @@ pub fn golden_dir() -> Result<PathBuf, String> {
     Ok(checkout_root()?.join("crates/bench/tests/golden"))
 }
 
-/// Path of a tracked file at the working checkout's root.
-///
-/// # Errors
-///
-/// The working directory is not inside a checkout.
-pub fn tracked_path(file: &str) -> Result<PathBuf, String> {
-    Ok(checkout_root()?.join(file))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,32 +300,11 @@ mod tests {
         assert!(find("no_such_study").is_none());
     }
 
-    /// The fixture files on disk are exactly the fixtures the registry
-    /// declares: no orphan file, no unpinned declaration.
-    #[test]
-    fn fixture_files_match_the_registry() {
-        let mut on_disk: Vec<String> = std::fs::read_dir(golden_dir().unwrap())
-            .expect("list tests/golden")
-            .map(|entry| entry.expect("dir entry").file_name().into_string().unwrap())
-            .collect();
-        on_disk.sort();
-        let mut declared: Vec<String> = REGISTRY
-            .iter()
-            .map(|entry| entry.info())
-            .filter(|info| info.fixture)
-            .map(|info| format!("{}.json", info.name))
-            .collect();
-        declared.sort();
-        assert_eq!(on_disk, declared);
-    }
-
     #[test]
     fn execute_appends_the_json_line_and_gates_only_on_request() {
         let study: Study<u32> = Study {
             quick: true,
             json: Some(|n| n.to_string()),
-            fixture: Some(Fixture::Of(|n| format!("{{{n}}}"))),
-            tracked: Some(("BENCH_toy.json", |n| format!("[{n}]"))),
             gate: Some(|&n| match n {
                 2 => Ok("full".into()),
                 _ => Err("reduced".into()),
@@ -389,7 +318,7 @@ mod tests {
         };
         let full = study.execute(false, true);
         assert_eq!(full.stdout, "n = 2\n\njson: 2\n");
-        assert_eq!(full.tracked, Some(("BENCH_toy.json", "[2]\n".to_string())));
+        assert_eq!(full.json(), Some("2"), "the payload of the printed line");
         assert_eq!(full.gate, Some(Ok("full".to_string())));
         assert_eq!(
             study.execute(true, true).gate,
@@ -397,11 +326,11 @@ mod tests {
         );
         assert_eq!(study.execute(true, false).gate, None);
         let info = study.info();
-        assert!(info.json && info.gate && info.quick && info.fixture && info.write);
-        assert_eq!(
-            study.capture().as_deref(),
-            Some("{2}"),
-            "captures run at full scale"
-        );
+        assert!(info.json && info.gate && info.quick);
+        let silent = Study {
+            json: None,
+            ..study
+        };
+        assert_eq!(silent.execute(false, false).json(), None);
     }
 }

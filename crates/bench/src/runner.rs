@@ -1,20 +1,20 @@
 //! The study rows of `twob` over the [`registry`](twob_bench::registry).
 //!
 //! ```text
-//! twob <study>... [--gate] [--write] [--quick]
-//! twob all        [--gate] [--write] [--quick]
+//! twob <study>... [--gate] [--quick]
+//! twob all        [--gate] [--quick]
 //! twob list | regen
 //! ```
 //!
 //! - `--gate` enforces the study's CI gate and exits non-zero on a
 //!   violation;
-//! - `--write` refreshes the study's tracked `BENCH_*.json`;
 //! - `--quick` runs a reduced op count where the study has one;
-//! - `list` prints one line per study — name, what it has (`json`,
-//!   `fixture`, `gate`, `write`, `quick`), summary — for CI to select from;
-//! - `regen` re-captures every golden fixture and reports per file whether
-//!   it moved. Run it after an *intentional* timing change, then review
-//!   `git diff crates/bench/tests/golden/`.
+//! - `list` prints one line per study — name, what it has (`json`, `gate`,
+//!   `quick`), summary — for CI to select from;
+//! - `regen` re-captures every golden fixture, the `json:` payload of a
+//!   full-scale run of each study that prints one, and reports per file
+//!   whether it moved. Run it after an *intentional* timing change, then
+//!   review `git diff crates/bench/tests/golden/`.
 //!
 //! A flag a named study does not have is an error and nothing runs
 //! ([`check`]). Under `all` a flag applies wherever it exists and the
@@ -23,7 +23,7 @@
 use std::error::Error;
 use std::path::Path;
 
-use twob_bench::registry::{find, golden_dir, tracked_path, REGISTRY};
+use twob_bench::registry::{find, golden_dir, REGISTRY};
 
 use crate::args::Parsed;
 use crate::commands::CliResult;
@@ -67,9 +67,7 @@ pub fn list() -> String {
             let info = entry.info();
             let has: Vec<&str> = [
                 (info.json, "json"),
-                (info.fixture, "fixture"),
                 (info.gate, "gate"),
-                (info.write, "write"),
                 (info.quick, "quick"),
             ]
             .iter()
@@ -80,7 +78,7 @@ pub fn list() -> String {
             } else {
                 has.join(",")
             };
-            format!("{:<16} {has:<24} {}\n", info.name, info.about)
+            format!("{:<16} {has:<11} {}\n", info.name, info.about)
         })
         .collect()
 }
@@ -94,22 +92,13 @@ pub fn lacking(studies: &[&str], parsed: &Parsed) -> Vec<String> {
         .filter_map(|name| find(name))
         .map(|e| e.info())
     {
-        for (flag, has) in [
-            ("gate", info.gate),
-            ("write", info.write),
-            ("quick", info.quick),
-        ] {
+        for (flag, has) in [("gate", info.gate), ("quick", info.quick)] {
             if parsed.is_set(flag) && !has {
                 out.push(format!("{} has no --{flag}", info.name));
             }
         }
     }
     out
-}
-
-/// Writes `contents` to `path`, naming the path on failure.
-fn write(path: &Path, contents: &str) -> Result<(), Box<dyn Error>> {
-    std::fs::write(path, contents).map_err(|e| format!("write {}: {e}", path.display()).into())
 }
 
 /// Captures one fixture and reports `new` / `changed` / `unchanged`
@@ -124,7 +113,7 @@ fn write_fixture(dir: &Path, name: &str, json: &str) -> Result<bool, Box<dyn Err
         Some(_) => "unchanged",
     };
     if status != "unchanged" {
-        write(&path, &fresh)?;
+        std::fs::write(&path, &fresh).map_err(|e| format!("write {}: {e}", path.display()))?;
     }
     emit(&format!(
         "{status:>9}  {name}.json ({} bytes)\n",
@@ -133,14 +122,15 @@ fn write_fixture(dir: &Path, name: &str, json: &str) -> Result<bool, Box<dyn Err
     Ok(status != "unchanged")
 }
 
-/// Re-captures every fixture the registry declares, all of them in one
-/// invocation; returns the closing verdict.
+/// Re-captures every fixture, the `json:` payload of a full-scale run of
+/// each study that prints one, all of them in one invocation; returns the
+/// closing verdict.
 pub fn regen() -> CliResult {
     let dir = golden_dir()?;
     let mut moved = 0;
     for entry in REGISTRY {
-        if let Some(json) = entry.capture() {
-            moved += usize::from(write_fixture(&dir, entry.info().name, &json)?);
+        if let Some(json) = entry.execute(false, false).json() {
+            moved += usize::from(write_fixture(&dir, entry.info().name, json)?);
         }
     }
     Ok(if moved == 0 {
@@ -152,7 +142,7 @@ pub fn regen() -> CliResult {
 
 /// The `<study>...` and `all` rows: runs the studies the line names, in
 /// order. Prints each one's tables and `json:` line on stdout as it
-/// finishes; gate verdicts, skipped flags and written paths go to stderr.
+/// finishes; gate verdicts and skipped flags go to stderr.
 ///
 /// # Errors
 ///
@@ -171,15 +161,9 @@ pub fn run(parsed: &Parsed) -> CliResult {
             Some(Err(violation)) => {
                 eprintln!("{name} gate failed: {violation}");
                 failed += 1;
-                continue;
             }
             Some(Ok(summary)) => eprintln!("{summary}"),
             None => {}
-        }
-        if let (true, Some((file, contents))) = (parsed.is_set("write"), output.tracked) {
-            let path = tracked_path(file)?;
-            write(&path, &contents)?;
-            eprintln!("wrote {}", path.display());
         }
     }
     if failed > 0 {
@@ -228,10 +212,9 @@ mod tests {
         assert!(unknown_study.contains("no_such_study"), "{unknown_study}");
         let unknown_study = line(&["fig7_latency", "no_such_study"]).unwrap_err();
         assert!(unknown_study.contains("no_such_study"), "{unknown_study}");
-        assert_eq!(
-            line(&["fig7_latency", "--write"]).unwrap_err(),
-            "fig7_latency has no --write"
-        );
+        // No row takes `--write`.
+        let write = line(&["fig7_latency", "--write"]).unwrap_err();
+        assert!(write.starts_with("unknown flag --write"), "{write}");
         assert_eq!(
             line(&["fig7_latency", "--gate"]).unwrap_err(),
             "fig7_latency has no --gate"
@@ -250,7 +233,7 @@ mod tests {
 
     #[test]
     fn usage_names_every_study_and_flag() {
-        for word in ["--gate", "--write", "--quick", "list", "regen", "all"] {
+        for word in ["--gate", "--quick", "list", "regen", "all"] {
             assert!(HELP.contains(word), "{word}");
         }
         let listing = list();

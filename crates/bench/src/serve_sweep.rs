@@ -183,16 +183,14 @@ pub fn sharded_agreement(tenants: u16, groups: usize, rate: u64) -> ShardedAgree
 }
 
 /// Everything the study determined, all of it deterministic: the shape of
-/// the `json:` line and of the tracked `BENCH_serve_sweep.json`.
+/// the `json:` line and of its golden fixture.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Outcome {
-    /// Format tag of the tracked file.
-    pub schema: &'static str,
     /// Tenants offering load in the ladder.
     pub tenants: u16,
     /// The p99 SLO, µs.
     pub slo_p99_us: f64,
-    /// The ladder (what the golden fixture pins).
+    /// The ladder.
     pub rows: Vec<ServeRow>,
     /// BA's knee, commits per second per tenant.
     pub ba_knee: Option<u64>,
@@ -207,7 +205,6 @@ pub struct Outcome {
 pub fn outcome() -> Outcome {
     let rows = run();
     Outcome {
-        schema: "serve-sweep-v1",
         tenants: TENANTS,
         slo_p99_us: SLO_P99_US,
         ba_knee: knee(&rows, WalScheme::Ba),
@@ -305,7 +302,6 @@ mod tests {
     #[test]
     fn gate_fails_when_the_ba_knee_falls_below_block() {
         let mut doctored = Outcome {
-            schema: "serve-sweep-v1",
             tenants: TENANTS,
             slo_p99_us: SLO_P99_US,
             rows: Vec::new(),

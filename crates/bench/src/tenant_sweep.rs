@@ -213,7 +213,7 @@ pub fn knee(rows: &[Row], scheme: WalScheme) -> Option<u16> {
 /// placement agreement.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Outcome {
-    /// The tenant-count ladder (what the golden fixture pins).
+    /// The tenant-count ladder.
     pub rows: Vec<Row>,
     /// One agreement row per scheme.
     pub sharded: Vec<ShardedRow>,

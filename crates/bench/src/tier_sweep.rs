@@ -325,7 +325,7 @@ pub fn sharded_agreement(tenants: u16, groups: usize) -> TierShardedAgreement {
     }
 }
 
-/// Runs all four sections at tracked-baseline scale.
+/// Runs all four sections at full scale.
 pub fn run() -> TierSweep {
     TierSweep {
         rows: run_rows(),
@@ -404,12 +404,11 @@ pub fn gate(sweep: &TierSweep) -> Result<String, String> {
 }
 
 /// The sweep under its parameters: the shape of the `json:` line and of
-/// the tracked `BENCH_tier_sweep.json`.
+/// its golden fixture.
 pub(crate) fn json(sweep: &TierSweep) -> String {
     #[derive(Debug, Serialize)]
     #[allow(dead_code)] // fields are read through Debug by the serializer
     struct Outcome<'a> {
-        schema: &'static str,
         tenants: u16,
         qds: [usize; 3],
         serve_rate_per_tenant: u64,
@@ -420,7 +419,6 @@ pub(crate) fn json(sweep: &TierSweep) -> String {
         sharded: &'a TierShardedAgreement,
     }
     to_json(&Outcome {
-        schema: "tier-sweep-v1",
         tenants: TENANTS,
         qds: QDS,
         serve_rate_per_tenant: SERVE_RATE,

@@ -13,18 +13,16 @@ use std::time::SystemTime;
 /// that copy would fail with "text file busy".
 static EXEC: Mutex<()> = Mutex::new(());
 
-/// A scratch checkout — a workspace manifest beside `crates/bench` — holding
-/// a copy of the built `twob`; removed on drop.
+/// A scratch checkout — a workspace manifest beside `crates/bench`, with
+/// no fixture directory — holding a copy of the built `twob`; removed on
+/// drop.
 struct Scratch(PathBuf);
 
 impl Scratch {
-    fn new(name: &str, golden: bool) -> Scratch {
+    fn new(name: &str) -> Scratch {
         let root = std::env::temp_dir().join(format!("twob-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         fs::create_dir_all(root.join("crates/bench/src")).unwrap();
-        if golden {
-            fs::create_dir_all(root.join("crates/bench/tests/golden")).unwrap();
-        }
         fs::write(
             root.join("Cargo.toml"),
             "[workspace]\nmembers = [\"crates/*\"]\n",
@@ -62,27 +60,12 @@ fn built(file: &str) -> (PathBuf, SystemTime) {
 }
 
 #[test]
-fn write_lands_in_the_working_checkout() {
-    let scratch = Scratch::new("write", true);
-    let (tracked, before) = built("BENCH_tier_sweep.json");
-    // From a subdirectory: the root is found by walking up.
-    let out = scratch.run("crates/bench/src", &["tier_sweep", "--write"]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let written = fs::read_to_string(scratch.0.join("BENCH_tier_sweep.json")).unwrap();
-    assert_eq!(written, fs::read_to_string(&tracked).unwrap());
-    assert_eq!(fs::metadata(&tracked).unwrap().modified().unwrap(), before);
-}
-
-#[test]
 fn regen_writes_the_working_checkouts_fixtures() {
     // No fixture directory: the first write fails and names where it aimed.
-    let scratch = Scratch::new("regen", false);
+    let scratch = Scratch::new("regen");
     let (fixture, before) = built("crates/bench/tests/golden/fig7_latency.json");
-    let out = scratch.run(".", &["regen"]);
+    // From a subdirectory: the root is found by walking up.
+    let out = scratch.run("crates/bench/src", &["regen"]);
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     let aimed = scratch
@@ -94,7 +77,7 @@ fn regen_writes_the_working_checkouts_fixtures() {
 
 #[test]
 fn outside_a_checkout_nothing_is_written() {
-    let scratch = Scratch::new("outside", false);
+    let scratch = Scratch::new("outside");
     fs::remove_file(scratch.0.join("Cargo.toml")).unwrap();
     let out = scratch.run(".", &["regen"]);
     assert_eq!(out.status.code(), Some(1));

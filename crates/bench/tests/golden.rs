@@ -1,21 +1,37 @@
 //! Golden figure output: simulator changes must not silently shift figures.
 //!
-//! The fixtures under `tests/golden/` pin each study's JSON *byte
-//! identically* — not merely numerically close — so any timing drift in
-//! the kernel shows up as a diff, not as a silently shifted figure. What
-//! each fixture captures is the registry's business; a test here only
-//! names the study it checks, and the last test fails if the registry
-//! pins a study that no test names. After an intentional timing change,
-//! regenerate the fixtures with
-//! `cargo run --release -p twob-bench -- regen` and review the diff.
+//! Each study that prints a `json:` line is pinned: `tests/golden/<name>.json`
+//! holds that line's payload from a full-scale run *byte identically* —
+//! not merely numerically close — so any timing drift in the kernel shows
+//! up as a diff, not as a silently shifted figure. A test here only names
+//! the study it checks; one more fails if the registry pins a study that
+//! no test names, and another if a fixture file belongs to no pinned
+//! study. After an intentional timing change, regenerate the fixtures
+//! with `cargo run --release -p twob-bench -- regen` and review the diff.
 
 use twob_bench::registry::{find, golden_dir, REGISTRY};
 
-/// Captures `study` and asserts byte identity with its fixture, pointing
-/// at the first divergent byte and the regeneration command on mismatch.
+/// The studies the registry pins: those with a `json:` line.
+fn pinned() -> Vec<&'static str> {
+    let mut pinned: Vec<&str> = REGISTRY
+        .iter()
+        .map(|entry| entry.info())
+        .filter(|info| info.json)
+        .map(|info| info.name)
+        .collect();
+    pinned.sort_unstable();
+    pinned
+}
+
+/// Runs `study` at full scale and asserts byte identity between its
+/// `json:` payload and its fixture, pointing at the first divergent byte
+/// and the regeneration command on mismatch.
 fn assert_matches_golden(study: &str) {
-    let json = find(study)
-        .and_then(|entry| entry.capture())
+    let output = find(study)
+        .unwrap_or_else(|| panic!("no study {study}"))
+        .execute(false, false);
+    let json = output
+        .json()
         .unwrap_or_else(|| panic!("the registry pins no fixture for {study}"));
     let path = golden_dir()
         .expect("tests run inside the checkout")
@@ -58,16 +74,25 @@ macro_rules! pinned {
         fn every_pinned_study_has_a_test() {
             let mut tested = vec![$($study),*];
             tested.sort_unstable();
-            let mut pinned: Vec<&str> = REGISTRY
-                .iter()
-                .map(|entry| entry.info())
-                .filter(|info| info.fixture)
-                .map(|info| info.name)
-                .collect();
-            pinned.sort_unstable();
-            assert_eq!(tested, pinned);
+            assert_eq!(tested, pinned());
         }
     };
+}
+
+/// The fixture files on disk are exactly the pinned studies': no file
+/// left behind by a removed or renamed study, none missing.
+#[test]
+fn fixture_files_match_the_registry() {
+    let mut on_disk: Vec<String> = std::fs::read_dir(golden_dir().unwrap())
+        .expect("list tests/golden")
+        .map(|entry| entry.expect("dir entry").file_name().into_string().unwrap())
+        .collect();
+    on_disk.sort();
+    let declared: Vec<String> = pinned()
+        .into_iter()
+        .map(|name| format!("{name}.json"))
+        .collect();
+    assert_eq!(on_disk, declared);
 }
 
 pinned! {
