@@ -22,10 +22,10 @@
 //! | Replication sweep (beyond the paper) | [`mod@repl_sweep`] | `repl_sweep` |
 //! | Cluster sweep (beyond the paper) | [`mod@cluster_sweep`] | `cluster_sweep` |
 //! | BA/CXL/block tier sweep (beyond the paper) | [`mod@tier_sweep`] | `tier_sweep` |
+//! | Crash, failover and fleet-cut guarantees | [`mod@fault_sweep`] | `fault_sweep` |
 //!
 //! [`registry`] holds the one table of studies that the `twob` binary
-//! (`twob <study>… | all | list | regen`, beside its subcommands), the
-//! golden tests and CI read.
+//! (`twob <study>… | all | list | regen`), the golden tests and CI read.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +33,7 @@
 pub mod ablations;
 pub mod cluster_sweep;
 pub mod commit_cost;
+pub mod fault_sweep;
 pub mod fig10;
 pub mod fig7;
 pub mod fig8;

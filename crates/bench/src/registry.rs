@@ -16,8 +16,8 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::{
-    ablations, cluster_sweep, commit_cost, fig10, fig7, fig8, fig9, gc_interference, qd_sweep,
-    repl_sweep, serve_sweep, table1, tenant_sweep, tier_sweep, to_json,
+    ablations, cluster_sweep, commit_cost, fault_sweep, fig10, fig7, fig8, fig9, gc_interference,
+    qd_sweep, repl_sweep, serve_sweep, table1, tenant_sweep, tier_sweep, to_json,
 };
 
 /// Renders some view of a study's outcome as text.
@@ -147,7 +147,7 @@ impl<T> Entry for Study<T> {
 
 /// Every study, in the order the paper presents them and then the order
 /// the extensions landed.
-pub static REGISTRY: [&dyn Entry; 14] = [
+pub static REGISTRY: [&dyn Entry; 15] = [
     &Study::new(
         "table1_spec",
         "Table I: the 2B-SSD specification",
@@ -248,6 +248,15 @@ pub static REGISTRY: [&dyn Entry; 14] = [
             "BA-MMIO versus CXL.mem versus block commits, and hot/cold tiering",
             |_| tier_sweep::run(),
             tier_sweep::render,
+        )
+    },
+    &Study {
+        gate: Some(fault_sweep::gate),
+        ..Study::pinned(
+            "fault_sweep",
+            "no acknowledged commit lost under device, failover and fleet faults",
+            |_| fault_sweep::run(),
+            fault_sweep::render,
         )
     },
 ];

@@ -109,4 +109,5 @@ pinned! {
     serve_sweep_json_is_byte_identical_to_capture => "serve_sweep",
     cluster_sweep_json_is_byte_identical_to_capture => "cluster_sweep",
     tier_sweep_json_is_byte_identical_to_capture => "tier_sweep",
+    fault_sweep_json_is_byte_identical_to_capture => "fault_sweep",
 }
