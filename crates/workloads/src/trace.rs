@@ -92,19 +92,27 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceOp>, TraceParseError> {
                     reason: format!("{name} is not a number"),
                 })
         };
+        let mut extent = || -> Result<(u64, u32), TraceParseError> {
+            let lba = num("lba")?;
+            let pages = u32::try_from(num("pages")?).map_err(|_| TraceParseError {
+                line,
+                reason: format!("pages is out of range (at most {})", u32::MAX),
+            })?;
+            Ok((lba, pages))
+        };
         let parsed = match op {
-            "W" | "w" => TraceOp::Write {
-                lba: num("lba")?,
-                pages: num("pages")? as u32,
-            },
-            "R" | "r" => TraceOp::Read {
-                lba: num("lba")?,
-                pages: num("pages")? as u32,
-            },
-            "T" | "t" => TraceOp::Trim {
-                lba: num("lba")?,
-                pages: num("pages")? as u32,
-            },
+            "W" | "w" => {
+                let (lba, pages) = extent()?;
+                TraceOp::Write { lba, pages }
+            }
+            "R" | "r" => {
+                let (lba, pages) = extent()?;
+                TraceOp::Read { lba, pages }
+            }
+            "T" | "t" => {
+                let (lba, pages) = extent()?;
+                TraceOp::Trim { lba, pages }
+            }
             "F" | "f" => TraceOp::Flush,
             other => {
                 return Err(TraceParseError {
@@ -232,6 +240,27 @@ mod tests {
         assert!(err.reason.contains("not a number"));
         let err = parse_trace("F extra\n").unwrap_err();
         assert!(err.reason.contains("trailing"));
+    }
+
+    #[test]
+    fn out_of_range_page_counts_are_refused_not_wrapped() {
+        for (text, line) in [
+            ("W 0 4294967297\n", 1),
+            ("F\nR 0 99999999999\n", 2),
+            ("W 0 1\nW 1 1\nT 0 4294967296\n", 3),
+        ] {
+            let err = parse_trace(text).unwrap_err();
+            assert_eq!(err.line, line, "{text:?}");
+            assert_eq!(err.reason, "pages is out of range (at most 4294967295)");
+        }
+        let widest = parse_trace("W 0 4294967295\n").unwrap();
+        assert_eq!(
+            widest,
+            [TraceOp::Write {
+                lba: 0,
+                pages: u32::MAX
+            }]
+        );
     }
 
     #[test]
