@@ -10,7 +10,7 @@ pub struct Parsed {
     /// The subcommand (first positional argument).
     pub command: String,
     /// Positional arguments following the subcommand (e.g. a sub-action
-    /// like `sweep` in `twob faults sweep`, or more study names). None may
+    /// such as more study names). None may
     /// follow a flag that takes a value.
     pub args: Vec<String>,
     /// `--key value` pairs.
@@ -24,15 +24,6 @@ pub enum ArgError {
     MissingCommand,
     /// A positional argument where a flag was expected.
     UnexpectedPositional(String),
-    /// A flag value failed to parse.
-    BadValue {
-        /// Flag name.
-        flag: String,
-        /// The rejected value.
-        value: String,
-        /// What was expected.
-        expected: &'static str,
-    },
     /// A flag given twice: which value counts would be a guess.
     RepeatedFlag(String),
     /// A flag the subcommand does not take.
@@ -54,11 +45,6 @@ impl std::fmt::Display for ArgError {
                     "unexpected argument {arg:?} (flags are --key value; switches take none)"
                 )
             }
-            ArgError::BadValue {
-                flag,
-                value,
-                expected,
-            } => write!(f, "--{flag} {value:?}: expected {expected}"),
             ArgError::RepeatedFlag(flag) => write!(f, "--{flag} given twice"),
             ArgError::UnknownFlag { flag, accepted } => {
                 write!(f, "unknown flag --{flag} (accepted: {accepted})")
@@ -69,9 +55,9 @@ impl std::fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// The flags that never take a value: `twob gc --json`,
-/// `twob serve_sweep --gate tier_sweep`.
-pub const SWITCHES: [&str; 3] = ["json", "gate", "quick"];
+/// The flags that never take a value: `twob serve_sweep --gate
+/// tier_sweep`, `twob fig9_apps --quick`.
+pub const SWITCHES: [&str; 2] = ["gate", "quick"];
 
 /// Parses `args` (without the program name) into a [`Parsed`].
 ///
@@ -122,23 +108,7 @@ impl Parsed {
             .unwrap_or_else(|| default.to_string())
     }
 
-    /// An integer flag with a default.
-    ///
-    /// # Errors
-    ///
-    /// [`ArgError::BadValue`] for non-numeric input.
-    pub fn u64_or(&self, key: &str, default: u64) -> Result<u64, ArgError> {
-        match self.flags.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::BadValue {
-                flag: key.to_string(),
-                value: v.clone(),
-                expected: "an unsigned integer",
-            }),
-        }
-    }
-
-    /// Whether a boolean switch such as `--json` was given.
+    /// Whether a switch such as `--gate` was given.
     pub fn is_set(&self, key: &str) -> bool {
         self.flags.contains_key(key)
     }
@@ -176,31 +146,31 @@ mod tests {
 
     #[test]
     fn parses_command_and_flags() {
-        let p = parse(strs(&["wal", "--scheme", "ba", "--commits", "100"])).unwrap();
-        assert_eq!(p.command, "wal");
+        let p = parse(strs(&["replay", "--trace", "t.txt", "--device", "dc"])).unwrap();
+        assert_eq!(p.command, "replay");
         assert!(p.args.is_empty());
-        assert_eq!(p.str_or("scheme", "x"), "ba");
-        assert_eq!(p.u64_or("commits", 0).unwrap(), 100);
-        assert_eq!(p.u64_or("absent", 7).unwrap(), 7);
+        assert_eq!(p.str_or("trace", "x"), "t.txt");
+        assert_eq!(p.str_or("device", "ull"), "dc");
+        assert_eq!(p.str_or("absent", "7"), "7");
     }
 
     #[test]
     fn parses_positionals_before_flags() {
-        let p = parse(strs(&["faults", "sweep", "--cuts", "216"])).unwrap();
-        assert_eq!(p.command, "faults");
-        assert_eq!(p.args, strs(&["sweep"]));
-        assert_eq!(p.u64_or("cuts", 0).unwrap(), 216);
+        let p = parse(strs(&["fig7_latency", "fig8_bandwidth", "--trace", "t"])).unwrap();
+        assert_eq!(p.command, "fig7_latency");
+        assert_eq!(p.args, strs(&["fig8_bandwidth"]));
+        assert_eq!(p.str_or("trace", ""), "t");
     }
 
     #[test]
     fn bare_flags_are_boolean_switches() {
-        let p = parse(strs(&["gc", "--json", "--churn", "50"])).unwrap();
-        assert!(p.is_set("json"));
-        assert!(!p.is_set("trace"));
-        assert_eq!(p.u64_or("churn", 0).unwrap(), 50);
+        let p = parse(strs(&["fig9_apps", "--quick", "--trace", "t"])).unwrap();
+        assert!(p.is_set("quick"));
+        assert!(!p.is_set("gate"));
+        assert_eq!(p.str_or("trace", ""), "t");
         // Trailing switch, nothing left to peek at.
-        let p = parse(strs(&["tenants", "--n", "2", "--json"])).unwrap();
-        assert!(p.is_set("json"));
+        let p = parse(strs(&["fig9_apps", "--device", "dc", "--quick"])).unwrap();
+        assert!(p.is_set("quick"));
         // A switch never takes the next word as its value.
         let p = parse(strs(&["serve_sweep", "--gate", "tier_sweep"])).unwrap();
         assert_eq!(p.args, strs(&["tier_sweep"]));
@@ -221,24 +191,22 @@ mod tests {
             parse(strs(&["x", "--n", "2", "--n", "3"])).unwrap_err(),
             ArgError::RepeatedFlag("n".into())
         );
-        assert!(parse(strs(&["x", "--json", "--json"])).is_err());
-        let p = parse(strs(&["x", "--n", "abc"])).unwrap();
-        assert!(matches!(p.u64_or("n", 0), Err(ArgError::BadValue { .. })));
+        assert!(parse(strs(&["x", "--gate", "--gate"])).is_err());
     }
 
     #[test]
     fn unknown_flags_are_named_with_the_accepted_set() {
-        let p = parse(strs(&["serve", "--tenats", "2", "--json", "--aa"])).unwrap();
-        assert_eq!(p.reject_unknown_flags(&["tenats", "json", "aa"]), Ok(()));
-        let err = p.reject_unknown_flags(&["tenants", "json"]).unwrap_err();
+        let p = parse(strs(&["replay", "--tarce", "2", "--gate", "--aa"])).unwrap();
+        assert_eq!(p.reject_unknown_flags(&["tarce", "gate", "aa"]), Ok(()));
+        let err = p.reject_unknown_flags(&["trace", "gate"]).unwrap_err();
         assert_eq!(
             err.to_string(),
-            "unknown flag --aa (accepted: --tenants, --json)"
+            "unknown flag --aa (accepted: --trace, --gate)"
         );
         let err = p.reject_unknown_flags(&[]).unwrap_err();
         assert_eq!(err.to_string(), "unknown flag --aa (accepted: none)");
         // A bare `--` is a flag with an empty name, never an accepted one.
-        let p = parse(strs(&["spec", "--"])).unwrap();
+        let p = parse(strs(&["list", "--"])).unwrap();
         assert!(p.reject_unknown_flags(&[]).is_err());
     }
 }

@@ -1,13 +1,11 @@
-//! `twob` — the one front door to the 2B-SSD simulation: device probes,
-//! WAL and workload runs, and every study of the paper's evaluation.
+//! `twob` — the one front door to the 2B-SSD simulation: every study of
+//! the paper's evaluation, and replay of outside block traces.
 //!
 //! ```text
-//! twob spec                                        # paper Table I
-//! twob latency --device ull --op read --size 4096  # one latency probe
-//! twob wal --scheme ba --commits 1000 --payload 128
 //! twob fig7_latency fig8_bandwidth                 # studies, by name
-//! twob serve_sweep tier_sweep --gate               # ... and their CI gates
-//! twob list | regen | help
+//! twob serve_sweep fault_sweep --gate              # ... and their CI gates
+//! twob replay --trace FILE --device dc|ull         # a block trace
+//! twob all | list | regen | help
 //! ```
 //!
 //! One parser (`args::parse`) reads every line and one table

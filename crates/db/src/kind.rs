@@ -21,7 +21,7 @@ impl EngineKind {
     /// Every engine, in sweep order.
     pub const ALL: [EngineKind; 3] = [EngineKind::Pg, EngineKind::Rocks, EngineKind::Redis];
 
-    /// Short label (also the token accepted by [`EngineKind::parse_mix`]).
+    /// Short label, as reports and fixtures name the engine.
     pub fn label(self) -> &'static str {
         match self {
             EngineKind::Pg => "pg",
@@ -38,38 +38,6 @@ impl EngineKind {
             EngineKind::Redis => EngineCosts::redis(),
         }
     }
-
-    /// Parses one engine token (the inverse of [`EngineKind::label`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending token if it names no engine.
-    pub fn parse(token: &str) -> Result<EngineKind, String> {
-        EngineKind::ALL
-            .into_iter()
-            .find(|kind| kind.label() == token)
-            .ok_or_else(|| format!("unknown engine '{token}' (pg|rocks|redis)"))
-    }
-
-    /// Parses a comma-separated mix such as `"pg,rocks,redis"`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending token if it names no engine, or an error for
-    /// an empty mix.
-    pub fn parse_mix(mix: &str) -> Result<Vec<EngineKind>, String> {
-        let kinds: Result<Vec<EngineKind>, String> = mix
-            .split(',')
-            .map(str::trim)
-            .filter(|t| !t.is_empty())
-            .map(EngineKind::parse)
-            .collect();
-        let kinds = kinds?;
-        if kinds.is_empty() {
-            return Err("empty engine mix".into());
-        }
-        Ok(kinds)
-    }
 }
 
 /// The engine's full name (`minipg`, `minirocks`, `miniredis`), as the
@@ -85,24 +53,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn label_parse_and_display_round_trip() {
+    fn labels_and_display_names() {
         let labels = EngineKind::ALL.map(EngineKind::label);
         assert_eq!(labels, ["pg", "rocks", "redis"]);
         let names = EngineKind::ALL.map(|kind| kind.to_string());
         assert_eq!(names, ["minipg", "minirocks", "miniredis"]);
-        for (kind, name) in EngineKind::ALL.into_iter().zip(names) {
-            assert_eq!(EngineKind::parse(kind.label()), Ok(kind));
-            // The long name is for reports, not a flag value.
-            assert!(EngineKind::parse(&name).is_err());
-        }
-        assert_eq!(
-            EngineKind::parse_mix(&labels.join(",")),
-            Ok(EngineKind::ALL.to_vec())
-        );
-        assert_eq!(
-            EngineKind::parse("mysql").unwrap_err(),
-            "unknown engine 'mysql' (pg|rocks|redis)"
-        );
     }
 
     #[test]

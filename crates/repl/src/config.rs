@@ -29,22 +29,6 @@ impl CommitPolicy {
             CommitPolicy::Sync => replicas,
         }
     }
-
-    /// Parses `"async"`, `"sync"`, or `"semisync:k"` (`k >= 1`).
-    pub fn parse(token: &str) -> Option<CommitPolicy> {
-        match token {
-            "async" => Some(CommitPolicy::Async),
-            "sync" => Some(CommitPolicy::Sync),
-            _ => {
-                let k = token.strip_prefix("semisync:")?.parse::<usize>().ok()?;
-                if k == 0 {
-                    None
-                } else {
-                    Some(CommitPolicy::SemiSync(k))
-                }
-            }
-        }
-    }
 }
 
 impl fmt::Display for CommitPolicy {
@@ -72,15 +56,6 @@ pub enum ShipScheme {
 impl ShipScheme {
     /// Both schemes, in sweep order.
     pub const ALL: [ShipScheme; 2] = [ShipScheme::Ba, ShipScheme::Block];
-
-    /// Parses `"ba"` or `"block"`.
-    pub fn parse(token: &str) -> Option<ShipScheme> {
-        match token {
-            "ba" => Some(ShipScheme::Ba),
-            "block" => Some(ShipScheme::Block),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for ShipScheme {
@@ -130,28 +105,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn policy_parses_and_round_trips() {
-        for token in ["async", "sync", "semisync:1", "semisync:3"] {
-            let p = CommitPolicy::parse(token).unwrap();
-            assert_eq!(p.to_string(), token);
-        }
-        assert_eq!(CommitPolicy::parse("semisync:0"), None);
-        assert_eq!(CommitPolicy::parse("semisync:"), None);
-        assert_eq!(CommitPolicy::parse("quorum"), None);
-    }
-
-    #[test]
     fn required_acks_clamp_to_replica_count() {
         assert_eq!(CommitPolicy::Async.required_acks(3), 0);
         assert_eq!(CommitPolicy::SemiSync(2).required_acks(3), 2);
         assert_eq!(CommitPolicy::SemiSync(9).required_acks(3), 3);
         assert_eq!(CommitPolicy::Sync.required_acks(3), 3);
-    }
-
-    #[test]
-    fn scheme_parses() {
-        assert_eq!(ShipScheme::parse("ba"), Some(ShipScheme::Ba));
-        assert_eq!(ShipScheme::parse("block"), Some(ShipScheme::Block));
-        assert_eq!(ShipScheme::parse("pm"), None);
     }
 }

@@ -83,15 +83,6 @@ pub enum PlacementKind {
 impl PlacementKind {
     /// Both placements, sweep order.
     pub const ALL: [PlacementKind; 2] = [PlacementKind::Hash, PlacementKind::Range];
-
-    /// Parses `"hash"` / `"range"`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "hash" => Some(PlacementKind::Hash),
-            "range" => Some(PlacementKind::Range),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for PlacementKind {

@@ -50,16 +50,6 @@ impl ArrivalKind {
             ArrivalKind::Diurnal => "diurnal",
         }
     }
-
-    /// Parses a CLI label (`poisson`, `burst`, `diurnal`).
-    pub fn parse(s: &str) -> Option<ArrivalKind> {
-        match s {
-            "poisson" => Some(ArrivalKind::Poisson),
-            "burst" | "bursty" => Some(ArrivalKind::Bursty),
-            "diurnal" => Some(ArrivalKind::Diurnal),
-            _ => None,
-        }
-    }
 }
 
 /// A deterministic open-loop arrival stream for one tenant.
@@ -297,15 +287,6 @@ mod tests {
                 t
             })
             .collect()
-    }
-
-    #[test]
-    fn kinds_parse_and_label_round_trip() {
-        for kind in ArrivalKind::ALL {
-            assert_eq!(ArrivalKind::parse(kind.label()), Some(kind));
-        }
-        assert_eq!(ArrivalKind::parse("bursty"), Some(ArrivalKind::Bursty));
-        assert_eq!(ArrivalKind::parse("nope"), None);
     }
 
     #[test]

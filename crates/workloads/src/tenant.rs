@@ -467,24 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn mix_parsing_round_trips_and_rejects_junk() {
-        for kind in [EngineKind::Pg, EngineKind::Rocks, EngineKind::Redis] {
-            assert_eq!(EngineKind::parse(kind.label()).unwrap(), kind);
-        }
-        assert!(EngineKind::parse("mysql").is_err());
-        assert_eq!(
-            EngineKind::parse_mix("pg,rocks,redis").unwrap(),
-            vec![EngineKind::Pg, EngineKind::Rocks, EngineKind::Redis]
-        );
-        assert_eq!(
-            EngineKind::parse_mix(" redis , pg ").unwrap(),
-            vec![EngineKind::Redis, EngineKind::Pg]
-        );
-        assert!(EngineKind::parse_mix("pg,mysql").is_err());
-        assert!(EngineKind::parse_mix("").is_err());
-    }
-
-    #[test]
     fn bad_configs_error_cleanly() {
         let cfg = TenantPoolConfig {
             tenants: 0,
