@@ -180,6 +180,15 @@ mod tests {
     }
 
     #[test]
+    fn a_deep_pool_runs_the_same_twice() {
+        // Eight clients at queue depth four: 32 slots.
+        let first = run(EngineKind::Rocks, 7, 32);
+        assert_eq!(first, run(EngineKind::Rocks, 7, 32));
+        assert_eq!(first.0.len(), 32);
+        assert_eq!(first.0.ops(), 300);
+    }
+
+    #[test]
     fn redis_ignores_extra_slots() {
         // Single-threaded Redis runs one client whatever the caller asks for.
         let redis = run(EngineKind::Redis, 9, 8);
