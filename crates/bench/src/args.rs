@@ -3,15 +3,14 @@
 
 use std::collections::HashMap;
 
-/// Parsed command line: a subcommand, optional positional arguments, and
+/// Parsed command line: a command, optional positional arguments, and
 /// `--key value` flags.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Parsed {
-    /// The subcommand (first positional argument).
+    /// The command or first study name (first positional argument).
     pub command: String,
-    /// Positional arguments following the subcommand (e.g. a sub-action
-    /// such as more study names). None may
-    /// follow a flag that takes a value.
+    /// Positional arguments following the command (more study names).
+    /// None may follow a flag that takes a value.
     pub args: Vec<String>,
     /// `--key value` pairs.
     pub flags: HashMap<String, String>,
@@ -20,17 +19,17 @@ pub struct Parsed {
 /// Errors from argument handling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgError {
-    /// No subcommand given.
+    /// No command given.
     MissingCommand,
     /// A positional argument where a flag was expected.
     UnexpectedPositional(String),
     /// A flag given twice: which value counts would be a guess.
     RepeatedFlag(String),
-    /// A flag the subcommand does not take.
+    /// A flag the command does not take.
     UnknownFlag {
         /// Flag name.
         flag: String,
-        /// The flags the subcommand takes, as usage text.
+        /// The flags the command takes, as usage text.
         accepted: String,
     },
 }

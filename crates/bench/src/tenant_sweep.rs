@@ -80,8 +80,8 @@ pub struct Row {
 
 /// The device every cell runs on: bench-scale NAND behind a 1 MiB BA
 /// buffer whose mapping table is virtualized to 64 entries so each of up
-/// to 64 tenants can hold a window (DESIGN.md §6). The tier sweep and the
-/// CLI's `tenants` and `tier` subcommands run on the same chassis.
+/// to 64 tenants can hold a window (DESIGN.md §6). The tier sweep runs on
+/// the same chassis.
 pub fn device() -> TwoBSsd {
     let spec = TwoBSpec {
         ba_buffer_bytes: 1 << 20,

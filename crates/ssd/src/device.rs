@@ -514,7 +514,14 @@ impl Ssd {
         self.current
     }
 
-    fn check_range(&self, lba: Lba, pages: u32) -> Result<(), SsdError> {
+    /// Checks a request of `pages` pages at `lba` against the exported
+    /// capacity, as every block command does before it runs.
+    ///
+    /// # Errors
+    ///
+    /// [`SsdError::EmptyRequest`] for zero pages,
+    /// [`SsdError::OutOfRange`] past the capacity.
+    pub fn check_range(&self, lba: Lba, pages: u32) -> Result<(), SsdError> {
         if pages == 0 {
             return Err(SsdError::EmptyRequest);
         }

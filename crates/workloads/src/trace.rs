@@ -174,6 +174,9 @@ pub fn replay_trace(
     for op in ops {
         match *op {
             TraceOp::Write { lba, pages } => {
+                // Refuse before the buffer is sized: the count is the
+                // trace's, and only the device knows what fits.
+                ssd.check_range(Lba(lba), pages)?;
                 let data = vec![0xD7u8; (pages as usize) * page as usize];
                 t = ssd.write(t, Lba(lba), &data)?;
                 bytes += u64::from(pages) * page;
@@ -260,6 +263,20 @@ mod tests {
                 lba: 0,
                 pages: u32::MAX
             }]
+        );
+        // The widest count parses, and the device refuses it before a
+        // buffer of that many pages is allocated.
+        let mut ssd = Ssd::new(SsdConfig::ull_ssd().small());
+        let err = replay_trace(&mut ssd, SimTime::ZERO, &widest).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SsdError::OutOfRange {
+                    pages: u32::MAX,
+                    ..
+                }
+            ),
+            "{err}"
         );
     }
 
