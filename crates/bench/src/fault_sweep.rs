@@ -20,7 +20,7 @@ use std::fmt::Display;
 
 use crate::registry::Verdict;
 
-/// Device fault schedules, and the seed they derive from.
+/// Device fault schedules.
 pub const DEVICE_SCHEDULES: u64 = 216;
 /// Seed of the device schedules.
 pub const DEVICE_SEED: u64 = 7;
