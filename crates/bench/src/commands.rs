@@ -164,7 +164,7 @@ mod tests {
     #[test]
     fn bad_inputs_error_cleanly() {
         assert!(run(&["unknown-subcommand"]).is_err());
-        // Each command the CLI no longer has is refused, not run.
+        // A word that is neither a row nor a study runs nothing.
         for gone in ["spec", "latency", "wal", "serve", "faults", "crash-demo"] {
             let refused = run(&[gone]).unwrap_err().to_string();
             assert_eq!(refused, format!("unknown subcommand or study {gone:?}"));

@@ -1,5 +1,5 @@
 //! Fault sweeps: the durability guarantees, one row per layer, at the
-//! scale CI has always run them.
+//! scale CI checks them.
 //!
 //! - **device** — [`twob_faults::sweep`]: power cuts, flush faults and
 //!   NAND errors across every engine × commit scheme on one drive.
