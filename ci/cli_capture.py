@@ -37,12 +37,13 @@ INVOCATIONS = [
     "commit_cost",
     "gc_interference",
     "ablations",
-    "repl_sweep",
     "fig9_apps --quick",
     "fig10_hetero --quick",
     "tenant_sweep",
-    # Every gate: the last three run `sharded_agreement` across all four
-    # drives, and `fault_sweep` is every guarantee CI checks.
+    # Every gate: the serve and tier gates run `sharded_agreement` across
+    # all four drives, and `fault_sweep` is every guarantee CI checks
+    # under faults.
+    "repl_sweep --gate",
     "cluster_sweep --gate",
     "serve_sweep --gate",
     "tier_sweep --gate",

@@ -11,15 +11,15 @@
 //! NAND programs, while a block follower re-reads log pages on the same
 //! die that is programming the next commit.
 //!
-//! The sweep also runs a seeded [`twob_repl::fleet_sweep`] — cluster
-//! fault plans with node/rack/zone cuts and live shard moves — and folds
-//! its digest into the fixture, so the golden test pins the entire
-//! control plane (placement, joint-consensus moves, fenced handoff,
-//! recovery promotion) byte-for-byte.
+//! Every cell is fault-free. Each records the cluster guarantees it broke
+//! and its stale cross-shard deliveries instead of stopping at one, and
+//! the gate fails on the first such cell and names it. Cuts and live
+//! moves are `fault_sweep`'s fleet row.
 
 use serde::{Deserialize, Serialize};
-use twob_repl::{fleet_sweep, Fleet, FleetConfig, PlacementKind, ShipScheme};
+use twob_repl::{Fleet, FleetConfig, PlacementKind, ShipScheme};
 
+use crate::registry::{violation_free, Verdict};
 use crate::Table;
 
 /// Fleet sizes the sweep visits (all 3-zone layouts).
@@ -34,10 +34,7 @@ pub const COMMITS_PER_SHARD: u64 = 8;
 /// Seed shared by every cell.
 pub const SEED: u64 = 0x2b5d;
 
-/// Fault plans in the digest-pinned fault sweep.
-pub const FAULT_PLANS: u64 = 12;
-
-/// One `(nodes, placement, scheme)` cell of the clean sweep.
+/// One `(nodes, placement, scheme)` cell of the sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Row {
     /// Fleet size.
@@ -54,23 +51,24 @@ pub struct Row {
     pub commit_p50_us: f64,
     /// p99 follower-read latency, µs.
     pub read_p99_us: f64,
+    /// Stale cross-shard deliveries (a healthy fleet has none).
+    pub clamped_posts: u64,
+    /// Every cluster guarantee the run broke.
+    pub violations: Vec<String>,
 }
 
-/// The whole sweep: clean cells plus the fault-sweep pin.
+impl Row {
+    /// The cell's name: `nodes/placement/scheme`.
+    fn name(&self) -> String {
+        format!("{}/{}/{}", self.nodes, self.placement, self.scheme)
+    }
+}
+
+/// The whole sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterSweep {
-    /// Clean `(nodes, placement, scheme)` cells.
+    /// `(nodes, placement, scheme)` cells.
     pub rows: Vec<Row>,
-    /// Fault-sweep runs executed (plans × placements × policies).
-    pub fault_runs: u64,
-    /// Commits released across the fault sweep.
-    pub fault_released: u64,
-    /// Follower reads served across the fault sweep.
-    pub fault_reads: u64,
-    /// Fault-sweep runs that included a live shard move.
-    pub fault_moved: u64,
-    /// Fault-sweep digest — pins every promoted per-shard log.
-    pub fault_digest: String,
 }
 
 fn cell_config(nodes: usize, placement: PlacementKind, scheme: ShipScheme) -> FleetConfig {
@@ -85,21 +83,11 @@ fn cell_config(nodes: usize, placement: PlacementKind, scheme: ShipScheme) -> Fl
     }
 }
 
-/// Runs one clean cell.
-///
-/// # Panics
-///
-/// Panics if the fault-free fleet violates any cluster guarantee.
+/// Runs one cell.
 pub fn cell(nodes: usize, placement: PlacementKind, scheme: ShipScheme) -> Row {
     let report = Fleet::new(cell_config(nodes, placement, scheme))
         .expect("valid sweep cell")
         .run();
-    assert!(
-        report.passed(),
-        "{nodes}/{placement}/{scheme}: {:?}",
-        report.violations
-    );
-    assert_eq!(report.clamped_posts, 0, "{nodes}/{placement}/{scheme}");
     Row {
         nodes,
         placement: placement.to_string(),
@@ -108,11 +96,13 @@ pub fn cell(nodes: usize, placement: PlacementKind, scheme: ShipScheme) -> Row {
         reads: report.reads,
         commit_p50_us: report.commit_p50_us,
         read_p99_us: report.read_p99_us,
+        clamped_posts: report.clamped_posts,
+        violations: report.violations,
     }
 }
 
 /// Runs the full sweep: every node count under both placements and both
-/// schemes, plus the seeded fault sweep.
+/// schemes.
 pub fn run() -> ClusterSweep {
     let mut rows = Vec::new();
     for nodes in NODE_COUNTS {
@@ -122,27 +112,29 @@ pub fn run() -> ClusterSweep {
             }
         }
     }
-    let faults = fleet_sweep(FAULT_PLANS, SEED);
-    assert!(faults.passed(), "{:?}", faults.violations);
-    ClusterSweep {
-        rows,
-        fault_runs: faults.runs,
-        fault_released: faults.released,
-        fault_reads: faults.reads,
-        fault_moved: faults.moved,
-        fault_digest: format!("{:016x}", faults.digest),
-    }
+    ClusterSweep { rows }
 }
 
-/// The cluster gate: at every node count and placement, the BA hosts'
-/// follower-read p99 must undercut the block hosts', and the parallel
+/// The cluster gate: every cell kept the cluster guarantees with no
+/// stale delivery; at every node count and placement, the BA hosts'
+/// follower-read p99 must undercut the block hosts'; and the parallel
 /// drive must reproduce the sequential observations exactly. Returns the
 /// human-readable pass summary.
 ///
 /// # Errors
 ///
-/// Returns the first condition that does not hold.
-pub fn gate(sweep: &ClusterSweep) -> Result<String, String> {
+/// Returns the first condition that does not hold, naming its cell.
+pub fn gate(sweep: &ClusterSweep) -> Verdict {
+    for row in &sweep.rows {
+        violation_free(&row.name(), &row.violations)?;
+        if row.clamped_posts > 0 {
+            return Err(format!(
+                "{}: {} stale cross-shard deliveries",
+                row.name(),
+                row.clamped_posts
+            ));
+        }
+    }
     let mut margins = Vec::new();
     for nodes in NODE_COUNTS {
         for placement in PlacementKind::ALL {
@@ -185,7 +177,7 @@ pub fn gate(sweep: &ClusterSweep) -> Result<String, String> {
     ))
 }
 
-/// Renders the clean cells and the fault-sweep summary line.
+/// Renders the cells, then one line per violation.
 pub(crate) fn render(sweep: &ClusterSweep) -> String {
     let table = Table::new(&sweep.rows)
         .col("nodes", |r| r.nodes)
@@ -195,16 +187,16 @@ pub(crate) fn render(sweep: &ClusterSweep) -> String {
         .col("reads", |r| r.reads)
         .col("commit p50 us", |r| format!("{:.2}", r.commit_p50_us))
         .col("read p99 us", |r| format!("{:.2}", r.read_p99_us));
-    format!(
+    let mut out = format!(
         "Cluster sweep: {SHARDS} shards x {COMMITS_PER_SHARD} commits, 3-zone fleets \
-         (seed {SEED:#x})\n\n{table}\n\
-         fault sweep: {} runs ({} with a live shard move), {} commits, {} reads, digest {}\n",
-        sweep.fault_runs,
-        sweep.fault_moved,
-        sweep.fault_released,
-        sweep.fault_reads,
-        sweep.fault_digest
-    )
+         (seed {SEED:#x})\n\n{table}"
+    );
+    for row in &sweep.rows {
+        for violation in &row.violations {
+            out += &format!("{} violation: {violation}\n", row.name());
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -223,10 +215,26 @@ mod tests {
     fn sweep_shape_and_gate_hold() {
         let sweep = run();
         assert_eq!(sweep.rows.len(), NODE_COUNTS.len() * 2 * 2);
-        assert_eq!(sweep.fault_runs, FAULT_PLANS * 2 * 3);
-        assert!(sweep.fault_moved > 0);
         let summary = gate(&sweep).expect("the read floor holds on this model");
         assert!(summary.contains("passed"));
+        // A cell that broke a guarantee, or delivered stale, fails by name.
+        let mut broken = sweep.clone();
+        broken.rows[5]
+            .violations
+            .push("acked commit 4 of shard 2 lost".into());
+        assert_eq!(
+            gate(&broken).unwrap_err(),
+            "12/hash/block: 1 violation(s), the first: acked commit 4 of shard 2 lost"
+        );
+        assert!(
+            render(&broken).contains("12/hash/block violation: acked commit 4 of shard 2 lost\n")
+        );
+        let mut stale = sweep.clone();
+        stale.rows[2].clamped_posts = 3;
+        assert_eq!(
+            gate(&stale).unwrap_err(),
+            "9/range/ba: 3 stale cross-shard deliveries"
+        );
         // A fleet whose BA follower reads lose to block must fail the gate.
         let mut slow = sweep;
         let block_p99 = slow.rows[1].read_p99_us;

@@ -18,7 +18,7 @@
 
 use std::fmt::Display;
 
-use crate::registry::Verdict;
+use crate::registry::{violation_free, Verdict};
 
 /// Device fault schedules.
 pub const DEVICE_SCHEDULES: u64 = 216;
@@ -157,12 +157,7 @@ impl FaultSweep {
 /// The first row that does not hold, by name, with its first violation.
 pub fn gate(sweep: &FaultSweep) -> Verdict {
     for (row, acked, violations) in sweep.rows() {
-        if let Some(first) = violations.first() {
-            return Err(format!(
-                "{row}: {} violation(s), the first: {first}",
-                violations.len()
-            ));
-        }
+        violation_free(row, violations)?;
         if acked == 0 {
             return Err(format!("{row}: no commit acknowledged, nothing checked"));
         }

@@ -26,6 +26,21 @@ pub type Render<T> = fn(&T) -> String;
 /// A gate's verdict: the pass summary, or the violated condition.
 pub type Verdict = Result<String, String>;
 
+/// A gate's check of one cell's recorded violations.
+///
+/// # Errors
+///
+/// `<cell>: <n> violation(s), the first: <first>` when it has any.
+pub(crate) fn violation_free(cell: &str, violations: &[String]) -> Result<(), String> {
+    match violations.first() {
+        Some(first) => Err(format!(
+            "{cell}: {} violation(s), the first: {first}",
+            violations.len()
+        )),
+        None => Ok(()),
+    }
+}
+
 /// One study, typed by the value its run produces.
 pub struct Study<T> {
     /// Name on the command line; also the stem of its fixture file.
@@ -215,12 +230,15 @@ pub static REGISTRY: [&dyn Entry; 15] = [
         |_| tenant_sweep::outcome(),
         tenant_sweep::render,
     ),
-    &Study::pinned(
-        "repl_sweep",
-        "replication: commit latency across policies, RTTs and ship schemes",
-        |_| repl_sweep::run(),
-        |rows| repl_sweep::render(rows),
-    ),
+    &Study {
+        gate: Some(|rows: &Vec<_>| repl_sweep::gate(rows)),
+        ..Study::pinned(
+            "repl_sweep",
+            "replication: commit latency across policies, RTTs and ship schemes",
+            |_| repl_sweep::run(),
+            |rows| repl_sweep::render(rows),
+        )
+    },
     &Study {
         gate: Some(serve_sweep::gate),
         ..Study::pinned(

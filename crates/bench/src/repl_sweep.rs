@@ -16,11 +16,14 @@
 //!   `block` (block reads of the flushed log region).
 //!
 //! Every cell replays the same seeded MiniRocks commit stream, so cells
-//! differ only in policy, link, and log scheme.
+//! differ only in policy, link, and log scheme. A cell records the
+//! replication invariants it broke instead of stopping at one; the gate
+//! fails on the first such cell and names it.
 
 use serde::{Deserialize, Serialize};
 use twob_repl::{CommitPolicy, NetLinkConfig, ReplConfig, ReplicaSet, ShipScheme};
 
+use crate::registry::{violation_free, Verdict};
 use crate::Table;
 
 /// Round-trip times the sweep visits, in microseconds.
@@ -63,14 +66,18 @@ pub struct Row {
     pub ship_batches: u64,
     /// Records those batches carried.
     pub ship_records: u64,
+    /// Every replication invariant the run broke.
+    pub violations: Vec<String>,
+}
+
+impl Row {
+    /// The cell's name: `policy/RTTus/scheme`.
+    fn name(&self) -> String {
+        format!("{}/{}us/{}", self.policy, self.rtt_us, self.scheme)
+    }
 }
 
 /// Runs one cell on a fresh replica set.
-///
-/// # Panics
-///
-/// Panics if the run violates a replication invariant — the sweep's
-/// fault-free cells must always converge.
 pub fn cell(policy: CommitPolicy, rtt_us: u64, scheme: ShipScheme) -> Row {
     let cfg = ReplConfig {
         scheme,
@@ -81,11 +88,6 @@ pub fn cell(policy: CommitPolicy, rtt_us: u64, scheme: ShipScheme) -> Row {
         ..ReplConfig::default()
     };
     let report = ReplicaSet::new(cfg).expect("valid sweep cell").run_steady();
-    assert!(
-        report.passed(),
-        "{policy}/{rtt_us}us/{scheme}: {:?}",
-        report.violations
-    );
     Row {
         policy: policy.to_string(),
         rtt_us,
@@ -97,6 +99,7 @@ pub fn cell(policy: CommitPolicy, rtt_us: u64, scheme: ShipScheme) -> Row {
         commits_per_sec: report.commits_per_sec,
         ship_batches: report.ship_batches,
         ship_records: report.ship_records,
+        violations: report.violations,
     }
 }
 
@@ -113,7 +116,35 @@ pub fn run() -> Vec<Row> {
     rows
 }
 
-/// Renders the per-cell table under the sweep's parameters.
+/// The gate: every cell of the grid ran, kept the replication
+/// invariants, and released all [`COMMITS`]. The fault-free cells must
+/// always converge.
+///
+/// # Errors
+///
+/// The first cell that does not hold, by name.
+pub fn gate(rows: &[Row]) -> Verdict {
+    let cells = POLICIES.len() * RTTS_US.len() * ShipScheme::ALL.len();
+    if rows.len() != cells {
+        return Err(format!("{} of {cells} cells ran", rows.len()));
+    }
+    for row in rows {
+        violation_free(&row.name(), &row.violations)?;
+        if row.released != COMMITS {
+            return Err(format!(
+                "{}: released {} of {COMMITS} commits",
+                row.name(),
+                row.released
+            ));
+        }
+    }
+    Ok(format!(
+        "replication gate passed: 0 violations, {COMMITS} commits released in each of {cells} cells"
+    ))
+}
+
+/// Renders the per-cell table under the sweep's parameters, then one line
+/// per violation.
 pub(crate) fn render(rows: &[Row]) -> String {
     let table = Table::new(rows)
         .col("policy", |r| r.policy.clone())
@@ -126,10 +157,16 @@ pub(crate) fn render(rows: &[Row]) -> String {
         .col("commit/s", |r| format!("{:.0}", r.commits_per_sec))
         .col("batches", |r| r.ship_batches)
         .col("records", |r| r.ship_records);
-    format!(
+    let mut out = format!(
         "Replication sweep: 3-node set, MiniRocks commit stream \
          (seed {SEED}, {COMMITS} commits per cell)\n\n{table}"
-    )
+    );
+    for row in rows {
+        for violation in &row.violations {
+            out += &format!("{} violation: {violation}\n", row.name());
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -147,6 +184,30 @@ mod tests {
         let a = cell(CommitPolicy::SemiSync(2), 50, ShipScheme::Ba);
         let b = cell(CommitPolicy::SemiSync(2), 50, ShipScheme::Ba);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_doctored_cell_fails_the_gate_and_is_named() {
+        let rows = run();
+        assert!(gate(&rows).is_ok(), "{:?}", gate(&rows));
+        let mut broken = rows.clone();
+        broken[3]
+            .violations
+            .push("acknowledged commit 7 lost".into());
+        assert_eq!(
+            gate(&broken).unwrap_err(),
+            "async/50us/block: 1 violation(s), the first: acknowledged commit 7 lost"
+        );
+        assert!(
+            render(&broken).contains("async/50us/block violation: acknowledged commit 7 lost\n")
+        );
+        let mut short = rows.clone();
+        short[0].released -= 1;
+        assert_eq!(
+            gate(&short).unwrap_err(),
+            "async/10us/ba: released 79 of 80 commits"
+        );
+        assert_eq!(gate(&rows[1..]).unwrap_err(), "17 of 18 cells ran");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use twob_pcie::{
     AddressTranslationUnit, Bar, CxlChannel, CxlTimings, HostByteChannel, PcieTimings, PostedWrite,
     ReadOutcome, StoreOutcome, SyncOutcome,
 };
-use twob_sim::{SimTime, TraceEvent, TraceRing};
+use twob_sim::SimTime;
 use twob_ssd::{BlockDevice, BlockRead, Ssd, SsdConfig, SsdError};
 
 use crate::{
@@ -109,7 +109,6 @@ pub struct TwoBSsd {
     recovery: RecoveryManager,
     policy: PermissionPolicy,
     stats: TwoBStats,
-    trace: TraceRing,
 }
 
 impl TwoBSsd {
@@ -148,7 +147,6 @@ impl TwoBSsd {
             recovery: RecoveryManager::new(),
             policy: PermissionPolicy::AllowAll,
             stats: TwoBStats::default(),
-            trace: TraceRing::with_capacity(256),
             spec,
         }
     }
@@ -178,23 +176,6 @@ impl TwoBSsd {
     /// Byte-path operation counters.
     pub fn stats(&self) -> TwoBStats {
         self.stats
-    }
-
-    /// Enables or disables API-call tracing (disabled by default; keeps
-    /// the last 256 events). Also enables the base SSD's device trace, so
-    /// background GC steps and buffer dumps appear alongside BA-path calls.
-    pub fn set_tracing(&mut self, enabled: bool) {
-        self.trace.set_enabled(enabled);
-        self.ssd.set_tracing(enabled);
-    }
-
-    /// The retained trace events — BA-path calls merged with the base
-    /// SSD's block/GC/dump events — in time order, oldest first.
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        let mut events: Vec<TraceEvent> = self.trace.iter().cloned().collect();
-        events.extend(self.ssd.trace_events());
-        events.sort_by_key(|e| e.at);
-        events
     }
 
     /// Advances the base SSD's background stages (buffer dumps, GC steps)
@@ -327,13 +308,6 @@ impl TwoBSsd {
         self.buffer.write_direct(buffer_offset, &read.data);
         self.ssd.lba_checker_pin(lba, pages);
         self.stats.pins += 1;
-        if self.trace.is_enabled() {
-            self.trace.push(
-                now,
-                "ba_pin",
-                format!("{eid} offset={buffer_offset} {lba} pages={pages}"),
-            );
-        }
         Ok(ApiCompletion {
             complete_at: read.complete_at,
         })
@@ -389,10 +363,6 @@ impl TwoBSsd {
         self.table.remove(eid)?;
         self.ssd.lba_checker_unpin(entry.start_lba, entry.pages);
         self.stats.flushes += 1;
-        if self.trace.is_enabled() {
-            self.trace
-                .push(now, "ba_flush", format!("{eid} -> {}", entry.start_lba));
-        }
         Ok(ApiCompletion { complete_at: done })
     }
 
@@ -673,7 +643,6 @@ impl TwoBSsd {
     /// 3. The recovery manager dumps the BA-buffer and mapping table to the
     ///    reserved NAND area on capacitor energy — if the budget allows.
     pub fn power_loss(&mut self, now: SimTime) -> DumpOutcome {
-        self.trace.push(now, "power_loss", String::new());
         self.chan.power_loss();
         self.cxl.power_loss();
         self.buffer.power_loss(now);
@@ -993,23 +962,6 @@ mod tests {
             (145.0..156.0).contains(&lat.as_micros_f64()),
             "4K MMIO read {lat}"
         );
-    }
-
-    #[test]
-    fn tracing_records_api_calls_when_enabled() {
-        let mut d = dev();
-        // Disabled by default: no events.
-        d.ba_pin(SimTime::ZERO, EntryId(0), 0, Lba(0), 1).unwrap();
-        assert!(d.trace_events().is_empty());
-        d.set_tracing(true);
-        d.ba_flush(SimTime::ZERO, EntryId(0)).unwrap();
-        d.ba_pin(SimTime::ZERO, EntryId(1), 0, Lba(5), 1).unwrap();
-        let events = d.trace_events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].label, "ba_flush");
-        assert_eq!(events[0].detail, "eid:0 -> lba:0");
-        assert_eq!(events[1].label, "ba_pin");
-        assert_eq!(events[1].detail, "eid:1 offset=0 lba:5 pages=1");
     }
 
     #[test]

@@ -30,18 +30,6 @@ use twob_wal::{
 
 const PAGE: u64 = 4096;
 
-/// What the policy wants done with a segment after an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TierAction {
-    /// Leave the segment in its current tier.
-    Stay,
-    /// Pin the segment into the byte tier (it is earning its buffer
-    /// space).
-    Promote,
-    /// Flush the segment back to block NAND (it has gone idle).
-    Demote,
-}
-
 /// Counters the tier layer exposes (and the tier sweep reports).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TierStats {
@@ -107,8 +95,8 @@ impl TierPolicy {
     }
 
     /// Notes a read served by the block path and says whether the segment
-    /// has now earned promotion.
-    pub fn on_cold_read(&mut self, seg: u64, now: SimTime) -> TierAction {
+    /// has now earned promotion (pinning into the byte tier).
+    pub fn on_cold_read(&mut self, seg: u64, now: SimTime) -> bool {
         self.stats.cold_hits += 1;
         let heat = self.heat.entry(seg).or_insert(SegmentHeat {
             last_touch: now,
@@ -121,11 +109,7 @@ impl TierPolicy {
         }
         heat.hits += 1;
         heat.last_touch = now;
-        if heat.hits >= Self::PROMOTE_AFTER_HITS {
-            TierAction::Promote
-        } else {
-            TierAction::Stay
-        }
+        heat.hits >= Self::PROMOTE_AFTER_HITS
     }
 
     /// Whether a promoted segment has idled long enough to demote.
@@ -480,7 +464,7 @@ impl TieredWal {
             )?;
             let data = done.data.expect("block reads complete with data");
             let start = (loc.offset - first_page * PAGE) as usize;
-            if self.policy.on_cold_read(loc.segment, now) == TierAction::Promote {
+            if self.policy.on_cold_read(loc.segment, now) {
                 self.promote(loc.segment, done.complete_at)?;
             }
             (data, start..start + loc.len as usize, done.complete_at)

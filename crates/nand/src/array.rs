@@ -9,17 +9,6 @@ use crate::{
     TimingBreakdown,
 };
 
-/// The operations the array can perform, for accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NandOp {
-    /// Page read.
-    Read,
-    /// Page program.
-    Program,
-    /// Block erase.
-    Erase,
-}
-
 /// A completed read: the page bytes plus timing and ECC accounting.
 #[derive(Debug, Clone)]
 pub struct ReadResult {

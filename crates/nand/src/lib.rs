@@ -46,7 +46,7 @@ mod error;
 mod geometry;
 mod timing;
 
-pub use array::{NandArray, NandOp, ProgramResult, ReadResult, WearReport};
+pub use array::{NandArray, ProgramResult, ReadResult, WearReport};
 pub use ecc::{BitErrorModel, EccConfig, EccOutcome};
 pub use error::NandError;
 pub use geometry::{BlockAddr, NandGeometry, PageAddr, Ppa};

@@ -210,20 +210,6 @@ impl ClusterMap {
             .collect()
     }
 
-    /// Replaces `shard`'s replica set (a completed move or reconfig).
-    ///
-    /// # Panics
-    ///
-    /// If the new set repeats a node or leaves the fleet.
-    pub fn reassign(&mut self, shard: u16, new_replicas: Vec<usize>) {
-        assert!(!new_replicas.is_empty());
-        for (i, &n) in new_replicas.iter().enumerate() {
-            assert!(n < self.nodes, "node {n} outside the fleet");
-            assert!(!new_replicas[..i].contains(&n), "node {n} repeated");
-        }
-        self.replicas[usize::from(shard)] = new_replicas;
-    }
-
     /// The maximum number of replicas any single shard loses when every
     /// node of `victims` dies at once — the correlated-failure blast
     /// radius of the placement.
@@ -313,13 +299,5 @@ mod tests {
         }
         let hosted: usize = (0..9).map(|n| map.shards_on(n).len()).sum();
         assert_eq!(hosted, 6 * 3, "every replica hosted exactly once");
-    }
-
-    #[test]
-    fn reassign_replaces_the_set() {
-        let mut map = ClusterMap::build(PlacementKind::Hash, 4, 9, 3, DomainLayout::three_zones());
-        map.reassign(2, vec![1, 4, 7]);
-        assert_eq!(map.replicas_of(2), &[1, 4, 7]);
-        assert_eq!(map.primary_of(2), 1);
     }
 }

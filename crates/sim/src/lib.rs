@@ -22,7 +22,6 @@
 //! - [`Histogram`]: exact-sample latency statistics with percentiles.
 //! - [`SimRng`] and [`Zipfian`]: seeded, reproducible randomness for
 //!   workload generation.
-//! - [`TraceRing`]: a bounded ring of trace events for debugging datapaths.
 //!
 //! # Example
 //!
@@ -50,7 +49,6 @@ mod shard;
 mod span;
 mod stats;
 mod time;
-mod trace;
 mod wheel;
 
 pub use crc::{crc32, crc32_update, fnv1a64, fnv1a64_update, mix, mix_bytes, FNV_BASIS};
@@ -61,5 +59,4 @@ pub use shard::{ShardCtx, ShardDrive, ShardedExecutor};
 pub use span::LatencyBreakdown;
 pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceRing};
 pub use wheel::WheelQueue;

@@ -5,9 +5,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use twob_ftl::{DieId, FtlIo, FtlOpKind, Lba, PageMappedFtl};
 use twob_nand::NandArray;
-use twob_sim::{
-    Executor, LatencyBreakdown, MultiServer, Server, SimDuration, SimTime, TraceEvent, TraceRing,
-};
+use twob_sim::{Executor, LatencyBreakdown, MultiServer, Server, SimDuration, SimTime};
 
 use crate::config::GcMode;
 use crate::{SsdConfig, SsdError};
@@ -147,8 +145,6 @@ pub struct Ssd {
     gc_busy_chan: Vec<SimTime>,
     /// Per-stage accumulator for the command currently being scheduled.
     current: LatencyBreakdown,
-    /// Device-level trace of commands and background stages.
-    trace: TraceRing,
 }
 
 /// Cap on retained prefetched pages to bound memory.
@@ -201,7 +197,6 @@ impl Ssd {
             gc_busy_die: vec![SimTime::ZERO; dies],
             gc_busy_chan: vec![SimTime::ZERO; cfg.geometry.channels as usize],
             current: LatencyBreakdown::ZERO,
-            trace: TraceRing::with_capacity(512),
             ftl,
             cfg,
         }
@@ -369,14 +364,6 @@ impl Ssd {
         if !self.cfg.capacitor_backed_cache {
             self.pending.push((end, req.lba, old));
         }
-        if self.trace.is_enabled() {
-            self.trace.push_span(
-                req.at,
-                end,
-                "dump",
-                format!("slot {} {} ios={}", req.slot, req.lba, ios.len()),
-            );
-        }
         self.maybe_start_gc(end);
         Ok(())
     }
@@ -388,18 +375,6 @@ impl Ssd {
             return;
         }
         if let Ok(Some(die)) = self.ftl.gc_start() {
-            if self.trace.is_enabled() {
-                self.trace.push(
-                    at,
-                    "gc.start",
-                    format!(
-                        "die c{}w{} free={}",
-                        die.channel,
-                        die.way,
-                        self.ftl.free_blocks_now()
-                    ),
-                );
-            }
             self.gc_events.post(at, die);
         }
     }
@@ -417,27 +392,12 @@ impl Ssd {
     /// policy. Stops (abandoning the job) once the free pool is satisfied.
     fn gc_tick(&mut self, ex: &mut Executor<DieId>, t: SimTime, die: DieId) {
         if self.ftl.gc_satisfied() {
-            if self.ftl.gc_abandon(die) && self.trace.is_enabled() {
-                self.trace.push(
-                    t,
-                    "gc.stop",
-                    format!("die c{}w{} satisfied", die.channel, die.way),
-                );
-            }
+            self.ftl.gc_abandon(die);
             return;
         }
         match self.ftl.gc_step(die) {
             Ok(Some(step)) => {
                 let end = self.schedule_ios(t, &step.ios);
-                if self.trace.is_enabled() {
-                    let what = if step.done { "erase" } else { "move" };
-                    self.trace.push_span(
-                        t,
-                        end,
-                        "gc.step",
-                        format!("die c{}w{} {what}", die.channel, die.way),
-                    );
-                }
                 if step.done {
                     if self.ftl.gc_needed() {
                         if let Ok(Some(next)) = self.ftl.gc_start() {
@@ -497,16 +457,6 @@ impl Ssd {
     /// that the clamp would otherwise paper over.
     pub fn gc_clamped_posts(&self) -> u64 {
         self.gc_events.clamped_posts()
-    }
-
-    /// Enables or disables the device trace ring.
-    pub fn set_tracing(&mut self, enabled: bool) {
-        self.trace.set_enabled(enabled);
-    }
-
-    /// A copy of the retained trace events, oldest first.
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.trace.iter().cloned().collect()
     }
 
     /// Per-stage breakdown of the most recently scheduled command.
@@ -626,14 +576,6 @@ impl Ssd {
         self.stats.read_cmds += 1;
         self.stats.pages_read += u64::from(pages);
         self.update_read_ahead(fw_end, lba, pages);
-        if self.trace.is_enabled() {
-            self.trace.push_span(
-                fw_end,
-                complete_at,
-                "blk.read",
-                format!("{lba} x{pages} [{}]", self.current),
-            );
-        }
         Ok(BlockRead {
             data,
             complete_at,
@@ -798,14 +740,6 @@ impl Ssd {
         }
         self.stats.write_cmds += 1;
         self.stats.pages_written += u64::from(pages);
-        if self.trace.is_enabled() {
-            self.trace.push_span(
-                fw_end,
-                ack,
-                "blk.write",
-                format!("{lba} x{pages} [{}]", self.current),
-            );
-        }
         Ok(ack)
     }
 

@@ -49,7 +49,5 @@ mod traits;
 pub use config::{ErrorInjection, GcMode, SsdConfig};
 pub use device::{BlockRead, Ssd, SsdStats};
 pub use error::SsdError;
-pub use queue::{
-    Namespace, NvmeCompletion, NvmeEvent, NvmeOp, NvmeSsd, QdReport, QueueConfig, QueueFull,
-};
+pub use queue::{NvmeCompletion, NvmeEvent, NvmeOp, NvmeSsd, QdReport, QueueConfig, QueueFull};
 pub use traits::BlockDevice;

@@ -137,36 +137,6 @@ pub struct NvmeCompletion {
     pub result: Result<Option<Vec<u8>>, SsdError>,
 }
 
-/// A contiguous LBA window bound to one queue pair, giving each tenant a
-/// private block address space (NVMe namespaces, squinting).
-///
-/// Commands on a bound queue address LBAs *relative to the namespace*:
-/// firmware adds `base` after the fetch stage, and a command that reaches
-/// past `pages` fails in its CQ entry with an out-of-range error whose
-/// `capacity` is the namespace size — the tenant never learns the device's
-/// real geometry, and can never touch a neighbour's blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Namespace {
-    /// First device LBA of the window.
-    pub base: Lba,
-    /// Window length in pages.
-    pub pages: u64,
-}
-
-impl Namespace {
-    /// Translates a namespace-relative command range to device LBAs.
-    fn translate(&self, lba: Lba, pages: u64) -> Result<Lba, SsdError> {
-        if lba.0 + pages > self.pages {
-            return Err(SsdError::OutOfRange {
-                lba: lba.0,
-                pages: pages as u32,
-                capacity: self.pages,
-            });
-        }
-        Ok(Lba(self.base.0 + lba.0))
-    }
-}
-
 /// Error returned by [`NvmeSsd::submit`] when a submission queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueFull {
@@ -225,8 +195,6 @@ pub struct NvmeSsd {
     rr: usize,
     next_id: u64,
     completions: Vec<NvmeCompletion>,
-    /// Optional per-queue LBA window (tenant namespace).
-    namespaces: Vec<Option<Namespace>>,
     /// Commands fetched per queue, for fairness audits.
     fetches: Vec<u64>,
 }
@@ -240,27 +208,10 @@ impl NvmeSsd {
             rr: 0,
             next_id: 0,
             completions: Vec::new(),
-            namespaces: vec![None; cfg.pairs],
             fetches: vec![0; cfg.pairs],
             ssd,
             cfg,
         }
-    }
-
-    /// Binds queue pair `qid` to a namespace: its commands now address
-    /// LBAs relative to `ns.base` and cannot reach past `ns.pages`.
-    /// Unbound queues keep addressing raw device LBAs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `qid` is out of bounds.
-    pub fn bind_namespace(&mut self, qid: usize, ns: Namespace) {
-        self.namespaces[qid] = Some(ns);
-    }
-
-    /// The namespace bound to `qid`, if any.
-    pub fn namespace(&self, qid: usize) -> Option<Namespace> {
-        self.namespaces[qid]
     }
 
     /// Commands fetched per queue since construction — with every queue
@@ -390,19 +341,9 @@ impl NvmeSsd {
     /// Runs a fetched command's NAND/host-transfer stages and posts its CQ
     /// entry at the completion instant.
     fn execute(&mut self, exec: &mut Executor<NvmeEvent>, cmd: Sqe, fw_end: SimTime) {
-        let page_size = self.ssd.page_size();
-        let bytes = cmd.op.bytes(page_size);
-        // Firmware-side namespace translation: relative LBAs become device
-        // LBAs here, after the fetch, so a violation costs a full fetch.
-        let xlat = |ns: Option<Namespace>, lba: Lba, pages: u64| match ns {
-            Some(ns) => ns.translate(lba, pages),
-            None => Ok(lba),
-        };
-        let ns = self.namespaces[cmd.qid];
+        let bytes = cmd.op.bytes(self.ssd.page_size());
         let (completed, breakdown, result) = match cmd.op {
-            NvmeOp::Read { lba, pages } => match xlat(ns, lba, u64::from(pages))
-                .and_then(|lba| self.ssd.queued_read(fw_end, lba, pages))
-            {
+            NvmeOp::Read { lba, pages } => match self.ssd.queued_read(fw_end, lba, pages) {
                 Ok(BlockRead {
                     data,
                     complete_at,
@@ -410,14 +351,10 @@ impl NvmeSsd {
                 }) => (complete_at, breakdown, Ok(Some(data))),
                 Err(e) => (fw_end, LatencyBreakdown::ZERO, Err(e)),
             },
-            NvmeOp::Write { lba, data } => {
-                match xlat(ns, lba, (data.len() / page_size) as u64)
-                    .and_then(|lba| self.ssd.queued_write(fw_end, lba, &data))
-                {
-                    Ok(ack) => (ack, self.ssd.last_breakdown(), Ok(None)),
-                    Err(e) => (fw_end, LatencyBreakdown::ZERO, Err(e)),
-                }
-            }
+            NvmeOp::Write { lba, data } => match self.ssd.queued_write(fw_end, lba, &data) {
+                Ok(ack) => (ack, self.ssd.last_breakdown(), Ok(None)),
+                Err(e) => (fw_end, LatencyBreakdown::ZERO, Err(e)),
+            },
             NvmeOp::Flush => (self.ssd.flush(fw_end), LatencyBreakdown::ZERO, Ok(None)),
         };
         let entry = NvmeCompletion {
@@ -542,39 +479,33 @@ mod tests {
     }
 
     #[test]
-    fn namespace_bounds_surface_as_cq_errors() {
+    fn out_of_range_commands_surface_as_cq_errors() {
         let mut dev = NvmeSsd::new(
             Ssd::new(SsdConfig::ull_ssd().small()),
             QueueConfig::new(1, 4),
         );
-        dev.bind_namespace(
-            0,
-            Namespace {
-                base: Lba(0),
-                pages: 4,
-            },
-        );
+        let cap = dev.ssd().capacity_pages();
         let mut exec = Executor::new();
         dev.submit(
             &mut exec,
             SimTime::ZERO,
             0,
             NvmeOp::Read {
-                lba: Lba(4),
+                lba: Lba(cap),
                 pages: 1,
             },
         )
         .unwrap();
         exec.run(|ex, t, ev| dev.handle(ex, t, ev));
         let done = dev.drain_completions();
-        assert!(matches!(
+        assert_eq!(
             done[0].result,
             Err(SsdError::OutOfRange {
-                lba: 4,
+                lba: cap,
                 pages: 1,
-                capacity: 4
+                capacity: cap
             })
-        ));
+        );
     }
 
     #[test]

@@ -297,11 +297,6 @@ impl ShardWalHost {
         Ok(Lsn(self.slot(slot)?.next_lsn()))
     }
 
-    /// The fence LSN of `slot`, if sealed.
-    pub fn fence_of(&self, slot: u16) -> Option<Lsn> {
-        self.slots.get(&slot).and_then(|s| s.fence.map(Lsn))
-    }
-
     fn slot(&self, slot: u16) -> Result<&Slot, WalError> {
         self.slots.get(&slot).ok_or_else(|| not_open(slot))
     }
@@ -358,30 +353,6 @@ impl ShardWalHost {
         };
         self.slots.insert(slot, Slot { fence: None, log });
         Ok(ready_at)
-    }
-
-    /// Closes `slot`: in `Ba` mode the window is flushed to NAND and
-    /// unpinned (the retiring side of a shard move keeps its log
-    /// replayable); the slot's share and entry become reusable.
-    ///
-    /// # Errors
-    ///
-    /// [`WalError::BadConfig`] if the slot is not open, or device errors.
-    pub fn close_slot(&mut self, now: SimTime, slot: u16) -> Result<SimTime, WalError> {
-        let pinned = match &self.slot(slot)?.log {
-            SlotLog::Ba { log, .. } => log.entry().map(|eid| (eid, log.ready_at())),
-            SlotLog::Block { .. } => None,
-        };
-        let mut done = now;
-        if let Some((eid, ready_at)) = pinned {
-            let t = now.max(ready_at);
-            done = self
-                .pins
-                .unpin(&mut self.dev, t, TenantId(slot), eid)?
-                .complete_at;
-        }
-        self.slots.remove(&slot);
-        Ok(done)
     }
 
     /// Seals `slot` at `fence`: appends with `lsn >= fence` are rejected
@@ -878,25 +849,6 @@ mod tests {
             h.append(t, 0, b"r4").unwrap_err(),
             WalError::Fenced { fence: 4, got: 4 }
         );
-        assert_eq!(h.fence_of(0), Some(Lsn(4)));
-    }
-
-    #[test]
-    fn close_and_reopen_recycles_the_share() {
-        let mut h = host(HostMode::Ba);
-        let mut t = h.open_slot(t0(), 0).unwrap();
-        t = h.append(t, 0, b"before close").unwrap().commit_at;
-        t = h.close_slot(t, 0).unwrap();
-        assert!(!h.is_open(0));
-        // The flushed record is still on NAND even though the slot closed.
-        t = h.open_slot(t, 0).unwrap();
-        let tail = h.read_tail(t, 0, Lsn(0)).unwrap();
-        assert_eq!(tail.records.len(), 1);
-        assert_eq!(tail.records[0].payload, b"before close");
-        // The reopened slot continues from what the region holds? No — a
-        // reopened slot is a fresh log; the cluster's catch-up path decides
-        // what to replay into it.
-        assert_eq!(h.next_lsn(0).unwrap(), Lsn(0));
     }
 
     #[test]
@@ -1078,6 +1030,5 @@ mod tests {
         h.open_slot(t0(), 0).unwrap();
         assert!(h.open_slot(t0(), 0).is_err(), "double open");
         assert!(h.open_slot(t0(), 99).is_err(), "out of range");
-        assert!(h.close_slot(t0(), 5).is_err(), "close never-opened");
     }
 }

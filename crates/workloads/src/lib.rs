@@ -22,9 +22,8 @@
 //!   Linkbench, RocksDB + YCSB-A, Redis + YCSB-A), its client rule (Redis
 //!   runs one) and the load-then-closed-loop run over a [`ClientPool`].
 //!   [`EngineKind`] is `twob_db`'s, re-exported.
-//! - [`mod@arrival`] — the open-loop arrival layer: seeded Poisson, bursty
-//!   (MMPP-style on/off), and diurnal-trace processes offering load that
-//!   does not self-throttle to the device.
+//! - [`mod@arrival`] — the open-loop arrival layer: seeded Poisson streams
+//!   offering load that does not self-throttle to the device.
 //! - [`ServiceDriver`] — the owner of every calendar-driven loop: open-loop
 //!   serving with admission control and SLO tracking
 //!   ([`ServiceDriver::serve`], [`ServiceDriver::serve_sharded`]), the
@@ -67,7 +66,7 @@ mod tenant;
 pub mod trace;
 mod ycsb;
 
-pub use arrival::{ArrivalConfig, ArrivalKind, ArrivalProcess};
+pub use arrival::{ArrivalConfig, ArrivalKind};
 pub use churn::{ChurnConfig, ChurnWorkload};
 pub use executor::ClientPool;
 pub use linkbench::{LinkbenchConfig, LinkbenchWorkload};

@@ -11,7 +11,8 @@
 //!
 //! The open-loop serving path has four layers:
 //!
-//! 1. **generation** — per-tenant [`ArrivalProcess`] streams offer load in
+//! 1. **generation** — per-tenant Poisson streams
+//!    ([`crate::arrival::PoissonArrivals`]) offer load in
 //!    *traffic time*, independent of what the device can absorb;
 //! 2. **admission** — [`ServiceDriver::plan`] applies the control layer at
 //!    arrival time, from host-side accounting only: a per-tenant
@@ -62,7 +63,7 @@ use twob_ftl::Lba;
 use twob_sim::{mix, Executor, Histogram, ShardDrive, SimDuration, SimTime, FNV_BASIS};
 use twob_ssd::{NvmeEvent, NvmeOp, NvmeSsd, QdReport, SsdConfig};
 
-use crate::arrival::{ArrivalConfig, ArrivalProcess};
+use crate::arrival::ArrivalConfig;
 use crate::tenant::{TenantOutcome, TenantPool, TenantPoolConfig, TenantReport, WalScheme};
 
 /// Configuration of one open-loop serving run.
@@ -221,8 +222,7 @@ impl ServiceDriver {
         // the streams' heads merges them into one deterministic
         // `(time, tenant)` order. The key is total, so no tie is left to
         // the heap, and the admission below takes each arrival as it pops.
-        let mut processes: Vec<Box<dyn ArrivalProcess>> =
-            (0..cfg.tenants).map(|t| cfg.arrival.build(t)).collect();
+        let mut processes: Vec<_> = (0..cfg.tenants).map(|t| cfg.arrival.build(t)).collect();
         let mut heads: BinaryHeap<Reverse<(SimTime, u16)>> = (0..cfg.tenants)
             .map(|t| Reverse((processes[usize::from(t)].next_after(SimTime::ZERO), t)))
             .filter(|Reverse((at, _))| at.as_nanos() < horizon_ns)
@@ -1033,16 +1033,17 @@ mod tests {
         assert_eq!(SessionEvent::NONE.unpack(), None);
     }
 
-    fn quick_cfg(tenants: u16, scheme: WalScheme, kind: ArrivalKind, rate: f64) -> ServeConfig {
+    fn quick_cfg(tenants: u16, scheme: WalScheme, rate: f64) -> ServeConfig {
+        let arrival = ArrivalConfig::new(ArrivalKind::Poisson, rate, 13);
         ServeConfig {
             horizon: SimDuration::from_micros(1_000),
-            ..ServeConfig::standard(tenants, scheme, ArrivalConfig::new(kind, rate, 13))
+            ..ServeConfig::standard(tenants, scheme, arrival)
         }
     }
 
     #[test]
     fn plan_admits_everything_under_light_load() {
-        let cfg = quick_cfg(8, WalScheme::Ba, ArrivalKind::Poisson, 10_000.0);
+        let cfg = quick_cfg(8, WalScheme::Ba, 10_000.0);
         let plan = ServiceDriver::plan(&cfg, 1, ServiceDriver::group_spec(8).ba_buffer_bytes);
         assert!(plan.offered > 0);
         assert_eq!(plan.admitted.len() as u64, plan.offered);
@@ -1057,7 +1058,7 @@ mod tests {
     fn plan_defers_then_sheds_under_overload() {
         // 2 M ops/s per tenant dwarfs the 8-per-100 µs admission depth
         // (80 k ops/s sustainable), so the defer budget exhausts fast.
-        let cfg = quick_cfg(4, WalScheme::Ba, ArrivalKind::Poisson, 2_000_000.0);
+        let cfg = quick_cfg(4, WalScheme::Ba, 2_000_000.0);
         let plan = ServiceDriver::plan(&cfg, 1, ServiceDriver::group_spec(4).ba_buffer_bytes);
         assert!(plan.deferred > 0, "overload must defer");
         assert!(plan.shed_queue > 0, "overload must shed");
@@ -1073,7 +1074,7 @@ mod tests {
     fn ba_buffer_trigger_sheds_byte_floods() {
         // 32 KiB commits into a 64 KiB buffer: two tenants admitting 8 per
         // window each offer eight times what one window's buffer holds.
-        let mut cfg = quick_cfg(2, WalScheme::Ba, ArrivalKind::Poisson, 400_000.0);
+        let mut cfg = quick_cfg(2, WalScheme::Ba, 400_000.0);
         cfg.payload_bytes = 32 << 10;
         assert_eq!(ServeConfig::ADMIT_PER_WINDOW, 8);
         let plan = ServiceDriver::plan(&cfg, 1, ServiceDriver::group_spec(2).ba_buffer_bytes);
@@ -1088,7 +1089,7 @@ mod tests {
     fn deferred_counts_only_ops_that_were_admitted() {
         // Both triggers bite: the queue-depth pass defers most of the
         // flood, then the BA-buffer trigger sheds most of what it deferred.
-        let mut cfg = quick_cfg(2, WalScheme::Ba, ArrivalKind::Poisson, 400_000.0);
+        let mut cfg = quick_cfg(2, WalScheme::Ba, 400_000.0);
         cfg.payload_bytes = 32 << 10;
         let plan = ServiceDriver::plan(&cfg, 1, ServiceDriver::group_spec(2).ba_buffer_bytes);
         let waited = plan
@@ -1107,7 +1108,7 @@ mod tests {
     #[test]
     fn serve_runs_every_scheme_and_meets_accounting() {
         for scheme in [WalScheme::Ba, WalScheme::Cxl, WalScheme::Block] {
-            let cfg = quick_cfg(4, scheme, ArrivalKind::Poisson, 20_000.0);
+            let cfg = quick_cfg(4, scheme, 20_000.0);
             let report = ServiceDriver::serve(&cfg);
             assert_eq!(report.scheme, scheme.label());
             assert_eq!(report.completed, report.admitted, "{scheme:?}");
@@ -1120,7 +1121,7 @@ mod tests {
 
     #[test]
     fn sharded_serve_digest_is_drive_and_placement_invariant_for_cxl() {
-        let cfg = quick_cfg(8, WalScheme::Cxl, ArrivalKind::Poisson, 30_000.0);
+        let cfg = quick_cfg(8, WalScheme::Cxl, 30_000.0);
         let baseline = ServiceDriver::serve_sharded(&cfg, 4, ShardDrive::Lockstep);
         assert_eq!(baseline.clamped_posts, 0);
         assert!(baseline.completed > 0);
@@ -1145,10 +1146,8 @@ mod tests {
 
     #[test]
     fn serve_is_deterministic_across_runs() {
-        for kind in ArrivalKind::ALL {
-            let run = || ServiceDriver::serve(&quick_cfg(4, WalScheme::Ba, kind, 30_000.0));
-            assert_eq!(run(), run(), "{} serve drifted", kind.label());
-        }
+        let run = || ServiceDriver::serve(&quick_cfg(4, WalScheme::Ba, 30_000.0));
+        assert_eq!(run(), run(), "serve drifted");
     }
 
     /// `clients` closed-loop clients each keeping `qd` operations in flight

@@ -7,7 +7,7 @@
 
 use twob_ftl::Lba;
 use twob_sim::SimTime;
-use twob_ssd::{Namespace, NvmeOp, NvmeSsd, QueueConfig, Ssd, SsdConfig};
+use twob_ssd::{NvmeOp, NvmeSsd, QueueConfig, Ssd, SsdConfig};
 use twob_workloads::ServiceDriver;
 
 fn preloaded(pages: u64, qcfg: QueueConfig) -> NvmeSsd {
@@ -123,43 +123,6 @@ fn writes_and_flush_complete_in_order_queued() {
     // Data landed: read back through the synchronous API.
     let r = dev.ssd_mut().read(report.makespan, Lba(2), 1).unwrap();
     assert_eq!(r.data, vec![2u8; 4096]);
-}
-
-#[test]
-fn namespaces_isolate_tenant_address_spaces() {
-    let mut dev = NvmeSsd::new(
-        Ssd::new(SsdConfig::ull_ssd().small()),
-        QueueConfig::new(2, 4),
-    );
-    dev.bind_namespace(
-        0,
-        Namespace {
-            base: Lba(0),
-            pages: 8,
-        },
-    );
-    dev.bind_namespace(
-        1,
-        Namespace {
-            base: Lba(8),
-            pages: 8,
-        },
-    );
-    // Both tenants write "their" LBA 0; the device must keep them apart.
-    let report = ServiceDriver::run_nvme(&mut dev, SimTime::ZERO, 2, |i| {
-        (
-            i as usize,
-            NvmeOp::Write {
-                lba: Lba(0),
-                data: vec![0x10 + i as u8; 4096],
-            },
-        )
-    });
-    assert_eq!(report.errors, 0);
-    let a = dev.ssd_mut().read(report.makespan, Lba(0), 1).unwrap();
-    let b = dev.ssd_mut().read(report.makespan, Lba(8), 1).unwrap();
-    assert_eq!(a.data, vec![0x10u8; 4096]);
-    assert_eq!(b.data, vec![0x11u8; 4096]);
 }
 
 #[test]

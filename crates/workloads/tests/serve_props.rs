@@ -99,14 +99,13 @@ fn collect_sort_admit(
     (plan, ties)
 }
 
-/// A planning case: tenants 1–64 under any arrival process and scheme,
+/// A planning case: tenants 1–64 under any scheme,
 /// a group count dividing the tenants, a BA-buffer budget from one commit
 /// up, and a mean per-tenant gap from 1 ns (same-nanosecond ties between
 /// tenants) to 50 µs, over a horizon that keeps the offered load near
 /// 30 k arrivals.
 fn plan_case() -> impl Strategy<Value = (ServeConfig, usize, u64)> {
     (
-        any_kind(),
         prop_oneof![
             Just(WalScheme::Ba),
             Just(WalScheme::Cxl),
@@ -118,9 +117,9 @@ fn plan_case() -> impl Strategy<Value = (ServeConfig, usize, u64)> {
         1u64..=600,
         any::<u64>(),
     )
-        .prop_map(|(kind, scheme, tenants, pick, gap_ns, commits, seed)| {
+        .prop_map(|(scheme, tenants, pick, gap_ns, commits, seed)| {
             let rate = 1e9 / gap_ns as f64;
-            let arrival = ArrivalConfig::new(kind, rate, seed);
+            let arrival = poisson(rate, seed);
             let mut cfg = ServeConfig::standard(tenants as u16, scheme, arrival);
             let horizon_ns = (30_000 * gap_ns / tenants as u64).clamp(1, 1_000_000);
             cfg.horizon = SimDuration::from_nanos(horizon_ns);
@@ -130,28 +129,23 @@ fn plan_case() -> impl Strategy<Value = (ServeConfig, usize, u64)> {
         })
 }
 
-/// A serving configuration drawn from the property space: any arrival
-/// process, either commit scheme, a light-to-busy offered rate, and a
-/// short horizon so debug-build cases stay cheap.
-fn any_kind() -> impl Strategy<Value = ArrivalKind> {
-    prop_oneof![
-        Just(ArrivalKind::Poisson),
-        Just(ArrivalKind::Bursty),
-        Just(ArrivalKind::Diurnal),
-    ]
+/// Poisson arrivals at `rate` per tenant.
+fn poisson(rate: f64, seed: u64) -> ArrivalConfig {
+    ArrivalConfig::new(ArrivalKind::Poisson, rate, seed)
 }
 
+/// A serving configuration drawn from the property space: either commit
+/// scheme, a light-to-busy offered rate, and a short horizon so
+/// debug-build cases stay cheap.
 fn any_config() -> impl Strategy<Value = ServeConfig> {
     (
-        any_kind(),
         prop_oneof![Just(WalScheme::Ba), Just(WalScheme::Block)],
         2u16..12,
         5_000u64..60_000,
         any::<u64>(),
     )
-        .prop_map(|(kind, scheme, tenants, rate, seed)| {
-            let mut cfg =
-                ServeConfig::standard(tenants, scheme, ArrivalConfig::new(kind, rate as f64, seed));
+        .prop_map(|(scheme, tenants, rate, seed)| {
+            let mut cfg = ServeConfig::standard(tenants, scheme, poisson(rate as f64, seed));
             cfg.horizon = twob_sim::SimDuration::from_micros(2_000);
             cfg
         })
@@ -175,7 +169,7 @@ fn pin(r: &twob_workloads::ServeReport) -> Pin {
     )
 }
 
-/// Every scheme under every arrival process on single-device `serve`,
+/// Every scheme on single-device `serve`,
 /// plus one sharded BA case, pinned to literals: 8 tenants, a 2 ms
 /// horizon, a rate past the 80 k ops/s-per-tenant admission depth so
 /// deferral is exercised, and a 100 µs p99 target some windows miss.
@@ -183,36 +177,26 @@ fn pin(r: &twob_workloads::ServeReport) -> Pin {
 /// measured moves a literal here.
 #[test]
 fn serve_reports_are_pinned() {
-    let cfg = |scheme, kind| {
-        let mut cfg = ServeConfig::standard(8, scheme, ArrivalConfig::new(kind, 90_000.0, 61));
+    let cfg = |scheme| {
+        let mut cfg = ServeConfig::standard(8, scheme, poisson(90_000.0, 61));
         cfg.horizon = twob_sim::SimDuration::from_micros(2_000);
         cfg.slo_p99_us = 100.0;
         cfg
     };
-    // (scheme, arrival, (digest, p50, p99, p999, worst tenant p99,
+    // (scheme, (digest, p50, p99, p999, worst tenant p99,
     //  windows, windows over SLO, admitted ops/s bits))
     #[rustfmt::skip]
-    let pinned: [(WalScheme, ArrivalKind, Pin); 9] = [
-        (WalScheme::Ba, ArrivalKind::Poisson, (3858766942020800988, 70.844, 196.292, 198.9515, 198.535, 20, 19, 4693773208621281043)),
-        (WalScheme::Ba, ArrivalKind::Bursty, (1527762306039768125, 73.348, 198.05655, 199.70748999999998, 199.66192999999998, 20, 20, 4692975599943948720)),
-        (WalScheme::Ba, ArrivalKind::Diurnal, (3429277273756503628, 38.7075, 198.87849, 199.89678899999998, 199.56725, 20, 9, 4692480495207786820)),
-        (WalScheme::Cxl, ArrivalKind::Poisson, (3457986761543234929, 71.13, 196.578, 199.2375, 198.821, 20, 19, 4693772456162175376)),
-        (WalScheme::Cxl, ArrivalKind::Bursty, (484864727803629892, 73.634, 198.34255, 199.99348999999998, 199.94792999999999, 20, 20, 4692974956092930104)),
-        (WalScheme::Cxl, ArrivalKind::Diurnal, (7240958725754016952, 38.9935, 199.16449, 200.18278899999999, 199.85325, 20, 9, 4692479305531510207)),
-        (WalScheme::Block, ArrivalKind::Poisson, (12161289281114134277, 73.77, 199.218, 201.8775, 201.461, 20, 19, 4693765520049791424)),
-        (WalScheme::Block, ArrivalKind::Bursty, (478338558156808596, 76.274, 200.98254999999997, 202.63349, 202.58793, 20, 20, 4692969021121859898)),
-        (WalScheme::Block, ArrivalKind::Diurnal, (4003964755925526473, 41.6335, 201.80449, 202.822789, 202.49325, 20, 9, 4692468339183581176)),
+    let pinned: [(WalScheme, Pin); 3] = [
+        (WalScheme::Ba, (3858766942020800988, 70.844, 196.292, 198.9515, 198.535, 20, 19, 4693773208621281043)),
+        (WalScheme::Cxl, (3457986761543234929, 71.13, 196.578, 199.2375, 198.821, 20, 19, 4693772456162175376)),
+        (WalScheme::Block, (12161289281114134277, 73.77, 199.218, 201.8775, 201.461, 20, 19, 4693765520049791424)),
     ];
-    for (scheme, kind, want) in pinned {
-        let report = ServiceDriver::serve(&cfg(scheme, kind));
-        assert!(report.deferred > 0, "{scheme:?}/{kind:?} never deferred");
-        assert_eq!(pin(&report), want, "{scheme:?}/{kind:?}");
+    for (scheme, want) in pinned {
+        let report = ServiceDriver::serve(&cfg(scheme));
+        assert!(report.deferred > 0, "{scheme:?} never deferred");
+        assert_eq!(pin(&report), want, "{scheme:?}");
     }
-    let sharded = ServiceDriver::serve_sharded(
-        &cfg(WalScheme::Ba, ArrivalKind::Poisson),
-        2,
-        ShardDrive::Adaptive,
-    );
+    let sharded = ServiceDriver::serve_sharded(&cfg(WalScheme::Ba), 2, ShardDrive::Adaptive);
     assert_eq!(
         pin(&sharded),
         (
@@ -233,22 +217,12 @@ fn serve_reports_are_pinned() {
 /// arriving at one nanosecond, and the plan still equals the reference's.
 #[test]
 fn same_nanosecond_arrivals_plan_as_the_reference() {
-    for kind in [
-        ArrivalKind::Poisson,
-        ArrivalKind::Bursty,
-        ArrivalKind::Diurnal,
-    ] {
-        let arrival = ArrivalConfig::new(kind, 1e9, 7);
-        let mut cfg = ServeConfig::standard(64, WalScheme::Block, arrival);
-        cfg.horizon = SimDuration::from_nanos(500);
-        let (want, ties) = collect_sort_admit(&cfg, 4, 64 << 10);
-        assert!(
-            ties > 1_000,
-            "{kind:?}: only {ties} same-nanosecond neighbours"
-        );
-        assert!(want.deferred > 0 && want.shed_queue > 0);
-        assert_eq!(ServiceDriver::plan(&cfg, 4, 64 << 10), want);
-    }
+    let mut cfg = ServeConfig::standard(64, WalScheme::Block, poisson(1e9, 7));
+    cfg.horizon = SimDuration::from_nanos(500);
+    let (want, ties) = collect_sort_admit(&cfg, 4, 64 << 10);
+    assert!(ties > 1_000, "only {ties} same-nanosecond neighbours");
+    assert!(want.deferred > 0 && want.shed_queue > 0);
+    assert_eq!(ServiceDriver::plan(&cfg, 4, 64 << 10), want);
 }
 
 proptest! {
@@ -267,8 +241,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Two runs of the same configuration produce the identical report —
-    /// every field, including the completion digest — under every arrival
-    /// process and both schemes.
+    /// every field, including the completion digest — under both schemes.
     #[test]
     fn serve_runs_twice_identically(cfg in any_config()) {
         let a = ServiceDriver::serve(&cfg);
@@ -279,11 +252,9 @@ proptest! {
 
     /// On the sharded device model the lock-step, adaptive, and parallel
     /// drives are interchangeable: one completion digest (and one report)
-    /// regardless of how the shards were scheduled, under every arrival
-    /// process.
+    /// regardless of how the shards were scheduled.
     #[test]
     fn sharded_drives_are_digest_equal(
-        kind in any_kind(),
         groups in prop_oneof![Just(2usize), Just(4)],
         per_group in 2u16..6,
         rate in 10_000u64..50_000,
@@ -293,7 +264,7 @@ proptest! {
         let mut cfg = ServeConfig::standard(
             tenants,
             WalScheme::Ba,
-            ArrivalConfig::new(kind, rate as f64, seed),
+            poisson(rate as f64, seed),
         );
         cfg.horizon = twob_sim::SimDuration::from_micros(2_000);
         let lockstep = ServiceDriver::serve_sharded(&cfg, groups, ShardDrive::Lockstep);
@@ -310,7 +281,6 @@ proptest! {
     /// time — and nothing is ever posted into the past.
     #[test]
     fn overload_sheds_and_bounds_the_admitted_tail(
-        kind in any_kind(),
         tenants in 2u16..8,
         rate in 150_000u64..300_000,
         seed in any::<u64>(),
@@ -319,7 +289,7 @@ proptest! {
             let mut cfg = ServeConfig::standard(
                 tenants,
                 WalScheme::Ba,
-                ArrivalConfig::new(kind, r as f64, seed),
+                poisson(r as f64, seed),
             );
             cfg.horizon = twob_sim::SimDuration::from_micros(2_000);
             cfg
